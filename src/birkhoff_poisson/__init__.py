@@ -29,7 +29,6 @@ from .linalg import (
     principal_minors,
 )
 from .lie import (
-    TriangularContext,
     dressing_act,
     hilbert_transform,
     proj_u,
@@ -37,14 +36,12 @@ from .lie import (
     tri_project,
 )
 from .momentum import (
-    MomentumValue,
     hamiltonian_residual,
     moment_eval,
     moment_on_basis,
     torus_vector_field,
 )
 from .poisson import (
-    BivectorOperator,
     CoordBivector,
     calibration_constant,
     chart_pi_eval,
@@ -72,7 +69,6 @@ from .strata import (
 )
 from .symspace import (
     SymmetricSpacePreset,
-    TangentClass,
     canonical_rep,
     cartan_embed,
     grassmannian,

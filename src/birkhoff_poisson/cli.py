@@ -5,16 +5,13 @@ Conventions: complex scalars serialize as [re, im] pairs and matrices as
 row-major nested arrays of such pairs.  Grid sweeps sample open rectangles
 with a half-step offset so exact boundary points are avoided.  Exit codes:
 0 ok, 1 verification failure, 2 usage/parse error, 3 numerical-domain error.
-The environment variable BP_THREADS caps grid parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,7 +219,7 @@ def cmd_pi(args, config: RunConfig) -> int:
         {
             "preset": preset.label,
             "omega_matrix": [[float(v) for v in row] for row in mat],
-            "rank": pi_rank(u, preset, config.tol),
+            "rank": int(np.linalg.matrix_rank(mat, tol=config.tol)),
             "dim_ip": preset.dim_ip,
         },
         config.out,
@@ -358,12 +355,7 @@ def cmd_rank_grid(args, config: RunConfig) -> int:
     xs = _axis_points(*axes[0])
     ys = _axis_points(*axes[1])
     cells = [(float(x), float(y)) for x in xs for y in ys]
-    threads = int(os.environ.get("BP_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _grid_cell(name, preset, c, config.tol), cells))
-    else:
-        rows = [_grid_cell(name, preset, c, config.tol) for c in cells]
+    rows = [_grid_cell(name, preset, c, config.tol) for c in cells]
     columns = _grid_columns(name)
     if config.fmt == "csv":
         lines = [",".join(columns)]

@@ -10,25 +10,11 @@ decomposition compatible with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import iwasawa_factor
 
 TRACELESS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class TriangularContext:
-    """Size marker for the triangular decomposition of sl(n, C)."""
-
-    n: int
-
-
-def _check_ctx(z: np.ndarray, ctx: TriangularContext | None) -> None:
-    if ctx is not None and z.shape[0] != ctx.n:
-        raise ValueError(f"matrix dimension {z.shape[0]} does not match context n = {ctx.n}")
 
 
 def ensure_traceless(z: np.ndarray, tol: float = TRACELESS_TOL) -> np.ndarray:
@@ -44,32 +30,29 @@ def ensure_traceless(z: np.ndarray, tol: float = TRACELESS_TOL) -> np.ndarray:
     return z
 
 
-def tri_project(
-    z: np.ndarray, ctx: TriangularContext | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a traceless matrix into (strictly lower, diagonal, strictly upper)."""
     z = ensure_traceless(z)
-    _check_ctx(z, ctx)
     z_minus = np.tril(z, -1)
     z_plus = np.triu(z, 1)
     z_h = z - z_minus - z_plus
     return z_minus, z_h, z_plus
 
 
-def hilbert_transform(z: np.ndarray, ctx: TriangularContext | None = None) -> np.ndarray:
+def hilbert_transform(z: np.ndarray) -> np.ndarray:
     """-i on the strictly lower part, 0 on the diagonal, +i on the strictly upper part."""
-    z_minus, _, z_plus = tri_project(z, ctx)
+    z_minus, _, z_plus = tri_project(z)
     return -1j * z_minus + 1j * z_plus
 
 
-def proj_u(z: np.ndarray, ctx: TriangularContext | None = None) -> np.ndarray:
+def proj_u(z: np.ndarray) -> np.ndarray:
     """Projection onto the compact form along (strict lower) + (real diagonal).
 
     Computed as -(Z_+)* + Z_t + Z_+ where Z_t is the anti-Hermitian part of
     the diagonal of Z.  On anti-Hermitian inputs this is the identity, and
     proj_u(i Z) = hilbert_transform(Z) for anti-Hermitian Z.
     """
-    _, z_h, z_plus = tri_project(z, ctx)
+    _, z_h, z_plus = tri_project(z)
     z_t = 0.5 * (z_h - z_h.conj().T)
     return -z_plus.conj().T + z_t + z_plus
 

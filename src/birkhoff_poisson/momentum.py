@@ -10,34 +10,21 @@ anchor map, and compared with the action vector field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidTangent
+from .lie import trace_form
 from .poisson import omega_apply
 from .strata import birkhoff_layer, leaf_factorize, torus_tw
 from .symspace import (
-    KIND_GROUP,
     SymmetricSpacePreset,
-    TangentClass,
-    elem_norm,
-    elem_scale,
     ip_basis,
     project_ip,
     theta_g,
-    trace_pairing,
     unitary_exp,
 )
 
 _TORUS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MomentumValue:
-    """Momentum functional evaluated on a torus basis."""
-
-    value_on_basis: np.ndarray
 
 
 def _check_torus_direction(x: np.ndarray, preset: SymmetricSpacePreset, w) -> None:
@@ -68,25 +55,23 @@ def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-
     <(1/2) i theta(log|h|), x> with h from the leaf factorization."""
     lf = leaf_factorize(u, preset, tol)
     _check_torus_direction(x, preset, (lf.perm, lf.signs))
-    val = trace_pairing(0.5j * theta_g(lf.log_abs_h, preset), x)
+    val = trace_form(0.5j * theta_g(lf.log_abs_h, preset), x)
     return float(val.real)
 
 
-def moment_on_basis(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> MomentumValue:
+def moment_on_basis(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> np.ndarray:
     """Momentum functional on the full torus basis of the point's layer."""
     basis = torus_tw(birkhoff_layer(u, preset, tol), preset)
-    return MomentumValue(
-        value_on_basis=np.array([moment_eval(u, x, preset, tol) for x in basis])
-    )
+    return np.array([moment_eval(u, x, preset, tol) for x in basis])
 
 
-def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> TangentClass:
-    """Vector field of the torus action at u: the class of minus the
-    projected down-conjugated direction."""
-    if preset.kind == KIND_GROUP:
+def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Vector field of the torus action at u, as the odd anti-Hermitian
+    representative at u: minus the projected down-conjugated direction."""
+    if not preset.is_inner:
         raise ValueError("the torus field is computed for the Grassmannian family")
     down = np.asarray(u).conj().T @ np.asarray(x, dtype=complex) @ np.asarray(u)
-    return TangentClass(u=u, x=elem_scale(-1.0, project_ip(down, preset)))
+    return -project_ip(down, preset)
 
 
 def hamiltonian_residual(
@@ -111,5 +96,5 @@ def hamiltonian_residual(
         coeffs[r] = -(forward - backward) / (2.0 * fd_step)
     dmu = sum(c * e for c, e in zip(coeffs, basis))
     sharp = omega_apply(u, dmu, preset, validate=False)
-    field = torus_vector_field(u, x, preset).x
-    return float(elem_norm(sharp - field))
+    field = torus_vector_field(u, x, preset)
+    return float(np.linalg.norm(sharp - field))

@@ -29,18 +29,13 @@ import numpy as np
 from .errors import InvalidTangent, OnDegeneracyLocus
 from .lie import hilbert_transform, trace_form
 from .symspace import (
-    KIND_GROUP,
     SymmetricSpacePreset,
     adjoint_act,
     canonical_rep,
-    elem_norm,
     elem_real_inner,
     grassmannian,
     ip_basis,
-    is_pair,
     project_ip,
-    theta_g,
-    trace_pairing,
 )
 
 REALITY_TOL = 1e-10
@@ -48,33 +43,16 @@ CHART_FD_STEP = 1e-6
 JACOBI_FD_STEP = 1e-5
 
 
-def _adjoint_inv(u, x, preset: SymmetricSpacePreset):
-    """Ad(u^(-1)) x for unitary u."""
-    if preset.kind == KIND_GROUP:
-        return (u[0].conj().T @ x[0] @ u[0], u[1].conj().T @ x[1] @ u[1])
-    return np.asarray(u).conj().T @ x @ u
-
-
-def _hilbert(x, preset: SymmetricSpacePreset):
-    if preset.kind == KIND_GROUP:
-        return (hilbert_transform(x[0]), hilbert_transform(x[1]))
-    return hilbert_transform(x)
-
-
 def _validate_ip(x, preset: SymmetricSpacePreset, tol: float = REALITY_TOL) -> None:
-    comps = x if is_pair(x) else (x,)
-    scale = max(1.0, elem_norm(x))
-    for comp in comps:
-        if np.linalg.norm(comp + comp.conj().T) > tol * scale:
-            raise InvalidTangent("tangent representative is not anti-Hermitian")
-        if abs(np.trace(comp)) > tol * scale:
-            raise InvalidTangent("tangent representative is not traceless")
-    xt = theta_g(x, preset)
-    defect = elem_norm(
-        (xt[0] + x[0], xt[1] + x[1]) if is_pair(x) else xt + x
-    )
-    if defect > tol * scale:
-        raise InvalidTangent("tangent representative is not odd under the involution")
+    """Raise unless x lies in the odd anti-Hermitian subspace, measured as the
+    distance from x to its expansion on the orthonormal odd basis."""
+    scale = max(1.0, float(np.linalg.norm(x)))
+    if np.linalg.norm(x + x.conj().T) > tol * scale:
+        raise InvalidTangent("tangent representative is not anti-Hermitian")
+    basis = ip_basis(preset)
+    residual = x - sum(elem_real_inner(e, x) * e for e in basis)
+    if np.linalg.norm(residual) > tol * scale:
+        raise InvalidTangent("tangent representative lies outside the odd subspace")
 
 
 def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
@@ -82,17 +60,17 @@ def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
     odd anti-Hermitian subspace."""
     if validate:
         _validate_ip(x, preset)
-    lifted = adjoint_act(u, x, preset)
-    transformed = _hilbert(lifted, preset)
-    return project_ip(_adjoint_inv(u, transformed, preset), preset)
+    u = np.asarray(u)
+    transformed = hilbert_transform(adjoint_act(u, x))
+    return project_ip(u.conj().T @ transformed @ u, preset)
 
 
 def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True) -> float:
     """Bivector value on the cotangent classes [u, x], [u, y]."""
     if validate:
         _validate_ip(y, preset)
-    val = trace_pairing(omega_apply(u, x, preset, validate=validate), y)
-    scale = max(1.0, elem_norm(x) * elem_norm(y))
+    val = trace_form(omega_apply(u, x, preset, validate=validate), y)
+    scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
     if abs(val.imag) > REALITY_TOL * scale:
         raise InvalidTangent(f"pairing has imaginary residue {val.imag:.3e}")
     return float(val.real)
@@ -108,18 +86,6 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
         for s, e_s in enumerate(basis):
             mat[s, r] = elem_real_inner(e_s, image)
     return mat
-
-
-@dataclass(frozen=True)
-class BivectorOperator:
-    """Base point representative plus the matrix of the skew operator."""
-
-    u: "np.ndarray | tuple[np.ndarray, np.ndarray]"
-    matrix: np.ndarray
-
-    @classmethod
-    def at(cls, u, preset: SymmetricSpacePreset) -> "BivectorOperator":
-        return cls(u=u, matrix=matrix_of_omega(u, preset))
 
 
 def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> int:
@@ -149,30 +115,28 @@ def _check_compact(p: np.ndarray) -> None:
         raise InvalidTangent("argument must be anti-Hermitian and traceless")
 
 
-def pi_lw_group(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """Poisson-Lie group structure pairing (right trivialization):
-    <(Ad(k) o H o Ad(k^-1) - H)(p), q>."""
+def _group_pairing(k: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> float:
+    """<(Ad(k) o H o Ad(k^-1) + sign H)(p), q>."""
     _check_compact(p)
     _check_compact(q)
     k = np.asarray(k, dtype=complex)
     moved = k @ hilbert_transform(k.conj().T @ p @ k) @ k.conj().T
-    val = trace_form(moved - hilbert_transform(p), q)
-    if abs(val.imag) > REALITY_TOL * max(1.0, abs(val.real), 1.0):
+    val = trace_form(moved + sign * hilbert_transform(p), q)
+    if abs(val.imag) > REALITY_TOL * max(1.0, abs(val.real)):
         raise InvalidTangent(f"pairing has imaginary residue {val.imag:.3e}")
     return float(val.real)
+
+
+def pi_lw_group(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """Poisson-Lie group structure pairing (right trivialization):
+    <(Ad(k) o H o Ad(k^-1) - H)(p), q>."""
+    return _group_pairing(k, p, q, -1.0)
 
 
 def pi_el_group(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """Homogeneous structure on the group itself (right trivialization):
     <(H + Ad(k) o H o Ad(k^-1))(p), q>."""
-    _check_compact(p)
-    _check_compact(q)
-    k = np.asarray(k, dtype=complex)
-    moved = k @ hilbert_transform(k.conj().T @ p @ k) @ k.conj().T
-    val = trace_form(hilbert_transform(p) + moved, q)
-    if abs(val.imag) > REALITY_TOL * max(1.0, abs(val.real), 1.0):
-        raise InvalidTangent(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return _group_pairing(k, p, q, 1.0)
 
 
 def su2_el_coefficients(k: np.ndarray) -> tuple[float, float, float]:
@@ -312,19 +276,12 @@ def coord_pi_value(coeffs: CoordCoefficients, v: np.ndarray, w: np.ndarray) -> f
 
 
 @dataclass(frozen=True)
-class Cp2Symplectic:
+class Cp2Symplectic(CoordCoefficients):
     """Symplectic form on the open leaf of the two-dimensional projective
     space, as d z ^ d conj(z) coefficient matrices, plus the degeneracy
     polynomial value p."""
 
-    mixed: np.ndarray
-    holo: np.ndarray
     p: float
-
-    def complex_matrix(self) -> np.ndarray:
-        return np.block(
-            [[self.holo, self.mixed], [np.conj(self.mixed), np.conj(self.holo)]]
-        )
 
 
 def cp2_degeneracy_p(z1: complex, z2: complex) -> float:
@@ -599,7 +556,7 @@ def chart_covectors(
     gram = np.zeros((len(basis), len(basis)))
     for r, y_r in enumerate(tangents):
         for s, e_s in enumerate(basis):
-            gram[s, r] = float(np.real(trace_pairing(e_s, y_r)))
+            gram[s, r] = trace_form(e_s, y_r).real
     dirs = chart_directions(preset)
     out = []
     for v in covectors:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import principal_minors
 from .symspace import (
-    KIND_GROUP,
     SymmetricSpacePreset,
+    block_diag,
     ip_basis,
+    layer_image,
     su_basis,
     unitary_exp,
 )
@@ -35,11 +37,10 @@ def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_point(preset: SymmetricSpacePreset, rng: np.random.Generator):
-    """Random coset representative (pair of unitaries in the group case)."""
-    if preset.kind == KIND_GROUP:
-        return (
-            random_special_unitary(preset.n, rng),
-            random_special_unitary(preset.n, rng),
+    """Random coset representative (diag(k1, k2) in the group case)."""
+    if not preset.is_inner:
+        return block_diag(
+            random_special_unitary(preset.n, rng), random_special_unitary(preset.n, rng)
         )
     return random_special_unitary(preset.matrix_dim, rng)
 
@@ -48,28 +49,23 @@ def random_interior_point(
     preset: SymmetricSpacePreset, rng: np.random.Generator, margin: float = 0.1
 ):
     """Random point strictly inside the top Birkhoff layer: every principal
-    minor of the Cartan image stays at least ``margin`` away from zero.
+    minor of the layer image stays at least ``margin`` away from zero.
 
     Finite-difference checks degenerate near layer boundaries (the momentum
     has logarithmic blow-up there), so boundary-margin sampling is the
     sampling analogue of restricting the projective line to |z| <= 0.9.
     """
-    from .linalg import principal_minors
-    from .symspace import cartan_embed
-
     while True:
         u = random_point(preset, rng)
-        phi = cartan_embed(u, preset)
-        target = phi[0] if isinstance(phi, tuple) else phi
-        if np.min(np.abs(principal_minors(target))) >= margin:
+        if np.min(np.abs(principal_minors(layer_image(u, preset)))) >= margin:
             return u
 
 
 def random_stabilizer(preset: SymmetricSpacePreset, rng: np.random.Generator):
     """Random element of the stability subgroup."""
-    if preset.kind == KIND_GROUP:
+    if not preset.is_inner:
         k = random_special_unitary(preset.n, rng)
-        return (k, k)
+        return block_diag(k, k)
     m, n = preset.m, preset.n
     dim = m + n
     a = complex_normal(rng, (m, m))
@@ -85,9 +81,6 @@ def random_ip(preset: SymmetricSpacePreset, rng: np.random.Generator, scale: flo
     """Random element of the odd anti-Hermitian subspace."""
     basis = ip_basis(preset)
     coeffs = scale * rng.standard_normal(len(basis))
-    if preset.kind == KIND_GROUP:
-        first = sum(c * b[0] for c, b in zip(coeffs, basis))
-        return (first, -first)
     return sum(c * b for c, b in zip(coeffs, basis))
 
 

@@ -20,16 +20,13 @@ import numpy as np
 from .errors import DimensionGuard, SymmetryViolation
 from .lie import proj_u
 from .linalg import birkhoff_factor, signed_permutation_matrix
-from .poisson import matrix_of_omega
 from .symspace import (
-    KIND_GROUP,
     SymmetricSpacePreset,
     adjoint_act,
     cartan_embed,
     elem_real_inner,
-    group_iso,
     ip_basis,
-    is_pair,
+    layer_image,
     project_ip,
     theta_g,
     torus_basis,
@@ -57,26 +54,16 @@ class LeafFactorization:
         return signed_permutation_matrix(self.perm, self.signs)
 
 
-def _embedded_image(u, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Matrix whose Birkhoff stratum classifies the point: the Cartan image,
-    or its single-factor avatar k1 k2^(-1) in the group case."""
-    if preset.kind == KIND_GROUP:
-        if not is_pair(u):
-            raise ValueError("group-case points are pairs of unitaries")
-        return group_iso(u[0], u[1])
-    return cartan_embed(u, preset)
-
-
 def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
     """Signed permutation indexing the Birkhoff layer through the point."""
-    factors = birkhoff_factor(_embedded_image(u, preset), tol)
+    factors = birkhoff_factor(layer_image(u, preset), tol)
     return factors.perm, factors.signs
 
 
 def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFactorization:
     """Factor the Cartan image of a Grassmannian-family point as
     l @ W @ h @ theta(l*)."""
-    if preset.kind == KIND_GROUP:
+    if not preset.is_inner:
         raise ValueError(
             "leaf factorization applies to the Grassmannian family; classify "
             "group-case points through their single-factor image instead"
@@ -116,7 +103,7 @@ def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> list[np.ndar
     """Orthonormal basis of the fixed subspace of Ad(W) o theta on the purely
     imaginary traceless diagonals, via the nullspace of the operator minus
     the identity."""
-    if preset.kind == KIND_GROUP:
+    if not preset.is_inner:
         raise ValueError("the layer torus is computed for the Grassmannian family")
     perm, signs = w
     w_mat = signed_permutation_matrix(perm, signs)
@@ -158,26 +145,14 @@ def order_two_torus_elements(preset: SymmetricSpacePreset, guard: int = 12) -> l
     return out
 
 
-def pi_sharp_span(u, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Coordinates (in the odd-subspace basis) of the image of the bivector's
-    anchor map at u; columns span the leaf tangent space."""
-    return matrix_of_omega(u, preset)
-
-
 def orbit_direction_span(u, preset: SymmetricSpacePreset) -> np.ndarray:
     """Coordinates of the projected noncompact-orbit directions at u, computed
     through the compact-form projection instead of the Hilbert transform."""
     basis = ip_basis(preset)
     cols = np.zeros((len(basis), len(basis)))
     for r, x in enumerate(basis):
-        lifted = adjoint_act(u, x, preset)
-        if is_pair(lifted):
-            moved = (proj_u(1j * lifted[0]), proj_u(1j * lifted[1]))
-            back = (u[0].conj().T @ moved[0] @ u[0], u[1].conj().T @ moved[1] @ u[1])
-        else:
-            moved = proj_u(1j * lifted)
-            back = u.conj().T @ moved @ u
-        projected = project_ip(back, preset)
+        moved = proj_u(1j * adjoint_act(u, x))
+        projected = project_ip(u.conj().T @ moved @ u, preset)
         for s, e_s in enumerate(basis):
             cols[s, r] = elem_real_inner(e_s, projected)
     return cols

@@ -1,20 +1,23 @@
 """Symmetric-space presentations, eigenspace projections, the Cartan
 embedding, and coordinate charts with canonical representatives.
 
-Two families are supported:
+Every space is U/K with K the fixed points of an involution theta that is
+conjugation by a signed permutation matrix J, and every element of U or of
+its Lie algebra is stored as one square complex matrix of size m + n:
 
 * Grassmannian(m, n): the special unitary group of size m + n modulo the
   block-diagonal stabilizer of the plane spanned by the first m coordinates.
-  The involution is conjugation by J = diag(I_m, -I_n); projective space is
-  the m = 1 case.
+  J = diag(I_m, -I_n); projective space is the m = 1 case.
 * GroupCase(n): the product of two copies of the special unitary group of
-  size n modulo the diagonal.  Elements are stored as pairs of n x n
-  matrices; the involution swaps the pair.
+  size n modulo the diagonal.  The pair (k1, k2) is stored as the
+  block-diagonal matrix diag(k1, k2), so m = n, and J is the swap of the two
+  blocks.  Odd algebra elements are diag(x, -x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +25,6 @@ from .linalg import inv_sqrt_hpd
 
 KIND_GRASSMANNIAN = "grassmannian"
 KIND_GROUP = "group"
-
-# Either a single square complex matrix or a pair of them (group case).
-Element = "np.ndarray | tuple[np.ndarray, np.ndarray]"
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,17 @@ class SymmetricSpacePreset:
 
     @property
     def matrix_dim(self) -> int:
-        return self.m + self.n if self.kind == KIND_GRASSMANNIAN else self.n
+        return self.m + self.n
 
     @property
     def dim_u(self) -> int:
-        d = self.matrix_dim
-        return d * d - 1 if self.kind == KIND_GRASSMANNIAN else 2 * (d * d - 1)
+        if self.is_inner:
+            return self.matrix_dim ** 2 - 1
+        return 2 * (self.n * self.n - 1)
 
     @property
     def dim_k(self) -> int:
-        if self.kind == KIND_GRASSMANNIAN:
+        if self.is_inner:
             return self.m * self.m + self.n * self.n - 1
         return self.n * self.n - 1
 
@@ -54,11 +55,17 @@ class SymmetricSpacePreset:
     def dim_ip(self) -> int:
         return self.dim_u - self.dim_k
 
-    @property
-    def theta_matrix(self) -> np.ndarray:
-        if self.kind != KIND_GRASSMANNIAN:
-            raise ValueError("theta_matrix is defined for the Grassmannian family only")
-        return np.diag(np.concatenate([np.ones(self.m), -np.ones(self.n)])).astype(complex)
+    @cached_property
+    def theta_index_mask(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """J = S P as an ``np.ix_`` index of the permutation P and the mask
+        s_i s_j of the signs S, so that J g J = g[index] * mask."""
+        if self.is_inner:
+            perm = np.arange(self.matrix_dim)
+            signs = np.concatenate([np.ones(self.m), -np.ones(self.n)])
+        else:
+            perm = np.concatenate([np.arange(self.n, 2 * self.n), np.arange(self.n)])
+            signs = np.ones(2 * self.n)
+        return np.ix_(perm, perm), np.outer(signs, signs)
 
     @property
     def label(self) -> str:
@@ -86,7 +93,7 @@ def projective_space(n: int) -> SymmetricSpacePreset:
 def group_case(n: int) -> SymmetricSpacePreset:
     if n < 2:
         raise ValueError("group case needs factor size at least 2")
-    return SymmetricSpacePreset(KIND_GROUP, 0, n)
+    return SymmetricSpacePreset(KIND_GROUP, n, n)
 
 
 def parse_preset(spec: str) -> SymmetricSpacePreset:
@@ -106,33 +113,47 @@ def parse_preset(spec: str) -> SymmetricSpacePreset:
     raise ValueError(f"unknown preset {spec!r}")
 
 
-def is_pair(g) -> bool:
-    return isinstance(g, tuple)
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a, b): the stored form of the group-case pair (a, b)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0]:, a.shape[0]:] = b
+    return out
 
 
-def theta_g(g, preset: SymmetricSpacePreset):
-    """The involution: conjugation by J on matrices, factor swap on pairs.
-
-    Applies verbatim to group elements and Lie algebra elements.
-    """
-    if preset.kind == KIND_GROUP:
-        if not is_pair(g):
-            raise ValueError("group-case elements are pairs of matrices")
-        return (g[1], g[0])
-    j = preset.theta_matrix
-    return j @ np.asarray(g, dtype=complex) @ j
+def theta_g(g: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """The involution J g J on group elements and Lie algebra elements."""
+    g = np.asarray(g)
+    index, mask = preset.theta_index_mask
+    if g.shape != mask.shape:
+        raise ValueError(f"elements of {preset.label} are {mask.shape} matrices, got {g.shape}")
+    return g[index] * mask
 
 
-def cartan_embed(u, preset: SymmetricSpacePreset):
+def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Totally geodesic embedding of the coset space: u K -> u theta(u)^(-1).
 
     The image satisfies phi* = theta(phi) and is unitary.
     """
-    if preset.kind == KIND_GROUP:
-        k1, k2 = u
-        return (k1 @ k2.conj().T, k2 @ k1.conj().T)
     u = np.asarray(u, dtype=complex)
     return u @ theta_g(u, preset).conj().T
+
+
+def group_iso(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Identification of the group case with a single factor: (k1, k2) -> k1 k2^(-1)."""
+    return np.asarray(k1, dtype=complex) @ np.asarray(k2, dtype=complex).conj().T
+
+
+def layer_image(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Matrix whose Birkhoff layer classifies the coset point: the Cartan
+    image, or in the group case the single-factor image k1 k2^(-1) of
+    u = diag(k1, k2), whose minors are not those of the Cartan image."""
+    if preset.is_inner:
+        return cartan_embed(u, preset)
+    n = preset.n
+    return group_iso(u[:n, :n], u[n:, n:])
 
 
 def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -141,7 +162,7 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
 
     Built from the inverse square roots of I + z* z and I + z z*.
     """
-    if preset.kind != KIND_GRASSMANNIAN:
+    if not preset.is_inner:
         raise ValueError("canonical representatives exist for the Grassmannian family only")
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0:
@@ -157,104 +178,45 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
 
 def chart_point(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Chart matrix of the plane spanned by the first m columns of u."""
-    if preset.kind != KIND_GRASSMANNIAN:
+    if not preset.is_inner:
         raise ValueError("charts exist for the Grassmannian family only")
     m = preset.m
     return np.asarray(u)[m:, :m] @ np.linalg.inv(np.asarray(u)[:m, :m])
 
 
-def project_ip(z, preset: SymmetricSpacePreset):
+def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Component along the odd anti-Hermitian subspace in the splitting of
     the complexified algebra: (z + theta(z*) - (z + theta(z*))*) / 4."""
-    if preset.kind == KIND_GROUP:
-        s_theta = theta_g((z[0].conj().T, z[1].conj().T), preset)
-        w = (z[0] + s_theta[0], z[1] + s_theta[1])
-        return (0.25 * (w[0] - w[0].conj().T), 0.25 * (w[1] - w[1].conj().T))
     z = np.asarray(z, dtype=complex)
     w = z + theta_g(z.conj().T, preset)
     return 0.25 * (w - w.conj().T)
 
 
-def project_k(z, preset: SymmetricSpacePreset):
+def project_k(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Component in the stabilizer subalgebra (even anti-Hermitian part)."""
-    if preset.kind == KIND_GROUP:
-        a = (0.5 * (z[0] - z[0].conj().T), 0.5 * (z[1] - z[1].conj().T))
-        at = theta_g(a, preset)
-        return (0.5 * (a[0] + at[0]), 0.5 * (a[1] + at[1]))
     z = np.asarray(z, dtype=complex)
     a = 0.5 * (z - z.conj().T)
     return 0.5 * (a + theta_g(a, preset))
 
 
-def project_iu(z, preset: SymmetricSpacePreset):
+def project_iu(z: np.ndarray) -> np.ndarray:
     """Hermitian part (the i-times-compact component)."""
-    if preset.kind == KIND_GROUP:
-        return (0.5 * (z[0] + z[0].conj().T), 0.5 * (z[1] + z[1].conj().T))
     z = np.asarray(z, dtype=complex)
     return 0.5 * (z + z.conj().T)
 
 
-def group_iso(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Identification of the group case with a single factor: (k1, k2) -> k1 k2^(-1)."""
-    return np.asarray(k1, dtype=complex) @ np.asarray(k2, dtype=complex).conj().T
-
-
-@dataclass(frozen=True)
-class TangentClass:
-    """A (co)tangent vector to the coset space: a unitary representative u and
-    an element x of the odd anti-Hermitian subspace."""
-
-    u: "np.ndarray | tuple[np.ndarray, np.ndarray]"
-    x: "np.ndarray | tuple[np.ndarray, np.ndarray]"
-
-
-# ---------------------------------------------------------------------------
-# element helpers (work on single matrices and on group-case pairs)
-
-
-def elem_add(x, y):
-    if is_pair(x):
-        return (x[0] + y[0], x[1] + y[1])
-    return x + y
-
-
-def elem_scale(c, x):
-    if is_pair(x):
-        return (c * x[0], c * x[1])
-    return c * x
-
-
-def elem_norm(x) -> float:
-    if is_pair(x):
-        return float(np.sqrt(np.linalg.norm(x[0]) ** 2 + np.linalg.norm(x[1]) ** 2))
-    return float(np.linalg.norm(x))
-
-
-def elem_real_inner(x, y) -> float:
-    """Real Frobenius inner product Re tr(x* y), summed over pair components."""
-    if is_pair(x):
-        return float(np.real(np.vdot(x[0], y[0]) + np.vdot(x[1], y[1])))
+def elem_real_inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Real Frobenius inner product Re tr(x* y)."""
     return float(np.real(np.vdot(x, y)))
 
 
-def trace_pairing(x, y) -> complex:
-    """Invariant form tr(x y), summed over pair components."""
-    if is_pair(x):
-        return complex(np.trace(x[0] @ y[0]) + np.trace(x[1] @ y[1]))
-    return complex(np.trace(x @ y))
-
-
-def adjoint_act(u, x, preset: SymmetricSpacePreset):
-    """Ad(u) x = u x u^(-1) for unitary u (componentwise on pairs)."""
-    if preset.kind == KIND_GROUP:
-        return (u[0] @ x[0] @ u[0].conj().T, u[1] @ x[1] @ u[1].conj().T)
+def adjoint_act(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ad(u) x = u x u^(-1) for unitary u."""
     return u @ x @ np.asarray(u).conj().T
 
 
-def unitary_exp(x):
+def unitary_exp(x: np.ndarray) -> np.ndarray:
     """exp(x) for anti-Hermitian x via the eigendecomposition of i x."""
-    if is_pair(x):
-        return (unitary_exp(x[0]), unitary_exp(x[1]))
     x = np.asarray(x, dtype=complex)
     herm = 1j * x
     herm = 0.5 * (herm + herm.conj().T)
@@ -297,20 +259,19 @@ def torus_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def ip_basis(preset: SymmetricSpacePreset) -> list:
+def ip_basis(preset: SymmetricSpacePreset) -> list[np.ndarray]:
     """Orthonormal (Frobenius) real basis of the odd anti-Hermitian subspace.
 
     Grassmannian: block off-diagonal matrices built from the elementary
     matrices of the lower-left block and their imaginary twins.  Group case:
-    anti-diagonal pairs built from the single-factor basis.
+    diag(b, -b) / sqrt(2) over the single-factor basis.
     """
-    if preset.kind == KIND_GROUP:
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        return [(inv_sqrt2 * b, -inv_sqrt2 * b) for b in su_basis(preset.n)]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    if not preset.is_inner:
+        return [block_diag(inv_sqrt2 * b, -inv_sqrt2 * b) for b in su_basis(preset.n)]
     m, n = preset.m, preset.n
     dim = m + n
     basis = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for r in range(n):
         for c in range(m):
             for val in (1.0, 1.0j):

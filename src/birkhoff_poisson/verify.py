@@ -61,43 +61,17 @@ def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> li
         for _ in range(50):
             u = sampling.random_point(preset, rng)
             phi = symspace.cartan_embed(u, preset)
-            if symspace.is_pair(phi):
-                worst_sym = max(
-                    worst_sym,
-                    symspace.elem_norm(
-                        tuple(
-                            a - b
-                            for a, b in zip(
-                                (phi[0].conj().T, phi[1].conj().T),
-                                symspace.theta_g(phi, preset),
-                            )
-                        )
-                    ),
-                )
-                worst_unit = max(
-                    worst_unit,
-                    np.linalg.norm(phi[0] @ phi[0].conj().T - np.eye(preset.n)),
-                )
-            else:
-                worst_sym = max(
-                    worst_sym,
-                    np.linalg.norm(phi.conj().T - symspace.theta_g(phi, preset)),
-                )
-                worst_unit = max(
-                    worst_unit,
-                    np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim)),
-                )
+            worst_sym = max(
+                worst_sym,
+                np.linalg.norm(phi.conj().T - symspace.theta_g(phi, preset)),
+            )
+            worst_unit = max(
+                worst_unit,
+                np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim)),
+            )
             k = sampling.random_stabilizer(preset, rng)
-            if symspace.is_pair(u):
-                uk = (u[0] @ k[0], u[1] @ k[1])
-                moved = symspace.cartan_embed(uk, preset)
-                worst_coset = max(
-                    worst_coset,
-                    symspace.elem_norm((moved[0] - phi[0], moved[1] - phi[1])),
-                )
-            else:
-                moved = symspace.cartan_embed(u @ k, preset)
-                worst_coset = max(worst_coset, np.linalg.norm(moved - phi))
+            moved = symspace.cartan_embed(u @ k, preset)
+            worst_coset = max(worst_coset, np.linalg.norm(moved - phi))
     for preset in _CHART_PRESETS:
         for _ in range(25):
             z = sampling.random_chart(preset, rng)
@@ -129,17 +103,9 @@ def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> lis
             mat = poisson.matrix_of_omega(u, preset)
             worst_skew = max(worst_skew, np.max(np.abs(mat + mat.T)))
             k = sampling.random_stabilizer(preset, rng)
-            xk = symspace.adjoint_act(
-                (k[0].conj().T, k[1].conj().T) if symspace.is_pair(k) else k.conj().T,
-                x,
-                preset,
-            )
-            yk = symspace.adjoint_act(
-                (k[0].conj().T, k[1].conj().T) if symspace.is_pair(k) else k.conj().T,
-                y,
-                preset,
-            )
-            uk = (u[0] @ k[0], u[1] @ k[1]) if symspace.is_pair(u) else u @ k
+            xk = symspace.adjoint_act(k.conj().T, x)
+            yk = symspace.adjoint_act(k.conj().T, y)
+            uk = u @ k
             worst_equiv = max(
                 worst_equiv,
                 abs(poisson.pi_eval(uk, xk, yk, preset) - poisson.pi_eval(u, x, y, preset)),
@@ -169,7 +135,12 @@ def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> lis
         q = sampling.random_su_algebra(2, rng)
         pd = k1.conj().T @ p @ k1
         qd = k1.conj().T @ q @ k1
-        push = poisson.pi_eval((k1, k2), (pd, -pd), (qd, -qd), group)
+        push = poisson.pi_eval(
+            symspace.block_diag(k1, k2),
+            symspace.block_diag(pd, -pd),
+            symspace.block_diag(qd, -qd),
+            group,
+        )
         worst_push = max(worst_push, abs(poisson.pi_el_group(k1 @ k2.conj().T, p, q) - push))
     return [
         _check("antisymmetry", worst_antisym, 1e-10),
@@ -232,7 +203,8 @@ def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float)
     for _ in range(100):
         z = complex(sampling.complex_normal(rng, ()))
         fam = poisson.cp1_family(z)
-        worst = max(worst, abs(fam.evens_lu - (fam.projected_pl - fam.kks)))
+        # rounding grows like |kks| = (1 + |z|^2)^2, so the bound is relative to it
+        worst = max(worst, abs(fam.evens_lu - (fam.projected_pl - fam.kks)) / abs(fam.kks))
     equator = max(
         abs(poisson.cp1_family(np.exp(1j * t)).evens_lu) for t in np.linspace(0, 6.2, 21)
     )
@@ -296,7 +268,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
             worst_angle = max(
                 worst_angle,
                 linalg.max_principal_angle(
-                    strata.pi_sharp_span(u, preset),
+                    poisson.matrix_of_omega(u, preset),
                     strata.orbit_direction_span(u, preset),
                     tol=1e-8,
                 ),

@@ -45,7 +45,8 @@ from birkhoff_poisson.sampling import (
     random_special_linear,
     random_su2_sphere,
 )
-from birkhoff_poisson.strata import orbit_direction_span, pi_sharp_span
+from birkhoff_poisson.poisson import matrix_of_omega
+from birkhoff_poisson.strata import orbit_direction_span
 from birkhoff_poisson.symspace import grassmannian, group_case, projective_space
 
 CHART_PRESETS = [grassmannian(1, 1), projective_space(2), grassmannian(2, 2)]
@@ -94,20 +95,11 @@ def test_criterion_02_cartan_embedding_symmetry():
         for _ in range(1000):
             u = random_point(preset, rng)
             phi = cartan_embed(u, preset)
-            if isinstance(phi, tuple):
-                ph_t = theta_g(phi, preset)
-                worst = max(
-                    worst,
-                    np.linalg.norm(phi[0].conj().T - ph_t[0]),
-                    np.linalg.norm(phi[1].conj().T - ph_t[1]),
-                    np.linalg.norm(phi[0] @ phi[0].conj().T - np.eye(preset.n)),
-                )
-            else:
-                worst = max(
-                    worst,
-                    np.linalg.norm(phi.conj().T - theta_g(phi, preset)),
-                    np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim)),
-                )
+            worst = max(
+                worst,
+                np.linalg.norm(phi.conj().T - theta_g(phi, preset)),
+                np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim)),
+            )
     assert worst <= 1e-10
     report("criterion-02 cartan-symmetry", f"worst residual {worst:.2e} over 4 presets x 1000")
 
@@ -202,7 +194,7 @@ def test_criterion_08_leaf_tangency():
     for preset in RANK_PRESETS:
         for _ in range(100):
             u = random_point(preset, rng)
-            a = pi_sharp_span(u, preset)
+            a = matrix_of_omega(u, preset)
             b = orbit_direction_span(u, preset)
             assert np.linalg.matrix_rank(a, tol=1e-9) == np.linalg.matrix_rank(b, tol=1e-9)
             worst = max(worst, max_principal_angle(a, b, tol=1e-8))

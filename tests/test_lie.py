@@ -8,7 +8,7 @@ from birkhoff_poisson import (
     trace_form,
     tri_project,
 )
-from birkhoff_poisson.lie import TriangularContext, ensure_traceless
+from birkhoff_poisson.lie import ensure_traceless
 from birkhoff_poisson.sampling import (
     complex_normal,
     random_special_linear,
@@ -41,7 +41,7 @@ def test_tri_project_examples(rng):
 
 def test_tri_project_partition(rng):
     z = random_traceless(rng, 4)
-    zm, zh, zp = tri_project(z, TriangularContext(4))
+    zm, zh, zp = tri_project(z)
     # the parts partition the (re-centered) input entry for entry
     np.testing.assert_array_equal(zm + zh + zp, ensure_traceless(z))
     np.testing.assert_allclose(zm + zh + zp, z, atol=1e-14)

@@ -71,20 +71,20 @@ def test_moment_rejects_non_torus_direction(rng, cp1):
 
 
 def test_torus_field_zero_cases(cp1):
-    cls = torus_vector_field(np.eye(2, dtype=complex), 0 * X_DIR, cp1)
-    assert np.linalg.norm(cls.x) == 0
+    field = torus_vector_field(np.eye(2, dtype=complex), 0 * X_DIR, cp1)
+    assert np.linalg.norm(field) == 0
     # at the fixed point the whole field vanishes
-    cls = torus_vector_field(np.eye(2, dtype=complex), X_DIR, cp1)
-    assert np.linalg.norm(cls.x) <= 1e-14
+    field = torus_vector_field(np.eye(2, dtype=complex), X_DIR, cp1)
+    assert np.linalg.norm(field) <= 1e-14
 
 
 def test_torus_field_generates_rotation(cp1):
     # chart pushforward of the field is tangent to circles of constant radius
     z = 0.5 + 0.2j
     u = cp1_point(z, cp1)
-    cls = torus_vector_field(u, X_DIR, cp1)
+    field = torus_vector_field(u, X_DIR, cp1)
     h = 1e-6
-    moved = chart_point(u @ unitary_exp(h * cls.x), cp1)[0, 0]
+    moved = chart_point(u @ unitary_exp(h * field), cp1)[0, 0]
     dz = (moved - z) / h
     # action curve: exp(-t X) u, also pushed to the chart
     direct = chart_point(unitary_exp(-h * X_DIR) @ u, cp1)[0, 0]
@@ -98,10 +98,10 @@ def test_torus_field_generates_rotation(cp1):
 def test_moment_invariant_along_its_own_flow(cp1):
     z = 0.35 - 0.55j
     u = cp1_point(z, cp1)
-    cls = torus_vector_field(u, X_DIR, cp1)
+    field = torus_vector_field(u, X_DIR, cp1)
     h = 1e-5
-    plus = moment_eval(u @ unitary_exp(h * cls.x), X_DIR, cp1)
-    minus = moment_eval(u @ unitary_exp(-h * cls.x), X_DIR, cp1)
+    plus = moment_eval(u @ unitary_exp(h * field), X_DIR, cp1)
+    minus = moment_eval(u @ unitary_exp(-h * field), X_DIR, cp1)
     assert abs(plus - minus) / (2 * h) <= 1e-6
 
 

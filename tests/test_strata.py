@@ -12,9 +12,10 @@ from birkhoff_poisson import (
     torus_tw,
 )
 from birkhoff_poisson.linalg import max_principal_angle
+from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.sampling import random_point, random_special_unitary
-from birkhoff_poisson.strata import orbit_direction_span, pi_sharp_span
-from birkhoff_poisson.symspace import grassmannian
+from birkhoff_poisson.strata import orbit_direction_span
+from birkhoff_poisson.symspace import block_diag, grassmannian
 
 
 def doolittle_ldu(a):
@@ -52,7 +53,7 @@ def test_layer_on_equator(cp1):
 
 def test_layer_group_case(rng, group2):
     k = random_special_unitary(2, rng)
-    perm, _ = birkhoff_layer((k, k), group2)
+    perm, _ = birkhoff_layer(block_diag(k, k), group2)
     assert perm == (0, 1)  # identity coset sits in the open stratum
 
 
@@ -157,7 +158,7 @@ def test_leaf_tangency(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(20):
         u = random_point(preset, rng)
-        a = pi_sharp_span(u, preset)
+        a = matrix_of_omega(u, preset)
         b = orbit_direction_span(u, preset)
         assert np.linalg.matrix_rank(a, tol=1e-9) == np.linalg.matrix_rank(b, tol=1e-9)
         assert max_principal_angle(a, b, tol=1e-8) <= 1e-8

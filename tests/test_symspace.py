@@ -18,8 +18,8 @@ from birkhoff_poisson.sampling import (
     random_special_unitary,
 )
 from birkhoff_poisson.symspace import (
+    block_diag,
     chart_point,
-    elem_norm,
     grassmannian,
     group_case,
     ip_basis,
@@ -58,8 +58,27 @@ def test_theta_involution(rng, gr22, group2):
     np.testing.assert_allclose(theta_g(x, gr22), -x, atol=1e-14)
     pair = random_point(group2, rng)
     swapped = theta_g(pair, group2)
-    np.testing.assert_array_equal(swapped[0], pair[1])
-    np.testing.assert_array_equal(swapped[1], pair[0])
+    np.testing.assert_array_equal(swapped[:2, :2], pair[2:, 2:])
+    np.testing.assert_array_equal(swapped[2:, 2:], pair[:2, :2])
+
+
+def dense_j(preset):
+    """J built from its definition: block signs, or the block swap."""
+    if preset.is_inner:
+        return np.diag([1.0] * preset.m + [-1.0] * preset.n)
+    zero, eye = np.zeros((preset.n, preset.n)), np.eye(preset.n)
+    return np.block([[zero, eye], [eye, zero]])
+
+
+@pytest.mark.parametrize("preset_name", ["gr:2,3", "cp2", "group:su2", "group:su3"])
+def test_theta_matches_dense_conjugation(preset_name, rng):
+    preset = parse_preset(preset_name)
+    j = dense_j(preset)
+    for _ in range(5):
+        g = complex_normal(rng, (preset.matrix_dim, preset.matrix_dim))
+        np.testing.assert_array_equal(theta_g(g, preset), j @ g @ j)
+    with pytest.raises(ValueError):
+        theta_g(np.eye(preset.matrix_dim + 1), preset)
 
 
 def test_theta_stabilizes_triangles(gr22):
@@ -111,22 +130,10 @@ def test_cartan_embed_symmetry_and_coset_invariance(preset_name, rng):
     for _ in range(25):
         u = random_point(preset, rng)
         phi = cartan_embed(u, preset)
-        if isinstance(phi, tuple):
-            sym = elem_norm(
-                (
-                    phi[0].conj().T - theta_g(phi, preset)[0],
-                    phi[1].conj().T - theta_g(phi, preset)[1],
-                )
-            )
-            unit = np.linalg.norm(phi[0] @ phi[0].conj().T - np.eye(preset.n))
-            k = random_stabilizer(preset, rng)
-            moved = cartan_embed((u[0] @ k[0], u[1] @ k[1]), preset)
-            coset = elem_norm((moved[0] - phi[0], moved[1] - phi[1]))
-        else:
-            sym = np.linalg.norm(phi.conj().T - theta_g(phi, preset))
-            unit = np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim))
-            moved = cartan_embed(u @ random_stabilizer(preset, rng), preset)
-            coset = np.linalg.norm(moved - phi)
+        sym = np.linalg.norm(phi.conj().T - theta_g(phi, preset))
+        unit = np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim))
+        moved = cartan_embed(u @ random_stabilizer(preset, rng), preset)
+        coset = np.linalg.norm(moved - phi)
         assert sym <= 1e-10
         assert unit <= 1e-10
         assert coset <= 1e-10
@@ -168,16 +175,26 @@ def test_project_ip_cases(rng, gr22, group2):
     herm = complex_normal(rng, (4, 4))
     herm = herm + herm.conj().T
     np.testing.assert_allclose(project_ip(herm, gr22), 0 * herm, atol=1e-13)
-    # pairs: the anti-diagonal embedding is fixed
+    # group case: the odd elements diag(x, -x) are fixed
     xp = random_ip(group2, rng)
     got = project_ip(xp, group2)
-    assert elem_norm((got[0] - xp[0], got[1] - xp[1])) <= 1e-13
+    assert np.linalg.norm(got - xp) <= 1e-13
 
 
-def test_projection_partition(rng, gr22):
-    z = complex_normal(rng, (4, 4))
-    z -= (np.trace(z) / 4) * np.eye(4)
-    total = project_ip(z, gr22) + project_k(z, gr22) + project_iu(z, gr22)
+def random_traceless(rng, n):
+    z = complex_normal(rng, (n, n))
+    return z - (np.trace(z) / n) * np.eye(n)
+
+
+@pytest.mark.parametrize("preset_name", ["gr:2,2", "group:su2"])
+def test_projection_partition(preset_name, rng):
+    # an element of the complexified algebra: block diagonal in the group case
+    preset = parse_preset(preset_name)
+    if preset.is_inner:
+        z = random_traceless(rng, preset.matrix_dim)
+    else:
+        z = block_diag(random_traceless(rng, preset.n), random_traceless(rng, preset.n))
+    total = project_ip(z, preset) + project_k(z, preset) + project_iu(z)
     np.testing.assert_allclose(total, z, atol=1e-13)
 
 
@@ -192,25 +209,17 @@ def test_group_iso(rng):
 
 
 def test_bases_are_orthonormal(gr22, group2):
-    for basis in (su_basis(3), torus_basis(4), ip_basis(gr22)):
+    assert len(ip_basis(group2)) == group2.dim_ip
+    for basis in (su_basis(3), torus_basis(4), ip_basis(gr22), ip_basis(group2)):
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(np.real(np.vdot(a, b)) - expected) < 1e-12
-    pair_basis = ip_basis(group2)
-    assert len(pair_basis) == group2.dim_ip
-    for i, a in enumerate(pair_basis):
-        for j, b in enumerate(pair_basis):
-            got = np.real(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))
-            assert abs(got - (1.0 if i == j else 0.0)) < 1e-12
 
 
-def test_ip_basis_lives_in_ip(gr22, group2):
-    for preset in (gr22, group2):
-        for x in ip_basis(preset):
-            moved = theta_g(x, preset)
-            if isinstance(x, tuple):
-                assert elem_norm((moved[0] + x[0], moved[1] + x[1])) < 1e-14
-            else:
-                assert np.linalg.norm(moved + x) < 1e-14
-                assert np.linalg.norm(x + x.conj().T) < 1e-14
+@pytest.mark.parametrize("preset_name", ["gr:2,2", "group:su2"])
+def test_ip_basis_lives_in_ip(preset_name):
+    preset = parse_preset(preset_name)
+    for x in ip_basis(preset):
+        assert np.linalg.norm(theta_g(x, preset) + x) < 1e-14
+        assert np.linalg.norm(x + x.conj().T) < 1e-14
