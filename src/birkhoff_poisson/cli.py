@@ -22,6 +22,7 @@ from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import moment_eval
 from .poisson import (
     calibration_constant,
+    complex_to_reals,
     coordinate_bivector,
     cp2_degeneracy_p,
     jacobi_residual,
@@ -50,6 +51,14 @@ _DEFAULT_GRIDS = {
     "su2": [(-1.0, 1.0, 40), (-1.0, 1.0, 40)],
     "fothlu": [(-2.0, 2.0, 40), (-2.0, 2.0, 40)],
     "gr": [(-2.0, 2.0, 40), (-2.0, 2.0, 40)],
+}
+
+_GRID_COLUMNS = {
+    "cp1": ["re_z", "im_z", "rank", "min_abs_minor"],
+    "cp2": ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"],
+    "gr": ["re_z11", "im_z11", "rank", "min_abs_minor"],
+    "su2": ["re_a", "im_a", "rank", "abs_principal_minor"],
+    "fothlu": ["re_w", "im_w", "rank", "abs_coefficient"],
 }
 
 
@@ -94,13 +103,16 @@ def _j2mat(data) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -274,9 +286,7 @@ def cmd_jacobi(args, config: RunConfig) -> int:
         biv = coordinate_bivector("fothlu_w")
     else:
         raise ValueError(f"jacobi supports chart presets, not {name!r}")
-    reals = np.empty(2 * point.size)
-    reals[0::2] = point.real
-    reals[1::2] = point.imag
+    reals = complex_to_reals(point)
     if reals.size != biv.dim_real:
         raise ValueError(f"preset {name} needs {biv.dim_real // 2} complex coordinates")
     residual = jacobi_residual(biv, reals, config.fd_step)
@@ -291,18 +301,8 @@ def cmd_jacobi(args, config: RunConfig) -> int:
 # rank grid
 
 
-def _grid_columns(name: str) -> list[str]:
-    return {
-        "cp1": ["re_z", "im_z", "rank", "min_abs_minor"],
-        "cp2": ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"],
-        "gr": ["re_z11", "im_z11", "rank", "min_abs_minor"],
-        "su2": ["re_a", "im_a", "rank", "abs_principal_minor"],
-        "fothlu": ["re_w", "im_w", "rank", "abs_coefficient"],
-    }[name]
-
-
-def _grid_cell(name: str, preset, coords: tuple[float, float], tol: float) -> list[float]:
-    x, y = coords
+def _grid_cell(name: str, x: float, y: float, tol: float) -> list[float]:
+    """One row of the closed-form su2 and fothlu grids."""
     if name == "su2":
         mod2 = x * x + y * y
         if mod2 > 1.0:
@@ -311,29 +311,31 @@ def _grid_cell(name: str, preset, coords: tuple[float, float], tol: float) -> li
         b = complex(np.sqrt(1.0 - mod2))
         mat = su2_el_matrix(su2_from_sphere(a, b))
         return [x, y, int(np.linalg.matrix_rank(mat, tol=tol)), abs(a)]
-    if name == "fothlu":
-        w = complex(x, y)
-        coeff = abs(-2.0 * y * (1.0 + abs(w) ** 2))
-        return [x, y, 2 if coeff > tol else 0, coeff]
+    w = complex(x, y)
+    coeff = abs(-2.0 * y * (1.0 + abs(w) ** 2))
+    return [x, y, 2 if coeff > tol else 0, coeff]
+
+
+def _grid_row(name: str, preset, x: float, ys: list[float], tol: float) -> list[list[float]]:
+    """The cells (x, y) of one grid row, evaluated as one stack of chart
+    points; only the layer classification runs cell by cell."""
+    z = np.zeros((len(ys), preset.n, preset.m), dtype=complex)
     if name == "cp2":
-        z = np.array([[complex(x)], [complex(y)]])
-    elif name == "cp1":
-        z = np.array([[complex(x, y)]])
+        z[:, 0, 0], z[:, 1, 0] = x, ys
     else:
-        z = np.zeros((preset.n, preset.m), dtype=complex)
-        z[0, 0] = complex(x, y)
+        z.real[:, 0, 0], z.imag[:, 0, 0] = x, ys
     u = canonical_rep(z, preset)
-    phi = cartan_embed(u, preset)
-    min_minor = float(np.min(np.abs(principal_minors(phi))))
-    try:
-        birkhoff_layer(u, preset, tol)
-        rank = pi_rank(u, preset, tol)
-    except StratumAmbiguous:
-        rank = -1
-    row = [x, y, rank, min_minor]
-    if name == "cp2":
-        row.append(abs(cp2_degeneracy_p(complex(x), complex(y))))
-    return row
+    min_minors = np.min(np.abs(principal_minors(cartan_embed(u, preset))), axis=-1)
+    rows = []
+    for y, u_cell, min_minor, rank in zip(ys, u, min_minors, pi_rank(u, preset, tol)):
+        try:
+            birkhoff_layer(u_cell, preset, tol)
+        except StratumAmbiguous:
+            rank = -1
+        rows.append([x, y, int(rank), float(min_minor)])
+        if name == "cp2":
+            rows[-1].append(abs(cp2_degeneracy_p(complex(x), complex(y))))
+    return rows
 
 
 def cmd_rank_grid(args, config: RunConfig) -> int:
@@ -352,21 +354,18 @@ def cmd_rank_grid(args, config: RunConfig) -> int:
     axes = config.grid or _DEFAULT_GRIDS[name]
     if len(axes) != 2:
         raise ValueError("rank-grid needs exactly two grid axes")
-    xs = _axis_points(*axes[0])
-    ys = _axis_points(*axes[1])
-    cells = [(float(x), float(y)) for x in xs for y in ys]
-    rows = [_grid_cell(name, preset, c, config.tol) for c in cells]
-    columns = _grid_columns(name)
+    xs = [float(x) for x in _axis_points(*axes[0])]
+    ys = [float(y) for y in _axis_points(*axes[1])]
+    if preset is None:
+        rows = [_grid_cell(name, x, y, config.tol) for x in xs for y in ys]
+    else:
+        rows = [row for x in xs for row in _grid_row(name, preset, x, ys, config.tol)]
+    columns = _GRID_COLUMNS[name]
     if config.fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", config.out)
     else:
         _emit(
             {

@@ -5,10 +5,14 @@ The triangular decomposition is the standard one: strictly lower triangular
 matrices, traceless diagonals, strictly upper triangular matrices.  The
 compact form consists of the anti-Hermitian traceless matrices; the Cartan
 involution -(.)* swaps the strict triangles, which is what makes the
-decomposition compatible with it.
+decomposition compatible with it.  Every function but ``trace_form`` and
+``dressing_act`` also acts on stacks (..., n, n), matrix by matrix; the
+traceless check covers each matrix.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,17 +21,22 @@ from .linalg import iwasawa_factor
 TRACELESS_TOL = 1e-10
 
 
+def _checked_trace(z: np.ndarray, tol: float) -> np.ndarray:
+    """Traces of a matrix or stack; hard error if any exceeds tolerance."""
+    tr = np.trace(z, axis1=-2, axis2=-1)
+    # Frobenius norms from the real and imaginary views, without temporaries
+    norms = np.sqrt(sum(np.einsum("...ij,...ij->...", part, part) for part in (z.real, z.imag)))
+    over = np.abs(tr) - tol * np.maximum(1.0, norms)
+    if np.any(over > 0):
+        raise ValueError(f"matrix is not traceless, |tr| = {np.abs(tr).flat[np.argmax(over)]:.3e}")
+    return tr
+
+
 def ensure_traceless(z: np.ndarray, tol: float = TRACELESS_TOL) -> np.ndarray:
     """Re-center a nearly traceless matrix; hard error beyond tolerance."""
     z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    tr = np.trace(z)
-    scale = max(1.0, float(np.linalg.norm(z)))
-    if abs(tr) > tol * scale:
-        raise ValueError(f"matrix is not traceless, |tr| = {abs(tr):.3e}")
-    if tr != 0:
-        z = z - (tr / n) * np.eye(n)
-    return z
+    n = z.shape[-1]
+    return z - (_checked_trace(z, tol) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
 
 
 def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -39,10 +48,19 @@ def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z_minus, z_h, z_plus
 
 
+@lru_cache(maxsize=32)
+def _hilbert_signs(n: int) -> np.ndarray:
+    signs = 1j * np.sign(np.arange(n) - np.arange(n)[:, np.newaxis])
+    signs.setflags(write=False)
+    return signs
+
+
 def hilbert_transform(z: np.ndarray) -> np.ndarray:
-    """-i on the strictly lower part, 0 on the diagonal, +i on the strictly upper part."""
-    z_minus, _, z_plus = tri_project(z)
-    return -1j * z_minus + 1j * z_plus
+    """-i on the strictly lower part, 0 on the diagonal, +i on the strictly
+    upper part, of a traceless matrix or of each matrix of a stack."""
+    z = np.asarray(z, dtype=complex)
+    _checked_trace(z, TRACELESS_TOL)
+    return z * _hilbert_signs(z.shape[-1])
 
 
 def proj_u(z: np.ndarray) -> np.ndarray:
@@ -53,8 +71,8 @@ def proj_u(z: np.ndarray) -> np.ndarray:
     proj_u(i Z) = hilbert_transform(Z) for anti-Hermitian Z.
     """
     _, z_h, z_plus = tri_project(z)
-    z_t = 0.5 * (z_h - z_h.conj().T)
-    return -z_plus.conj().T + z_t + z_plus
+    z_t = 0.5 * (z_h - z_h.mT.conj())
+    return -z_plus.mT.conj() + z_t + z_plus
 
 
 def trace_form(x: np.ndarray, y: np.ndarray) -> complex:

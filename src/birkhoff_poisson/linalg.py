@@ -36,15 +36,22 @@ AMBIGUITY_BAND = 10.0
 _DET_ONE_TOL = 1e-6
 
 
-def _as_square(g: np.ndarray) -> np.ndarray:
+def _as_square_stack(g: np.ndarray) -> np.ndarray:
+    """A finite square matrix or stack of them, of shape (..., n, n)."""
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if g.shape[0] < 1:
+    if g.shape[-1] < 1:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
     return g
+
+
+def _as_square(g: np.ndarray) -> np.ndarray:
+    if np.ndim(g) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(g)}")
+    return _as_square_stack(g)
 
 
 def _check_unimodular(g: np.ndarray, tol: float) -> None:
@@ -215,15 +222,19 @@ def iwasawa_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaFactors:
 
 
 def inv_sqrt_hpd(p: np.ndarray) -> np.ndarray:
-    """Inverse square root s of a Hermitian positive definite p: s @ p @ s = I."""
-    p = _as_square(p)
-    scale = max(1.0, float(np.linalg.norm(p)))
-    if np.linalg.norm(p - p.conj().T) > 1e-10 * scale:
+    """Inverse square root s of a Hermitian positive definite p: s @ p @ s = I.
+    p may be a stack (..., n, n), rejected if any one matrix fails."""
+    p = _as_square_stack(p)
+    scale = np.maximum(1.0, np.linalg.norm(p, axis=(-2, -1)))
+    if np.any(np.linalg.norm(p - p.mT.conj(), axis=(-2, -1)) > 1e-10 * scale):
         raise NotPositiveDefinite("matrix is not Hermitian")
-    w, q = np.linalg.eigh(0.5 * (p + p.conj().T))
-    if w[0] <= 1e-14 * max(1.0, w[-1]):
-        raise NotPositiveDefinite(f"matrix is not positive definite, min eig = {w[0]:.3e}")
-    return (q * (w ** -0.5)) @ q.conj().T
+    w, q = np.linalg.eigh(0.5 * (p + p.mT.conj()))
+    low = w[..., 0] <= 1e-14 * np.maximum(1.0, w[..., -1])
+    if np.any(low):
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite, min eig = {np.min(w[..., 0][low]):.3e}"
+        )
+    return (q * (w ** -0.5)[..., np.newaxis, :]) @ q.mT.conj()
 
 
 def polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,10 +249,11 @@ def polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def principal_minors(g: np.ndarray) -> np.ndarray:
-    """Determinants of the leading k x k submatrices, k = 1..dim."""
-    g = _as_square(g)
-    n = g.shape[0]
-    return np.array([np.linalg.det(g[: k + 1, : k + 1]) for k in range(n)])
+    """Determinants of the leading k x k submatrices, k = 1..dim, on the
+    last axis; g may be a stack (..., dim, dim)."""
+    g = _as_square_stack(g)
+    n = g.shape[-1]
+    return np.stack([np.linalg.det(g[..., :k, :k]) for k in range(1, n + 1)], axis=-1)
 
 
 def orthonormal_column_basis(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -32,7 +32,6 @@ from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
     canonical_rep,
-    elem_real_inner,
     grassmannian,
     ip_basis,
     project_ip,
@@ -50,9 +49,17 @@ def _validate_ip(x, preset: SymmetricSpacePreset, tol: float = REALITY_TOL) -> N
     if np.linalg.norm(x + x.conj().T) > tol * scale:
         raise InvalidTangent("tangent representative is not anti-Hermitian")
     basis = ip_basis(preset)
-    residual = x - sum(elem_real_inner(e, x) * e for e in basis)
+    coeffs = np.einsum("kij,ij->k", basis.conj(), x).real
+    residual = x - np.einsum("k,kij->ij", coeffs, basis)
     if np.linalg.norm(residual) > tol * scale:
         raise InvalidTangent("tangent representative lies outside the odd subspace")
+
+
+def _omega(u, x, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Ad(u^(-1)) H Ad(u) x projected to the odd subspace; u and x may be
+    stacks that broadcast against each other."""
+    u = np.asarray(u, dtype=complex)
+    return project_ip(u.mT.conj() @ hilbert_transform(adjoint_act(u, x)) @ u, preset)
 
 
 def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
@@ -60,9 +67,7 @@ def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
     odd anti-Hermitian subspace."""
     if validate:
         _validate_ip(x, preset)
-    u = np.asarray(u)
-    transformed = hilbert_transform(adjoint_act(u, x))
-    return project_ip(u.conj().T @ transformed @ u, preset)
+    return _omega(u, x, preset)
 
 
 def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True) -> float:
@@ -78,19 +83,20 @@ def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True) -> flo
 
 def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     """Real matrix of the skew operator on the orthonormal basis of the odd
-    anti-Hermitian subspace."""
+    anti-Hermitian subspace: entry (s, r) is Re <e_s, omega(e_r)>.
+
+    u is one representative (d, d) or a stack (..., d, d); the result is
+    (k, k) or (..., k, k)."""
     basis = ip_basis(preset)
-    mat = np.zeros((len(basis), len(basis)))
-    for r, e_r in enumerate(basis):
-        image = omega_apply(u, e_r, preset, validate=False)
-        for s, e_s in enumerate(basis):
-            mat[s, r] = elem_real_inner(e_s, image)
-    return mat
+    images = _omega(np.asarray(u)[..., np.newaxis, :, :], basis, preset)
+    return np.einsum("sij,...rij->...sr", basis.conj(), images).real
 
 
-def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> int:
-    """Numerical rank of the bivector at u at the given absolute threshold."""
-    return int(np.linalg.matrix_rank(matrix_of_omega(u, preset), tol=tol))
+def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9):
+    """Numerical rank of the bivector at u at the given absolute threshold:
+    an int, or an array of ranks for a stack of representatives."""
+    ranks = np.linalg.matrix_rank(matrix_of_omega(u, preset), tol=tol)
+    return ranks if np.ndim(ranks) else int(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +192,23 @@ def su2_el_matrix(k: np.ndarray) -> np.ndarray:
 # local coordinate tensors
 
 
-def _strict_upper(m: np.ndarray) -> np.ndarray:
-    return np.triu(m, 1)
-
-
 def grassmann_l_operator(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The R-linear chart operator applied to a cotangent representative.
 
-    z is the n x m chart matrix, v an m x n cotangent representative.  The
-    strict-upper-triangular corrections carry one factor of z* on the outside
-    (left for the n x n bracket, right for the m x m bracket); each bracket is
-    completed to a Hermitian matrix by adding its own conjugate transpose.
+    z is the n x m chart matrix, v an m x n cotangent representative or a
+    stack (..., m, n) of them.  The strict-upper-triangular corrections carry
+    one factor of z* on the outside (left for the n x n bracket, right for
+    the m x m bracket); each bracket is completed to a Hermitian matrix by
+    adding its own conjugate transpose.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     zs = z.conj().T
     t1 = v - zs @ z @ v @ z @ zs
-    b2 = _strict_upper(z @ v - v.conj().T @ zs)
-    t2 = zs @ (b2 + b2.conj().T)
-    b3 = _strict_upper(zs @ v.conj().T - v @ z)
-    t3 = (b3 + b3.conj().T) @ zs
+    b2 = np.triu(z @ v - v.mT.conj() @ zs, 1)
+    t2 = zs @ (b2 + b2.mT.conj())
+    b3 = np.triu(zs @ v.mT.conj() - v @ z, 1)
+    t3 = (b3 + b3.mT.conj()) @ zs
     return t1 + t2 - t3
 
 
@@ -400,17 +403,6 @@ class CoordBivector:
     complex_coeffs: "Callable[[np.ndarray], CoordCoefficients] | None" = None
 
 
-def _grassmann_covector_reps(m: int, n: int) -> list[np.ndarray]:
-    reps = []
-    for r in range(n):
-        for c in range(m):
-            for val in (0.5, -0.5j):
-                e = np.zeros((m, n), dtype=complex)
-                e[c, r] = val
-                reps.append(e)
-    return reps
-
-
 def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_lu") -> CoordBivector:
     """Factory for the supported chart bivectors.
 
@@ -445,21 +437,13 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             complex_coeffs=coeffs_cpn,
         )
     if kind == "grassmann":
-        reps = _grassmann_covector_reps(m, n)
+        # dual to the chart directions under the pairing 2 Re tr(v d)
+        reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
 
         def real_matrix(x: np.ndarray) -> np.ndarray:
-            z = reals_to_complex(x).reshape(n, m)
-            dim = len(reps)
-            mat = np.zeros((dim, dim))
-            images = [grassmann_l_operator(z, v) for v in reps]
-            for a in range(dim):
-                for b in range(dim):
-                    val = 1j * (
-                        np.trace(images[a].conj().T @ reps[b])
-                        - np.trace(images[a] @ reps[b].conj().T)
-                    )
-                    mat[a, b] = val.real
-            return mat
+            # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b)
+            images = grassmann_l_operator(reals_to_complex(x).reshape(n, m), reps)
+            return -2.0 * np.einsum("aij,bij->ab", images.conj(), reps).imag
 
         return CoordBivector(kind="grassmann", dim_real=2 * m * n, real_matrix=real_matrix)
     if kind == "fothlu_w":
@@ -485,57 +469,35 @@ def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float =
     """Max component of the Schouten bracket of the bivector with itself,
     with coefficient derivatives taken by central finite differences."""
     x = np.asarray(point, dtype=float).reshape(-1)
-    dim = x.size
-    grad = np.empty((dim, dim, dim))
-    for d in range(dim):
-        step = np.zeros(dim)
-        step[d] = fd_step
-        grad[d] = (bivector.real_matrix(x + step) - bivector.real_matrix(x - step)) / (2 * fd_step)
-    pi_mat = bivector.real_matrix(x)
-    worst = 0.0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                total = 0.0
-                for d in range(dim):
-                    total += (
-                        pi_mat[d, a] * grad[d][b, c]
-                        + pi_mat[d, b] * grad[d][c, a]
-                        + pi_mat[d, c] * grad[d][a, b]
-                    )
-                worst = max(worst, abs(total))
-    return worst
+    grad = np.array([(bivector.real_matrix(x + h) - bivector.real_matrix(x - h)) / (2 * fd_step)
+                     for h in fd_step * np.eye(x.size)])
+    # term[a, b, c] = sum_d pi[d, a] d_d pi[b, c]; the bracket is its cyclic sum
+    term = np.einsum("da,dbc->abc", bivector.real_matrix(x), grad)
+    total = term + term.transpose(2, 0, 1) + term.transpose(1, 2, 0)
+    a, b, c = np.indices(total.shape)
+    return float(np.max(np.abs(total[(a < b) & (b < c)]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # chart-to-equivariant transfer and calibration
 
 
-def chart_directions(preset: SymmetricSpacePreset) -> list[np.ndarray]:
-    """Real coordinate directions of the chart, interleaved (re, im)."""
-    dirs = []
-    for r in range(preset.n):
-        for c in range(preset.m):
-            for val in (1.0, 1.0j):
-                d = np.zeros((preset.n, preset.m), dtype=complex)
-                d[r, c] = val
-                dirs.append(d)
-    return dirs
+def chart_directions(preset: SymmetricSpacePreset) -> np.ndarray:
+    """Real coordinate directions of the chart, interleaved (re, im), as a
+    (2 m n, n, m) stack."""
+    units = np.eye(preset.m * preset.n).reshape(-1, preset.n, preset.m)
+    return np.stack([units, 1j * units], axis=1).reshape(-1, preset.n, preset.m)
 
 
 def chart_frame(
     preset: SymmetricSpacePreset, z: np.ndarray, fd_step: float = CHART_FD_STEP
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Canonical representative at z and the tangent images of the real
-    coordinate directions, as odd anti-Hermitian representatives."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical representative at z and the stack of tangent images of the
+    real coordinate directions, as odd anti-Hermitian representatives."""
     u = canonical_rep(z, preset)
-    tangents = []
-    for d in chart_directions(preset):
-        up = canonical_rep(z + fd_step * d, preset)
-        um = canonical_rep(z - fd_step * d, preset)
-        du = (up - um) / (2.0 * fd_step)
-        tangents.append(project_ip(u.conj().T @ du, preset))
-    return u, tangents
+    steps = fd_step * chart_directions(preset)
+    du = (canonical_rep(z + steps, preset) - canonical_rep(z - steps, preset)) / (2.0 * fd_step)
+    return u, project_ip(u.conj().T @ du, preset)
 
 
 def chart_covectors(
@@ -553,18 +515,12 @@ def chart_covectors(
     """
     u, tangents = chart_frame(preset, z, fd_step)
     basis = ip_basis(preset)
-    gram = np.zeros((len(basis), len(basis)))
-    for r, y_r in enumerate(tangents):
-        for s, e_s in enumerate(basis):
-            gram[s, r] = trace_form(e_s, y_r).real
-    dirs = chart_directions(preset)
-    out = []
-    for v in covectors:
-        v = np.asarray(v, dtype=complex)
-        pairing = np.array([2.0 * float(np.real(np.trace(v @ d))) for d in dirs])
-        coeffs = np.linalg.solve(gram.T, pairing)
-        out.append(sum(c * e for c, e in zip(coeffs, basis)))
-    return u, out
+    # gram[s, r] = tr(e_s y_r), pairings[v, d] = 2 Re tr(v d)
+    gram = np.einsum("sij,rji->sr", basis, tangents).real
+    pairings = 2.0 * np.einsum("vij,dji->vd", np.asarray(covectors, dtype=complex),
+                               chart_directions(preset)).real
+    coeffs = np.array([np.linalg.solve(gram.T, pairing) for pairing in pairings])
+    return u, list(np.einsum("vk,kij->vij", coeffs, basis))
 
 
 def chart_pi_eval(

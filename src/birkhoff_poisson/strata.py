@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,13 +100,18 @@ def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFa
     )
 
 
-def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> list[np.ndarray]:
-    """Orthonormal basis of the fixed subspace of Ad(W) o theta on the purely
-    imaginary traceless diagonals, via the nullspace of the operator minus
-    the identity."""
+def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:
+    """Basis of the fixed subspace of Ad(W) o theta on the purely imaginary
+    traceless diagonals, via the nullspace of the operator minus the identity,
+    scaled to unit peak entries; cached per layer and preset, read-only."""
     if not preset.is_inner:
         raise ValueError("the layer torus is computed for the Grassmannian family")
     perm, signs = w
+    return _torus_tw(tuple(perm), tuple(signs), preset)
+
+
+@lru_cache(maxsize=256)
+def _torus_tw(perm: tuple[int, ...], signs: tuple[int, ...], preset: SymmetricSpacePreset):
     w_mat = signed_permutation_matrix(perm, signs)
     basis = torus_basis(preset.matrix_dim)
     dim = len(basis)
@@ -124,8 +130,10 @@ def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> list[np.ndar
         # scale to unit peak entry, sign fixed by the first nonzero entry
         peak = np.max(np.abs(diag))
         lead = diag[np.nonzero(np.abs(diag) > 1e-12 * peak)[0][0]]
-        out.append(xi * (np.sign(lead) / peak))
-    return out
+        xi = xi * (np.sign(lead) / peak)
+        xi.setflags(write=False)
+        out.append(xi)
+    return tuple(out)
 
 
 def order_two_torus_elements(preset: SymmetricSpacePreset, guard: int = 12) -> list[np.ndarray]:
@@ -149,10 +157,6 @@ def orbit_direction_span(u, preset: SymmetricSpacePreset) -> np.ndarray:
     """Coordinates of the projected noncompact-orbit directions at u, computed
     through the compact-form projection instead of the Hilbert transform."""
     basis = ip_basis(preset)
-    cols = np.zeros((len(basis), len(basis)))
-    for r, x in enumerate(basis):
-        moved = proj_u(1j * adjoint_act(u, x))
-        projected = project_ip(u.conj().T @ moved @ u, preset)
-        for s, e_s in enumerate(basis):
-            cols[s, r] = elem_real_inner(e_s, projected)
-    return cols
+    moved = proj_u(1j * adjoint_act(u, basis))
+    projected = project_ip(u.conj().T @ moved @ u, preset)
+    return np.einsum("sij,rij->sr", basis.conj(), projected).real

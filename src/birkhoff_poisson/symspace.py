@@ -12,12 +12,18 @@ its Lie algebra is stored as one square complex matrix of size m + n:
   size n modulo the diagonal.  The pair (k1, k2) is stored as the
   block-diagonal matrix diag(k1, k2), so m = n, and J is the swap of the two
   blocks.  Odd algebra elements are diag(x, -x).
+
+``theta_g``, ``cartan_embed``, ``adjoint_act`` and the projections act on
+stacks (..., d, d), d = m + n, matrix by matrix, and ``canonical_rep`` on
+stacks (..., n, m) of chart matrices.  ``ip_basis`` is one cached read-only
+(dim_ip, d, d) array.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,10 +132,10 @@ def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def theta_g(g: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """The involution J g J on group elements and Lie algebra elements."""
     g = np.asarray(g)
-    index, mask = preset.theta_index_mask
-    if g.shape != mask.shape:
+    (rows, cols), mask = preset.theta_index_mask
+    if g.shape[-2:] != mask.shape:
         raise ValueError(f"elements of {preset.label} are {mask.shape} matrices, got {g.shape}")
-    return g[index] * mask
+    return g[..., rows, cols] * mask
 
 
 def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -138,7 +144,7 @@ def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     The image satisfies phi* = theta(phi) and is unitary.
     """
     u = np.asarray(u, dtype=complex)
-    return u @ theta_g(u, preset).conj().T
+    return u @ theta_g(u, preset).mT.conj()
 
 
 def group_iso(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
@@ -160,7 +166,8 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Unique coset representative with Hermitian positive definite diagonal
     blocks for the plane graphed by the n x m chart matrix z.
 
-    Built from the inverse square roots of I + z* z and I + z z*.
+    Built from the inverse square roots of I + z* z and I + z z*.  A stack
+    of chart matrices (..., n, m) gives the stack of representatives.
     """
     if not preset.is_inner:
         raise ValueError("canonical representatives exist for the Grassmannian family only")
@@ -169,11 +176,12 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
         z = z.reshape(1, 1)
     if z.ndim == 1:
         z = z.reshape(-1, 1)
-    if z.shape != (preset.n, preset.m):
+    if z.shape[-2:] != (preset.n, preset.m):
         raise ValueError(f"chart matrix must be {preset.n} x {preset.m}, got {z.shape}")
-    a = inv_sqrt_hpd(np.eye(preset.m) + z.conj().T @ z)
-    d = inv_sqrt_hpd(np.eye(preset.n) + z @ z.conj().T)
-    return np.block([[a, -a @ z.conj().T], [z @ a, d]])
+    zh = z.mT.conj()
+    a = inv_sqrt_hpd(np.eye(preset.m) + zh @ z)
+    d = inv_sqrt_hpd(np.eye(preset.n) + z @ zh)
+    return np.block([[a, -a @ zh], [z @ a, d]])
 
 
 def chart_point(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -188,21 +196,24 @@ def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Component along the odd anti-Hermitian subspace in the splitting of
     the complexified algebra: (z + theta(z*) - (z + theta(z*))*) / 4."""
     z = np.asarray(z, dtype=complex)
-    w = z + theta_g(z.conj().T, preset)
-    return 0.25 * (w - w.conj().T)
+    w = theta_g(z.mT.conj(), preset)
+    w += z
+    w -= w.mT.conj()
+    w *= 0.25
+    return w
 
 
 def project_k(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Component in the stabilizer subalgebra (even anti-Hermitian part)."""
     z = np.asarray(z, dtype=complex)
-    a = 0.5 * (z - z.conj().T)
+    a = 0.5 * (z - z.mT.conj())
     return 0.5 * (a + theta_g(a, preset))
 
 
 def project_iu(z: np.ndarray) -> np.ndarray:
     """Hermitian part (the i-times-compact component)."""
     z = np.asarray(z, dtype=complex)
-    return 0.5 * (z + z.conj().T)
+    return 0.5 * (z + z.mT.conj())
 
 
 def elem_real_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -212,7 +223,7 @@ def elem_real_inner(x: np.ndarray, y: np.ndarray) -> float:
 
 def adjoint_act(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ad(u) x = u x u^(-1) for unitary u."""
-    return u @ x @ np.asarray(u).conj().T
+    return u @ x @ np.asarray(u).mT.conj()
 
 
 def unitary_exp(x: np.ndarray) -> np.ndarray:
@@ -259,24 +270,23 @@ def torus_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def ip_basis(preset: SymmetricSpacePreset) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) real basis of the odd anti-Hermitian subspace.
+@lru_cache(maxsize=64)
+def ip_basis(preset: SymmetricSpacePreset) -> np.ndarray:
+    """Orthonormal (Frobenius) real basis of the odd anti-Hermitian subspace,
+    as one cached read-only (dim_ip, d, d) array.
 
     Grassmannian: block off-diagonal matrices built from the elementary
     matrices of the lower-left block and their imaginary twins.  Group case:
     diag(b, -b) / sqrt(2) over the single-factor basis.
     """
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    if not preset.is_inner:
-        return [block_diag(inv_sqrt2 * b, -inv_sqrt2 * b) for b in su_basis(preset.n)]
     m, n = preset.m, preset.n
-    dim = m + n
-    basis = []
-    for r in range(n):
-        for c in range(m):
-            for val in (1.0, 1.0j):
-                x = np.zeros((dim, dim), dtype=complex)
-                x[m + r, c] = val * inv_sqrt2
-                x[c, m + r] = -np.conj(val) * inv_sqrt2
-                basis.append(x)
+    if preset.is_inner:
+        basis = np.zeros((preset.dim_ip, m + n, m + n), dtype=complex)
+        for k, (r, c, val) in enumerate(itertools.product(range(n), range(m), (1.0, 1.0j))):
+            basis[k, m + r, c] = val * inv_sqrt2
+            basis[k, c, m + r] = -np.conj(val) * inv_sqrt2
+    else:
+        basis = np.array([block_diag(inv_sqrt2 * b, -inv_sqrt2 * b) for b in su_basis(n)])
+    basis.setflags(write=False)
     return basis

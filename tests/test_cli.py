@@ -4,6 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from birkhoff_poisson import (
+    StratumAmbiguous,
+    birkhoff_layer,
+    canonical_rep,
+    cartan_embed,
+    parse_preset,
+    pi_rank,
+    principal_minors,
+)
 from birkhoff_poisson.cli import main
 
 
@@ -118,6 +127,49 @@ def test_rank_grid_hits_equator(tmp_path, capsys):
     assert rows[(1.0, 0.0)] == 0
     assert rows[(0.0, 1.0)] == 0
     assert rows[(1.0, 1.0)] == 2
+
+
+def _reference_cell(spec, x, y, tol=1e-9):
+    """One rank-grid row from the per-point library calls."""
+    preset = parse_preset(spec)
+    z = np.zeros((preset.n, preset.m), dtype=complex)
+    if spec == "cp2":
+        z[0, 0], z[1, 0] = x, y
+    else:
+        z[0, 0] = complex(x, y)
+    u = canonical_rep(z, preset)
+    min_minor = float(np.min(np.abs(principal_minors(cartan_embed(u, preset)))))
+    try:
+        birkhoff_layer(u, preset, tol)
+        rank = pi_rank(u, preset, tol)
+    except StratumAmbiguous:
+        rank = -1
+    return [x, y, rank, min_minor]
+
+
+# The x axis -8e-10, 1 + 8e-10 puts |z| = 1 inside the ambiguity band on the
+# real axis (rank -1), and y = +-1 puts it on the rank-drop locus.  The cp2
+# grid hits its locus exactly at (0, +-1) and (1, 0).
+@pytest.mark.parametrize(
+    "spec,grid",
+    [
+        ("cp1", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+        ("cp2", "-0.5,1.5,2,-1.5,1.5,3"),
+        ("gr:2,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ],
+)
+def test_rank_grid_rows_match_per_cell_definition(spec, grid, capsys):
+    code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    dim_ip = parse_preset(spec).dim_ip
+    ranks = {row[2] for row in rows}
+    assert dim_ip in ranks and any(0 <= r < dim_ip for r in ranks)
+    assert (-1 in ranks) == (spec != "cp2")
+    for row in rows:
+        expected = _reference_cell(spec, row[0], row[1])
+        assert row[:3] == expected[:3]
+        assert row[3] == pytest.approx(expected[3], rel=1e-14, abs=1e-15)
 
 
 def test_rank_grid_cp2_locus_column(capsys):

@@ -60,6 +60,18 @@ def test_hilbert_transform_examples():
     np.testing.assert_allclose(hilbert_transform(e12), 1j * e12)
 
 
+def test_hilbert_transform_on_a_stack(rng):
+    stack = np.array([random_traceless(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    out = hilbert_transform(stack)
+    assert out.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[index], hilbert_transform(stack[index]))
+    # one matrix off the traceless subspace rejects the whole stack
+    stack[1, 2] += np.eye(4)
+    with pytest.raises(ValueError, match="not traceless"):
+        hilbert_transform(stack)
+
+
 def test_hilbert_preserves_compact_form(rng):
     z = random_su_algebra(4, rng)
     h = hilbert_transform(z)

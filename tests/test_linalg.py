@@ -184,6 +184,29 @@ def test_inv_sqrt_rejects_indefinite():
         inv_sqrt_hpd(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_inv_sqrt_on_a_stack(rng):
+    q = complex_normal(rng, (2, 3, 4, 4))
+    stack = q @ q.conj().mT + 0.1 * np.eye(4)
+    out = inv_sqrt_hpd(stack)
+    assert out.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        np.testing.assert_allclose(out[index], inv_sqrt_hpd(stack[index]), rtol=0, atol=1e-13)
+
+
+def test_inv_sqrt_rejects_a_stack_with_one_bad_matrix():
+    good = np.eye(2, dtype=complex)
+    for bad in (
+        np.diag([1.0, -1.0]).astype(complex),
+        np.array([[1, 1], [0, 1]], dtype=complex),
+    ):
+        with pytest.raises(NotPositiveDefinite):
+            inv_sqrt_hpd(np.array([good, bad, good]))
+    with pytest.raises(ValueError, match="finite"):
+        inv_sqrt_hpd(np.array([good, np.full((2, 2), np.nan)]))
+    with pytest.raises(ValueError, match="square"):
+        inv_sqrt_hpd(np.ones((3, 2, 3)))
+
+
 def test_polar_simple(rng):
     q = random_special_unitary(3, rng)
     pos, unit = polar_factor(q)
@@ -229,6 +252,16 @@ def test_principal_minors_against_cofactor_oracle(rng):
         for k in range(5):
             expected = det_cofactor(g[: k + 1, : k + 1])
             assert abs(minors[k] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_principal_minors_on_a_stack(rng):
+    g = complex_normal(rng, (2, 3, 4, 4))
+    minors = principal_minors(g)
+    assert minors.shape == (2, 3, 4)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_allclose(minors[index], principal_minors(g[index]), rtol=1e-14)
+    with pytest.raises(ValueError):
+        principal_minors(np.ones((2, 3, 4)))
 
 
 def test_principal_minors_unipotent(rng):

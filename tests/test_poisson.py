@@ -46,7 +46,14 @@ from birkhoff_poisson.sampling import (
     random_su2_sphere,
     random_su_algebra,
 )
-from birkhoff_poisson.symspace import adjoint_act, block_diag
+from birkhoff_poisson.symspace import (
+    adjoint_act,
+    block_diag,
+    elem_real_inner,
+    ip_basis,
+    parse_preset,
+)
+from birkhoff_poisson.verify import run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,52 @@ def test_stabilizer_equivariance(preset_name, rng, request):
         kinv = k.conj().T
         lhs = pi_eval(u @ k, adjoint_act(kinv, x), adjoint_act(kinv, y), preset)
         assert abs(lhs - pi_eval(u, x, y, preset)) <= 1e-10
+
+
+def _loop_matrix_of_omega(u, preset):
+    """Reference: one omega_apply per basis element, one real inner product
+    per matrix entry."""
+    basis = ip_basis(preset)
+    mat = np.zeros((len(basis), len(basis)))
+    for r, e_r in enumerate(basis):
+        image = omega_apply(u, e_r, preset, validate=False)
+        for s, e_s in enumerate(basis):
+            mat[s, r] = elem_real_inner(e_s, image)
+    return mat
+
+
+@pytest.mark.parametrize("spec", ["gr:1,1", "cp2", "gr:2,3", "group:su2", "group:su3"])
+def test_matrix_of_omega_matches_loop_reference(spec, rng):
+    preset = parse_preset(spec)
+    for _ in range(5):
+        u = random_point(preset, rng)
+        np.testing.assert_allclose(
+            matrix_of_omega(u, preset), _loop_matrix_of_omega(u, preset), rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("spec", ["cp2", "gr:2,3", "group:su2"])
+def test_matrix_of_omega_on_a_stack_of_points(spec, rng):
+    preset = parse_preset(spec)
+    points = np.array([random_point(preset, rng) for _ in range(6)]).reshape(
+        (2, 3, preset.matrix_dim, preset.matrix_dim)
+    )
+    stacked = matrix_of_omega(points, preset)
+    assert stacked.shape == (2, 3, preset.dim_ip, preset.dim_ip)
+    ranks = pi_rank(points, preset)
+    assert ranks.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_allclose(
+            stacked[index], matrix_of_omega(points[index], preset), rtol=0, atol=1e-14
+        )
+        assert ranks[index] == pi_rank(points[index], preset)
+
+
+def test_operator_skewness_check_is_measured():
+    # the stacked kernel keeps the down-conjugation and the projection, so the
+    # skewness of the matrix is a rounding residue, not zero by construction
+    check = next(c for c in run_suite("bivector", 0)["checks"] if c["name"] == "operator-skewness")
+    assert 0.0 < check["value"] <= check["tol"]
 
 
 def test_pi_rank_cp1(cp1):
@@ -326,6 +379,52 @@ def test_grassmann_real_matrix_matches_cpn(rng):
     for _ in range(5):
         x = 0.7 * rng.standard_normal(4)
         np.testing.assert_allclose(cpn.real_matrix(x), gr.real_matrix(x), atol=1e-12)
+
+
+def test_grassmann_real_matrix_matches_trace_pairing(rng):
+    # entry (a, b) is the chart pairing of the a-th and b-th covector reps
+    m, n = 2, 3
+    reps = []
+    for r in range(n):
+        for c in range(m):
+            for val in (0.5, -0.5j):
+                e = np.zeros((m, n), dtype=complex)
+                e[c, r] = val
+                reps.append(e)
+    biv = coordinate_bivector("grassmann", m=m, n=n)
+    for _ in range(3):
+        x = 0.7 * rng.standard_normal(2 * m * n)
+        z = reals_to_complex(x).reshape(n, m)
+        expected = [[grassmann_local_pi(z, v, w) for w in reps] for v in reps]
+        np.testing.assert_allclose(biv.real_matrix(x), expected, rtol=0, atol=1e-14)
+
+
+def test_jacobi_residual_matches_cyclic_loop(rng):
+    # a non-Poisson bivector, so the residual is far from zero
+    def broken(x):
+        c = cpn_coeffs(reals_to_complex(x))
+        return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
+
+    biv = CoordBivector(kind="broken", dim_real=6, real_matrix=broken)
+    x = 0.5 * rng.standard_normal(6)
+    step = 1e-5
+    grad = [
+        (broken(x + step * e) - broken(x - step * e)) / (2 * step) for e in np.eye(6)
+    ]
+    pi_mat = broken(x)
+    worst = 0.0
+    for a in range(6):
+        for b in range(a + 1, 6):
+            for c in range(b + 1, 6):
+                total = sum(
+                    pi_mat[d, a] * grad[d][b, c]
+                    + pi_mat[d, b] * grad[d][c, a]
+                    + pi_mat[d, c] * grad[d][a, b]
+                    for d in range(6)
+                )
+                worst = max(worst, abs(total))
+    assert worst > 1e-2
+    assert jacobi_residual(biv, x, step) == pytest.approx(worst, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

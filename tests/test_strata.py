@@ -110,6 +110,16 @@ def test_torus_tw_dimensions(cp1, cp2):
     assert len(torus_tw(((1, 0), (1, -1)), cp1)) == 0
 
 
+def test_torus_tw_is_cached_and_read_only(cp2):
+    layer = ((0, 1, 2), (1, 1, 1))
+    basis = torus_tw(layer, cp2)
+    assert isinstance(basis, tuple)
+    # a layer given as lists hits the same cache entry
+    assert torus_tw(([0, 1, 2], [1, 1, 1]), cp2) is basis
+    with pytest.raises(ValueError):
+        basis[0][0, 0] = 0.0
+
+
 def test_torus_tw_cp1_span(cp1):
     basis = torus_tw(((0, 1), (1, 1)), cp1)
     np.testing.assert_allclose(basis[0], np.diag([1j, -1j]), atol=1e-12)

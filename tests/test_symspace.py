@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from birkhoff_poisson import (
+    NotPositiveDefinite,
     canonical_rep,
     cartan_embed,
     group_iso,
@@ -79,6 +80,20 @@ def test_theta_matches_dense_conjugation(preset_name, rng):
         np.testing.assert_array_equal(theta_g(g, preset), j @ g @ j)
     with pytest.raises(ValueError):
         theta_g(np.eye(preset.matrix_dim + 1), preset)
+
+
+@pytest.mark.parametrize("preset_name", ["gr:2,3", "group:su2"])
+def test_theta_and_cartan_embed_on_a_stack(preset_name, rng):
+    preset = parse_preset(preset_name)
+    d = preset.matrix_dim
+    g = complex_normal(rng, (2, 3, d, d))
+    u = np.array([random_point(preset, rng) for _ in range(6)]).reshape(2, 3, d, d)
+    thetas, phis = theta_g(g, preset), cartan_embed(u, preset)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_array_equal(thetas[index], theta_g(g[index], preset))
+        np.testing.assert_allclose(phis[index], cartan_embed(u[index], preset), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        theta_g(np.ones((2, d, d + 1)), preset)
 
 
 def test_theta_stabilizes_triangles(gr22):
@@ -164,6 +179,30 @@ def test_canonical_rep_properties(rng, gr22):
         np.testing.assert_allclose(chart_point(u, gr22), z, atol=1e-10)
 
 
+def test_canonical_rep_on_a_stack(rng, cp2, gr22):
+    for preset in (cp2, gr22):
+        z = 0.8 * complex_normal(rng, (2, 3, preset.n, preset.m))
+        reps = canonical_rep(z, preset)
+        assert reps.shape == (2, 3, preset.matrix_dim, preset.matrix_dim)
+        for index in np.ndindex(2, 3):
+            np.testing.assert_allclose(
+                reps[index], canonical_rep(z[index], preset), rtol=0, atol=1e-15
+            )
+
+
+def test_canonical_rep_rejects_a_stack_with_one_bad_chart_point(cp2):
+    z = np.zeros((3, 2, 1), dtype=complex)
+    z[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        canonical_rep(z, cp2)
+    # I + z z* has eigenvalues 1 and 1 + |z|^2: past 1e14 it reads as singular
+    z[1, 0, 0] = 1e8
+    with pytest.raises(NotPositiveDefinite):
+        canonical_rep(z, cp2)
+    with pytest.raises(ValueError, match="chart matrix"):
+        canonical_rep(np.zeros((3, 1, 2)), cp2)
+
+
 def test_project_ip_cases(rng, gr22, group2):
     x = random_ip(gr22, rng)
     np.testing.assert_allclose(project_ip(x, gr22), x, atol=1e-13)
@@ -215,6 +254,15 @@ def test_bases_are_orthonormal(gr22, group2):
             for j, b in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(np.real(np.vdot(a, b)) - expected) < 1e-12
+
+
+def test_ip_basis_is_one_cached_read_only_stack(gr22, group2):
+    for preset in (gr22, group2):
+        basis = ip_basis(preset)
+        assert basis.shape == (preset.dim_ip, preset.matrix_dim, preset.matrix_dim)
+        assert ip_basis(preset) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("preset_name", ["gr:2,2", "group:su2"])
