@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDomainError, StratumAmbiguous
 from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
-from .momentum import moment_eval
+from .momentum import leaf_moment
 from .poisson import (
     calibration_constant,
     complex_to_reals,
@@ -31,7 +31,7 @@ from .poisson import (
     su2_el_matrix,
     su2_from_sphere,
 )
-from .strata import birkhoff_layer, torus_tw
+from .strata import leaf_factorize, torus_tw
 from .symspace import (
     SymmetricSpacePreset,
     canonical_rep,
@@ -207,15 +207,15 @@ def cmd_embed(args, config: RunConfig) -> int:
     z = _chart_matrix(preset, _parse_point(args.point))
     u = canonical_rep(z, preset)
     phi = cartan_embed(u, preset)
-    perm, signs = birkhoff_layer(u, preset, config.tol)
+    factors = birkhoff_factor(phi, config.tol)
     _emit(
         {
             "preset": preset.label,
             "u": _mat2j(u),
             "phi": _mat2j(phi),
             "principal_minors": [_c2j(v) for v in principal_minors(phi)],
-            "layer_perm": list(perm),
-            "layer_signs": list(signs),
+            "layer_perm": list(factors.perm),
+            "layer_signs": list(factors.signs),
         },
         config.out,
     )
@@ -249,18 +249,18 @@ def cmd_moment(args, config: RunConfig) -> int:
         raise StratumAmbiguous(
             f"point is not strictly inside the top layer (min |minor| = {min_minor:.3e})"
         )
-    perm, signs = birkhoff_layer(u, preset, config.tol)
-    basis = torus_tw((perm, signs), preset)
+    lf = leaf_factorize(u, preset, config.tol)
+    basis = torus_tw((lf.perm, lf.signs), preset)
     torus_dim = len(basis)
     if args.index is not None:
         if not 0 <= args.index < torus_dim:
             raise ValueError(f"torus basis index {args.index} out of range 0..{torus_dim - 1}")
         basis = [basis[args.index]]
-    values = [moment_eval(u, x, preset, config.tol) for x in basis]
+    values = [leaf_moment(lf, x, preset) for x in basis]
     _emit(
         {
             "preset": preset.label,
-            "layer_perm": list(perm),
+            "layer_perm": list(lf.perm),
             "torus_dim": torus_dim,
             "mu": values,
             "basis": [_mat2j(x) for x in basis],
@@ -318,20 +318,22 @@ def _grid_cell(name: str, x: float, y: float, tol: float) -> list[float]:
 
 def _grid_row(name: str, preset, x: float, ys: list[float], tol: float) -> list[list[float]]:
     """The cells (x, y) of one grid row, evaluated as one stack of chart
-    points; only the layer classification runs cell by cell."""
+    points; a cell whose layer is ambiguous gets rank -1."""
     z = np.zeros((len(ys), preset.n, preset.m), dtype=complex)
     if name == "cp2":
         z[:, 0, 0], z[:, 1, 0] = x, ys
     else:
         z.real[:, 0, 0], z.imag[:, 0, 0] = x, ys
     u = canonical_rep(z, preset)
-    min_minors = np.min(np.abs(principal_minors(cartan_embed(u, preset))), axis=-1)
+    phi = cartan_embed(u, preset)
+    min_minors = np.min(np.abs(principal_minors(phi)), axis=-1)
+    ranks = pi_rank(u, preset, tol)
+    try:
+        birkhoff_factor(phi, tol)
+    except StratumAmbiguous as exc:
+        ranks = np.where(exc.mask, -1, ranks)
     rows = []
-    for y, u_cell, min_minor, rank in zip(ys, u, min_minors, pi_rank(u, preset, tol)):
-        try:
-            birkhoff_layer(u_cell, preset, tol)
-        except StratumAmbiguous:
-            rank = -1
+    for y, min_minor, rank in zip(ys, min_minors, ranks):
         rows.append([x, y, int(rank), float(min_minor)])
         if name == "cp2":
             rows[-1].append(abs(cp2_degeneracy_p(complex(x), complex(y))))

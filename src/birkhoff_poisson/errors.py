@@ -15,7 +15,14 @@ class SingularInput(NumericalDomainError):
 
 class StratumAmbiguous(NumericalDomainError):
     """A rank decision during elimination fell inside the ambiguity band
-    around the zero threshold; the stratum cannot be classified reliably."""
+    around the zero threshold; the stratum cannot be classified reliably.
+
+    ``mask`` marks the ambiguous matrices of a factored stack (a 0-d array
+    for one matrix); it is None where no factorization raised the error."""
+
+    def __init__(self, message: str = "", mask=None):
+        super().__init__(message)
+        self.mask = mask
 
 
 class NotPositiveDefinite(NumericalDomainError):

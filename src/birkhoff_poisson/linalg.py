@@ -6,7 +6,9 @@ Implements the factorizations everything else is built on:
   unipotent, W a signed permutation of determinant +1, h diagonal of
   determinant 1 and u_plus upper unipotent.  The permutation is determined
   structurally by the rank pattern of the leading submatrices, not by
-  magnitude pivoting, so it identifies the Birkhoff stratum of g.
+  magnitude pivoting, so it identifies the Birkhoff stratum of g.  g may be
+  a stack (..., n, n), eliminated one column step for the whole stack; if
+  any matrix is ambiguous, ``StratumAmbiguous.mask`` marks which.
 * ``iwasawa_factor``   -- g = l @ a @ u with l lower unipotent, a positive
   diagonal of determinant 1 and u unitary, via the lower Cholesky factor of
   g g*.
@@ -15,6 +17,7 @@ Implements the factorizations everything else is built on:
   positive definite and unit unitary.
 * ``principal_minors`` -- determinants of the leading k x k submatrices.
 
+``birkhoff_factor``, ``inv_sqrt_hpd`` and ``principal_minors`` take stacks.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -55,37 +58,21 @@ def _as_square(g: np.ndarray) -> np.ndarray:
 
 
 def _check_unimodular(g: np.ndarray, tol: float) -> None:
-    det = np.linalg.det(g)
-    if abs(det) <= max(tol, 1e-300):
-        raise SingularInput(f"matrix is singular, |det| = {abs(det):.3e}")
-    if abs(det - 1.0) > _DET_ONE_TOL:
-        raise SingularInput(f"determinant must equal 1, got {det:.6g}")
+    det = np.asarray(np.linalg.det(g))
+    singular = np.abs(det) <= max(tol, 1e-300)
+    if np.any(singular):
+        raise SingularInput(f"matrix is singular, |det| = {abs(det[singular][0]):.3e}")
+    off = np.abs(det - 1.0) > _DET_ONE_TOL
+    if np.any(off):
+        raise SingularInput(f"determinant must equal 1, got {det[off][0]:.6g}")
 
 
-def _permutation_sign(perm: np.ndarray) -> int:
-    seen = np.zeros(len(perm), dtype=bool)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def signed_permutation_matrix(perm: tuple[int, ...], signs: tuple[int, ...]) -> np.ndarray:
-    """Matrix W with W[perm[j], j] = signs[perm[j]]; det(W) = +1 by construction."""
-    n = len(perm)
-    w = np.zeros((n, n), dtype=complex)
-    for j, i in enumerate(perm):
-        w[i, j] = signs[i]
-    return w
+def signed_permutation_matrix(perm, signs) -> np.ndarray:
+    """Matrix W with W[perm[j], j] = signs[perm[j]]; det(W) = +1 by construction.
+    perm and signs may be int arrays (..., n), giving a stack of matrices."""
+    perm = np.asarray(perm)
+    hit = np.arange(perm.shape[-1])[:, np.newaxis] == perm[..., np.newaxis, :]
+    return np.where(hit, np.asarray(signs)[..., :, np.newaxis], 0).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -94,12 +81,13 @@ class BirkhoffFactors:
 
     ``perm[j]`` is the row carrying the nonzero entry of column j of W;
     ``signs`` holds one +/-1 per row, all +1 except the last row which carries
-    the sign making det(W) = +1.
+    the sign making det(W) = +1.  Both are tuples for one matrix and int
+    arrays (..., n) for a stack, whose factors are stacks (..., n, n).
     """
 
     l: np.ndarray
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    perm: tuple[int, ...] | np.ndarray
+    signs: tuple[int, ...] | np.ndarray
     h: np.ndarray
     u_plus: np.ndarray
 
@@ -109,7 +97,8 @@ class BirkhoffFactors:
 
     @property
     def is_identity_perm(self) -> bool:
-        return all(i == j for j, i in enumerate(self.perm))
+        perm = np.asarray(self.perm)
+        return bool(np.all(perm == np.arange(perm.shape[-1])))
 
     def reconstruct(self) -> np.ndarray:
         return self.l @ self.w_matrix @ self.h @ self.u_plus
@@ -137,66 +126,91 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     are genuinely unipotent triangular and the recovered permutation equals
     the rank pattern of the leading submatrices of g.
 
-    Raises StratumAmbiguous when any examined entry falls inside the band
+    g may be a stack (..., n, n); every matrix runs the same elimination,
+    one column step for the whole stack.  A matrix's first event in column
+    order decides its outcome.  Raises SingularInput if any matrix fails the
+    unimodular check or has no usable pivot in some column.  Otherwise raises
+    StratumAmbiguous when any matrix has an examined entry inside the band
     (tol / AMBIGUITY_BAND, tol * AMBIGUITY_BAND): such an input sits too close
-    to a stratum boundary to classify.
+    to a stratum boundary to classify.  Its ``mask`` (shape g.shape[:-2])
+    marks the ambiguous matrices.
     """
-    g = _as_square(g)
+    g = _as_square_stack(g)
     _check_unimodular(g, tol)
-    n = g.shape[0]
-
-    m = g.copy()
-    lower = np.eye(n, dtype=complex)
-    upper = np.eye(n, dtype=complex)
-    perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
+    stack, n = g.shape[:-2], g.shape[-1]
+    m = g.reshape(-1, n, n).copy()
+    rows = np.arange(n)
+    # lower is built transposed: its column p is lower_t[p], a row
+    lower_t = np.zeros_like(m)
+    lower_t[:, rows, rows] = 1.0
+    upper = lower_t.copy()
+    perm = np.zeros((len(m), n), dtype=int)
+    used = np.zeros((len(m), n), dtype=bool)
+    # matrices found ambiguous leave the elimination; index maps the rest
+    at = index = np.arange(len(m))
+    ambiguous = np.zeros(len(m), dtype=bool)
+    message = ""
 
     for j in range(n):
-        pivot_row = -1
-        for i in range(n):
-            if used[i]:
-                continue
-            a = abs(m[i, j])
-            if a > tol:
-                if a < tol * AMBIGUITY_BAND:
-                    raise StratumAmbiguous(
-                        f"pivot candidate {a:.3e} at ({i}, {j}) is inside the "
-                        f"ambiguity band around tol = {tol:.3e}"
-                    )
-                pivot_row = i
-                break
-            if a > tol / AMBIGUITY_BAND:
-                raise StratumAmbiguous(
-                    f"entry {a:.3e} at ({i}, {j}) is inside the ambiguity band "
-                    f"around tol = {tol:.3e}"
-                )
-        if pivot_row < 0:
+        col = m[:, :, j]
+        mag = np.abs(col)
+        # the first unused row above the band's lower edge decides column j
+        candidate = (mag > tol / AMBIGUITY_BAND) & ~used
+        if not candidate.any(axis=1).all():
             raise SingularInput(f"no usable pivot in column {j}")
-        used[pivot_row] = True
-        perm[j] = pivot_row
-        p = m[pivot_row, j]
-        for i in range(pivot_row + 1, n):
-            if used[i] or m[i, j] == 0:
-                continue
-            mult = m[i, j] / p
-            m[i, :] -= mult * m[pivot_row, :]
-            lower[i, pivot_row] = mult
-        for j2 in range(j + 1, n):
-            if m[pivot_row, j2] == 0:
-                continue
-            c = m[pivot_row, j2] / p
-            m[:, j2] -= c * m[:, j]
-            upper[j, j2] = c
+        piv = candidate.argmax(axis=1)
+        a = mag[at, piv]
+        in_band = a < tol * AMBIGUITY_BAND
+        if in_band.any():
+            if not message:
+                k = int(in_band.argmax())
+                what = "pivot candidate" if a[k] > tol else "entry"
+                where = np.unravel_index(index[k], stack)
+                where = f" of matrix {tuple(int(i) for i in where)}" if stack else ""
+                message = (
+                    f"{what} {a[k]:.3e} at ({piv[k]}, {j}){where} is inside the "
+                    f"ambiguity band around tol = {tol:.3e}"
+                )
+            ambiguous[index[in_band]] = True
+            keep = ~in_band
+            m, lower_t, upper, perm, used, index, piv = (
+                x[keep] for x in (m, lower_t, upper, perm, used, index, piv)
+            )
+            at, col = np.arange(len(m)), m[:, :, j]
+        used[at, piv] = True
+        perm[:, j] = piv
+        pivot_row = m[at, piv]
+        p = pivot_row[:, j, np.newaxis]
+        # unused rows below the pivot lose a multiple of the pivot row ...
+        mult = np.where((rows > piv[:, np.newaxis]) & ~used, col / p, 0)
+        lower_t[at, piv] += mult
+        m -= mult[:, :, np.newaxis] * pivot_row[:, np.newaxis, :]
+        # ... and columns right of j a multiple of the pivot column
+        coef = np.where(rows > j, pivot_row / p, 0)
+        upper[:, j] += coef
+        m -= m[:, :, j, np.newaxis] * coef[:, np.newaxis, :]
 
-    signs = np.ones(n, dtype=int)
-    signs[n - 1] = _permutation_sign(perm)
-    h_diag = np.array([signs[perm[j]] * m[perm[j], j] for j in range(n)])
+    if ambiguous.any():
+        raise StratumAmbiguous(message, mask=ambiguous.reshape(stack))
+    # det(W) = sign(perm) * signs[n - 1]; the inversion count gives sign(perm)
+    later = rows[:, np.newaxis] < rows
+    inversions = np.sum((perm[:, :, np.newaxis] > perm[:, np.newaxis, :]) & later, axis=(1, 2))
+    signs = np.ones_like(perm)
+    signs[:, n - 1] = 1 - 2 * (inversions % 2)
+    h = np.zeros_like(m)
+    h[:, rows, rows] = signs[at[:, np.newaxis], perm] * m[at[:, np.newaxis], perm, rows]
+    lower = np.ascontiguousarray(lower_t.mT)
+    shape = stack + (n, n)
+    if not stack:
+        perm, signs = tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
+    else:
+        perm, signs = perm.reshape(stack + (n,)), signs.reshape(stack + (n,))
     return BirkhoffFactors(
-        l=lower,
-        perm=tuple(int(i) for i in perm),
-        signs=tuple(int(s) for s in signs),
-        h=np.diag(h_diag),
-        u_plus=upper,
+        l=lower.reshape(shape),
+        perm=perm,
+        signs=signs,
+        h=h.reshape(shape),
+        u_plus=upper.reshape(shape),
     )
 
 

@@ -5,7 +5,8 @@ triangular factorization of the Cartan image: half the invariant pairing of
 i theta(log |h|) against X.  The Hamiltonian property is checked honestly:
 the differential of the momentum function is taken by central finite
 differences along group-exponential curves, pushed through the bivector's
-anchor map, and compared with the action vector field.
+anchor map, and compared with the action vector field.  The 2 dim_ip
+perturbed points of the stencil are factored as one stack.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTangent
-from .lie import trace_form
 from .poisson import omega_apply
-from .strata import birkhoff_layer, leaf_factorize, torus_tw
+from .strata import LeafFactorization, leaf_factorize, torus_tw
 from .symspace import (
     SymmetricSpacePreset,
     ip_basis,
@@ -50,19 +50,35 @@ def _check_torus_direction(x: np.ndarray, preset: SymmetricSpacePreset, w) -> No
         raise InvalidTangent("direction is not fixed by the layer torus operator")
 
 
-def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-9) -> float:
-    """Momentum of torus direction x at the coset point u:
-    <(1/2) i theta(log|h|), x> with h from the leaf factorization."""
+def _layers(perm, signs) -> list:
+    """The distinct (perm, signs) layers of one factorization or a stack."""
+    n = np.shape(perm)[-1]
+    rows = [map(tuple, np.reshape(a, (-1, n)).tolist()) for a in (perm, signs)]
+    return sorted(set(zip(*rows)))
+
+
+def leaf_moment(lf: LeafFactorization, x: np.ndarray, preset: SymmetricSpacePreset):
+    """<(1/2) i theta(log|h|), x> from a leaf factorization; a stack of
+    factorizations or of directions x gives the stack of values."""
+    val = np.trace(0.5j * theta_g(lf.log_abs_h, preset) @ x, axis1=-2, axis2=-1)
+    return val.real if np.ndim(val) else float(val.real)
+
+
+def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-9):
+    """Momentum of torus direction x at the coset point u, or at each point
+    of a stack (..., d, d): <(1/2) i theta(log|h|), x> with h from the leaf
+    factorization.  x is checked once against each layer the points lie on."""
     lf = leaf_factorize(u, preset, tol)
-    _check_torus_direction(x, preset, (lf.perm, lf.signs))
-    val = trace_form(0.5j * theta_g(lf.log_abs_h, preset), x)
-    return float(val.real)
+    for w in _layers(lf.perm, lf.signs):
+        _check_torus_direction(x, preset, w)
+    return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
 
 
 def moment_on_basis(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> np.ndarray:
-    """Momentum functional on the full torus basis of the point's layer."""
-    basis = torus_tw(birkhoff_layer(u, preset, tol), preset)
-    return np.array([moment_eval(u, x, preset, tol) for x in basis])
+    """Momentum functional on the full torus basis of the point's layer,
+    from one leaf factorization."""
+    lf = leaf_factorize(u, preset, tol)
+    return np.array([leaf_moment(lf, x, preset) for x in torus_tw((lf.perm, lf.signs), preset)])
 
 
 def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -89,11 +105,9 @@ def hamiltonian_residual(
     definite there.
     """
     basis = ip_basis(preset)
-    coeffs = np.zeros(len(basis))
-    for r, e_r in enumerate(basis):
-        forward = moment_eval(u @ unitary_exp(fd_step * e_r), x, preset, tol)
-        backward = moment_eval(u @ unitary_exp(-fd_step * e_r), x, preset, tol)
-        coeffs[r] = -(forward - backward) / (2.0 * fd_step)
+    steps = unitary_exp(np.stack([fd_step * basis, -fd_step * basis]))
+    forward, backward = moment_eval(u @ steps, x, preset, tol)
+    coeffs = -(forward - backward) / (2.0 * fd_step)
     dmu = sum(c * e for c, e in zip(coeffs, basis))
     sharp = omega_apply(u, dmu, preset, validate=False)
     field = torus_vector_field(u, x, preset)

@@ -41,11 +41,12 @@ _NULLSPACE_TOL = 1e-10
 @dataclass(frozen=True)
 class LeafFactorization:
     """Factors of phi(uK) = l @ W @ h @ theta(l*), with the magnitude and
-    logarithm of the diagonal part."""
+    logarithm of the diagonal part; stacks (..., d, d) for a stack of
+    points, with ``perm`` and ``signs`` int arrays (..., d)."""
 
     l: np.ndarray
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    perm: tuple[int, ...] | np.ndarray
+    signs: tuple[int, ...] | np.ndarray
     h: np.ndarray
     abs_h: np.ndarray
     log_abs_h: np.ndarray
@@ -55,6 +56,14 @@ class LeafFactorization:
         return signed_permutation_matrix(self.perm, self.signs)
 
 
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrices with the entries of d on the last axis."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
     """Signed permutation indexing the Birkhoff layer through the point."""
     factors = birkhoff_factor(layer_image(u, preset), tol)
@@ -62,8 +71,8 @@ def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> Signed
 
 
 def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFactorization:
-    """Factor the Cartan image of a Grassmannian-family point as
-    l @ W @ h @ theta(l*)."""
+    """Factor the Cartan image of a Grassmannian-family point, or of each
+    point of a stack (..., d, d), as l @ W @ h @ theta(l*)."""
     if not preset.is_inner:
         raise ValueError(
             "leaf factorization applies to the Grassmannian family; classify "
@@ -71,32 +80,30 @@ def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFa
         )
     phi = cartan_embed(u, preset)
     factors = birkhoff_factor(phi, tol)
-    scale = max(1.0, float(np.linalg.norm(phi)))
-    expected_upper = theta_g(factors.l.conj().T, preset)
-    sym_defect = float(np.linalg.norm(factors.u_plus - expected_upper))
-    if sym_defect > max(tol, 1e-9) * scale:
+    bound = max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
+    expected_upper = theta_g(factors.l.mT.conj(), preset)
+    sym_defect = np.linalg.norm(factors.u_plus - expected_upper, axis=(-2, -1))
+    if np.any(sym_defect > bound):
         raise SymmetryViolation(
-            f"upper factor differs from theta(l*) by {sym_defect:.3e}"
+            f"upper factor differs from theta(l*) by {np.max(sym_defect):.3e}"
         )
     w = factors.w_matrix
-    membership_defect = float(
-        np.linalg.norm(
-            theta_g(w.conj().T @ factors.h @ w, preset) - factors.h.conj().T
-        )
+    membership_defect = np.linalg.norm(
+        theta_g(w.mT.conj() @ factors.h @ w, preset) - factors.h.mT.conj(), axis=(-2, -1)
     )
-    if membership_defect > max(tol, 1e-9) * scale:
+    if np.any(membership_defect > bound):
         raise SymmetryViolation(
-            f"diagonal factor fails the layer membership identity by {membership_defect:.3e}"
+            "diagonal factor fails the layer membership identity by "
+            f"{np.max(membership_defect):.3e}"
         )
-    h_diag = np.diag(factors.h)
-    abs_diag = np.abs(h_diag)
+    abs_diag = np.abs(np.diagonal(factors.h, axis1=-2, axis2=-1))
     return LeafFactorization(
         l=factors.l,
         perm=factors.perm,
         signs=factors.signs,
         h=factors.h,
-        abs_h=np.diag(abs_diag.astype(complex)),
-        log_abs_h=np.diag(np.log(abs_diag).astype(complex)),
+        abs_h=_diag(abs_diag),
+        log_abs_h=_diag(np.log(abs_diag)),
     )
 
 

@@ -227,12 +227,13 @@ def adjoint_act(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def unitary_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) for anti-Hermitian x via the eigendecomposition of i x."""
+    """exp(x) for anti-Hermitian x, or each matrix of a stack (..., d, d),
+    via the eigendecomposition of i x."""
     x = np.asarray(x, dtype=complex)
     herm = 1j * x
-    herm = 0.5 * (herm + herm.conj().T)
+    herm = 0.5 * (herm + herm.mT.conj())
     w, q = np.linalg.eigh(herm)
-    return (q * np.exp(-1j * w)) @ q.conj().T
+    return (q * np.exp(-1j * w)[..., np.newaxis, :]) @ q.mT.conj()
 
 
 # ---------------------------------------------------------------------------

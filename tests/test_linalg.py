@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     NotPositiveDefinite,
@@ -11,7 +13,7 @@ from birkhoff_poisson import (
     polar_factor,
     principal_minors,
 )
-from birkhoff_poisson.linalg import max_principal_angle, signed_permutation_matrix
+from birkhoff_poisson.linalg import AMBIGUITY_BAND, max_principal_angle, signed_permutation_matrix
 from birkhoff_poisson.sampling import complex_normal, random_special_linear, random_special_unitary
 
 
@@ -109,6 +111,223 @@ def test_birkhoff_ambiguous_pivot():
     g /= np.exp(np.log(np.linalg.det(g)) / 2)
     with pytest.raises(StratumAmbiguous):
         birkhoff_factor(g, tol)
+
+
+# ---------------------------------------------------------------------------
+# birkhoff_factor on stacks, against the one-matrix elimination loop
+
+
+class _RefAmbiguous(Exception):
+    pass
+
+
+class _RefSingular(Exception):
+    pass
+
+
+def reference_birkhoff(g, tol=1e-9):
+    """The structural elimination one matrix at a time, as a plain loop:
+    (l, perm, signs, h, u_plus), or _RefSingular / _RefAmbiguous."""
+    det = np.linalg.det(g)
+    if abs(det) <= max(tol, 1e-300) or abs(det - 1.0) > 1e-6:
+        raise _RefSingular
+    n = g.shape[0]
+    m = g.astype(complex).copy()
+    lower = np.eye(n, dtype=complex)
+    upper = np.eye(n, dtype=complex)
+    perm = [-1] * n
+    used = [False] * n
+    for j in range(n):
+        pivot_row = -1
+        for i in range(n):
+            if used[i]:
+                continue
+            a = abs(m[i, j])
+            if a > tol:
+                if a < tol * AMBIGUITY_BAND:
+                    raise _RefAmbiguous
+                pivot_row = i
+                break
+            if a > tol / AMBIGUITY_BAND:
+                raise _RefAmbiguous
+        if pivot_row < 0:
+            raise _RefSingular
+        used[pivot_row] = True
+        perm[j] = pivot_row
+        p = m[pivot_row, j]
+        for i in range(pivot_row + 1, n):
+            if used[i] or m[i, j] == 0:
+                continue
+            mult = m[i, j] / p
+            m[i, :] -= mult * m[pivot_row, :]
+            lower[i, pivot_row] = mult
+        for j2 in range(j + 1, n):
+            if m[pivot_row, j2] == 0:
+                continue
+            c = m[pivot_row, j2] / p
+            m[:, j2] -= c * m[:, j]
+            upper[j, j2] = c
+    inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+    signs = [1] * (n - 1) + [(-1) ** inversions]
+    h = np.diag([signs[perm[j]] * m[perm[j], j] for j in range(n)])
+    return lower, tuple(perm), tuple(signs), h, upper
+
+
+def _unit_det(g):
+    return g / np.exp(np.log(np.linalg.det(g)) / g.shape[0])
+
+
+def _engineered(rng, n, h_diag):
+    """l W h u with random unipotent l, u and a random signed permutation W."""
+    perm = tuple(int(i) for i in rng.permutation(n))
+    inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+    w = signed_permutation_matrix(perm, (1,) * (n - 1) + ((-1) ** inversions,))
+    lo = np.eye(n, dtype=complex)
+    lo[np.tril_indices(n, -1)] = complex_normal(rng, n * (n - 1) // 2)
+    up = np.eye(n, dtype=complex)
+    up[np.triu_indices(n, 1)] = complex_normal(rng, n * (n - 1) // 2)
+    return lo @ w @ np.diag(h_diag) @ up
+
+
+def _band_value(rng, tol):
+    """A magnitude strictly inside (tol / band, tol * band)."""
+    return tol * AMBIGUITY_BAND ** rng.uniform(-0.95, 0.95)
+
+
+def _sample(kind, rng, n, tol):
+    if kind == "generic":
+        return random_special_linear(n, rng)
+    if kind == "engineered":
+        d = np.exp(rng.uniform(-1.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        d[-1] = 1.0 / np.prod(d[:-1])
+        return _engineered(rng, n, d)
+    if kind == "band-pivot":
+        # a later pivot of the elimination lands inside the band
+        d = np.exp(rng.uniform(-0.5, 0.5, n)).astype(complex)
+        k = int(rng.integers(n - 1))
+        d[k] = _band_value(rng, tol)
+        d[-1] = 1.0
+        d[-1] = 1.0 / np.prod(d)
+        return _engineered(rng, n, d)
+    # "band-entry": column 0 reads exact zeros above one entry inside the
+    # band; the rows below it keep the determinant away from zero
+    g = random_special_linear(n, rng)
+    r = int(rng.integers(n - 1))
+    g[: r + 1, 0] = 0.0
+    g = _unit_det(g)
+    g[r, 0] = _band_value(rng, tol) * np.exp(2j * np.pi * rng.uniform())
+    return _unit_det(g)
+
+
+KINDS = ("generic", "engineered", "band-pivot", "band-entry")
+
+
+def _assert_close(a, b):
+    """Equal to 1e-13 relative, with the reference's exact zeros kept."""
+    assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
+    np.testing.assert_array_equal(a == 0, b == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birkhoff_stack_matches_reference_loop(n, kinds, seed):
+    tol = 1e-9
+    rng = np.random.default_rng(seed)
+    gs = np.array([_sample(kind, rng, n, tol) for kind in kinds])
+    refs = []
+    for g in gs:
+        try:
+            refs.append(reference_birkhoff(g, tol))
+        except (_RefAmbiguous, _RefSingular) as exc:
+            refs.append(exc)
+    if any(isinstance(r, _RefSingular) for r in refs):
+        with pytest.raises(SingularInput):
+            birkhoff_factor(gs, tol)
+        return
+    ambiguous = np.array([isinstance(r, _RefAmbiguous) for r in refs])
+    if ambiguous.any():
+        with pytest.raises(StratumAmbiguous) as info:
+            birkhoff_factor(gs, tol)
+        np.testing.assert_array_equal(info.value.mask, ambiguous)
+        if ambiguous.all():
+            return
+        gs = gs[~ambiguous]
+        refs = [r for r, amb in zip(refs, ambiguous) if not amb]
+    f = birkhoff_factor(gs, tol)
+    assert f.perm.shape == f.signs.shape == (len(gs), n)
+    for k, (lower, perm, signs, h, upper) in enumerate(refs):
+        assert tuple(f.perm[k]) == perm and tuple(f.signs[k]) == signs
+        _assert_close(f.l[k], lower)
+        _assert_close(f.h[k], h)
+        _assert_close(f.u_plus[k], upper)
+    one = birkhoff_factor(gs[0], tol)
+    assert one.perm == refs[0][1] and one.signs == refs[0][2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=5),
+    singular=st.sampled_from(["rank-deficient", "det-not-one"]),
+    where=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birkhoff_stack_with_one_singular_member_raises(n, kinds, singular, where, seed):
+    rng = np.random.default_rng(seed)
+    gs = [_sample(kind, rng, n, 1e-9) for kind in kinds]
+    bad = random_special_linear(n, rng)
+    if singular == "rank-deficient":
+        bad[:, -1] = bad[:, 0]
+    else:
+        bad = 2.0 * bad
+    gs.insert(where % (len(gs) + 1), bad)
+    with pytest.raises(SingularInput):
+        birkhoff_factor(np.array(gs))
+
+
+def test_birkhoff_no_usable_pivot_outranks_ambiguity():
+    # det 1 in both; at tol = 0.5 the first is ambiguous in column 0 and the
+    # second has no entry above the band in column 0
+    tol = 0.5
+    ambiguous = np.diag([0.3, 1 / 0.3]).astype(complex)
+    no_pivot = np.diag([0.01, 100.0]).astype(complex)
+    with pytest.raises(StratumAmbiguous):
+        birkhoff_factor(ambiguous, tol)
+    with pytest.raises(SingularInput, match="no usable pivot"):
+        birkhoff_factor(no_pivot, tol)
+    with pytest.raises(SingularInput, match="no usable pivot"):
+        birkhoff_factor(np.array([ambiguous, no_pivot]), tol)
+
+
+def test_birkhoff_ambiguous_mask_shapes(rng):
+    tol = 1e-9
+    eps = 3e-9
+    amb = _unit_det(np.array([[eps, 1], [-1, 0]], dtype=complex))
+    with pytest.raises(StratumAmbiguous) as info:
+        birkhoff_factor(amb, tol)
+    assert info.value.mask.shape == () and bool(info.value.mask)
+    stack = np.array([[random_special_linear(2, rng), amb, random_special_linear(2, rng)],
+                      [amb, random_special_linear(2, rng), random_special_linear(2, rng)]])
+    with pytest.raises(StratumAmbiguous) as info:
+        birkhoff_factor(stack, tol)
+    np.testing.assert_array_equal(info.value.mask, [[False, True, False], [True, False, False]])
+
+
+def test_birkhoff_stack_shapes_and_single_tuples(rng):
+    gs = np.array([[random_special_linear(3, rng) for _ in range(2)] for _ in range(2)])
+    f = birkhoff_factor(gs)
+    assert f.l.shape == f.h.shape == f.u_plus.shape == (2, 2, 3, 3)
+    assert f.perm.shape == f.signs.shape == (2, 2, 3)
+    np.testing.assert_allclose(f.reconstruct(), gs, atol=1e-12)
+    one = birkhoff_factor(gs[1, 0])
+    assert isinstance(one.perm, tuple) and isinstance(one.signs, tuple)
+    assert one.perm == tuple(f.perm[1, 0]) and one.signs == tuple(f.signs[1, 0])
+    np.testing.assert_array_equal(one.h, f.h[1, 0])
+    np.testing.assert_array_equal(f.w_matrix[1, 0], one.w_matrix)
 
 
 # ---------------------------------------------------------------------------

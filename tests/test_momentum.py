@@ -6,12 +6,15 @@ from birkhoff_poisson import (
     birkhoff_layer,
     canonical_rep,
     hamiltonian_residual,
+    leaf_factorize,
     moment_eval,
+    moment_on_basis,
     torus_tw,
     torus_vector_field,
 )
-from birkhoff_poisson.sampling import random_interior_point, random_point
-from birkhoff_poisson.symspace import chart_point, unitary_exp
+from birkhoff_poisson.poisson import omega_apply
+from birkhoff_poisson.sampling import random_interior_point, random_ip, random_point
+from birkhoff_poisson.symspace import chart_point, ip_basis, unitary_exp
 
 X_DIR = np.diag([1j, -1j])
 
@@ -118,3 +121,64 @@ def test_hamiltonian_residual_larger_presets(preset_name, rng, request):
         u = random_interior_point(preset, rng)
         for x in torus_tw(birkhoff_layer(u, preset), preset):
             assert hamiltonian_residual(u, x, preset) <= 1e-4
+
+
+def per_point_hamiltonian_residual(u, x, preset, fd_step=1e-5):
+    """The stencil one perturbed point at a time, through moment_eval."""
+    basis = ip_basis(preset)
+    coeffs = np.zeros(len(basis))
+    for r, e_r in enumerate(basis):
+        forward = moment_eval(u @ unitary_exp(fd_step * e_r), x, preset)
+        backward = moment_eval(u @ unitary_exp(-fd_step * e_r), x, preset)
+        coeffs[r] = -(forward - backward) / (2.0 * fd_step)
+    dmu = sum(c * e for c, e in zip(coeffs, basis))
+    sharp = omega_apply(u, dmu, preset, validate=False)
+    return float(np.linalg.norm(sharp - torus_vector_field(u, x, preset)))
+
+
+@pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22"])
+def test_stacked_stencil_matches_per_point_loop(preset_name, rng, request):
+    preset = request.getfixturevalue(preset_name)
+    for _ in range(3):
+        u = random_interior_point(preset, rng)
+        for x in torus_tw(birkhoff_layer(u, preset), preset):
+            stacked = hamiltonian_residual(u, x, preset)
+            assert abs(stacked - per_point_hamiltonian_residual(u, x, preset)) <= 1e-12
+
+
+@pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22"])
+def test_moment_eval_on_a_stack_of_points(preset_name, rng, request):
+    preset = request.getfixturevalue(preset_name)
+    u0 = random_interior_point(preset, rng)
+    x = torus_tw(birkhoff_layer(u0, preset), preset)[0]
+    steps = unitary_exp(1e-3 * np.array([random_ip(preset, rng) for _ in range(6)]))
+    points = (u0 @ steps).reshape(2, 3, *u0.shape)
+    values = moment_eval(points, x, preset)
+    assert values.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert values[idx] == moment_eval(points[idx], x, preset)
+    lf = leaf_factorize(points, preset)
+    assert lf.perm.shape == (2, 3, preset.matrix_dim)
+    one = leaf_factorize(points[1, 2], preset)
+    np.testing.assert_array_equal(lf.log_abs_h[1, 2], one.log_abs_h)
+
+
+def test_moment_eval_stack_rejects_non_torus_direction(rng, cp1):
+    points = np.array([cp1_point(0.4, cp1), cp1_point(-0.2j, cp1)])
+    with pytest.raises(InvalidTangent):
+        moment_eval(points, np.array([[0, 1], [-1, 0]], dtype=complex), cp1)
+
+
+def test_moment_on_basis_matches_per_direction_calls(rng, cp2):
+    u = random_interior_point(cp2, rng)
+    basis = torus_tw(birkhoff_layer(u, cp2), cp2)
+    np.testing.assert_array_equal(
+        moment_on_basis(u, cp2), [moment_eval(u, x, cp2) for x in basis]
+    )
+
+
+def test_unitary_exp_on_a_stack(rng, gr22):
+    xs = np.array([random_ip(gr22, rng) for _ in range(4)])
+    stacked = unitary_exp(xs)
+    for x, e in zip(xs, stacked):
+        np.testing.assert_array_equal(e, unitary_exp(x))
