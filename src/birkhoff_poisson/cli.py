@@ -10,6 +10,7 @@ with a half-step offset so exact boundary points are avoided.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -230,7 +231,7 @@ def cmd_pi(args, config: RunConfig) -> int:
     _emit(
         {
             "preset": preset.label,
-            "omega_matrix": [[float(v) for v in row] for row in mat],
+            "omega_matrix": mat.tolist(),
             "rank": int(np.linalg.matrix_rank(mat, tol=config.tol)),
             "dim_ip": preset.dim_ip,
         },
@@ -316,27 +317,39 @@ def _grid_cell(name: str, x: float, y: float, tol: float) -> list[float]:
     return [x, y, 2 if coeff > tol else 0, coeff]
 
 
-def _grid_row(name: str, preset, x: float, ys: list[float], tol: float) -> list[list[float]]:
-    """The cells (x, y) of one grid row, evaluated as one stack of chart
-    points; a cell whose layer is ambiguous gets rank -1."""
-    z = np.zeros((len(ys), preset.n, preset.m), dtype=complex)
-    if name == "cp2":
-        z[:, 0, 0], z[:, 1, 0] = x, ys
-    else:
-        z.real[:, 0, 0], z.imag[:, 0, 0] = x, ys
-    u = canonical_rep(z, preset)
-    phi = cartan_embed(u, preset)
-    min_minors = np.min(np.abs(principal_minors(phi)), axis=-1)
-    ranks = pi_rank(u, preset, tol)
-    try:
-        birkhoff_factor(phi, tol)
-    except StratumAmbiguous as exc:
-        ranks = np.where(exc.mask, -1, ranks)
+# Bytes of the (cells, dim_ip, d, d) complex stack that matrix_of_omega
+# builds for one stack of grid cells; bounds the cells per stack.
+_STACK_BYTES = 1 << 18
+
+
+def _grid_cells(name: str, preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
+    """The cells (x, y) of the grid, row-major, evaluated as flat stacks of
+    chart points of at most ``_STACK_BYTES`` of odd-basis images each; a cell
+    whose layer is ambiguous gets rank -1."""
+    d = preset.matrix_dim
+    per_stack = max(1, _STACK_BYTES // (16 * preset.dim_ip * d * d))
+    cells = [(x, y) for x in xs for y in ys]
     rows = []
-    for y, min_minor, rank in zip(ys, min_minors, ranks):
-        rows.append([x, y, int(rank), float(min_minor)])
+    for start in range(0, len(cells), per_stack):
+        chunk = cells[start:start + per_stack]
+        xy = np.array(chunk)
+        z = np.zeros((len(chunk), preset.n, preset.m), dtype=complex)
         if name == "cp2":
-            rows[-1].append(abs(cp2_degeneracy_p(complex(x), complex(y))))
+            z[:, 0, 0], z[:, 1, 0] = xy[:, 0], xy[:, 1]
+        else:
+            z.real[:, 0, 0], z.imag[:, 0, 0] = xy[:, 0], xy[:, 1]
+        u = canonical_rep(z, preset)
+        phi = cartan_embed(u, preset)
+        min_minors = np.min(np.abs(principal_minors(phi)), axis=-1)
+        ranks = pi_rank(u, preset, tol)
+        try:
+            birkhoff_factor(phi, tol)
+        except StratumAmbiguous as exc:
+            ranks = np.where(exc.mask, -1, ranks)
+        for (x, y), rank, min_minor in zip(chunk, ranks.tolist(), min_minors.tolist()):
+            rows.append([x, y, rank, min_minor])
+            if name == "cp2":
+                rows[-1].append(abs(cp2_degeneracy_p(complex(x), complex(y))))
     return rows
 
 
@@ -361,7 +374,7 @@ def cmd_rank_grid(args, config: RunConfig) -> int:
     if preset is None:
         rows = [_grid_cell(name, x, y, config.tol) for x in xs for y in ys]
     else:
-        rows = [row for x in xs for row in _grid_row(name, preset, x, ys, config.tol)]
+        rows = _grid_cells(name, preset, xs, ys, config.tol)
     columns = _GRID_COLUMNS[name]
     if config.fmt == "csv":
         lines = [",".join(columns)]
@@ -391,6 +404,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpoisson",

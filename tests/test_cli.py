@@ -13,6 +13,7 @@ from birkhoff_poisson import (
     pi_rank,
     principal_minors,
 )
+from birkhoff_poisson import cli
 from birkhoff_poisson.cli import main
 
 
@@ -150,18 +151,33 @@ def _reference_cell(spec, x, y, tol=1e-9):
 # The x axis -8e-10, 1 + 8e-10 puts |z| = 1 inside the ambiguity band on the
 # real axis (rank -1), and y = +-1 puts it on the rank-drop locus.  The cp2
 # grid hits its locus exactly at (0, +-1) and (1, 0).
+_GRID_CASES = [
+    ("cp1", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ("cp2", "-0.5,1.5,2,-1.5,1.5,3"),
+    ("gr:2,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+]
+
+
+# Cells per stack: the default budget (None); 4, so stacks end mid-row and the
+# ambiguous cells of cp1 and gr:2,2 fall in different stacks; 0 for a budget
+# one byte short of one cell, which must still give one-cell stacks.
 @pytest.mark.parametrize(
-    "spec,grid",
+    "spec,grid,stack_cells",
     [
-        ("cp1", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
-        ("cp2", "-0.5,1.5,2,-1.5,1.5,3"),
-        ("gr:2,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+        pytest.param(spec, grid, cells, id=f"{spec}-{grid}{suffix}")
+        for cells, suffix in ((None, ""), (4, "-4cells"), (0, "-0cells"))
+        for spec, grid in _GRID_CASES
     ],
 )
-def test_rank_grid_rows_match_per_cell_definition(spec, grid, capsys):
+def test_rank_grid_rows_match_per_cell_definition(spec, grid, stack_cells, monkeypatch, capsys):
+    if stack_cells is not None:
+        preset = parse_preset(spec)
+        cell_bytes = 16 * preset.dim_ip * preset.matrix_dim**2
+        monkeypatch.setattr(cli, "_STACK_BYTES", max(stack_cells * cell_bytes, cell_bytes - 1))
     code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
+    assert len(rows) == 6
     dim_ip = parse_preset(spec).dim_ip
     ranks = {row[2] for row in rows}
     assert dim_ip in ranks and any(0 <= r < dim_ip for r in ranks)
@@ -170,6 +186,24 @@ def test_rank_grid_rows_match_per_cell_definition(spec, grid, capsys):
         expected = _reference_cell(spec, row[0], row[1])
         assert row[:3] == expected[:3]
         assert row[3] == pytest.approx(expected[3], rel=1e-14, abs=1e-15)
+
+
+def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    point = "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"
+    calls = [
+        ["moment", "--preset", "gr:2,2", point, "--index", "0"],
+        ["moment", "--preset", "gr:2,2", point],
+        ["pi", "--preset", "gr:2,2", point],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run_cli(argv, capsys) for argv in calls]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_cli(argv, capsys) for argv in calls]
+    assert cached == fresh
+    assert all(code == 0 for code, _ in cached)
+    single, full = (json.loads(out) for _, out in cached[:2])
+    assert len(single["mu"]) == 1
+    assert len(full["mu"]) == len(full["basis"]) == full["torus_dim"] == 3
 
 
 def test_rank_grid_cp2_locus_column(capsys):
