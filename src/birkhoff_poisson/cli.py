@@ -32,7 +32,7 @@ from .poisson import (
     su2_el_matrix,
     su2_from_sphere,
 )
-from .strata import leaf_factorize, torus_tw
+from .strata import _factor_image, torus_tw
 from .symspace import (
     SymmetricSpacePreset,
     canonical_rep,
@@ -250,7 +250,7 @@ def cmd_moment(args, config: RunConfig) -> int:
         raise StratumAmbiguous(
             f"point is not strictly inside the top layer (min |minor| = {min_minor:.3e})"
         )
-    lf = leaf_factorize(u, preset, config.tol)
+    lf = _factor_image(phi, preset, config.tol)
     basis = torus_tw((lf.perm, lf.signs), preset)
     torus_dim = len(basis)
     if args.index is not None:

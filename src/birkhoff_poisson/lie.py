@@ -5,9 +5,9 @@ The triangular decomposition is the standard one: strictly lower triangular
 matrices, traceless diagonals, strictly upper triangular matrices.  The
 compact form consists of the anti-Hermitian traceless matrices; the Cartan
 involution -(.)* swaps the strict triangles, which is what makes the
-decomposition compatible with it.  Every function but ``trace_form`` and
-``dressing_act`` also acts on stacks (..., n, n), matrix by matrix; the
-traceless check covers each matrix.
+decomposition compatible with it.  Every function but ``dressing_act``
+also acts on stacks (..., n, n), matrix by matrix, with one traceless check
+over the whole stack; ``trace_form`` returns one value per pair of matrices.
 """
 
 from __future__ import annotations
@@ -75,17 +75,20 @@ def proj_u(z: np.ndarray) -> np.ndarray:
     return -z_plus.mT.conj() + z_t + z_plus
 
 
-def trace_form(x: np.ndarray, y: np.ndarray) -> complex:
-    """Invariant bilinear form tr(x y) on the defining representation.
+def trace_form(x: np.ndarray, y: np.ndarray):
+    """Invariant bilinear form tr(x y) on the defining representation: a
+    complex number, or an array of them for stacks (..., n, n) that
+    broadcast against each other.
 
     With this normalization the elementary matrices E_jk satisfy
     trace_form(E_jk, E_kj) = 1.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
+    if x.shape[-2:] != y.shape[-2:]:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return complex(np.trace(x @ y))
+    val = np.trace(x @ y, axis1=-2, axis2=-1)
+    return val if np.ndim(val) else complex(val)
 
 
 def dressing_act(u: np.ndarray, g0: np.ndarray, tol: float = 1e-9) -> np.ndarray:

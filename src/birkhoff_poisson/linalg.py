@@ -17,7 +17,9 @@ Implements the factorizations everything else is built on:
   positive definite and unit unitary.
 * ``principal_minors`` -- determinants of the leading k x k submatrices.
 
-``birkhoff_factor``, ``inv_sqrt_hpd`` and ``principal_minors`` take stacks.
+``birkhoff_factor``, ``iwasawa_factor``, ``inv_sqrt_hpd`` and
+``principal_minors`` take stacks (..., n, n) and return one result per
+matrix; one matrix in gives one result out.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -215,24 +217,28 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
 
 
 def iwasawa_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaFactors:
-    """Unique factorization g = l @ a @ u.
+    """Unique factorization g = l @ a @ u, of one matrix or of each matrix of
+    a stack (..., n, n).
 
     The lower Cholesky factor L of the Hermitian positive definite matrix
     g g* is split as L = l @ a with a = diag(L) (positive by the Cholesky
     convention); then u = L^(-1) g is unitary.
     """
-    g = _as_square(g)
+    g = _as_square_stack(g)
     _check_unimodular(g, tol)
-    gram = g @ g.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = g @ g.mT.conj()
+    gram = 0.5 * (gram + gram.mT.conj())
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularInput("g g* failed the positive-definiteness check") from exc
-    a_diag = np.real(np.diag(chol)).copy()
-    lower = chol / a_diag[np.newaxis, :]
+    a_diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
+    lower = chol / a_diag[..., np.newaxis, :]
     u = np.linalg.solve(chol, g)
-    return IwasawaFactors(l=lower, a=np.diag(a_diag.astype(complex)), u=u)
+    a = np.zeros_like(chol)
+    idx = np.arange(g.shape[-1])
+    a[..., idx, idx] = a_diag
+    return IwasawaFactors(l=lower, a=a, u=u)
 
 
 def inv_sqrt_hpd(p: np.ndarray) -> np.ndarray:

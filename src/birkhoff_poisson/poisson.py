@@ -17,6 +17,15 @@ alternative presentation of the two-sphere.
 
 A finite-difference chart-to-equivariant transfer ties the two sides
 together; a single measured calibration constant certifies agreement.
+
+Stacks.  ``omega_apply``, ``pi_eval``, ``matrix_of_omega``, ``pi_rank``, the
+group pairings ``pi_el_group`` / ``pi_lw_group`` with the SU(2) coefficient
+displays, ``grassmann_l_operator``, ``grassmann_local_pi`` and the chart
+transfer ``chart_frame`` / ``chart_covectors`` / ``chart_pi_eval`` take
+stacks of points and arguments that broadcast, matrices on the last two
+axes; they validate the whole stack once and return one value per point.
+One matrix in gives a scalar out.  The coordinate tensors and the Jacobi
+residual work one chart point at a time.
 """
 
 from __future__ import annotations
@@ -42,16 +51,33 @@ CHART_FD_STEP = 1e-6
 JACOBI_FD_STEP = 1e-5
 
 
+def _norms(x) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _real_value(val, scale):
+    """Real part of a pairing value or stack of them; raise if any imaginary
+    residue exceeds REALITY_TOL times its scale."""
+    over = np.abs(np.imag(val)) - REALITY_TOL * scale
+    if np.any(over > 0):
+        residue = np.imag(val) * np.ones_like(over)
+        raise InvalidTangent(f"pairing has imaginary residue {residue.flat[np.argmax(over)]:.3e}")
+    return np.real(val) if np.ndim(val) else float(np.real(val))
+
+
 def _validate_ip(x, preset: SymmetricSpacePreset, tol: float = REALITY_TOL) -> None:
-    """Raise unless x lies in the odd anti-Hermitian subspace, measured as the
-    distance from x to its expansion on the orthonormal odd basis."""
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(x + x.conj().T) > tol * scale:
+    """Raise unless x, or every matrix of a stack, lies in the odd
+    anti-Hermitian subspace, measured as the distance from x to its expansion
+    on the orthonormal odd basis."""
+    x = np.asarray(x, dtype=complex)
+    scale = np.maximum(1.0, _norms(x))
+    if np.any(_norms(x + x.mT.conj()) > tol * scale):
         raise InvalidTangent("tangent representative is not anti-Hermitian")
     basis = ip_basis(preset)
-    coeffs = np.einsum("kij,ij->k", basis.conj(), x).real
-    residual = x - np.einsum("k,kij->ij", coeffs, basis)
-    if np.linalg.norm(residual) > tol * scale:
+    coeffs = np.einsum("kij,...ij->...k", basis.conj(), x).real
+    residual = x - np.einsum("...k,kij->...ij", coeffs, basis)
+    if np.any(_norms(residual) > tol * scale):
         raise InvalidTangent("tangent representative lies outside the odd subspace")
 
 
@@ -70,15 +96,13 @@ def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
     return _omega(u, x, preset)
 
 
-def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True) -> float:
-    """Bivector value on the cotangent classes [u, x], [u, y]."""
+def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True):
+    """Bivector value on the cotangent classes [u, x], [u, y]: a float, or an
+    array of values when u, x and y are stacks that broadcast."""
     if validate:
         _validate_ip(y, preset)
     val = trace_form(omega_apply(u, x, preset, validate=validate), y)
-    scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(y)))
-    if abs(val.imag) > REALITY_TOL * scale:
-        raise InvalidTangent(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return _real_value(val, np.maximum(1.0, _norms(x) * _norms(y)))
 
 
 def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -111,43 +135,49 @@ def su2_frame() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, x, y
 
 
-def su2_from_sphere(a: complex, b: complex) -> np.ndarray:
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+def su2_from_sphere(a, b) -> np.ndarray:
+    """[[a, b], [-conj(b), conj(a)]], or a stack of them for arrays a, b."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
 
 
 def _check_compact(p: np.ndarray) -> None:
-    scale = max(1.0, float(np.linalg.norm(p)))
-    if np.linalg.norm(p + p.conj().T) > REALITY_TOL * scale or abs(np.trace(p)) > REALITY_TOL * scale:
+    p = np.asarray(p, dtype=complex)
+    scale = REALITY_TOL * np.maximum(1.0, _norms(p))
+    if np.any(_norms(p + p.mT.conj()) > scale) or np.any(
+        np.abs(np.trace(p, axis1=-2, axis2=-1)) > scale
+    ):
         raise InvalidTangent("argument must be anti-Hermitian and traceless")
 
 
-def _group_pairing(k: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float) -> float:
-    """<(Ad(k) o H o Ad(k^-1) + sign H)(p), q>."""
+def _group_pairing(k: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float):
+    """<(Ad(k) o H o Ad(k^-1) + sign H)(p), q>; k, p and q may be stacks
+    that broadcast, giving an array of values."""
     _check_compact(p)
     _check_compact(q)
     k = np.asarray(k, dtype=complex)
-    moved = k @ hilbert_transform(k.conj().T @ p @ k) @ k.conj().T
+    kh = k.mT.conj()
+    moved = k @ hilbert_transform(kh @ p @ k) @ kh
     val = trace_form(moved + sign * hilbert_transform(p), q)
-    if abs(val.imag) > REALITY_TOL * max(1.0, abs(val.real)):
-        raise InvalidTangent(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return _real_value(val, np.maximum(1.0, np.abs(np.real(val))))
 
 
-def pi_lw_group(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+def pi_lw_group(k: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Poisson-Lie group structure pairing (right trivialization):
     <(Ad(k) o H o Ad(k^-1) - H)(p), q>."""
     return _group_pairing(k, p, q, -1.0)
 
 
-def pi_el_group(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+def pi_el_group(k: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Homogeneous structure on the group itself (right trivialization):
     <(H + Ad(k) o H o Ad(k^-1))(p), q>."""
     return _group_pairing(k, p, q, 1.0)
 
 
-def su2_el_coefficients(k: np.ndarray) -> tuple[float, float, float]:
+def su2_el_coefficients(k: np.ndarray) -> tuple:
     """Wedge coefficients (X^Y, Y^H, H^X) of the homogeneous structure on the
-    2 x 2 unitary group in the right trivialization.
+    2 x 2 unitary group in the right trivialization; floats for one k, arrays
+    for a stack.
 
     The basis elements have tr(e^2) = -2, and the wedge-to-pairing factor is
     -2, so each coefficient is minus half the raw pairing value.
@@ -160,16 +190,17 @@ def su2_el_coefficients(k: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def su2_lw_coefficients(k: np.ndarray) -> tuple[float, float, float]:
+def su2_lw_coefficients(k: np.ndarray) -> tuple:
     """Wedge coefficients (X^Y, Y^H, H^X) of the Poisson-Lie structure in the
-    left trivialization (the conventional display for this group).
+    left trivialization (the conventional display for this group); floats for
+    one k, arrays for a stack.
 
     Left and right trivializations of a multiplicative bivector differ by
     inversion of the base point and a sign, so this evaluates the raw pairing
     at k^(-1) with the compensating half factor.
     """
     h, x, y = su2_frame()
-    kinv = np.asarray(k, dtype=complex).conj().T
+    kinv = np.asarray(k, dtype=complex).mT.conj()
     return (
         0.5 * pi_lw_group(kinv, x, y),
         0.5 * pi_lw_group(kinv, y, h),
@@ -195,15 +226,15 @@ def su2_el_matrix(k: np.ndarray) -> np.ndarray:
 def grassmann_l_operator(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The R-linear chart operator applied to a cotangent representative.
 
-    z is the n x m chart matrix, v an m x n cotangent representative or a
-    stack (..., m, n) of them.  The strict-upper-triangular corrections carry
-    one factor of z* on the outside (left for the n x n bracket, right for
-    the m x m bracket); each bracket is completed to a Hermitian matrix by
-    adding its own conjugate transpose.
+    z is the n x m chart matrix, v an m x n cotangent representative; either
+    may be a stack, (..., n, m) or (..., m, n).  The strict-upper-triangular
+    corrections carry one factor of z* on the outside (left for the n x n
+    bracket, right for the m x m bracket); each bracket is completed to a
+    Hermitian matrix by adding its own conjugate transpose.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    zs = z.conj().T
+    zs = z.mT.conj()
     t1 = v - zs @ z @ v @ z @ zs
     b2 = np.triu(z @ v - v.mT.conj() @ zs, 1)
     t2 = zs @ (b2 + b2.mT.conj())
@@ -212,13 +243,16 @@ def grassmann_l_operator(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return t1 + t2 - t3
 
 
-def grassmann_local_pi(z: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+def grassmann_local_pi(z: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Chart value of the bivector on cotangent representatives v, w:
-    i [ tr((L_z v)* w) - tr((L_z v) w*) ]."""
+    i [ tr((L_z v)* w) - tr((L_z v) w*) ]; an array of values for stacks."""
     lzv = grassmann_l_operator(z, v)
     w = np.asarray(w, dtype=complex)
-    val = 1j * (np.trace(lzv.conj().T @ w) - np.trace(lzv @ w.conj().T))
-    return float(val.real)
+    val = 1j * (
+        np.trace(lzv.mT.conj() @ w, axis1=-2, axis2=-1)
+        - np.trace(lzv @ w.mT.conj(), axis1=-2, axis2=-1)
+    )
+    return val.real if np.ndim(val) else float(val.real)
 
 
 @dataclass(frozen=True)
@@ -400,7 +434,6 @@ class CoordBivector:
     kind: str
     dim_real: int
     real_matrix: Callable[[np.ndarray], np.ndarray]
-    complex_coeffs: "Callable[[np.ndarray], CoordCoefficients] | None" = None
 
 
 def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_lu") -> CoordBivector:
@@ -424,17 +457,12 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             kind="cp1",
             dim_real=2,
             real_matrix=lambda x: coeffs_real_matrix(coeffs_cp1(x)),
-            complex_coeffs=coeffs_cp1,
         )
     if kind == "cpn":
-        def coeffs_cpn(x: np.ndarray) -> CoordCoefficients:
-            return cpn_coeffs(reals_to_complex(x))
-
         return CoordBivector(
             kind="cpn",
             dim_real=2 * n,
-            real_matrix=lambda x: coeffs_real_matrix(coeffs_cpn(x)),
-            complex_coeffs=coeffs_cpn,
+            real_matrix=lambda x: coeffs_real_matrix(cpn_coeffs(reals_to_complex(x))),
         )
     if kind == "grassmann":
         # dual to the chart directions under the pairing 2 Re tr(v d)
@@ -493,11 +521,18 @@ def chart_frame(
     preset: SymmetricSpacePreset, z: np.ndarray, fd_step: float = CHART_FD_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical representative at z and the stack of tangent images of the
-    real coordinate directions, as odd anti-Hermitian representatives."""
+    real coordinate directions, as odd anti-Hermitian representatives.
+
+    z may be a stack (..., n, m) of chart points; the results are then
+    (..., d, d) and (..., 2 m n, d, d)."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim < 2:
+        z = z.reshape(preset.n, preset.m)
     u = canonical_rep(z, preset)
+    z = z[..., np.newaxis, :, :]
     steps = fd_step * chart_directions(preset)
     du = (canonical_rep(z + steps, preset) - canonical_rep(z - steps, preset)) / (2.0 * fd_step)
-    return u, project_ip(u.conj().T @ du, preset)
+    return u, project_ip(u[..., np.newaxis, :, :].mT.conj() @ du, preset)
 
 
 def chart_covectors(
@@ -511,16 +546,17 @@ def chart_covectors(
 
     The chart pairing of a covector v with a tangent direction d is
     2 Re tr(v d); the equivariant class is the trace-form representative of
-    the pulled-back functional.
+    the pulled-back functional.  For a stack of chart points z, each
+    covector is a matching stack (..., m, n) and so is each class.
     """
     u, tangents = chart_frame(preset, z, fd_step)
     basis = ip_basis(preset)
-    # gram[s, r] = tr(e_s y_r), pairings[v, d] = 2 Re tr(v d)
-    gram = np.einsum("sij,rji->sr", basis, tangents).real
-    pairings = 2.0 * np.einsum("vij,dji->vd", np.asarray(covectors, dtype=complex),
+    # gram[s, r] = tr(e_s y_r), pairings[d, v] = 2 Re tr(v d)
+    gram = np.einsum("sij,...rji->...sr", basis, tangents).real
+    pairings = 2.0 * np.einsum("v...ij,dji->...dv", np.asarray(covectors, dtype=complex),
                                chart_directions(preset)).real
-    coeffs = np.array([np.linalg.solve(gram.T, pairing) for pairing in pairings])
-    return u, list(np.einsum("vk,kij->vij", coeffs, basis))
+    coeffs = np.linalg.solve(gram.mT, pairings)
+    return u, list(np.einsum("...kv,kij->v...ij", coeffs, basis))
 
 
 def chart_pi_eval(
@@ -529,8 +565,10 @@ def chart_pi_eval(
     v: np.ndarray,
     w: np.ndarray,
     fd_step: float = CHART_FD_STEP,
-) -> float:
-    """Equivariant bivector value pulled through the chart differential."""
+):
+    """Equivariant bivector value pulled through the chart differential: a
+    float, or an array of values for a stack of chart points z with matching
+    stacks v, w."""
     u, (xv, xw) = chart_covectors(preset, z, [v, w], fd_step)
     return pi_eval(u, xv, xw, preset)
 

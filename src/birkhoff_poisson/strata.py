@@ -73,12 +73,16 @@ def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> Signed
 def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFactorization:
     """Factor the Cartan image of a Grassmannian-family point, or of each
     point of a stack (..., d, d), as l @ W @ h @ theta(l*)."""
+    return _factor_image(cartan_embed(u, preset), preset, tol)
+
+
+def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> LeafFactorization:
+    """The leaf factorization of an already built Cartan image phi."""
     if not preset.is_inner:
         raise ValueError(
             "leaf factorization applies to the Grassmannian family; classify "
             "group-case points through their single-factor image instead"
         )
-    phi = cartan_embed(u, preset)
     factors = birkhoff_factor(phi, tol)
     bound = max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
     expected_upper = theta_g(factors.l.mT.conj(), preset)
@@ -161,9 +165,11 @@ def order_two_torus_elements(preset: SymmetricSpacePreset, guard: int = 12) -> l
 
 
 def orbit_direction_span(u, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Coordinates of the projected noncompact-orbit directions at u, computed
-    through the compact-form projection instead of the Hilbert transform."""
+    """Coordinates of the projected noncompact-orbit directions at u, or at
+    each point of a stack (..., d, d), computed through the compact-form
+    projection instead of the Hilbert transform."""
     basis = ip_basis(preset)
+    u = np.asarray(u)[..., np.newaxis, :, :]
     moved = proj_u(1j * adjoint_act(u, basis))
-    projected = project_ip(u.conj().T @ moved @ u, preset)
-    return np.einsum("sij,rij->sr", basis.conj(), projected).real
+    projected = project_ip(u.mT.conj() @ moved @ u, preset)
+    return np.einsum("sij,...rij->...sr", basis.conj(), projected).real

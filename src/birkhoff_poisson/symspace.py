@@ -13,10 +13,10 @@ its Lie algebra is stored as one square complex matrix of size m + n:
   block-diagonal matrix diag(k1, k2), so m = n, and J is the swap of the two
   blocks.  Odd algebra elements are diag(x, -x).
 
-``theta_g``, ``cartan_embed``, ``adjoint_act`` and the projections act on
-stacks (..., d, d), d = m + n, matrix by matrix, and ``canonical_rep`` on
-stacks (..., n, m) of chart matrices.  ``ip_basis`` is one cached read-only
-(dim_ip, d, d) array.
+``theta_g``, ``cartan_embed``, ``adjoint_act``, ``block_diag`` and the
+projections act on stacks (..., d, d), d = m + n, matrix by matrix, and
+``canonical_rep`` on stacks (..., n, m) of chart matrices.  ``ip_basis`` is
+one cached read-only (dim_ip, d, d) array.
 """
 
 from __future__ import annotations
@@ -120,12 +120,14 @@ def parse_preset(spec: str) -> SymmetricSpacePreset:
 
 
 def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a, b): the stored form of the group-case pair (a, b)."""
+    """diag(a, b): the stored form of the group-case pair (a, b); a and b
+    may be stacks that broadcast, giving a stack."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
-    out[: a.shape[0], : a.shape[0]] = a
-    out[a.shape[0]:, a.shape[0]:] = b
+    p, d = a.shape[-1], a.shape[-1] + b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (d, d), dtype=complex)
+    out[..., :p, :p] = a
+    out[..., p:, p:] = b
     return out
 
 

@@ -13,7 +13,7 @@ from birkhoff_poisson import (
     pi_rank,
     principal_minors,
 )
-from birkhoff_poisson import cli
+from birkhoff_poisson import cli, strata
 from birkhoff_poisson.cli import main
 
 
@@ -102,6 +102,21 @@ def test_moment_origin_zero(capsys):
 def test_moment_equator_is_domain_error(capsys):
     code, _ = run_cli(["moment", "--preset", "cp1", "--point", "1,0"], capsys)
     assert code == 3
+
+
+def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
+    images = []
+
+    def counted(u, preset):
+        images.append(u)
+        return cartan_embed(u, preset)
+
+    for module in (cli, strata):
+        monkeypatch.setattr(module, "cartan_embed", counted)
+    point = "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"
+    code, out = run_cli(["moment", "--preset", "gr:2,2", point], capsys)
+    assert code == 0 and json.loads(out)["torus_dim"] == 3
+    assert len(images) == 1
 
 
 def test_jacobi_subcommand(capsys):

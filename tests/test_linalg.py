@@ -376,6 +376,32 @@ def test_iwasawa_singular():
         iwasawa_factor(np.array([[1, 0], [0, 0]], dtype=complex))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    shape=st.sampled_from([(1,), (5,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iwasawa_stack_matches_single_calls(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    gs = np.array([random_special_linear(n, rng) for _ in range(np.prod(shape))])
+    gs = gs.reshape(shape + (n, n))
+    f = iwasawa_factor(gs)
+    assert f.l.shape == f.a.shape == f.u.shape == gs.shape
+    for index in np.ndindex(shape):
+        one = iwasawa_factor(gs[index])
+        assert one.l.shape == (n, n)
+        for stacked, single in ((f.l, one.l), (f.a, one.a), (f.u, one.u)):
+            assert np.linalg.norm(stacked[index] - single) <= 1e-13 * np.linalg.norm(single)
+
+
+def test_iwasawa_stack_with_one_singular_member_raises(rng):
+    gs = np.array([random_special_linear(3, rng) for _ in range(4)])
+    gs[2] *= 2.0
+    with pytest.raises(SingularInput):
+        iwasawa_factor(gs)
+
+
 # ---------------------------------------------------------------------------
 # inv_sqrt_hpd / polar_factor
 

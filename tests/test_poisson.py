@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     InvalidTangent,
@@ -144,6 +146,92 @@ def test_matrix_of_omega_on_a_stack_of_points(spec, rng):
             stacked[index], matrix_of_omega(points[index], preset), rtol=0, atol=1e-14
         )
         assert ranks[index] == pi_rank(points[index], preset)
+
+
+def _assert_matches_single_calls(stacked, singles):
+    """A stacked result equals the loop of single calls to 1e-13 relative,
+    and each single call gives a float."""
+    assert all(isinstance(v, float) for v in singles)
+    singles = np.array(singles)
+    assert stacked.shape == singles.shape
+    assert np.all(np.abs(stacked - singles) <= 1e-13 * np.maximum(1.0, np.abs(singles)))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from(["cp1", "cp2", "gr:2,2", "gr:2,3", "group:su2"]),
+    count=st.integers(1, 6),
+    seed=SEEDS,
+)
+def test_pi_eval_stack_matches_single_calls(spec, count, seed):
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    u = np.array([random_point(preset, rng) for _ in range(count)])
+    x = np.array([random_ip(preset, rng) for _ in range(count)])
+    y = np.array([random_ip(preset, rng) for _ in range(count)])
+    _assert_matches_single_calls(
+        pi_eval(u, x, y, preset), [pi_eval(*args, preset) for args in zip(u, x, y)]
+    )
+    # one point broadcasts against a stack of covectors
+    _assert_matches_single_calls(
+        pi_eval(u[0], x, y, preset), [pi_eval(u[0], *args, preset) for args in zip(x, y)]
+    )
+
+
+def test_pi_eval_rejects_a_stack_with_one_bad_covector(rng, cp2):
+    u = np.array([random_point(cp2, rng) for _ in range(4)])
+    x = np.array([random_ip(cp2, rng) for _ in range(4)])
+    bad = x.copy()
+    bad[2] = bad[2] + np.diag([1j, -1j, 0])  # anti-Hermitian but even
+    with pytest.raises(InvalidTangent, match="odd subspace"):
+        pi_eval(u, bad, x, cp2)
+    with pytest.raises(InvalidTangent, match="odd subspace"):
+        pi_eval(u, x, bad, cp2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 3), count=st.integers(1, 6), seed=SEEDS)
+def test_group_pairings_stack_matches_single_calls(n, count, seed):
+    rng = np.random.default_rng(seed)
+    k = np.array([random_special_unitary(n, rng) for _ in range(count)])
+    p = np.array([random_su_algebra(n, rng) for _ in range(count)])
+    q = np.array([random_su_algebra(n, rng) for _ in range(count)])
+    for pairing in (pi_el_group, pi_lw_group):
+        _assert_matches_single_calls(
+            pairing(k, p, q), [pairing(*args) for args in zip(k, p, q)]
+        )
+    if n == 2:
+        for stacked, singles in zip(
+            su2_el_coefficients(k), zip(*(su2_el_coefficients(ki) for ki in k))
+        ):
+            _assert_matches_single_calls(stacked, list(singles))
+
+
+def test_group_pairing_rejects_a_stack_with_one_bad_argument(rng):
+    k = np.array([random_special_unitary(2, rng) for _ in range(3)])
+    p = np.array([random_su_algebra(2, rng) for _ in range(3)])
+    bad = p.copy()
+    bad[1] = bad[1] + 1j * np.eye(2)  # anti-Hermitian, not traceless
+    with pytest.raises(InvalidTangent):
+        pi_el_group(k, bad, p)
+    with pytest.raises(InvalidTangent):
+        pi_lw_group(k, p, bad)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(["cp1", "cp2", "gr:2,2"]), count=st.integers(1, 5), seed=SEEDS)
+def test_chart_pi_eval_stack_matches_single_calls(spec, count, seed):
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    z = np.array([random_chart(preset, rng) for _ in range(count)])
+    v = complex_normal(rng, (count, preset.m, preset.n))
+    w = complex_normal(rng, (count, preset.m, preset.n))
+    _assert_matches_single_calls(
+        chart_pi_eval(preset, z, v, w), [chart_pi_eval(preset, *args) for args in zip(z, v, w)]
+    )
 
 
 def test_operator_skewness_check_is_measured():

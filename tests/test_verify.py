@@ -1,4 +1,50 @@
+import numpy as np
+import pytest
+
+from birkhoff_poisson import linalg, verify
 from birkhoff_poisson.verify import run_suite
+
+# The (suite, name) order of a `verify all` report.  The benchmark counts
+# the checks of one report and wraps the suites by their keys, so both stay.
+ALL_CHECKS = [
+    ("factorization", "birkhoff-roundtrip"),
+    ("factorization", "iwasawa-roundtrip"),
+    ("factorization", "iwasawa-idempotent"),
+    ("factorization", "iwasawa-unitary-fixed"),
+    ("embedding", "cartan-symmetry"),
+    ("embedding", "cartan-unitarity"),
+    ("embedding", "cartan-coset-invariance"),
+    ("embedding", "canonical-rep-unitarity"),
+    ("bivector", "antisymmetry"),
+    ("bivector", "operator-skewness"),
+    ("bivector", "stabilizer-equivariance"),
+    ("bivector", "su2-homogeneous-coefficients"),
+    ("bivector", "su2-poisson-lie-coefficients"),
+    ("bivector", "group-pushforward-agreement"),
+    ("local-vs-equivariant", "calibration-constant-minus-one"),
+    ("local-vs-equivariant", "agreement-cp1"),
+    ("local-vs-equivariant", "agreement-cp2"),
+    ("local-vs-equivariant", "agreement-gr:2,2"),
+    ("local-vs-equivariant", "projective-specialization"),
+    ("jacobi", "jacobi-cp1-baseline"),
+    ("jacobi", "jacobi-cp2"),
+    ("jacobi", "jacobi-gr22"),
+    ("lambda-identity", "family-identity"),
+    ("lambda-identity", "equator-degeneracy"),
+    ("degeneracy", "cp2-minor-product-identity"),
+    ("degeneracy", "top-layer-full-rank"),
+    ("degeneracy", "locus-rank-drop"),
+    ("degeneracy", "su2-vanishing-at-a0"),
+    ("degeneracy", "leaf-tangency-angle"),
+    ("momentum", "cp1-closed-form"),
+    ("momentum", "fixed-point-zero"),
+    ("momentum", "hamiltonian-residual-cp1"),
+    ("momentum", "hamiltonian-residual-cp2-gr22"),
+]
+
+
+def _check(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
 
 
 def test_lambda_identity_holds_for_every_seed():
@@ -8,3 +54,53 @@ def test_lambda_identity_holds_for_every_seed():
         seed for seed in range(200) if not run_suite("lambda-identity", seed)["pass"]
     ]
     assert failed == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 424242])
+def test_all_report_keeps_its_checks_in_order(seed):
+    report = run_suite("all", seed)
+    assert list(verify.SUITES) == list(dict.fromkeys(s for s, _ in ALL_CHECKS))
+    assert [(c["suite"], c["name"]) for c in report["checks"]] == ALL_CHECKS
+    assert report["pass"]
+
+
+@pytest.mark.parametrize("suite", ["factorization", "embedding", "bivector", "degeneracy"])
+def test_suite_holds_over_a_seed_sweep(suite):
+    # 68 and 141 failed the old near-zero-relative and absolute bounds
+    failed = [
+        (seed, c["name"])
+        for seed in [*range(16), 68, 141]
+        for c in run_suite(suite, seed)["checks"]
+        if not c["pass"]
+    ]
+    assert failed == []
+
+
+@pytest.mark.parametrize("seed", [0, 141])
+def test_iwasawa_idempotent_fails_an_error_of_the_old_bound(seed, monkeypatch):
+    factor = linalg.iwasawa_factor
+    products = []
+
+    def refactor_with_error(g, *args):
+        f = factor(g, *args)
+        if any(p.shape == np.shape(g) and np.array_equal(p, g) for p in products):
+            # the re-factorization of an earlier product: 1e-10 into each l
+            error = np.zeros_like(f.l)
+            error[..., 1, 0] = 1e-10
+            f = linalg.IwasawaFactors(l=f.l + error, a=f.a, u=f.u)
+        products.append(f.reconstruct())
+        return f
+
+    assert _check(run_suite("factorization", seed), "iwasawa-idempotent")["pass"]
+    monkeypatch.setattr(linalg, "iwasawa_factor", refactor_with_error)
+    assert not _check(run_suite("factorization", seed), "iwasawa-idempotent")["pass"]
+
+
+@pytest.mark.parametrize("seed", [0, 68])
+def test_minor_product_identity_fails_an_error_relative_to_the_factors(seed, monkeypatch):
+    assert _check(run_suite("degeneracy", seed), "cp2-minor-product-identity")["pass"]
+    minors = linalg.principal_minors
+    # the minors of the unitary Cartan image are at most 1 in modulus, so an
+    # absolute 1e-10 in one of them is an error of 1e-10 relative to its size
+    monkeypatch.setattr(linalg, "principal_minors", lambda g: minors(g) + [0.0, 1e-10, 0.0])
+    assert not _check(run_suite("degeneracy", seed), "cp2-minor-product-identity")["pass"]
