@@ -6,7 +6,8 @@ i theta(log |h|) against X.  The Hamiltonian property is checked honestly:
 the differential of the momentum function is taken by central finite
 differences along group-exponential curves, pushed through the bivector's
 anchor map, and compared with the action vector field.  The 2 dim_ip
-perturbed points of the stencil are factored as one stack.
+perturbed points of the stencil of every point of a stack are factored as
+one stack, once, and every torus direction is read from the same log |h|.
 """
 
 from __future__ import annotations
@@ -83,10 +84,12 @@ def moment_on_basis(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> np.nd
 
 def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Vector field of the torus action at u, as the odd anti-Hermitian
-    representative at u: minus the projected down-conjugated direction."""
+    representative at u: minus the projected down-conjugated direction.
+    u and x may be stacks that broadcast."""
     if not preset.is_inner:
         raise ValueError("the torus field is computed for the Grassmannian family")
-    down = np.asarray(u).conj().T @ np.asarray(x, dtype=complex) @ np.asarray(u)
+    u = np.asarray(u)
+    down = u.mT.conj() @ np.asarray(x, dtype=complex) @ u
     return -project_ip(down, preset)
 
 
@@ -96,19 +99,37 @@ def hamiltonian_residual(
     preset: SymmetricSpacePreset,
     fd_step: float = 1e-5,
     tol: float = 1e-9,
-) -> float:
+):
     """Norm of (anchor map applied to d mu_x) minus the action field at u.
 
     d mu_x is assembled from central finite differences of the momentum along
     exponential curves over an orthonormal basis of the odd subspace; the
     trace-form representative picks up a sign because the form is negative
     definite there.
+
+    u is one point (d, d) or a stack (..., d, d), and x one torus direction
+    (d, d) or a stack (T, d, d) of them; the result is a float, or has shape
+    (...), (T) or (..., T).  The stencil of every point is factored once and
+    each direction is checked against every layer the stencil lies on.
     """
+    u = np.asarray(u, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    xs = x.reshape((-1,) + x.shape[-2:])
     basis = ip_basis(preset)
     steps = unitary_exp(np.stack([fd_step * basis, -fd_step * basis]))
-    forward, backward = moment_eval(u @ steps, x, preset, tol)
-    coeffs = -(forward - backward) / (2.0 * fd_step)
-    dmu = sum(c * e for c, e in zip(coeffs, basis))
+    # stencil[..., side, r, 0]: the point moved by exp(+-fd_step e_r)
+    stencil = u[..., np.newaxis, np.newaxis, np.newaxis, :, :] @ steps[:, :, np.newaxis]
+    lf = leaf_factorize(stencil, preset, tol)
+    for w in _layers(lf.perm, lf.signs):
+        for x_t in xs:
+            _check_torus_direction(x_t, preset, w)
+    # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]
+    values = leaf_moment(lf, xs, preset)
+    coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * fd_step)
+    dmu = np.einsum("...rt,rij->...tij", coeffs, basis)
+    u = u[..., np.newaxis, :, :]
     sharp = omega_apply(u, dmu, preset, validate=False)
-    field = torus_vector_field(u, x, preset)
-    return float(np.linalg.norm(sharp - field))
+    residual = np.linalg.norm(sharp - torus_vector_field(u, xs, preset), axis=(-2, -1))
+    if x.ndim == 2:
+        residual = residual[..., 0]
+    return residual if np.ndim(residual) else float(residual)

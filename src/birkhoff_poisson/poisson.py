@@ -15,8 +15,9 @@ one-dimensional family (homogeneous, projected Poisson-Lie, and
 Kostant-Kirillov-Souriau structures), and the real-form chart of the
 alternative presentation of the two-sphere.
 
-A finite-difference chart-to-equivariant transfer ties the two sides
-together; a single measured calibration constant certifies agreement.
+A chart-to-equivariant transfer ties the two sides together: the chart
+differential at the canonical representative is in closed form, and a
+single measured calibration constant certifies agreement.
 
 Stacks.  ``omega_apply``, ``pi_eval``, ``matrix_of_omega``, ``pi_rank``, the
 group pairings ``pi_el_group`` / ``pi_lw_group`` with the SU(2) coefficient
@@ -24,8 +25,11 @@ displays, ``grassmann_l_operator``, ``grassmann_local_pi`` and the chart
 transfer ``chart_frame`` / ``chart_covectors`` / ``chart_pi_eval`` take
 stacks of points and arguments that broadcast, matrices on the last two
 axes; they validate the whole stack once and return one value per point.
-One matrix in gives a scalar out.  The coordinate tensors and the Jacobi
-residual work one chart point at a time.
+One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
+``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points, and so
+does every ``CoordBivector.real_matrix``, on points (..., dim_real); the
+Jacobi residual evaluates its whole finite-difference stencil, for one point
+or a stack of them, in one ``real_matrix`` call.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .symspace import (
 )
 
 REALITY_TOL = 1e-10
-CHART_FD_STEP = 1e-6
 JACOBI_FD_STEP = 1e-5
 
 
@@ -209,13 +212,14 @@ def su2_lw_coefficients(k: np.ndarray) -> tuple:
 
 
 def su2_el_matrix(k: np.ndarray) -> np.ndarray:
-    """Raw pairing values of the homogeneous group structure on (H, X, Y)."""
+    """Raw pairing values of the homogeneous group structure on (H, X, Y):
+    (3, 3), or (..., 3, 3) for a stack of k."""
     frame = su2_frame()
-    mat = np.zeros((3, 3))
+    mat = np.zeros(np.shape(k)[:-2] + (3, 3))
     for r, e_r in enumerate(frame):
         for s, e_s in enumerate(frame):
             if r != s:
-                mat[r, s] = pi_el_group(k, e_r, e_s)
+                mat[..., r, s] = pi_el_group(k, e_r, e_s)
     return mat
 
 
@@ -261,7 +265,8 @@ class CoordCoefficients:
 
     ``mixed[j, k]`` is the partial_j ^ conj(partial_k) coefficient and
     ``holo[j, k]`` the partial_j ^ partial_k coefficient; the antiholomorphic
-    blocks follow by conjugation (the tensor is real).
+    blocks follow by conjugation (the tensor is real).  Both may be stacks
+    (..., n, n), one pair per chart point.
     """
 
     mixed: np.ndarray
@@ -273,28 +278,52 @@ class CoordCoefficients:
         )
 
 
+def _scalar_coeffs(val) -> CoordCoefficients:
+    """Coefficients of a one-dimensional chart whose only term is the mixed
+    one, val (a scalar or a stack of them)."""
+    mixed = np.asarray(val, dtype=complex)[..., np.newaxis, np.newaxis]
+    return CoordCoefficients(mixed=mixed, holo=np.zeros_like(mixed))
+
+
+def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise for complex arrays, rounded as numpy rounds the
+    product of two complex scalars: (ac - bd) + (ad + bc) i with each real
+    product rounded.  The array multiply may fuse a product into its sum,
+    which would move the last bit of a coefficient against its one-point
+    value."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def cpn_coeffs(zvec: np.ndarray) -> CoordCoefficients:
-    """Projective-space chart coefficients.
+    """Projective-space chart coefficients at the point z, or at each point
+    of a stack (..., n).
 
     Diagonal mixed coefficients are -i S_j with
     S_j = 1 + sum_{k<j} |z_k|^2 - |z_j|^2 ||z||^2 - sum_{k>j} |z_k|^2;
     off-diagonal mixed entries are i z_j conj(z_k) ||z||^2 and the doubly
     holomorphic entries are -i z_j z_k (upper triangle, antisymmetrized).
     """
-    z = np.asarray(zvec, dtype=complex).reshape(-1)
-    n = z.size
+    z = np.asarray(zvec, dtype=complex)
+    z = z.reshape(-1) if z.ndim < 2 else z
+    n = z.shape[-1]
     mods = np.abs(z) ** 2
-    rho2 = float(np.sum(mods))
-    mixed = np.zeros((n, n), dtype=complex)
-    holo = np.zeros((n, n), dtype=complex)
+    rho2 = np.sum(mods, axis=-1)[..., np.newaxis, np.newaxis]
+    zj, zk = z[..., :, np.newaxis], z[..., np.newaxis, :]
+    off = ~np.eye(n, dtype=bool)
+    mixed = np.where(off, _scalar_product(1j * zj, np.conj(zk)) * rho2, 0.0)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    holo = np.where(off, _scalar_product(np.where(upper, -1j, 1j) * zj, zk), 0.0)
     for j in range(n):
-        s_j = 1.0 + np.sum(mods[:j]) - mods[j] * rho2 - np.sum(mods[j + 1:])
-        mixed[j, j] = -1j * s_j
-        for k in range(n):
-            if k == j:
-                continue
-            mixed[j, k] = 1j * z[j] * np.conj(z[k]) * rho2
-            holo[j, k] = (-1j if j < k else 1j) * z[j] * z[k]
+        s_j = (
+            1.0
+            + np.sum(mods[..., :j], axis=-1)
+            - mods[..., j] * rho2[..., 0, 0]
+            - np.sum(mods[..., j + 1:], axis=-1)
+        )
+        mixed[..., j, j] = -1j * s_j
     return CoordCoefficients(mixed=mixed, holo=holo)
 
 
@@ -370,6 +399,7 @@ class Cp1Family:
 
 
 def cp1_family(z: complex) -> Cp1Family:
+    """The three coefficients at z, or arrays of them for an array z."""
     a = abs(z) ** 2
     return Cp1Family(
         evens_lu=-1j * (1.0 - a * a),
@@ -380,8 +410,8 @@ def cp1_family(z: complex) -> Cp1Family:
 
 def fothlu_w_chart(w: complex) -> complex:
     """Chart coefficient -2i Im(w) (1 + |w|^2) of the real-form presentation
-    of the two-sphere."""
-    return -2j * float(np.imag(w)) * (1.0 + abs(w) ** 2)
+    of the two-sphere; an array of them for an array w."""
+    return -2j * np.imag(w) * (1.0 + abs(w) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +428,12 @@ def complex_to_reals(z: np.ndarray) -> np.ndarray:
 
 
 def reals_to_complex(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size % 2:
+    """Complex vector of interleaved (re, im) coordinates on the last axis."""
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(-1) if x.ndim < 1 else x
+    if x.shape[-1] % 2:
         raise ValueError("real coordinate vector must have even length")
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def _holo_to_real_frame(n: int) -> np.ndarray:
@@ -417,19 +449,21 @@ def _holo_to_real_frame(n: int) -> np.ndarray:
 
 def coeffs_real_matrix(coeffs: CoordCoefficients) -> np.ndarray:
     """Real antisymmetric matrix of a coordinate bivector in interleaved
-    (re, im) coordinates."""
-    n = coeffs.mixed.shape[0]
+    (re, im) coordinates; a stack of them for stacked coefficients."""
+    n = coeffs.mixed.shape[-1]
     t = _holo_to_real_frame(n)
     mat = t @ coeffs.complex_matrix() @ t.T
-    assert np.max(np.abs(mat.imag)) < 1e-9 * max(1.0, np.max(np.abs(mat.real)))
+    imag, real = (np.max(np.abs(part), axis=(-2, -1)) for part in (mat.imag, mat.real))
+    assert np.all(imag < 1e-9 * np.maximum(1.0, real))
     return np.ascontiguousarray(mat.real)
 
 
 @dataclass(frozen=True)
 class CoordBivector:
-    """A coordinate bivector: chart kind, real dimension, and accessors for
-    the coefficient data and the real antisymmetric matrix at a chart point
-    (given in interleaved (re, im) coordinates)."""
+    """A coordinate bivector: chart kind, real dimension, and the real
+    antisymmetric matrix at a chart point given in interleaved (re, im)
+    coordinates.  ``real_matrix`` maps points (..., dim_real) to matrices
+    (..., dim_real, dim_real), or to anything that broadcasts to them."""
 
     kind: str
     dim_real: int
@@ -444,20 +478,11 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
     frame over the unit-sphere coordinates (re a, im a, re b, im b).
     """
     if kind == "cp1":
-        def coeffs_cp1(x: np.ndarray) -> CoordCoefficients:
-            z = complex(reals_to_complex(x)[0])
-            fam = cp1_family(z)
-            val = getattr(fam, member)
-            return CoordCoefficients(
-                mixed=np.array([[val]], dtype=complex),
-                holo=np.zeros((1, 1), dtype=complex),
-            )
+        def real_matrix(x: np.ndarray) -> np.ndarray:
+            fam = cp1_family(reals_to_complex(x)[..., 0])
+            return coeffs_real_matrix(_scalar_coeffs(getattr(fam, member)))
 
-        return CoordBivector(
-            kind="cp1",
-            dim_real=2,
-            real_matrix=lambda x: coeffs_real_matrix(coeffs_cp1(x)),
-        )
+        return CoordBivector(kind="cp1", dim_real=2, real_matrix=real_matrix)
     if kind == "cpn":
         return CoordBivector(
             kind="cpn",
@@ -469,41 +494,49 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
         reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
 
         def real_matrix(x: np.ndarray) -> np.ndarray:
+            z = reals_to_complex(x)
+            z = z.reshape(z.shape[:-1] + (1, n, m))
             # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b)
-            images = grassmann_l_operator(reals_to_complex(x).reshape(n, m), reps)
-            return -2.0 * np.einsum("aij,bij->ab", images.conj(), reps).imag
+            images = grassmann_l_operator(z, reps)
+            return -2.0 * np.einsum("...aij,bij->...ab", images.conj(), reps).imag
 
         return CoordBivector(kind="grassmann", dim_real=2 * m * n, real_matrix=real_matrix)
     if kind == "fothlu_w":
         def real_matrix(x: np.ndarray) -> np.ndarray:
-            w = complex(reals_to_complex(x)[0])
-            coeffs = CoordCoefficients(
-                mixed=np.array([[fothlu_w_chart(w)]], dtype=complex),
-                holo=np.zeros((1, 1), dtype=complex),
-            )
-            return coeffs_real_matrix(coeffs)
+            w = reals_to_complex(x)[..., 0]
+            return coeffs_real_matrix(_scalar_coeffs(fothlu_w_chart(w)))
 
         return CoordBivector(kind="fothlu_w", dim_real=2, real_matrix=real_matrix)
     if kind == "su2":
         def real_matrix(x: np.ndarray) -> np.ndarray:
-            a, b = reals_to_complex(x)
-            return su2_el_matrix(su2_from_sphere(a, b))
+            ab = reals_to_complex(x)
+            return su2_el_matrix(su2_from_sphere(ab[..., 0], ab[..., 1]))
 
         return CoordBivector(kind="su2", dim_real=4, real_matrix=real_matrix)
     raise ValueError(f"unknown coordinate bivector kind {kind!r}")
 
 
-def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float = JACOBI_FD_STEP) -> float:
+def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float = JACOBI_FD_STEP):
     """Max component of the Schouten bracket of the bivector with itself,
-    with coefficient derivatives taken by central finite differences."""
-    x = np.asarray(point, dtype=float).reshape(-1)
-    grad = np.array([(bivector.real_matrix(x + h) - bivector.real_matrix(x - h)) / (2 * fd_step)
-                     for h in fd_step * np.eye(x.size)])
+    with coefficient derivatives taken by central finite differences: a
+    float, or one value per point for a stack of points (..., dim_real).
+
+    Each point and its 2 dim_real shifted copies form a (..., 2 dim_real + 1,
+    dim_real) stencil that goes through ``real_matrix`` in one call."""
+    x = np.asarray(point, dtype=float)
+    x = x.reshape(-1) if x.ndim < 1 else x
+    dim = x.shape[-1]
+    steps = fd_step * np.eye(dim)
+    x = x[..., np.newaxis, :]
+    stencil = np.concatenate([x, x + steps, x - steps], axis=-2)
+    mats = np.broadcast_to(bivector.real_matrix(stencil), stencil.shape + (dim,))
+    grad = (mats[..., 1:dim + 1, :, :] - mats[..., dim + 1:, :, :]) / (2 * fd_step)
     # term[a, b, c] = sum_d pi[d, a] d_d pi[b, c]; the bracket is its cyclic sum
-    term = np.einsum("da,dbc->abc", bivector.real_matrix(x), grad)
-    total = term + term.transpose(2, 0, 1) + term.transpose(1, 2, 0)
-    a, b, c = np.indices(total.shape)
-    return float(np.max(np.abs(total[(a < b) & (b < c)]), initial=0.0))
+    term = np.einsum("...da,...dbc->...abc", mats[..., 0, :, :], grad)
+    total = term + np.moveaxis(term, -1, -3) + np.moveaxis(term, -3, -1)
+    a, b, c = np.indices((dim,) * 3)
+    worst = np.max(np.abs(total[..., (a < b) & (b < c)]), axis=-1, initial=0.0)
+    return worst if np.ndim(worst) else float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -517,29 +550,32 @@ def chart_directions(preset: SymmetricSpacePreset) -> np.ndarray:
     return np.stack([units, 1j * units], axis=1).reshape(-1, preset.n, preset.m)
 
 
-def chart_frame(
-    preset: SymmetricSpacePreset, z: np.ndarray, fd_step: float = CHART_FD_STEP
-) -> tuple[np.ndarray, np.ndarray]:
+def chart_frame(preset: SymmetricSpacePreset, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical representative at z and the stack of tangent images of the
     real coordinate directions, as odd anti-Hermitian representatives.
 
-    z may be a stack (..., n, m) of chart points; the results are then
-    (..., d, d) and (..., 2 m n, d, d)."""
+    With a and d the diagonal blocks of the representative, the image of
+    the chart direction dZ is the odd element whose lower-left block is
+    d dZ a.  z may be a stack (..., n, m) of chart points; the results are
+    then (..., d, d) and (..., 2 m n, d, d)."""
     z = np.asarray(z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(preset.n, preset.m)
     u = canonical_rep(z, preset)
-    z = z[..., np.newaxis, :, :]
-    steps = fd_step * chart_directions(preset)
-    du = (canonical_rep(z + steps, preset) - canonical_rep(z - steps, preset)) / (2.0 * fd_step)
-    return u, project_ip(u[..., np.newaxis, :, :].mT.conj() @ du, preset)
+    m = preset.m
+    a = u[..., np.newaxis, :m, :m]
+    d = u[..., np.newaxis, m:, m:]
+    lower = d @ chart_directions(preset) @ a
+    tangents = np.zeros(lower.shape[:-2] + u.shape[-2:], dtype=complex)
+    tangents[..., m:, :m] = lower
+    tangents[..., :m, m:] = -lower.mT.conj()
+    return u, tangents
 
 
 def chart_covectors(
     preset: SymmetricSpacePreset,
     z: np.ndarray,
     covectors: list[np.ndarray],
-    fd_step: float = CHART_FD_STEP,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Transfer chart cotangent representatives (m x n matrices) to
     equivariant cotangent classes at the canonical representative.
@@ -549,7 +585,7 @@ def chart_covectors(
     the pulled-back functional.  For a stack of chart points z, each
     covector is a matching stack (..., m, n) and so is each class.
     """
-    u, tangents = chart_frame(preset, z, fd_step)
+    u, tangents = chart_frame(preset, z)
     basis = ip_basis(preset)
     # gram[s, r] = tr(e_s y_r), pairings[d, v] = 2 Re tr(v d)
     gram = np.einsum("sij,...rji->...sr", basis, tangents).real
@@ -564,12 +600,11 @@ def chart_pi_eval(
     z: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
-    fd_step: float = CHART_FD_STEP,
 ):
     """Equivariant bivector value pulled through the chart differential: a
     float, or an array of values for a stack of chart points z with matching
     stacks v, w."""
-    u, (xv, xw) = chart_covectors(preset, z, [v, w], fd_step)
+    u, (xv, xw) = chart_covectors(preset, z, [v, w])
     return pi_eval(u, xv, xw, preset)
 
 
@@ -579,7 +614,7 @@ _CALIBRATION_V = np.array([[0.7 - 0.4j]])
 _CALIBRATION_W = np.array([[-0.25 + 0.55j]])
 
 
-def calibration_constant(fd_step: float = CHART_FD_STEP) -> float:
+def calibration_constant() -> float:
     """Ratio of the chart formula to the chart-pulled equivariant value at a
     fixed reference point of the smallest Grassmannian.
 
@@ -588,7 +623,7 @@ def calibration_constant(fd_step: float = CHART_FD_STEP) -> float:
     """
     preset = grassmannian(1, 1)
     local = grassmann_local_pi(_CALIBRATION_Z, _CALIBRATION_V, _CALIBRATION_W)
-    equivariant = chart_pi_eval(preset, _CALIBRATION_Z, _CALIBRATION_V, _CALIBRATION_W, fd_step)
+    equivariant = chart_pi_eval(preset, _CALIBRATION_Z, _CALIBRATION_V, _CALIBRATION_W)
     if abs(equivariant) < 1e-8:
         raise ZeroDivisionError("equivariant value at the reference point is degenerate")
     return local / equivariant

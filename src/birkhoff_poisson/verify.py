@@ -4,7 +4,10 @@ Each suite returns a list of checks ``{name, value, tol, pass}`` where value
 is the worst residual observed.  Everything is driven by one seeded
 generator, so a fixed seed reproduces the report byte for byte.  A suite
 draws all of a preset's samples first, in a fixed generator order, then
-evaluates each check once on the (N, d, d) stack of them.
+evaluates each check once on the (N, d, d) stack of them.  Samples that
+need only standard normals take them in one generator call per draw
+(``sampling.draw``), in the order a loop over the samples would; samples
+that mix in uniforms or rejection are drawn one at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def _draw(count: int, draw) -> list[np.ndarray]:
     """Call draw() count times in order and stack each of the values it
-    returns: one (count, ...) array per value.  Each sample is copied into
-    its stack as soon as it is drawn: holding all samples until the end
-    fragmented the heap and raised the peak memory of repeated runs."""
+    returns: one (count, ...) array per value; for draws that mix in
+    uniforms, which ``sampling.draw`` cannot take in one call.  Each sample
+    is copied into its stack as soon as it is drawn: holding all samples
+    until the end fragmented the heap and raised the peak memory of
+    repeated runs."""
     stacks = []
     for i in range(count):
         sample = draw()
@@ -60,7 +65,7 @@ def _refactor_defect(first: linalg.IwasawaFactors, again: linalg.IwasawaFactors,
 def _suite_factorization(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     worst_b = worst_i = worst_fix = worst_unitary = 0.0
     for n in (2, 3, 4, 6):
-        gs = np.array([sampling.random_special_linear(n, rng) for _ in range(50)])
+        gs = sampling.special_linear_stack(n, 50, rng)
         scale = _norms(gs)
         rb = linalg.birkhoff_factor(gs).reconstruct()
         worst_b = max(worst_b, np.max(_norms(rb - gs) / scale))
@@ -85,9 +90,9 @@ def _suite_factorization(rng: np.random.Generator, tol: float, fd_step: float) -
 def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     worst_sym = worst_unit = worst_coset = worst_rep = 0.0
     for preset in _CHART_PRESETS + [symspace.group_case(2)]:
-        u, k = _draw(50, lambda: (
-            sampling.random_point(preset, rng), sampling.random_stabilizer(preset, rng)
-        ))
+        u, k = sampling.draw(
+            rng, 50, sampling.point_sampler(preset), sampling.stabilizer_sampler(preset)
+        )
         phi = symspace.cartan_embed(u, preset)
         phi_h = phi.mT.conj()
         worst_sym = max(worst_sym, np.max(_norms(phi_h - symspace.theta_g(phi, preset))))
@@ -95,7 +100,7 @@ def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> li
         moved = symspace.cartan_embed(u @ k, preset)
         worst_coset = max(worst_coset, np.max(_norms(moved - phi)))
     for preset in _CHART_PRESETS:
-        z = np.array([sampling.random_chart(preset, rng) for _ in range(25)])
+        (z,) = sampling.draw(rng, 25, sampling.chart_sampler(preset))
         rep = symspace.canonical_rep(z, preset)
         worst_rep = max(
             worst_rep, np.max(_norms(rep @ rep.mT.conj() - np.eye(preset.matrix_dim)))
@@ -111,12 +116,10 @@ def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> li
 def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     worst_antisym = worst_equiv = worst_skew = 0.0
     for preset in _CHART_PRESETS + [symspace.group_case(2)]:
-        u, x, y, k = _draw(25, lambda: (
-            sampling.random_point(preset, rng),
-            sampling.random_ip(preset, rng),
-            sampling.random_ip(preset, rng),
-            sampling.random_stabilizer(preset, rng),
-        ))
+        ip = sampling.ip_sampler(preset)
+        u, x, y, k = sampling.draw(
+            rng, 25, sampling.point_sampler(preset), ip, ip, sampling.stabilizer_sampler(preset)
+        )
         value = poisson.pi_eval(u, x, y, preset)
         worst_antisym = max(
             worst_antisym, np.max(np.abs(value + poisson.pi_eval(u, y, x, preset)))
@@ -128,13 +131,11 @@ def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> lis
             u @ k, symspace.adjoint_act(k_inv, x), symspace.adjoint_act(k_inv, y), preset
         )
         worst_equiv = max(worst_equiv, np.max(np.abs(moved - value)))
-    a, b, k1, k2, p, q = _draw(50, lambda: (
-        *sampling.random_su2_sphere(rng),
-        sampling.random_special_unitary(2, rng),
-        sampling.random_special_unitary(2, rng),
-        sampling.random_su_algebra(2, rng),
-        sampling.random_su_algebra(2, rng),
-    ))
+    su2, algebra = sampling.special_unitary_sampler(2), sampling.su_algebra_sampler(2)
+    ab, k1, k2, p, q = sampling.draw(
+        rng, 50, sampling.su2_sphere_sampler(), su2, su2, algebra, algebra
+    )
+    a, b = ab[:, 0], ab[:, 1]
     k = poisson.su2_from_sphere(a, b)
     abs4 = np.abs(a) ** 4 - np.abs(b) ** 4
     el_expect = [1 + abs4, 2 * np.imag(a * b), -2 * np.real(a * b)]
@@ -165,22 +166,16 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
     cal = poisson.calibration_constant()
     checks = [_check("calibration-constant-minus-one", abs(cal - 1.0), 1e-8)]
     for preset in _CHART_PRESETS:
-        z, v, w = _draw(20, lambda: (
-            sampling.random_chart(preset, rng),
-            sampling.complex_normal(rng, (preset.m, preset.n)),
-            sampling.complex_normal(rng, (preset.m, preset.n)),
-        ))
+        covector = sampling.complex_normal_sampler((preset.m, preset.n))
+        z, v, w = sampling.draw(rng, 20, sampling.chart_sampler(preset), covector, covector)
         local = poisson.grassmann_local_pi(z, v, w)
         equiv = poisson.chart_pi_eval(preset, z, v, w)
         worst = np.max(np.abs(local - cal * equiv) / np.maximum(1.0, np.abs(local)))
         checks.append(_check(f"agreement-{preset.label}", worst, 1e-8))
     worst = 0.0
     for n in (1, 2):
-        z, v, w = _draw(20, lambda: (
-            sampling.complex_normal(rng, n),
-            sampling.complex_normal(rng, (1, n)),
-            sampling.complex_normal(rng, (1, n)),
-        ))
+        covector = sampling.complex_normal_sampler((1, n))
+        z, v, w = sampling.draw(rng, 20, sampling.complex_normal_sampler(n), covector, covector)
         local = poisson.grassmann_local_pi(z[..., np.newaxis], v, w)
         coord = [
             poisson.coord_pi_value(poisson.cpn_coeffs(zi), vi, wi) for zi, vi, wi in zip(z, v, w)
@@ -192,17 +187,11 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
 
 def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     cp1 = poisson.coordinate_bivector("cp1")
-    worst_cp1 = max(
-        poisson.jacobi_residual(cp1, 0.7 * rng.standard_normal(2), fd_step) for _ in range(10)
-    )
+    worst_cp1 = np.max(poisson.jacobi_residual(cp1, 0.7 * rng.standard_normal((10, 2)), fd_step))
     cp2 = poisson.coordinate_bivector("cpn", n=2)
-    worst_cp2 = max(
-        poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal(4), fd_step) for _ in range(10)
-    )
+    worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4)), fd_step))
     g22 = poisson.coordinate_bivector("grassmann", m=2, n=2)
-    worst_g22 = max(
-        poisson.jacobi_residual(g22, 0.5 * rng.standard_normal(8), fd_step) for _ in range(5)
-    )
+    worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8)), fd_step))
     return [
         _check("jacobi-cp1-baseline", worst_cp1, 1e-6),
         _check("jacobi-cp2", worst_cp2, 1e-5),
@@ -212,8 +201,9 @@ def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[
 
 def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     worst = 0.0
-    for _ in range(100):
-        z = complex(sampling.complex_normal(rng, ()))
+    (zs,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(()))
+    # per point, on Python complex scalars: numpy's array abs can move the last bit
+    for z in map(complex, zs):
         fam = poisson.cp1_family(z)
         # rounding grows like |kks| = (1 + |z|^2)^2, so the bound is relative to it
         worst = max(worst, abs(fam.evens_lu - (fam.projected_pl - fam.kks)) / abs(fam.kks))
@@ -228,7 +218,7 @@ def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float)
 
 def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     cp2 = symspace.projective_space(2)
-    z = np.array([sampling.complex_normal(rng, 2) for _ in range(100)])
+    (z,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(2))
     phi = symspace.cartan_embed(symspace.canonical_rep(z[..., np.newaxis], cp2), cp2)
     minors = linalg.principal_minors(phi)
     rho2 = np.sum(np.abs(z) ** 2, axis=-1)
@@ -242,7 +232,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
 
     rank_defect = 0
     for preset in _CHART_PRESETS:
-        u = np.array([sampling.random_point(preset, rng) for _ in range(20)])
+        (u,) = sampling.draw(rng, 20, sampling.point_sampler(preset))
         rank_defect += int(np.sum(poisson.pi_rank(u, preset, tol) != preset.dim_ip))
     checks.append(_check("top-layer-full-rank", float(rank_defect), 0.0))
 
@@ -263,7 +253,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
 
     worst_angle = 0.0
     for preset in _CHART_PRESETS:
-        u = np.array([sampling.random_point(preset, rng) for _ in range(10)])
+        (u,) = sampling.draw(rng, 10, sampling.point_sampler(preset))
         for mat, span in zip(
             poisson.matrix_of_omega(u, preset), strata.orbit_direction_span(u, preset)
         ):
@@ -282,19 +272,20 @@ def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> lis
     # per point: numpy's array abs of a complex can differ from the scalar one in the last bit
     closed = [np.log((1 + abs(z) ** 2) / (1 - abs(z) ** 2)) for z in zs]
     worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1) - closed))
-    worst_res_cp1 = max(momentum.hamiltonian_residual(u, x_dir, cp1, fd_step) for u in us)
+    worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step))
     fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1))
     worst_res_big = 0.0
     for preset in (symspace.projective_space(2), symspace.grassmannian(2, 2)):
         us = np.stack([sampling.random_interior_point(preset, rng) for _ in range(5)])
         lf = strata.leaf_factorize(us, preset, tol)
         layers = list(zip(map(tuple, lf.perm.tolist()), map(tuple, lf.signs.tolist())))
-        bases = {w: strata.torus_tw(w, preset) for w in set(layers)}
-        for u, w in zip(us, layers):
-            for x_t in bases[w]:
-                worst_res_big = max(
-                    worst_res_big, momentum.hamiltonian_residual(u, x_t, preset, fd_step)
-                )
+        # one call per layer: its points against the whole torus basis of it
+        for w in set(layers):
+            basis = strata.torus_tw(w, preset)
+            if basis:
+                at = [i for i, layer in enumerate(layers) if layer == w]
+                res = momentum.hamiltonian_residual(us[at], np.stack(basis), preset, fd_step)
+                worst_res_big = max(worst_res_big, np.max(res))
     return [
         _check("cp1-closed-form", worst_closed, 1e-10),
         _check("fixed-point-zero", fixed, 1e-12),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -123,6 +124,31 @@ def test_jacobi_subcommand(capsys):
     code, out = run_cli(["jacobi", "--preset", "cp2", "--point", "0.3,0.1,-0.2,0.4"], capsys)
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "preset,point",
+    [("cp2", "0.3,0.1,-0.2,0.4"), ("gr:2,2", "0.1,0.2,-0.3,0.1,0.2,0.05,-0.1,0.3")],
+)
+def test_jacobi_evaluates_its_stencil_in_one_real_matrix_call(preset, point, monkeypatch, capsys):
+    stencils = []
+    factory = cli.coordinate_bivector
+
+    def counted(*args, **kwargs):
+        biv = factory(*args, **kwargs)
+        real_matrix = biv.real_matrix
+
+        def record(x):
+            stencils.append(np.shape(x))
+            return real_matrix(x)
+
+        return dataclasses.replace(biv, real_matrix=record)
+
+    monkeypatch.setattr(cli, "coordinate_bivector", counted)
+    code, out = run_cli(["jacobi", "--preset", preset, "--point", point], capsys)
+    assert code == 0 and json.loads(out)["residual"] <= 1e-5
+    dim = len(point.split(","))
+    assert stencils == [(2 * dim + 1, dim)]
 
 
 def test_rank_grid_hits_equator(tmp_path, capsys):

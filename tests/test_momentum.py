@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     InvalidTangent,
@@ -14,7 +16,7 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson.poisson import omega_apply
 from birkhoff_poisson.sampling import random_interior_point, random_ip, random_point
-from birkhoff_poisson.symspace import chart_point, ip_basis, unitary_exp
+from birkhoff_poisson.symspace import chart_point, ip_basis, parse_preset, unitary_exp
 
 X_DIR = np.diag([1j, -1j])
 
@@ -144,6 +146,41 @@ def test_stacked_stencil_matches_per_point_loop(preset_name, rng, request):
         for x in torus_tw(birkhoff_layer(u, preset), preset):
             stacked = hamiltonian_residual(u, x, preset)
             assert abs(stacked - per_point_hamiltonian_residual(u, x, preset)) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    spec=st.sampled_from(["cp1", "cp2", "gr:2,2"]),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_residual_matches_per_point_per_direction_calls(spec, count, seed):
+    # one call for a stack of points and the whole torus basis of their layer
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    u = np.array([random_interior_point(preset, rng) for _ in range(count)])
+    layer = leaf_factorize(u[0], preset)
+    lf = leaf_factorize(u, preset)
+    same = np.all((lf.perm == layer.perm) & (lf.signs == layer.signs), axis=-1)
+    u = u[same]
+    basis = np.stack(torus_tw((layer.perm, layer.signs), preset))
+    stacked = hamiltonian_residual(u, basis, preset)
+    assert stacked.shape == (len(u), len(basis))
+    for i, t in np.ndindex(stacked.shape):
+        single = per_point_hamiltonian_residual(u[i], basis[t], preset)
+        assert abs(stacked[i, t] - single) <= 1e-12
+    # one point against the basis, and a stack of points against one direction
+    assert hamiltonian_residual(u[0], basis, preset).shape == (len(basis),)
+    assert hamiltonian_residual(u, basis[0], preset).shape == (len(u),)
+    assert isinstance(hamiltonian_residual(u[0], basis[0], preset), float)
+
+
+def test_stacked_residual_rejects_a_basis_with_one_bad_direction(rng, cp2):
+    u = np.array([random_interior_point(cp2, rng) for _ in range(2)])
+    basis = np.stack(torus_tw(birkhoff_layer(u[0], cp2), cp2))
+    bad = np.concatenate([basis, [np.diag([1j, 0, -1j]) + 0.1 * np.eye(3)]])
+    with pytest.raises(InvalidTangent):
+        hamiltonian_residual(u, bad, cp2)
 
 
 @pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22"])

@@ -26,6 +26,7 @@ from birkhoff_poisson import (
     su2_el_coefficients,
     su2_lw_coefficients,
 )
+from birkhoff_poisson import poisson as poisson_module
 from birkhoff_poisson.lie import hilbert_transform
 from birkhoff_poisson.poisson import (
     CoordBivector,
@@ -54,6 +55,7 @@ from birkhoff_poisson.symspace import (
     elem_real_inner,
     ip_basis,
     parse_preset,
+    project_ip,
 )
 from birkhoff_poisson.verify import run_suite
 
@@ -232,6 +234,25 @@ def test_chart_pi_eval_stack_matches_single_calls(spec, count, seed):
     _assert_matches_single_calls(
         chart_pi_eval(preset, z, v, w), [chart_pi_eval(preset, *args) for args in zip(z, v, w)]
     )
+
+
+@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "gr:2,3"])
+def test_closed_form_chart_frame_matches_a_central_difference(spec, rng, monkeypatch):
+    preset = parse_preset(spec)
+    z = np.array([random_chart(preset, rng) for _ in range(3)])
+    calls = []
+    monkeypatch.setattr(
+        poisson_module, "canonical_rep", lambda *args: calls.append(1) or canonical_rep(*args)
+    )
+    u, tangents = poisson_module.chart_frame(preset, z)
+    assert len(calls) == 1  # one representative per stack of chart points
+    np.testing.assert_array_equal(u, canonical_rep(z, preset))
+    step = 1e-6
+    dirs = poisson_module.chart_directions(preset)
+    for zi, ui, ti in zip(z, u, tangents):
+        du = (canonical_rep(zi + step * dirs, preset) - canonical_rep(zi - step * dirs, preset))
+        fd = project_ip(ui.conj().T @ du / (2 * step), preset)
+        np.testing.assert_allclose(ti, fd, rtol=0, atol=1e-9)
 
 
 def test_operator_skewness_check_is_measured():
@@ -449,10 +470,11 @@ def test_jacobi_cp2_and_grassmann(rng):
 
 
 def test_jacobi_detects_broken_bivector(rng):
-    # dropping the mixed terms must break the identity by a visible margin
+    # dropping the mixed terms must break the identity by a visible margin;
+    # like every real_matrix, this one takes a stack of points
     def broken(x):
         c = cpn_coeffs(reals_to_complex(x))
-        return CoordCoefficients(mixed=np.diag(np.diag(c.mixed)), holo=np.zeros_like(c.holo))
+        return CoordCoefficients(mixed=c.mixed * np.eye(2), holo=np.zeros_like(c.holo))
 
     biv = CoordBivector(
         kind="broken", dim_real=4, real_matrix=lambda x: coeffs_real_matrix(broken(x))
@@ -513,6 +535,80 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
                 worst = max(worst, abs(total))
     assert worst > 1e-2
     assert jacobi_residual(biv, x, step) == pytest.approx(worst, rel=1e-12)
+
+
+BIVECTORS = {
+    "cp1": ("cp1", {}),
+    "cp1-kks": ("cp1", {"member": "kks"}),
+    "cpn:1": ("cpn", {"n": 1}),
+    "cpn:2": ("cpn", {"n": 2}),
+    "cpn:3": ("cpn", {"n": 3}),
+    "gr:1,2": ("grassmann", {"m": 1, "n": 2}),
+    "gr:2,2": ("grassmann", {"m": 2, "n": 2}),
+    "gr:2,3": ("grassmann", {"m": 2, "n": 3}),
+    "fothlu_w": ("fothlu_w", {}),
+    "su2": ("su2", {}),
+}
+
+
+def _points(biv, rng, shape):
+    """Chart points (shape..., dim_real); unit-sphere points for su2."""
+    x = 0.6 * rng.standard_normal(shape + (biv.dim_real,))
+    if biv.kind == "su2":
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BIVECTORS)),
+    shape=st.sampled_from([(1,), (4,), (2, 3)]),
+    seed=SEEDS,
+)
+def test_real_matrix_on_a_stack_matches_per_point_calls(name, shape, seed):
+    kind, kwargs = BIVECTORS[name]
+    biv = coordinate_bivector(kind, **kwargs)
+    x = _points(biv, np.random.default_rng(seed), shape)
+    stacked = biv.real_matrix(x)
+    # su2 gives the pairing matrix on the (H, X, Y) frame, not on coordinates
+    size = 3 if kind == "su2" else biv.dim_real
+    assert stacked.shape == shape + (size, size)
+    for idx in np.ndindex(shape):
+        single = biv.real_matrix(x[idx])
+        assert single.shape == (size, size)
+        np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(set(BIVECTORS) - {"su2"})),
+    shape=st.sampled_from([(1,), (3,), (2, 2)]),
+    seed=SEEDS,
+)
+def test_jacobi_residual_on_a_stack_matches_a_loop(name, shape, seed):
+    kind, kwargs = BIVECTORS[name]
+    biv = coordinate_bivector(kind, **kwargs)
+    x = _points(biv, np.random.default_rng(seed), shape)
+    stacked = jacobi_residual(biv, x)
+    assert stacked.shape == shape
+    for idx in np.ndindex(shape):
+        single = jacobi_residual(biv, x[idx])
+        assert isinstance(single, float)
+        assert abs(stacked[idx] - single) <= 1e-12
+
+
+def test_jacobi_residual_on_a_stack_keeps_each_points_residual(rng):
+    # a non-Poisson bivector, so each point's residual is far from zero and
+    # differs from the others'
+    def broken(x):
+        c = cpn_coeffs(reals_to_complex(x))
+        return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
+
+    biv = CoordBivector(kind="broken", dim_real=6, real_matrix=broken)
+    x = 0.5 * rng.standard_normal((4, 6))
+    singles = [jacobi_residual(biv, xi) for xi in x]
+    assert min(singles) > 1e-2
+    np.testing.assert_allclose(jacobi_residual(biv, x), singles, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
