@@ -61,7 +61,6 @@ from .poisson import (
     su2_lw_coefficients,
 )
 from .strata import (
-    LeafFactorization,
     birkhoff_layer,
     leaf_factorize,
     order_two_torus_elements,

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +22,12 @@ from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import leaf_moment
 from .poisson import (
     calibration_constant,
-    complex_to_reals,
     coordinate_bivector,
     cp2_degeneracy_p,
     jacobi_residual,
     matrix_of_omega,
     pi_rank,
+    reals_to_complex,
     su2_el_matrix,
     su2_from_sphere,
 )
@@ -63,28 +62,6 @@ _GRID_COLUMNS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Common run parameters shared by the subcommands."""
-
-    preset: str | None = None
-    tol: float = 1e-9
-    fd_step: float = 1e-5
-    seed: int = 0
-    grid: list[tuple[float, float, int]] = field(default_factory=list)
-    out: str | None = None
-    fmt: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        for lo, hi, steps in self.grid:
-            if steps < 2:
-                raise ValueError("grid axes need at least 2 steps")
-            if not lo < hi:
-                raise ValueError("grid axis needs min < max")
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -117,23 +94,35 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _parse_point(text: str) -> np.ndarray:
+    """--point: interleaved re,im pairs, as a flat array of reals."""
     try:
-        values = [float(v) for v in text.split(",")]
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise ValueError(f"malformed point {text!r}") from exc
-    if len(values) % 2:
-        raise ValueError("points need an even number of reals (re, im pairs)")
-    arr = np.asarray(values)
-    return arr[0::2] + 1j * arr[1::2]
+        raise argparse.ArgumentTypeError(f"malformed point {text!r}") from exc
+    if values.size % 2:
+        raise argparse.ArgumentTypeError("points need an even number of reals (re, im pairs)")
+    return values
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> list[tuple[float, float, int]]:
     values = text.split(",")
     if len(values) % 3:
-        raise ValueError("grid spec must be min,max,steps triples")
+        raise argparse.ArgumentTypeError("grid spec must be min,max,steps triples")
     axes = []
     for i in range(0, len(values), 3):
-        axes.append((float(values[i]), float(values[i + 1]), int(values[i + 2])))
+        lo, hi, steps = float(values[i]), float(values[i + 1]), int(values[i + 2])
+        if steps < 2:
+            raise argparse.ArgumentTypeError("grid axes need at least 2 steps")
+        if not lo < hi:
+            raise argparse.ArgumentTypeError("grid axis needs min < max")
+        axes.append((lo, hi, steps))
     return axes
 
 
@@ -142,7 +131,8 @@ def _axis_points(lo: float, hi: float, steps: int) -> np.ndarray:
     return lo + h * (np.arange(steps) + 0.5)
 
 
-def _chart_matrix(preset: SymmetricSpacePreset, point: np.ndarray) -> np.ndarray:
+def _chart_matrix(preset: SymmetricSpacePreset, reals: np.ndarray) -> np.ndarray:
+    point = reals_to_complex(reals)
     expected = preset.m * preset.n
     if point.size != expected:
         raise ValueError(
@@ -166,9 +156,9 @@ def _read_matrix(args) -> np.ndarray:
     return _j2mat(data)
 
 
-def cmd_factor(args, config: RunConfig) -> int:
+def cmd_factor(args) -> int:
     g = _read_matrix(args)
-    factors = birkhoff_factor(g, config.tol)
+    factors = birkhoff_factor(g, args.tol)
     residual = float(np.linalg.norm(factors.reconstruct() - g))
     _emit(
         {
@@ -181,14 +171,14 @@ def cmd_factor(args, config: RunConfig) -> int:
             "u_plus": _mat2j(factors.u_plus),
             "residual": residual,
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_iwasawa(args, config: RunConfig) -> int:
+def cmd_iwasawa(args) -> int:
     g = _read_matrix(args)
-    factors = iwasawa_factor(g, config.tol)
+    factors = iwasawa_factor(g, args.tol)
     residual = float(np.linalg.norm(factors.reconstruct() - g))
     _emit(
         {
@@ -198,17 +188,17 @@ def cmd_iwasawa(args, config: RunConfig) -> int:
             "u": _mat2j(factors.u),
             "residual": residual,
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_embed(args, config: RunConfig) -> int:
-    preset = parse_preset(config.preset or "cp1")
-    z = _chart_matrix(preset, _parse_point(args.point))
+def cmd_embed(args) -> int:
+    preset = parse_preset(args.preset)
+    z = _chart_matrix(preset, args.point)
     u = canonical_rep(z, preset)
     phi = cartan_embed(u, preset)
-    factors = birkhoff_factor(phi, config.tol)
+    factors = birkhoff_factor(phi, args.tol)
     _emit(
         {
             "preset": preset.label,
@@ -218,39 +208,39 @@ def cmd_embed(args, config: RunConfig) -> int:
             "layer_perm": list(factors.perm),
             "layer_signs": list(factors.signs),
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_pi(args, config: RunConfig) -> int:
-    preset = parse_preset(config.preset or "cp1")
-    z = _chart_matrix(preset, _parse_point(args.point))
+def cmd_pi(args) -> int:
+    preset = parse_preset(args.preset)
+    z = _chart_matrix(preset, args.point)
     u = canonical_rep(z, preset)
     mat = matrix_of_omega(u, preset)
     _emit(
         {
             "preset": preset.label,
             "omega_matrix": mat.tolist(),
-            "rank": int(np.linalg.matrix_rank(mat, tol=config.tol)),
+            "rank": int(np.linalg.matrix_rank(mat, tol=args.tol)),
             "dim_ip": preset.dim_ip,
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_moment(args, config: RunConfig) -> int:
-    preset = parse_preset(config.preset or "cp1")
-    z = _chart_matrix(preset, _parse_point(args.point))
+def cmd_moment(args) -> int:
+    preset = parse_preset(args.preset)
+    z = _chart_matrix(preset, args.point)
     u = canonical_rep(z, preset)
     phi = cartan_embed(u, preset)
     min_minor = float(np.min(np.abs(principal_minors(phi))))
-    if min_minor <= config.tol:
+    if min_minor <= args.tol:
         raise StratumAmbiguous(
             f"point is not strictly inside the top layer (min |minor| = {min_minor:.3e})"
         )
-    lf = _factor_image(phi, preset, config.tol)
+    lf = _factor_image(phi, preset, args.tol)
     basis = torus_tw((lf.perm, lf.signs), preset)
     torus_dim = len(basis)
     if args.index is not None:
@@ -266,34 +256,31 @@ def cmd_moment(args, config: RunConfig) -> int:
             "mu": values,
             "basis": [_mat2j(x) for x in basis],
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_jacobi(args, config: RunConfig) -> int:
-    name = (config.preset or "cp1").lower()
-    point = _parse_point(args.point)
+def cmd_jacobi(args) -> int:
+    name = args.preset.lower()
     if name == "cp1":
         biv = coordinate_bivector("cp1")
-    elif name == "cp2":
-        biv = coordinate_bivector("cpn", n=2)
-    elif name.startswith("cpn:"):
-        biv = coordinate_bivector("cpn", n=int(name[4:]))
-    elif name.startswith("gr:"):
-        preset = parse_preset(name)
-        biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
     elif name == "fothlu":
         biv = coordinate_bivector("fothlu_w")
     else:
-        raise ValueError(f"jacobi supports chart presets, not {name!r}")
-    reals = complex_to_reals(point)
-    if reals.size != biv.dim_real:
+        preset = parse_preset(name)
+        if name.startswith("gr:"):
+            biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
+        elif name.startswith("cp"):
+            biv = coordinate_bivector("cpn", n=preset.n)
+        else:
+            raise ValueError(f"jacobi supports chart presets, not {name!r}")
+    if args.point.size != biv.dim_real:
         raise ValueError(f"preset {name} needs {biv.dim_real // 2} complex coordinates")
-    residual = jacobi_residual(biv, reals, config.fd_step)
+    residual = jacobi_residual(biv, args.point, args.fd_step)
     _emit(
-        {"preset": name, "fd_step": config.fd_step, "residual": residual},
-        config.out,
+        {"preset": name, "fd_step": args.fd_step, "residual": residual},
+        args.out,
     )
     return EXIT_OK
 
@@ -346,15 +333,15 @@ def _grid_cells(name: str, preset, xs: list[float], ys: list[float], tol: float)
             birkhoff_factor(phi, tol)
         except StratumAmbiguous as exc:
             ranks = np.where(exc.mask, -1, ranks)
-        for (x, y), rank, min_minor in zip(chunk, ranks.tolist(), min_minors.tolist()):
-            rows.append([x, y, rank, min_minor])
-            if name == "cp2":
-                rows[-1].append(abs(cp2_degeneracy_p(complex(x), complex(y))))
+        values = [ranks.tolist(), min_minors.tolist()]
+        if name == "cp2":
+            values.append(np.abs(cp2_degeneracy_p(xy[:, 0], xy[:, 1])).tolist())
+        rows += [[x, y, *row] for (x, y), *row in zip(chunk, *values)]
     return rows
 
 
-def cmd_rank_grid(args, config: RunConfig) -> int:
-    spec = (config.preset or "cp1").lower()
+def cmd_rank_grid(args) -> int:
+    spec = args.preset.lower()
     if spec.startswith("gr:"):
         name = "gr"
         preset = parse_preset(spec)
@@ -366,21 +353,21 @@ def cmd_rank_grid(args, config: RunConfig) -> int:
         preset = None
     else:
         raise ValueError(f"rank-grid supports cp1 | cp2 | gr:m,n | su2 | fothlu, not {spec!r}")
-    axes = config.grid or _DEFAULT_GRIDS[name]
+    axes = args.grid or _DEFAULT_GRIDS[name]
     if len(axes) != 2:
         raise ValueError("rank-grid needs exactly two grid axes")
     xs = [float(x) for x in _axis_points(*axes[0])]
     ys = [float(y) for y in _axis_points(*axes[1])]
     if preset is None:
-        rows = [_grid_cell(name, x, y, config.tol) for x in xs for y in ys]
+        rows = [_grid_cell(name, x, y, args.tol) for x in xs for y in ys]
     else:
-        rows = _grid_cells(name, preset, xs, ys, config.tol)
+        rows = _grid_cells(name, preset, xs, ys, args.tol)
     columns = _GRID_COLUMNS[name]
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        _write("\n".join(lines) + "\n", config.out)
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(
             {
@@ -389,15 +376,20 @@ def cmd_rank_grid(args, config: RunConfig) -> int:
                 "columns": columns,
                 "rows": rows,
             },
-            config.out,
+            args.out,
         )
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    report = run_suite(args.suite, config.seed, config.tol, config.fd_step)
-    _emit(report, config.out)
+def cmd_verify(args) -> int:
+    report = run_suite(args.suite, args.seed, args.tol, args.fd_step)
+    _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
+
+
+def cmd_calibration(args) -> int:
+    _emit({"constant": calibration_constant()}, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -413,64 +405,54 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preset", help="gr:m,n | cp1 | cpn:n | cp2 | su2 | group:su2 | fothlu")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--fd-step", type=float, default=1e-5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", help="min,max,steps[,min,max,steps...]")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    # each subcommand declares only the shared flags it reads
+    flag_specs = {
+        "--point": dict(type=_parse_point, required=True, help="comma-separated re,im pairs"),
+        "--tol": dict(type=_positive_float, default=1e-9),
+        "--fd-step": dict(type=_positive_float, default=1e-5),
+        "--seed": dict(type=int, default=0),
+        "--grid": dict(type=_parse_grid, help="min,max,steps[,min,max,steps...]"),
+        "--format": dict(choices=["json", "csv"], default="json"),
+        "--out": dict(help="output path (default: stdout)"),
+    }
 
-    p_factor = sub.add_parser("factor", help="Birkhoff (permuted LDU) factorization")
-    p_factor.add_argument("--in", dest="infile", help="JSON matrix file (default: stdin)")
-    p_factor.add_argument("--matrix", help="inline JSON matrix")
-    add_common(p_factor)
-    p_factor.set_defaults(func=cmd_factor)
+    def add(name: str, func, text: str, *flags: str, presets: str | None = None):
+        p = sub.add_parser(name, help=text)
+        if presets:
+            p.add_argument("--preset", default="cp1", help=presets)
+        for flag in flags:
+            p.add_argument(flag, **flag_specs[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_iwa = sub.add_parser("iwasawa", help="Iwasawa (lower-unipotent / diagonal / unitary) factorization")
-    p_iwa.add_argument("--in", dest="infile")
-    p_iwa.add_argument("--matrix")
-    add_common(p_iwa)
-    p_iwa.set_defaults(func=cmd_iwasawa)
-
-    p_embed = sub.add_parser("embed", help="canonical representative and Cartan image at a chart point")
-    p_embed.add_argument("--point", required=True, help="comma-separated re,im pairs")
-    add_common(p_embed)
-    p_embed.set_defaults(func=cmd_embed)
-
-    p_pi = sub.add_parser("pi", help="bivector operator matrix and rank at a chart point")
-    p_pi.add_argument("--point", required=True)
-    add_common(p_pi)
-    p_pi.set_defaults(func=cmd_pi)
-
-    p_moment = sub.add_parser("moment", help="momentum values on the layer torus basis")
-    p_moment.add_argument("--point", required=True)
+    chart = "gr:m,n | cp1 | cpN | cpn:N | group:suN"
+    for name, func, text in (
+        ("factor", cmd_factor, "Birkhoff (permuted LDU) factorization"),
+        ("iwasawa", cmd_iwasawa, "Iwasawa (lower-unipotent / diagonal / unitary) factorization"),
+    ):
+        p = add(name, func, text, "--tol", "--out")
+        p.add_argument("--in", dest="infile", help="JSON matrix file (default: stdin)")
+        p.add_argument("--matrix", help="inline JSON matrix")
+    add("embed", cmd_embed, "canonical representative and Cartan image at a chart point",
+        "--point", "--tol", "--out", presets=chart)
+    add("pi", cmd_pi, "bivector operator matrix and rank at a chart point",
+        "--point", "--tol", "--out", presets=chart)
+    p_moment = add("moment", cmd_moment, "momentum values on the layer torus basis",
+                   "--point", "--tol", "--out", presets="gr:m,n | cp1 | cpN | cpn:N")
     p_moment.add_argument("--index", type=int, help="single torus basis index")
-    add_common(p_moment)
-    p_moment.set_defaults(func=cmd_moment)
-
-    p_grid = sub.add_parser("rank-grid", help="grid sweep emitting rank and degeneracy data")
-    add_common(p_grid)
-    p_grid.set_defaults(func=cmd_rank_grid)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
+        "--tol", "--grid", "--format", "--out", presets="cp1 | cp2 | gr:m,n | su2 | fothlu")
+    p_verify = add("verify", cmd_verify, "run a verification suite",
+                   "--tol", "--fd-step", "--seed", "--out")
     p_verify.add_argument(
         "suite",
         help="factorization | embedding | bivector | local-vs-equivariant | jacobi | "
         "lambda-identity | degeneracy | momentum | all",
     )
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_jac = sub.add_parser("jacobi", help="finite-difference Schouten bracket residual")
-    p_jac.add_argument("--point", required=True)
-    add_common(p_jac)
-    p_jac.set_defaults(func=cmd_jacobi)
-
-    p_cal = sub.add_parser("calibration", help="measured local-to-equivariant calibration constant")
-    add_common(p_cal)
-    p_cal.set_defaults(func=lambda a, c: (_emit({"constant": calibration_constant()}, c.out), EXIT_OK)[1])
+    add("jacobi", cmd_jacobi, "finite-difference Schouten bracket residual",
+        "--point", "--fd-step", "--out", presets="cp1 | cpN | cpn:N | gr:m,n | fothlu")
+    add("calibration", cmd_calibration, "measured local-to-equivariant calibration constant",
+        "--out")
 
     return parser
 
@@ -482,16 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        config = RunConfig(
-            preset=args.preset,
-            tol=args.tol,
-            fd_step=args.fd_step,
-            seed=args.seed,
-            grid=_parse_grid(args.grid) if args.grid else [],
-            out=args.out,
-            fmt=args.format,
-        )
-        return args.func(args, config)
+        return args.func(args)
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

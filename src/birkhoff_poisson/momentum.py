@@ -2,10 +2,12 @@
 
 The momentum of a torus direction X at a coset point is read off the
 triangular factorization of the Cartan image: half the invariant pairing of
-i theta(log |h|) against X.  The Hamiltonian property is checked honestly:
-the differential of the momentum function is taken by central finite
-differences along group-exponential curves, pushed through the bivector's
-anchor map, and compared with the action vector field.  The 2 dim_ip
+i theta(log |h|) against X, with h the diagonal factor of the checked
+Birkhoff factorization ``strata.leaf_factorize`` returns.  The Hamiltonian
+property is checked honestly: the differential of the momentum function is
+taken by central finite differences along group-exponential curves, pushed
+through the bivector's anchor map (``omega_apply``, which validates it as an
+odd element), and compared with the action vector field.  The 2 dim_ip
 perturbed points of the stencil of every point of a stack are factored as
 one stack, once, and every torus direction is read from the same log |h|.
 """
@@ -15,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTangent
+from .linalg import BirkhoffFactors
 from .poisson import omega_apply
-from .strata import LeafFactorization, leaf_factorize, torus_tw
+from .strata import leaf_factorize, torus_tw
 from .symspace import (
     SymmetricSpacePreset,
     ip_basis,
@@ -58,10 +61,14 @@ def _layers(perm, signs) -> list:
     return sorted(set(zip(*rows)))
 
 
-def leaf_moment(lf: LeafFactorization, x: np.ndarray, preset: SymmetricSpacePreset):
-    """<(1/2) i theta(log|h|), x> from a leaf factorization; a stack of
-    factorizations or of directions x gives the stack of values."""
-    val = np.trace(0.5j * theta_g(lf.log_abs_h, preset) @ x, axis1=-2, axis2=-1)
+def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset):
+    """<(1/2) i theta(log|h|), x> from a leaf factorization, with log|h| taken
+    on the diagonal of h; a stack of factorizations or of directions x gives
+    the stack of values."""
+    log_h = np.zeros_like(lf.h)
+    idx = np.arange(log_h.shape[-1])
+    log_h[..., idx, idx] = np.log(np.abs(np.diagonal(lf.h, axis1=-2, axis2=-1)))
+    val = np.trace(0.5j * theta_g(log_h, preset) @ x, axis1=-2, axis2=-1)
     return val.real if np.ndim(val) else float(val.real)
 
 
@@ -128,7 +135,7 @@ def hamiltonian_residual(
     coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * fd_step)
     dmu = np.einsum("...rt,rij->...tij", coeffs, basis)
     u = u[..., np.newaxis, :, :]
-    sharp = omega_apply(u, dmu, preset, validate=False)
+    sharp = omega_apply(u, dmu, preset)
     residual = np.linalg.norm(sharp - torus_vector_field(u, xs, preset), axis=(-2, -1))
     if x.ndim == 2:
         residual = residual[..., 0]

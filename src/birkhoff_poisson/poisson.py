@@ -29,7 +29,9 @@ One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
 ``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points, and so
 does every ``CoordBivector.real_matrix``, on points (..., dim_real); the
 Jacobi residual evaluates its whole finite-difference stencil, for one point
-or a stack of them, in one ``real_matrix`` call.
+or a stack of them, in one ``real_matrix`` call.  The chart kinds are cp1,
+cpn, grassmann and fothlu_w; the SU(2) group pairing has no chart kind, it
+is ``su2_el_matrix`` on the (H, X, Y) frame.
 """
 
 from __future__ import annotations
@@ -91,20 +93,18 @@ def _omega(u, x, preset: SymmetricSpacePreset) -> np.ndarray:
     return project_ip(u.mT.conj() @ hilbert_transform(adjoint_act(u, x)) @ u, preset)
 
 
-def omega_apply(u, x, preset: SymmetricSpacePreset, validate: bool = True):
+def omega_apply(u, x, preset: SymmetricSpacePreset):
     """Skew operator of the bivector at u: project Ad(u^(-1)) H Ad(u) x to the
-    odd anti-Hermitian subspace."""
-    if validate:
-        _validate_ip(x, preset)
+    odd anti-Hermitian subspace; raise unless every x lies in that subspace."""
+    _validate_ip(x, preset)
     return _omega(u, x, preset)
 
 
-def pi_eval(u, x, y, preset: SymmetricSpacePreset, validate: bool = True):
+def pi_eval(u, x, y, preset: SymmetricSpacePreset):
     """Bivector value on the cotangent classes [u, x], [u, y]: a float, or an
     array of values when u, x and y are stacks that broadcast."""
-    if validate:
-        _validate_ip(y, preset)
-    val = trace_form(omega_apply(u, x, preset, validate=validate), y)
+    _validate_ip(y, preset)
+    val = trace_form(omega_apply(u, x, preset), y)
     return _real_value(val, np.maximum(1.0, _norms(x) * _norms(y)))
 
 
@@ -285,18 +285,6 @@ def _scalar_coeffs(val) -> CoordCoefficients:
     return CoordCoefficients(mixed=mixed, holo=np.zeros_like(mixed))
 
 
-def _scalar_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise for complex arrays, rounded as numpy rounds the
-    product of two complex scalars: (ac - bd) + (ad + bc) i with each real
-    product rounded.  The array multiply may fuse a product into its sum,
-    which would move the last bit of a coefficient against its one-point
-    value."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def cpn_coeffs(zvec: np.ndarray) -> CoordCoefficients:
     """Projective-space chart coefficients at the point z, or at each point
     of a stack (..., n).
@@ -313,9 +301,9 @@ def cpn_coeffs(zvec: np.ndarray) -> CoordCoefficients:
     rho2 = np.sum(mods, axis=-1)[..., np.newaxis, np.newaxis]
     zj, zk = z[..., :, np.newaxis], z[..., np.newaxis, :]
     off = ~np.eye(n, dtype=bool)
-    mixed = np.where(off, _scalar_product(1j * zj, np.conj(zk)) * rho2, 0.0)
+    mixed = np.where(off, 1j * zj * np.conj(zk) * rho2, 0.0)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    holo = np.where(off, _scalar_product(np.where(upper, -1j, 1j) * zj, zk), 0.0)
+    holo = np.where(off, np.where(upper, -1j, 1j) * zj * zk, 0.0)
     for j in range(n):
         s_j = (
             1.0
@@ -350,11 +338,13 @@ class Cp2Symplectic(CoordCoefficients):
     p: float
 
 
-def cp2_degeneracy_p(z1: complex, z2: complex) -> float:
-    """p = (1 + |z1|^2 - |z2|^2)(1 - ||z||^2)(1 + ||z||^2)."""
-    a1, a2 = abs(z1) ** 2, abs(z2) ** 2
+def cp2_degeneracy_p(z1, z2):
+    """p = (1 + |z1|^2 - |z2|^2)(1 - ||z||^2)(1 + ||z||^2): a float, or an
+    array of values for arrays z1, z2 that broadcast."""
+    a1, a2 = np.abs(z1) ** 2, np.abs(z2) ** 2
     rho2 = a1 + a2
-    return float((1.0 + a1 - a2) * (1.0 - rho2) * (1.0 + rho2))
+    p = (1.0 + a1 - a2) * (1.0 - rho2) * (1.0 + rho2)
+    return p if np.ndim(p) else float(p)
 
 
 def cp2_symplectic(z1: complex, z2: complex, tol: float = 1e-9) -> Cp2Symplectic:
@@ -418,15 +408,6 @@ def fothlu_w_chart(w: complex) -> complex:
 # coordinate bivectors as real tensors, and the Jacobi residual
 
 
-def complex_to_reals(z: np.ndarray) -> np.ndarray:
-    """Interleave (re, im) of a flat complex vector."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
 def reals_to_complex(x: np.ndarray) -> np.ndarray:
     """Complex vector of interleaved (re, im) coordinates on the last axis."""
     x = np.asarray(x, dtype=float)
@@ -473,9 +454,8 @@ class CoordBivector:
 def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_lu") -> CoordBivector:
     """Factory for the supported chart bivectors.
 
-    kind: cp1 | cpn | grassmann | fothlu_w | su2 (member selects the cp1
-    family element).  su2 uses the raw group pairing matrix on the (H, X, Y)
-    frame over the unit-sphere coordinates (re a, im a, re b, im b).
+    kind: cp1 | cpn | grassmann | fothlu_w (member selects the cp1 family
+    element).
     """
     if kind == "cp1":
         def real_matrix(x: np.ndarray) -> np.ndarray:
@@ -507,12 +487,6 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             return coeffs_real_matrix(_scalar_coeffs(fothlu_w_chart(w)))
 
         return CoordBivector(kind="fothlu_w", dim_real=2, real_matrix=real_matrix)
-    if kind == "su2":
-        def real_matrix(x: np.ndarray) -> np.ndarray:
-            ab = reals_to_complex(x)
-            return su2_el_matrix(su2_from_sphere(ab[..., 0], ab[..., 1]))
-
-        return CoordBivector(kind="su2", dim_real=4, real_matrix=real_matrix)
     raise ValueError(f"unknown coordinate bivector kind {kind!r}")
 
 

@@ -7,20 +7,21 @@ LDU; the signed permutation identifies the layer.  On a successful
 factorization the upper unipotent factor must equal the involution applied to
 the conjugate transpose of the lower one (the factor-level restatement of
 phi* = theta(phi)); a violation signals a factorization or preset bug and is
-raised, never repaired.
+raised, never repaired.  The leaf factorization is therefore the
+``BirkhoffFactors`` of the Cartan image, returned once both checks pass;
+log |h| is read off the diagonal of h.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionGuard, SymmetryViolation
 from .lie import proj_u
-from .linalg import birkhoff_factor, signed_permutation_matrix
+from .linalg import BirkhoffFactors, birkhoff_factor, signed_permutation_matrix
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
@@ -38,45 +39,20 @@ SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
 _NULLSPACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LeafFactorization:
-    """Factors of phi(uK) = l @ W @ h @ theta(l*), with the magnitude and
-    logarithm of the diagonal part; stacks (..., d, d) for a stack of
-    points, with ``perm`` and ``signs`` int arrays (..., d)."""
-
-    l: np.ndarray
-    perm: tuple[int, ...] | np.ndarray
-    signs: tuple[int, ...] | np.ndarray
-    h: np.ndarray
-    abs_h: np.ndarray
-    log_abs_h: np.ndarray
-
-    @property
-    def w_matrix(self) -> np.ndarray:
-        return signed_permutation_matrix(self.perm, self.signs)
-
-
-def _diag(d: np.ndarray) -> np.ndarray:
-    """Complex diagonal matrices with the entries of d on the last axis."""
-    out = np.zeros(d.shape + d.shape[-1:], dtype=complex)
-    idx = np.arange(d.shape[-1])
-    out[..., idx, idx] = d
-    return out
-
-
 def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
     """Signed permutation indexing the Birkhoff layer through the point."""
     factors = birkhoff_factor(layer_image(u, preset), tol)
     return factors.perm, factors.signs
 
 
-def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> LeafFactorization:
+def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> BirkhoffFactors:
     """Factor the Cartan image of a Grassmannian-family point, or of each
-    point of a stack (..., d, d), as l @ W @ h @ theta(l*)."""
+    point of a stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff
+    factors, checked to have the upper factor u_plus = theta(l*)."""
     return _factor_image(cartan_embed(u, preset), preset, tol)
 
 
-def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> LeafFactorization:
+def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> BirkhoffFactors:
     """The leaf factorization of an already built Cartan image phi."""
     if not preset.is_inner:
         raise ValueError(
@@ -100,15 +76,7 @@ def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> 
             "diagonal factor fails the layer membership identity by "
             f"{np.max(membership_defect):.3e}"
         )
-    abs_diag = np.abs(np.diagonal(factors.h, axis1=-2, axis2=-1))
-    return LeafFactorization(
-        l=factors.l,
-        perm=factors.perm,
-        signs=factors.signs,
-        h=factors.h,
-        abs_h=_diag(abs_diag),
-        log_abs_h=_diag(np.log(abs_diag)),
-    )
+    return factors
 
 
 def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:

@@ -6,8 +6,11 @@ generator, so a fixed seed reproduces the report byte for byte.  A suite
 draws all of a preset's samples first, in a fixed generator order, then
 evaluates each check once on the (N, d, d) stack of them.  Samples that
 need only standard normals take them in one generator call per draw
-(``sampling.draw``), in the order a loop over the samples would; samples
-that mix in uniforms or rejection are drawn one at a time.
+(``sampling.draw``), in the order a loop over the samples would; the
+momentum suite's cp1 uniforms come in one ``rng.uniform`` call likewise, and
+other samples that mix in uniforms or rejection are drawn one at a time.
+Closed forms (``cp1_family``, ``cp2_degeneracy_p``) are evaluated once on
+the whole stack.
 """
 
 from __future__ import annotations
@@ -200,13 +203,10 @@ def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[
 
 
 def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
-    worst = 0.0
     (zs,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(()))
-    # per point, on Python complex scalars: numpy's array abs can move the last bit
-    for z in map(complex, zs):
-        fam = poisson.cp1_family(z)
-        # rounding grows like |kks| = (1 + |z|^2)^2, so the bound is relative to it
-        worst = max(worst, abs(fam.evens_lu - (fam.projected_pl - fam.kks)) / abs(fam.kks))
+    fam = poisson.cp1_family(zs)
+    # rounding grows like |kks| = (1 + |z|^2)^2, so the bound is relative to it
+    worst = np.max(np.abs(fam.evens_lu - (fam.projected_pl - fam.kks)) / np.abs(fam.kks))
     equator = max(
         abs(poisson.cp1_family(np.exp(1j * t)).evens_lu) for t in np.linspace(0, 6.2, 21)
     )
@@ -222,7 +222,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
     phi = symspace.cartan_embed(symspace.canonical_rep(z[..., np.newaxis], cp2), cp2)
     minors = linalg.principal_minors(phi)
     rho2 = np.sum(np.abs(z) ** 2, axis=-1)
-    pred = np.array([poisson.cp2_degeneracy_p(z1, z2) for z1, z2 in z]) / (1 + rho2) ** 3
+    pred = poisson.cp2_degeneracy_p(z[:, 0], z[:, 1]) / (1 + rho2) ** 3
     # the minors of the unitary phi are at most 1 in modulus and each carries
     # an absolute rounding error of a few eps, so the product's error scales
     # with sum_k prod_{j != k} |m_j|, not with the product itself
@@ -265,12 +265,11 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
 def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     cp1 = symspace.projective_space(1)
     x_dir = np.diag([1j, -1j])
-    zs = np.array(
-        [0.85 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(10)]
-    )
+    r, t = rng.uniform(size=(10, 2)).T
+    zs = 0.85 * np.sqrt(r) * np.exp(2j * np.pi * t)
     us = symspace.canonical_rep(zs.reshape(-1, 1, 1), cp1)
-    # per point: numpy's array abs of a complex can differ from the scalar one in the last bit
-    closed = [np.log((1 + abs(z) ** 2) / (1 - abs(z) ** 2)) for z in zs]
+    mod2 = np.abs(zs) ** 2
+    closed = np.log((1 + mod2) / (1 - mod2))
     worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1) - closed))
     worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step))
     fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -149,6 +150,105 @@ def test_jacobi_evaluates_its_stencil_in_one_real_matrix_call(preset, point, mon
     assert code == 0 and json.loads(out)["residual"] <= 1e-5
     dim = len(point.split(","))
     assert stencils == [(2 * dim + 1, dim)]
+
+
+def test_jacobi_accepts_the_cpn_spelling_of_parse_preset(capsys):
+    point = "0.1,0.2,0.3,-0.1,0.05,0.2"
+    code, out = run_cli(["jacobi", "--preset", "cp3", "--point", point], capsys)
+    assert code == 0
+    short = json.loads(out)
+    code, out = run_cli(["jacobi", "--preset", "cpn:3", "--point", point], capsys)
+    assert code == 0
+    assert short == {**json.loads(out), "preset": "cp3"}
+    assert run_cli(["jacobi", "--preset", "group:su2", "--point", point], capsys)[0] == 2
+
+
+# The shared flags each subcommand reads; it declares no other.
+_SHARED_FLAGS = {"--preset", "--tol", "--fd-step", "--seed", "--grid", "--out", "--format"}
+_READS = {
+    "factor": {"--tol", "--out"},
+    "iwasawa": {"--tol", "--out"},
+    "embed": {"--preset", "--tol", "--out"},
+    "pi": {"--preset", "--tol", "--out"},
+    "moment": {"--preset", "--tol", "--out"},
+    "rank-grid": {"--preset", "--tol", "--grid", "--format", "--out"},
+    "verify": {"--tol", "--fd-step", "--seed", "--out"},
+    "jacobi": {"--preset", "--fd-step", "--out"},
+    "calibration": {"--out"},
+}
+_MATRIX = "[[[1,0],[0,0]],[[0,0],[1,0]]]"
+_MINIMAL = {
+    "factor": ["factor", "--matrix", _MATRIX],
+    "iwasawa": ["iwasawa", "--matrix", _MATRIX],
+    "embed": ["embed", "--point", "0.5,0"],
+    "pi": ["pi", "--point", "0.5,0"],
+    "moment": ["moment", "--point", "0.5,0"],
+    "rank-grid": ["rank-grid", "--grid=-1,1,2,-1,1,2"],
+    "verify": ["verify", "lambda-identity"],
+    "jacobi": ["jacobi", "--point", "0.5,0"],
+    "calibration": ["calibration"],
+}
+_FLAG_VALUES = {
+    "--preset": "cp1",
+    "--tol": "1e-8",
+    "--fd-step": "1e-4",
+    "--seed": "3",
+    "--grid": "-1,1,2,-1,1,2",
+    "--format": "csv",
+}
+
+
+def test_each_subcommand_declares_only_the_shared_flags_it_reads():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {opt for a in p._actions for opt in a.option_strings} & _SHARED_FLAGS
+        for name, p in subparsers.choices.items()
+    }
+    assert declared == _READS
+    assert sum(map(len, declared.values())) == 26
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_every_flag_a_subcommand_reads_parses(command, tmp_path):
+    out = tmp_path / "out.txt"
+    argv = list(_MINIMAL[command])
+    for flag in sorted(_READS[command] - {"--out"}):
+        argv.append(f"{flag}={_FLAG_VALUES[flag]}")
+    if command == "moment":
+        argv += ["--index", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in sorted(_READS) for f in sorted(_SHARED_FLAGS - _READS[c])],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
+    assert main(_MINIMAL[command] + [f"{flag}={_FLAG_VALUES[flag]}"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--point", "0.5,0", "--tol", "0"],
+        ["pi", "--point", "0.5,0", "--tol", "-1e-9"],
+        ["factor", "--matrix", _MATRIX, "--tol", "nan"],
+        ["jacobi", "--preset", "cp2", "--point", "0.1,0,0.2,0", "--fd-step", "0"],
+        ["verify", "jacobi", "--fd-step", "0"],
+        ["rank-grid", "--grid=1,0,4,-1,1,4"],
+        ["rank-grid", "--grid=0,1,1,-1,1,4"],
+        ["rank-grid", "--grid=1,0,4"],
+        ["rank-grid", "--grid=0,1,1"],
+        ["rank-grid", "--grid=0,1"],
+        ["embed", "--point", "0.5,x"],
+    ],
+)
+def test_invalid_flag_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_rank_grid_hits_equator(tmp_path, capsys):

@@ -36,6 +36,7 @@ from birkhoff_poisson.poisson import (
     cp2_degeneracy_p,
     matrix_of_omega,
     reals_to_complex,
+    su2_el_matrix,
     su2_frame,
     su2_from_sphere,
 )
@@ -117,7 +118,7 @@ def _loop_matrix_of_omega(u, preset):
     basis = ip_basis(preset)
     mat = np.zeros((len(basis), len(basis)))
     for r, e_r in enumerate(basis):
-        image = omega_apply(u, e_r, preset, validate=False)
+        image = omega_apply(u, e_r, preset)
         for s, e_s in enumerate(basis):
             mat[s, r] = elem_real_inner(e_s, image)
     return mat
@@ -399,6 +400,18 @@ def test_cp2_symplectic_origin_and_inverse(rng):
         np.testing.assert_allclose(omega_mat, np.linalg.inv(pi_mat), atol=1e-9)
 
 
+def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
+    z = complex_normal(rng, (40, 2))
+    stacked = cp2_degeneracy_p(z[:, 0], z[:, 1])
+    assert stacked.shape == (40,)
+    for (z1, z2), p in zip(z, stacked):
+        assert p == pytest.approx(cp2_degeneracy_p(complex(z1), complex(z2)), rel=1e-14, abs=1e-15)
+    # real coordinates, as rank-grid cp2 passes them, give the same bits
+    r = np.abs(z)
+    reals = cp2_degeneracy_p(r[:, 0], r[:, 1])
+    assert reals.tolist() == [cp2_degeneracy_p(complex(a), complex(b)) for a, b in r]
+
+
 def test_cp2_symplectic_degeneracy_error():
     z = complex_normal(np.random.default_rng(1), 2)
     z /= np.linalg.norm(z)
@@ -547,16 +560,12 @@ BIVECTORS = {
     "gr:2,2": ("grassmann", {"m": 2, "n": 2}),
     "gr:2,3": ("grassmann", {"m": 2, "n": 3}),
     "fothlu_w": ("fothlu_w", {}),
-    "su2": ("su2", {}),
 }
 
 
 def _points(biv, rng, shape):
-    """Chart points (shape..., dim_real); unit-sphere points for su2."""
-    x = 0.6 * rng.standard_normal(shape + (biv.dim_real,))
-    if biv.kind == "su2":
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    return x
+    """Chart points (shape..., dim_real)."""
+    return 0.6 * rng.standard_normal(shape + (biv.dim_real,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -570,8 +579,7 @@ def test_real_matrix_on_a_stack_matches_per_point_calls(name, shape, seed):
     biv = coordinate_bivector(kind, **kwargs)
     x = _points(biv, np.random.default_rng(seed), shape)
     stacked = biv.real_matrix(x)
-    # su2 gives the pairing matrix on the (H, X, Y) frame, not on coordinates
-    size = 3 if kind == "su2" else biv.dim_real
+    size = biv.dim_real
     assert stacked.shape == shape + (size, size)
     for idx in np.ndindex(shape):
         single = biv.real_matrix(x[idx])
@@ -579,9 +587,29 @@ def test_real_matrix_on_a_stack_matches_per_point_calls(name, shape, seed):
         np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
 
 
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from([(1,), (4,), (2, 3)]), seed=SEEDS)
+def test_su2_el_matrix_on_a_stack_matches_per_point_calls(shape, seed):
+    x = np.random.default_rng(seed).standard_normal(shape + (4,))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    a, b = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
+    stacked = su2_el_matrix(su2_from_sphere(a, b))
+    assert stacked.shape == shape + (3, 3)
+    for idx in np.ndindex(shape):
+        single = su2_el_matrix(su2_from_sphere(a[idx], b[idx]))
+        assert single.shape == (3, 3)
+        np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
+
+
+def test_coordinate_bivector_rejects_the_su2_kind():
+    # the group pairing matrix lives on the (H, X, Y) frame, not on chart coordinates
+    with pytest.raises(ValueError):
+        coordinate_bivector("su2")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    name=st.sampled_from(sorted(set(BIVECTORS) - {"su2"})),
+    name=st.sampled_from(sorted(BIVECTORS)),
     shape=st.sampled_from([(1,), (3,), (2, 2)]),
     seed=SEEDS,
 )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from birkhoff_poisson import (
+    BirkhoffFactors,
     DimensionGuard,
     birkhoff_layer,
     canonical_rep,
@@ -61,7 +62,7 @@ def test_leaf_factorize_identity(cp1):
     lf = leaf_factorize(np.eye(2, dtype=complex), cp1)
     np.testing.assert_allclose(lf.l, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(lf.h, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(lf.log_abs_h, np.zeros((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(np.log(np.abs(np.diagonal(lf.h))), np.zeros(2), atol=1e-14)
 
 
 def test_leaf_factorize_cp1_against_elimination_oracle(cp1):
@@ -86,11 +87,12 @@ def test_leaf_factorize_roundtrip_and_symmetry(preset_name, rng, request):
         upper = theta_g(lf.l.conj().T, preset)
         recon = lf.l @ lf.w_matrix @ lf.h @ upper
         assert np.linalg.norm(recon - phi) <= 1e-9 * np.linalg.norm(phi)
-        # |h| and log|h| are consistent and trace-free
-        np.testing.assert_allclose(
-            np.diag(lf.abs_h), np.abs(np.diag(lf.h)), atol=1e-13
-        )
-        assert abs(np.trace(lf.log_abs_h)) <= 1e-10
+        # the leaf factorization is the Birkhoff factorization of phi
+        assert isinstance(lf, BirkhoffFactors)
+        assert np.linalg.norm(lf.reconstruct() - phi) <= 1e-9 * np.linalg.norm(phi)
+        # h is diagonal, and log|diag h| is trace-free
+        np.testing.assert_array_equal(lf.h, np.diag(np.diagonal(lf.h)))
+        assert abs(np.sum(np.log(np.abs(np.diagonal(lf.h))))) <= 1e-10
 
 
 def test_leaf_factorize_nontrivial_layer(cp1):
@@ -99,7 +101,7 @@ def test_leaf_factorize_nontrivial_layer(cp1):
     lf = leaf_factorize(u, cp1)
     assert lf.perm == (1, 0)
     np.testing.assert_allclose(np.abs(np.diag(lf.h)), [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(lf.log_abs_h, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(np.log(np.abs(np.diagonal(lf.h))), np.zeros(2), atol=1e-12)
 
 
 def test_torus_tw_dimensions(cp1, cp2):

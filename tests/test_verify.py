@@ -136,3 +136,14 @@ def test_minor_product_identity_fails_an_error_relative_to_the_factors(seed, mon
     # absolute 1e-10 in one of them is an error of 1e-10 relative to its size
     monkeypatch.setattr(linalg, "principal_minors", lambda g: minors(g) + [0.0, 1e-10, 0.0])
     assert not _check(run_suite("degeneracy", seed), "cp2-minor-product-identity")["pass"]
+
+
+def test_momentum_uniform_block_is_the_per_point_stream():
+    # the cp1 draw of the momentum suite takes (radius, angle) uniforms for
+    # all points in one call; the stream and the generator state after it
+    # are those of one pair per point
+    block_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+    block = block_rng.uniform(size=(10, 2))
+    loop = [[loop_rng.uniform(), loop_rng.uniform()] for _ in range(10)]
+    assert block.tolist() == loop
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
