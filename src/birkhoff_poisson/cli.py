@@ -289,54 +289,59 @@ def cmd_jacobi(args) -> int:
 # rank grid
 
 
-def _grid_cell(name: str, x: float, y: float, tol: float) -> list[float]:
-    """One row of the closed-form su2 and fothlu grids."""
+def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
+    """The rank column and the kind's float columns at the cells (x, y).
+    su2 and fothlu come from closed forms: su2 cells outside the unit disc
+    get rank -1 and 0.0.  Elsewhere a cell whose layer is ambiguous gets
+    rank -1."""
+    if name == "fothlu":
+        # |w|^2 by C pow (float_power), whose last bit the reported values
+        # carry; squaring differs from it on a few inputs
+        coeff = np.abs(-2.0 * y * (1.0 + np.float_power(np.hypot(x, y), 2)))
+        return [np.where(coeff > tol, 2, 0), coeff]
     if name == "su2":
         mod2 = x * x + y * y
-        if mod2 > 1.0:
-            return [x, y, -1, 0.0]
-        a = complex(x, y)
-        b = complex(np.sqrt(1.0 - mod2))
-        mat = su2_el_matrix(su2_from_sphere(a, b))
-        return [x, y, int(np.linalg.matrix_rank(mat, tol=tol)), abs(a)]
-    w = complex(x, y)
-    coeff = abs(-2.0 * y * (1.0 + abs(w) ** 2))
-    return [x, y, 2 if coeff > tol else 0, coeff]
+        inside = mod2 <= 1.0
+        k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
+        ranks = np.full(len(x), -1)
+        ranks[inside] = np.linalg.matrix_rank(su2_el_matrix(k), tol=tol)
+        return [ranks, np.where(inside, np.hypot(x, y), 0.0)]
+    z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
+    if name == "cp2":
+        z[:, 0, 0], z[:, 1, 0] = x, y
+    else:
+        z.real[:, 0, 0], z.imag[:, 0, 0] = x, y
+    u = canonical_rep(z, preset)
+    phi = cartan_embed(u, preset)
+    ranks = pi_rank(u, preset, tol)
+    try:
+        birkhoff_factor(phi, tol)
+    except StratumAmbiguous as exc:
+        ranks = np.where(exc.mask, -1, ranks)
+    columns = [ranks, np.min(np.abs(principal_minors(phi)), axis=-1)]
+    if name == "cp2":
+        columns.append(np.abs(cp2_degeneracy_p(x, y)))
+    return columns
 
 
-# Bytes of the (cells, dim_ip, d, d) complex stack that matrix_of_omega
-# builds for one stack of grid cells; bounds the cells per stack.
+# Bytes of the largest complex stack one stack of grid cells builds: the
+# (cells, dim_ip, d, d) odd-basis images of matrix_of_omega, or the
+# (cells, 3, 3, 2, 2) su2 frame pairings (fothlu builds less); bounds the
+# cells per stack.
 _STACK_BYTES = 1 << 18
 
 
 def _grid_cells(name: str, preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
     """The cells (x, y) of the grid, row-major, evaluated as flat stacks of
-    chart points of at most ``_STACK_BYTES`` of odd-basis images each; a cell
-    whose layer is ambiguous gets rank -1."""
-    d = preset.matrix_dim
-    per_stack = max(1, _STACK_BYTES // (16 * preset.dim_ip * d * d))
+    at most ``_STACK_BYTES`` each."""
+    cell_bytes = 16 * 9 * 4 if preset is None else 16 * preset.dim_ip * preset.matrix_dim**2
+    per_stack = max(1, _STACK_BYTES // cell_bytes)
     cells = [(x, y) for x in xs for y in ys]
     rows = []
     for start in range(0, len(cells), per_stack):
         chunk = cells[start:start + per_stack]
-        xy = np.array(chunk)
-        z = np.zeros((len(chunk), preset.n, preset.m), dtype=complex)
-        if name == "cp2":
-            z[:, 0, 0], z[:, 1, 0] = xy[:, 0], xy[:, 1]
-        else:
-            z.real[:, 0, 0], z.imag[:, 0, 0] = xy[:, 0], xy[:, 1]
-        u = canonical_rep(z, preset)
-        phi = cartan_embed(u, preset)
-        min_minors = np.min(np.abs(principal_minors(phi)), axis=-1)
-        ranks = pi_rank(u, preset, tol)
-        try:
-            birkhoff_factor(phi, tol)
-        except StratumAmbiguous as exc:
-            ranks = np.where(exc.mask, -1, ranks)
-        values = [ranks.tolist(), min_minors.tolist()]
-        if name == "cp2":
-            values.append(np.abs(cp2_degeneracy_p(xy[:, 0], xy[:, 1])).tolist())
-        rows += [[x, y, *row] for (x, y), *row in zip(chunk, *values)]
+        columns = _grid_columns(name, preset, *np.array(chunk).T, tol)
+        rows += [[x, y, *row] for (x, y), *row in zip(chunk, *(c.tolist() for c in columns))]
     return rows
 
 
@@ -358,10 +363,7 @@ def cmd_rank_grid(args) -> int:
         raise ValueError("rank-grid needs exactly two grid axes")
     xs = [float(x) for x in _axis_points(*axes[0])]
     ys = [float(y) for y in _axis_points(*axes[1])]
-    if preset is None:
-        rows = [_grid_cell(name, x, y, args.tol) for x in xs for y in ys]
-    else:
-        rows = _grid_cells(name, preset, xs, ys, args.tol)
+    rows = _grid_cells(name, preset, xs, ys, args.tol)
     columns = _GRID_COLUMNS[name]
     if args.format == "csv":
         lines = [",".join(columns)]

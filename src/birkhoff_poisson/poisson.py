@@ -26,12 +26,13 @@ transfer ``chart_frame`` / ``chart_covectors`` / ``chart_pi_eval`` take
 stacks of points and arguments that broadcast, matrices on the last two
 axes; they validate the whole stack once and return one value per point.
 One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
-``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points, and so
-does every ``CoordBivector.real_matrix``, on points (..., dim_real); the
-Jacobi residual evaluates its whole finite-difference stencil, for one point
-or a stack of them, in one ``real_matrix`` call.  The chart kinds are cp1,
-cpn, grassmann and fothlu_w; the SU(2) group pairing has no chart kind, it
-is ``su2_el_matrix`` on the (H, X, Y) frame.
+``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points,
+``coord_pi_value`` takes stacked coefficients with stacked component
+vectors, and every ``CoordBivector.real_matrix`` takes points
+(..., dim_real); the Jacobi residual evaluates its whole finite-difference
+stencil, for one point or a stack of them, in one ``real_matrix`` call.
+The chart kinds are cp1, cpn, grassmann and fothlu_w; the SU(2) group
+pairing has no chart kind, it is ``su2_el_matrix`` on the (H, X, Y) frame.
 """
 
 from __future__ import annotations
@@ -213,14 +214,11 @@ def su2_lw_coefficients(k: np.ndarray) -> tuple:
 
 def su2_el_matrix(k: np.ndarray) -> np.ndarray:
     """Raw pairing values of the homogeneous group structure on (H, X, Y):
-    (3, 3), or (..., 3, 3) for a stack of k."""
-    frame = su2_frame()
-    mat = np.zeros(np.shape(k)[:-2] + (3, 3))
-    for r, e_r in enumerate(frame):
-        for s, e_s in enumerate(frame):
-            if r != s:
-                mat[..., r, s] = pi_el_group(k, e_r, e_s)
-    return mat
+    (3, 3), or (..., 3, 3) for a stack of k; the diagonal is 0."""
+    frame = np.array(su2_frame())
+    k = np.asarray(k, dtype=complex)[..., np.newaxis, np.newaxis, :, :]
+    mat = pi_el_group(k, frame[:, np.newaxis], frame[np.newaxis, :])
+    return np.where(np.eye(3, dtype=bool), 0.0, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +313,19 @@ def cpn_coeffs(zvec: np.ndarray) -> CoordCoefficients:
     return CoordCoefficients(mixed=mixed, holo=holo)
 
 
-def coord_pi_value(coeffs: CoordCoefficients, v: np.ndarray, w: np.ndarray) -> float:
+def coord_pi_value(coeffs: CoordCoefficients, v: np.ndarray, w: np.ndarray):
     """Evaluate a coordinate bivector on covectors given by their holomorphic
-    component vectors."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    w = np.asarray(w, dtype=complex).reshape(-1)
+    component vectors: a float for one point, or one value per point for
+    coefficient stacks (..., n, n) with component vectors (..., n)."""
+    v = np.asarray(v, dtype=complex)[..., np.newaxis, :]
+    w = np.asarray(w, dtype=complex)[..., :, np.newaxis]
     val = (
         v @ coeffs.holo @ w
         + v @ coeffs.mixed @ np.conj(w)
         + np.conj(v) @ np.conj(coeffs.mixed) @ w
         + np.conj(v) @ np.conj(coeffs.holo) @ np.conj(w)
-    )
-    return float(np.real(val))
+    )[..., 0, 0]
+    return np.real(val) if np.ndim(val) else float(np.real(val))
 
 
 @dataclass(frozen=True)

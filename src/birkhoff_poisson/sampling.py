@@ -7,11 +7,11 @@ of several samplers in one generator call; since consecutive
 ``standard_normal`` calls give the same stream as one call of their total
 size, it returns the samples, bit for bit, that a loop drawing one sample of
 each sampler in turn would return, and leaves the generator where that loop
-would.  Each public ``random_*`` function is its sampler's finisher applied
-to one row.  ``random_special_linear`` rejects near-singular blocks and
-``random_interior_point`` rejects points near a layer boundary, so both draw
-one sample at a time; ``special_linear_stack`` skips rejected blocks in
-generator order.
+would.  One sample is a stack of one: ``sampler.one(rng)`` finishes one row.
+``special_linear_stack`` skips near-singular blocks in generator order, as a
+loop drawing one block at a time would.  ``random_point`` is
+``point_sampler(preset).one(rng)``, and ``random_interior_point`` rejects
+points near a layer boundary, so it draws one sample at a time.
 """
 
 from __future__ import annotations
@@ -87,19 +87,15 @@ def complex_normal_sampler(shape) -> Normals:
     return Normals(2 * size, finish)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return complex_normal_sampler(shape).one(rng)
-
-
 def _unit_determinant(g: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Each matrix of g divided by the principal n-th root of its det."""
     return g / np.exp(np.log(det) / g.shape[-1])[..., np.newaxis, np.newaxis]
 
 
 def special_linear_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count Ginibre samples scaled to determinant one, drawn as count calls
-    of random_special_linear draw them: a block with |det| <= 1e-6 is
-    skipped in generator order and the next one taken."""
+    """count Ginibre samples scaled to determinant one (principal n-th
+    root), drawn as a loop of one block at a time draws them: a block with
+    |det| <= 1e-6 is skipped in generator order and the next one taken."""
     normals = complex_normal_sampler((n, n))
     kept = []
     while count:
@@ -109,11 +105,6 @@ def special_linear_stack(n: int, count: int, rng: np.random.Generator) -> np.nda
         kept.append(_unit_determinant(g[ok], det[ok]))
         count -= np.count_nonzero(ok)
     return np.concatenate(kept)
-
-
-def random_special_linear(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Ginibre sample scaled to determinant one (principal n-th root)."""
-    return special_linear_stack(n, 1, rng)[0]
 
 
 def special_unitary_sampler(n: int) -> Normals:
@@ -128,10 +119,6 @@ def special_unitary_sampler(n: int) -> Normals:
         return _unit_determinant(q, np.linalg.det(q))
 
     return Normals(normals.count, finish)
-
-
-def random_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    return special_unitary_sampler(n).one(rng)
 
 
 def point_sampler(preset: SymmetricSpacePreset) -> Normals:
@@ -180,11 +167,6 @@ def stabilizer_sampler(preset: SymmetricSpacePreset) -> Normals:
     return _joined(complex_normal_sampler((m, m)), complex_normal_sampler((n, n)), combine=combine)
 
 
-def random_stabilizer(preset: SymmetricSpacePreset, rng: np.random.Generator):
-    """Random element of the stability subgroup."""
-    return stabilizer_sampler(preset).one(rng)
-
-
 def _basis_sampler(basis, scale: float) -> Normals:
     """scale times a standard normal combination of the basis matrices."""
 
@@ -200,28 +182,14 @@ def ip_sampler(preset: SymmetricSpacePreset, scale: float = 1.0) -> Normals:
     return _basis_sampler(ip_basis(preset), scale)
 
 
-def random_ip(preset: SymmetricSpacePreset, rng: np.random.Generator, scale: float = 1.0):
-    """Random element of the odd anti-Hermitian subspace."""
-    return ip_sampler(preset, scale).one(rng)
-
-
 def su_algebra_sampler(n: int, scale: float = 1.0) -> Normals:
     return _basis_sampler(su_basis(n), scale)
-
-
-def random_su_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return su_algebra_sampler(n, scale).one(rng)
 
 
 def chart_sampler(preset: SymmetricSpacePreset, scale: float = 0.8) -> Normals:
     """Random chart matrix for a Grassmannian-family preset."""
     normals = complex_normal_sampler((preset.n, preset.m))
     return Normals(normals.count, lambda block: scale * normals.finish(block))
-
-
-def random_chart(preset: SymmetricSpacePreset, rng: np.random.Generator, scale: float = 0.8):
-    """Random chart matrix for a Grassmannian-family preset."""
-    return chart_sampler(preset, scale).one(rng)
 
 
 def su2_sphere_sampler() -> Normals:
@@ -236,9 +204,3 @@ def su2_sphere_sampler() -> Normals:
         return v / np.sqrt(sq[:, 0])
 
     return Normals(normals.count, finish)
-
-
-def random_su2_sphere(rng: np.random.Generator) -> tuple[complex, complex]:
-    """Uniform (a, b) with |a|^2 + |b|^2 = 1."""
-    a, b = su2_sphere_sampler().one(rng)
-    return complex(a), complex(b)

@@ -35,23 +35,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, axis=(-2, -1))
 
 
-def _draw(count: int, draw) -> list[np.ndarray]:
-    """Call draw() count times in order and stack each of the values it
-    returns: one (count, ...) array per value; for draws that mix in
-    uniforms, which ``sampling.draw`` cannot take in one call.  Each sample
-    is copied into its stack as soon as it is drawn: holding all samples
-    until the end fragmented the heap and raised the peak memory of
-    repeated runs."""
-    stacks = []
-    for i in range(count):
-        sample = draw()
-        if not stacks:
-            stacks = [np.empty((count,) + np.shape(a), np.result_type(a)) for a in sample]
-        for stack, a in zip(stacks, sample):
-            stack[i] = a
-    return stacks
-
-
 def _refactor_defect(first: linalg.IwasawaFactors, again: linalg.IwasawaFactors, g) -> np.ndarray:
     """Per matrix, the largest gap between the factors of two Iwasawa
     factorizations of g, each divided by ||factor|| cond(g)^2.  The
@@ -76,7 +59,7 @@ def _suite_factorization(rng: np.random.Generator, tol: float, fd_step: float) -
         ri = fi.reconstruct()
         worst_i = max(worst_i, np.max(_norms(ri - gs) / scale))
         worst_fix = max(worst_fix, np.max(_refactor_defect(fi, linalg.iwasawa_factor(ri), gs)))
-        fu = linalg.iwasawa_factor(sampling.random_special_unitary(n, rng))
+        fu = linalg.iwasawa_factor(sampling.special_unitary_sampler(n).one(rng))
         worst_unitary = max(
             worst_unitary,
             np.linalg.norm(fu.l - np.eye(n)),
@@ -180,9 +163,7 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
         covector = sampling.complex_normal_sampler((1, n))
         z, v, w = sampling.draw(rng, 20, sampling.complex_normal_sampler(n), covector, covector)
         local = poisson.grassmann_local_pi(z[..., np.newaxis], v, w)
-        coord = [
-            poisson.coord_pi_value(poisson.cpn_coeffs(zi), vi, wi) for zi, vi, wi in zip(z, v, w)
-        ]
+        coord = poisson.coord_pi_value(poisson.cpn_coeffs(z), v[:, 0], w[:, 0])
         worst = max(worst, np.max(np.abs(local - coord)))
     checks.append(_check("projective-specialization", worst, 1e-12))
     return checks
@@ -237,7 +218,14 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
     checks.append(_check("top-layer-full-rank", float(rank_defect), 0.0))
 
     cp1 = symspace.projective_space(1)
-    t, z = _draw(10, lambda: (rng.uniform(), sampling.complex_normal(rng, 2)))
+    # each draw mixes a uniform into the normals, so one at a time, copied
+    # into preallocated stacks: holding the per-sample arrays until the end
+    # fragmented the heap and raised the peak memory of repeated runs
+    normals = sampling.complex_normal_sampler(2)
+    t, z = np.empty(10), np.empty((10, 2), dtype=complex)
+    for i in range(10):
+        t[i] = rng.uniform()
+        z[i] = normals.one(rng)
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     u1 = symspace.canonical_rep(np.exp(2j * np.pi * t).reshape(-1, 1, 1), cp1)
     u2 = symspace.canonical_rep(z[..., np.newaxis], cp2)

@@ -38,12 +38,12 @@ from birkhoff_poisson.cli import main
 from birkhoff_poisson.linalg import max_principal_angle
 from birkhoff_poisson.poisson import cp2_degeneracy_p, su2_frame, su2_from_sphere
 from birkhoff_poisson.sampling import (
-    complex_normal,
-    random_chart,
+    chart_sampler,
+    complex_normal_sampler,
     random_interior_point,
     random_point,
-    random_special_linear,
-    random_su2_sphere,
+    special_linear_stack,
+    su2_sphere_sampler,
 )
 from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.strata import orbit_direction_span
@@ -63,7 +63,7 @@ def test_criterion_01_factorization_roundtrips():
     worst_b = worst_i = worst_fix = 0.0
     for n in (2, 3, 4, 6):
         for _ in range(1000):
-            g = random_special_linear(n, rng)
+            g = special_linear_stack(n, 1, rng)[0]
             scale = np.linalg.norm(g)
             fb = birkhoff_factor(g)
             worst_b = max(worst_b, np.linalg.norm(fb.reconstruct() - g) / scale)
@@ -110,9 +110,9 @@ def test_criterion_03_equivariant_local_agreement():
     worst = 0.0
     for preset in CHART_PRESETS:
         for _ in range(100):
-            z = random_chart(preset, rng)
-            v = complex_normal(rng, (preset.m, preset.n))
-            w = complex_normal(rng, (preset.m, preset.n))
+            z = chart_sampler(preset).one(rng)
+            v = complex_normal_sampler((preset.m, preset.n)).one(rng)
+            w = complex_normal_sampler((preset.m, preset.n)).one(rng)
             local = grassmann_local_pi(z, v, w)
             equiv = chart_pi_eval(preset, z, v, w)
             worst = max(worst, abs(local - cal * equiv) / max(1.0, abs(local)))
@@ -127,7 +127,7 @@ def test_criterion_04_lambda_identity():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(100):
-        z = complex(complex_normal(rng, ()))
+        z = complex(complex_normal_sampler(()).one(rng))
         fam = cp1_family(z)
         worst = max(worst, abs(fam.evens_lu - (fam.projected_pl - fam.kks)))
     assert worst <= 1e-14
@@ -141,7 +141,7 @@ def test_criterion_05_cp2_degeneracy_identity():
     preset = projective_space(2)
     worst = 0.0
     for _ in range(200):
-        z = complex_normal(rng, 2)
+        z = complex_normal_sampler(2).one(rng)
         u = canonical_rep(z.reshape(2, 1), preset)
         prod = np.prod(principal_minors(cartan_embed(u, preset)))
         rho2 = float(np.sum(np.abs(z) ** 2))
@@ -174,7 +174,7 @@ def test_criterion_07_leaf_rank_correspondence():
     for _ in range(20):
         u = canonical_rep(np.array([[np.exp(2j * np.pi * rng.uniform())]]), cp1)
         assert pi_rank(u, cp1) == 0
-        z = complex_normal(rng, 2)
+        z = complex_normal_sampler(2).one(rng)
         z /= np.linalg.norm(z)
         assert pi_rank(canonical_rep(z.reshape(2, 1), cp2), cp2) < cp2.dim_ip
     h, x, y = su2_frame()
@@ -235,7 +235,7 @@ def test_criterion_10_group_case():
     rng = np.random.default_rng(110)
     worst_el = worst_lw = 0.0
     for _ in range(200):
-        a, b = random_su2_sphere(rng)
+        a, b = su2_sphere_sampler().one(rng)
         k = su2_from_sphere(a, b)
         el = np.array(su2_el_coefficients(k))
         el_exp = np.array(

@@ -17,6 +17,7 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson import cli, strata
 from birkhoff_poisson.cli import main
+from birkhoff_poisson.poisson import pi_el_group, su2_frame, su2_from_sphere
 
 
 def run_cli(args, capsys):
@@ -329,6 +330,50 @@ def test_rank_grid_rows_match_per_cell_definition(spec, grid, stack_cells, monke
         assert row[3] == pytest.approx(expected[3], rel=1e-14, abs=1e-15)
 
 
+def _closed_form_cell(spec, x, y, tol=1e-9):
+    """One su2 or fothlu rank-grid row, from scalar arithmetic and one
+    pairing call per frame pair."""
+    if spec == "fothlu":
+        coeff = abs(-2.0 * y * (1.0 + abs(complex(x, y)) ** 2))
+        return [x, y, 2 if coeff > tol else 0, coeff]
+    mod2 = x * x + y * y
+    if mod2 > 1.0:
+        return [x, y, -1, 0.0]
+    a = complex(x, y)
+    k = su2_from_sphere(a, np.sqrt(1.0 - mod2))
+    frame = su2_frame()
+    mat = [[pi_el_group(k, p, q) if r != s else 0.0 for s, q in enumerate(frame)]
+           for r, p in enumerate(frame)]
+    return [x, y, int(np.linalg.matrix_rank(np.array(mat), tol=tol)), abs(a)]
+
+
+# The su2 rows x = +-1.03 lie outside the unit disc (rank -1); at 2,000 bytes
+# a stack holds 3 su2 cells, so some stacks have no cell inside the disc.  The
+# small grids hit a = 0 and Im w = 0, where the rank drops to 0.  On the
+# 37 x 53 fothlu grid, |w|^2 by pow and by squaring differ in the last bit
+# at some cells.
+@pytest.mark.parametrize("stack_bytes", [None, 1, 2000])
+@pytest.mark.parametrize(
+    "spec,grid,ranks",
+    [
+        ("su2", "-1.2,1.2,7,-1.2,1.2,5", {-1, 0, 2}),
+        ("su2", "-0.75,0.75,3,-0.75,0.75,3", {0, 2}),
+        ("fothlu", "-1,1,4,-1.5,1.5,3", {0, 2}),
+        ("fothlu", "-1.3,1.7,37,-0.9,1.1,53", {2}),
+    ],
+)
+def test_rank_grid_closed_form_rows_match_per_cell_arithmetic(
+    spec, grid, ranks, stack_bytes, monkeypatch, capsys
+):
+    if stack_bytes is not None:
+        monkeypatch.setattr(cli, "_STACK_BYTES", stack_bytes)
+    code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows == [_closed_form_cell(spec, row[0], row[1]) for row in rows]
+    assert {row[2] for row in rows} == ranks
+
+
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     point = "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"
     calls = [
@@ -400,14 +445,13 @@ def test_csv_roundtrips_through_json(tmp_path, capsys):
         np.testing.assert_allclose(csv_row, json_row, atol=1e-15)
 
 
-def test_rank_grid_thread_pool_is_deterministic(tmp_path, monkeypatch):
-    args = ["rank-grid", "--preset", "cp1", "--grid=-1,1,4,-1,1,4"]
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    assert main(args + ["--out", str(seq)]) == 0
-    monkeypatch.setenv("BP_THREADS", "4")
-    assert main(args + ["--out", str(par)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
+def test_rank_grid_is_deterministic(tmp_path):
+    for spec in ("cp1", "cp2", "gr:2,2", "su2", "fothlu"):
+        args = ["rank-grid", "--preset", spec, "--grid=-1,1,4,-1,1,4"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(args + ["--out", str(first)]) == 0
+        assert main(args + ["--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -10,10 +10,10 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson.lie import ensure_traceless
 from birkhoff_poisson.sampling import (
-    complex_normal,
-    random_special_linear,
-    random_special_unitary,
-    random_su_algebra,
+    complex_normal_sampler,
+    special_linear_stack,
+    special_unitary_sampler,
+    su_algebra_sampler,
 )
 
 
@@ -24,7 +24,7 @@ def e_mat(n, i, j):
 
 
 def random_traceless(rng, n):
-    z = complex_normal(rng, (n, n))
+    z = complex_normal_sampler((n, n)).one(rng)
     return z - (np.trace(z) / n) * np.eye(n)
 
 
@@ -73,7 +73,7 @@ def test_hilbert_transform_on_a_stack(rng):
 
 
 def test_hilbert_preserves_compact_form(rng):
-    z = random_su_algebra(4, rng)
+    z = su_algebra_sampler(4).one(rng)
     h = hilbert_transform(z)
     # still anti-Hermitian and traceless
     assert np.linalg.norm(h + h.conj().T) < 1e-12
@@ -90,15 +90,15 @@ def test_hilbert_squared(rng):
 
 def test_hilbert_skew_for_trace_form(rng):
     for _ in range(20):
-        x = random_su_algebra(3, rng)
-        y = random_su_algebra(3, rng)
+        x = su_algebra_sampler(3).one(rng)
+        y = su_algebra_sampler(3).one(rng)
         lhs = trace_form(hilbert_transform(x), y)
         rhs = -trace_form(x, hilbert_transform(y))
         assert abs(lhs - rhs) <= 1e-12
 
 
 def test_proj_u_examples(rng):
-    z = random_su_algebra(3, rng)
+    z = su_algebra_sampler(3).one(rng)
     np.testing.assert_allclose(proj_u(z), z, atol=1e-13)
     d = np.diag([0.5, 0.25, -0.75]).astype(complex)
     np.testing.assert_allclose(proj_u(d), 0 * d, atol=1e-15)
@@ -115,7 +115,7 @@ def test_proj_u_is_projection_with_expected_kernel(rng):
 
 
 def test_proj_u_of_i_times_compact_is_hilbert(rng):
-    z = random_su_algebra(4, rng)
+    z = su_algebra_sampler(4).one(rng)
     np.testing.assert_allclose(proj_u(1j * z), hilbert_transform(z), atol=1e-13)
 
 
@@ -123,24 +123,24 @@ def test_trace_form_examples(rng):
     assert trace_form(e_mat(3, 0, 1), e_mat(3, 1, 0)) == pytest.approx(1.0)
     x, y = random_traceless(rng, 3), random_traceless(rng, 3)
     assert trace_form(x, y) == pytest.approx(trace_form(y, x))
-    g = random_special_linear(3, rng)
+    g = special_linear_stack(3, 1, rng)[0]
     gi = np.linalg.inv(g)
     lhs = trace_form(g @ x @ gi, g @ y @ gi)
     assert abs(lhs - trace_form(x, y)) <= 1e-11 * max(1.0, abs(trace_form(x, y)))
 
 
 def test_dressing_examples(rng):
-    u = random_special_unitary(3, rng)
+    u = special_unitary_sampler(3).one(rng)
     np.testing.assert_allclose(dressing_act(u, np.eye(3, dtype=complex)), u, atol=1e-12)
-    g = random_special_unitary(3, rng)
+    g = special_unitary_sampler(3).one(rng)
     np.testing.assert_allclose(dressing_act(np.eye(3, dtype=complex), g), g, atol=1e-12)
 
 
 def test_dressing_is_right_action(rng):
     for _ in range(10):
-        u = random_special_unitary(3, rng)
-        g1 = random_special_linear(3, rng)
-        g2 = random_special_linear(3, rng)
+        u = special_unitary_sampler(3).one(rng)
+        g1 = special_linear_stack(3, 1, rng)[0]
+        g2 = special_linear_stack(3, 1, rng)[0]
         twice = dressing_act(dressing_act(u, g1), g2)
         once = dressing_act(u, g1 @ g2)
         assert np.linalg.norm(twice - once) <= 1e-9

@@ -14,7 +14,11 @@ from birkhoff_poisson import (
     principal_minors,
 )
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, max_principal_angle, signed_permutation_matrix
-from birkhoff_poisson.sampling import complex_normal, random_special_linear, random_special_unitary
+from birkhoff_poisson.sampling import (
+    complex_normal_sampler,
+    special_linear_stack,
+    special_unitary_sampler,
+)
 
 
 def det_cofactor(m):
@@ -56,7 +60,7 @@ def test_birkhoff_signed_rotation():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_birkhoff_roundtrip_random(n, rng):
     for _ in range(50):
-        g = random_special_linear(n, rng)
+        g = special_linear_stack(n, 1, rng)[0]
         f = birkhoff_factor(g)
         assert f.is_identity_perm
         err = np.linalg.norm(f.reconstruct() - g)
@@ -65,7 +69,7 @@ def test_birkhoff_roundtrip_random(n, rng):
 
 
 def test_birkhoff_factor_shapes(rng):
-    f = birkhoff_factor(random_special_linear(4, rng))
+    f = birkhoff_factor(special_linear_stack(4, 1, rng)[0])
     assert np.allclose(np.diag(f.l), 1) and np.allclose(np.triu(f.l, 1), 0)
     assert np.allclose(np.diag(f.u_plus), 1) and np.allclose(np.tril(f.u_plus, -1), 0)
     assert np.allclose(f.h, np.diag(np.diag(f.h)))
@@ -82,9 +86,9 @@ def test_birkhoff_recovers_engineered_permutation(rng):
     signs = [1, 1, 1, int(round(np.linalg.det(p_mat)))]
     w = signed_permutation_matrix(perm, tuple(signs))
     lo = np.eye(n, dtype=complex)
-    lo[np.tril_indices(n, -1)] = complex_normal(rng, 6)
+    lo[np.tril_indices(n, -1)] = complex_normal_sampler(6).one(rng)
     up = np.eye(n, dtype=complex)
-    up[np.triu_indices(n, 1)] = complex_normal(rng, 6)
+    up[np.triu_indices(n, 1)] = complex_normal_sampler(6).one(rng)
     d = np.array([1.4, 0.6, 2.2, 1.0 / (1.4 * 0.6 * 2.2)], dtype=complex)
     g = lo @ w @ np.diag(d) @ up
     f = birkhoff_factor(g)
@@ -183,9 +187,9 @@ def _engineered(rng, n, h_diag):
     inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
     w = signed_permutation_matrix(perm, (1,) * (n - 1) + ((-1) ** inversions,))
     lo = np.eye(n, dtype=complex)
-    lo[np.tril_indices(n, -1)] = complex_normal(rng, n * (n - 1) // 2)
+    lo[np.tril_indices(n, -1)] = complex_normal_sampler(n * (n - 1) // 2).one(rng)
     up = np.eye(n, dtype=complex)
-    up[np.triu_indices(n, 1)] = complex_normal(rng, n * (n - 1) // 2)
+    up[np.triu_indices(n, 1)] = complex_normal_sampler(n * (n - 1) // 2).one(rng)
     return lo @ w @ np.diag(h_diag) @ up
 
 
@@ -196,7 +200,7 @@ def _band_value(rng, tol):
 
 def _sample(kind, rng, n, tol):
     if kind == "generic":
-        return random_special_linear(n, rng)
+        return special_linear_stack(n, 1, rng)[0]
     if kind == "engineered":
         d = np.exp(rng.uniform(-1.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
         d[-1] = 1.0 / np.prod(d[:-1])
@@ -211,7 +215,7 @@ def _sample(kind, rng, n, tol):
         return _engineered(rng, n, d)
     # "band-entry": column 0 reads exact zeros above one entry inside the
     # band; the rows below it keep the determinant away from zero
-    g = random_special_linear(n, rng)
+    g = special_linear_stack(n, 1, rng)[0]
     r = int(rng.integers(n - 1))
     g[: r + 1, 0] = 0.0
     g = _unit_det(g)
@@ -279,7 +283,7 @@ def test_birkhoff_stack_matches_reference_loop(n, kinds, seed):
 def test_birkhoff_stack_with_one_singular_member_raises(n, kinds, singular, where, seed):
     rng = np.random.default_rng(seed)
     gs = [_sample(kind, rng, n, 1e-9) for kind in kinds]
-    bad = random_special_linear(n, rng)
+    bad = special_linear_stack(n, 1, rng)[0]
     if singular == "rank-deficient":
         bad[:, -1] = bad[:, 0]
     else:
@@ -310,15 +314,15 @@ def test_birkhoff_ambiguous_mask_shapes(rng):
     with pytest.raises(StratumAmbiguous) as info:
         birkhoff_factor(amb, tol)
     assert info.value.mask.shape == () and bool(info.value.mask)
-    stack = np.array([[random_special_linear(2, rng), amb, random_special_linear(2, rng)],
-                      [amb, random_special_linear(2, rng), random_special_linear(2, rng)]])
+    a, b, c, d = special_linear_stack(2, 4, rng)
+    stack = np.array([[a, amb, b], [amb, c, d]])
     with pytest.raises(StratumAmbiguous) as info:
         birkhoff_factor(stack, tol)
     np.testing.assert_array_equal(info.value.mask, [[False, True, False], [True, False, False]])
 
 
 def test_birkhoff_stack_shapes_and_single_tuples(rng):
-    gs = np.array([[random_special_linear(3, rng) for _ in range(2)] for _ in range(2)])
+    gs = special_linear_stack(3, 4, rng).reshape(2, 2, 3, 3)
     f = birkhoff_factor(gs)
     assert f.l.shape == f.h.shape == f.u_plus.shape == (2, 2, 3, 3)
     assert f.perm.shape == f.signs.shape == (2, 2, 3)
@@ -335,7 +339,7 @@ def test_birkhoff_stack_shapes_and_single_tuples(rng):
 
 
 def test_iwasawa_unitary_input(rng):
-    g = random_special_unitary(3, rng)
+    g = special_unitary_sampler(3).one(rng)
     f = iwasawa_factor(g)
     np.testing.assert_allclose(f.l, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(f.a, np.eye(3), atol=1e-12)
@@ -352,7 +356,7 @@ def test_iwasawa_positive_diagonal_input():
 
 def test_iwasawa_roundtrip_and_invariants(rng):
     for _ in range(100):
-        g = random_special_linear(3, rng)
+        g = special_linear_stack(3, 1, rng)[0]
         f = iwasawa_factor(g)
         assert np.linalg.norm(f.reconstruct() - g) <= 1e-11 * np.linalg.norm(g)
         a = np.diag(f.a)
@@ -363,7 +367,7 @@ def test_iwasawa_roundtrip_and_invariants(rng):
 
 
 def test_iwasawa_uniqueness_fixed_point(rng):
-    g = random_special_linear(4, rng)
+    g = special_linear_stack(4, 1, rng)[0]
     f = iwasawa_factor(g)
     again = iwasawa_factor(f.reconstruct())
     np.testing.assert_allclose(again.l, f.l, atol=1e-10)
@@ -384,8 +388,7 @@ def test_iwasawa_singular():
 )
 def test_iwasawa_stack_matches_single_calls(n, shape, seed):
     rng = np.random.default_rng(seed)
-    gs = np.array([random_special_linear(n, rng) for _ in range(np.prod(shape))])
-    gs = gs.reshape(shape + (n, n))
+    gs = special_linear_stack(n, np.prod(shape), rng).reshape(shape + (n, n))
     f = iwasawa_factor(gs)
     assert f.l.shape == f.a.shape == f.u.shape == gs.shape
     for index in np.ndindex(shape):
@@ -396,7 +399,7 @@ def test_iwasawa_stack_matches_single_calls(n, shape, seed):
 
 
 def test_iwasawa_stack_with_one_singular_member_raises(rng):
-    gs = np.array([random_special_linear(3, rng) for _ in range(4)])
+    gs = special_linear_stack(3, 4, rng)
     gs[2] *= 2.0
     with pytest.raises(SingularInput):
         iwasawa_factor(gs)
@@ -415,7 +418,7 @@ def test_inv_sqrt_simple():
 
 def test_inv_sqrt_random_residual(rng):
     for _ in range(25):
-        q = complex_normal(rng, (4, 4))
+        q = complex_normal_sampler((4, 4)).one(rng)
         p = q @ q.conj().T + 0.1 * np.eye(4)
         s = inv_sqrt_hpd(p)
         assert np.linalg.norm(s @ p @ s - np.eye(4)) <= 1e-11
@@ -430,7 +433,7 @@ def test_inv_sqrt_rejects_indefinite():
 
 
 def test_inv_sqrt_on_a_stack(rng):
-    q = complex_normal(rng, (2, 3, 4, 4))
+    q = complex_normal_sampler((2, 3, 4, 4)).one(rng)
     stack = q @ q.conj().mT + 0.1 * np.eye(4)
     out = inv_sqrt_hpd(stack)
     assert out.shape == stack.shape
@@ -453,7 +456,7 @@ def test_inv_sqrt_rejects_a_stack_with_one_bad_matrix():
 
 
 def test_polar_simple(rng):
-    q = random_special_unitary(3, rng)
+    q = special_unitary_sampler(3).one(rng)
     pos, unit = polar_factor(q)
     np.testing.assert_allclose(pos, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(unit, q, atol=1e-12)
@@ -465,7 +468,7 @@ def test_polar_simple(rng):
 
 def test_polar_random(rng):
     for _ in range(25):
-        a = complex_normal(rng, (4, 4))
+        a = complex_normal_sampler((4, 4)).one(rng)
         pos, unit = polar_factor(a)
         assert np.linalg.norm(pos @ unit - a) <= 1e-11 * np.linalg.norm(a)
         assert np.linalg.norm(pos - pos.conj().T) <= 1e-11
@@ -492,7 +495,7 @@ def test_principal_minors_examples():
 
 def test_principal_minors_against_cofactor_oracle(rng):
     for _ in range(10):
-        g = complex_normal(rng, (5, 5))
+        g = complex_normal_sampler((5, 5)).one(rng)
         minors = principal_minors(g)
         for k in range(5):
             expected = det_cofactor(g[: k + 1, : k + 1])
@@ -500,7 +503,7 @@ def test_principal_minors_against_cofactor_oracle(rng):
 
 
 def test_principal_minors_on_a_stack(rng):
-    g = complex_normal(rng, (2, 3, 4, 4))
+    g = complex_normal_sampler((2, 3, 4, 4)).one(rng)
     minors = principal_minors(g)
     assert minors.shape == (2, 3, 4)
     for index in np.ndindex(2, 3):
@@ -512,7 +515,7 @@ def test_principal_minors_on_a_stack(rng):
 def test_principal_minors_unipotent(rng):
     n = 5
     lo = np.eye(n, dtype=complex)
-    lo[np.tril_indices(n, -1)] = complex_normal(rng, 10)
+    lo[np.tril_indices(n, -1)] = complex_normal_sampler(10).one(rng)
     np.testing.assert_allclose(principal_minors(lo), np.ones(n), atol=1e-12)
     np.testing.assert_allclose(principal_minors(lo.conj().T), np.ones(n), atol=1e-12)
 

@@ -15,7 +15,7 @@ from birkhoff_poisson import (
     torus_vector_field,
 )
 from birkhoff_poisson.poisson import omega_apply
-from birkhoff_poisson.sampling import random_interior_point, random_ip, random_point
+from birkhoff_poisson.sampling import ip_sampler, random_interior_point, random_point
 from birkhoff_poisson.symspace import chart_point, ip_basis, parse_preset, unitary_exp
 
 X_DIR = np.diag([1j, -1j])
@@ -58,11 +58,11 @@ def test_moment_linearity(rng, cp2):
 
 
 def test_moment_well_defined_on_cosets(rng, cp2):
-    from birkhoff_poisson.sampling import random_stabilizer
+    from birkhoff_poisson.sampling import stabilizer_sampler
 
     u = random_point(cp2, rng)
     basis = torus_tw(birkhoff_layer(u, cp2), cp2)
-    k = random_stabilizer(cp2, rng)
+    k = stabilizer_sampler(cp2).one(rng)
     for x in basis:
         assert moment_eval(u @ k, x, cp2) == pytest.approx(
             moment_eval(u, x, cp2), abs=1e-10
@@ -188,7 +188,7 @@ def test_moment_eval_on_a_stack_of_points(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     u0 = random_interior_point(preset, rng)
     x = torus_tw(birkhoff_layer(u0, preset), preset)[0]
-    steps = unitary_exp(1e-3 * np.array([random_ip(preset, rng) for _ in range(6)]))
+    steps = unitary_exp(1e-3 * np.array([ip_sampler(preset).one(rng) for _ in range(6)]))
     points = (u0 @ steps).reshape(2, 3, *u0.shape)
     values = moment_eval(points, x, preset)
     assert values.shape == (2, 3)
@@ -217,7 +217,7 @@ def test_moment_on_basis_matches_per_direction_calls(rng, cp2):
 
 
 def test_unitary_exp_on_a_stack(rng, gr22):
-    xs = np.array([random_ip(gr22, rng) for _ in range(4)])
+    xs = np.array([ip_sampler(gr22).one(rng) for _ in range(4)])
     stacked = unitary_exp(xs)
     for x, e in zip(xs, stacked):
         np.testing.assert_array_equal(e, unitary_exp(x))

@@ -41,14 +41,14 @@ from birkhoff_poisson.poisson import (
     su2_from_sphere,
 )
 from birkhoff_poisson.sampling import (
-    complex_normal,
-    random_chart,
-    random_ip,
+    chart_sampler,
+    complex_normal_sampler,
+    ip_sampler,
     random_point,
-    random_stabilizer,
-    random_special_unitary,
-    random_su2_sphere,
-    random_su_algebra,
+    special_unitary_sampler,
+    stabilizer_sampler,
+    su2_sphere_sampler,
+    su_algebra_sampler,
 )
 from birkhoff_poisson.symspace import (
     adjoint_act,
@@ -70,7 +70,7 @@ def test_omega_at_identity_is_hilbert(rng, gr22):
     # off-diagonal-block subspace
     u = np.eye(4, dtype=complex)
     for _ in range(10):
-        x = random_ip(gr22, rng)
+        x = ip_sampler(gr22).one(rng)
         np.testing.assert_allclose(
             omega_apply(u, x, gr22), hilbert_transform(x), atol=1e-13
         )
@@ -91,8 +91,8 @@ def test_pi_antisymmetry_and_skewness(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(25):
         u = random_point(preset, rng)
-        x = random_ip(preset, rng)
-        y = random_ip(preset, rng)
+        x = ip_sampler(preset).one(rng)
+        y = ip_sampler(preset).one(rng)
         assert pi_eval(u, x, x, preset) == pytest.approx(0.0, abs=1e-10)
         assert abs(pi_eval(u, x, y, preset) + pi_eval(u, y, x, preset)) <= 1e-10
         mat = matrix_of_omega(u, preset)
@@ -104,9 +104,9 @@ def test_stabilizer_equivariance(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(10):
         u = random_point(preset, rng)
-        k = random_stabilizer(preset, rng)
-        x = random_ip(preset, rng)
-        y = random_ip(preset, rng)
+        k = stabilizer_sampler(preset).one(rng)
+        x = ip_sampler(preset).one(rng)
+        y = ip_sampler(preset).one(rng)
         kinv = k.conj().T
         lhs = pi_eval(u @ k, adjoint_act(kinv, x), adjoint_act(kinv, y), preset)
         assert abs(lhs - pi_eval(u, x, y, preset)) <= 1e-10
@@ -173,8 +173,8 @@ def test_pi_eval_stack_matches_single_calls(spec, count, seed):
     preset = parse_preset(spec)
     rng = np.random.default_rng(seed)
     u = np.array([random_point(preset, rng) for _ in range(count)])
-    x = np.array([random_ip(preset, rng) for _ in range(count)])
-    y = np.array([random_ip(preset, rng) for _ in range(count)])
+    x = np.array([ip_sampler(preset).one(rng) for _ in range(count)])
+    y = np.array([ip_sampler(preset).one(rng) for _ in range(count)])
     _assert_matches_single_calls(
         pi_eval(u, x, y, preset), [pi_eval(*args, preset) for args in zip(u, x, y)]
     )
@@ -186,7 +186,7 @@ def test_pi_eval_stack_matches_single_calls(spec, count, seed):
 
 def test_pi_eval_rejects_a_stack_with_one_bad_covector(rng, cp2):
     u = np.array([random_point(cp2, rng) for _ in range(4)])
-    x = np.array([random_ip(cp2, rng) for _ in range(4)])
+    x = np.array([ip_sampler(cp2).one(rng) for _ in range(4)])
     bad = x.copy()
     bad[2] = bad[2] + np.diag([1j, -1j, 0])  # anti-Hermitian but even
     with pytest.raises(InvalidTangent, match="odd subspace"):
@@ -199,9 +199,9 @@ def test_pi_eval_rejects_a_stack_with_one_bad_covector(rng, cp2):
 @given(n=st.integers(2, 3), count=st.integers(1, 6), seed=SEEDS)
 def test_group_pairings_stack_matches_single_calls(n, count, seed):
     rng = np.random.default_rng(seed)
-    k = np.array([random_special_unitary(n, rng) for _ in range(count)])
-    p = np.array([random_su_algebra(n, rng) for _ in range(count)])
-    q = np.array([random_su_algebra(n, rng) for _ in range(count)])
+    k = np.array([special_unitary_sampler(n).one(rng) for _ in range(count)])
+    p = np.array([su_algebra_sampler(n).one(rng) for _ in range(count)])
+    q = np.array([su_algebra_sampler(n).one(rng) for _ in range(count)])
     for pairing in (pi_el_group, pi_lw_group):
         _assert_matches_single_calls(
             pairing(k, p, q), [pairing(*args) for args in zip(k, p, q)]
@@ -214,8 +214,8 @@ def test_group_pairings_stack_matches_single_calls(n, count, seed):
 
 
 def test_group_pairing_rejects_a_stack_with_one_bad_argument(rng):
-    k = np.array([random_special_unitary(2, rng) for _ in range(3)])
-    p = np.array([random_su_algebra(2, rng) for _ in range(3)])
+    k = np.array([special_unitary_sampler(2).one(rng) for _ in range(3)])
+    p = np.array([su_algebra_sampler(2).one(rng) for _ in range(3)])
     bad = p.copy()
     bad[1] = bad[1] + 1j * np.eye(2)  # anti-Hermitian, not traceless
     with pytest.raises(InvalidTangent):
@@ -229,9 +229,9 @@ def test_group_pairing_rejects_a_stack_with_one_bad_argument(rng):
 def test_chart_pi_eval_stack_matches_single_calls(spec, count, seed):
     preset = parse_preset(spec)
     rng = np.random.default_rng(seed)
-    z = np.array([random_chart(preset, rng) for _ in range(count)])
-    v = complex_normal(rng, (count, preset.m, preset.n))
-    w = complex_normal(rng, (count, preset.m, preset.n))
+    z = np.array([chart_sampler(preset).one(rng) for _ in range(count)])
+    v = complex_normal_sampler((count, preset.m, preset.n)).one(rng)
+    w = complex_normal_sampler((count, preset.m, preset.n)).one(rng)
     _assert_matches_single_calls(
         chart_pi_eval(preset, z, v, w), [chart_pi_eval(preset, *args) for args in zip(z, v, w)]
     )
@@ -240,7 +240,7 @@ def test_chart_pi_eval_stack_matches_single_calls(spec, count, seed):
 @pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "gr:2,3"])
 def test_closed_form_chart_frame_matches_a_central_difference(spec, rng, monkeypatch):
     preset = parse_preset(spec)
-    z = np.array([random_chart(preset, rng) for _ in range(3)])
+    z = np.array([chart_sampler(preset).one(rng) for _ in range(3)])
     calls = []
     monkeypatch.setattr(
         poisson_module, "canonical_rep", lambda *args: calls.append(1) or canonical_rep(*args)
@@ -272,7 +272,7 @@ def test_pi_rank_cp1(cp1):
 def test_pi_rank_cp2_generic_and_locus(rng, cp2):
     u = random_point(cp2, rng)
     assert pi_rank(u, cp2) == 4
-    z = complex_normal(rng, 2)
+    z = complex_normal_sampler(2).one(rng)
     z /= np.linalg.norm(z)  # on the unit sphere the degeneracy polynomial vanishes
     assert pi_rank(canonical_rep(z.reshape(2, 1), cp2), cp2) < 4
 
@@ -295,7 +295,7 @@ def test_group_values_at_identity_and_torus(rng):
 
 def test_su2_coefficients_match_closed_forms(rng):
     for _ in range(200):
-        a, b = random_su2_sphere(rng)
+        a, b = su2_sphere_sampler().one(rng)
         k = su2_from_sphere(a, b)
         el = su2_el_coefficients(k)
         el_expected = (
@@ -326,10 +326,10 @@ def test_el_pushforward_matches_group_bivector(rng, group2):
     # transporting covectors through the factor identification must land on
     # the quoted single-factor pairing, with no extra constant
     for _ in range(25):
-        k1 = random_special_unitary(2, rng)
-        k2 = random_special_unitary(2, rng)
-        p = random_su_algebra(2, rng)
-        q = random_su_algebra(2, rng)
+        k1 = special_unitary_sampler(2).one(rng)
+        k2 = special_unitary_sampler(2).one(rng)
+        p = su_algebra_sampler(2).one(rng)
+        q = su_algebra_sampler(2).one(rng)
         pd = k1.conj().T @ p @ k1
         qd = k1.conj().T @ q @ k1
         push = pi_eval(block_diag(k1, k2), block_diag(pd, -pd), block_diag(qd, -qd), group2)
@@ -342,9 +342,9 @@ def test_el_pushforward_matches_group_bivector(rng, group2):
 
 def test_grassmann_local_pi_antisymmetric(rng):
     for _ in range(20):
-        z = complex_normal(rng, (2, 2))
-        v = complex_normal(rng, (2, 2))
-        w = complex_normal(rng, (2, 2))
+        z = complex_normal_sampler((2, 2)).one(rng)
+        v = complex_normal_sampler((2, 2)).one(rng)
+        w = complex_normal_sampler((2, 2)).one(rng)
         assert grassmann_local_pi(z, v, v) == pytest.approx(0.0, abs=1e-12)
         assert grassmann_local_pi(z, v, w) == pytest.approx(
             -grassmann_local_pi(z, w, v), abs=1e-12
@@ -357,7 +357,7 @@ def test_cpn_coeffs_origin_and_factored_forms(rng):
     assert np.allclose(c.mixed - np.diag(np.diag(c.mixed)), 0)
     assert np.allclose(c.holo, 0)
     for _ in range(20):
-        z = complex_normal(rng, 2)
+        z = complex_normal_sampler(2).one(rng)
         a1, a2 = abs(z[0]) ** 2, abs(z[1]) ** 2
         rho2 = a1 + a2
         c = cpn_coeffs(z)
@@ -369,7 +369,7 @@ def test_cpn_coeffs_origin_and_factored_forms(rng):
 
 def test_cpn_reduces_to_cp1(rng):
     for _ in range(20):
-        z = complex(complex_normal(rng, ()))
+        z = complex(complex_normal_sampler(()).one(rng))
         c = cpn_coeffs([z])
         assert abs(c.mixed[0, 0] - cp1_family(z).evens_lu) <= 1e-14
 
@@ -377,9 +377,9 @@ def test_cpn_reduces_to_cp1(rng):
 @pytest.mark.parametrize("n", [1, 2])
 def test_cpn_agrees_with_grassmann_specialization(n, rng):
     for _ in range(50):
-        z = complex_normal(rng, n)
-        v = complex_normal(rng, (1, n))
-        w = complex_normal(rng, (1, n))
+        z = complex_normal_sampler(n).one(rng)
+        v = complex_normal_sampler((1, n)).one(rng)
+        w = complex_normal_sampler((1, n)).one(rng)
         local = grassmann_local_pi(z.reshape(n, 1), v, w)
         coord = coord_pi_value(cpn_coeffs(z), v.reshape(-1), w.reshape(-1))
         assert abs(local - coord) <= 1e-12
@@ -390,7 +390,7 @@ def test_cp2_symplectic_origin_and_inverse(rng):
     assert form.p == pytest.approx(1.0)
     np.testing.assert_allclose(np.diag(form.mixed), [-1j, -1j])
     for _ in range(30):
-        z1, z2 = 0.9 * complex_normal(rng, 2)
+        z1, z2 = 0.9 * complex_normal_sampler(2).one(rng)
         if abs(cp2_degeneracy_p(z1, z2)) < 1e-2:
             continue
         pi_mat = cpn_coeffs([z1, z2]).complex_matrix()
@@ -401,7 +401,7 @@ def test_cp2_symplectic_origin_and_inverse(rng):
 
 
 def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
-    z = complex_normal(rng, (40, 2))
+    z = complex_normal_sampler((40, 2)).one(rng)
     stacked = cp2_degeneracy_p(z[:, 0], z[:, 1])
     assert stacked.shape == (40,)
     for (z1, z2), p in zip(z, stacked):
@@ -413,7 +413,7 @@ def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
 
 
 def test_cp2_symplectic_degeneracy_error():
-    z = complex_normal(np.random.default_rng(1), 2)
+    z = complex_normal_sampler(2).one(np.random.default_rng(1))
     z /= np.linalg.norm(z)
     assert cp2_degeneracy_p(z[0], z[1]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(OnDegeneracyLocus):
@@ -431,7 +431,7 @@ def test_cp1_family_values(rng):
 
 def test_lambda_identity_numeric(rng):
     for _ in range(100):
-        z = complex(complex_normal(rng, ()))
+        z = complex(complex_normal_sampler(()).one(rng))
         fam = cp1_family(z)
         assert abs(fam.evens_lu - (fam.projected_pl - fam.kks)) <= 1e-14
 
@@ -601,6 +601,27 @@ def test_su2_el_matrix_on_a_stack_matches_per_point_calls(shape, seed):
         np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
 
 
+def test_su2_el_matrix_is_the_pairing_of_each_frame_pair(rng):
+    k = np.array([special_unitary_sampler(2).one(rng) for _ in range(50)])
+    mat = su2_el_matrix(k)
+    for r, e_r in enumerate(su2_frame()):
+        for s, e_s in enumerate(su2_frame()):
+            expected = pi_el_group(k, e_r, e_s) if r != s else np.zeros(len(k))
+            np.testing.assert_array_equal(mat[:, r, s], expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_coord_pi_value_on_a_stack_matches_per_point_calls(n, shape, rng):
+    z, v, w = (complex_normal_sampler(shape + (n,)).one(rng) for _ in range(3))
+    stacked = coord_pi_value(cpn_coeffs(z), v, w)
+    assert stacked.shape == shape
+    for idx in np.ndindex(shape):
+        single = coord_pi_value(cpn_coeffs(z[idx]), v[idx], w[idx])
+        assert isinstance(single, float)
+        assert single == stacked[idx]
+
+
 def test_coordinate_bivector_rejects_the_su2_kind():
     # the group pairing matrix lives on the (H, X, Y) frame, not on chart coordinates
     with pytest.raises(ValueError):
@@ -654,9 +675,9 @@ def test_local_vs_equivariant(m, n, rng):
     preset = grassmannian(m, n)
     cal = calibration_constant()
     for _ in range(20):
-        z = random_chart(preset, rng)
-        v = complex_normal(rng, (m, n))
-        w = complex_normal(rng, (m, n))
+        z = chart_sampler(preset).one(rng)
+        v = complex_normal_sampler((m, n)).one(rng)
+        w = complex_normal_sampler((m, n)).one(rng)
         local = grassmann_local_pi(z, v, w)
         equiv = chart_pi_eval(preset, z, v, w)
         assert abs(local - cal * equiv) <= 1e-8 * max(1.0, abs(local))

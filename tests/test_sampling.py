@@ -119,14 +119,14 @@ def test_one_sample_functions_match_the_references(spec, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     pairs = [
         (sampling.random_point(preset, rng), ref_point(preset, ref_rng)),
-        (sampling.random_stabilizer(preset, rng), ref_stabilizer(preset, ref_rng)),
-        (sampling.random_ip(preset, rng), ref_combination(ip_basis(preset), ref_rng)),
-        (sampling.random_su_algebra(3, rng), ref_combination(su_basis(3), ref_rng)),
-        (sampling.random_special_unitary(3, rng), ref_special_unitary(3, ref_rng)),
-        (sampling.random_special_linear(3, rng), ref_special_linear(3, ref_rng)),
-        (np.array(sampling.random_su2_sphere(rng)), ref_su2_sphere(ref_rng)),
-        (sampling.complex_normal(rng, (2, 3)), ref_complex_normal(ref_rng, (2, 3))),
-        (sampling.complex_normal(rng, ()), ref_complex_normal(ref_rng, ())),
+        (sampling.stabilizer_sampler(preset).one(rng), ref_stabilizer(preset, ref_rng)),
+        (sampling.ip_sampler(preset).one(rng), ref_combination(ip_basis(preset), ref_rng)),
+        (sampling.su_algebra_sampler(3).one(rng), ref_combination(su_basis(3), ref_rng)),
+        (sampling.special_unitary_sampler(3).one(rng), ref_special_unitary(3, ref_rng)),
+        (sampling.special_linear_stack(3, 1, rng)[0], ref_special_linear(3, ref_rng)),
+        (sampling.su2_sphere_sampler().one(rng), ref_su2_sphere(ref_rng)),
+        (sampling.complex_normal_sampler((2, 3)).one(rng), ref_complex_normal(ref_rng, (2, 3))),
+        (sampling.complex_normal_sampler(()).one(rng), ref_complex_normal(ref_rng, ())),
     ]
     for got, expected in pairs:
         np.testing.assert_array_equal(got, expected)

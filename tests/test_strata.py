@@ -14,7 +14,7 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson.linalg import max_principal_angle
 from birkhoff_poisson.poisson import matrix_of_omega
-from birkhoff_poisson.sampling import random_point, random_special_unitary
+from birkhoff_poisson.sampling import random_point, special_unitary_sampler
 from birkhoff_poisson.strata import orbit_direction_span
 from birkhoff_poisson.symspace import block_diag, grassmannian
 
@@ -53,7 +53,7 @@ def test_layer_on_equator(cp1):
 
 
 def test_layer_group_case(rng, group2):
-    k = random_special_unitary(2, rng)
+    k = special_unitary_sampler(2).one(rng)
     perm, _ = birkhoff_layer(block_diag(k, k), group2)
     assert perm == (0, 1)  # identity coset sits in the open stratum
 

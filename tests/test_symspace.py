@@ -11,12 +11,12 @@ from birkhoff_poisson import (
     theta_g,
 )
 from birkhoff_poisson.sampling import (
-    complex_normal,
-    random_chart,
-    random_ip,
+    chart_sampler,
+    complex_normal_sampler,
+    ip_sampler,
     random_point,
-    random_stabilizer,
-    random_special_unitary,
+    special_unitary_sampler,
+    stabilizer_sampler,
 )
 from birkhoff_poisson.symspace import (
     block_diag,
@@ -55,7 +55,7 @@ def test_theta_involution(rng, gr22, group2):
     g = random_point(gr22, rng)
     np.testing.assert_allclose(theta_g(theta_g(g, gr22), gr22), g, atol=1e-14)
     # off-diagonal blocks are negated
-    x = random_ip(gr22, rng)
+    x = ip_sampler(gr22).one(rng)
     np.testing.assert_allclose(theta_g(x, gr22), -x, atol=1e-14)
     pair = random_point(group2, rng)
     swapped = theta_g(pair, group2)
@@ -76,7 +76,7 @@ def test_theta_matches_dense_conjugation(preset_name, rng):
     preset = parse_preset(preset_name)
     j = dense_j(preset)
     for _ in range(5):
-        g = complex_normal(rng, (preset.matrix_dim, preset.matrix_dim))
+        g = complex_normal_sampler((preset.matrix_dim, preset.matrix_dim)).one(rng)
         np.testing.assert_array_equal(theta_g(g, preset), j @ g @ j)
     with pytest.raises(ValueError):
         theta_g(np.eye(preset.matrix_dim + 1), preset)
@@ -86,7 +86,7 @@ def test_theta_matches_dense_conjugation(preset_name, rng):
 def test_theta_and_cartan_embed_on_a_stack(preset_name, rng):
     preset = parse_preset(preset_name)
     d = preset.matrix_dim
-    g = complex_normal(rng, (2, 3, d, d))
+    g = complex_normal_sampler((2, 3, d, d)).one(rng)
     u = np.array([random_point(preset, rng) for _ in range(6)]).reshape(2, 3, d, d)
     thetas, phis = theta_g(g, preset), cartan_embed(u, preset)
     for index in np.ndindex(2, 3):
@@ -147,7 +147,7 @@ def test_cartan_embed_symmetry_and_coset_invariance(preset_name, rng):
         phi = cartan_embed(u, preset)
         sym = np.linalg.norm(phi.conj().T - theta_g(phi, preset))
         unit = np.linalg.norm(phi @ phi.conj().T - np.eye(preset.matrix_dim))
-        moved = cartan_embed(u @ random_stabilizer(preset, rng), preset)
+        moved = cartan_embed(u @ stabilizer_sampler(preset).one(rng), preset)
         coset = np.linalg.norm(moved - phi)
         assert sym <= 1e-10
         assert unit <= 1e-10
@@ -162,7 +162,7 @@ def test_canonical_rep_origin(cp2):
 
 def test_canonical_rep_properties(rng, gr22):
     for _ in range(25):
-        z = random_chart(gr22, rng)
+        z = chart_sampler(gr22).one(rng)
         u = canonical_rep(z, gr22)
         dim = gr22.matrix_dim
         assert np.linalg.norm(u @ u.conj().T - np.eye(dim)) <= 1e-11
@@ -181,7 +181,7 @@ def test_canonical_rep_properties(rng, gr22):
 
 def test_canonical_rep_on_a_stack(rng, cp2, gr22):
     for preset in (cp2, gr22):
-        z = 0.8 * complex_normal(rng, (2, 3, preset.n, preset.m))
+        z = 0.8 * complex_normal_sampler((2, 3, preset.n, preset.m)).one(rng)
         reps = canonical_rep(z, preset)
         assert reps.shape == (2, 3, preset.matrix_dim, preset.matrix_dim)
         for index in np.ndindex(2, 3):
@@ -204,24 +204,24 @@ def test_canonical_rep_rejects_a_stack_with_one_bad_chart_point(cp2):
 
 
 def test_project_ip_cases(rng, gr22, group2):
-    x = random_ip(gr22, rng)
+    x = ip_sampler(gr22).one(rng)
     np.testing.assert_allclose(project_ip(x, gr22), x, atol=1e-13)
     # even anti-Hermitian part dies
     k_blk = np.zeros((4, 4), dtype=complex)
     k_blk[:2, :2] = [[1j, 0.3 + 0.1j], [-0.3 + 0.1j, -2j]]
     k_blk[2:, 2:] = [[0.5j, 0], [0, 0.5j]]
     np.testing.assert_allclose(project_ip(k_blk, gr22), 0 * k_blk, atol=1e-14)
-    herm = complex_normal(rng, (4, 4))
+    herm = complex_normal_sampler((4, 4)).one(rng)
     herm = herm + herm.conj().T
     np.testing.assert_allclose(project_ip(herm, gr22), 0 * herm, atol=1e-13)
     # group case: the odd elements diag(x, -x) are fixed
-    xp = random_ip(group2, rng)
+    xp = ip_sampler(group2).one(rng)
     got = project_ip(xp, group2)
     assert np.linalg.norm(got - xp) <= 1e-13
 
 
 def random_traceless(rng, n):
-    z = complex_normal(rng, (n, n))
+    z = complex_normal_sampler((n, n)).one(rng)
     return z - (np.trace(z) / n) * np.eye(n)
 
 
@@ -238,12 +238,12 @@ def test_projection_partition(preset_name, rng):
 
 
 def test_group_iso(rng):
-    k = random_special_unitary(2, rng)
+    k = special_unitary_sampler(2).one(rng)
     np.testing.assert_allclose(group_iso(k, k), np.eye(2), atol=1e-13)
     np.testing.assert_allclose(group_iso(k, np.eye(2, dtype=complex)), k, atol=1e-14)
-    g = random_special_unitary(2, rng)
+    g = special_unitary_sampler(2).one(rng)
     np.testing.assert_allclose(group_iso(k @ g, k @ g), np.eye(2), atol=1e-13)
-    k2 = random_special_unitary(2, rng)
+    k2 = special_unitary_sampler(2).one(rng)
     np.testing.assert_allclose(group_iso(k @ g, k2 @ g), group_iso(k, k2), atol=1e-13)
 
 
