@@ -24,6 +24,7 @@ from .poisson import (
     calibration_constant,
     coordinate_bivector,
     cp2_degeneracy_p,
+    fothlu_w_chart,
     jacobi_residual,
     matrix_of_omega,
     pi_rank,
@@ -295,9 +296,7 @@ def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -
     get rank -1 and 0.0.  Elsewhere a cell whose layer is ambiguous gets
     rank -1."""
     if name == "fothlu":
-        # |w|^2 by C pow (float_power), whose last bit the reported values
-        # carry; squaring differs from it on a few inputs
-        coeff = np.abs(-2.0 * y * (1.0 + np.float_power(np.hypot(x, y), 2)))
+        coeff = np.abs(fothlu_w_chart(x + 1j * y))
         return [np.where(coeff > tol, 2, 0), coeff]
     if name == "su2":
         mod2 = x * x + y * y

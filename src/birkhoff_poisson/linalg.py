@@ -97,11 +97,6 @@ class BirkhoffFactors:
     def w_matrix(self) -> np.ndarray:
         return signed_permutation_matrix(self.perm, self.signs)
 
-    @property
-    def is_identity_perm(self) -> bool:
-        perm = np.asarray(self.perm)
-        return bool(np.all(perm == np.arange(perm.shape[-1])))
-
     def reconstruct(self) -> np.ndarray:
         return self.l @ self.w_matrix @ self.h @ self.u_plus
 

@@ -31,7 +31,10 @@ from .symspace import (
 _TORUS_TOL = 1e-8
 
 
-def _check_torus_direction(x: np.ndarray, preset: SymmetricSpacePreset, w) -> None:
+def _check_torus_direction(x: np.ndarray, perm) -> None:
+    """Raise unless x lies in the layer torus of perm, or of every
+    permutation of an array (..., n) of them: a purely imaginary traceless
+    diagonal, constant on the cycles of perm since theta fixes diagonals."""
     x = np.asarray(x, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(x)))
     off = x - np.diag(np.diag(x))
@@ -41,24 +44,9 @@ def _check_torus_direction(x: np.ndarray, preset: SymmetricSpacePreset, w) -> No
         or abs(np.trace(x)) > _TORUS_TOL * scale
     ):
         raise InvalidTangent("torus directions are purely imaginary traceless diagonals")
-    span = torus_tw(w, preset)
-    if not span:
-        if np.linalg.norm(x) > _TORUS_TOL * scale:
-            raise InvalidTangent("the layer torus is trivial; only the zero direction acts")
-        return
-    # least-squares span membership (the returned basis is not orthonormal)
-    cols = np.stack([np.imag(np.diag(b)) for b in span], axis=1)
-    target = np.imag(np.diag(x))
-    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    if np.linalg.norm(cols @ coeffs - target) > _TORUS_TOL * scale:
-        raise InvalidTangent("direction is not fixed by the layer torus operator")
-
-
-def _layers(perm, signs) -> list:
-    """The distinct (perm, signs) layers of one factorization or a stack."""
-    n = np.shape(perm)[-1]
-    rows = [map(tuple, np.reshape(a, (-1, n)).tolist()) for a in (perm, signs)]
-    return sorted(set(zip(*rows)))
+    d = np.imag(np.diag(x))
+    if np.max(np.linalg.norm(d[np.asarray(perm)] - d, axis=-1)) > _TORUS_TOL * scale:
+        raise InvalidTangent("direction is not constant on the cycles of the layer permutation")
 
 
 def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset):
@@ -75,10 +63,9 @@ def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset
 def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-9):
     """Momentum of torus direction x at the coset point u, or at each point
     of a stack (..., d, d): <(1/2) i theta(log|h|), x> with h from the leaf
-    factorization.  x is checked once against each layer the points lie on."""
+    factorization.  x is checked against the layer permutation of every point."""
     lf = leaf_factorize(u, preset, tol)
-    for w in _layers(lf.perm, lf.signs):
-        _check_torus_direction(x, preset, w)
+    _check_torus_direction(x, lf.perm)
     return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
 
 
@@ -117,7 +104,8 @@ def hamiltonian_residual(
     u is one point (d, d) or a stack (..., d, d), and x one torus direction
     (d, d) or a stack (T, d, d) of them; the result is a float, or has shape
     (...), (T) or (..., T).  The stencil of every point is factored once and
-    each direction is checked against every layer the stencil lies on.
+    each direction is checked against the layer permutation of every stencil
+    point.
     """
     u = np.asarray(u, dtype=complex)
     x = np.asarray(x, dtype=complex)
@@ -127,9 +115,8 @@ def hamiltonian_residual(
     # stencil[..., side, r, 0]: the point moved by exp(+-fd_step e_r)
     stencil = u[..., np.newaxis, np.newaxis, np.newaxis, :, :] @ steps[:, :, np.newaxis]
     lf = leaf_factorize(stencil, preset, tol)
-    for w in _layers(lf.perm, lf.signs):
-        for x_t in xs:
-            _check_torus_direction(x_t, preset, w)
+    for x_t in xs:
+        _check_torus_direction(x_t, lf.perm)
     # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]
     values = leaf_moment(lf, xs, preset)
     coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * fd_step)

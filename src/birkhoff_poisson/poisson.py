@@ -399,8 +399,10 @@ def cp1_family(z: complex) -> Cp1Family:
 
 def fothlu_w_chart(w: complex) -> complex:
     """Chart coefficient -2i Im(w) (1 + |w|^2) of the real-form presentation
-    of the two-sphere; an array of them for an array w."""
-    return -2j * np.imag(w) * (1.0 + abs(w) ** 2)
+    of the two-sphere; an array of them for an array w.  |w|^2 is taken by
+    C hypot and pow on both, so a point gives the same bits alone and inside
+    an array."""
+    return -2j * np.imag(w) * (1.0 + np.float_power(np.hypot(w.real, w.imag), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +442,11 @@ def coeffs_real_matrix(coeffs: CoordCoefficients) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoordBivector:
-    """A coordinate bivector: chart kind, real dimension, and the real
-    antisymmetric matrix at a chart point given in interleaved (re, im)
-    coordinates.  ``real_matrix`` maps points (..., dim_real) to matrices
-    (..., dim_real, dim_real), or to anything that broadcasts to them."""
+    """A coordinate bivector: real dimension, and the real antisymmetric
+    matrix at a chart point given in interleaved (re, im) coordinates.
+    ``real_matrix`` maps points (..., dim_real) to matrices (..., dim_real,
+    dim_real), or to anything that broadcasts to them."""
 
-    kind: str
     dim_real: int
     real_matrix: Callable[[np.ndarray], np.ndarray]
 
@@ -461,10 +462,9 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             fam = cp1_family(reals_to_complex(x)[..., 0])
             return coeffs_real_matrix(_scalar_coeffs(getattr(fam, member)))
 
-        return CoordBivector(kind="cp1", dim_real=2, real_matrix=real_matrix)
+        return CoordBivector(dim_real=2, real_matrix=real_matrix)
     if kind == "cpn":
         return CoordBivector(
-            kind="cpn",
             dim_real=2 * n,
             real_matrix=lambda x: coeffs_real_matrix(cpn_coeffs(reals_to_complex(x))),
         )
@@ -479,13 +479,13 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             images = grassmann_l_operator(z, reps)
             return -2.0 * np.einsum("...aij,bij->...ab", images.conj(), reps).imag
 
-        return CoordBivector(kind="grassmann", dim_real=2 * m * n, real_matrix=real_matrix)
+        return CoordBivector(dim_real=2 * m * n, real_matrix=real_matrix)
     if kind == "fothlu_w":
         def real_matrix(x: np.ndarray) -> np.ndarray:
             w = reals_to_complex(x)[..., 0]
             return coeffs_real_matrix(_scalar_coeffs(fothlu_w_chart(w)))
 
-        return CoordBivector(kind="fothlu_w", dim_real=2, real_matrix=real_matrix)
+        return CoordBivector(dim_real=2, real_matrix=real_matrix)
     raise ValueError(f"unknown coordinate bivector kind {kind!r}")
 
 

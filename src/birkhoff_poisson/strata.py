@@ -21,22 +21,18 @@ import numpy as np
 
 from .errors import DimensionGuard, SymmetryViolation
 from .lie import proj_u
-from .linalg import BirkhoffFactors, birkhoff_factor, signed_permutation_matrix
+from .linalg import BirkhoffFactors, birkhoff_factor
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
     cartan_embed,
-    elem_real_inner,
     ip_basis,
     layer_image,
     project_ip,
     theta_g,
-    torus_basis,
 )
 
 SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
-
-_NULLSPACE_TOL = 1e-10
 
 
 def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
@@ -81,37 +77,38 @@ def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> 
 
 def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:
     """Basis of the fixed subspace of Ad(W) o theta on the purely imaginary
-    traceless diagonals, via the nullspace of the operator minus the identity,
-    scaled to unit peak entries; cached per layer and preset, read-only."""
+    traceless diagonals; cached per permutation, read-only.
+
+    theta fixes every diagonal in the Grassmannian family and Ad(W) permutes
+    the diagonal by the cycles of W, so the fixed diagonals are those constant
+    on each cycle.  With the cycles c_0, c_1, ... ordered by their smallest
+    index, element l - 1 is |c_l| on c_0 u ... u c_(l-1) and -|c_0 u ... u
+    c_(l-1)| on c_l, scaled to unit peak entry."""
     if not preset.is_inner:
         raise ValueError("the layer torus is computed for the Grassmannian family")
-    perm, signs = w
-    return _torus_tw(tuple(perm), tuple(signs), preset)
+    perm, _ = w
+    return _torus_tw(tuple(perm))
 
 
 @lru_cache(maxsize=256)
-def _torus_tw(perm: tuple[int, ...], signs: tuple[int, ...], preset: SymmetricSpacePreset):
-    w_mat = signed_permutation_matrix(perm, signs)
-    basis = torus_basis(preset.matrix_dim)
-    dim = len(basis)
-    op = np.zeros((dim, dim))
-    for r, xi in enumerate(basis):
-        moved = w_mat @ theta_g(xi, preset) @ w_mat.conj().T
-        for s, eta in enumerate(basis):
-            op[s, r] = elem_real_inner(eta, moved)
-    _, svals, vt = np.linalg.svd(op - np.eye(dim))
-    keep = int(np.sum(svals > _NULLSPACE_TOL))
-    null_vectors = vt[keep:]
+def _torus_tw(perm: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    earlier: list[int] = []
     out = []
-    for vec in null_vectors:
-        xi = sum(c * b for c, b in zip(vec, basis))
-        diag = np.imag(np.diag(xi))
-        # scale to unit peak entry, sign fixed by the first nonzero entry
-        peak = np.max(np.abs(diag))
-        lead = diag[np.nonzero(np.abs(diag) > 1e-12 * peak)[0][0]]
-        xi = xi * (np.sign(lead) / peak)
-        xi.setflags(write=False)
-        out.append(xi)
+    for start in range(len(perm)):
+        if start in earlier:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        if earlier:
+            diag = np.zeros(len(perm), dtype=complex)
+            peak = max(len(cycle), len(earlier))
+            diag.imag[earlier] = len(cycle) / peak
+            diag.imag[cycle] = -len(earlier) / peak
+            xi = np.diag(diag)
+            xi.setflags(write=False)
+            out.append(xi)
+        earlier.extend(cycle)
     return tuple(out)
 
 

@@ -62,7 +62,7 @@ def test_birkhoff_roundtrip_random(n, rng):
     for _ in range(50):
         g = special_linear_stack(n, 1, rng)[0]
         f = birkhoff_factor(g)
-        assert f.is_identity_perm
+        assert f.perm == tuple(range(n))
         err = np.linalg.norm(f.reconstruct() - g)
         assert err <= 1e-10 * np.linalg.norm(g)
         assert abs(np.prod(np.diag(f.h)) - 1) < 1e-10

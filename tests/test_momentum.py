@@ -14,6 +14,7 @@ from birkhoff_poisson import (
     torus_tw,
     torus_vector_field,
 )
+from birkhoff_poisson.momentum import _check_torus_direction
 from birkhoff_poisson.poisson import omega_apply
 from birkhoff_poisson.sampling import ip_sampler, random_interior_point, random_point
 from birkhoff_poisson.symspace import chart_point, ip_basis, parse_preset, unitary_exp
@@ -221,3 +222,23 @@ def test_unitary_exp_on_a_stack(rng, gr22):
     stacked = unitary_exp(xs)
     for x, e in zip(xs, stacked):
         np.testing.assert_array_equal(e, unitary_exp(x))
+
+
+def test_torus_check_on_lower_layers(rng):
+    # leaf_factorize does not yet factor lower-layer points, so the check is
+    # called with the layer permutation directly
+    on_cycles = np.diag([1j, 1j, -1j, -1j])
+    _check_torus_direction(on_cycles, (1, 0, 3, 2))
+    _check_torus_direction(on_cycles, np.array([(0, 1, 2, 3), (1, 0, 3, 2)]))
+    off_cycles = on_cycles + np.diag([1e-6j, -1e-6j, 0, 0])
+    with pytest.raises(InvalidTangent, match="cycles"):
+        _check_torus_direction(off_cycles, (1, 0, 3, 2))
+    # one stacked permutation the direction is not constant on is enough
+    with pytest.raises(InvalidTangent, match="cycles"):
+        _check_torus_direction(on_cycles, np.array([(1, 0, 3, 2), (1, 2, 3, 0)]))
+    # a 4-cycle leaves only the zero direction
+    _check_torus_direction(np.zeros((4, 4)), (1, 2, 3, 0))
+    for _ in range(10):
+        d = rng.standard_normal(4)
+        with pytest.raises(InvalidTangent, match="cycles"):
+            _check_torus_direction(np.diag(1j * (d - d.mean())), (1, 2, 3, 0))

@@ -452,13 +452,22 @@ def test_fothlu_w_chart():
     assert fothlu_w_chart(np.conj(w)) == pytest.approx(-fothlu_w_chart(w))
 
 
+def test_fothlu_w_chart_array_matches_scalar_calls_bit_for_bit(rng):
+    w = rng.uniform(-2, 2, 2000) + 1j * rng.uniform(-2, 2, 2000)
+    stacked = fothlu_w_chart(w)
+    assert all(stacked[i] == fothlu_w_chart(complex(v)) for i, v in enumerate(w))
+    # the Python scalar arithmetic |w|^2 = abs(w) ** 2
+    assert all(
+        stacked[i].imag == -2.0 * v.imag * (1.0 + abs(complex(v)) ** 2) for i, v in enumerate(w)
+    )
+
+
 # ---------------------------------------------------------------------------
 # jacobi
 
 
 def test_jacobi_constant_bivector_is_zero():
     const = CoordBivector(
-        kind="const",
         dim_real=4,
         real_matrix=lambda x: np.array(
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]], dtype=float
@@ -489,9 +498,7 @@ def test_jacobi_detects_broken_bivector(rng):
         c = cpn_coeffs(reals_to_complex(x))
         return CoordCoefficients(mixed=c.mixed * np.eye(2), holo=np.zeros_like(c.holo))
 
-    biv = CoordBivector(
-        kind="broken", dim_real=4, real_matrix=lambda x: coeffs_real_matrix(broken(x))
-    )
+    biv = CoordBivector(dim_real=4, real_matrix=lambda x: coeffs_real_matrix(broken(x)))
     assert jacobi_residual(biv, np.array([0.4, 0.1, -0.3, 0.2])) > 1e-2
 
 
@@ -528,7 +535,7 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
         c = cpn_coeffs(reals_to_complex(x))
         return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
 
-    biv = CoordBivector(kind="broken", dim_real=6, real_matrix=broken)
+    biv = CoordBivector(dim_real=6, real_matrix=broken)
     x = 0.5 * rng.standard_normal(6)
     step = 1e-5
     grad = [
@@ -653,7 +660,7 @@ def test_jacobi_residual_on_a_stack_keeps_each_points_residual(rng):
         c = cpn_coeffs(reals_to_complex(x))
         return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
 
-    biv = CoordBivector(kind="broken", dim_real=6, real_matrix=broken)
+    biv = CoordBivector(dim_real=6, real_matrix=broken)
     x = 0.5 * rng.standard_normal((4, 6))
     singles = [jacobi_residual(biv, xi) for xi in x]
     assert min(singles) > 1e-2

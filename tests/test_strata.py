@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,11 @@ from birkhoff_poisson import (
     theta_g,
     torus_tw,
 )
-from birkhoff_poisson.linalg import max_principal_angle
+from birkhoff_poisson.linalg import max_principal_angle, signed_permutation_matrix
 from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.sampling import random_point, special_unitary_sampler
 from birkhoff_poisson.strata import orbit_direction_span
-from birkhoff_poisson.symspace import block_diag, grassmannian
+from birkhoff_poisson.symspace import block_diag, grassmannian, parse_preset, torus_basis
 
 
 def doolittle_ldu(a):
@@ -127,23 +129,75 @@ def test_torus_tw_cp1_span(cp1):
     np.testing.assert_allclose(basis[0], np.diag([1j, -1j]), atol=1e-12)
 
 
-def test_torus_tw_matches_cycle_count_oracle(rng):
+def svd_torus_reference(perm, signs, preset):
+    """Reference for the layer torus: the SVD nullspace of Ad(W) o theta
+    minus the identity on the orthonormal torus basis, as the imaginary
+    diagonals (k, n) of an orthonormal basis of the fixed subspace."""
+    basis = np.array(torus_basis(preset.matrix_dim))
+    w = signed_permutation_matrix(perm, signs)
+    moved = w @ theta_g(basis, preset) @ w.conj().T
+    op = np.einsum("sij,rij->sr", basis.conj(), moved).real
+    _, svals, vt = np.linalg.svd(op - np.eye(len(basis)))
+    null = vt[int(np.sum(svals > 1e-10)):]
+    return np.einsum("kr,rii->ki", null, basis).imag
+
+
+def cycle_count(perm):
+    seen, count = set(), 0
+    for start in range(len(perm)):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = perm[start]
+    return count
+
+
+def det_one_signs(perm):
+    """All +1 but the last, which makes det(W) = +1."""
+    parity = (len(perm) - cycle_count(perm)) % 2
+    return (1,) * (len(perm) - 1) + ((-1) ** parity,)
+
+
+def assert_same_span(a, b):
+    # every row of a is a combination of the rows of b
+    coeffs, *_ = np.linalg.lstsq(b.T, a.T, rcond=None)
+    assert np.max(np.abs(b.T @ coeffs - a.T)) <= 1e-12
+
+
+def test_torus_tw_matches_cycle_count_oracle():
     # with the involution trivial on diagonals, fixed vectors are constant on
-    # permutation cycles: dimension = (#cycles) - 1
-    preset = grassmannian(2, 2)
-    cases = [
-        ((0, 1, 2, 3), (1, 1, 1, 1), 3),
-        ((1, 0, 3, 2), (1, 1, 1, 1), 1),
-        ((1, 2, 3, 0), (1, 1, 1, -1), 0),
+    # permutation cycles: dimension = (#cycles) - 1, and the span is the
+    # reference's on every permutation
+    for spec in ("cp1", "cp2", "gr:2,2", "gr:2,3"):
+        preset = parse_preset(spec)
+        for perm in itertools.permutations(range(preset.matrix_dim)):
+            signs = det_one_signs(perm)
+            basis = torus_tw((perm, signs), preset)
+            assert len(basis) == cycle_count(perm) - 1
+            if not basis:
+                continue
+            diags = np.array([np.diag(xi).imag for xi in basis])
+            reference = svd_torus_reference(perm, signs, preset)
+            assert_same_span(diags, reference)
+            assert_same_span(reference, diags)
+            w = signed_permutation_matrix(perm, signs)
+            for xi in basis:
+                np.testing.assert_allclose(w @ xi @ w.conj().T, xi, rtol=0, atol=1e-15)
+
+
+def test_torus_tw_exact_bases(cp2):
+    gr23 = grassmannian(2, 3)
+    top = torus_tw((tuple(range(5)), (1,) * 5), gr23)
+    expected = [
+        [1, -1, 0, 0, 0],
+        [1 / 2, 1 / 2, -1, 0, 0],
+        [1 / 3, 1 / 3, 1 / 3, -1, 0],
+        [1 / 4, 1 / 4, 1 / 4, 1 / 4, -1],
     ]
-    for perm, signs, expected in cases:
-        basis = torus_tw((perm, signs), preset)
-        assert len(basis) == expected
-        w = np.zeros((4, 4), dtype=complex)
-        for j, i in enumerate(perm):
-            w[i, j] = signs[i]
-        for xi in basis:
-            np.testing.assert_allclose(w @ xi @ w.conj().T, xi, atol=1e-10)
+    np.testing.assert_array_equal(top, [np.diag(1j * np.array(d)) for d in expected])
+    # a 2-cycle after a fixed point: the raw element [2, -1, -1] at unit peak
+    (xi,) = torus_tw(((0, 2, 1), (1, 1, -1)), cp2)
+    np.testing.assert_array_equal(xi, np.diag([1j, -0.5j, -0.5j]))
 
 
 def test_order_two_elements_cp2(cp2):
