@@ -10,11 +10,9 @@ equivariant and coordinate descriptions.
 __version__ = "0.1.0"
 
 from .errors import (
-    DimensionGuard,
     InvalidTangent,
     NotPositiveDefinite,
     NumericalDomainError,
-    OnDegeneracyLocus,
     SingularInput,
     StratumAmbiguous,
     SymmetryViolation,
@@ -25,11 +23,9 @@ from .linalg import (
     birkhoff_factor,
     inv_sqrt_hpd,
     iwasawa_factor,
-    polar_factor,
     principal_minors,
 )
 from .lie import (
-    dressing_act,
     hilbert_transform,
     proj_u,
     trace_form,
@@ -38,7 +34,6 @@ from .lie import (
 from .momentum import (
     hamiltonian_residual,
     moment_eval,
-    moment_on_basis,
     torus_vector_field,
 )
 from .poisson import (
@@ -47,7 +42,6 @@ from .poisson import (
     chart_pi_eval,
     coordinate_bivector,
     cp1_family,
-    cp2_symplectic,
     cpn_coeffs,
     fothlu_w_chart,
     grassmann_local_pi,
@@ -63,7 +57,6 @@ from .poisson import (
 from .strata import (
     birkhoff_layer,
     leaf_factorize,
-    order_two_torus_elements,
     torus_tw,
 )
 from .symspace import (
@@ -72,7 +65,6 @@ from .symspace import (
     cartan_embed,
     grassmannian,
     group_case,
-    group_iso,
     parse_preset,
     project_ip,
     projective_space,

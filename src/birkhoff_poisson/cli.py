@@ -133,6 +133,8 @@ def _axis_points(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _chart_matrix(preset: SymmetricSpacePreset, reals: np.ndarray) -> np.ndarray:
+    if not preset.is_inner:
+        raise ValueError("charts exist for the Grassmannian family only")
     point = reals_to_complex(reals)
     expected = preset.m * preset.n
     if point.size != expected:
@@ -408,7 +410,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand declares only the shared flags it reads
     flag_specs = {
-        "--point": dict(type=_parse_point, required=True, help="comma-separated re,im pairs"),
+        "--point": dict(
+            type=_parse_point,
+            required=True,
+            help="comma-separated re,im pairs (use --point=... when the first value is negative)",
+        ),
         "--tol": dict(type=_positive_float, default=1e-9),
         "--fd-step": dict(type=_positive_float, default=1e-5),
         "--seed": dict(type=int, default=0),
@@ -426,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    chart = "gr:m,n | cp1 | cpN | cpn:N | group:suN"
+    chart = "gr:m,n | cp1 | cpN | cpn:N"
     for name, func, text in (
         ("factor", cmd_factor, "Birkhoff (permuted LDU) factorization"),
         ("iwasawa", cmd_iwasawa, "Iwasawa (lower-unipotent / diagonal / unitary) factorization"),
@@ -439,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("pi", cmd_pi, "bivector operator matrix and rank at a chart point",
         "--point", "--tol", "--out", presets=chart)
     p_moment = add("moment", cmd_moment, "momentum values on the layer torus basis",
-                   "--point", "--tol", "--out", presets="gr:m,n | cp1 | cpN | cpn:N")
+                   "--point", "--tol", "--out", presets=chart)
     p_moment.add_argument("--index", type=int, help="single torus basis index")
     add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
         "--tol", "--grid", "--format", "--out", presets="cp1 | cp2 | gr:m,n | su2 | fothlu")

@@ -34,13 +34,5 @@ class SymmetryViolation(NumericalDomainError):
     upper/lower factor symmetry; signals a factorization or preset bug."""
 
 
-class OnDegeneracyLocus(NumericalDomainError):
-    """Requested quantity is undefined where the Poisson tensor degenerates."""
-
-
 class InvalidTangent(NumericalDomainError):
     """Matrix fails the invariants of the tangent subspace it should lie in."""
-
-
-class DimensionGuard(NumericalDomainError):
-    """Enumeration would exceed the configured dimension guard."""

@@ -1,13 +1,13 @@
-"""Triangular splitting of sl(n, C), the Hilbert transform, the invariant
-trace form, and the dressing action.
+"""Triangular splitting of sl(n, C), the Hilbert transform and the invariant
+trace form.
 
 The triangular decomposition is the standard one: strictly lower triangular
 matrices, traceless diagonals, strictly upper triangular matrices.  The
 compact form consists of the anti-Hermitian traceless matrices; the Cartan
 involution -(.)* swaps the strict triangles, which is what makes the
-decomposition compatible with it.  Every function but ``dressing_act``
-also acts on stacks (..., n, n), matrix by matrix, with one traceless check
-over the whole stack; ``trace_form`` returns one value per pair of matrices.
+decomposition compatible with it.  Every function also acts on stacks
+(..., n, n), matrix by matrix, with one traceless check over the whole stack;
+``trace_form`` returns one value per pair of matrices.
 """
 
 from __future__ import annotations
@@ -16,27 +16,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import iwasawa_factor
-
 TRACELESS_TOL = 1e-10
 
 
-def _checked_trace(z: np.ndarray, tol: float) -> np.ndarray:
-    """Traces of a matrix or stack; hard error if any exceeds tolerance."""
+def _checked_trace(z: np.ndarray) -> np.ndarray:
+    """Traces of a matrix or stack; hard error if any exceeds TRACELESS_TOL."""
     tr = np.trace(z, axis1=-2, axis2=-1)
     # Frobenius norms from the real and imaginary views, without temporaries
     norms = np.sqrt(sum(np.einsum("...ij,...ij->...", part, part) for part in (z.real, z.imag)))
-    over = np.abs(tr) - tol * np.maximum(1.0, norms)
+    over = np.abs(tr) - TRACELESS_TOL * np.maximum(1.0, norms)
     if np.any(over > 0):
         raise ValueError(f"matrix is not traceless, |tr| = {np.abs(tr).flat[np.argmax(over)]:.3e}")
     return tr
 
 
-def ensure_traceless(z: np.ndarray, tol: float = TRACELESS_TOL) -> np.ndarray:
-    """Re-center a nearly traceless matrix; hard error beyond tolerance."""
+def ensure_traceless(z: np.ndarray) -> np.ndarray:
+    """Re-center a nearly traceless matrix; hard error beyond TRACELESS_TOL."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    return z - (_checked_trace(z, tol) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+    return z - (_checked_trace(z) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
 
 
 def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,7 +57,7 @@ def hilbert_transform(z: np.ndarray) -> np.ndarray:
     """-i on the strictly lower part, 0 on the diagonal, +i on the strictly
     upper part, of a traceless matrix or of each matrix of a stack."""
     z = np.asarray(z, dtype=complex)
-    _checked_trace(z, TRACELESS_TOL)
+    _checked_trace(z)
     return z * _hilbert_signs(z.shape[-1])
 
 
@@ -90,12 +88,3 @@ def trace_form(x: np.ndarray, y: np.ndarray):
     val = np.trace(x @ y, axis1=-2, axis2=-1)
     return val if np.ndim(val) else complex(val)
 
-
-def dressing_act(u: np.ndarray, g0: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Right action of the complex group on the compact one: the unitary
-    Iwasawa factor of u @ g0."""
-    u = np.asarray(u, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(u)))
-    if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-8 * scale:
-        raise ValueError("u must be unitary")
-    return iwasawa_factor(u @ g0, tol).u

@@ -13,12 +13,9 @@ Implements the factorizations everything else is built on:
   diagonal of determinant 1 and u unitary, via the lower Cholesky factor of
   g g*.
 * ``inv_sqrt_hpd``     -- Hermitian inverse square root by eigendecomposition.
-* ``polar_factor``     -- A = pos @ unit with pos = (A A*)^(1/2) Hermitian
-  positive definite and unit unitary.
 * ``principal_minors`` -- determinants of the leading k x k submatrices.
 
-``birkhoff_factor``, ``iwasawa_factor``, ``inv_sqrt_hpd`` and
-``principal_minors`` take stacks (..., n, n) and return one result per
+Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.
 All functions are pure and operate on immutable inputs.
 """
@@ -51,12 +48,6 @@ def _as_square_stack(g: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
     return g
-
-
-def _as_square(g: np.ndarray) -> np.ndarray:
-    if np.ndim(g) != 2:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(g)}")
-    return _as_square_stack(g)
 
 
 def _check_unimodular(g: np.ndarray, tol: float) -> None:
@@ -250,17 +241,6 @@ def inv_sqrt_hpd(p: np.ndarray) -> np.ndarray:
             f"matrix is not positive definite, min eig = {np.min(w[..., 0][low]):.3e}"
         )
     return (q * (w ** -0.5)[..., np.newaxis, :]) @ q.mT.conj()
-
-
-def polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar decomposition a = pos @ unit, pos = (a a*)^(1/2), unit unitary."""
-    a = _as_square(a)
-    u, s, vh = np.linalg.svd(a)
-    if s[-1] <= 1e-13 * s[0]:
-        raise SingularInput(f"matrix is numerically singular, sigma_min = {s[-1]:.3e}")
-    pos = (u * s) @ u.conj().T
-    unit = u @ vh
-    return pos, unit
 
 
 def principal_minors(g: np.ndarray) -> np.ndarray:

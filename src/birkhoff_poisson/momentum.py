@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidTangent
 from .linalg import BirkhoffFactors
 from .poisson import omega_apply
-from .strata import leaf_factorize, torus_tw
+from .strata import leaf_factorize
 from .symspace import (
     SymmetricSpacePreset,
     ip_basis,
@@ -67,13 +67,6 @@ def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-
     lf = leaf_factorize(u, preset, tol)
     _check_torus_direction(x, lf.perm)
     return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
-
-
-def moment_on_basis(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> np.ndarray:
-    """Momentum functional on the full torus basis of the point's layer,
-    from one leaf factorization."""
-    lf = leaf_factorize(u, preset, tol)
-    return np.array([leaf_moment(lf, x, preset) for x in torus_tw((lf.perm, lf.signs), preset)])
 
 
 def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:

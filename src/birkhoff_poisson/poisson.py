@@ -10,7 +10,7 @@ form of the result against Y.
 Coordinate side.  Explicit tensors in affine charts: the Grassmannian chart
 formula (an R-linear operator L_Z followed by a trace pairing), its
 projective-space specialization with explicit holomorphic/antiholomorphic
-coefficients, the dimension-two symplectic form on the open leaf, the
+coefficients and the degeneracy polynomial of its dimension-two case, the
 one-dimensional family (homogeneous, projected Poisson-Lie, and
 Kostant-Kirillov-Souriau structures), and the real-form chart of the
 alternative presentation of the two-sphere.
@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidTangent, OnDegeneracyLocus
+from .errors import InvalidTangent
 from .lie import hilbert_transform, trace_form
 from .symspace import (
     SymmetricSpacePreset,
@@ -328,15 +328,6 @@ def coord_pi_value(coeffs: CoordCoefficients, v: np.ndarray, w: np.ndarray):
     return np.real(val) if np.ndim(val) else float(np.real(val))
 
 
-@dataclass(frozen=True)
-class Cp2Symplectic(CoordCoefficients):
-    """Symplectic form on the open leaf of the two-dimensional projective
-    space, as d z ^ d conj(z) coefficient matrices, plus the degeneracy
-    polynomial value p."""
-
-    p: float
-
-
 def cp2_degeneracy_p(z1, z2):
     """p = (1 + |z1|^2 - |z2|^2)(1 - ||z||^2)(1 + ||z||^2): a float, or an
     array of values for arrays z1, z2 that broadcast."""
@@ -344,36 +335,6 @@ def cp2_degeneracy_p(z1, z2):
     rho2 = a1 + a2
     p = (1.0 + a1 - a2) * (1.0 - rho2) * (1.0 + rho2)
     return p if np.ndim(p) else float(p)
-
-
-def cp2_symplectic(z1: complex, z2: complex, tol: float = 1e-9) -> Cp2Symplectic:
-    """Coefficients of the symplectic form inverse to the chart bivector.
-
-    Raises OnDegeneracyLocus when |p| <= tol.  The contraction of the
-    bivector's complex coefficient matrix with this form's matrix is the
-    identity away from the locus.
-    """
-    p = cp2_degeneracy_p(z1, z2)
-    if abs(p) <= tol:
-        raise OnDegeneracyLocus(f"degeneracy polynomial p = {p:.3e}")
-    a1, a2 = abs(z1) ** 2, abs(z2) ** 2
-    rho2 = a1 + a2
-    s1 = (1.0 + a1) * (1.0 - rho2)
-    s2 = (1.0 - a2) * (1.0 + rho2)
-    ip = 1j / p
-    mixed = np.array(
-        [
-            [-ip * s2, -ip * np.conj(z1) * z2 * rho2],
-            [-ip * z1 * np.conj(z2) * rho2, -ip * s1],
-        ]
-    )
-    holo = np.array(
-        [
-            [0.0, -ip * np.conj(z1) * np.conj(z2)],
-            [ip * np.conj(z1) * np.conj(z2), 0.0],
-        ]
-    )
-    return Cp2Symplectic(mixed=mixed, holo=holo, p=p)
 
 
 @dataclass(frozen=True)
@@ -388,12 +349,15 @@ class Cp1Family:
 
 
 def cp1_family(z: complex) -> Cp1Family:
-    """The three coefficients at z, or arrays of them for an array z."""
-    a = abs(z) ** 2
+    """The three coefficients at z, or arrays of them for an array z.  |z|^2
+    is taken by C hypot and pow, and 1 + |z|^2 squared as a product, so a
+    point gives the same bits alone and inside an array."""
+    a = np.float_power(np.hypot(z.real, z.imag), 2)
+    b = 1.0 + a
     return Cp1Family(
         evens_lu=-1j * (1.0 - a * a),
-        projected_pl=2j * a * (1.0 + a),
-        kks=1j * (1.0 + a) ** 2,
+        projected_pl=2j * a * b,
+        kks=1j * (b * b),
     )
 
 

@@ -134,11 +134,9 @@ def random_point(preset: SymmetricSpacePreset, rng: np.random.Generator):
     return point_sampler(preset).one(rng)
 
 
-def random_interior_point(
-    preset: SymmetricSpacePreset, rng: np.random.Generator, margin: float = 0.1
-):
+def random_interior_point(preset: SymmetricSpacePreset, rng: np.random.Generator):
     """Random point strictly inside the top Birkhoff layer: every principal
-    minor of the layer image stays at least ``margin`` away from zero.
+    minor of the layer image stays at least 0.1 away from zero.
 
     Finite-difference checks degenerate near layer boundaries (the momentum
     has logarithmic blow-up there), so boundary-margin sampling is the
@@ -146,7 +144,7 @@ def random_interior_point(
     """
     while True:
         u = random_point(preset, rng)
-        if np.min(np.abs(principal_minors(layer_image(u, preset)))) >= margin:
+        if np.min(np.abs(principal_minors(layer_image(u, preset)))) >= 0.1:
             return u
 
 

@@ -1,6 +1,6 @@
 """Birkhoff-layer classification of coset points, the symmetric leaf
-factorization, the acting sub-torus of a layer, and the enumeration of
-top-layer components in the inner case.
+factorization, the acting sub-torus of a layer, and the projected
+noncompact-orbit directions that span a leaf.
 
 The Cartan image of a coset point is factored with the structural permuted
 LDU; the signed permutation identifies the layer.  On a successful
@@ -14,12 +14,11 @@ log |h| is read off the diagonal of h.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionGuard, SymmetryViolation
+from .errors import SymmetryViolation
 from .lie import proj_u
 from .linalg import BirkhoffFactors, birkhoff_factor
 from .symspace import (
@@ -110,23 +109,6 @@ def _torus_tw(perm: tuple[int, ...]) -> tuple[np.ndarray, ...]:
             out.append(xi)
         earlier.extend(cycle)
     return tuple(out)
-
-
-def order_two_torus_elements(preset: SymmetricSpacePreset, guard: int = 12) -> list[np.ndarray]:
-    """Diagonal sign matrices indexing the top-layer components in the inner
-    case: patterns with equally many -1 entries in the two involution blocks
-    (exactly the order-two torus points lying on the embedded space)."""
-    if not preset.is_inner:
-        raise ValueError("component enumeration applies to inner presets only")
-    dim = preset.matrix_dim
-    if dim > guard:
-        raise DimensionGuard(f"dimension {dim} exceeds the enumeration guard {guard}")
-    out = []
-    for pattern in itertools.product((1.0, -1.0), repeat=dim):
-        eps = np.array(pattern)
-        if np.sum(eps[: preset.m] < 0) == np.sum(eps[preset.m:] < 0):
-            out.append(np.diag(eps.astype(complex)))
-    return out
 
 
 def orbit_direction_span(u, preset: SymmetricSpacePreset) -> np.ndarray:

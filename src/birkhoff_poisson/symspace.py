@@ -1,5 +1,5 @@
-"""Symmetric-space presentations, eigenspace projections, the Cartan
-embedding, and coordinate charts with canonical representatives.
+"""Symmetric-space presentations, the projection onto the odd eigenspace,
+the Cartan embedding, and coordinate charts with canonical representatives.
 
 Every space is U/K with K the fixed points of an involution theta that is
 conjugation by a signed permutation matrix J, and every element of U or of
@@ -13,8 +13,8 @@ its Lie algebra is stored as one square complex matrix of size m + n:
   block-diagonal matrix diag(k1, k2), so m = n, and J is the swap of the two
   blocks.  Odd algebra elements are diag(x, -x).
 
-``theta_g``, ``cartan_embed``, ``adjoint_act``, ``block_diag`` and the
-projections act on stacks (..., d, d), d = m + n, matrix by matrix, and
+``theta_g``, ``cartan_embed``, ``adjoint_act``, ``block_diag`` and
+``project_ip`` act on stacks (..., d, d), d = m + n, matrix by matrix, and
 ``canonical_rep`` on stacks (..., n, m) of chart matrices.  ``ip_basis`` is
 one cached read-only (dim_ip, d, d) array.
 """
@@ -149,19 +149,15 @@ def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return u @ theta_g(u, preset).mT.conj()
 
 
-def group_iso(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Identification of the group case with a single factor: (k1, k2) -> k1 k2^(-1)."""
-    return np.asarray(k1, dtype=complex) @ np.asarray(k2, dtype=complex).conj().T
-
-
 def layer_image(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Matrix whose Birkhoff layer classifies the coset point: the Cartan
     image, or in the group case the single-factor image k1 k2^(-1) of
-    u = diag(k1, k2), whose minors are not those of the Cartan image."""
+    u = diag(k1, k2), whose minors are not those of the Cartan image.  A
+    stack of points (..., d, d) gives the stack of images."""
     if preset.is_inner:
         return cartan_embed(u, preset)
     n = preset.n
-    return group_iso(u[:n, :n], u[n:, n:])
+    return u[..., :n, :n] @ u[..., n:, n:].mT.conj()
 
 
 def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -186,14 +182,6 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return np.block([[a, -a @ zh], [z @ a, d]])
 
 
-def chart_point(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Chart matrix of the plane spanned by the first m columns of u."""
-    if not preset.is_inner:
-        raise ValueError("charts exist for the Grassmannian family only")
-    m = preset.m
-    return np.asarray(u)[m:, :m] @ np.linalg.inv(np.asarray(u)[:m, :m])
-
-
 def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Component along the odd anti-Hermitian subspace in the splitting of
     the complexified algebra: (z + theta(z*) - (z + theta(z*))*) / 4."""
@@ -203,19 +191,6 @@ def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     w -= w.mT.conj()
     w *= 0.25
     return w
-
-
-def project_k(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Component in the stabilizer subalgebra (even anti-Hermitian part)."""
-    z = np.asarray(z, dtype=complex)
-    a = 0.5 * (z - z.mT.conj())
-    return 0.5 * (a + theta_g(a, preset))
-
-
-def project_iu(z: np.ndarray) -> np.ndarray:
-    """Hermitian part (the i-times-compact component)."""
-    z = np.asarray(z, dtype=complex)
-    return 0.5 * (z + z.mT.conj())
 
 
 def elem_real_inner(x: np.ndarray, y: np.ndarray) -> float:

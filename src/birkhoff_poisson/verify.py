@@ -258,9 +258,9 @@ def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> lis
     us = symspace.canonical_rep(zs.reshape(-1, 1, 1), cp1)
     mod2 = np.abs(zs) ** 2
     closed = np.log((1 + mod2) / (1 - mod2))
-    worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1) - closed))
-    worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step))
-    fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1))
+    worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1, tol) - closed))
+    worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step, tol))
+    fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1, tol))
     worst_res_big = 0.0
     for preset in (symspace.projective_space(2), symspace.grassmannian(2, 2)):
         us = np.stack([sampling.random_interior_point(preset, rng) for _ in range(5)])

@@ -107,6 +107,19 @@ def test_moment_equator_is_domain_error(capsys):
     assert code == 3
 
 
+def test_moment_point_with_a_negative_first_value(capsys):
+    code, out = run_cli(["moment", "--preset", "cp2", "--point=-0.5,0.2,0.1,0.1"], capsys)
+    assert code == 0 and json.loads(out)["torus_dim"] == 2
+
+
+@pytest.mark.parametrize("command", ["embed", "pi", "moment"])
+@pytest.mark.parametrize("point", ["0.5,0", "0.1,0,0.2,0,0.3,0,0.4,0"])
+def test_chart_commands_reject_group_presets(command, point, capsys):
+    code = main([command, "--preset", "group:su2", "--point", point])
+    assert code == 2
+    assert "charts exist for the Grassmannian family only" in capsys.readouterr().err
+
+
 def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
     images = []
 

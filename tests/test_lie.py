@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from birkhoff_poisson import (
-    dressing_act,
     hilbert_transform,
     proj_u,
     trace_form,
@@ -12,7 +11,6 @@ from birkhoff_poisson.lie import ensure_traceless
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,
-    special_unitary_sampler,
     su_algebra_sampler,
 )
 
@@ -127,21 +125,3 @@ def test_trace_form_examples(rng):
     gi = np.linalg.inv(g)
     lhs = trace_form(g @ x @ gi, g @ y @ gi)
     assert abs(lhs - trace_form(x, y)) <= 1e-11 * max(1.0, abs(trace_form(x, y)))
-
-
-def test_dressing_examples(rng):
-    u = special_unitary_sampler(3).one(rng)
-    np.testing.assert_allclose(dressing_act(u, np.eye(3, dtype=complex)), u, atol=1e-12)
-    g = special_unitary_sampler(3).one(rng)
-    np.testing.assert_allclose(dressing_act(np.eye(3, dtype=complex), g), g, atol=1e-12)
-
-
-def test_dressing_is_right_action(rng):
-    for _ in range(10):
-        u = special_unitary_sampler(3).one(rng)
-        g1 = special_linear_stack(3, 1, rng)[0]
-        g2 = special_linear_stack(3, 1, rng)[0]
-        twice = dressing_act(dressing_act(u, g1), g2)
-        once = dressing_act(u, g1 @ g2)
-        assert np.linalg.norm(twice - once) <= 1e-9
-        assert np.linalg.norm(twice @ twice.conj().T - np.eye(3)) <= 1e-10

@@ -10,7 +10,6 @@ from birkhoff_poisson import (
     birkhoff_factor,
     inv_sqrt_hpd,
     iwasawa_factor,
-    polar_factor,
     principal_minors,
 )
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, max_principal_angle, signed_permutation_matrix
@@ -406,7 +405,7 @@ def test_iwasawa_stack_with_one_singular_member_raises(rng):
 
 
 # ---------------------------------------------------------------------------
-# inv_sqrt_hpd / polar_factor
+# inv_sqrt_hpd
 
 
 def test_inv_sqrt_simple():
@@ -453,33 +452,6 @@ def test_inv_sqrt_rejects_a_stack_with_one_bad_matrix():
         inv_sqrt_hpd(np.array([good, np.full((2, 2), np.nan)]))
     with pytest.raises(ValueError, match="square"):
         inv_sqrt_hpd(np.ones((3, 2, 3)))
-
-
-def test_polar_simple(rng):
-    q = special_unitary_sampler(3).one(rng)
-    pos, unit = polar_factor(q)
-    np.testing.assert_allclose(pos, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(unit, q, atol=1e-12)
-    d = np.diag([3.0, 1 / 3.0]).astype(complex)
-    pos, unit = polar_factor(d)
-    np.testing.assert_allclose(pos, d, atol=1e-14)
-    np.testing.assert_allclose(unit, np.eye(2), atol=1e-14)
-
-
-def test_polar_random(rng):
-    for _ in range(25):
-        a = complex_normal_sampler((4, 4)).one(rng)
-        pos, unit = polar_factor(a)
-        assert np.linalg.norm(pos @ unit - a) <= 1e-11 * np.linalg.norm(a)
-        assert np.linalg.norm(pos - pos.conj().T) <= 1e-11
-        assert np.linalg.norm(unit @ unit.conj().T - np.eye(4)) <= 1e-12
-        svals = np.linalg.svd(a, compute_uv=False)
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(pos)), np.sort(svals), atol=1e-10)
-
-
-def test_polar_singular():
-    with pytest.raises(SingularInput):
-        polar_factor(np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

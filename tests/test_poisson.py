@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     InvalidTangent,
-    OnDegeneracyLocus,
     calibration_constant,
     canonical_rep,
     chart_pi_eval,
     coordinate_bivector,
     cp1_family,
-    cp2_symplectic,
     cpn_coeffs,
     fothlu_w_chart,
     grassmann_local_pi,
@@ -385,21 +383,6 @@ def test_cpn_agrees_with_grassmann_specialization(n, rng):
         assert abs(local - coord) <= 1e-12
 
 
-def test_cp2_symplectic_origin_and_inverse(rng):
-    form = cp2_symplectic(0.0, 0.0)
-    assert form.p == pytest.approx(1.0)
-    np.testing.assert_allclose(np.diag(form.mixed), [-1j, -1j])
-    for _ in range(30):
-        z1, z2 = 0.9 * complex_normal_sampler(2).one(rng)
-        if abs(cp2_degeneracy_p(z1, z2)) < 1e-2:
-            continue
-        pi_mat = cpn_coeffs([z1, z2]).complex_matrix()
-        omega_mat = cp2_symplectic(z1, z2).complex_matrix()
-        # matrix-inversion oracle: the contraction is the identity
-        np.testing.assert_allclose(pi_mat @ omega_mat, np.eye(4), atol=1e-9)
-        np.testing.assert_allclose(omega_mat, np.linalg.inv(pi_mat), atol=1e-9)
-
-
 def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
     z = complex_normal_sampler((40, 2)).one(rng)
     stacked = cp2_degeneracy_p(z[:, 0], z[:, 1])
@@ -410,14 +393,9 @@ def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
     r = np.abs(z)
     reals = cp2_degeneracy_p(r[:, 0], r[:, 1])
     assert reals.tolist() == [cp2_degeneracy_p(complex(a), complex(b)) for a, b in r]
-
-
-def test_cp2_symplectic_degeneracy_error():
-    z = complex_normal_sampler(2).one(np.random.default_rng(1))
-    z /= np.linalg.norm(z)
-    assert cp2_degeneracy_p(z[0], z[1]) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(OnDegeneracyLocus):
-        cp2_symplectic(z[0], z[1])
+    # p vanishes on the unit sphere
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    np.testing.assert_allclose(cp2_degeneracy_p(z[:, 0], z[:, 1]), 0.0, atol=1e-12)
 
 
 def test_cp1_family_values(rng):
@@ -460,6 +438,18 @@ def test_fothlu_w_chart_array_matches_scalar_calls_bit_for_bit(rng):
     assert all(
         stacked[i].imag == -2.0 * v.imag * (1.0 + abs(complex(v)) ** 2) for i, v in enumerate(w)
     )
+
+
+def test_cp1_family_array_matches_scalar_calls_bit_for_bit(rng):
+    z = rng.uniform(-2, 2, 2000) + 1j * rng.uniform(-2, 2, 2000)
+    fam = cp1_family(z)
+    for i, v in enumerate(z):
+        one = cp1_family(complex(v))
+        assert (one.evens_lu, one.projected_pl, one.kks) == (
+            fam.evens_lu[i],
+            fam.projected_pl[i],
+            fam.kks[i],
+        )
 
 
 # ---------------------------------------------------------------------------

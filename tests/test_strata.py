@@ -5,12 +5,10 @@ import pytest
 
 from birkhoff_poisson import (
     BirkhoffFactors,
-    DimensionGuard,
     birkhoff_layer,
     canonical_rep,
     cartan_embed,
     leaf_factorize,
-    order_two_torus_elements,
     theta_g,
     torus_tw,
 )
@@ -198,23 +196,6 @@ def test_torus_tw_exact_bases(cp2):
     # a 2-cycle after a fixed point: the raw element [2, -1, -1] at unit peak
     (xi,) = torus_tw(((0, 2, 1), (1, 1, -1)), cp2)
     np.testing.assert_array_equal(xi, np.diag([1j, -0.5j, -0.5j]))
-
-
-def test_order_two_elements_cp2(cp2):
-    elements = order_two_torus_elements(cp2)
-    found = {tuple(int(v) for v in np.real(np.diag(e))) for e in elements}
-    assert found == {(1, 1, 1), (-1, -1, 1), (-1, 1, -1)}
-
-
-def test_order_two_elements_cp1(cp1):
-    elements = order_two_torus_elements(cp1)
-    assert len(elements) == 2
-    assert any(np.allclose(e, np.eye(2)) for e in elements)
-
-
-def test_order_two_guard():
-    with pytest.raises(DimensionGuard):
-        order_two_torus_elements(grassmannian(6, 7))
 
 
 @pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22"])

@@ -5,7 +5,6 @@ from birkhoff_poisson import (
     NotPositiveDefinite,
     canonical_rep,
     cartan_embed,
-    group_iso,
     parse_preset,
     project_ip,
     theta_g,
@@ -20,12 +19,10 @@ from birkhoff_poisson.sampling import (
 )
 from birkhoff_poisson.symspace import (
     block_diag,
-    chart_point,
     grassmannian,
     group_case,
     ip_basis,
-    project_iu,
-    project_k,
+    layer_image,
     projective_space,
     su_basis,
     torus_basis,
@@ -176,7 +173,7 @@ def test_canonical_rep_properties(rng, gr22):
         graph = np.vstack([np.eye(m), z])
         stacked = np.hstack([span, graph])
         assert np.linalg.matrix_rank(stacked, tol=1e-10) == m
-        np.testing.assert_allclose(chart_point(u, gr22), z, atol=1e-10)
+        np.testing.assert_allclose(u[m:, :m] @ np.linalg.inv(u[:m, :m]), z, atol=1e-10)
 
 
 def test_canonical_rep_on_a_stack(rng, cp2, gr22):
@@ -220,31 +217,43 @@ def test_project_ip_cases(rng, gr22, group2):
     assert np.linalg.norm(got - xp) <= 1e-13
 
 
-def random_traceless(rng, n):
-    z = complex_normal_sampler((n, n)).one(rng)
-    return z - (np.trace(z) / n) * np.eye(n)
+def anti_hermitian(rng, n):
+    q = complex_normal_sampler((n, n)).one(rng)
+    return q - q.conj().T
 
 
 @pytest.mark.parametrize("preset_name", ["gr:2,2", "group:su2"])
 def test_projection_partition(preset_name, rng):
-    # an element of the complexified algebra: block diagonal in the group case
+    # z = odd + even anti-Hermitian + Hermitian, block diagonal in the group
+    # case; project_ip keeps exactly the odd part
     preset = parse_preset(preset_name)
-    if preset.is_inner:
-        z = random_traceless(rng, preset.matrix_dim)
-    else:
-        z = block_diag(random_traceless(rng, preset.n), random_traceless(rng, preset.n))
-    total = project_ip(z, preset) + project_k(z, preset) + project_iu(z)
-    np.testing.assert_allclose(total, z, atol=1e-13)
+    m, n = preset.m, preset.n
+    odd = ip_sampler(preset).one(rng)
+    a = anti_hermitian(rng, m)
+    even = block_diag(a, anti_hermitian(rng, n) if preset.is_inner else a)
+    herm = 1j * anti_hermitian(rng, m + n)
+    z = odd + even + herm
+    if not preset.is_inner:
+        z = block_diag(z[:m, :m], z[m:, m:])
+    np.testing.assert_allclose(project_ip(z, preset), odd, atol=1e-13)
 
 
-def test_group_iso(rng):
+def test_layer_image_group_case(rng, group2):
     k = special_unitary_sampler(2).one(rng)
-    np.testing.assert_allclose(group_iso(k, k), np.eye(2), atol=1e-13)
-    np.testing.assert_allclose(group_iso(k, np.eye(2, dtype=complex)), k, atol=1e-14)
-    g = special_unitary_sampler(2).one(rng)
-    np.testing.assert_allclose(group_iso(k @ g, k @ g), np.eye(2), atol=1e-13)
-    k2 = special_unitary_sampler(2).one(rng)
-    np.testing.assert_allclose(group_iso(k @ g, k2 @ g), group_iso(k, k2), atol=1e-13)
+    eye = np.eye(2, dtype=complex)
+    np.testing.assert_allclose(layer_image(block_diag(k, k), group2), eye, atol=1e-13)
+    np.testing.assert_allclose(layer_image(block_diag(k, eye), group2), k, atol=1e-14)
+    g = block_diag(*[special_unitary_sampler(2).one(rng)] * 2)
+    np.testing.assert_allclose(layer_image(block_diag(k, k) @ g, group2), eye, atol=1e-13)
+    u = block_diag(k, special_unitary_sampler(2).one(rng))
+    np.testing.assert_allclose(
+        layer_image(u @ g, group2), layer_image(u, group2), atol=1e-13
+    )
+    # a stack of points gives the stack of images
+    stack = np.array([u, u @ g, block_diag(k, eye)])
+    np.testing.assert_allclose(
+        layer_image(stack, group2), [layer_image(p, group2) for p in stack], rtol=0, atol=1e-15
+    )
 
 
 def test_bases_are_orthonormal(gr22, group2):

@@ -147,3 +147,16 @@ def test_momentum_uniform_block_is_the_per_point_stream():
     loop = [[loop_rng.uniform(), loop_rng.uniform()] for _ in range(10)]
     assert block.tolist() == loop
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_momentum_suite_passes_its_tol_to_every_factorization(monkeypatch):
+    tols = []
+    original = momentum.leaf_factorize
+
+    def recorded(u, preset, tol):
+        tols.append(tol)
+        return original(u, preset, tol)
+
+    monkeypatch.setattr(momentum, "leaf_factorize", recorded)
+    assert run_suite("momentum", 0, tol=2e-9)["pass"]
+    assert len(tols) == 5 and set(tols) == {2e-9}
