@@ -374,6 +374,23 @@ def test_iwasawa_uniqueness_fixed_point(rng):
     np.testing.assert_allclose(again.u, f.u, atol=1e-10)
 
 
+def test_iwasawa_unitary_factor_is_a_right_action(rng):
+    # u -> iwasawa_factor(u @ g).u: the identity acts trivially, g acts on I
+    # as its own unitary factor, and acting by g1 then g2 is acting by g1 g2
+    u = special_unitary_sampler(3).one(rng)
+    eye = np.eye(3, dtype=complex)
+    np.testing.assert_allclose(iwasawa_factor(u @ eye).u, u, atol=1e-12)
+    g = special_unitary_sampler(3).one(rng)
+    np.testing.assert_allclose(iwasawa_factor(eye @ g).u, g, atol=1e-12)
+    for _ in range(10):
+        u = special_unitary_sampler(3).one(rng)
+        g1, g2 = special_linear_stack(3, 2, rng)
+        twice = iwasawa_factor(iwasawa_factor(u @ g1).u @ g2).u
+        once = iwasawa_factor(u @ (g1 @ g2)).u
+        assert np.linalg.norm(twice - once) <= 1e-9
+        assert np.linalg.norm(twice @ twice.conj().T - eye) <= 1e-10
+
+
 def test_iwasawa_singular():
     with pytest.raises(SingularInput):
         iwasawa_factor(np.array([[1, 0], [0, 0]], dtype=complex))

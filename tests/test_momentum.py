@@ -13,7 +13,7 @@ from birkhoff_poisson import (
     torus_tw,
     torus_vector_field,
 )
-from birkhoff_poisson.momentum import _check_torus_direction
+from birkhoff_poisson.momentum import _check_torus_direction, leaf_moment
 from birkhoff_poisson.poisson import omega_apply
 from birkhoff_poisson.sampling import ip_sampler, random_interior_point, random_point
 from birkhoff_poisson.symspace import ip_basis, parse_preset, unitary_exp
@@ -208,6 +208,16 @@ def test_moment_eval_stack_rejects_non_torus_direction(rng, cp1):
     points = np.array([cp1_point(0.4, cp1), cp1_point(-0.2j, cp1)])
     with pytest.raises(InvalidTangent):
         moment_eval(points, np.array([[0, 1], [-1, 0]], dtype=complex), cp1)
+
+
+def test_leaf_moment_on_basis_matches_per_direction_calls(rng, cp2):
+    # one leaf factorization read on the whole torus basis, as `moment` does
+    u = random_interior_point(cp2, rng)
+    lf = leaf_factorize(u, cp2)
+    basis = torus_tw((lf.perm, lf.signs), cp2)
+    np.testing.assert_array_equal(
+        [leaf_moment(lf, x, cp2) for x in basis], [moment_eval(u, x, cp2) for x in basis]
+    )
 
 
 def test_unitary_exp_on_a_stack(rng, gr22):

@@ -398,6 +398,19 @@ def test_cp2_degeneracy_p_on_arrays_matches_scalar_calls(rng):
     np.testing.assert_allclose(cp2_degeneracy_p(z[:, 0], z[:, 1]), 0.0, atol=1e-12)
 
 
+def test_cp2_bivector_determinant_is_p_squared(rng):
+    # the chart bivector is invertible exactly off the locus p = 0
+    for _ in range(30):
+        z = 0.9 * complex_normal_sampler(2).one(rng)
+        det = np.linalg.det(cpn_coeffs(z).complex_matrix())
+        p = cp2_degeneracy_p(z[0], z[1])
+        assert abs(det - p**2) <= 1e-10 * max(1.0, p**2)
+    z = complex_normal_sampler(2).one(rng)
+    z /= np.linalg.norm(z)
+    svals = np.linalg.svd(cpn_coeffs(z).complex_matrix(), compute_uv=False)
+    assert svals[1] > 0.1 and np.all(svals[2:] <= 1e-12)
+
+
 def test_cp1_family_values(rng):
     fam = cp1_family(0.0)
     assert fam.evens_lu == pytest.approx(-1j)
