@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,8 +91,32 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, for obj nested ``indent``
+    deep, without the pure-Python indenting encoder of the standard library.
+    Dict keys are strings, as in every payload here.  A flat list of finite
+    floats is one join of ``float.__repr__``, a finite float or an int is its
+    repr, containers recurse, and every other scalar (NaN and the infinities
+    too) and every key goes to ``json.dumps``."""
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+    elif {*map(type, obj)} == {float} and math.isfinite(sum(obj)):
+        items = map(float.__repr__, obj)
+    else:
+        items = (_json_text(v, inner) for v in obj)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(payload, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    _write(_json_text(payload) + "\n", out)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -326,7 +351,7 @@ def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -
 
 
 # Bytes of the largest complex stack one stack of grid cells builds: the
-# (cells, dim_ip, d, d) odd-basis images of matrix_of_omega, or the
+# (cells, dim_ip, d, d) frames u e_r u* of matrix_of_omega, or the
 # (cells, 3, 3, 2, 2) su2 frame pairings (fothlu builds less); bounds the
 # cells per stack.
 _STACK_BYTES = 1 << 18

@@ -5,7 +5,9 @@ Equivariant side.  At a unitary coset representative u the bivector acts on
 cotangent classes represented by odd anti-Hermitian matrices X, Y through a
 skew operator: conjugate X up by u, apply the Hilbert transform, conjugate
 back down and project to the odd subspace; the value is the invariant trace
-form of the result against Y.
+form of the result against Y.  Its matrix on the odd basis e_r needs neither
+the projection nor the conjugation back: it pairs the frames u e_r u* with
+their Hilbert transforms in one GEMM, for both families.
 
 Coordinate side.  Explicit tensors in affine charts: the Grassmannian chart
 formula (an R-linear operator L_Z followed by a trace pairing), its
@@ -114,10 +116,19 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     anti-Hermitian subspace: entry (s, r) is Re <e_s, omega(e_r)>.
 
     u is one representative (d, d) or a stack (..., d, d); the result is
-    (k, k) or (..., k, k)."""
+    (k, k) or (..., k, k).
+
+    The projection to the odd subspace is orthogonal and Ad(u) is an
+    isometry, so the entry is Re <F_s, H(F_r)> on the frames F_r = u e_r u*,
+    one for both families.  A complex row viewed as reals interleaves
+    (Re, Im), so Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2
+    work, no projection and no second conjugation."""
     basis = ip_basis(preset)
-    images = _omega(np.asarray(u)[..., np.newaxis, :, :], basis, preset)
-    return np.einsum("sij,...rij->...sr", basis.conj(), images).real
+    u = np.asarray(u, dtype=complex)
+    frames = u[..., np.newaxis, :, :] @ basis @ u.mT.conj()[..., np.newaxis, :, :]
+    images = hilbert_transform(frames)
+    rows = (*frames.shape[:-2], frames.shape[-1] ** 2)
+    return frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT
 
 
 def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9):

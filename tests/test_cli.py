@@ -2,9 +2,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     StratumAmbiguous,
@@ -491,3 +494,63 @@ def test_calibration_subcommand(capsys):
     code, out = run_cli(["calibration"], capsys)
     assert code == 0
     assert json.loads(out)["constant"] == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(
+        ['"quoted" \\ back/slash', "tab\tnew\nline\r\x00\x1f", "é ü ∑ € 😀 \u2028"]
+    ),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        # the emitter's fast path: flat lists of floats, finite or not
+        st.lists(st.floats()),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_PAYLOADS)
+def test_json_text_equals_json_dumps_with_indent_2(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi", "--preset", "gr:6,10"],
+        ["rank-grid", "--preset", "cp2", "--format", "json"],
+        ["verify", "all", "--seed", "424242"],
+    ],
+    ids=["pi", "rank-grid", "verify"],
+)
+def test_subcommands_print_json_dumps_of_their_payload(argv, monkeypatch, capsys):
+    if argv[0] == "pi":
+        point = np.random.default_rng(7).normal(scale=0.3, size=120)
+        argv = [*argv, "--point=" + ",".join(map(repr, point.tolist()))]
+    payloads = []
+    emit = cli._emit
+
+    def recording(payload, out):
+        payloads.append(payload)
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(payloads[0], indent=2) + "\n"

@@ -122,7 +122,9 @@ def _loop_matrix_of_omega(u, preset):
     return mat
 
 
-@pytest.mark.parametrize("spec", ["gr:1,1", "cp2", "gr:2,3", "group:su2", "group:su3"])
+@pytest.mark.parametrize(
+    "spec", ["gr:1,1", "cp2", "gr:2,3", "gr:4,8", "gr:6,10", "group:su2", "group:su3"]
+)
 def test_matrix_of_omega_matches_loop_reference(spec, rng):
     preset = parse_preset(spec)
     for _ in range(5):
@@ -132,17 +134,26 @@ def test_matrix_of_omega_matches_loop_reference(spec, rng):
         )
 
 
-@pytest.mark.parametrize("spec", ["cp2", "gr:2,3", "group:su2"])
-def test_matrix_of_omega_on_a_stack_of_points(spec, rng):
+@pytest.mark.parametrize(
+    "spec,shape",
+    [
+        pytest.param("cp2", (2, 3), id="cp2"),
+        pytest.param("gr:2,3", (2, 3), id="gr:2,3"),
+        pytest.param("group:su2", (2, 3), id="group:su2"),
+        # the size of one sweep grid
+        pytest.param("gr:2,2", (1024,), id="gr:2,2-1024"),
+    ],
+)
+def test_matrix_of_omega_on_a_stack_of_points(spec, shape, rng):
     preset = parse_preset(spec)
-    points = np.array([random_point(preset, rng) for _ in range(6)]).reshape(
-        (2, 3, preset.matrix_dim, preset.matrix_dim)
+    points = np.array([random_point(preset, rng) for _ in range(np.prod(shape))]).reshape(
+        (*shape, preset.matrix_dim, preset.matrix_dim)
     )
     stacked = matrix_of_omega(points, preset)
-    assert stacked.shape == (2, 3, preset.dim_ip, preset.dim_ip)
+    assert stacked.shape == (*shape, preset.dim_ip, preset.dim_ip)
     ranks = pi_rank(points, preset)
-    assert ranks.shape == (2, 3)
-    for index in np.ndindex(2, 3):
+    assert ranks.shape == shape
+    for index in np.ndindex(*shape):
         np.testing.assert_allclose(
             stacked[index], matrix_of_omega(points[index], preset), rtol=0, atol=1e-14
         )

@@ -128,6 +128,17 @@ def test_iwasawa_idempotent_fails_an_error_of_the_old_bound(seed, monkeypatch):
     assert not _check(run_suite("factorization", seed), "iwasawa-idempotent")["pass"]
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+def test_operator_skewness_fails_a_symmetric_part_in_omega(seed, monkeypatch):
+    # the check reads the pairing matrix through omega_apply, so it sees a
+    # symmetric part put into omega, which the closed form of
+    # matrix_of_omega does not go through
+    assert _check(run_suite("bivector", seed), "operator-skewness")["pass"]
+    omega = poisson._omega
+    monkeypatch.setattr(poisson, "_omega", lambda u, x, preset: omega(u, x, preset) + 1e-9 * x)
+    assert not _check(run_suite("bivector", seed), "operator-skewness")["pass"]
+
+
 @pytest.mark.parametrize("seed", [0, 68])
 def test_minor_product_identity_fails_an_error_relative_to_the_factors(seed, monkeypatch):
     assert _check(run_suite("degeneracy", seed), "cp2-minor-product-identity")["pass"]
