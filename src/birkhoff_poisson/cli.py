@@ -10,15 +10,17 @@ with a half-step offset so exact boundary points are avoided.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericalDomainError, StratumAmbiguous
+from .jsontext import _dict_chunks, _json_text
 from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import leaf_moment
 from .poisson import (
@@ -68,12 +70,11 @@ _GRID_COLUMNS = {
 # serialization helpers
 
 
-def _c2j(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _mat2j(m: np.ndarray) -> list:
-    return [[_c2j(v) for v in row] for row in np.asarray(m, dtype=complex)]
+def _pairs(m) -> np.ndarray:
+    """A complex array as a float array of [re, im] pairs along a new last
+    axis, which the emitter prints as nested JSON arrays."""
+    m = np.asarray(m)
+    return np.stack([m.real, m.imag], -1)
 
 
 def _j2mat(data) -> np.ndarray:
@@ -83,40 +84,17 @@ def _j2mat(data) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks`` to the file ``out``, or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte, for obj nested ``indent``
-    deep, without the pure-Python indenting encoder of the standard library.
-    Dict keys are strings, as in every payload here.  A flat list of finite
-    floats is one join of ``float.__repr__``, a finite float or an int is its
-    repr, containers recurse, and every other scalar (NaN and the infinities
-    too) and every key goes to ``json.dumps``."""
-    if type(obj) is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner = indent + "  "
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-    elif {*map(type, obj)} == {float} and math.isfinite(sum(obj)):
-        items = map(float.__repr__, obj)
-    else:
-        items = (_json_text(v, inner) for v in obj)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
-def _emit(payload, out: str | None) -> None:
-    _write(_json_text(payload) + "\n", out)
+def _emit(payload: dict, out: str | None) -> None:
+    """Write ``_json_text(payload)`` and a newline a top-level value at a
+    time: the text of a large value, such as the bivector matrix of ``pi``,
+    is written as it is and not copied into the text of the whole payload."""
+    _write(itertools.chain(_dict_chunks(payload, ""), ["\n"]), out)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -193,10 +171,10 @@ def cmd_factor(args) -> int:
             "mode": "birkhoff",
             "perm": list(factors.perm),
             "signs": list(factors.signs),
-            "l": _mat2j(factors.l),
-            "w": _mat2j(factors.w_matrix),
-            "h": _mat2j(factors.h),
-            "u_plus": _mat2j(factors.u_plus),
+            "l": _pairs(factors.l),
+            "w": _pairs(factors.w_matrix),
+            "h": _pairs(factors.h),
+            "u_plus": _pairs(factors.u_plus),
             "residual": residual,
         },
         args.out,
@@ -211,9 +189,9 @@ def cmd_iwasawa(args) -> int:
     _emit(
         {
             "mode": "iwasawa",
-            "l": _mat2j(factors.l),
-            "a": _mat2j(factors.a),
-            "u": _mat2j(factors.u),
+            "l": _pairs(factors.l),
+            "a": _pairs(factors.a),
+            "u": _pairs(factors.u),
             "residual": residual,
         },
         args.out,
@@ -230,9 +208,9 @@ def cmd_embed(args) -> int:
     _emit(
         {
             "preset": preset.label,
-            "u": _mat2j(u),
-            "phi": _mat2j(phi),
-            "principal_minors": [_c2j(v) for v in principal_minors(phi)],
+            "u": _pairs(u),
+            "phi": _pairs(phi),
+            "principal_minors": _pairs(principal_minors(phi)),
             "layer_perm": list(factors.perm),
             "layer_signs": list(factors.signs),
         },
@@ -249,7 +227,7 @@ def cmd_pi(args) -> int:
     _emit(
         {
             "preset": preset.label,
-            "omega_matrix": mat.tolist(),
+            "omega_matrix": mat,
             "rank": int(np.linalg.matrix_rank(mat, tol=args.tol)),
             "dim_ip": preset.dim_ip,
         },
@@ -282,7 +260,7 @@ def cmd_moment(args) -> int:
             "layer_perm": list(lf.perm),
             "torus_dim": torus_dim,
             "mu": values,
-            "basis": [_mat2j(x) for x in basis],
+            "basis": _pairs(basis),
         },
         args.out,
     )
@@ -395,7 +373,7 @@ def cmd_rank_grid(args) -> int:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        _write("\n".join(lines) + "\n", args.out)
+        _write(["\n".join(lines), "\n"], args.out)
     else:
         _emit(
             {

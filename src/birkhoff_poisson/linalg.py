@@ -251,33 +251,32 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
     return np.stack([np.linalg.det(g[..., :k, :k]) for k in range(1, n + 1)], axis=-1)
 
 
-def orthonormal_column_basis(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a`` (columns of the result)."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return a.reshape(a.shape[0], 0)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    return u[:, :rank]
-
-
-def max_principal_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> float:
-    """Largest principal angle (radians) between the column spaces of a and b.
+def max_principal_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):
+    """Largest principal angle (radians) between the column spaces of a and
+    b: a float, or an array of angles for stacks (..., n, p) and (..., n, q).
 
     Requires equal numerical ranks; raises ValueError otherwise so dimension
     mismatches are not silently reported as large angles.  Small angles are
     computed from sines (Bjorck-Golub): arccos of a cosine near 1 loses half
     the available digits, which would put a floor of ~1e-8 on the result.
+    The SVDs are batched over the pairs of each rank.
     """
-    qa = orthonormal_column_basis(a, tol)
-    qb = orthonormal_column_basis(b, tol)
-    if qa.shape[1] != qb.shape[1]:
-        raise ValueError(f"subspace dimensions differ: {qa.shape[1]} vs {qb.shape[1]}")
-    if qa.shape[1] == 0:
-        return 0.0
-    cross = qa.conj().T @ qb
-    cosines = np.linalg.svd(cross, compute_uv=False)
-    if cosines[-1] < np.sqrt(0.5):
-        return float(np.arccos(np.clip(cosines[-1], -1.0, 1.0)))
-    sines = np.linalg.svd(qb - qa @ cross, compute_uv=False)
-    return float(np.arcsin(np.clip(sines[0], -1.0, 1.0)))
+    ua, sa, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
+    ub, sb, _ = np.linalg.svd(np.asarray(b, dtype=complex), full_matrices=False)
+    ranks = np.sum(sa > tol, axis=-1)
+    other = np.sum(sb > tol, axis=-1)
+    if np.any(ranks != other):
+        raise ValueError(f"subspace dimensions differ: {ranks} vs {other}")
+    angles = np.zeros(ranks.shape)
+    for rank in {*ranks[ranks > 0].tolist()}:
+        at = ranks == rank
+        qa, qb = ua[at][..., :rank], ub[at][..., :rank]
+        cross = qa.mT.conj() @ qb
+        cosines = np.linalg.svd(cross, compute_uv=False)[..., -1]
+        sines = np.linalg.svd(qb - qa @ cross, compute_uv=False)[..., 0]
+        angles[at] = np.where(
+            cosines < np.sqrt(0.5),
+            np.arccos(np.clip(cosines, -1.0, 1.0)),
+            np.arcsin(np.clip(sines, -1.0, 1.0)),
+        )
+    return angles if angles.ndim else float(angles)

@@ -122,13 +122,18 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     isometry, so the entry is Re <F_s, H(F_r)> on the frames F_r = u e_r u*,
     one for both families.  A complex row viewed as reals interleaves
     (Re, Im), so Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2
-    work, no projection and no second conjugation."""
+    work, no projection and no second conjugation.  The GEMM is skew up to
+    rounding; its skew part is returned, so entry (r, s) is bitwise -(s, r)
+    and the diagonal is +0.0."""
     basis = ip_basis(preset)
     u = np.asarray(u, dtype=complex)
     frames = u[..., np.newaxis, :, :] @ basis @ u.mT.conj()[..., np.newaxis, :, :]
     images = hilbert_transform(frames)
     rows = (*frames.shape[:-2], frames.shape[-1] ** 2)
-    return frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT
+    mat = frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT
+    mat -= mat.mT.copy()
+    mat /= 2
+    return mat
 
 
 def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9):

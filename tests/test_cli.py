@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from birkhoff_poisson import (
     StratumAmbiguous,
@@ -510,39 +512,54 @@ _SCALARS = st.one_of(
         ['"quoted" \\ back/slash', "tab\tnew\nline\r\x00\x1f", "é ü ∑ € 😀 \u2028"]
     ),
 )
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e-308, 1e16, 1e-7, 123456789.0]),
+)
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FINITE),
+    # NaN and the infinities fall back to tolist
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats()),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+)
 _PAYLOADS = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _ARRAYS),
     lambda children: st.one_of(
         st.lists(children),
         st.lists(children).map(tuple),
         st.dictionaries(st.text(), children),
-        # the emitter's fast path: flat lists of floats, finite or not
-        st.lists(st.floats()),
-        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+        # the emitter's one-join path: flat lists of floats and ints, finite
+        # or not
+        st.lists(st.one_of(st.integers(), st.floats())),
+        st.lists(st.one_of(st.integers(), _FINITE)),
     ),
     max_leaves=25,
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(payload=_PAYLOADS)
 def test_json_text_equals_json_dumps_with_indent_2(payload):
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, default=np.ndarray.tolist)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["pi", "--preset", "gr:6,10"],
-        ["rank-grid", "--preset", "cp2", "--format", "json"],
-        ["verify", "all", "--seed", "424242"],
-    ],
-    ids=["pi", "rank-grid", "verify"],
+_POINT_120 = "--point=" + ",".join(
+    map(repr, np.random.default_rng(7).normal(scale=0.3, size=120).tolist())
 )
-def test_subcommands_print_json_dumps_of_their_payload(argv, monkeypatch, capsys):
-    if argv[0] == "pi":
-        point = np.random.default_rng(7).normal(scale=0.3, size=120)
-        argv = [*argv, "--point=" + ",".join(map(repr, point.tolist()))]
+_CALLS = {
+    "pi": ["pi", "--preset", "gr:6,10", _POINT_120],
+    "moment": ["moment", "--preset", "gr:2,2", "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"],
+    "embed": ["embed", "--preset", "cp2", "--point=-0.5,0.2,0.1,0.1"],
+    "rank-grid": ["rank-grid", "--preset", "cp2", "--format", "json"],
+    "jacobi": ["jacobi", "--preset", "gr:2,2", "--point=0.3,-0.2,0.1,0.4,-0.5,0.2,0.1,0.1"],
+    "verify": ["verify", "all", "--seed", "424242"],
+}
+
+
+@pytest.mark.parametrize("command", ["pi", "moment", "embed", "rank-grid", "verify"])
+def test_subcommands_print_json_dumps_of_their_payload(command, monkeypatch, capsys):
     payloads = []
     emit = cli._emit
 
@@ -551,6 +568,21 @@ def test_subcommands_print_json_dumps_of_their_payload(argv, monkeypatch, capsys
         emit(payload, out)
 
     monkeypatch.setattr(cli, "_emit", recording)
-    code, out = run_cli(argv, capsys)
+    code, out = run_cli(_CALLS[command], capsys)
     assert code == 0
-    assert out == json.dumps(payloads[0], indent=2) + "\n"
+    assert out == json.dumps(payloads[0], indent=2, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize("command", ["pi", "moment", "rank-grid", "jacobi", "verify"])
+def test_a_warm_call_leaves_no_reference_cycles(command, capsys):
+    # every cycle a call leaves waits for the collector, so repeated calls
+    # (the benchmark's rounds) hold far more memory than one call needs
+    assert main(_CALLS[command]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(_CALLS[command]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -518,3 +518,22 @@ def test_max_principal_angle_basics():
     assert max_principal_angle(c, d) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError):
         max_principal_angle(a, np.hstack([b, a]))
+
+
+def test_max_principal_angle_on_a_stack_matches_per_pair_calls(rng):
+    # pairs of ranks 0, 1 and 2 in one stack, angles on both sides of pi/4
+    # (the cosine and the sine branch)
+    a = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
+    b = a + 0.05 * rng.standard_normal((6, 4, 3))
+    b[1] = rng.standard_normal((4, 3))
+    for index, rank in ((2, 1), (3, 1), (4, 0)):
+        a[index, :, rank:] = 0.0
+        b[index, :, rank:] = 0.0
+    angles = max_principal_angle(a, b)
+    assert angles.shape == (6,)
+    assert angles[4] == 0.0 and angles[1] > np.pi / 4 > angles[0] > 0.0
+    for index in range(6):
+        assert angles[index] == max_principal_angle(a[index], b[index])
+    b[5, :, 2] = 0.0
+    with pytest.raises(ValueError):
+        max_principal_angle(a, b)

@@ -160,6 +160,28 @@ def test_matrix_of_omega_on_a_stack_of_points(spec, shape, rng):
         assert ranks[index] == pi_rank(points[index], preset)
 
 
+@pytest.mark.parametrize(
+    "spec,shape",
+    [
+        pytest.param("gr:2,3", (), id="gr:2,3"),
+        pytest.param("gr:6,10", (), id="gr:6,10"),
+        pytest.param("cp2", (4, 5), id="cp2-stack"),
+        pytest.param("group:su3", (), id="group:su3"),
+    ],
+)
+def test_matrix_of_omega_is_bitwise_skew(spec, shape, rng):
+    preset = parse_preset(spec)
+    points = np.array([random_point(preset, rng) for _ in range(int(np.prod(shape)))])
+    mat = matrix_of_omega(points.reshape(*shape, *points.shape[1:]), preset)
+    assert mat.shape == (*shape, preset.dim_ip, preset.dim_ip)
+    # (r, s) is -(s, r) in value and, where nonzero, in the sign bit; the
+    # diagonal is +0.0
+    assert np.array_equal(mat, -mat.mT)
+    assert np.all((np.signbit(mat) != np.signbit(mat.mT)) | (mat == 0))
+    diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+    assert np.all(diagonal == 0) and not np.any(np.signbit(diagonal))
+
+
 def _assert_matches_single_calls(stacked, singles):
     """A stacked result equals the loop of single calls to 1e-13 relative,
     and each single call gives a float."""
