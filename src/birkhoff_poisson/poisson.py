@@ -1,13 +1,13 @@
 """The homogeneous Poisson bivector in equivariant form, the group-case
 structures, and the local coordinate tensors with their cross-checks.
 
-Equivariant side.  At a unitary coset representative u the bivector acts on
-cotangent classes represented by odd anti-Hermitian matrices X, Y through a
-skew operator: conjugate X up by u, apply the Hilbert transform, conjugate
-back down and project to the odd subspace; the value is the invariant trace
-form of the result against Y.  Its matrix on the odd basis e_r needs neither
-the projection nor the conjugation back: it pairs the frames u e_r u* with
-their Hilbert transforms in one GEMM, for both families.
+Equivariant side.  At a unitary coset representative u the bivector pairs
+cotangent classes, odd anti-Hermitian matrices X, Y, through their frames
+u X u*: the value is tr(H(u X u*) u Y u*) with H the Hilbert transform, for
+both families, and for the group pairings at diag(1, k^(-1)).  Its matrix
+on the odd basis pairs the frames u e_r u* in one GEMM.  ``omega_apply`` is
+the skew operator itself: conjugate up, apply H, conjugate back down and
+project to the odd subspace.
 
 Coordinate side.  Explicit tensors in affine charts: the Grassmannian chart
 formula (an R-linear operator L_Z followed by a trace pairing), its
@@ -17,16 +17,16 @@ one-dimensional family (homogeneous, projected Poisson-Lie, and
 Kostant-Kirillov-Souriau structures), and the real-form chart of the
 alternative presentation of the two-sphere.
 
-A chart-to-equivariant transfer ties the two sides together: the chart
-differential at the canonical representative is in closed form, and a
+A chart-to-equivariant transfer ties the two sides together: the class of a
+chart covector at the canonical representative is in closed form, and a
 single measured calibration constant certifies agreement.
 
 Stacks.  ``omega_apply``, ``pi_eval``, ``matrix_of_omega``, ``pi_rank``, the
 group pairings ``pi_el_group`` / ``pi_lw_group`` with the SU(2) coefficient
 displays, ``grassmann_l_operator``, ``grassmann_local_pi`` and the chart
-transfer ``chart_frame`` / ``chart_covectors`` / ``chart_pi_eval`` take
-stacks of points and arguments that broadcast, matrices on the last two
-axes; they validate the whole stack once and return one value per point.
+transfer ``chart_covectors`` / ``chart_pi_eval`` take stacks of points and
+arguments that broadcast, matrices on the last two axes; they validate the
+whole stack once and return one value per point.
 One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
 ``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points,
 ``coord_pi_value`` takes stacked coefficients with stacked component
@@ -49,8 +49,10 @@ from .lie import hilbert_transform, trace_form
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
+    block_diag,
     canonical_rep,
     grassmannian,
+    group_case,
     ip_basis,
     project_ip,
 )
@@ -64,28 +66,18 @@ def _norms(x) -> np.ndarray:
     return np.linalg.norm(x, axis=(-2, -1))
 
 
-def _real_value(val, scale):
-    """Real part of a pairing value or stack of them; raise if any imaginary
-    residue exceeds REALITY_TOL times its scale."""
-    over = np.abs(np.imag(val)) - REALITY_TOL * scale
-    if np.any(over > 0):
-        residue = np.imag(val) * np.ones_like(over)
-        raise InvalidTangent(f"pairing has imaginary residue {residue.flat[np.argmax(over)]:.3e}")
-    return np.real(val) if np.ndim(val) else float(np.real(val))
-
-
-def _validate_ip(x, preset: SymmetricSpacePreset, tol: float = REALITY_TOL) -> None:
+def _validate_ip(x, preset: SymmetricSpacePreset) -> None:
     """Raise unless x, or every matrix of a stack, lies in the odd
     anti-Hermitian subspace, measured as the distance from x to its expansion
     on the orthonormal odd basis."""
     x = np.asarray(x, dtype=complex)
     scale = np.maximum(1.0, _norms(x))
-    if np.any(_norms(x + x.mT.conj()) > tol * scale):
+    if np.any(_norms(x + x.mT.conj()) > REALITY_TOL * scale):
         raise InvalidTangent("tangent representative is not anti-Hermitian")
     basis = ip_basis(preset)
     coeffs = np.einsum("kij,...ij->...k", basis.conj(), x).real
     residual = x - np.einsum("...k,kij->...ij", coeffs, basis)
-    if np.any(_norms(residual) > tol * scale):
+    if np.any(_norms(residual) > REALITY_TOL * scale):
         raise InvalidTangent("tangent representative lies outside the odd subspace")
 
 
@@ -104,11 +96,14 @@ def omega_apply(u, x, preset: SymmetricSpacePreset):
 
 
 def pi_eval(u, x, y, preset: SymmetricSpacePreset):
-    """Bivector value on the cotangent classes [u, x], [u, y]: a float, or an
-    array of values when u, x and y are stacks that broadcast."""
+    """Bivector value tr(H(Ad(u) x) Ad(u) y) on the cotangent classes [u, x],
+    [u, y]: a float, or an array of values when u, x and y are stacks that
+    broadcast.  It is tr(omega(x) y), as the projection is orthogonal, and
+    real, as both factors are anti-Hermitian."""
+    _validate_ip(x, preset)
     _validate_ip(y, preset)
-    val = trace_form(omega_apply(u, x, preset), y)
-    return _real_value(val, np.maximum(1.0, _norms(x) * _norms(y)))
+    val = np.einsum("...ij,...ji->...", hilbert_transform(adjoint_act(u, x)), adjoint_act(u, y))
+    return val.real if np.ndim(val) else float(val.real)
 
 
 def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -161,37 +156,32 @@ def su2_from_sphere(a, b) -> np.ndarray:
     return np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
 
 
-def _check_compact(p: np.ndarray) -> None:
-    p = np.asarray(p, dtype=complex)
-    scale = REALITY_TOL * np.maximum(1.0, _norms(p))
-    if np.any(_norms(p + p.mT.conj()) > scale) or np.any(
-        np.abs(np.trace(p, axis1=-2, axis2=-1)) > scale
-    ):
-        raise InvalidTangent("argument must be anti-Hermitian and traceless")
-
-
-def _group_pairing(k: np.ndarray, p: np.ndarray, q: np.ndarray, sign: float):
-    """<(Ad(k) o H o Ad(k^-1) + sign H)(p), q>; k, p and q may be stacks
-    that broadcast, giving an array of values."""
-    _check_compact(p)
-    _check_compact(q)
+def pi_el_group(k: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Homogeneous structure on the group itself (right trivialization):
+    <(H + Ad(k) o H o Ad(k^-1))(p), q>, which is ``pi_eval`` at diag(1, k^-1)
+    on diag(p, -p), diag(q, -q); stacks broadcast to an array of values."""
     k = np.asarray(k, dtype=complex)
-    kh = k.mT.conj()
-    moved = k @ hilbert_transform(kh @ p @ k) @ kh
-    val = trace_form(moved + sign * hilbert_transform(p), q)
-    return _real_value(val, np.maximum(1.0, np.abs(np.real(val))))
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    n = k.shape[-1]
+    u = block_diag(np.eye(n), k.mT.conj())
+    return pi_eval(u, block_diag(p, -p), block_diag(q, -q), group_case(n))
 
 
 def pi_lw_group(k: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Poisson-Lie group structure pairing (right trivialization):
-    <(Ad(k) o H o Ad(k^-1) - H)(p), q>."""
-    return _group_pairing(k, p, q, -1.0)
+    <(Ad(k) o H o Ad(k^-1) - H)(p), q>, the homogeneous pairing less
+    2 <H(p), q>."""
+    return pi_el_group(k, p, q) - 2.0 * trace_form(hilbert_transform(p), q).real
 
 
-def pi_el_group(k: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Homogeneous structure on the group itself (right trivialization):
-    <(H + Ad(k) o H o Ad(k^-1))(p), q>."""
-    return _group_pairing(k, p, q, 1.0)
+def _su2_wedges(pairing, k: np.ndarray, factor: float) -> tuple:
+    """factor times the pairing at k on (X, Y), (Y, H), (H, X), in one
+    broadcast call."""
+    h, x, y = su2_frame()
+    k = np.asarray(k, dtype=complex)[..., np.newaxis, :, :]
+    vals = pairing(k, np.array([x, y, h]), np.array([y, h, x]))
+    return tuple(np.moveaxis(factor * vals, -1, 0))
 
 
 def su2_el_coefficients(k: np.ndarray) -> tuple:
@@ -202,12 +192,7 @@ def su2_el_coefficients(k: np.ndarray) -> tuple:
     The basis elements have tr(e^2) = -2, and the wedge-to-pairing factor is
     -2, so each coefficient is minus half the raw pairing value.
     """
-    h, x, y = su2_frame()
-    return (
-        -0.5 * pi_el_group(k, x, y),
-        -0.5 * pi_el_group(k, y, h),
-        -0.5 * pi_el_group(k, h, x),
-    )
+    return _su2_wedges(pi_el_group, k, -0.5)
 
 
 def su2_lw_coefficients(k: np.ndarray) -> tuple:
@@ -219,13 +204,8 @@ def su2_lw_coefficients(k: np.ndarray) -> tuple:
     inversion of the base point and a sign, so this evaluates the raw pairing
     at k^(-1) with the compensating half factor.
     """
-    h, x, y = su2_frame()
     kinv = np.asarray(k, dtype=complex).mT.conj()
-    return (
-        0.5 * pi_lw_group(kinv, x, y),
-        0.5 * pi_lw_group(kinv, y, h),
-        0.5 * pi_lw_group(kinv, h, x),
-    )
+    return _su2_wedges(pi_lw_group, kinv, 0.5)
 
 
 def su2_el_matrix(k: np.ndarray) -> np.ndarray:
@@ -503,28 +483,6 @@ def chart_directions(preset: SymmetricSpacePreset) -> np.ndarray:
     return np.stack([units, 1j * units], axis=1).reshape(-1, preset.n, preset.m)
 
 
-def chart_frame(preset: SymmetricSpacePreset, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical representative at z and the stack of tangent images of the
-    real coordinate directions, as odd anti-Hermitian representatives.
-
-    With a and d the diagonal blocks of the representative, the image of
-    the chart direction dZ is the odd element whose lower-left block is
-    d dZ a.  z may be a stack (..., n, m) of chart points; the results are
-    then (..., d, d) and (..., 2 m n, d, d)."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim < 2:
-        z = z.reshape(preset.n, preset.m)
-    u = canonical_rep(z, preset)
-    m = preset.m
-    a = u[..., np.newaxis, :m, :m]
-    d = u[..., np.newaxis, m:, m:]
-    lower = d @ chart_directions(preset) @ a
-    tangents = np.zeros(lower.shape[:-2] + u.shape[-2:], dtype=complex)
-    tangents[..., m:, :m] = lower
-    tangents[..., :m, m:] = -lower.mT.conj()
-    return u, tangents
-
-
 def chart_covectors(
     preset: SymmetricSpacePreset,
     z: np.ndarray,
@@ -533,19 +491,26 @@ def chart_covectors(
     """Transfer chart cotangent representatives (m x n matrices) to
     equivariant cotangent classes at the canonical representative.
 
-    The chart pairing of a covector v with a tangent direction d is
-    2 Re tr(v d); the equivariant class is the trace-form representative of
-    the pulled-back functional.  For a stack of chart points z, each
-    covector is a matching stack (..., m, n) and so is each class.
+    With a and d the diagonal blocks of the representative, the chart
+    direction dZ maps to the odd element with lower-left block d dZ a, which
+    the class of v pairs to 2 Re tr(v dZ): its lower-left block is
+    -d^-1 v* a^-1, with a^-1 = (1 + z* z) a and d^-1 = d (1 + z z*).  For a
+    stack of chart points z, each covector is a matching stack (..., m, n)
+    and so is each class.
     """
-    u, tangents = chart_frame(preset, z)
-    basis = ip_basis(preset)
-    # gram[s, r] = tr(e_s y_r), pairings[d, v] = 2 Re tr(v d)
-    gram = np.einsum("sij,...rji->...sr", basis, tangents).real
-    pairings = 2.0 * np.einsum("v...ij,dji->...dv", np.asarray(covectors, dtype=complex),
-                               chart_directions(preset)).real
-    coeffs = np.linalg.solve(gram.mT, pairings)
-    return u, list(np.einsum("...kv,kij->v...ij", coeffs, basis))
+    z = np.asarray(z, dtype=complex)
+    if z.ndim < 2:
+        z = z.reshape(preset.n, preset.m)
+    u = canonical_rep(z, preset)
+    m = preset.m
+    zh = z.mT.conj()
+    a_inv = (np.eye(m) + zh @ z) @ u[..., :m, :m]
+    d_inv = u[..., m:, m:] @ (np.eye(preset.n) + z @ zh)
+    lower = -d_inv @ np.asarray(covectors, dtype=complex).mT.conj() @ a_inv
+    classes = np.zeros(lower.shape[:-2] + u.shape[-2:], dtype=complex)
+    classes[..., m:, :m] = lower
+    classes[..., :m, m:] = -lower.mT.conj()
+    return u, list(classes)
 
 
 def chart_pi_eval(

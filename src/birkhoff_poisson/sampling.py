@@ -165,29 +165,28 @@ def stabilizer_sampler(preset: SymmetricSpacePreset) -> Normals:
     return _joined(complex_normal_sampler((m, m)), complex_normal_sampler((n, n)), combine=combine)
 
 
-def _basis_sampler(basis, scale: float) -> Normals:
-    """scale times a standard normal combination of the basis matrices."""
+def _basis_sampler(basis) -> Normals:
+    """A standard normal combination of the basis matrices."""
 
     def finish(block: np.ndarray) -> np.ndarray:
-        coeffs = scale * block
-        return sum(c[:, np.newaxis, np.newaxis] * b for c, b in zip(coeffs.T, basis))
+        return sum(c[:, np.newaxis, np.newaxis] * b for c, b in zip(block.T, basis))
 
     return Normals(len(basis), finish)
 
 
-def ip_sampler(preset: SymmetricSpacePreset, scale: float = 1.0) -> Normals:
+def ip_sampler(preset: SymmetricSpacePreset) -> Normals:
     """Random element of the odd anti-Hermitian subspace."""
-    return _basis_sampler(ip_basis(preset), scale)
+    return _basis_sampler(ip_basis(preset))
 
 
-def su_algebra_sampler(n: int, scale: float = 1.0) -> Normals:
-    return _basis_sampler(su_basis(n), scale)
+def su_algebra_sampler(n: int) -> Normals:
+    return _basis_sampler(su_basis(n))
 
 
-def chart_sampler(preset: SymmetricSpacePreset, scale: float = 0.8) -> Normals:
+def chart_sampler(preset: SymmetricSpacePreset) -> Normals:
     """Random chart matrix for a Grassmannian-family preset."""
     normals = complex_normal_sampler((preset.n, preset.m))
-    return Normals(normals.count, lambda block: scale * normals.finish(block))
+    return Normals(normals.count, lambda block: 0.8 * normals.finish(block))
 
 
 def su2_sphere_sampler() -> Normals:

@@ -46,20 +46,9 @@ class SymmetricSpacePreset:
         return self.m + self.n
 
     @property
-    def dim_u(self) -> int:
-        if self.is_inner:
-            return self.matrix_dim ** 2 - 1
-        return 2 * (self.n * self.n - 1)
-
-    @property
-    def dim_k(self) -> int:
-        if self.is_inner:
-            return self.m * self.m + self.n * self.n - 1
-        return self.n * self.n - 1
-
-    @property
     def dim_ip(self) -> int:
-        return self.dim_u - self.dim_k
+        """Real dimension of the odd subspace."""
+        return 2 * self.m * self.n if self.is_inner else self.n * self.n - 1
 
     @cached_property
     def theta_index_mask(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:

@@ -25,7 +25,7 @@ from birkhoff_poisson import (
     su2_lw_coefficients,
 )
 from birkhoff_poisson import poisson as poisson_module
-from birkhoff_poisson.lie import hilbert_transform
+from birkhoff_poisson.lie import hilbert_transform, trace_form
 from birkhoff_poisson.poisson import (
     CoordBivector,
     CoordCoefficients,
@@ -95,6 +95,19 @@ def test_pi_antisymmetry_and_skewness(preset_name, rng, request):
         assert abs(pi_eval(u, x, y, preset) + pi_eval(u, y, x, preset)) <= 1e-10
         mat = matrix_of_omega(u, preset)
         assert np.max(np.abs(mat + mat.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,3", "group:su2", "group:su3"])
+def test_pi_eval_matches_the_projected_operator(spec, rng):
+    # the frame pairing against tr(omega(x) y), omega conjugated back down
+    # and projected to the odd subspace
+    preset = parse_preset(spec)
+    u = np.array([random_point(preset, rng) for _ in range(20)])
+    x = np.array([ip_sampler(preset).one(rng) for _ in range(20)])
+    y = np.array([ip_sampler(preset).one(rng) for _ in range(20)])
+    expected = trace_form(omega_apply(u, x, preset), y)
+    assert np.max(np.abs(expected.imag)) <= 1e-13
+    np.testing.assert_allclose(pi_eval(u, x, y, preset), expected.real, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("preset_name", ["cp2", "gr22", "group2"])
@@ -268,23 +281,51 @@ def test_chart_pi_eval_stack_matches_single_calls(spec, count, seed):
     )
 
 
-@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "gr:2,3"])
-def test_closed_form_chart_frame_matches_a_central_difference(spec, rng, monkeypatch):
+def _gram_solve_covectors(preset, z, covectors, step=1e-5):
+    """Reference transfer at one chart point: the tangent images of the real
+    chart directions by central differences of canonical_rep, then the odd
+    class whose trace form against them is the chart pairing 2 Re tr(v dZ),
+    by a Gram solve on the odd basis."""
+    dirs = poisson_module.chart_directions(preset)
+    du = canonical_rep(z + step * dirs, preset) - canonical_rep(z - step * dirs, preset)
+    tangents = project_ip(canonical_rep(z, preset).conj().T @ du / (2 * step), preset)
+    basis = ip_basis(preset)
+    # gram[s, r] = tr(e_s t_r), pairings[r, v] = 2 Re tr(v dZ_r)
+    gram = np.einsum("sij,rji->sr", basis, tangents).real
+    pairings = 2.0 * np.einsum("vij,rji->rv", covectors, dirs).real
+    coeffs = np.linalg.solve(gram.T, pairings)
+    return np.einsum("kv,kij->vij", coeffs, basis)
+
+
+@pytest.mark.parametrize(
+    "spec,shape",
+    [
+        pytest.param("cp1", (), id="cp1"),
+        pytest.param("cp2", (), id="cp2"),
+        pytest.param("gr:2,2", (), id="gr:2,2"),
+        pytest.param("gr:2,3", (), id="gr:2,3"),
+        pytest.param("gr:2,3", (2, 3), id="gr:2,3-stack"),
+    ],
+)
+def test_gram_solve_transfer_matches_chart_covectors(spec, shape, rng, monkeypatch):
     preset = parse_preset(spec)
-    z = np.array([chart_sampler(preset).one(rng) for _ in range(3)])
+    count = int(np.prod(shape))
+    z = np.array([chart_sampler(preset).one(rng) for _ in range(count)])
+    covectors = complex_normal_sampler((2, count, preset.m, preset.n)).one(rng)
     calls = []
     monkeypatch.setattr(
         poisson_module, "canonical_rep", lambda *args: calls.append(1) or canonical_rep(*args)
     )
-    u, tangents = poisson_module.chart_frame(preset, z)
+    zs = z.reshape(*shape, preset.n, preset.m)
+    u, classes = poisson_module.chart_covectors(
+        preset, zs, list(covectors.reshape(2, *shape, preset.m, preset.n))
+    )
     assert len(calls) == 1  # one representative per stack of chart points
-    np.testing.assert_array_equal(u, canonical_rep(z, preset))
-    step = 1e-6
-    dirs = poisson_module.chart_directions(preset)
-    for zi, ui, ti in zip(z, u, tangents):
-        du = (canonical_rep(zi + step * dirs, preset) - canonical_rep(zi - step * dirs, preset))
-        fd = project_ip(ui.conj().T @ du / (2 * step), preset)
-        np.testing.assert_allclose(ti, fd, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(u, canonical_rep(zs, preset))
+    classes = np.array(classes).reshape(2, count, preset.matrix_dim, preset.matrix_dim)
+    for i in range(count):
+        expected = _gram_solve_covectors(preset, z[i], covectors[:, i])
+        np.testing.assert_allclose(classes[:, i], expected, rtol=0, atol=1e-8)
 
 
 def test_operator_skewness_check_is_measured():
@@ -342,6 +383,27 @@ def test_su2_coefficients_match_closed_forms(rng):
             -2 * np.real(a * np.conj(b)),
         )
         np.testing.assert_allclose(lw, lw_expected, atol=1e-12)
+
+
+def _single_factor_pairing(k, p, q, sign):
+    """Reference: <(Ad(k) o H o Ad(k^-1) + sign H)(p), q> on the single
+    factor, for stacks that broadcast."""
+    kh = k.mT.conj()
+    moved = k @ hilbert_transform(kh @ p @ k) @ kh
+    return trace_form(moved + sign * hilbert_transform(p), q).real
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_group_pairings_match_the_single_factor_formula(n, rng):
+    # k (2, 3) against p (3,) and q (2, 1): the values broadcast to (2, 3)
+    k = np.array([special_unitary_sampler(n).one(rng) for _ in range(6)]).reshape(2, 3, n, n)
+    p = np.array([su_algebra_sampler(n).one(rng) for _ in range(3)])
+    q = np.array([su_algebra_sampler(n).one(rng) for _ in range(2)]).reshape(2, 1, n, n)
+    for pairing, sign in ((pi_el_group, 1.0), (pi_lw_group, -1.0)):
+        values = pairing(k, p, q)
+        expected = _single_factor_pairing(k, p, q, sign)
+        assert values.shape == (2, 3)
+        assert np.all(np.abs(values - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_el_vanishes_when_minor_vanishes(rng):

@@ -56,8 +56,8 @@ def ref_stabilizer(preset, rng):
     return unitary_exp(blk)
 
 
-def ref_combination(basis, rng, scale=1.0):
-    coeffs = scale * rng.standard_normal(len(basis))
+def ref_combination(basis, rng):
+    coeffs = rng.standard_normal(len(basis))
     return sum(c * b for c, b in zip(coeffs, basis))
 
 
@@ -74,7 +74,6 @@ def _pairs(preset):
         (sampling.point_sampler(preset), lambda rng: ref_point(preset, rng)),
         (sampling.stabilizer_sampler(preset), lambda rng: ref_stabilizer(preset, rng)),
         (sampling.ip_sampler(preset), lambda rng: ref_combination(ip_basis(preset), rng)),
-        (sampling.ip_sampler(preset, 0.3), lambda rng: ref_combination(ip_basis(preset), rng, 0.3)),
         (sampling.su_algebra_sampler(n + 1), lambda rng: ref_combination(su_basis(n + 1), rng)),
         (sampling.special_unitary_sampler(n + 1), lambda rng: ref_special_unitary(n + 1, rng)),
         (sampling.su2_sphere_sampler(), ref_su2_sphere),
@@ -94,7 +93,7 @@ def _pairs(preset):
 @given(
     spec=st.sampled_from(PRESETS),
     count=st.integers(1, 6),
-    picks=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+    picks=st.lists(st.integers(0, 8), min_size=1, max_size=5),
     seed=SEEDS,
 )
 def test_draw_matches_a_loop_of_one_sample_draws(spec, count, picks, seed):

@@ -32,10 +32,12 @@ from birkhoff_poisson.symspace import (
 def test_preset_dimensions():
     g = grassmannian(2, 3)
     assert g.matrix_dim == 5
-    assert g.dim_u == 24 and g.dim_k == 12 and g.dim_ip == 12
-    gc = group_case(2)
-    assert gc.dim_u == 6 and gc.dim_k == 3 and gc.dim_ip == 3
+    assert g.dim_ip == 12
+    assert group_case(2).dim_ip == 3
     assert projective_space(2).dim_ip == 4
+    # the closed form counts the odd basis
+    for preset in (g, group_case(2), group_case(3), projective_space(1), grassmannian(3, 2)):
+        assert preset.dim_ip == len(ip_basis(preset))
 
 
 def test_parse_preset_roundtrip():

@@ -139,6 +139,16 @@ def test_operator_skewness_fails_a_symmetric_part_in_omega(seed, monkeypatch):
     assert not _check(run_suite("bivector", seed), "operator-skewness")["pass"]
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+def test_antisymmetry_fails_a_symmetric_part_in_pi_eval(seed, monkeypatch):
+    # H + 1e-9 I in the frame pairing adds the symmetric 1e-9 tr(x y) to
+    # every value of pi_eval
+    assert _check(run_suite("bivector", seed), "antisymmetry")["pass"]
+    hilbert = poisson.hilbert_transform
+    monkeypatch.setattr(poisson, "hilbert_transform", lambda z: hilbert(z) + 1e-9 * z)
+    assert not _check(run_suite("bivector", seed), "antisymmetry")["pass"]
+
+
 @pytest.mark.parametrize("seed", [0, 68])
 def test_minor_product_identity_fails_an_error_relative_to_the_factors(seed, monkeypatch):
     assert _check(run_suite("degeneracy", seed), "cp2-minor-product-identity")["pass"]
