@@ -63,6 +63,7 @@ from .symspace import (
     SymmetricSpacePreset,
     canonical_rep,
     cartan_embed,
+    chart_cartan_image,
     grassmannian,
     group_case,
     parse_preset,

@@ -40,6 +40,7 @@ from .symspace import (
     SymmetricSpacePreset,
     canonical_rep,
     cartan_embed,
+    chart_cartan_image,
     parse_preset,
 )
 from .verify import run_suite
@@ -105,6 +106,8 @@ def _parse_point(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"malformed point {text!r}") from exc
     if values.size % 2:
         raise argparse.ArgumentTypeError("points need an even number of reals (re, im pairs)")
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"point coordinates must be finite, got {text!r}")
     return values
 
 
@@ -238,9 +241,7 @@ def cmd_pi(args) -> int:
 
 def cmd_moment(args) -> int:
     preset = parse_preset(args.preset)
-    z = _chart_matrix(preset, args.point)
-    u = canonical_rep(z, preset)
-    phi = cartan_embed(u, preset)
+    phi = chart_cartan_image(_chart_matrix(preset, args.point), preset)
     min_minor = float(np.min(np.abs(principal_minors(phi))))
     if min_minor <= args.tol:
         raise StratumAmbiguous(
@@ -284,6 +285,8 @@ def cmd_jacobi(args) -> int:
     if args.point.size != biv.dim_real:
         raise ValueError(f"preset {name} needs {biv.dim_real // 2} complex coordinates")
     residual = jacobi_residual(biv, args.point, args.fd_step)
+    if not np.isfinite(residual):
+        raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
     _emit(
         {"preset": name, "fd_step": args.fd_step, "residual": residual},
         args.out,

@@ -33,6 +33,10 @@ One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
 vectors, and every ``CoordBivector.real_matrix`` takes points
 (..., dim_real); the Jacobi residual evaluates its whole finite-difference
 stencil, for one point or a stack of them, in one ``real_matrix`` call.
+The Grassmann ``real_matrix`` applies L_z to all K = 2 m n chart covectors
+at each point with the K axis folded into the columns, so each product of
+L_z is one matmul per point, not one per (point, covector) pair, and pairs
+the images with one GEMM per point.
 The chart kinds are cp1, cpn, grassmann and fothlu_w; the SU(2) group
 pairing has no chart kind, it is ``su2_el_matrix`` on the (H, X, Y) frame.
 """
@@ -40,11 +44,12 @@ pairing has no chart kind, it is ``su2_el_matrix`` on the (H, X, Y) frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidTangent
+from .errors import InvalidTangent, NumericalDomainError
 from .lie import hilbert_transform, trace_form
 from .symspace import (
     SymmetricSpacePreset,
@@ -221,24 +226,66 @@ def su2_el_matrix(k: np.ndarray) -> np.ndarray:
 # local coordinate tensors
 
 
+@lru_cache(maxsize=32)
+def _strict_signs(n: int) -> np.ndarray:
+    """sign(j - i): +1 above the diagonal, -1 below it, 0 on it."""
+    signs = np.sign(np.arange(n) - np.arange(n)[:, np.newaxis]).astype(float)
+    signs.setflags(write=False)
+    return signs
+
+
+def _l_images(z: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """L_z on K cotangent representatives at once: z (..., n, m) and reps
+    (..., K, m, n) broadcast to images (..., K, m, n).
+
+    The K axis is folded into the columns: a left factor multiplies the
+    block row [v_1 | ... | v_K], a right factor the block column
+    [v_1; ...; v_K], so each product is one matmul per chart point."""
+    z = np.asarray(z, dtype=complex)
+    reps = np.asarray(reps, dtype=complex)
+    k, m, n = reps.shape[-3:]
+    zs = z.mT.conj()
+
+    def left(a, x):
+        """a @ x_k for every k."""
+        p, q = x.shape[-2:]
+        y = a @ x.swapaxes(-3, -2).reshape(x.shape[:-3] + (p, k * q))
+        return y.reshape(y.shape[:-1] + (k, q)).swapaxes(-3, -2)
+
+    def right(x, b):
+        """x_k @ b for every k."""
+        p, q = x.shape[-2:]
+        y = x.reshape(x.shape[:-3] + (k * p, q)) @ b
+        return y.reshape(y.shape[:-2] + (k, p, y.shape[-1]))
+
+    zv = left(z, reps)
+    vz = right(reps, z)
+    return (
+        reps
+        - right(left(zs @ z, reps), z @ zs)
+        + left(zs, (zv - zv.mT.conj()) * _strict_signs(n))
+        - right((vz.mT.conj() - vz) * _strict_signs(m), zs)
+    )
+
+
 def grassmann_l_operator(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The R-linear chart operator applied to a cotangent representative.
 
     z is the n x m chart matrix, v an m x n cotangent representative; either
-    may be a stack, (..., n, m) or (..., m, n).  The strict-upper-triangular
-    corrections carry one factor of z* on the outside (left for the n x n
-    bracket, right for the m x m bracket); each bracket is completed to a
-    Hermitian matrix by adding its own conjugate transpose.
+    may be a stack, (..., n, m) or (..., m, n).  With S(x) the strict upper
+    triangle of x completed to a Hermitian matrix by its own conjugate
+    transpose,
+
+        L_z v = v - z* z v z z* + z* S(z v - v* z*) - S(z* v* - v z) z*:
+
+    the corrections carry one factor of z* on the outside, left for the
+    n x n bracket and right for the m x m one.  Each bracket is
+    anti-Hermitian, so S multiplies it by sign(j - i).  This is the K = 1
+    case of the kernel behind the Grassmann ``real_matrix``, which folds the
+    K = 2 m n chart covectors into the columns of each product.
     """
-    z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    zs = z.mT.conj()
-    t1 = v - zs @ z @ v @ z @ zs
-    b2 = np.triu(z @ v - v.mT.conj() @ zs, 1)
-    t2 = zs @ (b2 + b2.mT.conj())
-    b3 = np.triu(zs @ v.mT.conj() - v @ z, 1)
-    t3 = (b3 + b3.mT.conj()) @ zs
-    return t1 + t2 - t3
+    return _l_images(z, v[..., np.newaxis, :, :])[..., 0, :, :]
 
 
 def grassmann_local_pi(z: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -391,12 +438,14 @@ def _holo_to_real_frame(n: int) -> np.ndarray:
 
 def coeffs_real_matrix(coeffs: CoordCoefficients) -> np.ndarray:
     """Real antisymmetric matrix of a coordinate bivector in interleaved
-    (re, im) coordinates; a stack of them for stacked coefficients."""
+    (re, im) coordinates; a stack of them for stacked coefficients.  Raises
+    NumericalDomainError unless every matrix is finite and real."""
     n = coeffs.mixed.shape[-1]
     t = _holo_to_real_frame(n)
     mat = t @ coeffs.complex_matrix() @ t.T
     imag, real = (np.max(np.abs(part), axis=(-2, -1)) for part in (mat.imag, mat.real))
-    assert np.all(imag < 1e-9 * np.maximum(1.0, real))
+    if not np.all(imag < 1e-9 * np.maximum(1.0, real)):
+        raise NumericalDomainError("coordinate bivector is not finite and real at the point")
     return np.ascontiguousarray(mat.real)
 
 
@@ -430,14 +479,16 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
         )
     if kind == "grassmann":
         # dual to the chart directions under the pairing 2 Re tr(v d)
-        reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
+        reps = np.ascontiguousarray(0.5 * chart_directions(grassmannian(m, n)).conj().mT)
+        flat = reps.reshape(2 * m * n, m * n)
 
         def real_matrix(x: np.ndarray) -> np.ndarray:
             z = reals_to_complex(x)
-            z = z.reshape(z.shape[:-1] + (1, n, m))
-            # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b)
-            images = grassmann_l_operator(z, reps)
-            return -2.0 * np.einsum("...aij,bij->...ab", images.conj(), reps).imag
+            images = _l_images(z.reshape(z.shape[:-1] + (n, m)), reps)
+            # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM
+            # of the flattened (K, m n) views per point
+            images = images.reshape(images.shape[:-2] + (m * n,))
+            return -2.0 * (images.conj() @ flat.T).imag
 
         return CoordBivector(dim_real=2 * m * n, real_matrix=real_matrix)
     if kind == "fothlu_w":

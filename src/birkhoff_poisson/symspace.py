@@ -15,8 +15,8 @@ its Lie algebra is stored as one square complex matrix of size m + n:
 
 ``theta_g``, ``cartan_embed``, ``adjoint_act``, ``block_diag`` and
 ``project_ip`` act on stacks (..., d, d), d = m + n, matrix by matrix, and
-``canonical_rep`` on stacks (..., n, m) of chart matrices.  ``ip_basis`` is
-one cached read-only (dim_ip, d, d) array.
+``canonical_rep`` and ``chart_cartan_image`` on stacks (..., n, m) of chart
+matrices.  ``ip_basis`` is one cached read-only (dim_ip, d, d) array.
 """
 
 from __future__ import annotations
@@ -149,15 +149,11 @@ def layer_image(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return u[..., :n, :n] @ u[..., n:, n:].mT.conj()
 
 
-def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Unique coset representative with Hermitian positive definite diagonal
-    blocks for the plane graphed by the n x m chart matrix z.
-
-    Built from the inverse square roots of I + z* z and I + z z*.  A stack
-    of chart matrices (..., n, m) gives the stack of representatives.
-    """
+def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """z as a chart matrix (n, m) or a stack (..., n, m) of them; a scalar
+    or a vector is the one chart matrix of cp1 or of projective space."""
     if not preset.is_inner:
-        raise ValueError("canonical representatives exist for the Grassmannian family only")
+        raise ValueError("charts exist for the Grassmannian family only")
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0:
         z = z.reshape(1, 1)
@@ -165,10 +161,47 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
         z = z.reshape(-1, 1)
     if z.shape[-2:] != (preset.n, preset.m):
         raise ValueError(f"chart matrix must be {preset.n} x {preset.m}, got {z.shape}")
+    return z
+
+
+def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Unique coset representative with Hermitian positive definite diagonal
+    blocks for the plane graphed by the n x m chart matrix z.
+
+    Built from the inverse square roots of I + z* z and I + z z*.  A stack
+    of chart matrices (..., n, m) gives the stack of representatives.
+    """
+    z = _chart_stack(z, preset)
     zh = z.mT.conj()
     a = inv_sqrt_hpd(np.eye(preset.m) + zh @ z)
     d = inv_sqrt_hpd(np.eye(preset.n) + z @ zh)
     return np.block([[a, -a @ zh], [z @ a, d]])
+
+
+def chart_cartan_image(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Cartan image of the plane graphed by the chart matrix z, without its
+    representative: phi = (2 Pi - I) J, Pi = G (I + z* z)^(-1) G* the
+    orthogonal projection onto the columns of G = [I; z].  It is
+    ``cartan_embed(canonical_rep(z))``, as u J u* = 2 Pi - I for any
+    representative u.  A stack (..., n, m) gives the stack of images.
+
+    One m x m solve builds Pi, taken Hermitian, so phi* = theta(phi) holds
+    bit for bit.  Its idempotency defect grows like eps times the condition
+    number of I + z* z; one Newton step R -> (3 R - R^3) / 2 on R = 2 Pi - I
+    squares that defect, so phi is unitary to rounding while the product
+    stays below about 1e-8."""
+    z = _chart_stack(z, preset)
+    m, d = preset.m, preset.matrix_dim
+    gram = np.eye(m) + z.mT.conj() @ z
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("matrix entries must be finite")
+    graph = np.concatenate([np.broadcast_to(np.eye(m), z.shape[:-2] + (m, m)), z], axis=-2)
+    proj = graph @ np.linalg.solve(gram, graph.mT.conj())
+    r = proj + proj.mT.conj() - np.eye(d)
+    cube = r @ r @ r
+    r = 1.5 * r - 0.25 * (cube + cube.mT.conj())
+    r[..., :, m:] *= -1
+    return r
 
 
 def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:

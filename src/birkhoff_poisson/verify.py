@@ -205,7 +205,7 @@ def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float)
 def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
     cp2 = symspace.projective_space(2)
     (z,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(2))
-    phi = symspace.cartan_embed(symspace.canonical_rep(z[..., np.newaxis], cp2), cp2)
+    phi = symspace.chart_cartan_image(z[..., np.newaxis], cp2)
     minors = linalg.principal_minors(phi)
     rho2 = np.sum(np.abs(z) ** 2, axis=-1)
     pred = poisson.cp2_degeneracy_p(z[:, 0], z[:, 1]) / (1 + rho2) ** 3

@@ -16,6 +16,7 @@ from birkhoff_poisson import (
     birkhoff_layer,
     canonical_rep,
     cartan_embed,
+    chart_cartan_image,
     parse_preset,
     pi_rank,
     principal_minors,
@@ -126,18 +127,28 @@ def test_chart_commands_reject_group_presets(command, point, capsys):
 
 
 def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
-    images = []
+    # moment reads only phi and its factors: one closed-form image from the
+    # chart, no representative and no second image
+    images, reps = [], []
 
-    def counted(u, preset):
-        images.append(u)
-        return cartan_embed(u, preset)
+    def counted(z, preset):
+        images.append(z)
+        return chart_cartan_image(z, preset)
 
+    def no_rep(z, preset):
+        reps.append(z)
+        return canonical_rep(z, preset)
+
+    monkeypatch.setattr(cli, "chart_cartan_image", counted)
     for module in (cli, strata):
-        monkeypatch.setattr(module, "cartan_embed", counted)
+        monkeypatch.setattr(
+            module, "cartan_embed", lambda u, preset: images.append(u) or cartan_embed(u, preset)
+        )
+    monkeypatch.setattr(cli, "canonical_rep", no_rep)
     point = "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"
     code, out = run_cli(["moment", "--preset", "gr:2,2", point], capsys)
     assert code == 0 and json.loads(out)["torus_dim"] == 3
-    assert len(images) == 1
+    assert len(images) == 1 and reps == []
 
 
 def test_jacobi_subcommand(capsys):
@@ -263,10 +274,29 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["rank-grid", "--grid=0,1,1"],
         ["rank-grid", "--grid=0,1"],
         ["embed", "--point", "0.5,x"],
+        ["jacobi", "--preset", "gr:2,2", "--point=nan,0,0,0,0,0,0,0"],
+        ["jacobi", "--preset", "cp2", "--point=inf,0,0,0"],
     ],
 )
 def test_invalid_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "preset,point", [("cp1", "1e300,0"), ("cp2", "0,0,1e300,0"), ("gr:2,2", "1e300,0,0,0,0,0,0,0")]
+)
+def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
+    # cp1 and cp2 overflow their coefficients, gr:2,2 its Schouten residual
+    with np.errstate(all="ignore"):
+        assert main(["jacobi", "--preset", preset, f"--point={point}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_moment_at_an_exact_wall_point_exits_3(capsys):
+    # |z| = 1 exactly: the first leading minor of the Cartan image is 0
+    assert main(["moment", "--preset", "cp2", "--point=0.6,0,0,0.8"]) == 3
     assert capsys.readouterr().out == ""
 
 

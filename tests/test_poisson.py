@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from birkhoff_poisson import (
     InvalidTangent,
+    NumericalDomainError,
     calibration_constant,
     canonical_rep,
     chart_pi_eval,
@@ -29,9 +30,11 @@ from birkhoff_poisson.lie import hilbert_transform, trace_form
 from birkhoff_poisson.poisson import (
     CoordBivector,
     CoordCoefficients,
+    chart_directions,
     coeffs_real_matrix,
     coord_pi_value,
     cp2_degeneracy_p,
+    grassmann_l_operator,
     matrix_of_omega,
     reals_to_complex,
     su2_el_matrix,
@@ -52,6 +55,7 @@ from birkhoff_poisson.symspace import (
     adjoint_act,
     block_diag,
     elem_real_inner,
+    grassmannian,
     ip_basis,
     parse_preset,
     project_ip,
@@ -625,6 +629,71 @@ def test_grassmann_real_matrix_matches_trace_pairing(rng):
         z = reals_to_complex(x).reshape(n, m)
         expected = [[grassmann_local_pi(z, v, w) for w in reps] for v in reps]
         np.testing.assert_allclose(biv.real_matrix(x), expected, rtol=0, atol=1e-14)
+
+
+def _l_operator_reference(z, v):
+    """The chart operator as first written, one matmul per (point,
+    covector) pair: the reference for the folded kernel."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    zs = z.mT.conj()
+    t1 = v - zs @ z @ v @ z @ zs
+    b2 = np.triu(z @ v - v.mT.conj() @ zs, 1)
+    t2 = zs @ (b2 + b2.mT.conj())
+    b3 = np.triu(zs @ v.mT.conj() - v @ z, 1)
+    t3 = (b3 + b3.mT.conj()) @ zs
+    return t1 + t2 - t3
+
+
+def _grassmann_real_matrix_reference(x, m, n):
+    """The Grassmann real_matrix as first written: the reference operator
+    broadcast over the basis axis, then the einsum trace pairing."""
+    reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
+    z = reals_to_complex(x)
+    z = z.reshape(z.shape[:-1] + (1, n, m))
+    images = _l_operator_reference(z, reps)
+    return -2.0 * np.einsum("...aij,bij->...ab", images.conj(), reps).imag
+
+
+L_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+def _assert_relative(got, ref, rel=1e-14):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m,n", L_SHAPES)
+def test_folded_l_kernel_matches_the_per_element_reference(m, n, rng):
+    z = 0.7 * complex_normal_sampler((5, n, m)).one(rng)
+    v = complex_normal_sampler((5, m, n)).one(rng)
+    # a z-stack against one v, one z against a v-stack, paired stacks, and
+    # stacks that broadcast to (5, 5)
+    for zz, vv in ((z, v[0]), (z[0], v), (z, v), (z[:, np.newaxis], v)):
+        _assert_relative(grassmann_l_operator(zz, vv), _l_operator_reference(zz, vv))
+    # the K axis: all 2 m n chart covectors at each point of the stack
+    reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
+    _assert_relative(
+        poisson_module._l_images(z, reps), _l_operator_reference(z[:, np.newaxis], reps)
+    )
+
+
+@pytest.mark.parametrize("m,n", L_SHAPES)
+def test_grassmann_real_matrix_matches_the_einsum_reference(m, n, rng):
+    biv = coordinate_bivector("grassmann", m=m, n=n)
+    # one finite-difference stencil's worth of points
+    x = rng.uniform(-1.0, 1.0, (2 * biv.dim_real + 1, biv.dim_real))
+    mats = biv.real_matrix(x)
+    _assert_relative(mats, _grassmann_real_matrix_reference(x, m, n))
+    _assert_relative(mats.mT, -mats)
+    _assert_relative(biv.real_matrix(x[0]), _grassmann_real_matrix_reference(x[0], m, n))
+
+
+@pytest.mark.parametrize("kind,x", [("cp1", [1e300, 0.0]), ("cpn", [0.0, 0.0, 1e300, 0.0])])
+def test_coeffs_real_matrix_rejects_a_non_finite_tensor(kind, x):
+    biv = coordinate_bivector(kind, n=len(x) // 2)
+    with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
+        biv.real_matrix(np.array(x))
 
 
 def test_jacobi_residual_matches_cyclic_loop(rng):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from birkhoff_poisson import (
     NotPositiveDefinite,
     canonical_rep,
     cartan_embed,
+    chart_cartan_image,
     parse_preset,
     project_ip,
     theta_g,
@@ -200,6 +203,94 @@ def test_canonical_rep_rejects_a_stack_with_one_bad_chart_point(cp2):
         canonical_rep(z, cp2)
     with pytest.raises(ValueError, match="chart matrix"):
         canonical_rep(np.zeros((3, 1, 2)), cp2)
+
+
+CHART_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,2"]
+
+
+@pytest.mark.parametrize("preset_name", CHART_PRESETS)
+def test_chart_cartan_image_matches_the_representative_route(preset_name, rng):
+    preset = parse_preset(preset_name)
+    z = complex_normal_sampler((4, 10, preset.n, preset.m)).one(rng)
+    # Frobenius radii uniform in [0, 3)
+    z *= (3.0 * rng.uniform(0.0, 1.0, (4, 10)) / np.linalg.norm(z, axis=(-2, -1)))[..., None, None]
+    phi = chart_cartan_image(z, preset)
+    assert phi.shape == (4, 10, preset.matrix_dim, preset.matrix_dim)
+    reference = cartan_embed(canonical_rep(z, preset), preset)
+    np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(chart_cartan_image(z[1, 2], preset), phi[1, 2], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("preset_name", CHART_PRESETS)
+def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes(
+    preset_name, rng
+):
+    # On the same draws, up to |z| ~ 1e3.  The closed form is unitary to
+    # rounding at each scale: without its Newton step the solve's defect,
+    # about eps cond(I + z* z), is about 1e-14 at |z| ~ 3 and up to 1e-8 at 1e3.
+    # It is no less unitary than the representative route, whose defect
+    # grows with |z|, down to 8 eps, where neither route orders the other.
+    preset = parse_preset(preset_name)
+    eye = np.eye(preset.matrix_dim)
+    eps = np.finfo(float).eps
+    for scale in (0.3, 3.0, 30.0, 1e3):
+        z = scale * complex_normal_sampler((200, preset.n, preset.m)).one(rng)
+        old = cartan_embed(canonical_rep(z, preset), preset)
+        new = chart_cartan_image(z, preset)
+        unit_old, unit_new = (
+            np.max(np.linalg.norm(phi @ phi.mT.conj() - eye, axis=(-2, -1))) for phi in (old, new)
+        )
+        assert unit_new <= 8 * preset.matrix_dim * eps
+        assert unit_new <= max(unit_old, 8 * eps)
+        # phi* = theta(phi) bit for bit, so its defect is 0
+        assert np.array_equal(new.mT.conj(), theta_g(new, preset))
+
+
+def _exact_projective_image(z):
+    """phi = (2 Pi - I) J over the Gaussian rationals for a projective chart
+    vector z of (re, im) Fraction pairs: Pi = g g* / |g|^2, g = (1, z)."""
+    g = [(Fraction(1), Fraction(0)), *z]
+    norm2 = sum(re * re + im * im for re, im in g)
+    signs = [1] + [-1] * len(z)
+    return [
+        [
+            (
+                signs[j] * (2 * (gi[0] * gj[0] + gi[1] * gj[1]) / norm2 - int(i == j)),
+                signs[j] * 2 * (gi[1] * gj[0] - gi[0] * gj[1]) / norm2,
+            )
+            for j, gj in enumerate(g)
+        ]
+        for i, gi in enumerate(g)
+    ]
+
+
+def test_chart_cartan_image_at_an_exact_wall_point(cp2):
+    # z = (3/5, 4i/5) has |z| = 1, so the first leading minor is exactly 0
+    f = Fraction
+    exact = _exact_projective_image([(f(3, 5), f(0)), (f(0), f(4, 5))])
+    assert exact == [
+        [(0, 0), (f(-3, 5), 0), (0, f(4, 5))],
+        [(f(3, 5), 0), (f(16, 25), 0), (0, f(12, 25))],
+        [(0, f(4, 5)), (0, f(-12, 25)), (f(9, 25), 0)],
+    ]
+    expected = np.array([[float(re) + 1j * float(im) for re, im in row] for row in exact])
+    phi = chart_cartan_image(np.array([[0.6], [0.8j]]), cp2)
+    np.testing.assert_allclose(phi, expected, rtol=0, atol=1e-15)
+
+
+def test_chart_cartan_image_rejects_bad_chart_points(cp2, group2):
+    z = np.zeros((3, 2, 1), dtype=complex)
+    z[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        chart_cartan_image(z, cp2)
+    # I + z* z overflows
+    z[1, 0, 0] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        chart_cartan_image(z, cp2)
+    with pytest.raises(ValueError, match="chart matrix"):
+        chart_cartan_image(np.zeros((3, 1, 2)), cp2)
+    with pytest.raises(ValueError, match="Grassmannian family"):
+        chart_cartan_image(np.zeros((2, 2)), group2)
 
 
 def test_project_ip_cases(rng, gr22, group2):
