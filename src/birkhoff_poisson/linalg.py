@@ -37,6 +37,10 @@ AMBIGUITY_BAND = 10.0
 # Looseness allowed on the |det g - 1| precondition.
 _DET_ONE_TOL = 1e-6
 
+# A Hermitian matrix whose smallest eigenvalue is not above this share of
+# its largest (or of 1, whichever is more) reads as singular.
+HPD_RCOND_MIN = 1e-14
+
 
 def _as_square_stack(g: np.ndarray) -> np.ndarray:
     """A finite square matrix or stack of them, of shape (..., n, n)."""
@@ -235,12 +239,29 @@ def inv_sqrt_hpd(p: np.ndarray) -> np.ndarray:
     if np.any(np.linalg.norm(p - p.mT.conj(), axis=(-2, -1)) > 1e-10 * scale):
         raise NotPositiveDefinite("matrix is not Hermitian")
     w, q = np.linalg.eigh(0.5 * (p + p.mT.conj()))
-    low = w[..., 0] <= 1e-14 * np.maximum(1.0, w[..., -1])
-    if np.any(low):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite, min eig = {np.min(w[..., 0][low]):.3e}"
-        )
+    check_hpd_spectrum(w[..., 0], w[..., -1])
     return (q * (w ** -0.5)[..., np.newaxis, :]) @ q.mT.conj()
+
+
+def check_hpd_spectrum(low, high) -> None:
+    """Refuse the smallest and largest eigenvalues low and high of Hermitian
+    matrices (arrays for a stack) unless low > HPD_RCOND_MIN * max(1, high)
+    for every matrix.  Past that bound a matrix reads as singular: it is
+    indefinite where low is negative beyond the bound, and otherwise too
+    ill-conditioned to invert."""
+    low, high = np.broadcast_arrays(np.asarray(low, dtype=float), np.maximum(1.0, high))
+    rcond = low / high
+    bad = ~(rcond > HPD_RCOND_MIN)
+    if not np.any(bad):
+        return
+    if np.min(rcond[bad]) < -HPD_RCOND_MIN:
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite, min eig = {np.min(low[bad]):.3e}"
+        )
+    raise NotPositiveDefinite(
+        f"matrix is too ill-conditioned: reciprocal condition number "
+        f"{np.min(rcond[bad]):.3e} is not above {HPD_RCOND_MIN:.0e}"
+    )
 
 
 def principal_minors(g: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import inv_sqrt_hpd
+from .errors import NumericalDomainError
+from .linalg import check_hpd_spectrum, inv_sqrt_hpd
 
 KIND_GRASSMANNIAN = "grassmannian"
 KIND_GROUP = "group"
@@ -161,42 +162,70 @@ def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
         z = z.reshape(-1, 1)
     if z.shape[-2:] != (preset.n, preset.m):
         raise ValueError(f"chart matrix must be {preset.n} x {preset.m}, got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("chart matrix entries must be finite")
     return z
+
+
+def _chart_overflow(finite) -> None:
+    """Refuse a chart point whose I + z* z overflows, given where the
+    quantity its route builds from z* z is finite."""
+    if not np.all(finite):
+        raise NumericalDomainError("chart point overflows: I + z* z is not finite")
 
 
 def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Unique coset representative with Hermitian positive definite diagonal
     blocks for the plane graphed by the n x m chart matrix z.
 
-    Built from the inverse square roots of I + z* z and I + z z*.  A stack
-    of chart matrices (..., n, m) gives the stack of representatives.
+    Built from the inverse square roots of I + z* z and I + z z*, so a chart
+    point is refused where either reads as singular to ``inv_sqrt_hpd``, or
+    where I + z* z overflows.  A stack of chart matrices (..., n, m) gives
+    the stack of representatives.
     """
     z = _chart_stack(z, preset)
     zh = z.mT.conj()
-    a = inv_sqrt_hpd(np.eye(preset.m) + zh @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.eye(preset.m) + zh @ z
+    _chart_overflow(np.isfinite(gram))
+    a = inv_sqrt_hpd(gram)
     d = inv_sqrt_hpd(np.eye(preset.n) + z @ zh)
     return np.block([[a, -a @ zh], [z @ a, d]])
 
 
 def chart_cartan_image(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Cartan image of the plane graphed by the chart matrix z, without its
-    representative: phi = (2 Pi - I) J, Pi = G (I + z* z)^(-1) G* the
-    orthogonal projection onto the columns of G = [I; z].  It is
-    ``cartan_embed(canonical_rep(z))``, as u J u* = 2 Pi - I for any
-    representative u.  A stack (..., n, m) gives the stack of images.
+    representative: phi = (2 Pi - I) J, Pi the orthogonal projection onto
+    the columns of G = [I; z].  It is ``cartan_embed(canonical_rep(z))``, as
+    u J u* = 2 Pi - I for any representative u.  A stack (..., n, m) gives
+    the stack of images.
 
-    One m x m solve builds Pi, taken Hermitian, so phi* = theta(phi) holds
-    bit for bit.  Its idempotency defect grows like eps times the condition
-    number of I + z* z; one Newton step R -> (3 R - R^3) / 2 on R = 2 Pi - I
-    squares that defect, so phi is unitary to rounding while the product
-    stays below about 1e-8."""
+    From the singular value decomposition z = U S V*, G V = [V; U S] has
+    orthogonal columns of squared lengths 1 + s_j^2, so Pi = Q Q* with
+    Q = [V C; U S C], C = (I + S* S)^(-1/2), orthonormal to rounding at any
+    condition number; one Newton step R -> (3 R - R^3) / 2 on R = 2 Pi - I
+    takes its unitarity defect down to a few units of rounding.  Pi and the
+    step are taken Hermitian, so phi* = theta(phi) holds bit for bit.
+
+    The chart points refused are those of ``canonical_rep``: I + z* z and
+    I + z z* have the eigenvalues 1 + s_j^2, and 1 as well unless m = n, so
+    their spectra are checked with ``check_hpd_spectrum`` as
+    ``inv_sqrt_hpd`` checks them, and an overflowing s_j^2 is an overflow
+    of I + z* z."""
     z = _chart_stack(z, preset)
-    m, d = preset.m, preset.matrix_dim
-    gram = np.eye(m) + z.mT.conj() @ z
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("matrix entries must be finite")
-    graph = np.concatenate([np.broadcast_to(np.eye(m), z.shape[:-2] + (m, m)), z], axis=-2)
-    proj = graph @ np.linalg.solve(gram, graph.mT.conj())
+    m, n, d = preset.m, preset.n, preset.matrix_dim
+    u, s, vh = np.linalg.svd(z)
+    k = s.shape[-1]
+    with np.errstate(over="ignore"):
+        s2 = s * s
+    _chart_overflow(np.isfinite(s2))
+    check_hpd_spectrum(1.0 + (s2[..., -1] if m == n else 0.0), 1.0 + s2[..., 0])
+    cos = 1.0 / np.sqrt(1.0 + s2)
+    q = np.zeros(z.shape[:-2] + (d, m), dtype=complex)
+    q[..., :m, :] = vh.mT.conj()
+    q[..., :m, :k] *= cos[..., np.newaxis, :]
+    q[..., m:, :k] = u[..., :, :k] * (s * cos)[..., np.newaxis, :]
+    proj = q @ q.mT.conj()
     r = proj + proj.mT.conj() - np.eye(d)
     cube = r @ r @ r
     r = 1.5 * r - 0.25 * (cube + cube.mT.conj())

@@ -294,6 +294,44 @@ def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
     assert captured.out == "" and "finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["moment", "embed", "pi"])
+@pytest.mark.parametrize(
+    "preset,point,message",
+    [
+        # I + z z* has condition number 1 + 1e16
+        ("cp2", "1e8,0,0,0", "ill-conditioned"),
+        # z = [[1e8, 1e8], [0, 1]]: 1 + 1e16 is lost to rounding in I + z* z
+        ("gr:2,2", "1e8,0,1e8,0,0,0,1,0", "ill-conditioned"),
+        ("cp1", "1e300,0", "overflows"),
+        ("gr:2,2", "1e200,0,0,0,0,0,1e200,0", "overflows"),
+    ],
+)
+def test_chart_commands_refuse_the_same_chart_points(command, preset, point, message, capsys):
+    # moment builds the Cartan image in closed form, embed and pi build the
+    # representative first; both routes refuse a point with exit 3
+    assert main([command, "--preset", preset, f"--point={point}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("preset,point", [("cp2", "0.3,-0.2,0.1,0.4"), ("gr:2,2", "0.2,0.1,-0.3,0,0.1,0.2,0.4,-0.1")])
+def test_embed_and_moment_see_the_same_cartan_image(preset, point, capsys):
+    code, out = run_cli(["embed", "--preset", preset, f"--point={point}"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    phi = np.array([[complex(re, im) for re, im in row] for row in data["phi"]])
+    minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
+    p = parse_preset(preset)
+    z = cli._chart_matrix(p, cli._parse_point(point))
+    closed = chart_cartan_image(z, p)
+    np.testing.assert_allclose(closed, phi, rtol=0, atol=1e-13)
+    assert np.min(np.abs(principal_minors(closed))) == pytest.approx(
+        np.min(np.abs(minors)), rel=1e-13
+    )
+    code, out = run_cli(["moment", "--preset", preset, f"--point={point}"], capsys)
+    assert code == 0 and json.loads(out)["layer_perm"] == data["layer_perm"]
+
+
 def test_moment_at_an_exact_wall_point_exits_3(capsys):
     # |z| = 1 exactly: the first leading minor of the Cartan image is 0
     assert main(["moment", "--preset", "cp2", "--point=0.6,0,0,0.8"]) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from birkhoff_poisson import (
     NotPositiveDefinite,
+    NumericalDomainError,
     canonical_rep,
     cartan_embed,
     chart_cartan_image,
@@ -226,10 +227,9 @@ def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes
     preset_name, rng
 ):
     # On the same draws, up to |z| ~ 1e3.  The closed form is unitary to
-    # rounding at each scale: without its Newton step the solve's defect,
-    # about eps cond(I + z* z), is about 1e-14 at |z| ~ 3 and up to 1e-8 at 1e3.
-    # It is no less unitary than the representative route, whose defect
-    # grows with |z|, down to 8 eps, where neither route orders the other.
+    # rounding at each scale, and no less unitary than the representative
+    # route, whose defect grows with |z|, down to 8 eps, where neither route
+    # orders the other.
     preset = parse_preset(preset_name)
     eye = np.eye(preset.matrix_dim)
     eps = np.finfo(float).eps
@@ -244,6 +244,58 @@ def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes
         assert unit_new <= max(unit_old, 8 * eps)
         # phi* = theta(phi) bit for bit, so its defect is 0
         assert np.array_equal(new.mT.conj(), theta_g(new, preset))
+
+
+def _chart_points_with_condition(preset, conds, rng):
+    """Chart matrices z = U S V* whose I + z* z, I + z z* have the largest
+    condition number conds[i]; the smaller singular values are below 3."""
+    k = min(preset.m, preset.n)
+    u, v = (
+        sampler.finish(rng.standard_normal((len(conds), sampler.count)))
+        for sampler in (special_unitary_sampler(preset.n), special_unitary_sampler(preset.m))
+    )
+    s = rng.uniform(0.0, 3.0, (len(conds), k))
+    low = 1.0 + s[:, -1] ** 2 if preset.m == preset.n else np.ones(len(conds))
+    s[:, 0] = np.sqrt(np.asarray(conds) * low - 1.0)
+    sigma = np.zeros((len(conds), preset.n, preset.m))
+    sigma[:, range(k), range(k)] = s
+    return u @ sigma @ v.mT.conj()
+
+
+@pytest.mark.parametrize("preset_name", CHART_PRESETS)
+def test_chart_cartan_image_is_unitary_up_to_the_conditioning_bound(preset_name, rng):
+    # the normal equations lose unitarity like eps cond(I + z* z); the
+    # singular value decomposition does not, up to the refusal bound 1e14
+    preset = parse_preset(preset_name)
+    eye = np.eye(preset.matrix_dim)
+    eps = np.finfo(float).eps
+    z = _chart_points_with_condition(preset, np.geomspace(1e2, 5e13, 100), rng)
+    phi = chart_cartan_image(z, preset)
+    unit = np.max(np.linalg.norm(phi @ phi.mT.conj() - eye, axis=(-2, -1)))
+    assert unit <= 8 * preset.matrix_dim * eps
+    assert np.array_equal(phi.mT.conj(), theta_g(phi, preset))
+
+
+@pytest.mark.parametrize("preset_name", CHART_PRESETS)
+def test_both_routes_refuse_the_same_chart_points(preset_name, rng):
+    # one rule: I + z* z finite and neither it nor I + z z* too
+    # ill-conditioned for inv_sqrt_hpd; a factor of 3 off the bound 1e14.
+    # On cp1 both are 1 x 1, so no finite point is ill-conditioned.
+    preset = parse_preset(preset_name)
+    conditioned = (None, None) if preset_name == "cp1" else (NotPositiveDefinite, "ill-conditioned")
+    for z, error, message in (
+        (_chart_points_with_condition(preset, [1e14 / 3] * 20, rng), None, None),
+        (_chart_points_with_condition(preset, [3e14] * 20, rng), *conditioned),
+        (1e160 * _chart_points_with_condition(preset, [10.0] * 20, rng), NumericalDomainError, "overflows"),
+    ):
+        for route in (chart_cartan_image, canonical_rep):
+            if error is None:
+                route(z, preset)
+            else:
+                with pytest.raises(error, match=message):
+                    route(z, preset)
+                with pytest.raises(error, match=message):
+                    route(z[7], preset)
 
 
 def _exact_projective_image(z):
@@ -283,10 +335,11 @@ def test_chart_cartan_image_rejects_bad_chart_points(cp2, group2):
     z[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         chart_cartan_image(z, cp2)
-    # I + z* z overflows
+    # I + z* z overflows: a numerical-domain error, as in canonical_rep
     z[1, 0, 0] = 1e200
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        chart_cartan_image(z, cp2)
+    for route in (chart_cartan_image, canonical_rep):
+        with pytest.raises(NumericalDomainError, match="overflows"):
+            route(z, cp2)
     with pytest.raises(ValueError, match="chart matrix"):
         chart_cartan_image(np.zeros((3, 1, 2)), cp2)
     with pytest.raises(ValueError, match="Grassmannian family"):
