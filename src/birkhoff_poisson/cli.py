@@ -284,7 +284,9 @@ def cmd_jacobi(args) -> int:
             raise ValueError(f"jacobi supports chart presets, not {name!r}")
     if args.point.size != biv.dim_real:
         raise ValueError(f"preset {name} needs {biv.dim_real // 2} complex coordinates")
-    residual = jacobi_residual(biv, args.point, args.fd_step)
+    # an overflowing point is refused below or by the coefficients, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = jacobi_residual(biv, args.point, args.fd_step)
     if not np.isfinite(residual):
         raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
     _emit(

@@ -1,15 +1,16 @@
 """Momentum map of the layer-torus action on symplectic leaves.
 
-The momentum of a torus direction X at a coset point is read off the
-triangular factorization of the Cartan image: half the invariant pairing of
-i theta(log |h|) against X, with h the diagonal factor of the checked
-Birkhoff factorization ``strata.leaf_factorize`` returns.  The Hamiltonian
-property is checked honestly: the differential of the momentum function is
-taken by central finite differences along group-exponential curves, pushed
-through the bivector's anchor map (``omega_apply``, which validates it as an
-odd element), and compared with the action vector field.  The 2 dim_ip
-perturbed points of the stencil of every point of a stack are factored as
-one stack, once, and every torus direction is read from the same log |h|.
+The momentum of a torus direction X at a coset point of either family is
+read off the triangular factorization of the Cartan image: half the
+invariant pairing of i theta(log |h|) against X, with h the diagonal factor
+of the checked Birkhoff factorization ``strata.leaf_factorize`` returns.
+The Hamiltonian property is checked honestly: the differential of the
+momentum function is taken by central finite differences along
+group-exponential curves, pushed through the bivector's anchor map
+(``omega_apply``, which validates it as an odd element), and compared with
+the action vector field.  The 2 dim_ip perturbed points of the stencil of
+every point of a stack are factored as one stack, once, and every torus
+direction is read from the same log |h|.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InvalidTangent
 from .linalg import BirkhoffFactors
 from .poisson import omega_apply
-from .strata import leaf_factorize
+from .strata import _torus_cycles, leaf_factorize
 from .symspace import (
     SymmetricSpacePreset,
     ip_basis,
@@ -31,10 +32,10 @@ from .symspace import (
 _TORUS_TOL = 1e-8
 
 
-def _check_torus_direction(x: np.ndarray, perm) -> None:
+def _check_torus_direction(x: np.ndarray, perm, preset: SymmetricSpacePreset) -> None:
     """Raise unless x lies in the layer torus of perm, or of every
     permutation of an array (..., n) of them: a purely imaginary traceless
-    diagonal, constant on the cycles of perm since theta fixes diagonals."""
+    diagonal fixed by Ad(W) o theta (``strata._torus_cycles``)."""
     x = np.asarray(x, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(x)))
     off = x - np.diag(np.diag(x))
@@ -45,8 +46,9 @@ def _check_torus_direction(x: np.ndarray, perm) -> None:
     ):
         raise InvalidTangent("torus directions are purely imaginary traceless diagonals")
     d = np.imag(np.diag(x))
-    if np.max(np.linalg.norm(d[np.asarray(perm)] - d, axis=-1)) > _TORUS_TOL * scale:
-        raise InvalidTangent("direction is not constant on the cycles of the layer permutation")
+    moved = d[_torus_cycles(perm, preset)]
+    if np.max(np.linalg.norm(moved - d, axis=-1)) > _TORUS_TOL * scale:
+        raise InvalidTangent("direction is not constant on the cycles of perm[sigma] of the layer")
 
 
 def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset):
@@ -65,7 +67,7 @@ def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-
     of a stack (..., d, d): <(1/2) i theta(log|h|), x> with h from the leaf
     factorization.  x is checked against the layer permutation of every point."""
     lf = leaf_factorize(u, preset, tol)
-    _check_torus_direction(x, lf.perm)
+    _check_torus_direction(x, lf.perm, preset)
     return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
 
 
@@ -73,8 +75,6 @@ def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.nda
     """Vector field of the torus action at u, as the odd anti-Hermitian
     representative at u: minus the projected down-conjugated direction.
     u and x may be stacks that broadcast."""
-    if not preset.is_inner:
-        raise ValueError("the torus field is computed for the Grassmannian family")
     u = np.asarray(u)
     down = u.mT.conj() @ np.asarray(x, dtype=complex) @ u
     return -project_ip(down, preset)
@@ -109,7 +109,7 @@ def hamiltonian_residual(
     stencil = u[..., np.newaxis, np.newaxis, np.newaxis, :, :] @ steps[:, :, np.newaxis]
     lf = leaf_factorize(stencil, preset, tol)
     for x_t in xs:
-        _check_torus_direction(x_t, lf.perm)
+        _check_torus_direction(x_t, lf.perm, preset)
     # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]
     values = leaf_moment(lf, xs, preset)
     coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * fd_step)

@@ -26,8 +26,8 @@ from .linalg import principal_minors
 from .symspace import (
     SymmetricSpacePreset,
     block_diag,
+    cartan_embed,
     ip_basis,
-    layer_image,
     su_basis,
     unitary_exp,
 )
@@ -135,8 +135,9 @@ def random_point(preset: SymmetricSpacePreset, rng: np.random.Generator):
 
 
 def random_interior_point(preset: SymmetricSpacePreset, rng: np.random.Generator):
-    """Random point strictly inside the top Birkhoff layer: every principal
-    minor of the layer image stays at least 0.1 away from zero.
+    """Random point strictly inside the top Birkhoff layer: every leading
+    principal minor of the Cartan image stays at least 0.1 away from zero;
+    in the group case, diag(g, g*) with g = k1 k2*, those of g do.
 
     Finite-difference checks degenerate near layer boundaries (the momentum
     has logarithmic blow-up there), so boundary-margin sampling is the
@@ -144,7 +145,7 @@ def random_interior_point(preset: SymmetricSpacePreset, rng: np.random.Generator
     """
     while True:
         u = random_point(preset, rng)
-        if np.min(np.abs(principal_minors(layer_image(u, preset)))) >= 0.1:
+        if np.min(np.abs(principal_minors(cartan_embed(u, preset)))) >= 0.1:
             return u
 
 

@@ -2,14 +2,16 @@
 factorization, the acting sub-torus of a layer, and the projected
 noncompact-orbit directions that span a leaf.
 
-The Cartan image of a coset point is factored with the structural permuted
-LDU; the signed permutation identifies the layer.  On a successful
+The Cartan image of a coset point, diag(g, g*) with g = k1 k2* in the group
+case, is factored with the structural permuted LDU, one path for both
+families; the signed permutation identifies the layer.  On a successful
 factorization the upper unipotent factor must equal the involution applied to
 the conjugate transpose of the lower one (the factor-level restatement of
 phi* = theta(phi)); a violation signals a factorization or preset bug and is
 raised, never repaired.  The leaf factorization is therefore the
 ``BirkhoffFactors`` of the Cartan image, returned once both checks pass;
-log |h| is read off the diagonal of h.
+log |h| is read off the diagonal of h.  The torus of layer W is the fixed
+space of Ad(W) o theta on the purely imaginary traceless diagonals.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .symspace import (
     adjoint_act,
     cartan_embed,
     ip_basis,
-    layer_image,
     project_ip,
     theta_g,
 )
@@ -36,24 +37,19 @@ SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
 
 def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
     """Signed permutation indexing the Birkhoff layer through the point."""
-    factors = birkhoff_factor(layer_image(u, preset), tol)
+    factors = birkhoff_factor(cartan_embed(u, preset), tol)
     return factors.perm, factors.signs
 
 
 def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> BirkhoffFactors:
-    """Factor the Cartan image of a Grassmannian-family point, or of each
-    point of a stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff
-    factors, checked to have the upper factor u_plus = theta(l*)."""
+    """Factor the Cartan image of a coset point, or of each point of a stack
+    (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors, checked to
+    have the upper factor u_plus = theta(l*)."""
     return _factor_image(cartan_embed(u, preset), preset, tol)
 
 
 def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> BirkhoffFactors:
     """The leaf factorization of an already built Cartan image phi."""
-    if not preset.is_inner:
-        raise ValueError(
-            "leaf factorization applies to the Grassmannian family; classify "
-            "group-case points through their single-factor image instead"
-        )
     factors = birkhoff_factor(phi, tol)
     bound = max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
     expected_upper = theta_g(factors.l.mT.conj(), preset)
@@ -78,15 +74,21 @@ def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.nda
     """Basis of the fixed subspace of Ad(W) o theta on the purely imaginary
     traceless diagonals; cached per permutation, read-only.
 
-    theta fixes every diagonal in the Grassmannian family and Ad(W) permutes
-    the diagonal by the cycles of W, so the fixed diagonals are those constant
-    on each cycle.  With the cycles c_0, c_1, ... ordered by their smallest
-    index, element l - 1 is |c_l| on c_0 u ... u c_(l-1) and -|c_0 u ... u
-    c_(l-1)| on c_l, scaled to unit peak entry."""
-    if not preset.is_inner:
-        raise ValueError("the layer torus is computed for the Grassmannian family")
+    The fixed diagonals are those constant on each cycle of perm[sigma]
+    (``_torus_cycles``).  With the cycles c_0, c_1, ... ordered by their
+    smallest index, element l - 1 is |c_l| on c_0 u ... u c_(l-1) and
+    -|c_0 u ... u c_(l-1)| on c_l, scaled to unit peak entry."""
     perm, _ = w
-    return _torus_tw(tuple(perm))
+    return _torus_tw(tuple(_torus_cycles(perm, preset).tolist()))
+
+
+def _torus_cycles(perm, preset: SymmetricSpacePreset) -> np.ndarray:
+    """perm[sigma] for a permutation or an array (..., d) of them, sigma the
+    index permutation of theta (the identity for Grassmannians, the block
+    swap in the group case): Ad(W) o theta moves entry i of a diagonal to
+    perm[sigma[i]], so it fixes the diagonals constant on these cycles."""
+    (rows, _), _ = preset.theta_index_mask
+    return np.asarray(perm)[..., rows[:, 0]]
 
 
 @lru_cache(maxsize=256)

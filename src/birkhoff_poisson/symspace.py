@@ -139,17 +139,6 @@ def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return u @ theta_g(u, preset).mT.conj()
 
 
-def layer_image(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Matrix whose Birkhoff layer classifies the coset point: the Cartan
-    image, or in the group case the single-factor image k1 k2^(-1) of
-    u = diag(k1, k2), whose minors are not those of the Cartan image.  A
-    stack of points (..., d, d) gives the stack of images."""
-    if preset.is_inner:
-        return cartan_embed(u, preset)
-    n = preset.n
-    return u[..., :n, :n] @ u[..., n:, n:].mT.conj()
-
-
 def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """z as a chart matrix (n, m) or a stack (..., n, m) of them; a scalar
     or a vector is the one chart matrix of cp1 or of projective space."""

@@ -294,6 +294,24 @@ def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
     assert captured.out == "" and "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "preset,point",
+    [
+        ("cp1", "1e300,0"),
+        ("fothlu", "1e300,1e300"),
+        ("cp2", "1e300,0,0,0"),
+        ("gr:2,2", "1e300,0,0,0,0,0,0,0"),
+    ],
+)
+def test_jacobi_at_an_overflowing_point_exits_3_without_warnings(preset, point, capsys):
+    # pytest turns warnings into errors, so an unsilenced overflow fails here
+    assert main(["jacobi", "--preset", preset, f"--point={point}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 @pytest.mark.parametrize("command", ["moment", "embed", "pi"])
 @pytest.mark.parametrize(
     "preset,point,message",

@@ -116,6 +116,43 @@ def test_birkhoff_ambiguous_pivot():
         birkhoff_factor(g, tol)
 
 
+def _unit_disc(rng, size):
+    """Complex numbers of modulus at most 1: uniform modulus and phase."""
+    return rng.uniform(0.0, 1.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_birkhoff_layer_is_stable_well_inside_the_band(data, n, seed):
+    # g = l W h u with unipotent l, u of entries |.| <= 1 and pivots |h_j| in
+    # [1e-3, 10]: g and a perturbation of Frobenius norm 1e-14 classify as W.
+    # Elimination amplifies the perturbation by up to the pivot ratio
+    # max|h| / min|h|, so at 1e-13 about 2 in 10^4 perturbed draws already
+    # put an entry inside the band and are refused as ambiguous.
+    perm = tuple(data.draw(st.permutations(range(n))))
+    parity = np.linalg.det(signed_permutation_matrix(perm, (1,) * n)).real
+    signs = (1,) * (n - 1) + (int(round(parity)),)
+    w = signed_permutation_matrix(perm, signs)
+    rng = np.random.default_rng(seed)
+    lo = np.eye(n, dtype=complex)
+    lo[np.tril_indices(n, -1)] = _unit_disc(rng, n * (n - 1) // 2)
+    up = np.eye(n, dtype=complex)
+    up[np.triu_indices(n, 1)] = _unit_disc(rng, n * (n - 1) // 2)
+    log_h = np.full(n, np.inf)
+    while not np.log(1e-3) <= log_h[-1] <= np.log(10.0):
+        log_h[:-1] = rng.uniform(np.log(1e-3), np.log(10.0), n - 1)
+        log_h[-1] = -np.sum(log_h[:-1])
+    phase = rng.uniform(0.0, 2.0 * np.pi, n)
+    phase[-1] = -np.sum(phase[:-1])
+    g = lo @ w @ np.diag(np.exp(log_h + 1j * phase)) @ up
+    noise = complex_normal_sampler((n, n)).one(rng)
+    moved = g + 1e-14 * noise / np.linalg.norm(noise)
+    moved /= np.exp(np.log(np.linalg.det(moved)) / n)
+    for x in (g, moved):
+        f = birkhoff_factor(x)
+        assert (f.perm, f.signs) == (perm, signs)
+
+
 # ---------------------------------------------------------------------------
 # birkhoff_factor on stacks, against the one-matrix elimination loop
 

@@ -15,8 +15,14 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson.momentum import _check_torus_direction, leaf_moment
 from birkhoff_poisson.poisson import omega_apply
-from birkhoff_poisson.sampling import ip_sampler, random_interior_point, random_point
-from birkhoff_poisson.symspace import ip_basis, parse_preset, unitary_exp
+from birkhoff_poisson.sampling import (
+    ip_sampler,
+    random_interior_point,
+    random_point,
+    special_unitary_sampler,
+    su2_sphere_sampler,
+)
+from birkhoff_poisson.symspace import block_diag, ip_basis, parse_preset, unitary_exp
 
 X_DIR = np.diag([1j, -1j])
 
@@ -227,21 +233,61 @@ def test_unitary_exp_on_a_stack(rng, gr22):
         np.testing.assert_array_equal(e, unitary_exp(x))
 
 
-def test_torus_check_on_lower_layers(rng):
+def test_torus_check_on_lower_layers(rng, gr22):
     # leaf_factorize does not yet factor lower-layer points, so the check is
     # called with the layer permutation directly
     on_cycles = np.diag([1j, 1j, -1j, -1j])
-    _check_torus_direction(on_cycles, (1, 0, 3, 2))
-    _check_torus_direction(on_cycles, np.array([(0, 1, 2, 3), (1, 0, 3, 2)]))
+    _check_torus_direction(on_cycles, (1, 0, 3, 2), gr22)
+    _check_torus_direction(on_cycles, np.array([(0, 1, 2, 3), (1, 0, 3, 2)]), gr22)
     off_cycles = on_cycles + np.diag([1e-6j, -1e-6j, 0, 0])
     with pytest.raises(InvalidTangent, match="cycles"):
-        _check_torus_direction(off_cycles, (1, 0, 3, 2))
+        _check_torus_direction(off_cycles, (1, 0, 3, 2), gr22)
     # one stacked permutation the direction is not constant on is enough
     with pytest.raises(InvalidTangent, match="cycles"):
-        _check_torus_direction(on_cycles, np.array([(1, 0, 3, 2), (1, 2, 3, 0)]))
+        _check_torus_direction(on_cycles, np.array([(1, 0, 3, 2), (1, 2, 3, 0)]), gr22)
     # a 4-cycle leaves only the zero direction
-    _check_torus_direction(np.zeros((4, 4)), (1, 2, 3, 0))
+    _check_torus_direction(np.zeros((4, 4)), (1, 2, 3, 0), gr22)
     for _ in range(10):
         d = rng.standard_normal(4)
         with pytest.raises(InvalidTangent, match="cycles"):
-            _check_torus_direction(np.diag(1j * (d - d.mean())), (1, 2, 3, 0))
+            _check_torus_direction(np.diag(1j * (d - d.mean())), (1, 2, 3, 0), gr22)
+
+
+def test_su2_moment_closed_form(rng, group2):
+    # at u = diag(k g, g) the Cartan image is diag(k, k*), whose diagonal
+    # factors are (a, 1/a) and (conj a, 1/conj a) for k = [[a, b], [-conj b,
+    # conj a]], so the momentum of i diag(1, -1, 1, -1) is -2 log|a|
+    x = 1j * np.diag([1.0, -1.0, 1.0, -1.0])
+    sphere, su2 = su2_sphere_sampler(), special_unitary_sampler(2)
+    count = 0
+    while count < 20:
+        a, b = sphere.one(rng)
+        if abs(a) < 0.2:
+            continue
+        count += 1
+        k = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+        g = su2.one(rng)
+        u = block_diag(k @ g, g)
+        assert moment_eval(u, x, group2) == pytest.approx(-2.0 * np.log(abs(a)), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["group:su2", "group:su3"])
+def test_hamiltonian_residual_group_case(spec, rng):
+    preset = parse_preset(spec)
+    for _ in range(10):
+        u = random_interior_point(preset, rng)
+        for x in torus_tw(birkhoff_layer(u, preset), preset):
+            assert hamiltonian_residual(u, x, preset) <= 1e-6
+
+
+def test_group_torus_is_the_fixed_space_of_ad_w_theta(rng, group2):
+    # theta swaps the blocks, so on the top layer the torus is diag(t, t);
+    # diag(t, -t) is constant on the cycles of W but not fixed by Ad(W) o theta
+    u = random_interior_point(group2, rng)
+    (x,) = torus_tw(birkhoff_layer(u, group2), group2)
+    np.testing.assert_array_equal(x, 1j * np.diag([1.0, -1.0, 1.0, -1.0]))
+    wrong = 1j * np.diag([1.0, -1.0, -1.0, 1.0])
+    with pytest.raises(InvalidTangent, match="cycles"):
+        moment_eval(u, wrong, group2)
+    with pytest.raises(InvalidTangent, match="cycles"):
+        hamiltonian_residual(u, wrong, group2)

@@ -5,6 +5,7 @@ import pytest
 
 from birkhoff_poisson import (
     BirkhoffFactors,
+    birkhoff_factor,
     birkhoff_layer,
     canonical_rep,
     cartan_embed,
@@ -55,7 +56,20 @@ def test_layer_on_equator(cp1):
 def test_layer_group_case(rng, group2):
     k = special_unitary_sampler(2).one(rng)
     perm, _ = birkhoff_layer(block_diag(k, k), group2)
-    assert perm == (0, 1)  # identity coset sits in the open stratum
+    assert perm == (0, 1, 2, 3)  # identity coset sits in the open stratum
+
+
+@pytest.mark.parametrize("spec", ["group:su2", "group:su3"])
+def test_group_layer_extends_the_single_factor_layer(spec, rng):
+    # the Cartan image of diag(k1, k2) is diag(g, g*) with g = k1 k2*, and
+    # the leading minors of its first block are those of g
+    preset = parse_preset(spec)
+    n = preset.n
+    for _ in range(50):
+        u = random_point(preset, rng)
+        perm, _ = birkhoff_layer(u, preset)
+        single = birkhoff_factor(u[:n, :n] @ u[n:, n:].conj().T)
+        assert perm[:n] == single.perm
 
 
 def test_leaf_factorize_identity(cp1):
@@ -77,7 +91,7 @@ def test_leaf_factorize_cp1_against_elimination_oracle(cp1):
     np.testing.assert_allclose(lf.h, dd, atol=1e-12)
 
 
-@pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22"])
+@pytest.mark.parametrize("preset_name", ["cp1", "cp2", "gr22", "group2"])
 def test_leaf_factorize_roundtrip_and_symmetry(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(50):
@@ -163,15 +177,18 @@ def assert_same_span(a, b):
 
 
 def test_torus_tw_matches_cycle_count_oracle():
-    # with the involution trivial on diagonals, fixed vectors are constant on
-    # permutation cycles: dimension = (#cycles) - 1, and the span is the
-    # reference's on every permutation
-    for spec in ("cp1", "cp2", "gr:2,2", "gr:2,3"):
+    # fixed vectors of Ad(W) o theta are constant on the cycles of
+    # perm[sigma], sigma the index permutation of theta (the identity for
+    # Grassmannians, the block swap in the group case): dimension =
+    # (#cycles) - 1, and the span is the reference's on every permutation
+    for spec in ("cp1", "cp2", "gr:2,2", "gr:2,3", "group:su2", "group:su3"):
         preset = parse_preset(spec)
-        for perm in itertools.permutations(range(preset.matrix_dim)):
+        d = preset.matrix_dim
+        sigma = np.roll(np.arange(d), d // 2) if spec.startswith("group") else np.arange(d)
+        for perm in itertools.permutations(range(d)):
             signs = det_one_signs(perm)
             basis = torus_tw((perm, signs), preset)
-            assert len(basis) == cycle_count(perm) - 1
+            assert len(basis) == cycle_count(np.array(perm)[sigma]) - 1
             if not basis:
                 continue
             diags = np.array([np.diag(xi).imag for xi in basis])
@@ -180,7 +197,8 @@ def test_torus_tw_matches_cycle_count_oracle():
             assert_same_span(reference, diags)
             w = signed_permutation_matrix(perm, signs)
             for xi in basis:
-                np.testing.assert_allclose(w @ xi @ w.conj().T, xi, rtol=0, atol=1e-15)
+                fixed = w @ theta_g(xi, preset) @ w.conj().T
+                np.testing.assert_allclose(fixed, xi, rtol=0, atol=1e-15)
 
 
 def test_torus_tw_exact_bases(cp2):

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import birkhoff_poisson
 from birkhoff_poisson import (
     NotPositiveDefinite,
     NumericalDomainError,
@@ -26,7 +29,6 @@ from birkhoff_poisson.symspace import (
     grassmannian,
     group_case,
     ip_basis,
-    layer_image,
     projective_space,
     su_basis,
     torus_basis,
@@ -384,24 +386,6 @@ def test_projection_partition(preset_name, rng):
     np.testing.assert_allclose(project_ip(z, preset), odd, atol=1e-13)
 
 
-def test_layer_image_group_case(rng, group2):
-    k = special_unitary_sampler(2).one(rng)
-    eye = np.eye(2, dtype=complex)
-    np.testing.assert_allclose(layer_image(block_diag(k, k), group2), eye, atol=1e-13)
-    np.testing.assert_allclose(layer_image(block_diag(k, eye), group2), k, atol=1e-14)
-    g = block_diag(*[special_unitary_sampler(2).one(rng)] * 2)
-    np.testing.assert_allclose(layer_image(block_diag(k, k) @ g, group2), eye, atol=1e-13)
-    u = block_diag(k, special_unitary_sampler(2).one(rng))
-    np.testing.assert_allclose(
-        layer_image(u @ g, group2), layer_image(u, group2), atol=1e-13
-    )
-    # a stack of points gives the stack of images
-    stack = np.array([u, u @ g, block_diag(k, eye)])
-    np.testing.assert_allclose(
-        layer_image(stack, group2), [layer_image(p, group2) for p in stack], rtol=0, atol=1e-15
-    )
-
-
 def test_bases_are_orthonormal(gr22, group2):
     assert len(ip_basis(group2)) == group2.dim_ip
     for basis in (su_basis(3), torus_basis(4), ip_basis(gr22), ip_basis(group2)):
@@ -426,3 +410,15 @@ def test_ip_basis_lives_in_ip(preset_name):
     for x in ip_basis(preset):
         assert np.linalg.norm(theta_g(x, preset) + x) < 1e-14
         assert np.linalg.norm(x + x.conj().T) < 1e-14
+
+
+def test_only_the_encoding_modules_read_the_family():
+    # layers, leaves, the torus and the momentum run one path for both
+    # families; only J, the odd basis and the charts (symspace), how a sample
+    # is stored (sampling) and the chart commands (cli) branch on the family
+    readers = set()
+    for path in Path(birkhoff_poisson.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "is_inner":
+                readers.add(path.name)
+    assert readers == {"symspace.py", "sampling.py", "cli.py"}
