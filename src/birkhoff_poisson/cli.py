@@ -113,8 +113,8 @@ def _parse_point(text: str) -> np.ndarray:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -129,6 +129,8 @@ def _parse_grid(text: str) -> list[tuple[float, float, int]]:
             raise argparse.ArgumentTypeError("grid axes need at least 2 steps")
         if not lo < hi:
             raise argparse.ArgumentTypeError("grid axis needs min < max")
+        if not np.isfinite(hi - lo):
+            raise argparse.ArgumentTypeError("grid axis needs finite min, max and max - min")
         axes.append((lo, hi, steps))
     return axes
 

@@ -13,6 +13,10 @@ Implements the factorizations everything else is built on:
   diagonal of determinant 1 and u unitary, via the lower Cholesky factor of
   g g*.
 * ``inv_sqrt_hpd``     -- Hermitian inverse square root by eigendecomposition.
+  No chart computation uses it (``symspace.canonical_rep`` works from the
+  singular value decomposition of the chart matrix); it stays public API,
+  named by the benchmark's per-layer metrics, and its refusal rule
+  ``check_hpd_spectrum`` is the one chart points obey.
 * ``principal_minors`` -- determinants of the leading k x k submatrices.
 
 Each of the four takes a stack (..., n, n) and returns one result per

@@ -17,6 +17,11 @@ its Lie algebra is stored as one square complex matrix of size m + n:
 ``project_ip`` act on stacks (..., d, d), d = m + n, matrix by matrix, and
 ``canonical_rep`` and ``chart_cartan_image`` on stacks (..., n, m) of chart
 matrices.  ``ip_basis`` is one cached read-only (dim_ip, d, d) array.
+
+A chart point reaches its coset point by one kernel: ``canonical_rep``
+builds the representative from one singular value decomposition of the chart
+matrix and holds the one refusal rule for chart points, and
+``chart_cartan_image`` reads the Cartan image off that representative.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericalDomainError
-from .linalg import check_hpd_spectrum, inv_sqrt_hpd
+from .linalg import check_hpd_spectrum
 
 KIND_GRASSMANNIAN = "grassmannian"
 KIND_GROUP = "group"
@@ -156,70 +161,54 @@ def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return z
 
 
-def _chart_overflow(finite) -> None:
-    """Refuse a chart point whose I + z* z overflows, given where the
-    quantity its route builds from z* z is finite."""
-    if not np.all(finite):
-        raise NumericalDomainError("chart point overflows: I + z* z is not finite")
-
-
 def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Unique coset representative with Hermitian positive definite diagonal
-    blocks for the plane graphed by the n x m chart matrix z.
+    blocks for the plane graphed by the n x m chart matrix z.  A stack of
+    chart matrices (..., n, m) gives the stack of representatives.
 
-    Built from the inverse square roots of I + z* z and I + z z*, so a chart
-    point is refused where either reads as singular to ``inv_sqrt_hpd``, or
-    where I + z* z overflows.  A stack of chart matrices (..., n, m) gives
-    the stack of representatives.
+    From the thin singular value decomposition z = U S V*, with
+    k = min(m, n) singular values, let C hold cos_j = (1 + s_j^2)^(-1/2).
+    The blocks are a = I + V (C - I) V* = (I + z* z)^(-1/2), z a = U S C V*
+    and d = I + U (C - I) U* = (I + z z*)^(-1/2), and
+    u = [[a, -(z a)*], [z a, d]].  In the frame of the singular vectors, u
+    is a rotation by t_j = arctan s_j in the plane of the j-th columns of V
+    and U, so it is unitary to rounding at every condition number it
+    accepts.  cos_j - 1 is taken as -2 sin^2(t_j / 2), free of cancellation
+    near the origin, and each term is divided by the squared lengths of its
+    singular vectors, which LAPACK returns unit only to a few roundings.
+
+    A chart point is refused where an s_j^2 overflows, as I + z* z does, and
+    where I + z* z or I + z z* reads as singular to ``check_hpd_spectrum``:
+    their eigenvalues are the 1 + s_j^2, and 1 as well unless m = n.
     """
     z = _chart_stack(z, preset)
-    zh = z.mT.conj()
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.eye(preset.m) + zh @ z
-    _chart_overflow(np.isfinite(gram))
-    a = inv_sqrt_hpd(gram)
-    d = inv_sqrt_hpd(np.eye(preset.n) + z @ zh)
-    return np.block([[a, -a @ zh], [z @ a, d]])
+    m, n = preset.m, preset.n
+    u, s, vh = np.linalg.svd(z, full_matrices=False)
+    with np.errstate(over="ignore"):
+        s2 = s * s
+    if not np.all(np.isfinite(s2)):
+        raise NumericalDomainError("chart point overflows: I + z* z is not finite")
+    check_hpd_spectrum(1.0 + (s2[..., -1] if m == n else 0.0), 1.0 + s2[..., 0])
+    t = np.arctan(s)
+    cos_minus_1 = -2.0 * np.sin(0.5 * t) ** 2
+    lu, lv = np.linalg.norm(u, axis=-2), np.linalg.norm(vh, axis=-1)
+    a = np.eye(m) + (vh.mT.conj() * (cos_minus_1 / lv**2)[..., np.newaxis, :]) @ vh
+    za = (u * (np.sin(t) / (lu * lv))[..., np.newaxis, :]) @ vh
+    d = np.eye(n) + (u * (cos_minus_1 / lu**2)[..., np.newaxis, :]) @ u.mT.conj()
+    return np.block([[a, -za.mT.conj()], [za, d]])
 
 
 def chart_cartan_image(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Cartan image of the plane graphed by the chart matrix z, without its
-    representative: phi = (2 Pi - I) J, Pi the orthogonal projection onto
-    the columns of G = [I; z].  It is ``cartan_embed(canonical_rep(z))``, as
-    u J u* = 2 Pi - I for any representative u.  A stack (..., n, m) gives
-    the stack of images.
+    """Cartan image phi = (u J u*) J of the representative u =
+    ``canonical_rep(z)``, so it refuses the chart points that does.  A stack
+    (..., n, m) gives the stack of images.
 
-    From the singular value decomposition z = U S V*, G V = [V; U S] has
-    orthogonal columns of squared lengths 1 + s_j^2, so Pi = Q Q* with
-    Q = [V C; U S C], C = (I + S* S)^(-1/2), orthonormal to rounding at any
-    condition number; one Newton step R -> (3 R - R^3) / 2 on R = 2 Pi - I
-    takes its unitarity defect down to a few units of rounding.  Pi and the
-    step are taken Hermitian, so phi* = theta(phi) holds bit for bit.
-
-    The chart points refused are those of ``canonical_rep``: I + z* z and
-    I + z z* have the eigenvalues 1 + s_j^2, and 1 as well unless m = n, so
-    their spectra are checked with ``check_hpd_spectrum`` as
-    ``inv_sqrt_hpd`` checks them, and an overflowing s_j^2 is an overflow
-    of I + z* z."""
-    z = _chart_stack(z, preset)
-    m, n, d = preset.m, preset.n, preset.matrix_dim
-    u, s, vh = np.linalg.svd(z)
-    k = s.shape[-1]
-    with np.errstate(over="ignore"):
-        s2 = s * s
-    _chart_overflow(np.isfinite(s2))
-    check_hpd_spectrum(1.0 + (s2[..., -1] if m == n else 0.0), 1.0 + s2[..., 0])
-    cos = 1.0 / np.sqrt(1.0 + s2)
-    q = np.zeros(z.shape[:-2] + (d, m), dtype=complex)
-    q[..., :m, :] = vh.mT.conj()
-    q[..., :m, :k] *= cos[..., np.newaxis, :]
-    q[..., m:, :k] = u[..., :, :k] * (s * cos)[..., np.newaxis, :]
-    proj = q @ q.mT.conj()
-    r = proj + proj.mT.conj() - np.eye(d)
-    cube = r @ r @ r
-    r = 1.5 * r - 0.25 * (cube + cube.mT.conj())
-    r[..., :, m:] *= -1
-    return r
+    It is ``cartan_embed(canonical_rep(z))`` up to rounding, with u J u*
+    taken Hermitian, so that phi* = theta(phi) holds bit for bit."""
+    u = canonical_rep(z, preset)
+    j = np.concatenate([np.ones(preset.m), -np.ones(preset.n)])
+    r = (u * j) @ u.mT.conj()
+    return 0.5 * (r + r.mT.conj()) * j
 
 
 def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:

@@ -127,8 +127,8 @@ def test_chart_commands_reject_group_presets(command, point, capsys):
 
 
 def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
-    # moment reads only phi and its factors: one closed-form image from the
-    # chart, no representative and no second image
+    # moment reads only phi and its factors: one image from
+    # chart_cartan_image, and no representative or second image of its own
     images, reps = [], []
 
     def counted(z, preset):
@@ -276,6 +276,10 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["embed", "--point", "0.5,x"],
         ["jacobi", "--preset", "gr:2,2", "--point=nan,0,0,0,0,0,0,0"],
         ["jacobi", "--preset", "cp2", "--point=inf,0,0,0"],
+        ["rank-grid", "--preset", "fothlu", "--grid=-inf,1,4,-1,1,4"],
+        ["rank-grid", "--preset", "su2", "--grid=-1e308,1e308,4,-1,1,4"],
+        ["pi", "--preset", "cp1", "--point=0.5,0", "--tol=inf"],
+        ["verify", "momentum", "--fd-step=inf"],
     ],
 )
 def test_invalid_flag_values_exit_2(argv, capsys):
@@ -325,8 +329,8 @@ def test_jacobi_at_an_overflowing_point_exits_3_without_warnings(preset, point, 
     ],
 )
 def test_chart_commands_refuse_the_same_chart_points(command, preset, point, message, capsys):
-    # moment builds the Cartan image in closed form, embed and pi build the
-    # representative first; both routes refuse a point with exit 3
+    # moment reads the Cartan image off the representative that embed and
+    # pi build; all three refuse the point with exit 3
     assert main([command, "--preset", preset, f"--point={point}"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
@@ -348,6 +352,17 @@ def test_embed_and_moment_see_the_same_cartan_image(preset, point, capsys):
     )
     code, out = run_cli(["moment", "--preset", preset, f"--point={point}"], capsys)
     assert code == 0 and json.loads(out)["layer_perm"] == data["layer_perm"]
+
+
+def test_embed_far_out_on_the_chart(capsys):
+    # |z|^2 = 1.5e11: u and phi stay unitary to rounding, so phi keeps
+    # determinant 1 and the Birkhoff factorization accepts it
+    code, out = run_cli(["embed", "--preset", "cp2", "--point=1e5,2e5,-3e5,1e5"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    for key in ("u", "phi"):
+        g = np.array([[complex(re, im) for re, im in row] for row in data[key]])
+        assert np.linalg.norm(g @ g.conj().T - np.eye(3)) <= 1e-14
 
 
 def test_moment_at_an_exact_wall_point_exits_3(capsys):

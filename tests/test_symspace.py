@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from birkhoff_poisson import (
     project_ip,
     theta_g,
 )
+from birkhoff_poisson.linalg import inv_sqrt_hpd
 from birkhoff_poisson.sampling import (
     chart_sampler,
     complex_normal_sampler,
@@ -211,6 +213,17 @@ def test_canonical_rep_rejects_a_stack_with_one_bad_chart_point(cp2):
 CHART_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,2"]
 
 
+def _eigh_representative(z, preset):
+    """The representative of ``canonical_rep`` built by an independent route:
+    a = (I + z* z)^(-1/2) and d = (I + z z*)^(-1/2) from ``inv_sqrt_hpd``,
+    whose unitarity defect grows like eps |z|^2."""
+    z = np.asarray(z, dtype=complex)
+    zh = z.mT.conj()
+    a = inv_sqrt_hpd(np.eye(preset.m) + zh @ z)
+    d = inv_sqrt_hpd(np.eye(preset.n) + z @ zh)
+    return np.block([[a, -a @ zh], [z @ a, d]])
+
+
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
 def test_chart_cartan_image_matches_the_representative_route(preset_name, rng):
     preset = parse_preset(preset_name)
@@ -219,7 +232,7 @@ def test_chart_cartan_image_matches_the_representative_route(preset_name, rng):
     z *= (3.0 * rng.uniform(0.0, 1.0, (4, 10)) / np.linalg.norm(z, axis=(-2, -1)))[..., None, None]
     phi = chart_cartan_image(z, preset)
     assert phi.shape == (4, 10, preset.matrix_dim, preset.matrix_dim)
-    reference = cartan_embed(canonical_rep(z, preset), preset)
+    reference = cartan_embed(_eigh_representative(z, preset), preset)
     np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-13)
     np.testing.assert_allclose(chart_cartan_image(z[1, 2], preset), phi[1, 2], rtol=0, atol=1e-15)
 
@@ -228,16 +241,16 @@ def test_chart_cartan_image_matches_the_representative_route(preset_name, rng):
 def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes(
     preset_name, rng
 ):
-    # On the same draws, up to |z| ~ 1e3.  The closed form is unitary to
-    # rounding at each scale, and no less unitary than the representative
-    # route, whose defect grows with |z|, down to 8 eps, where neither route
-    # orders the other.
+    # On the same draws, up to |z| ~ 1e3.  The image read off the SVD
+    # representative is unitary to rounding at each scale, and no less
+    # unitary than the eigh route, whose defect grows with |z|, down to
+    # 8 eps, where neither route orders the other.
     preset = parse_preset(preset_name)
     eye = np.eye(preset.matrix_dim)
     eps = np.finfo(float).eps
     for scale in (0.3, 3.0, 30.0, 1e3):
         z = scale * complex_normal_sampler((200, preset.n, preset.m)).one(rng)
-        old = cartan_embed(canonical_rep(z, preset), preset)
+        old = cartan_embed(_eigh_representative(z, preset), preset)
         new = chart_cartan_image(z, preset)
         unit_old, unit_new = (
             np.max(np.linalg.norm(phi @ phi.mT.conj() - eye, axis=(-2, -1))) for phi in (old, new)
@@ -279,9 +292,26 @@ def test_chart_cartan_image_is_unitary_up_to_the_conditioning_bound(preset_name,
 
 
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
+def test_canonical_rep_is_unitary_up_to_the_conditioning_bound(preset_name, rng):
+    # the eigh route's defect grows like eps |z|^2, to about 1e-5 at |z| ~
+    # 1e5 and 1e-3 at 1e6 on cp2; the singular value decomposition stays at
+    # rounding there and up to the refusal bound
+    preset = parse_preset(preset_name)
+    eye = np.eye(preset.matrix_dim)
+    eps = np.finfo(float).eps
+    for z in (
+        1e5 * complex_normal_sampler((200, preset.n, preset.m)).one(rng),
+        1e6 * complex_normal_sampler((200, preset.n, preset.m)).one(rng),
+        _chart_points_with_condition(preset, np.geomspace(1e2, 5e13, 100), rng),
+    ):
+        u = canonical_rep(z, preset)
+        assert np.max(np.linalg.norm(u @ u.mT.conj() - eye, axis=(-2, -1))) <= 8 * preset.matrix_dim * eps
+
+
+@pytest.mark.parametrize("preset_name", CHART_PRESETS)
 def test_both_routes_refuse_the_same_chart_points(preset_name, rng):
     # one rule: I + z* z finite and neither it nor I + z z* too
-    # ill-conditioned for inv_sqrt_hpd; a factor of 3 off the bound 1e14.
+    # ill-conditioned for check_hpd_spectrum; a factor of 3 off the bound 1e14.
     # On cp1 both are 1 x 1, so no finite point is ill-conditioned.
     preset = parse_preset(preset_name)
     conditioned = (None, None) if preset_name == "cp1" else (NotPositiveDefinite, "ill-conditioned")
@@ -422,3 +452,16 @@ def test_only_the_encoding_modules_read_the_family():
             if isinstance(node, ast.Attribute) and node.attr == "is_inner":
                 readers.add(path.name)
     assert readers == {"symspace.py", "sampling.py", "cli.py"}
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # relative imports are the package's own modules
+    imported = set()
+    for path in Path(birkhoff_poisson.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "birkhoff_poisson"} == set()
