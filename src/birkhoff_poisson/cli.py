@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDomainError, StratumAmbiguous
-from .jsontext import _dict_chunks, _json_text
+from .jsontext import _dict_chunks, _json_text, _table_cells
 from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import leaf_moment
 from .poisson import (
@@ -305,13 +305,19 @@ def cmd_jacobi(args) -> int:
 def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
     """The rank column and the kind's float columns at the cells (x, y).
     su2 and fothlu come from closed forms: su2 cells outside the unit disc
-    get rank -1 and 0.0.  Elsewhere a cell whose layer is ambiguous gets
+    get rank -1 and 0.0, and a fothlu coefficient that overflows is refused
+    as ``jacobi`` refuses it.  Elsewhere a cell whose layer is ambiguous gets
     rank -1."""
     if name == "fothlu":
-        coeff = np.abs(fothlu_w_chart(x + 1j * y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = np.abs(fothlu_w_chart(x + 1j * y))
+        if not np.all(np.isfinite(coeff)):
+            raise NumericalDomainError("fothlu coefficient is not finite at a grid cell")
         return [np.where(coeff > tol, 2, 0), coeff]
     if name == "su2":
-        mod2 = x * x + y * y
+        # a cell whose |a|^2 overflows lies outside the disc like any other
+        with np.errstate(over="ignore"):
+            mod2 = x * x + y * y
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
         ranks = np.full(len(x), -1)
@@ -336,9 +342,11 @@ def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -
 
 
 # Bytes of the largest complex stack one stack of grid cells builds: the
-# (cells, dim_ip, d, d) frames u e_r u* of matrix_of_omega, or the
-# (cells, 3, 3, 2, 2) su2 frame pairings (fothlu builds less); bounds the
-# cells per stack.
+# (cells, dim_ip, d, d) frames u e_r u* of matrix_of_omega, of which it holds
+# at most two at once (the blocks u e_r and the frames, then the frames and
+# their Hilbert transforms), or the (cells, 3, 3, 2, 2) su2 frame pairings
+# (fothlu builds less); bounds the cells per stack: 2,048 on cp1, 455 on
+# cp2, 128 on gr:2,2.
 _STACK_BYTES = 1 << 18
 
 
@@ -377,10 +385,8 @@ def cmd_rank_grid(args) -> int:
     rows = _grid_cells(name, preset, xs, ys, args.tol)
     columns = _GRID_COLUMNS[name]
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        _write(["\n".join(lines), "\n"], args.out)
+        lines = itertools.chain([columns], _table_cells(rows))
+        _write(["\n".join(map(",".join, lines)), "\n"], args.out)
     else:
         _emit(
             {

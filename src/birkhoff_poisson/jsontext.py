@@ -5,10 +5,12 @@ indenting encoder of the standard library.
 A float array is printed from far fewer ``float.__repr__`` calls than it
 has entries: the sign goes into the separator before an entry, and where
 |a| is symmetric in the last two axes, as for a bivector matrix, the two
-mirror entries share one string.
+mirror entries share one string.  A table, a list of equal-length rows of
+finite floats and ints such as the rows of a grid sweep, is printed column
+by column, and the repeated floats of a column share one string.
 
 ``cli`` builds the payloads and writes them through ``_json_text`` and
-``_dict_chunks``.
+``_dict_chunks``, and the CSV text of a table through ``_table_cells``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ def _json_text(obj, indent: str = "") -> str:
     of the standard library.  Dict keys are strings, as in every payload
     here.  A finite float or an int is its repr, an ndarray goes to
     ``_array_text``, a flat list of finite floats and ints (not bools) is one
-    join of their reprs, containers recurse, and every other scalar (NaN and
-    the infinities too) and every key goes to ``json.dumps``."""
+    join of their reprs, a table of them one join of ``_table_cells``,
+    containers recurse, and every other scalar (NaN and the infinities too)
+    and every key goes to ``json.dumps``."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is int:
@@ -39,12 +42,18 @@ def _json_text(obj, indent: str = "") -> str:
         return "".join(_dict_chunks(obj, indent))
     inner = indent + "  "
     sep = f",\n{inner}"
+    # the repr of an int or a finite float has no "n"; those of NaN and the
+    # infinities do, and JSON spells them otherwise
     if {*map(type, obj)} <= {float, int}:
         body = sep.join(map(repr, obj))
-        # the repr of an int or a finite float has no "n"; those of NaN and
-        # the infinities do, and JSON spells them otherwise
         if "n" not in body:
             return f"[\n{inner}{body}\n{indent}]"
+    cells = _table_cells(obj)
+    if cells is not None:
+        cell_sep = f"{sep}  "
+        body = f"\n{inner}]{sep}[\n{inner}  ".join(map(cell_sep.join, cells))
+        if "n" not in body:
+            return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]"
     body = sep.join(_json_text(v, inner) for v in obj)
     return f"[\n{inner}{body}\n{indent}]"
 
@@ -122,3 +131,39 @@ def _magnitude_reprs(a: np.ndarray) -> np.ndarray:
 def _reprs(values: np.ndarray) -> np.ndarray:
     """``float.__repr__`` of each value, flat, as an object array."""
     return np.array(list(map(float.__repr__, values.reshape(-1))), dtype=object)
+
+
+class _ReprMemo(dict):
+    """Reprs of floats by value; a value it does not hold, such as 0.0 or
+    -0.0, which compare equal and so are never held, gets its own repr."""
+
+    def __missing__(self, value: float) -> str:
+        return float.__repr__(value)
+
+
+def _table_cells(rows):
+    """The reprs of a table's entries, an iterator of one tuple of strings
+    per row, or None unless ``rows`` holds lists or tuples of one non-zero
+    length whose entries are floats and ints (not bools).
+
+    A column of floats whose values repeat, at most half of them distinct,
+    as a grid coordinate's do, takes one ``float.__repr__`` per distinct
+    nonzero value; its zeros and every other column take one per entry.
+    The strings are made a row at a time, so those of a column of distinct
+    values are not all held at once, and no sort is used to find the
+    distinct values (see ``_magnitude_reprs``)."""
+    if not {*map(type, rows)} <= {list, tuple} or len({*map(len, rows)}) != 1 or not rows[0]:
+        return None
+    columns = []
+    for column in zip(*rows):
+        types = {*map(type, column)}
+        if not types <= {float, int}:
+            return None
+        if types == {float}:
+            distinct = dict.fromkeys(column)
+            if 2 * len(distinct) <= len(column):
+                memo = _ReprMemo((v, float.__repr__(v)) for v in distinct if v)
+                columns.append(map(memo.__getitem__, column))
+                continue
+        columns.append(map(repr, column))
+    return zip(*columns)

@@ -5,9 +5,10 @@ Equivariant side.  At a unitary coset representative u the bivector pairs
 cotangent classes, odd anti-Hermitian matrices X, Y, through their frames
 u X u*: the value is tr(H(u X u*) u Y u*) with H the Hilbert transform, for
 both families, and for the group pairings at diag(1, k^(-1)).  Its matrix
-on the odd basis pairs the frames u e_r u* in one GEMM.  ``omega_apply`` is
-the skew operator itself: conjugate up, apply H, conjugate back down and
-project to the odd subspace.
+on the odd basis pairs the frames u e_r u* in one GEMM, and the frames take
+two GEMMs per point, the odd basis folded into the columns of the first.
+``omega_apply`` is the skew operator itself: conjugate up, apply H,
+conjugate back down and project to the odd subspace.
 
 Coordinate side.  Explicit tensors in affine charts: the Grassmannian chart
 formula (an R-linear operator L_Z followed by a trace pairing), its
@@ -120,14 +121,25 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
 
     The projection to the odd subspace is orthogonal and Ad(u) is an
     isometry, so the entry is Re <F_s, H(F_r)> on the frames F_r = u e_r u*,
-    one for both families.  A complex row viewed as reals interleaves
-    (Re, Im), so Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2
-    work, no projection and no second conjugation.  The GEMM is skew up to
-    rounding; its skew part is returned, so entry (r, s) is bitwise -(s, r)
-    and the diagonal is +0.0."""
+    one for both families.  The frames take two GEMMs per point: u times
+    the block row [e_1 | ... | e_k] of the basis gives the blocks u e_r,
+    which stacked as one column [u e_1; ...; u e_k] are multiplied by u* at
+    once.  A complex row viewed as reals interleaves (Re, Im), so
+    Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2 work, no
+    projection and no second conjugation.  The GEMM is skew up to rounding;
+    its skew part is returned, so entry (r, s) is bitwise -(s, r) and the
+    diagonal is +0.0."""
     basis = ip_basis(preset)
+    k, d = basis.shape[:2]
     u = np.asarray(u, dtype=complex)
-    frames = u[..., np.newaxis, :, :] @ basis @ u.mT.conj()[..., np.newaxis, :, :]
+    lead = u.shape[:-2]
+    # the block row is a per-call copy of the basis, not a cached second one;
+    # the dels keep at most two frame-sized arrays alive at once
+    left = u @ basis.transpose(1, 0, 2).reshape(d, k * d)
+    blocks = left.reshape(*lead, d, k, d).swapaxes(-3, -2).reshape(*lead, k * d, d)
+    del left
+    frames = (blocks @ u.mT.conj()).reshape(*lead, k, d, d)
+    del blocks
     images = hilbert_transform(frames)
     rows = (*frames.shape[:-2], frames.shape[-1] ** 2)
     mat = frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT

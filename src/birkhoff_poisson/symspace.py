@@ -192,10 +192,13 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     t = np.arctan(s)
     cos_minus_1 = -2.0 * np.sin(0.5 * t) ** 2
     lu, lv = np.linalg.norm(u, axis=-2), np.linalg.norm(vh, axis=-1)
-    a = np.eye(m) + (vh.mT.conj() * (cos_minus_1 / lv**2)[..., np.newaxis, :]) @ vh
-    za = (u * (np.sin(t) / (lu * lv))[..., np.newaxis, :]) @ vh
-    d = np.eye(n) + (u * (cos_minus_1 / lu**2)[..., np.newaxis, :]) @ u.mT.conj()
-    return np.block([[a, -za.mT.conj()], [za, d]])
+    rep = np.empty(z.shape[:-2] + (m + n, m + n), dtype=complex)
+    rep[..., :m, :m] = np.eye(m) + (vh.mT.conj() * (cos_minus_1 / lv**2)[..., np.newaxis, :]) @ vh
+    za = rep[..., m:, :m]
+    za[...] = (u * (np.sin(t) / (lu * lv))[..., np.newaxis, :]) @ vh
+    rep[..., :m, m:] = -za.mT.conj()
+    rep[..., m:, m:] = np.eye(n) + (u * (cos_minus_1 / lu**2)[..., np.newaxis, :]) @ u.mT.conj()
+    return rep
 
 
 def chart_cartan_image(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:

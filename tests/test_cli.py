@@ -316,6 +316,28 @@ def test_jacobi_at_an_overflowing_point_exits_3_without_warnings(preset, point, 
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rank_grid_refuses_an_overflowing_fothlu_grid_without_warnings(fmt, capsys):
+    # pytest turns warnings into errors, so an unsilenced overflow fails here
+    argv = ["rank-grid", "--preset", "fothlu", "--grid=-1e200,1e200,3,-1e200,1e200,3"]
+    assert main(argv + ["--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_rank_grid_su2_cells_that_overflow_lie_outside_the_disc(capsys):
+    argv = ["rank-grid", "--preset", "su2", "--grid=-1e200,1e200,3,-1e200,1e200,3"]
+    assert main(argv + ["--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    axis = cli._axis_points(-1e200, 1e200, 3).tolist()
+    # |a|^2 overflows everywhere but at the centre, a = 0, which is inside
+    expected = [f"{x!r},{y!r},{0 if x == y == 0 else -1},0.0" for x in axis for y in axis]
+    assert captured.out.splitlines()[1:] == expected
+
+
 @pytest.mark.parametrize("command", ["moment", "embed", "pi"])
 @pytest.mark.parametrize(
     "preset,point,message",
@@ -564,6 +586,32 @@ def test_csv_roundtrips_through_json(tmp_path, capsys):
         np.testing.assert_allclose(csv_row, json_row, atol=1e-15)
 
 
+def _per_row_csv(columns, rows):
+    """Reference: the CSV text ``rank-grid`` printed a row at a time, the
+    repr of a float and the str of anything else."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "su2", "fothlu"])
+@pytest.mark.parametrize("grid", [None, "--grid=-1.5,1.5,7,-1.5,1.5,9"])
+def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, capsys):
+    grids = []
+    grid_cells = cli._grid_cells
+
+    def recording(*args):
+        grids.append(grid_cells(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "_grid_cells", recording)
+    argv = ["rank-grid", "--preset", spec, "--format", "csv"] + ([grid] if grid else [])
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == _per_row_csv(cli._GRID_COLUMNS[spec.split(":")[0]], grids[0])
+
+
 def test_rank_grid_is_deterministic(tmp_path):
     for spec in ("cp1", "cp2", "gr:2,2", "su2", "fothlu"):
         args = ["rank-grid", "--preset", spec, "--grid=-1,1,4,-1,1,4"]
@@ -644,6 +692,43 @@ _PAYLOADS = st.recursive(
 @given(payload=_PAYLOADS)
 def test_json_text_equals_json_dumps_with_indent_2(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2, default=np.ndarray.tolist)
+
+
+_TABLE_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e300, 5e-324, 123456789.0]
+_TABLE_INTS = [0, 1, -1, 7]
+_TABLE_OTHERS = [True, False, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _tables(draw):
+    """Equal-length rows whose columns draw from a small pool of floats, of
+    ints or of both, so values repeat and 0.0 meets -0.0 and 1 meets 1.0;
+    some columns also draw bools, NaN and the infinities, and some tables
+    get one row of another length."""
+    width = draw(st.integers(0, 4))
+    pools = [
+        draw(st.sampled_from([_TABLE_FLOATS, _TABLE_INTS, _TABLE_FLOATS + _TABLE_INTS]))
+        + (_TABLE_OTHERS if draw(st.integers(0, 3)) == 0 else [])
+        for _ in range(width)
+    ]
+    row = st.tuples(*map(st.sampled_from, pools))
+    rows = draw(st.lists(row.map(list) if draw(st.booleans()) else row, min_size=1, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(st.lists(st.sampled_from(_TABLE_FLOATS), max_size=5).filter(
+            lambda r: len(r) != width))
+        rows.insert(draw(st.integers(0, len(rows))), other)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_table_text_equals_json_dumps_and_the_per_row_csv(table):
+    assert cli._json_text(table) == json.dumps(table, indent=2)
+    assert cli._json_text({"rows": table}, "  ") == json.dumps({"rows": table}, indent=2).replace(
+        "\n", "\n  ")
+    cells = cli._table_cells(table)
+    if cells is not None:
+        assert "\n".join(["h", *map(",".join, cells)]) + "\n" == _per_row_csv(["h"], table)
 
 
 _POINT_120 = "--point=" + ",".join(

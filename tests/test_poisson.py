@@ -151,6 +151,43 @@ def test_matrix_of_omega_matches_loop_reference(spec, rng):
         )
 
 
+def _per_basis_matrix_of_omega(u, preset):
+    """Reference: the frames u e_r u* built by one pair of matmuls per
+    (point, basis element), then the same Hilbert transform and skew-part
+    GEMM as ``matrix_of_omega``."""
+    basis = ip_basis(preset)
+    u = np.asarray(u, dtype=complex)
+    frames = u[..., np.newaxis, :, :] @ basis @ u.mT.conj()[..., np.newaxis, :, :]
+    images = hilbert_transform(frames)
+    rows = (*frames.shape[:-2], frames.shape[-1] ** 2)
+    mat = frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT
+    mat -= mat.mT.copy()
+    mat /= 2
+    return mat
+
+
+@pytest.mark.parametrize(
+    "spec,count",
+    [
+        pytest.param("cp1", 64, id="cp1-stack"),
+        pytest.param("cp2", 64, id="cp2-stack"),
+        # the stack sizes of one sweep stack and of one whole sweep grid
+        pytest.param("gr:2,2", 128, id="gr:2,2-128"),
+        pytest.param("gr:2,2", 1024, id="gr:2,2-1024"),
+        pytest.param("gr:6,10", None, id="gr:6,10"),
+        pytest.param("group:su2", None, id="group:su2"),
+        pytest.param("group:su3", None, id="group:su3"),
+    ],
+)
+def test_matrix_of_omega_matches_the_per_basis_frames(spec, count, rng):
+    preset = parse_preset(spec)
+    points = np.array([random_point(preset, rng) for _ in range(count or 1)])
+    u = points if count else points[0]
+    np.testing.assert_allclose(
+        matrix_of_omega(u, preset), _per_basis_matrix_of_omega(u, preset), rtol=0, atol=1e-15
+    )
+
+
 @pytest.mark.parametrize(
     "spec,shape",
     [
