@@ -1,5 +1,5 @@
 """Layer-level timings of the kernels the ``rank-grid`` sweep and the
-``pi`` call stand on, with pytest-benchmark.
+``pi``, ``moment`` and ``jacobi`` calls stand on, with pytest-benchmark.
 
 ``tests/`` is the only test path, so the test suite does not collect this
 module.  Run it from the repository root; ``conftest.py`` sets one BLAS
@@ -10,6 +10,10 @@ thread:
 The stack sizes are those one ``rank-grid`` stack holds under its 256 KiB
 budget (cp1 takes a whole 32 x 32 grid, cp2 455 cells, gr:2,2 128), plus
 the single matrices of ``pi --preset gr:6,10`` and of the group case su3.
+The Jacobi residual is timed at one chart point of each ``jacobi`` preset
+of the pointwise benchmark workload (cp2, gr:2,2, gr:2,3), and the leaf
+factorization with the moments of the whole torus basis, as ``moment``
+reads them, at one interior point of each of its ``moment`` presets.
 """
 
 import contextlib
@@ -19,12 +23,16 @@ import numpy as np
 import pytest
 
 from birkhoff_poisson import cli
-from birkhoff_poisson.poisson import matrix_of_omega
-from birkhoff_poisson.sampling import random_point
-from birkhoff_poisson.symspace import canonical_rep, parse_preset
+from birkhoff_poisson.momentum import leaf_moment
+from birkhoff_poisson.poisson import coordinate_bivector, jacobi_residual, matrix_of_omega
+from birkhoff_poisson.sampling import random_interior_point, random_point
+from birkhoff_poisson.strata import leaf_factorize, torus_tw
+from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 
 _STACKS = [("cp1", 1024), ("cp2", 455), ("gr:2,2", 128), ("gr:6,10", None)]
 _BIVECTOR_CASES = _STACKS + [("group:su3", None)]
+_JACOBI_PRESETS = ["cp2", "gr:2,2", "gr:2,3"]
+_MOMENT_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,3"]
 
 
 def _chart_points(spec, count):
@@ -53,6 +61,29 @@ def test_matrix_of_omega(benchmark, spec, count):
         preset, z = _chart_points(spec, count)
         u = canonical_rep(z, preset)
     benchmark(matrix_of_omega, u, preset)
+
+
+@pytest.mark.parametrize("spec", _JACOBI_PRESETS)
+def test_jacobi_residual(benchmark, spec):
+    preset = parse_preset(spec)
+    biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, biv.dim_real)
+    benchmark(jacobi_residual, biv, x)
+
+
+@pytest.mark.parametrize("spec", _MOMENT_PRESETS)
+def test_leaf_factorize_and_moment(benchmark, spec):
+    """One leaf factorization of a top-layer Cartan image, and the moments
+    of the whole torus basis read off it in one call."""
+    preset = parse_preset(spec)
+    phi = cartan_embed(random_interior_point(preset, np.random.default_rng(1)), preset)
+    top = tuple(range(preset.matrix_dim))
+    basis = np.stack(torus_tw((top, (1,) * len(top)), preset))
+
+    def moments():
+        return leaf_moment(leaf_factorize(phi, preset), basis, preset)
+
+    benchmark(moments)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -63,11 +63,9 @@ from .symspace import (
     SymmetricSpacePreset,
     canonical_rep,
     cartan_embed,
-    chart_cartan_image,
     grassmannian,
     group_case,
     parse_preset,
     project_ip,
-    projective_space,
     theta_g,
 )

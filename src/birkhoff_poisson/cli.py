@@ -35,14 +35,8 @@ from .poisson import (
     su2_el_matrix,
     su2_from_sphere,
 )
-from .strata import _factor_image, torus_tw
-from .symspace import (
-    SymmetricSpacePreset,
-    canonical_rep,
-    cartan_embed,
-    chart_cartan_image,
-    parse_preset,
-)
+from .strata import leaf_factorize, torus_tw
+from .symspace import SymmetricSpacePreset, canonical_rep, cartan_embed, parse_preset
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -243,26 +237,27 @@ def cmd_pi(args) -> int:
 
 def cmd_moment(args) -> int:
     preset = parse_preset(args.preset)
-    phi = chart_cartan_image(_chart_matrix(preset, args.point), preset)
+    phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
+    # the guard runs before the factorization, so a wall point is refused
+    # here and not by a symmetry check of its factors
     min_minor = float(np.min(np.abs(principal_minors(phi))))
     if min_minor <= args.tol:
         raise StratumAmbiguous(
             f"point is not strictly inside the top layer (min |minor| = {min_minor:.3e})"
         )
-    lf = _factor_image(phi, preset, args.tol)
-    basis = torus_tw((lf.perm, lf.signs), preset)
+    lf = leaf_factorize(phi, preset, args.tol)
+    basis = np.stack(torus_tw((lf.perm, lf.signs), preset))
     torus_dim = len(basis)
     if args.index is not None:
         if not 0 <= args.index < torus_dim:
             raise ValueError(f"torus basis index {args.index} out of range 0..{torus_dim - 1}")
-        basis = [basis[args.index]]
-    values = [leaf_moment(lf, x, preset) for x in basis]
+        basis = basis[args.index:args.index + 1]
     _emit(
         {
             "preset": preset.label,
             "layer_perm": list(lf.perm),
             "torus_dim": torus_dim,
-            "mu": values,
+            "mu": leaf_moment(lf, basis, preset).tolist(),
             "basis": _pairs(basis),
         },
         args.out,
@@ -271,28 +266,22 @@ def cmd_moment(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    name = args.preset.lower()
-    if name == "cp1":
-        biv = coordinate_bivector("cp1")
-    elif name == "fothlu":
-        biv = coordinate_bivector("fothlu_w")
+    if args.preset.lower() == "fothlu":
+        label, biv = "fothlu", coordinate_bivector("fothlu_w")
     else:
-        preset = parse_preset(name)
-        if name.startswith("gr:"):
-            biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
-        elif name.startswith("cp"):
-            biv = coordinate_bivector("cpn", n=preset.n)
-        else:
-            raise ValueError(f"jacobi supports chart presets, not {name!r}")
+        preset = parse_preset(args.preset)
+        # refuses a group preset, as embed, pi and moment do
+        _chart_matrix(preset, args.point)
+        label, biv = preset.label, coordinate_bivector("grassmann", m=preset.m, n=preset.n)
     if args.point.size != biv.dim_real:
-        raise ValueError(f"preset {name} needs {biv.dim_real // 2} complex coordinates")
-    # an overflowing point is refused below or by the coefficients, not warned about
+        raise ValueError(f"preset {label} needs {biv.dim_real // 2} complex coordinates")
+    # an overflowing point is refused below or by the bivector, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         residual = jacobi_residual(biv, args.point, args.fd_step)
     if not np.isfinite(residual):
         raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
     _emit(
-        {"preset": name, "fd_step": args.fd_step, "residual": residual},
+        {"preset": label, "fd_step": args.fd_step, "residual": residual},
         args.out,
     )
     return EXIT_OK

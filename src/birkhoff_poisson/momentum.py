@@ -3,7 +3,8 @@
 The momentum of a torus direction X at a coset point of either family is
 read off the triangular factorization of the Cartan image: half the
 invariant pairing of i theta(log |h|) against X, with h the diagonal factor
-of the checked Birkhoff factorization ``strata.leaf_factorize`` returns.
+of the checked Birkhoff factorization ``strata.leaf_factorize`` returns for
+the Cartan image.
 The Hamiltonian property is checked honestly: the differential of the
 momentum function is taken by central finite differences along
 group-exponential curves, pushed through the bivector's anchor map
@@ -23,6 +24,7 @@ from .poisson import omega_apply
 from .strata import _torus_cycles, leaf_factorize
 from .symspace import (
     SymmetricSpacePreset,
+    cartan_embed,
     ip_basis,
     project_ip,
     theta_g,
@@ -66,7 +68,7 @@ def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-
     """Momentum of torus direction x at the coset point u, or at each point
     of a stack (..., d, d): <(1/2) i theta(log|h|), x> with h from the leaf
     factorization.  x is checked against the layer permutation of every point."""
-    lf = leaf_factorize(u, preset, tol)
+    lf = leaf_factorize(cartan_embed(u, preset), preset, tol)
     _check_torus_direction(x, lf.perm, preset)
     return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
 
@@ -107,7 +109,7 @@ def hamiltonian_residual(
     steps = unitary_exp(np.stack([fd_step * basis, -fd_step * basis]))
     # stencil[..., side, r, 0]: the point moved by exp(+-fd_step e_r)
     stencil = u[..., np.newaxis, np.newaxis, np.newaxis, :, :] @ steps[:, :, np.newaxis]
-    lf = leaf_factorize(stencil, preset, tol)
+    lf = leaf_factorize(cartan_embed(stencil, preset), preset, tol)
     for x_t in xs:
         _check_torus_direction(x_t, lf.perm, preset)
     # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]

@@ -37,9 +37,14 @@ stencil, for one point or a stack of them, in one ``real_matrix`` call.
 The Grassmann ``real_matrix`` applies L_z to all K = 2 m n chart covectors
 at each point with the K axis folded into the columns, so each product of
 L_z is one matmul per point, not one per (point, covector) pair, and pairs
-the images with one GEMM per point.
-The chart kinds are cp1, cpn, grassmann and fothlu_w; the SU(2) group
-pairing has no chart kind, it is ``su2_el_matrix`` on the (H, X, Y) frame.
+the images with one GEMM per point; it refuses a point where the tensor is
+not finite, as ``coeffs_real_matrix`` does.
+The chart kinds are grassmann, which covers projective space as m = 1, and
+fothlu_w.  The projective-space coefficients ``cpn_coeffs`` and the cp1
+family ``cp1_family`` are the displayed formulas and the oracles of the
+projective-specialization and lambda-identity checks; ``coeffs_real_matrix``
+turns them into real tensors.  The SU(2) group pairing has no chart kind,
+it is ``su2_el_matrix`` on the (H, X, Y) frame.
 """
 
 from __future__ import annotations
@@ -472,23 +477,12 @@ class CoordBivector:
     real_matrix: Callable[[np.ndarray], np.ndarray]
 
 
-def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_lu") -> CoordBivector:
+def coordinate_bivector(kind: str, m: int = 1, n: int = 1) -> CoordBivector:
     """Factory for the supported chart bivectors.
 
-    kind: cp1 | cpn | grassmann | fothlu_w (member selects the cp1 family
-    element).
+    kind: grassmann (the chart of gr:m,n, projective space included as
+    m = 1) | fothlu_w.
     """
-    if kind == "cp1":
-        def real_matrix(x: np.ndarray) -> np.ndarray:
-            fam = cp1_family(reals_to_complex(x)[..., 0])
-            return coeffs_real_matrix(_scalar_coeffs(getattr(fam, member)))
-
-        return CoordBivector(dim_real=2, real_matrix=real_matrix)
-    if kind == "cpn":
-        return CoordBivector(
-            dim_real=2 * n,
-            real_matrix=lambda x: coeffs_real_matrix(cpn_coeffs(reals_to_complex(x))),
-        )
     if kind == "grassmann":
         # dual to the chart directions under the pairing 2 Re tr(v d)
         reps = np.ascontiguousarray(0.5 * chart_directions(grassmannian(m, n)).conj().mT)
@@ -500,7 +494,10 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1, member: str = "evens_
             # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM
             # of the flattened (K, m n) views per point
             images = images.reshape(images.shape[:-2] + (m * n,))
-            return -2.0 * (images.conj() @ flat.T).imag
+            mat = -2.0 * (images.conj() @ flat.T).imag
+            if not np.all(np.isfinite(mat)):
+                raise NumericalDomainError("coordinate bivector is not finite at the point")
+            return mat
 
         return CoordBivector(dim_real=2 * m * n, real_matrix=real_matrix)
     if kind == "fothlu_w":

@@ -4,7 +4,9 @@ noncompact-orbit directions that span a leaf.
 
 The Cartan image of a coset point, diag(g, g*) with g = k1 k2* in the group
 case, is factored with the structural permuted LDU, one path for both
-families; the signed permutation identifies the layer.  On a successful
+families; the signed permutation identifies the layer.  ``leaf_factorize``
+is the one entry to the leaf factorization, and it takes the image itself,
+so a caller that already holds phi does not build it again.  On a successful
 factorization the upper unipotent factor must equal the involution applied to
 the conjugate transpose of the lower one (the factor-level restatement of
 phi* = theta(phi)); a violation signals a factorization or preset bug and is
@@ -41,15 +43,10 @@ def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> Signed
     return factors.perm, factors.signs
 
 
-def leaf_factorize(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> BirkhoffFactors:
-    """Factor the Cartan image of a coset point, or of each point of a stack
-    (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors, checked to
-    have the upper factor u_plus = theta(l*)."""
-    return _factor_image(cartan_embed(u, preset), preset, tol)
-
-
-def _factor_image(phi: np.ndarray, preset: SymmetricSpacePreset, tol: float) -> BirkhoffFactors:
-    """The leaf factorization of an already built Cartan image phi."""
+def leaf_factorize(phi, preset: SymmetricSpacePreset, tol: float = 1e-9) -> BirkhoffFactors:
+    """Factor a Cartan image phi = ``cartan_embed(u)``, or each image of a
+    stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors, checked
+    to have the upper factor u_plus = theta(l*)."""
     factors = birkhoff_factor(phi, tol)
     bound = max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
     expected_upper = theta_g(factors.l.mT.conj(), preset)

@@ -15,13 +15,13 @@ its Lie algebra is stored as one square complex matrix of size m + n:
 
 ``theta_g``, ``cartan_embed``, ``adjoint_act``, ``block_diag`` and
 ``project_ip`` act on stacks (..., d, d), d = m + n, matrix by matrix, and
-``canonical_rep`` and ``chart_cartan_image`` on stacks (..., n, m) of chart
-matrices.  ``ip_basis`` is one cached read-only (dim_ip, d, d) array.
+``canonical_rep`` on stacks (..., n, m) of chart matrices.  ``ip_basis`` is
+one cached read-only (dim_ip, d, d) array.
 
 A chart point reaches its coset point by one kernel: ``canonical_rep``
 builds the representative from one singular value decomposition of the chart
-matrix and holds the one refusal rule for chart points, and
-``chart_cartan_image`` reads the Cartan image off that representative.
+matrix and holds the one refusal rule for chart points.  Its Cartan image is
+``cartan_embed`` of that representative, for every caller.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ def grassmannian(m: int, n: int) -> SymmetricSpacePreset:
     return SymmetricSpacePreset(KIND_GRASSMANNIAN, m, n)
 
 
-def projective_space(n: int) -> SymmetricSpacePreset:
-    return grassmannian(1, n)
-
-
 def group_case(n: int) -> SymmetricSpacePreset:
     if n < 2:
         raise ValueError("group case needs factor size at least 2")
@@ -106,9 +102,9 @@ def parse_preset(spec: str) -> SymmetricSpacePreset:
             raise ValueError(f"malformed Grassmannian preset {spec!r}")
         return grassmannian(int(parts[0]), int(parts[1]))
     if spec.startswith("cpn:"):
-        return projective_space(int(spec[4:]))
+        return grassmannian(1, int(spec[4:]))
     if spec.startswith("cp") and spec[2:].isdigit():
-        return projective_space(int(spec[2:]))
+        return grassmannian(1, int(spec[2:]))
     if spec.startswith("group:su"):
         return group_case(int(spec[8:]))
     raise ValueError(f"unknown preset {spec!r}")
@@ -199,19 +195,6 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     rep[..., :m, m:] = -za.mT.conj()
     rep[..., m:, m:] = np.eye(n) + (u * (cos_minus_1 / lu**2)[..., np.newaxis, :]) @ u.mT.conj()
     return rep
-
-
-def chart_cartan_image(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Cartan image phi = (u J u*) J of the representative u =
-    ``canonical_rep(z)``, so it refuses the chart points that does.  A stack
-    (..., n, m) gives the stack of images.
-
-    It is ``cartan_embed(canonical_rep(z))`` up to rounding, with u J u*
-    taken Hermitian, so that phi* = theta(phi) holds bit for bit."""
-    u = canonical_rep(z, preset)
-    j = np.concatenate([np.ones(preset.m), -np.ones(preset.n)])
-    r = (u * j) @ u.mT.conj()
-    return 0.5 * (r + r.mT.conj()) * j
 
 
 def project_ip(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import linalg, momentum, poisson, sampling, strata, symspace
 
 _CHART_PRESETS = [
     symspace.grassmannian(1, 1),
-    symspace.projective_space(2),
+    symspace.grassmannian(1, 2),
     symspace.grassmannian(2, 2),
 ]
 
@@ -175,9 +175,9 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
 
 
 def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
-    cp1 = poisson.coordinate_bivector("cp1")
+    cp1 = poisson.coordinate_bivector("grassmann", m=1, n=1)
     worst_cp1 = np.max(poisson.jacobi_residual(cp1, 0.7 * rng.standard_normal((10, 2)), fd_step))
-    cp2 = poisson.coordinate_bivector("cpn", n=2)
+    cp2 = poisson.coordinate_bivector("grassmann", m=1, n=2)
     worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4)), fd_step))
     g22 = poisson.coordinate_bivector("grassmann", m=2, n=2)
     worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8)), fd_step))
@@ -203,9 +203,9 @@ def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float)
 
 
 def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
-    cp2 = symspace.projective_space(2)
+    cp2 = symspace.grassmannian(1, 2)
     (z,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(2))
-    phi = symspace.chart_cartan_image(z[..., np.newaxis], cp2)
+    phi = symspace.cartan_embed(symspace.canonical_rep(z[..., np.newaxis], cp2), cp2)
     minors = linalg.principal_minors(phi)
     rho2 = np.sum(np.abs(z) ** 2, axis=-1)
     pred = poisson.cp2_degeneracy_p(z[:, 0], z[:, 1]) / (1 + rho2) ** 3
@@ -222,7 +222,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
         rank_defect += int(np.sum(poisson.pi_rank(u, preset, tol) != preset.dim_ip))
     checks.append(_check("top-layer-full-rank", float(rank_defect), 0.0))
 
-    cp1 = symspace.projective_space(1)
+    cp1 = symspace.grassmannian(1, 1)
     # each draw mixes a uniform into the normals, so one at a time, copied
     # into preallocated stacks: holding the per-sample arrays until the end
     # fragmented the heap and raised the peak memory of repeated runs
@@ -256,7 +256,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
 
 
 def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
-    cp1 = symspace.projective_space(1)
+    cp1 = symspace.grassmannian(1, 1)
     x_dir = np.diag([1j, -1j])
     r, t = rng.uniform(size=(10, 2)).T
     zs = 0.85 * np.sqrt(r) * np.exp(2j * np.pi * t)
@@ -267,7 +267,7 @@ def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> lis
     worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step, tol))
     fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1, tol))
     worst_res_big = 0.0
-    for preset in (symspace.projective_space(2), symspace.grassmannian(2, 2)):
+    for preset in (symspace.grassmannian(1, 2), symspace.grassmannian(2, 2)):
         us = np.stack([sampling.random_interior_point(preset, rng) for _ in range(5)])
         # interior points lie on the top layer; the residual raises if any
         # stencil point leaves it

@@ -11,12 +11,12 @@ def rng():
 
 @pytest.fixture
 def cp1():
-    return symspace.projective_space(1)
+    return symspace.grassmannian(1, 1)
 
 
 @pytest.fixture
 def cp2():
-    return symspace.projective_space(2)
+    return symspace.grassmannian(1, 2)
 
 
 @pytest.fixture

@@ -47,10 +47,10 @@ from birkhoff_poisson.sampling import (
 )
 from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.strata import orbit_direction_span
-from birkhoff_poisson.symspace import grassmannian, group_case, projective_space
+from birkhoff_poisson.symspace import grassmannian, group_case
 
-CHART_PRESETS = [grassmannian(1, 1), projective_space(2), grassmannian(2, 2)]
-RANK_PRESETS = [projective_space(1), projective_space(2), grassmannian(2, 2)]
+CHART_PRESETS = [grassmannian(1, 1), grassmannian(1, 2), grassmannian(2, 2)]
+RANK_PRESETS = [grassmannian(1, 1), grassmannian(1, 2), grassmannian(2, 2)]
 
 
 def report(criterion, detail):
@@ -138,7 +138,7 @@ def test_criterion_04_lambda_identity():
 
 def test_criterion_05_cp2_degeneracy_identity():
     rng = np.random.default_rng(105)
-    preset = projective_space(2)
+    preset = grassmannian(1, 2)
     worst = 0.0
     for _ in range(200):
         z = complex_normal_sampler(2).one(rng)
@@ -153,7 +153,7 @@ def test_criterion_05_cp2_degeneracy_identity():
 
 def test_criterion_06_jacobi_residual():
     rng = np.random.default_rng(106)
-    cp2 = coordinate_bivector("cpn", n=2)
+    cp2 = coordinate_bivector("grassmann", m=1, n=2)
     g22 = coordinate_bivector("grassmann", m=2, n=2)
     worst = 0.0
     for _ in range(50):
@@ -169,8 +169,8 @@ def test_criterion_07_leaf_rank_correspondence():
         for _ in range(100):
             u = random_point(preset, rng)
             assert pi_rank(u, preset) == preset.dim_ip
-    cp1 = projective_space(1)
-    cp2 = projective_space(2)
+    cp1 = grassmannian(1, 1)
+    cp2 = grassmannian(1, 2)
     for _ in range(20):
         u = canonical_rep(np.array([[np.exp(2j * np.pi * rng.uniform())]]), cp1)
         assert pi_rank(u, cp1) == 0
@@ -204,7 +204,7 @@ def test_criterion_08_leaf_tangency():
 
 def test_criterion_09_momentum_map():
     rng = np.random.default_rng(109)
-    cp1 = projective_space(1)
+    cp1 = grassmannian(1, 1)
     x_dir = np.diag([1j, -1j])
     worst_closed = worst_cp1 = 0.0
     for _ in range(50):
@@ -218,7 +218,7 @@ def test_criterion_09_momentum_map():
     assert worst_cp1 <= 1e-5
     assert moment_eval(np.eye(2, dtype=complex), x_dir, cp1) == pytest.approx(0.0, abs=1e-14)
     worst_big = 0.0
-    for preset in (projective_space(2), grassmannian(2, 2)):
+    for preset in (grassmannian(1, 2), grassmannian(2, 2)):
         for _ in range(50):
             u = random_interior_point(preset, rng)
             for x_t in torus_tw(birkhoff_layer(u, preset), preset):

@@ -16,12 +16,11 @@ from birkhoff_poisson import (
     birkhoff_layer,
     canonical_rep,
     cartan_embed,
-    chart_cartan_image,
     parse_preset,
     pi_rank,
     principal_minors,
 )
-from birkhoff_poisson import cli, strata
+from birkhoff_poisson import cli, momentum, strata
 from birkhoff_poisson.cli import main
 from birkhoff_poisson.poisson import pi_el_group, su2_frame, su2_from_sphere
 
@@ -109,8 +108,8 @@ def test_moment_origin_zero(capsys):
 
 
 def test_moment_equator_is_domain_error(capsys):
-    code, _ = run_cli(["moment", "--preset", "cp1", "--point", "1,0"], capsys)
-    assert code == 3
+    assert main(["moment", "--preset", "cp1", "--point", "1,0"]) == 3
+    assert "not strictly inside the top layer" in capsys.readouterr().err
 
 
 def test_moment_point_with_a_negative_first_value(capsys):
@@ -118,7 +117,7 @@ def test_moment_point_with_a_negative_first_value(capsys):
     assert code == 0 and json.loads(out)["torus_dim"] == 2
 
 
-@pytest.mark.parametrize("command", ["embed", "pi", "moment"])
+@pytest.mark.parametrize("command", ["embed", "pi", "moment", "jacobi"])
 @pytest.mark.parametrize("point", ["0.5,0", "0.1,0,0.2,0,0.3,0,0.4,0"])
 def test_chart_commands_reject_group_presets(command, point, capsys):
     code = main([command, "--preset", "group:su2", "--point", point])
@@ -127,28 +126,22 @@ def test_chart_commands_reject_group_presets(command, point, capsys):
 
 
 def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
-    # moment reads only phi and its factors: one image from
-    # chart_cartan_image, and no representative or second image of its own
+    # moment builds one representative and one image, and reads every
+    # moment off the one leaf factorization of that image
     images, reps = [], []
-
-    def counted(z, preset):
-        images.append(z)
-        return chart_cartan_image(z, preset)
-
-    def no_rep(z, preset):
-        reps.append(z)
-        return canonical_rep(z, preset)
-
-    monkeypatch.setattr(cli, "chart_cartan_image", counted)
-    for module in (cli, strata):
-        monkeypatch.setattr(
-            module, "cartan_embed", lambda u, preset: images.append(u) or cartan_embed(u, preset)
-        )
-    monkeypatch.setattr(cli, "canonical_rep", no_rep)
+    for module in (cli, strata, momentum):
+        if hasattr(module, "cartan_embed"):
+            monkeypatch.setattr(
+                module, "cartan_embed", lambda u, preset: images.append(u) or cartan_embed(u, preset)
+            )
+        if hasattr(module, "canonical_rep"):
+            monkeypatch.setattr(
+                module, "canonical_rep", lambda z, preset: reps.append(z) or canonical_rep(z, preset)
+            )
     point = "--point=0.1,0.05,0.2,-0.1,0.05,0.1,-0.2,0.15"
     code, out = run_cli(["moment", "--preset", "gr:2,2", point], capsys)
     assert code == 0 and json.loads(out)["torus_dim"] == 3
-    assert len(images) == 1 and reps == []
+    assert len(images) == 1 and len(reps) == 1
 
 
 def test_jacobi_subcommand(capsys):
@@ -186,11 +179,27 @@ def test_jacobi_accepts_the_cpn_spelling_of_parse_preset(capsys):
     point = "0.1,0.2,0.3,-0.1,0.05,0.2"
     code, out = run_cli(["jacobi", "--preset", "cp3", "--point", point], capsys)
     assert code == 0
-    short = json.loads(out)
-    code, out = run_cli(["jacobi", "--preset", "cpn:3", "--point", point], capsys)
-    assert code == 0
-    assert short == {**json.loads(out), "preset": "cp3"}
+    assert json.loads(out)["preset"] == "cp3"
+    assert run_cli(["jacobi", "--preset", "cpn:3", "--point", point], capsys) == (code, out)
     assert run_cli(["jacobi", "--preset", "group:su2", "--point", point], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "spellings,point",
+    [
+        (["cp1", "cpn:1", "gr:1,1", "cp1 ", " CP1"], "0.3,-0.2"),
+        (["cp2", "cpn:2", "gr:1,2", " cp2", "CPN:2 "], "0.1,0.2,0.3,0.1"),
+    ],
+)
+def test_jacobi_prints_one_output_for_every_spelling_of_a_preset(spellings, point, capsys):
+    # every spelling parse_preset accepts goes through the one Grassmann
+    # kernel and echoes the preset's label, as embed, pi and moment do
+    outputs = {run_cli(["jacobi", "--preset", spec, f"--point={point}"], capsys) for spec in spellings}
+    assert len(outputs) == 1
+    ((code, out),) = outputs
+    assert code == 0
+    data = json.loads(out)
+    assert data["preset"] == parse_preset(spellings[0]).label and data["residual"] <= 1e-5
 
 
 # The shared flags each subcommand reads; it declares no other.
@@ -288,10 +297,19 @@ def test_invalid_flag_values_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "preset,point", [("cp1", "1e300,0"), ("cp2", "0,0,1e300,0"), ("gr:2,2", "1e300,0,0,0,0,0,0,0")]
+    "preset,point",
+    [
+        ("cp1", "1e300,0"),
+        ("gr:1,1", "1e300,0"),
+        ("cp2", "0,0,1e300,0"),
+        ("cpn:2", "0,0,1e300,0"),
+        ("gr:2,2", "1e300,0,0,0,0,0,0,0"),
+    ],
 )
 def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
-    # cp1 and cp2 overflow their coefficients, gr:2,2 its Schouten residual
+    # the Grassmann kernel refuses a tensor that is not finite; on cp1 the
+    # Schouten bracket has no component, so without that refusal the
+    # residual would read 0.0
     with np.errstate(all="ignore"):
         assert main(["jacobi", "--preset", preset, f"--point={point}"]) == 3
     captured = capsys.readouterr()
@@ -302,8 +320,10 @@ def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
     "preset,point",
     [
         ("cp1", "1e300,0"),
+        ("gr:1,1", "1e300,0"),
         ("fothlu", "1e300,1e300"),
         ("cp2", "1e300,0,0,0"),
+        ("cpn:2", "1e300,0,0,0"),
         ("gr:2,2", "1e300,0,0,0,0,0,0,0"),
     ],
 )
@@ -367,7 +387,7 @@ def test_embed_and_moment_see_the_same_cartan_image(preset, point, capsys):
     minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
     p = parse_preset(preset)
     z = cli._chart_matrix(p, cli._parse_point(point))
-    closed = chart_cartan_image(z, p)
+    closed = cartan_embed(canonical_rep(z, p), p)
     np.testing.assert_allclose(closed, phi, rtol=0, atol=1e-13)
     assert np.min(np.abs(principal_minors(closed))) == pytest.approx(
         np.min(np.abs(minors)), rel=1e-13
@@ -388,9 +408,12 @@ def test_embed_far_out_on_the_chart(capsys):
 
 
 def test_moment_at_an_exact_wall_point_exits_3(capsys):
-    # |z| = 1 exactly: the first leading minor of the Cartan image is 0
+    # |z| = 1 exactly: the first leading minor of the Cartan image is 0.
+    # The top-layer guard runs before the leaf factorization, which would
+    # raise SymmetryViolation at this point
     assert main(["moment", "--preset", "cp2", "--point=0.6,0,0,0.8"]) == 3
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not strictly inside the top layer" in captured.err
 
 
 def test_rank_grid_hits_equator(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Exact Jacobi oracle: the Schouten bracket [pi, pi] of the projective-space
 chart bivectors, computed symbolically with sympy from the coefficient
 formulas, vanishes identically; and the numeric stacked real matrices equal
-the exact ones at rational points."""
+the exact ones at rational points.  The numeric side of projective space is
+the Grassmann chart kernel at gr:1,n, and that of the cp1 family the real
+matrix of its ``cp1_family`` coefficient."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from birkhoff_poisson import coordinate_bivector
+from birkhoff_poisson import coordinate_bivector, cp1_family
+from birkhoff_poisson.poisson import CoordCoefficients, coeffs_real_matrix, reals_to_complex
 
 
 def _real_frame(n):
@@ -86,12 +89,27 @@ def _schouten(pi, xs):
                 ).as_expr()
 
 
+def _cp1_member(member):
+    """Real matrices of one cp1 family member at points (..., 2)."""
+
+    def real_matrix(x):
+        val = getattr(cp1_family(reals_to_complex(x)[..., 0]), member)[..., np.newaxis, np.newaxis]
+        return coeffs_real_matrix(CoordCoefficients(mixed=val, holo=np.zeros_like(val)))
+
+    return real_matrix
+
+
+def _grassmann(m, n):
+    return coordinate_bivector("grassmann", m=m, n=n).real_matrix
+
+
+# case: (exact matrix builder, numeric real_matrix)
 CASES = {
-    "cp1-evens_lu": (lambda: _cp1("evens_lu"), ("cp1", {})),
-    "cp1-projected_pl": (lambda: _cp1("projected_pl"), ("cp1", {"member": "projected_pl"})),
-    "cp1-kks": (lambda: _cp1("kks"), ("cp1", {"member": "kks"})),
-    "cpn:1": (lambda: _cpn(1), ("cpn", {"n": 1})),
-    "cpn:2": (lambda: _cpn(2), ("cpn", {"n": 2})),
+    "cp1-evens_lu": (lambda: _cp1("evens_lu"), _cp1_member("evens_lu")),
+    "cp1-projected_pl": (lambda: _cp1("projected_pl"), _cp1_member("projected_pl")),
+    "cp1-kks": (lambda: _cp1("kks"), _cp1_member("kks")),
+    "cpn:1": (lambda: _cpn(1), _grassmann(1, 1)),
+    "cpn:2": (lambda: _cpn(2), _grassmann(1, 2)),
 }
 
 RATIONAL_POINTS = [
@@ -111,12 +129,10 @@ def test_exact_schouten_bracket_vanishes(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacked_real_matrix_matches_the_exact_one(case):
-    build, (kind, kwargs) = CASES[case]
+    build, real_matrix = CASES[case]
     xs, pi = build()
     points = [p[: len(xs)] for p in RATIONAL_POINTS]
-    numeric = coordinate_bivector(kind, **kwargs).real_matrix(
-        np.array([[float(c) for c in p] for p in points])
-    )
+    numeric = real_matrix(np.array([[float(c) for c in p] for p in points]))
     for p, mat in zip(points, numeric):
         exact = pi.subs({x: sp.Rational(c.numerator, c.denominator) for x, c in zip(xs, p)})
         expected = np.array(exact.tolist(), dtype=float)

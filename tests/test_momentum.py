@@ -7,6 +7,7 @@ from birkhoff_poisson import (
     InvalidTangent,
     birkhoff_layer,
     canonical_rep,
+    cartan_embed,
     hamiltonian_residual,
     leaf_factorize,
     moment_eval,
@@ -167,8 +168,8 @@ def test_stacked_residual_matches_per_point_per_direction_calls(spec, count, see
     preset = parse_preset(spec)
     rng = np.random.default_rng(seed)
     u = np.array([random_interior_point(preset, rng) for _ in range(count)])
-    layer = leaf_factorize(u[0], preset)
-    lf = leaf_factorize(u, preset)
+    layer = leaf_factorize(cartan_embed(u[0], preset), preset)
+    lf = leaf_factorize(cartan_embed(u, preset), preset)
     same = np.all((lf.perm == layer.perm) & (lf.signs == layer.signs), axis=-1)
     u = u[same]
     basis = np.stack(torus_tw((layer.perm, layer.signs), preset))
@@ -202,9 +203,9 @@ def test_moment_eval_on_a_stack_of_points(preset_name, rng, request):
     assert values.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         assert values[idx] == moment_eval(points[idx], x, preset)
-    lf = leaf_factorize(points, preset)
+    lf = leaf_factorize(cartan_embed(points, preset), preset)
     assert lf.perm.shape == (2, 3, preset.matrix_dim)
-    one = leaf_factorize(points[1, 2], preset)
+    one = leaf_factorize(cartan_embed(points[1, 2], preset), preset)
     np.testing.assert_array_equal(
         np.log(np.abs(np.diagonal(lf.h[1, 2]))), np.log(np.abs(np.diagonal(one.h)))
     )
@@ -219,7 +220,7 @@ def test_moment_eval_stack_rejects_non_torus_direction(rng, cp1):
 def test_leaf_moment_on_basis_matches_per_direction_calls(rng, cp2):
     # one leaf factorization read on the whole torus basis, as `moment` does
     u = random_interior_point(cp2, rng)
-    lf = leaf_factorize(u, cp2)
+    lf = leaf_factorize(cartan_embed(u, cp2), cp2)
     basis = torus_tw((lf.perm, lf.signs), cp2)
     np.testing.assert_array_equal(
         [leaf_moment(lf, x, cp2) for x in basis], [moment_eval(u, x, cp2) for x in basis]

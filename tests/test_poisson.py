@@ -616,13 +616,13 @@ def test_jacobi_constant_bivector_is_zero():
 
 
 def test_jacobi_cp1_baseline(rng):
-    biv = coordinate_bivector("cp1")
+    biv = coordinate_bivector("grassmann", m=1, n=1)
     for _ in range(5):
         assert jacobi_residual(biv, 0.8 * rng.standard_normal(2)) <= 1e-6
 
 
 def test_jacobi_cp2_and_grassmann(rng):
-    cp2 = coordinate_bivector("cpn", n=2)
+    cp2 = coordinate_bivector("grassmann", m=1, n=2)
     for _ in range(10):
         assert jacobi_residual(cp2, 0.6 * rng.standard_normal(4)) <= 1e-5
     g22 = coordinate_bivector("grassmann", m=2, n=2)
@@ -642,12 +642,13 @@ def test_jacobi_detects_broken_bivector(rng):
 
 
 def test_grassmann_real_matrix_matches_cpn(rng):
-    # the two routes to the real coordinate matrix agree on projective space
-    cpn = coordinate_bivector("cpn", n=2)
+    # the Grassmann kernel agrees on projective space with the real matrix
+    # of the displayed coefficients, built here as the reference
     gr = coordinate_bivector("grassmann", m=1, n=2)
     for _ in range(5):
         x = 0.7 * rng.standard_normal(4)
-        np.testing.assert_allclose(cpn.real_matrix(x), gr.real_matrix(x), atol=1e-12)
+        cpn = coeffs_real_matrix(cpn_coeffs(reals_to_complex(x)))
+        np.testing.assert_allclose(cpn, gr.real_matrix(x), atol=1e-12)
 
 
 def test_grassmann_real_matrix_matches_trace_pairing(rng):
@@ -726,9 +727,26 @@ def test_grassmann_real_matrix_matches_the_einsum_reference(m, n, rng):
     _assert_relative(biv.real_matrix(x[0]), _grassmann_real_matrix_reference(x[0], m, n))
 
 
-@pytest.mark.parametrize("kind,x", [("cp1", [1e300, 0.0]), ("cpn", [0.0, 0.0, 1e300, 0.0])])
-def test_coeffs_real_matrix_rejects_a_non_finite_tensor(kind, x):
-    biv = coordinate_bivector(kind, n=len(x) // 2)
+@pytest.mark.parametrize("x", [[1e300, 0.0], [0.0, 0.0, 1e300, 0.0]])
+def test_coeffs_real_matrix_rejects_a_non_finite_tensor(x):
+    with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
+        coeffs_real_matrix(cpn_coeffs(reals_to_complex(np.array(x))))
+
+
+@pytest.mark.parametrize(
+    "m,n,x",
+    [
+        (1, 1, [1e300, 0.0]),
+        (1, 2, [0.0, 0.0, 1e300, 0.0]),
+        (2, 2, [1e300] + [0.0] * 7),
+        (1, 2, [[0.1, 0.2, 0.3, 0.1], [0.0, 0.0, 1e300, 0.0]]),
+    ],
+)
+def test_grassmann_real_matrix_rejects_a_non_finite_tensor(m, n, x):
+    # on cp1 the Schouten bracket has no component, so a tensor that is not
+    # finite would otherwise pass the Jacobi residual as 0.0; a stack is
+    # refused when any of its points is
+    biv = coordinate_bivector("grassmann", m=m, n=n)
     with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
         biv.real_matrix(np.array(x))
 
@@ -762,12 +780,9 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
 
 
 BIVECTORS = {
-    "cp1": ("cp1", {}),
-    "cp1-kks": ("cp1", {"member": "kks"}),
-    "cpn:1": ("cpn", {"n": 1}),
-    "cpn:2": ("cpn", {"n": 2}),
-    "cpn:3": ("cpn", {"n": 3}),
+    "gr:1,1": ("grassmann", {"m": 1, "n": 1}),
     "gr:1,2": ("grassmann", {"m": 1, "n": 2}),
+    "gr:1,3": ("grassmann", {"m": 1, "n": 3}),
     "gr:2,2": ("grassmann", {"m": 2, "n": 2}),
     "gr:2,3": ("grassmann", {"m": 2, "n": 3}),
     "fothlu_w": ("fothlu_w", {}),

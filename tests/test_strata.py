@@ -73,7 +73,7 @@ def test_group_layer_extends_the_single_factor_layer(spec, rng):
 
 
 def test_leaf_factorize_identity(cp1):
-    lf = leaf_factorize(np.eye(2, dtype=complex), cp1)
+    lf = leaf_factorize(cartan_embed(np.eye(2, dtype=complex), cp1), cp1)
     np.testing.assert_allclose(lf.l, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(lf.h, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(np.log(np.abs(np.diagonal(lf.h))), np.zeros(2), atol=1e-14)
@@ -83,7 +83,7 @@ def test_leaf_factorize_cp1_against_elimination_oracle(cp1):
     z = 0.4 + 0.3j
     u = canonical_rep(np.array([[z]]), cp1)
     phi = cartan_embed(u, cp1)
-    lf = leaf_factorize(u, cp1)
+    lf = leaf_factorize(phi, cp1)
     d = (1 - abs(z) ** 2) / (1 + abs(z) ** 2)
     np.testing.assert_allclose(np.diag(lf.h), [d, 1 / d], atol=1e-12)
     lo, dd, up = doolittle_ldu(phi)
@@ -97,7 +97,7 @@ def test_leaf_factorize_roundtrip_and_symmetry(preset_name, rng, request):
     for _ in range(50):
         u = random_point(preset, rng)
         phi = cartan_embed(u, preset)
-        lf = leaf_factorize(u, preset)
+        lf = leaf_factorize(phi, preset)
         upper = theta_g(lf.l.conj().T, preset)
         recon = lf.l @ lf.w_matrix @ lf.h @ upper
         assert np.linalg.norm(recon - phi) <= 1e-9 * np.linalg.norm(phi)
@@ -112,7 +112,7 @@ def test_leaf_factorize_roundtrip_and_symmetry(preset_name, rng, request):
 def test_leaf_factorize_nontrivial_layer(cp1):
     # the equator sits in the transposition layer yet still factors symmetrically
     u = canonical_rep(np.array([[np.exp(0.3j)]]), cp1)
-    lf = leaf_factorize(u, cp1)
+    lf = leaf_factorize(cartan_embed(u, cp1), cp1)
     assert lf.perm == (1, 0)
     np.testing.assert_allclose(np.abs(np.diag(lf.h)), [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(np.log(np.abs(np.diagonal(lf.h))), np.zeros(2), atol=1e-12)

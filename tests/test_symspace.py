@@ -12,7 +12,6 @@ from birkhoff_poisson import (
     NumericalDomainError,
     canonical_rep,
     cartan_embed,
-    chart_cartan_image,
     parse_preset,
     project_ip,
     theta_g,
@@ -31,7 +30,6 @@ from birkhoff_poisson.symspace import (
     grassmannian,
     group_case,
     ip_basis,
-    projective_space,
     su_basis,
     torus_basis,
 )
@@ -42,16 +40,16 @@ def test_preset_dimensions():
     assert g.matrix_dim == 5
     assert g.dim_ip == 12
     assert group_case(2).dim_ip == 3
-    assert projective_space(2).dim_ip == 4
+    assert grassmannian(1, 2).dim_ip == 4
     # the closed form counts the odd basis
-    for preset in (g, group_case(2), group_case(3), projective_space(1), grassmannian(3, 2)):
+    for preset in (g, group_case(2), group_case(3), grassmannian(1, 1), grassmannian(3, 2)):
         assert preset.dim_ip == len(ip_basis(preset))
 
 
 def test_parse_preset_roundtrip():
-    assert parse_preset("cp1") == projective_space(1)
-    assert parse_preset("cp2") == projective_space(2)
-    assert parse_preset("cpn:3") == projective_space(3)
+    assert parse_preset("cp1") == grassmannian(1, 1)
+    assert parse_preset("cp2") == grassmannian(1, 2)
+    assert parse_preset("cpn:3") == grassmannian(1, 3)
     assert parse_preset("gr:2,2") == grassmannian(2, 2)
     assert parse_preset("group:su2") == group_case(2)
     with pytest.raises(ValueError):
@@ -224,21 +222,26 @@ def _eigh_representative(z, preset):
     return np.block([[a, -a @ zh], [z @ a, d]])
 
 
+def _chart_image(z, preset):
+    """The Cartan image of a chart point, as every caller builds it."""
+    return cartan_embed(canonical_rep(z, preset), preset)
+
+
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
-def test_chart_cartan_image_matches_the_representative_route(preset_name, rng):
+def test_chart_point_cartan_image_matches_the_eigh_route(preset_name, rng):
     preset = parse_preset(preset_name)
     z = complex_normal_sampler((4, 10, preset.n, preset.m)).one(rng)
     # Frobenius radii uniform in [0, 3)
     z *= (3.0 * rng.uniform(0.0, 1.0, (4, 10)) / np.linalg.norm(z, axis=(-2, -1)))[..., None, None]
-    phi = chart_cartan_image(z, preset)
+    phi = _chart_image(z, preset)
     assert phi.shape == (4, 10, preset.matrix_dim, preset.matrix_dim)
     reference = cartan_embed(_eigh_representative(z, preset), preset)
     np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(chart_cartan_image(z[1, 2], preset), phi[1, 2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_chart_image(z[1, 2], preset), phi[1, 2], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
-def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes(
+def test_chart_point_cartan_image_defects_are_no_larger_than_the_eigh_routes(
     preset_name, rng
 ):
     # On the same draws, up to |z| ~ 1e3.  The image read off the SVD
@@ -251,14 +254,12 @@ def test_chart_cartan_image_defects_are_no_larger_than_the_representative_routes
     for scale in (0.3, 3.0, 30.0, 1e3):
         z = scale * complex_normal_sampler((200, preset.n, preset.m)).one(rng)
         old = cartan_embed(_eigh_representative(z, preset), preset)
-        new = chart_cartan_image(z, preset)
+        new = _chart_image(z, preset)
         unit_old, unit_new = (
             np.max(np.linalg.norm(phi @ phi.mT.conj() - eye, axis=(-2, -1))) for phi in (old, new)
         )
         assert unit_new <= 8 * preset.matrix_dim * eps
         assert unit_new <= max(unit_old, 8 * eps)
-        # phi* = theta(phi) bit for bit, so its defect is 0
-        assert np.array_equal(new.mT.conj(), theta_g(new, preset))
 
 
 def _chart_points_with_condition(preset, conds, rng):
@@ -278,17 +279,16 @@ def _chart_points_with_condition(preset, conds, rng):
 
 
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
-def test_chart_cartan_image_is_unitary_up_to_the_conditioning_bound(preset_name, rng):
+def test_chart_point_cartan_image_is_unitary_up_to_the_conditioning_bound(preset_name, rng):
     # the normal equations lose unitarity like eps cond(I + z* z); the
     # singular value decomposition does not, up to the refusal bound 1e14
     preset = parse_preset(preset_name)
     eye = np.eye(preset.matrix_dim)
     eps = np.finfo(float).eps
     z = _chart_points_with_condition(preset, np.geomspace(1e2, 5e13, 100), rng)
-    phi = chart_cartan_image(z, preset)
+    phi = _chart_image(z, preset)
     unit = np.max(np.linalg.norm(phi @ phi.mT.conj() - eye, axis=(-2, -1)))
     assert unit <= 8 * preset.matrix_dim * eps
-    assert np.array_equal(phi.mT.conj(), theta_g(phi, preset))
 
 
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
@@ -309,7 +309,7 @@ def test_canonical_rep_is_unitary_up_to_the_conditioning_bound(preset_name, rng)
 
 
 @pytest.mark.parametrize("preset_name", CHART_PRESETS)
-def test_both_routes_refuse_the_same_chart_points(preset_name, rng):
+def test_canonical_rep_refuses_the_chart_points_of_its_rule(preset_name, rng):
     # one rule: I + z* z finite and neither it nor I + z z* too
     # ill-conditioned for check_hpd_spectrum; a factor of 3 off the bound 1e14.
     # On cp1 both are 1 x 1, so no finite point is ill-conditioned.
@@ -320,14 +320,13 @@ def test_both_routes_refuse_the_same_chart_points(preset_name, rng):
         (_chart_points_with_condition(preset, [3e14] * 20, rng), *conditioned),
         (1e160 * _chart_points_with_condition(preset, [10.0] * 20, rng), NumericalDomainError, "overflows"),
     ):
-        for route in (chart_cartan_image, canonical_rep):
-            if error is None:
-                route(z, preset)
-            else:
-                with pytest.raises(error, match=message):
-                    route(z, preset)
-                with pytest.raises(error, match=message):
-                    route(z[7], preset)
+        if error is None:
+            canonical_rep(z, preset)
+        else:
+            with pytest.raises(error, match=message):
+                canonical_rep(z, preset)
+            with pytest.raises(error, match=message):
+                canonical_rep(z[7], preset)
 
 
 def _exact_projective_image(z):
@@ -348,7 +347,7 @@ def _exact_projective_image(z):
     ]
 
 
-def test_chart_cartan_image_at_an_exact_wall_point(cp2):
+def test_chart_point_cartan_image_at_an_exact_wall_point(cp2):
     # z = (3/5, 4i/5) has |z| = 1, so the first leading minor is exactly 0
     f = Fraction
     exact = _exact_projective_image([(f(3, 5), f(0)), (f(0), f(4, 5))])
@@ -358,24 +357,23 @@ def test_chart_cartan_image_at_an_exact_wall_point(cp2):
         [(0, f(4, 5)), (0, f(-12, 25)), (f(9, 25), 0)],
     ]
     expected = np.array([[float(re) + 1j * float(im) for re, im in row] for row in exact])
-    phi = chart_cartan_image(np.array([[0.6], [0.8j]]), cp2)
+    phi = _chart_image(np.array([[0.6], [0.8j]]), cp2)
     np.testing.assert_allclose(phi, expected, rtol=0, atol=1e-15)
 
 
-def test_chart_cartan_image_rejects_bad_chart_points(cp2, group2):
+def test_chart_point_cartan_image_rejects_bad_chart_points(cp2, group2):
     z = np.zeros((3, 2, 1), dtype=complex)
     z[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        chart_cartan_image(z, cp2)
-    # I + z* z overflows: a numerical-domain error, as in canonical_rep
+        _chart_image(z, cp2)
+    # I + z* z overflows: a numerical-domain error
     z[1, 0, 0] = 1e200
-    for route in (chart_cartan_image, canonical_rep):
-        with pytest.raises(NumericalDomainError, match="overflows"):
-            route(z, cp2)
+    with pytest.raises(NumericalDomainError, match="overflows"):
+        _chart_image(z, cp2)
     with pytest.raises(ValueError, match="chart matrix"):
-        chart_cartan_image(np.zeros((3, 1, 2)), cp2)
+        _chart_image(np.zeros((3, 1, 2)), cp2)
     with pytest.raises(ValueError, match="Grassmannian family"):
-        chart_cartan_image(np.zeros((2, 2)), group2)
+        _chart_image(np.zeros((2, 2)), group2)
 
 
 def test_project_ip_cases(rng, gr22, group2):

@@ -174,9 +174,9 @@ def test_momentum_suite_passes_its_tol_to_every_factorization(monkeypatch):
     tols = []
     original = momentum.leaf_factorize
 
-    def recorded(u, preset, tol):
+    def recorded(phi, preset, tol):
         tols.append(tol)
-        return original(u, preset, tol)
+        return original(phi, preset, tol)
 
     monkeypatch.setattr(momentum, "leaf_factorize", recorded)
     assert run_suite("momentum", 0, tol=2e-9)["pass"]
