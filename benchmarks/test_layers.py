@@ -90,7 +90,7 @@ def test_leaf_factorize_and_moment(benchmark, spec):
 def test_rank_grid_text(benchmark, fmt, monkeypatch):
     """The text of one 32 x 32 cp2 grid, its rows computed once beforehand."""
     axis = cli._axis_points(0.05, 1.85, 32).tolist()
-    rows = cli._grid_cells("cp2", parse_preset("cp2"), axis, axis, 1e-9)
+    rows = cli._grid_cells(parse_preset("cp2"), axis, axis, 1e-9)
     monkeypatch.setattr(cli, "_grid_cells", lambda *args: rows)
     argv = ["rank-grid", "--preset", "cp2", "--grid=0.05,1.85,32,0.05,1.85,32", "--format", fmt]
 

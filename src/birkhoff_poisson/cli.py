@@ -32,34 +32,16 @@ from .poisson import (
     matrix_of_omega,
     pi_rank,
     reals_to_complex,
-    su2_el_matrix,
     su2_from_sphere,
 )
 from .strata import leaf_factorize, torus_tw
-from .symspace import SymmetricSpacePreset, canonical_rep, cartan_embed, parse_preset
+from .symspace import SymmetricSpacePreset, block_diag, canonical_rep, cartan_embed, parse_preset
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-_DEFAULT_GRIDS = {
-    "cp1": [(-2.0, 2.0, 40), (-2.0, 2.0, 40)],
-    "cp2": [(0.0, 2.0, 40), (0.0, 2.0, 40)],
-    "su2": [(-1.0, 1.0, 40), (-1.0, 1.0, 40)],
-    "fothlu": [(-2.0, 2.0, 40), (-2.0, 2.0, 40)],
-    "gr": [(-2.0, 2.0, 40), (-2.0, 2.0, 40)],
-}
-
-_GRID_COLUMNS = {
-    "cp1": ["re_z", "im_z", "rank", "min_abs_minor"],
-    "cp2": ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"],
-    "gr": ["re_z11", "im_z11", "rank", "min_abs_minor"],
-    "su2": ["re_a", "im_a", "rank", "abs_principal_minor"],
-    "fothlu": ["re_w", "im_w", "rank", "abs_coefficient"],
-}
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -132,6 +114,16 @@ def _parse_grid(text: str) -> list[tuple[float, float, int]]:
 def _axis_points(lo: float, hi: float, steps: int) -> np.ndarray:
     h = (hi - lo) / steps
     return lo + h * (np.arange(steps) + 0.5)
+
+
+def _resolve_preset(spec: str) -> tuple[str, SymmetricSpacePreset | None]:
+    """The label and the preset of a ``--preset`` argument, read ignoring case
+    and surrounding spaces as ``parse_preset`` reads it; ``fothlu``, a chart
+    tensor with no symmetric space behind it, has no preset (None)."""
+    if spec.strip().lower() == "fothlu":
+        return "fothlu", None
+    preset = parse_preset(spec)
+    return preset.label, preset
 
 
 def _chart_matrix(preset: SymmetricSpacePreset, reals: np.ndarray) -> np.ndarray:
@@ -266,13 +258,13 @@ def cmd_moment(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    if args.preset.lower() == "fothlu":
-        label, biv = "fothlu", coordinate_bivector("fothlu_w")
+    label, preset = _resolve_preset(args.preset)
+    if preset is None:
+        biv = coordinate_bivector("fothlu_w")
     else:
-        preset = parse_preset(args.preset)
         # refuses a group preset, as embed, pi and moment do
         _chart_matrix(preset, args.point)
-        label, biv = preset.label, coordinate_bivector("grassmann", m=preset.m, n=preset.n)
+        biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
     if args.point.size != biv.dim_real:
         raise ValueError(f"preset {label} needs {biv.dim_real // 2} complex coordinates")
     # an overflowing point is refused below or by the bivector, not warned about
@@ -291,41 +283,62 @@ def cmd_jacobi(args) -> int:
 # rank grid
 
 
-def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
-    """The rank column and the kind's float columns at the cells (x, y).
-    su2 and fothlu come from closed forms: su2 cells outside the unit disc
-    get rank -1 and 0.0, and a fothlu coefficient that overflows is refused
-    as ``jacobi`` refuses it.  Elsewhere a cell whose layer is ambiguous gets
-    rank -1."""
-    if name == "fothlu":
+def _grid_layout(preset: SymmetricSpacePreset | None) -> tuple[list, list[str]]:
+    """The default axes and the columns of a grid over the preset (None for
+    fothlu): cp2 sweeps its real (z1, z2) plane, another Grassmannian the
+    complex z11 plane, group:su2 the disc of a; other groups are refused."""
+    if preset is None:
+        return [(-2.0, 2.0, 40)] * 2, ["re_w", "im_w", "rank", "abs_coefficient"]
+    if not preset.is_inner:
+        if preset.n != 2:
+            raise ValueError(f"rank-grid takes group:su2 of the group presets, not {preset.label}")
+        return [(-1.0, 1.0, 40)] * 2, ["re_a", "im_a", "rank", "abs_principal_minor"]
+    if preset.label == "cp2":
+        return [(0.0, 2.0, 40)] * 2, ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"]
+    plane = ["re_z", "im_z"] if preset.label == "cp1" else ["re_z11", "im_z11"]
+    return [(-2.0, 2.0, 40)] * 2, plane + ["rank", "min_abs_minor"]
+
+
+def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
+    """The rank column and the preset's float columns at the cells (x, y).
+    Every preset but fothlu takes one route: the point stack u, the rank of
+    the bivector at u, -1 where the layer of the Cartan image phi is
+    ambiguous, and the smallest |leading minor| of phi.  A group:su2 cell is
+    u = diag(I, k*), where ``pi_el_group`` evaluates, at k = [[a, b],
+    [-b*, a*]], a = x + iy, b = sqrt(1 - |a|^2): phi = diag(k, k*), whose
+    smallest |leading minor| is |a|.  A cell outside the unit disc, |a|^2
+    overflowing included, gets rank -1 and 0.0.  fothlu is the one closed
+    form; a coefficient that overflows is refused as ``jacobi`` refuses it."""
+    if preset is None:
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = np.abs(fothlu_w_chart(x + 1j * y))
         if not np.all(np.isfinite(coeff)):
             raise NumericalDomainError("fothlu coefficient is not finite at a grid cell")
         return [np.where(coeff > tol, 2, 0), coeff]
-    if name == "su2":
-        # a cell whose |a|^2 overflows lies outside the disc like any other
+    inside = np.ones(len(x), dtype=bool)
+    if preset.is_inner:
+        z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
+        if preset.label == "cp2":
+            z[:, 0, 0], z[:, 1, 0] = x, y
+        else:
+            z.real[:, 0, 0], z.imag[:, 0, 0] = x, y
+        u = canonical_rep(z, preset)
+    else:
         with np.errstate(over="ignore"):
             mod2 = x * x + y * y
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
-        ranks = np.full(len(x), -1)
-        ranks[inside] = np.linalg.matrix_rank(su2_el_matrix(k), tol=tol)
-        return [ranks, np.where(inside, np.hypot(x, y), 0.0)]
-    z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
-    if name == "cp2":
-        z[:, 0, 0], z[:, 1, 0] = x, y
-    else:
-        z.real[:, 0, 0], z.imag[:, 0, 0] = x, y
-    u = canonical_rep(z, preset)
+        u = block_diag(np.eye(2), k.mT.conj())
     phi = cartan_embed(u, preset)
     ranks = pi_rank(u, preset, tol)
     try:
         birkhoff_factor(phi, tol)
     except StratumAmbiguous as exc:
         ranks = np.where(exc.mask, -1, ranks)
-    columns = [ranks, np.min(np.abs(principal_minors(phi)), axis=-1)]
-    if name == "cp2":
+    columns = [np.full(len(x), -1), np.zeros(len(x))]
+    columns[0][inside] = ranks
+    columns[1][inside] = np.min(np.abs(principal_minors(phi)), axis=-1)
+    if preset.label == "cp2":
         columns.append(np.abs(cp2_degeneracy_p(x, y)))
     return columns
 
@@ -333,53 +346,42 @@ def _grid_columns(name: str, preset, x: np.ndarray, y: np.ndarray, tol: float) -
 # Bytes of the largest complex stack one stack of grid cells builds: the
 # (cells, dim_ip, d, d) frames u e_r u* of matrix_of_omega, of which it holds
 # at most two at once (the blocks u e_r and the frames, then the frames and
-# their Hilbert transforms), or the (cells, 3, 3, 2, 2) su2 frame pairings
-# (fothlu builds less); bounds the cells per stack: 2,048 on cp1, 455 on
-# cp2, 128 on gr:2,2.
+# their Hilbert transforms), or the (cells,) points w of fothlu; bounds the
+# cells per stack: 2,048 on cp1, 455 on cp2, 341 on group:su2, 128 on
+# gr:2,2 and 16,384 on fothlu.
 _STACK_BYTES = 1 << 18
 
 
-def _grid_cells(name: str, preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
+def _grid_cells(preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
     """The cells (x, y) of the grid, row-major, evaluated as flat stacks of
     at most ``_STACK_BYTES`` each."""
-    cell_bytes = 16 * 9 * 4 if preset is None else 16 * preset.dim_ip * preset.matrix_dim**2
+    cell_bytes = 16 if preset is None else 16 * preset.dim_ip * preset.matrix_dim**2
     per_stack = max(1, _STACK_BYTES // cell_bytes)
     cells = [(x, y) for x in xs for y in ys]
     rows = []
     for start in range(0, len(cells), per_stack):
         chunk = cells[start:start + per_stack]
-        columns = _grid_columns(name, preset, *np.array(chunk).T, tol)
+        columns = _grid_columns(preset, *np.array(chunk).T, tol)
         rows += [[x, y, *row] for (x, y), *row in zip(chunk, *(c.tolist() for c in columns))]
     return rows
 
 
 def cmd_rank_grid(args) -> int:
-    spec = args.preset.lower()
-    if spec.startswith("gr:"):
-        name = "gr"
-        preset = parse_preset(spec)
-    elif spec in ("cp1", "cp2"):
-        name = spec
-        preset = parse_preset(spec)
-    elif spec in ("su2", "fothlu"):
-        name = spec
-        preset = None
-    else:
-        raise ValueError(f"rank-grid supports cp1 | cp2 | gr:m,n | su2 | fothlu, not {spec!r}")
-    axes = args.grid or _DEFAULT_GRIDS[name]
+    label, preset = _resolve_preset(args.preset)
+    default_axes, columns = _grid_layout(preset)
+    axes = args.grid or default_axes
     if len(axes) != 2:
         raise ValueError("rank-grid needs exactly two grid axes")
     xs = [float(x) for x in _axis_points(*axes[0])]
     ys = [float(y) for y in _axis_points(*axes[1])]
-    rows = _grid_cells(name, preset, xs, ys, args.tol)
-    columns = _GRID_COLUMNS[name]
+    rows = _grid_cells(preset, xs, ys, args.tol)
     if args.format == "csv":
         lines = itertools.chain([columns], _table_cells(rows))
         _write(["\n".join(map(",".join, lines)), "\n"], args.out)
     else:
         _emit(
             {
-                "preset": spec,
+                "preset": label,
                 "grid": [list(a) for a in axes],
                 "columns": columns,
                 "rows": rows,
@@ -453,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "--point", "--tol", "--out", presets=chart)
     p_moment.add_argument("--index", type=int, help="single torus basis index")
     add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
-        "--tol", "--grid", "--format", "--out", presets="cp1 | cp2 | gr:m,n | su2 | fothlu")
+        "--tol", "--grid", "--format", "--out", presets=f"{chart} | group:su2 | su2 | fothlu")
     p_verify = add("verify", cmd_verify, "run a verification suite",
                    "--tol", "--fd-step", "--seed", "--out")
     p_verify.add_argument(
@@ -462,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lambda-identity | degeneracy | momentum | all",
     )
     add("jacobi", cmd_jacobi, "finite-difference Schouten bracket residual",
-        "--point", "--fd-step", "--out", presets="cp1 | cpN | cpn:N | gr:m,n | fothlu")
+        "--point", "--fd-step", "--out", presets=f"{chart} | fothlu")
     add("calibration", cmd_calibration, "measured local-to-equivariant calibration constant",
         "--out")
 

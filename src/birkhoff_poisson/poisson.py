@@ -28,8 +28,8 @@ displays, ``grassmann_l_operator``, ``grassmann_local_pi`` and the chart
 transfer ``chart_covectors`` / ``chart_pi_eval`` take stacks of points and
 arguments that broadcast, matrices on the last two axes; they validate the
 whole stack once and return one value per point.
-One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family``,
-``fothlu_w_chart`` and ``su2_el_matrix`` take stacks of chart points,
+One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family`` and
+``fothlu_w_chart`` take stacks of chart points,
 ``coord_pi_value`` takes stacked coefficients with stacked component
 vectors, and every ``CoordBivector.real_matrix`` takes points
 (..., dim_real); the Jacobi residual evaluates its whole finite-difference
@@ -43,8 +43,8 @@ The chart kinds are grassmann, which covers projective space as m = 1, and
 fothlu_w.  The projective-space coefficients ``cpn_coeffs`` and the cp1
 family ``cp1_family`` are the displayed formulas and the oracles of the
 projective-specialization and lambda-identity checks; ``coeffs_real_matrix``
-turns them into real tensors.  The SU(2) group pairing has no chart kind,
-it is ``su2_el_matrix`` on the (H, X, Y) frame.
+turns them into real tensors.  The SU(2) group pairing has no chart kind:
+its rank is ``pi_rank`` at the group point diag(1, k^(-1)).
 """
 
 from __future__ import annotations
@@ -228,15 +228,6 @@ def su2_lw_coefficients(k: np.ndarray) -> tuple:
     """
     kinv = np.asarray(k, dtype=complex).mT.conj()
     return _su2_wedges(pi_lw_group, kinv, 0.5)
-
-
-def su2_el_matrix(k: np.ndarray) -> np.ndarray:
-    """Raw pairing values of the homogeneous group structure on (H, X, Y):
-    (3, 3), or (..., 3, 3) for a stack of k; the diagonal is 0."""
-    frame = np.array(su2_frame())
-    k = np.asarray(k, dtype=complex)[..., np.newaxis, np.newaxis, :, :]
-    mat = pi_el_group(k, frame[:, np.newaxis], frame[np.newaxis, :])
-    return np.where(np.eye(3, dtype=bool), 0.0, mat)
 
 
 # ---------------------------------------------------------------------------

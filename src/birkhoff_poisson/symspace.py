@@ -94,7 +94,7 @@ def group_case(n: int) -> SymmetricSpacePreset:
 
 
 def parse_preset(spec: str) -> SymmetricSpacePreset:
-    """Parse preset strings: gr:m,n | cp1 | cp2 | cpn:n | group:su2."""
+    """Parse preset strings: gr:m,n | cpN | cpn:N | group:suN | suN."""
     spec = spec.strip().lower()
     if spec.startswith("gr:"):
         parts = spec[3:].split(",")
@@ -105,8 +105,9 @@ def parse_preset(spec: str) -> SymmetricSpacePreset:
         return grassmannian(1, int(spec[4:]))
     if spec.startswith("cp") and spec[2:].isdigit():
         return grassmannian(1, int(spec[2:]))
-    if spec.startswith("group:su"):
-        return group_case(int(spec[8:]))
+    group = spec.removeprefix("group:")
+    if group.startswith("su") and group[2:].isdigit():
+        return group_case(int(group[2:]))
     raise ValueError(f"unknown preset {spec!r}")
 
 

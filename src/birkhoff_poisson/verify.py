@@ -175,14 +175,15 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
 
 
 def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
-    cp1 = poisson.coordinate_bivector("grassmann", m=1, n=1)
-    worst_cp1 = np.max(poisson.jacobi_residual(cp1, 0.7 * rng.standard_normal((10, 2)), fd_step))
+    # cp1 has no Schouten component (real dimension 2): cp3 is a check that can fail
+    cp3 = poisson.coordinate_bivector("grassmann", m=1, n=3)
+    worst_cp3 = np.max(poisson.jacobi_residual(cp3, 0.6 * rng.standard_normal((10, 6)), fd_step))
     cp2 = poisson.coordinate_bivector("grassmann", m=1, n=2)
     worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4)), fd_step))
     g22 = poisson.coordinate_bivector("grassmann", m=2, n=2)
     worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8)), fd_step))
     return [
-        _check("jacobi-cp1-baseline", worst_cp1, 1e-6),
+        _check("jacobi-cp3", worst_cp3, 1e-5),
         _check("jacobi-cp2", worst_cp2, 1e-5),
         _check("jacobi-gr22", worst_g22, 1e-5),
     ]

@@ -189,6 +189,7 @@ def test_jacobi_accepts_the_cpn_spelling_of_parse_preset(capsys):
     [
         (["cp1", "cpn:1", "gr:1,1", "cp1 ", " CP1"], "0.3,-0.2"),
         (["cp2", "cpn:2", "gr:1,2", " cp2", "CPN:2 "], "0.1,0.2,0.3,0.1"),
+        (["fothlu", " fothlu", "FOTHLU"], "0.3,-0.7"),
     ],
 )
 def test_jacobi_prints_one_output_for_every_spelling_of_a_preset(spellings, point, capsys):
@@ -199,7 +200,7 @@ def test_jacobi_prints_one_output_for_every_spelling_of_a_preset(spellings, poin
     ((code, out),) = outputs
     assert code == 0
     data = json.loads(out)
-    assert data["preset"] == parse_preset(spellings[0]).label and data["residual"] <= 1e-5
+    assert data["preset"] == spellings[0] and data["residual"] <= 1e-5
 
 
 # The shared flags each subcommand reads; it declares no other.
@@ -287,6 +288,8 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["jacobi", "--preset", "cp2", "--point=inf,0,0,0"],
         ["rank-grid", "--preset", "fothlu", "--grid=-inf,1,4,-1,1,4"],
         ["rank-grid", "--preset", "su2", "--grid=-1e308,1e308,4,-1,1,4"],
+        ["rank-grid", "--preset", "group:su3"],
+        ["rank-grid", "--preset", "su4"],
         ["pi", "--preset", "cp1", "--point=0.5,0", "--tol=inf"],
         ["verify", "momentum", "--fd-step=inf"],
     ],
@@ -456,11 +459,13 @@ def _reference_cell(spec, x, y, tol=1e-9):
 
 # The x axis -8e-10, 1 + 8e-10 puts |z| = 1 inside the ambiguity band on the
 # real axis (rank -1), and y = +-1 puts it on the rank-drop locus.  The cp2
-# grid hits its locus exactly at (0, +-1) and (1, 0).
+# grid hits its locus exactly at (0, +-1) and (1, 0).  cp3, like every
+# Grassmannian but cp2, runs on the z11 plane.
 _GRID_CASES = [
     ("cp1", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
     ("cp2", "-0.5,1.5,2,-1.5,1.5,3"),
     ("gr:2,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ("cp3", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
 ]
 
 
@@ -494,9 +499,23 @@ def test_rank_grid_rows_match_per_cell_definition(spec, grid, stack_cells, monke
         assert row[3] == pytest.approx(expected[3], rel=1e-14, abs=1e-15)
 
 
+def su2_el_matrix(k: np.ndarray) -> np.ndarray:
+    """Raw pairing values of the homogeneous group structure on (H, X, Y):
+    (3, 3), or (..., 3, 3) for a stack of k; the diagonal is 0.  The kernel
+    su2 rank-grid cells used before they went through ``pi_rank``, kept as
+    an oracle: its singular values are 4 |a|, those of the bivector matrix
+    at diag(I, k*) are |a|, so at tol 1e-9 the two ranks differ only for
+    |a| in (2.5e-10, 1e-9], inside the ambiguity band of the Cartan image."""
+    frame = np.array(su2_frame())
+    k = np.asarray(k, dtype=complex)[..., np.newaxis, np.newaxis, :, :]
+    mat = pi_el_group(k, frame[:, np.newaxis], frame[np.newaxis, :])
+    return np.where(np.eye(3, dtype=bool), 0.0, mat)
+
+
 def _closed_form_cell(spec, x, y, tol=1e-9):
-    """One su2 or fothlu rank-grid row, from scalar arithmetic and one
-    pairing call per frame pair."""
+    """One su2 or fothlu rank-grid row, from scalar arithmetic and, for su2,
+    the rank of the pairing matrix on (H, X, Y); a = x + iy with |a| in the
+    ambiguity band (tol / 10, 10 tol) of the first leading minor gets -1."""
     if spec == "fothlu":
         coeff = abs(-2.0 * y * (1.0 + abs(complex(x, y)) ** 2))
         return [x, y, 2 if coeff > tol else 0, coeff]
@@ -504,18 +523,19 @@ def _closed_form_cell(spec, x, y, tol=1e-9):
     if mod2 > 1.0:
         return [x, y, -1, 0.0]
     a = complex(x, y)
+    if tol / 10 < abs(a) < 10 * tol:
+        return [x, y, -1, abs(a)]
     k = su2_from_sphere(a, np.sqrt(1.0 - mod2))
-    frame = su2_frame()
-    mat = [[pi_el_group(k, p, q) if r != s else 0.0 for s, q in enumerate(frame)]
-           for r, p in enumerate(frame)]
-    return [x, y, int(np.linalg.matrix_rank(np.array(mat), tol=tol)), abs(a)]
+    return [x, y, int(np.linalg.matrix_rank(su2_el_matrix(k), tol=tol)), abs(a)]
 
 
 # The su2 rows x = +-1.03 lie outside the unit disc (rank -1); at 2,000 bytes
-# a stack holds 3 su2 cells, so some stacks have no cell inside the disc.  The
+# a stack holds 2 su2 cells, so some stacks have no cell inside the disc.  The
 # small grids hit a = 0 and Im w = 0, where the rank drops to 0.  On the
 # 37 x 53 fothlu grid, |w|^2 by pow and by squaring differ in the last bit
-# at some cells.
+# at some cells.  The su2 minor column is |a| from the determinants of the
+# Cartan image, which numpy takes as sign * exp(log |det|), so it is |a| to
+# a few ulps and not bit for bit.
 @pytest.mark.parametrize("stack_bytes", [None, 1, 2000])
 @pytest.mark.parametrize(
     "spec,grid,ranks",
@@ -534,8 +554,40 @@ def test_rank_grid_closed_form_rows_match_per_cell_arithmetic(
     code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert rows == [_closed_form_cell(spec, row[0], row[1]) for row in rows]
+    expected = [_closed_form_cell(spec, row[0], row[1]) for row in rows]
+    if spec == "fothlu":
+        assert rows == expected
+    for row, want in zip(rows, expected):
+        assert row[:3] == want[:3]
+        assert abs(row[3] - want[3]) <= 1e-15 * want[3]
     assert {row[2] for row in rows} == ranks
+
+
+# |a| spread over every scale from 1e-14 to 1, the ambiguity band
+# (1e-10, 1e-8) included, and a = 0
+_DISC_POINTS = st.tuples(
+    st.one_of(st.just(0.0), st.floats(-14.0, 0.0).map(lambda e: 10.0**e)),
+    st.floats(0.0, 2 * math.pi),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(_DISC_POINTS, min_size=1, max_size=12))
+def test_su2_grid_ranks_are_the_pairing_matrix_ranks_outside_the_band(points):
+    x = np.array([r * math.cos(t) for r, t in points])
+    y = np.array([r * math.sin(t) for r, t in points])
+    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)
+    for a, mod2, rank, minor in zip(x + 1j * y, x * x + y * y, ranks, minors):
+        if 1e-10 < abs(a) < 1e-8:
+            assert rank == -1
+        elif mod2 <= 1.0:
+            k = su2_from_sphere(a, np.sqrt(1.0 - mod2))
+            assert rank == np.linalg.matrix_rank(su2_el_matrix(k), tol=1e-9)
+        else:
+            # |a| = 1 a rounding outside the disc
+            assert (rank, minor) == (-1, 0.0)
+            continue
+        assert abs(minor - abs(a)) <= 1e-14 * abs(a)
 
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
@@ -632,7 +684,7 @@ def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, ca
     argv = ["rank-grid", "--preset", spec, "--format", "csv"] + ([grid] if grid else [])
     code, out = run_cli(argv, capsys)
     assert code == 0
-    assert out == _per_row_csv(cli._GRID_COLUMNS[spec.split(":")[0]], grids[0])
+    assert out == _per_row_csv(cli._grid_layout(cli._resolve_preset(spec)[1])[1], grids[0])
 
 
 def test_rank_grid_is_deterministic(tmp_path):
@@ -642,6 +694,27 @@ def test_rank_grid_is_deterministic(tmp_path):
         assert main(args + ["--out", str(first)]) == 0
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "spellings,grid",
+    [
+        (["cp2", " cp2", "CP2", "cpn:2", "gr:1,2"], "-0.5,1.5,2,-1.5,1.5,3"),
+        (["group:su2", "su2", " SU2"], "-1.2,1.2,7,-1.2,1.2,5"),
+        (["fothlu", " fothlu", "FOTHLU"], "-1,1,4,-1.5,1.5,3"),
+    ],
+)
+def test_rank_grid_prints_one_output_for_every_spelling_of_a_preset(spellings, grid, fmt, capsys):
+    # the preset is resolved as jacobi resolves it and echoed by its label:
+    # every spelling of cp2 sweeps the real (z1, z2) plane with abs_p
+    argv = ["rank-grid", f"--grid={grid}", "--format", fmt, "--preset"]
+    outputs = {run_cli(argv + [spec], capsys) for spec in spellings}
+    assert len(outputs) == 1
+    ((code, out),) = outputs
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["preset"] == spellings[0]
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -37,7 +37,6 @@ from birkhoff_poisson.poisson import (
     grassmann_l_operator,
     matrix_of_omega,
     reals_to_complex,
-    su2_el_matrix,
     su2_frame,
     su2_from_sphere,
 )
@@ -811,29 +810,6 @@ def test_real_matrix_on_a_stack_matches_per_point_calls(name, shape, seed):
         single = biv.real_matrix(x[idx])
         assert single.shape == (size, size)
         np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
-
-
-@settings(max_examples=20, deadline=None)
-@given(shape=st.sampled_from([(1,), (4,), (2, 3)]), seed=SEEDS)
-def test_su2_el_matrix_on_a_stack_matches_per_point_calls(shape, seed):
-    x = np.random.default_rng(seed).standard_normal(shape + (4,))
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    a, b = x[..., 0] + 1j * x[..., 1], x[..., 2] + 1j * x[..., 3]
-    stacked = su2_el_matrix(su2_from_sphere(a, b))
-    assert stacked.shape == shape + (3, 3)
-    for idx in np.ndindex(shape):
-        single = su2_el_matrix(su2_from_sphere(a[idx], b[idx]))
-        assert single.shape == (3, 3)
-        np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
-
-
-def test_su2_el_matrix_is_the_pairing_of_each_frame_pair(rng):
-    k = np.array([special_unitary_sampler(2).one(rng) for _ in range(50)])
-    mat = su2_el_matrix(k)
-    for r, e_r in enumerate(su2_frame()):
-        for s, e_s in enumerate(su2_frame()):
-            expected = pi_el_group(k, e_r, e_s) if r != s else np.zeros(len(k))
-            np.testing.assert_array_equal(mat[:, r, s], expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

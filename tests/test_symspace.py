@@ -52,6 +52,9 @@ def test_parse_preset_roundtrip():
     assert parse_preset("cpn:3") == grassmannian(1, 3)
     assert parse_preset("gr:2,2") == grassmannian(2, 2)
     assert parse_preset("group:su2") == group_case(2)
+    # suN is short for group:suN, as cpN is for gr:1,N
+    assert parse_preset(" SU3") == parse_preset("group:su3") == group_case(3)
+    assert parse_preset("su2").label == "group:su2"
     with pytest.raises(ValueError):
         parse_preset("nope")
 

@@ -26,7 +26,7 @@ ALL_CHECKS = [
     ("local-vs-equivariant", "agreement-cp2"),
     ("local-vs-equivariant", "agreement-gr:2,2"),
     ("local-vs-equivariant", "projective-specialization"),
-    ("jacobi", "jacobi-cp1-baseline"),
+    ("jacobi", "jacobi-cp3"),
     ("jacobi", "jacobi-cp2"),
     ("jacobi", "jacobi-gr22"),
     ("lambda-identity", "family-identity"),
@@ -126,6 +126,26 @@ def test_iwasawa_idempotent_fails_an_error_of_the_old_bound(seed, monkeypatch):
     assert _check(run_suite("factorization", seed), "iwasawa-idempotent")["pass"]
     monkeypatch.setattr(linalg, "iwasawa_factor", refactor_with_error)
     assert not _check(run_suite("factorization", seed), "iwasawa-idempotent")["pass"]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_jacobi_cp3_fails_a_bivector_that_is_not_poisson(seed, monkeypatch):
+    # f pi with f = 1 + x_0 is a bivector, but [f pi, f pi] is, up to sign,
+    # 2 f pi^#(df) ^ pi, not 0: a residual of order one.  On cp1, of real
+    # dimension 2, the bracket has no component, so no check there sees it
+    assert _check(run_suite("jacobi", seed), "jacobi-cp3")["pass"]
+    factory = poisson.coordinate_bivector
+
+    def rescaled(kind, m=1, n=1):
+        biv = factory(kind, m=m, n=n)
+        return poisson.CoordBivector(
+            biv.dim_real, lambda x: (1.0 + x[..., 0, None, None]) * biv.real_matrix(x)
+        )
+
+    monkeypatch.setattr(poisson, "coordinate_bivector", rescaled)
+    report = run_suite("jacobi", seed)
+    assert not _check(report, "jacobi-cp3")["pass"]
+    assert _check(report, "jacobi-cp3")["value"] > 1e-2
 
 
 @pytest.mark.parametrize("seed", [0, 42])
