@@ -175,7 +175,7 @@ def cmd_factor(args) -> int:
 
 def cmd_iwasawa(args) -> int:
     g = _read_matrix(args)
-    factors = iwasawa_factor(g, args.tol)
+    factors = iwasawa_factor(g)
     residual = float(np.linalg.norm(factors.reconstruct() - g))
     _emit(
         {
@@ -440,11 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     chart = "gr:m,n | cp1 | cpN | cpn:N"
-    for name, func, text in (
-        ("factor", cmd_factor, "Birkhoff (permuted LDU) factorization"),
+    for name, func, text, *flags in (
+        ("factor", cmd_factor, "Birkhoff (permuted LDU) factorization", "--tol"),
         ("iwasawa", cmd_iwasawa, "Iwasawa (lower-unipotent / diagonal / unitary) factorization"),
     ):
-        p = add(name, func, text, "--tol", "--out")
+        p = add(name, func, text, *flags, "--out")
         p.add_argument("--in", dest="infile", help="JSON matrix file (default: stdin)")
         p.add_argument("--matrix", help="inline JSON matrix")
     add("embed", cmd_embed, "canonical representative and Cartan image at a chart point",

@@ -8,6 +8,11 @@ involution -(.)* swaps the strict triangles, which is what makes the
 decomposition compatible with it.  Every function also acts on stacks
 (..., n, n), matrix by matrix, with one traceless check over the whole stack;
 ``trace_form`` returns one value per pair of matrices.
+
+The traceless check passes a matrix z when |tr z| <= TRACELESS_TOL *
+max(1, ||z||_F).  It reads the traces of the stack in one ``einsum`` pass,
+and it computes the Frobenius norms only when some |tr z| exceeds
+TRACELESS_TOL, the least the bound can be.
 """
 
 from __future__ import annotations
@@ -19,22 +24,29 @@ import numpy as np
 TRACELESS_TOL = 1e-10
 
 
-def _checked_trace(z: np.ndarray) -> np.ndarray:
-    """Traces of a matrix or stack; hard error if any exceeds TRACELESS_TOL."""
-    tr = np.trace(z, axis1=-2, axis2=-1)
+def _check_traceless(z: np.ndarray) -> None:
+    """Hard error if the trace of z, or of any matrix of a stack, exceeds
+    TRACELESS_TOL * max(1, ||z||_F) in modulus.  The traces are read in one
+    ``einsum`` pass; the bound is at least TRACELESS_TOL, so the Frobenius
+    norms are computed only when some |tr| exceeds TRACELESS_TOL itself."""
+    tr = np.abs(np.einsum("...ii->...", z))
+    if not np.any(tr > TRACELESS_TOL):
+        return
     # Frobenius norms from the real and imaginary views, without temporaries
     norms = np.sqrt(sum(np.einsum("...ij,...ij->...", part, part) for part in (z.real, z.imag)))
-    over = np.abs(tr) - TRACELESS_TOL * np.maximum(1.0, norms)
+    over = tr - TRACELESS_TOL * np.maximum(1.0, norms)
     if np.any(over > 0):
-        raise ValueError(f"matrix is not traceless, |tr| = {np.abs(tr).flat[np.argmax(over)]:.3e}")
-    return tr
+        raise ValueError(f"matrix is not traceless, |tr| = {tr.flat[np.argmax(over)]:.3e}")
 
 
 def ensure_traceless(z: np.ndarray) -> np.ndarray:
-    """Re-center a nearly traceless matrix; hard error beyond TRACELESS_TOL."""
+    """Re-center a nearly traceless matrix; hard error beyond TRACELESS_TOL.
+    The traces subtracted are ``np.trace``'s, whose summation order the
+    check's ``einsum`` does not share for d >= 4."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    return z - (_checked_trace(z) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
+    _check_traceless(z)
+    return z - (np.trace(z, axis1=-2, axis2=-1) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
 
 
 def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,7 +69,7 @@ def hilbert_transform(z: np.ndarray) -> np.ndarray:
     """-i on the strictly lower part, 0 on the diagonal, +i on the strictly
     upper part, of a traceless matrix or of each matrix of a stack."""
     z = np.asarray(z, dtype=complex)
-    _checked_trace(z)
+    _check_traceless(z)
     return z * _hilbert_signs(z.shape[-1])
 
 

@@ -17,10 +17,14 @@ Implements the factorizations everything else is built on:
   singular value decomposition of the chart matrix); it stays public API,
   named by the benchmark's per-layer metrics, and its refusal rule
   ``check_hpd_spectrum`` is the one chart points obey.
-* ``principal_minors`` -- determinants of the leading k x k submatrices.
+* ``principal_minors`` -- determinants of the leading k x k submatrices,
+  the first one read as the entry g[0, 0] itself.
 
 Each of the four takes a stack (..., n, n) and returns one result per
-matrix; one matrix in gives one result out.
+matrix; one matrix in gives one result out.  Both factorizations first
+refuse any matrix whose determinant is not 1; the message calls it singular
+on a scale of its own (|det g| against Hadamard's bound of g), which does not
+depend on the pivot threshold ``tol`` of ``birkhoff_factor``.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -58,14 +62,21 @@ def _as_square_stack(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _check_unimodular(g: np.ndarray, tol: float) -> None:
+def _check_unimodular(g: np.ndarray) -> None:
+    """Refuse g, or a stack, unless every determinant is 1 to within
+    _DET_ONE_TOL.  A refused matrix is called singular where |det g| is at
+    most HPD_RCOND_MIN times Hadamard's bound prod_j ||g e_j||, the largest
+    |det| its column lengths allow: a scale of the matrix's own, apart from
+    the pivot threshold of the factorizations."""
     det = np.asarray(np.linalg.det(g))
-    singular = np.abs(det) <= max(tol, 1e-300)
+    off = np.abs(det - 1.0) > _DET_ONE_TOL
+    if not np.any(off):
+        return
+    hadamard = np.prod(np.linalg.norm(g, axis=-2), axis=-1)
+    singular = off & (np.abs(det) <= HPD_RCOND_MIN * hadamard)
     if np.any(singular):
         raise SingularInput(f"matrix is singular, |det| = {abs(det[singular][0]):.3e}")
-    off = np.abs(det - 1.0) > _DET_ONE_TOL
-    if np.any(off):
-        raise SingularInput(f"determinant must equal 1, got {det[off][0]:.6g}")
+    raise SingularInput(f"determinant must equal 1, got {det[off][0]:.6g}")
 
 
 def signed_permutation_matrix(perm, signs) -> np.ndarray:
@@ -132,7 +143,7 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     marks the ambiguous matrices.
     """
     g = _as_square_stack(g)
-    _check_unimodular(g, tol)
+    _check_unimodular(g)
     stack, n = g.shape[:-2], g.shape[-1]
     m = g.reshape(-1, n, n).copy()
     rows = np.arange(n)
@@ -210,7 +221,7 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     )
 
 
-def iwasawa_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaFactors:
+def iwasawa_factor(g: np.ndarray) -> IwasawaFactors:
     """Unique factorization g = l @ a @ u, of one matrix or of each matrix of
     a stack (..., n, n).
 
@@ -219,7 +230,7 @@ def iwasawa_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> IwasawaFactors:
     convention); then u = L^(-1) g is unitary.
     """
     g = _as_square_stack(g)
-    _check_unimodular(g, tol)
+    _check_unimodular(g)
     gram = g @ g.mT.conj()
     gram = 0.5 * (gram + gram.mT.conj())
     try:
@@ -270,10 +281,13 @@ def check_hpd_spectrum(low, high) -> None:
 
 def principal_minors(g: np.ndarray) -> np.ndarray:
     """Determinants of the leading k x k submatrices, k = 1..dim, on the
-    last axis; g may be a stack (..., dim, dim)."""
+    last axis; g may be a stack (..., dim, dim).  The k = 1 minor is the
+    entry g[..., 0, 0] itself: ``np.linalg.det`` returns sign * exp(log|det|),
+    which moves even a 1 x 1 determinant off its entry by a few roundings."""
     g = _as_square_stack(g)
     n = g.shape[-1]
-    return np.stack([np.linalg.det(g[..., :k, :k]) for k in range(1, n + 1)], axis=-1)
+    minors = [g[..., 0, 0]] + [np.linalg.det(g[..., :k, :k]) for k in range(2, n + 1)]
+    return np.stack(minors, axis=-1)
 
 
 def max_principal_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):

@@ -20,7 +20,9 @@ one cached read-only (dim_ip, d, d) array.
 
 A chart point reaches its coset point by one kernel: ``canonical_rep``
 builds the representative from one singular value decomposition of the chart
-matrix and holds the one refusal rule for chart points.  Its Cartan image is
+matrix and holds the one refusal rule for chart points.  Where the chart
+matrix is one column or one row (cpN, gr:M,1), that decomposition is
+z = (z / |z|) |z| 1 in closed form, with no LAPACK call.  Its Cartan image is
 ``cartan_embed`` of that representative, for every caller.
 """
 
@@ -158,6 +160,29 @@ def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     return z
 
 
+def _thin_svd(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin singular value decomposition z = U S V* of a chart matrix or a
+    stack, in the form ``np.linalg.svd(z, full_matrices=False)`` returns.
+
+    Where min(m, n) = 1 the one singular value is |z|, and the factors come
+    in closed form with no LAPACK call: U = z / |z| and V = 1 for a column
+    z, the roles swapped for a row, and U = e_1 at z = 0.  |z| is reduced
+    with ``hypot``, which scales every step, so no square under- or
+    overflows before s^2 does.  z / |z| divides the real and imaginary
+    parts apart: complex division takes 1 / |z|, which overflows where |z|
+    is subnormal.
+    """
+    if min(z.shape[-2:]) > 1:
+        return np.linalg.svd(z, full_matrices=False)
+    s = np.hypot.reduce(np.abs(z.reshape(z.shape[:-2] + (-1,))), axis=-1, keepdims=True)
+    unit = np.zeros_like(z)
+    unit[..., 0, 0] = 1.0
+    for part, out in ((z.real, unit.real), (z.imag, unit.imag)):
+        np.divide(part, s[..., np.newaxis], out=out, where=s[..., np.newaxis] > 0)
+    one = np.ones(z.shape[:-2] + (1, 1), dtype=complex)
+    return (unit, s, one) if z.shape[-1] == 1 else (one, s, unit)
+
+
 def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Unique coset representative with Hermitian positive definite diagonal
     blocks for the plane graphed by the n x m chart matrix z.  A stack of
@@ -165,6 +190,8 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
 
     From the thin singular value decomposition z = U S V*, with
     k = min(m, n) singular values, let C hold cos_j = (1 + s_j^2)^(-1/2).
+    On a rank-one chart, k = 1 (cpN and gr:M,1), the decomposition is taken
+    in closed form and no LAPACK routine runs (``_thin_svd``).
     The blocks are a = I + V (C - I) V* = (I + z* z)^(-1/2), z a = U S C V*
     and d = I + U (C - I) U* = (I + z z*)^(-1/2), and
     u = [[a, -(z a)*], [z a, d]].  In the frame of the singular vectors, u
@@ -172,7 +199,7 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     and U, so it is unitary to rounding at every condition number it
     accepts.  cos_j - 1 is taken as -2 sin^2(t_j / 2), free of cancellation
     near the origin, and each term is divided by the squared lengths of its
-    singular vectors, which LAPACK returns unit only to a few roundings.
+    singular vectors, which come out unit only to a few roundings.
 
     A chart point is refused where an s_j^2 overflows, as I + z* z does, and
     where I + z* z or I + z z* reads as singular to ``check_hpd_spectrum``:
@@ -180,8 +207,8 @@ def canonical_rep(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """
     z = _chart_stack(z, preset)
     m, n = preset.m, preset.n
-    u, s, vh = np.linalg.svd(z, full_matrices=False)
     with np.errstate(over="ignore"):
+        u, s, vh = _thin_svd(z)
         s2 = s * s
     if not np.all(np.isfinite(s2)):
         raise NumericalDomainError("chart point overflows: I + z* z is not finite")

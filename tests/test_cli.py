@@ -207,7 +207,7 @@ def test_jacobi_prints_one_output_for_every_spelling_of_a_preset(spellings, poin
 _SHARED_FLAGS = {"--preset", "--tol", "--fd-step", "--seed", "--grid", "--out", "--format"}
 _READS = {
     "factor": {"--tol", "--out"},
-    "iwasawa": {"--tol", "--out"},
+    "iwasawa": {"--out"},
     "embed": {"--preset", "--tol", "--out"},
     "pi": {"--preset", "--tol", "--out"},
     "moment": {"--preset", "--tol", "--out"},
@@ -246,7 +246,7 @@ def test_each_subcommand_declares_only_the_shared_flags_it_reads():
         for name, p in subparsers.choices.items()
     }
     assert declared == _READS
-    assert sum(map(len, declared.values())) == 26
+    assert sum(map(len, declared.values())) == 25
 
 
 @pytest.mark.parametrize("command", sorted(_READS))
@@ -588,6 +588,42 @@ def test_su2_grid_ranks_are_the_pairing_matrix_ranks_outside_the_band(points):
             assert (rank, minor) == (-1, 0.0)
             continue
         assert abs(minor - abs(a)) <= 1e-14 * abs(a)
+
+
+def test_su2_grid_minor_column_never_exceeds_the_entry_a():
+    # the k = 1 leading minor of phi = diag(k, k*) is the entry a itself, so
+    # the smallest |minor| is at most |a| bit for bit.  It is not hypot(x, y)
+    # bit for bit: numpy's complex modulus is not correctly rounded, and the
+    # 3 x 3 minor det(k) a*, read as sign * exp(log|det|), can fall below |a|
+    # by a few roundings times |ln |a||
+    rng = np.random.default_rng(5)
+    r, t = 10.0 ** rng.uniform(-12.0, 0.0, 4000), rng.uniform(0.0, 2 * math.pi, 4000)
+    x, y = r * np.cos(t), r * np.sin(t)
+    minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)[1]
+    assert np.all(minors <= np.abs(x + 1j * y))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(minors - np.hypot(x, y)) <= 4 * eps * (1.0 - np.log(r)) * r)
+
+
+@pytest.mark.parametrize(
+    "preset,grid,rows",
+    [
+        # phi[0, 0] = 7/9 at every cell: inside the band (0.2, 20) of tol = 2
+        ("cp1", "-0.5,0.5,2,-0.5,0.5,2",
+         [f"{x},{y},-1,0.7777777777777777" for x in ("-0.25", "0.25") for y in ("-0.25", "0.25")]),
+        # |a| = 0.25 sqrt(2) inside the band too
+        ("su2", "-0.5,0.5,2,-0.5,0.5,2",
+         [f"{x},{y},-1,0.3535533905932738" for x in ("-0.25", "0.25") for y in ("-0.25", "0.25")]),
+    ],
+)
+def test_rank_grid_at_tol_above_one_follows_the_ambiguity_band(preset, grid, rows, capsys):
+    # unitary Cartan images have determinant 1: the singular test of the
+    # factorization does not read --tol, so the cells are classified by the
+    # pivot rule, here all ambiguous, instead of exiting 3 as singular
+    code, out = run_cli(["rank-grid", "--preset", preset, "--tol", "2", f"--grid={grid}",
+                         "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == rows
 
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):

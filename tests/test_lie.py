@@ -7,7 +7,7 @@ from birkhoff_poisson import (
     trace_form,
     tri_project,
 )
-from birkhoff_poisson.lie import ensure_traceless
+from birkhoff_poisson.lie import TRACELESS_TOL, ensure_traceless
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,
@@ -50,6 +50,60 @@ def test_ensure_traceless_recenters_and_rejects():
     np.testing.assert_allclose(np.trace(ensure_traceless(z + e_mat(2, 0, 1))), 0, atol=1e-18)
     with pytest.raises(ValueError):
         tri_project(np.eye(3, dtype=complex))
+
+
+def _with_trace(tr, off, n=4):
+    """An n x n matrix of trace tr, exactly: tr in the corner, off on the
+    first superdiagonal and subdiagonal, so ||z||_F = |(tr, off, ...)|."""
+    z = np.zeros((n, n), dtype=complex)
+    z[0, 0] = tr
+    z[np.arange(n - 1), np.arange(1, n)] = off
+    z[np.arange(1, n), np.arange(n - 1)] = off
+    return z
+
+
+_CHECKED = [hilbert_transform, ensure_traceless, tri_project, proj_u]
+
+
+@pytest.mark.parametrize("check", _CHECKED)
+def test_traceless_check_at_the_bare_tolerance_when_the_norm_is_below_one(check, rng):
+    # ||z|| < 1, so the bound is TRACELESS_TOL itself: |tr| at it passes,
+    # the next float above it fails, alone or as one member of a stack
+    just_above = np.nextafter(TRACELESS_TOL, 1.0)
+    check(_with_trace(TRACELESS_TOL, 0.25))
+    with pytest.raises(ValueError, match=r"not traceless, \|tr\| = 1\.000e-10"):
+        check(_with_trace(just_above, 0.25))
+    stack = np.array([random_traceless(rng, 4) * 0.1 for _ in range(5)])
+    check(stack)
+    stack[3] = _with_trace(-1j * just_above, 0.25)
+    with pytest.raises(ValueError, match="not traceless"):
+        check(stack)
+
+
+@pytest.mark.parametrize("check", _CHECKED)
+def test_traceless_check_scales_the_bound_by_the_norm_above_one(check):
+    # ||z|| = 100 sqrt(6 + tiny): TRACELESS_TOL < |tr| < TRACELESS_TOL ||z||
+    # passes, and |tr| past TRACELESS_TOL ||z|| fails
+    norm = np.linalg.norm(_with_trace(0.0, 100.0))
+    check(_with_trace(0.9 * TRACELESS_TOL * norm, 100.0))
+    check(np.array([_with_trace(5 * TRACELESS_TOL, 100.0), _with_trace(0.0, 0.1)]))
+    with pytest.raises(ValueError, match="not traceless"):
+        check(_with_trace(1.01 * TRACELESS_TOL * norm, 100.0))
+
+
+def test_traceless_check_passes_nan_as_it_always_has():
+    # a NaN trace compares false against the bound, so it is not refused
+    for z in (_with_trace(np.nan, 0.5), _with_trace(0.0, np.nan)):
+        assert np.isnan(hilbert_transform(z)).any()
+        assert np.isnan(ensure_traceless(z)).any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+def test_ensure_traceless_subtracts_the_traces_of_np_trace(n, rng):
+    z = complex_normal_sampler((50, n, n)).one(rng)
+    z -= (np.trace(z, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    expected = z - (np.trace(z, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    np.testing.assert_array_equal(ensure_traceless(z), expected)
 
 
 def test_hilbert_transform_examples():

@@ -13,6 +13,7 @@ from birkhoff_poisson import (
     principal_minors,
 )
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, max_principal_angle, signed_permutation_matrix
+from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,
@@ -105,6 +106,43 @@ def test_birkhoff_singular_input():
 def test_birkhoff_non_unimodular_rejected():
     with pytest.raises(SingularInput):
         birkhoff_factor(2 * np.eye(2, dtype=complex))
+
+
+def test_unimodular_check_calls_singular_on_a_scale_apart_from_tol():
+    # |det g| against Hadamard's bound of g, not against the pivot tol: a
+    # unitary matrix passes at any tol, a rank-deficient one is singular
+    # however it is scaled, and a well-conditioned multiple of I is not
+    u = special_unitary_sampler(3).one(np.random.default_rng(3))
+    assert iwasawa_factor(u).u.shape == (3, 3)
+    for tol in (1e-9, 1.0, 2.0, 1e3):
+        try:
+            birkhoff_factor(u, tol)
+        except (StratumAmbiguous, SingularInput) as exc:
+            assert "ambiguity band" in str(exc) or "no usable pivot" in str(exc)
+    for scale in (1e-8, 1.0, 1e8):
+        with pytest.raises(SingularInput, match="matrix is singular"):
+            birkhoff_factor(scale * np.array([[1, 1], [1, 1]], dtype=complex), 2.0)
+        with pytest.raises(SingularInput, match="matrix is singular"):
+            iwasawa_factor(scale * np.array([[1, 2], [2, 4]], dtype=complex))
+    for g in (1e-5 * np.eye(2), 2 * np.eye(2), np.diag([1e-12, 1.0])):
+        for factor in (birkhoff_factor, iwasawa_factor):
+            with pytest.raises(SingularInput, match="determinant must equal 1"):
+                factor(g.astype(complex))
+
+
+def test_unitary_cartan_images_follow_the_pivot_rule_at_tol_above_one():
+    # cp1 at z = (1 + i) / 4: phi[0, 0] = 7 / 9 lies inside the band
+    # (tol / 10, tol * 10) around tol = 2, so the image is ambiguous, not
+    # singular; at tol = 0.05 it is top-layer
+    z = np.array([[0.25 + 0.25j]])
+    cp1 = parse_preset("cp1")
+    phi = cartan_embed(canonical_rep(z, cp1), cp1)
+    with pytest.raises(StratumAmbiguous, match="ambiguity band around tol = 2.000e"):
+        birkhoff_factor(phi, 2.0)
+    with pytest.raises(StratumAmbiguous) as info:
+        birkhoff_factor(np.array([phi, phi]), 2.0)
+    np.testing.assert_array_equal(info.value.mask, [True, True])
+    assert birkhoff_factor(phi, 0.05).perm == (0, 1)
 
 
 def test_birkhoff_ambiguous_pivot():
@@ -517,6 +555,18 @@ def test_principal_minors_examples():
     np.testing.assert_allclose(
         principal_minors(np.array([[0, 1], [-1, 0]], dtype=complex)), [0.0, 1.0], atol=1e-15
     )
+
+
+def test_principal_minors_first_is_the_entry_itself(rng):
+    # np.linalg.det returns sign * exp(log|det|), which moves a 1 x 1
+    # determinant off its entry in the last bits; the k = 1 minor is the entry
+    g = complex_normal_sampler((4, 50, 3, 3)).one(rng)
+    g *= 10.0 ** rng.uniform(-12, 12, (4, 50, 1, 1))
+    minors = principal_minors(g)
+    assert minors.shape == (4, 50, 3)
+    np.testing.assert_array_equal(minors[..., 0], g[..., 0, 0])
+    np.testing.assert_array_equal(principal_minors(g[..., :1, :1])[..., 0], g[..., 0, 0])
+    assert principal_minors(g[1, 2])[0] == g[1, 2, 0, 0]
 
 
 def test_principal_minors_against_cofactor_oracle(rng):

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import birkhoff_poisson
+from birkhoff_poisson import symspace
 from birkhoff_poisson import (
     NotPositiveDefinite,
     NumericalDomainError,
@@ -330,6 +333,94 @@ def test_canonical_rep_refuses_the_chart_points_of_its_rule(preset_name, rng):
                 canonical_rep(z, preset)
             with pytest.raises(error, match=message):
                 canonical_rep(z[7], preset)
+
+
+RANK_ONE_PRESETS = ["cp1", "cp2", "cp3", "gr:3,1"]
+_EPS = np.finfo(float).eps
+# subnormal values carry an absolute, not a relative, rounding
+_SUBNORMAL = 8 * np.finfo(float).smallest_subnormal
+
+
+def _lapack_canonical_rep(z, preset):
+    """``canonical_rep`` with its thin SVD taken by LAPACK, as it is for
+    every chart with min(m, n) > 1: the reference of the closed form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symspace, "_thin_svd", lambda z: np.linalg.svd(z, full_matrices=False))
+        return canonical_rep(z, preset)
+
+
+def _rank_one_points(draw, preset, count):
+    """count chart matrices (one matrix for None) of preset, some of them
+    zero, each entry a complex number of modulus up to 3 times a power of
+    ten shared by the matrix: from 1e-200 up to 1e150 on cp1, where no
+    finite |z|^2 is ill-conditioned, and up to 1e6 elsewhere, below the
+    refusal bound |z|^2 ~ 1e14 of check_hpd_spectrum."""
+    shape = (preset.n, preset.m) if count is None else (count, preset.n, preset.m)
+    points, entries = int(np.prod(shape[:-2])), preset.n * preset.m
+    parts = st.lists(st.floats(-3.0, 3.0), min_size=points * entries, max_size=points * entries)
+    z = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(shape)
+    top = 150 if preset.m == preset.n else 6
+    scales = draw(st.lists(st.integers(-200, top), min_size=points, max_size=points))
+    z *= (10.0 ** np.array(scales, dtype=float)).reshape(shape[:-2] + (1, 1))
+    zero = draw(st.lists(st.booleans(), min_size=points, max_size=points))
+    z[np.array(zero).reshape(shape[:-2])] = 0.0
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(RANK_ONE_PRESETS), count=st.sampled_from([None, 1, 7]))
+def test_rank_one_canonical_rep_matches_the_lapack_route(data, spec, count):
+    preset = parse_preset(spec)
+    z = _rank_one_points(data.draw, preset, count)
+    u = canonical_rep(z, preset)
+    d = preset.matrix_dim
+    assert u.shape == z.shape[:-2] + (d, d)
+    np.testing.assert_allclose(u, _lapack_canonical_rep(z, preset), rtol=0, atol=4 * d * _EPS)
+    unit = np.linalg.norm(u @ u.mT.conj() - np.eye(d), axis=(-2, -1))
+    assert np.all(unit <= 4 * d * _EPS)
+    # the closed-form factors are a thin SVD of z, |z| scaled: at |z| ~ 1e-200
+    # no square underflows, and z = 0 takes the direction e_1
+    left, s, right = symspace._thin_svd(z)
+    reference = np.linalg.svd(z, compute_uv=False)
+    np.testing.assert_allclose(s, reference, rtol=4 * _EPS, atol=_SUBNORMAL)
+    np.testing.assert_allclose(left * s[..., np.newaxis, :] @ right, z, rtol=4 * _EPS, atol=_SUBNORMAL)
+    zero = ~np.any(z, axis=(-2, -1))
+    np.testing.assert_array_equal(u[zero], np.broadcast_to(np.eye(d), u[zero].shape))
+
+
+@pytest.mark.parametrize("spec", RANK_ONE_PRESETS)
+def test_rank_one_canonical_rep_at_zero_and_at_tiny_points(spec):
+    preset = parse_preset(spec)
+    m, d = preset.m, preset.matrix_dim
+    ramp = (1.0 + 2.0j) * np.arange(1, preset.n * preset.m + 1).reshape(preset.n, preset.m)
+    z = np.zeros((5, preset.n, preset.m), dtype=complex)
+    z[1, -1, -1] = 0.6 - 0.8j
+    z[2], z[3], z[4, 0, 0] = 1e-200 * ramp, 1e-310 * ramp, 5e-324j
+    u = canonical_rep(z, preset)
+    np.testing.assert_array_equal(u[0], np.eye(d))
+    np.testing.assert_array_equal(canonical_rep(z[0], preset), np.eye(d))
+    np.testing.assert_allclose(u[1], _lapack_canonical_rep(z[1], preset), rtol=0, atol=4 * d * _EPS)
+    # |z| ~ 1e-200, and subnormal: the lower-left block z a keeps z instead
+    # of underflowing, and the diagonal blocks are exactly I
+    np.testing.assert_allclose(u[2:, m:, :m], z[2:], rtol=4 * _EPS, atol=_SUBNORMAL)
+    np.testing.assert_array_equal(u[2:, :m, :m], np.broadcast_to(np.eye(m), (3, m, m)))
+
+
+@pytest.mark.parametrize("spec", RANK_ONE_PRESETS)
+@pytest.mark.parametrize("modulus", [2e154, 1e200, 1e308])
+def test_rank_one_canonical_rep_refuses_points_near_overflow(spec, modulus):
+    # |z|^2 overflows past about 1.34e154; refused as gr:2,2 refuses it
+    preset = parse_preset(spec)
+    with pytest.raises(NumericalDomainError) as reference:
+        canonical_rep(np.full((2, 2), modulus * (0.6 + 0.8j)), parse_preset("gr:2,2"))
+    z = np.zeros((4, preset.n, preset.m), dtype=complex)
+    z[2, 0, 0] = modulus * (0.6 + 0.8j)
+    z[3] = modulus
+    for point in (z, z[2], z[3]):
+        with pytest.raises(NumericalDomainError) as refused:
+            canonical_rep(point, preset)
+        assert str(refused.value) == str(reference.value)
+        assert "overflows" in str(refused.value)
 
 
 def _exact_projective_image(z):
