@@ -21,9 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_cells
-from .linalg import birkhoff_factor, iwasawa_factor, principal_minors
+from .linalg import DEFAULT_TOL, birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import leaf_moment
 from .poisson import (
+    FD_STEP,
     calibration_constant,
     coordinate_bivector,
     cp2_degeneracy_p,
@@ -294,7 +295,7 @@ def _grid_layout(preset: SymmetricSpacePreset | None) -> tuple[list, list[str]]:
             raise ValueError(f"rank-grid takes group:su2 of the group presets, not {preset.label}")
         return [(-1.0, 1.0, 40)] * 2, ["re_a", "im_a", "rank", "abs_principal_minor"]
     if preset.label == "cp2":
-        return [(0.0, 2.0, 40)] * 2, ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"]
+        return [(0.0, 2.0, 40)] * 2, ["re_z1", "re_z2", "rank", "min_abs_minor", "abs_p"]
     plane = ["re_z", "im_z"] if preset.label == "cp1" else ["re_z11", "im_z11"]
     return [(-2.0, 2.0, 40)] * 2, plane + ["rank", "min_abs_minor"]
 
@@ -392,7 +393,7 @@ def cmd_rank_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed, args.tol, args.fd_step)
+    report = run_suite(args.suite, args.seed)
     _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
@@ -422,8 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="comma-separated re,im pairs (use --point=... when the first value is negative)",
         ),
-        "--tol": dict(type=_positive_float, default=1e-9),
-        "--fd-step": dict(type=_positive_float, default=1e-5),
+        "--tol": dict(type=_positive_float, default=DEFAULT_TOL),
+        "--fd-step": dict(type=_positive_float, default=FD_STEP),
         "--seed": dict(type=int, default=0),
         "--grid": dict(type=_parse_grid, help="min,max,steps[,min,max,steps...]"),
         "--format": dict(choices=["json", "csv"], default="json"),
@@ -456,8 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--index", type=int, help="single torus basis index")
     add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
         "--tol", "--grid", "--format", "--out", presets=f"{chart} | group:su2 | su2 | fothlu")
-    p_verify = add("verify", cmd_verify, "run a verification suite",
-                   "--tol", "--fd-step", "--seed", "--out")
+    p_verify = add("verify", cmd_verify, "run a verification suite", "--seed", "--out")
     p_verify.add_argument(
         "suite",
         help="factorization | embedding | bivector | local-vs-equivariant | jacobi | "

@@ -25,6 +25,9 @@ matrix; one matrix in gives one result out.  Both factorizations first
 refuse any matrix whose determinant is not 1; the message calls it singular
 on a scale of its own (|det g| against Hadamard's bound of g), which does not
 depend on the pivot threshold ``tol`` of ``birkhoff_factor``.
+``DEFAULT_TOL`` is the package's one default threshold: every ``tol``
+default (``pi_rank``, ``leaf_factorize`` and ``birkhoff_layer`` among them)
+and the CLI's ``--tol`` read it.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -289,33 +292,3 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
     minors = [g[..., 0, 0]] + [np.linalg.det(g[..., :k, :k]) for k in range(2, n + 1)]
     return np.stack(minors, axis=-1)
 
-
-def max_principal_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):
-    """Largest principal angle (radians) between the column spaces of a and
-    b: a float, or an array of angles for stacks (..., n, p) and (..., n, q).
-
-    Requires equal numerical ranks; raises ValueError otherwise so dimension
-    mismatches are not silently reported as large angles.  Small angles are
-    computed from sines (Bjorck-Golub): arccos of a cosine near 1 loses half
-    the available digits, which would put a floor of ~1e-8 on the result.
-    The SVDs are batched over the pairs of each rank.
-    """
-    ua, sa, _ = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
-    ub, sb, _ = np.linalg.svd(np.asarray(b, dtype=complex), full_matrices=False)
-    ranks = np.sum(sa > tol, axis=-1)
-    other = np.sum(sb > tol, axis=-1)
-    if np.any(ranks != other):
-        raise ValueError(f"subspace dimensions differ: {ranks} vs {other}")
-    angles = np.zeros(ranks.shape)
-    for rank in {*ranks[ranks > 0].tolist()}:
-        at = ranks == rank
-        qa, qb = ua[at][..., :rank], ub[at][..., :rank]
-        cross = qa.mT.conj() @ qb
-        cosines = np.linalg.svd(cross, compute_uv=False)[..., -1]
-        sines = np.linalg.svd(qb - qa @ cross, compute_uv=False)[..., 0]
-        angles[at] = np.where(
-            cosines < np.sqrt(0.5),
-            np.arccos(np.clip(cosines, -1.0, 1.0)),
-            np.arcsin(np.clip(sines, -1.0, 1.0)),
-        )
-    return angles if angles.ndim else float(angles)

@@ -6,12 +6,14 @@ invariant pairing of i theta(log |h|) against X, with h the diagonal factor
 of the checked Birkhoff factorization ``strata.leaf_factorize`` returns for
 the Cartan image.
 The Hamiltonian property is checked honestly: the differential of the
-momentum function is taken by central finite differences along
-group-exponential curves, pushed through the bivector's anchor map
-(``omega_apply``, which validates it as an odd element), and compared with
-the action vector field.  The 2 dim_ip perturbed points of the stencil of
-every point of a stack are factored as one stack, once, and every torus
-direction is read from the same log |h|.
+momentum function is taken by central finite differences of step
+``poisson.FD_STEP`` along group-exponential curves, pushed through the
+bivector's anchor map (``omega_apply``, which validates it as an odd
+element), and compared with the action vector field.  The 2 dim_ip
+perturbed points of the stencil of every point of a stack are factored as
+one stack, once, and every torus direction is read from the same log |h|.
+Both functions factor at the package's one threshold ``linalg.DEFAULT_TOL``;
+neither takes a threshold or a step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidTangent
 from .linalg import BirkhoffFactors
-from .poisson import omega_apply
+from .poisson import FD_STEP, omega_apply
 from .strata import _torus_cycles, leaf_factorize
 from .symspace import (
     SymmetricSpacePreset,
@@ -64,11 +66,11 @@ def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset
     return val.real if np.ndim(val) else float(val.real)
 
 
-def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset, tol: float = 1e-9):
+def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset):
     """Momentum of torus direction x at the coset point u, or at each point
     of a stack (..., d, d): <(1/2) i theta(log|h|), x> with h from the leaf
     factorization.  x is checked against the layer permutation of every point."""
-    lf = leaf_factorize(cartan_embed(u, preset), preset, tol)
+    lf = leaf_factorize(cartan_embed(u, preset), preset)
     _check_torus_direction(x, lf.perm, preset)
     return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
 
@@ -82,13 +84,7 @@ def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.nda
     return -project_ip(down, preset)
 
 
-def hamiltonian_residual(
-    u,
-    x: np.ndarray,
-    preset: SymmetricSpacePreset,
-    fd_step: float = 1e-5,
-    tol: float = 1e-9,
-):
+def hamiltonian_residual(u, x: np.ndarray, preset: SymmetricSpacePreset):
     """Norm of (anchor map applied to d mu_x) minus the action field at u.
 
     d mu_x is assembled from central finite differences of the momentum along
@@ -106,15 +102,15 @@ def hamiltonian_residual(
     x = np.asarray(x, dtype=complex)
     xs = x.reshape((-1,) + x.shape[-2:])
     basis = ip_basis(preset)
-    steps = unitary_exp(np.stack([fd_step * basis, -fd_step * basis]))
-    # stencil[..., side, r, 0]: the point moved by exp(+-fd_step e_r)
+    steps = unitary_exp(np.stack([FD_STEP * basis, -FD_STEP * basis]))
+    # stencil[..., side, r, 0]: the point moved by exp(+-FD_STEP e_r)
     stencil = u[..., np.newaxis, np.newaxis, np.newaxis, :, :] @ steps[:, :, np.newaxis]
-    lf = leaf_factorize(cartan_embed(stencil, preset), preset, tol)
+    lf = leaf_factorize(cartan_embed(stencil, preset), preset)
     for x_t in xs:
         _check_torus_direction(x_t, lf.perm, preset)
     # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]
     values = leaf_moment(lf, xs, preset)
-    coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * fd_step)
+    coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * FD_STEP)
     dmu = np.einsum("...rt,rij->...tij", coeffs, basis)
     u = u[..., np.newaxis, :, :]
     sharp = omega_apply(u, dmu, preset)

@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import InvalidTangent, NumericalDomainError
 from .lie import hilbert_transform, trace_form
+from .linalg import DEFAULT_TOL
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
@@ -69,7 +70,9 @@ from .symspace import (
 )
 
 REALITY_TOL = 1e-10
-JACOBI_FD_STEP = 1e-5
+# the one finite-difference step: of the Schouten residual, of the Hamiltonian
+# residual's stencil and of the CLI's --fd-step
+FD_STEP = 1e-5
 
 
 def _norms(x) -> np.ndarray:
@@ -153,7 +156,7 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     return mat
 
 
-def pi_rank(u, preset: SymmetricSpacePreset, tol: float = 1e-9):
+def pi_rank(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL):
     """Numerical rank of the bivector at u at the given absolute threshold:
     an int, or an array of ranks for a stack of representatives."""
     ranks = np.linalg.matrix_rank(matrix_of_omega(u, preset), tol=tol)
@@ -500,7 +503,7 @@ def coordinate_bivector(kind: str, m: int = 1, n: int = 1) -> CoordBivector:
     raise ValueError(f"unknown coordinate bivector kind {kind!r}")
 
 
-def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float = JACOBI_FD_STEP):
+def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float = FD_STEP):
     """Max component of the Schouten bracket of the bivector with itself,
     with coefficient derivatives taken by central finite differences: a
     float, or one value per point for a stack of points (..., dim_real).

@@ -14,6 +14,10 @@ raised, never repaired.  The leaf factorization is therefore the
 ``BirkhoffFactors`` of the Cartan image, returned once both checks pass;
 log |h| is read off the diagonal of h.  The torus of layer W is the fixed
 space of Ad(W) o theta on the purely imaginary traceless diagonals.
+``orbit_direction_span`` reaches the leaf's tangent directions apart from
+the Hilbert transform, through ``lie.proj_u``; it equals the bivector's
+matrix ``poisson.matrix_of_omega`` entry by entry, which the
+``leaf-tangency`` check of ``verify`` compares.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import SymmetryViolation
 from .lie import proj_u
-from .linalg import BirkhoffFactors, birkhoff_factor
+from .linalg import DEFAULT_TOL, BirkhoffFactors, birkhoff_factor
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
@@ -37,18 +41,18 @@ from .symspace import (
 SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = 1e-9) -> SignedPermutation:
+def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL) -> SignedPermutation:
     """Signed permutation indexing the Birkhoff layer through the point."""
     factors = birkhoff_factor(cartan_embed(u, preset), tol)
     return factors.perm, factors.signs
 
 
-def leaf_factorize(phi, preset: SymmetricSpacePreset, tol: float = 1e-9) -> BirkhoffFactors:
+def leaf_factorize(phi, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     """Factor a Cartan image phi = ``cartan_embed(u)``, or each image of a
     stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors, checked
     to have the upper factor u_plus = theta(l*)."""
     factors = birkhoff_factor(phi, tol)
-    bound = max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
+    bound = max(tol, DEFAULT_TOL) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
     expected_upper = theta_g(factors.l.mT.conj(), preset)
     sym_defect = np.linalg.norm(factors.u_plus - expected_upper, axis=(-2, -1))
     if np.any(sym_defect > bound):
@@ -113,7 +117,12 @@ def _torus_tw(perm: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 def orbit_direction_span(u, preset: SymmetricSpacePreset) -> np.ndarray:
     """Coordinates of the projected noncompact-orbit directions at u, or at
     each point of a stack (..., d, d), computed through the compact-form
-    projection instead of the Hilbert transform."""
+    projection instead of the Hilbert transform.
+
+    Column r is the direction of the odd basis element e_r, and it is the
+    image of e_r under the bivector's anchor map: the result equals
+    ``poisson.matrix_of_omega(u, preset)`` entry by entry, so the leaf
+    through u is tangent to the projected orbit there."""
     basis = ip_basis(preset)
     u = np.asarray(u)[..., np.newaxis, :, :]
     moved = proj_u(1j * adjoint_act(u, basis))

@@ -2,7 +2,10 @@
 
 Each suite returns a list of checks ``{name, value, tol, pass}`` where value
 is the worst residual observed.  Everything is driven by one seeded
-generator, so a fixed seed reproduces the report byte for byte.  A suite
+generator, the one argument of a suite, so a fixed seed reproduces the
+report byte for byte.  There is no threshold or step to set: every bound
+was derived at the defaults ``linalg.DEFAULT_TOL`` and ``poisson.FD_STEP``,
+and the suites run there.  A suite
 draws all of a preset's samples first, in a fixed generator order, then
 evaluates each check once on the (N, d, d) stack of them.  Samples that
 need only standard normals take them in one generator call per draw
@@ -48,7 +51,7 @@ def _refactor_defect(first: linalg.IwasawaFactors, again: linalg.IwasawaFactors,
     return np.max(gaps, axis=0) / np.linalg.cond(g) ** 2
 
 
-def _suite_factorization(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_factorization(rng: np.random.Generator) -> list[dict]:
     worst_b = worst_i = worst_fix = worst_unitary = 0.0
     for n in (2, 3, 4, 6):
         gs = sampling.special_linear_stack(n, 50, rng)
@@ -73,7 +76,7 @@ def _suite_factorization(rng: np.random.Generator, tol: float, fd_step: float) -
     ]
 
 
-def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_embedding(rng: np.random.Generator) -> list[dict]:
     worst_sym = worst_unit = worst_coset = worst_rep = 0.0
     for preset in _CHART_PRESETS + [symspace.group_case(2)]:
         u, k = sampling.draw(
@@ -99,7 +102,7 @@ def _suite_embedding(rng: np.random.Generator, tol: float, fd_step: float) -> li
     ]
 
 
-def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_bivector(rng: np.random.Generator) -> list[dict]:
     worst_antisym = worst_equiv = worst_skew = 0.0
     for preset in _CHART_PRESETS + [symspace.group_case(2)]:
         ip = sampling.ip_sampler(preset)
@@ -153,7 +156,7 @@ def _suite_bivector(rng: np.random.Generator, tol: float, fd_step: float) -> lis
     ]
 
 
-def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_local_vs_equivariant(rng: np.random.Generator) -> list[dict]:
     cal = poisson.calibration_constant()
     checks = [_check("calibration-constant-minus-one", abs(cal - 1.0), 1e-8)]
     for preset in _CHART_PRESETS:
@@ -174,14 +177,14 @@ def _suite_local_vs_equivariant(rng: np.random.Generator, tol: float, fd_step: f
     return checks
 
 
-def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_jacobi(rng: np.random.Generator) -> list[dict]:
     # cp1 has no Schouten component (real dimension 2): cp3 is a check that can fail
     cp3 = poisson.coordinate_bivector("grassmann", m=1, n=3)
-    worst_cp3 = np.max(poisson.jacobi_residual(cp3, 0.6 * rng.standard_normal((10, 6)), fd_step))
+    worst_cp3 = np.max(poisson.jacobi_residual(cp3, 0.6 * rng.standard_normal((10, 6))))
     cp2 = poisson.coordinate_bivector("grassmann", m=1, n=2)
-    worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4)), fd_step))
+    worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4))))
     g22 = poisson.coordinate_bivector("grassmann", m=2, n=2)
-    worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8)), fd_step))
+    worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8))))
     return [
         _check("jacobi-cp3", worst_cp3, 1e-5),
         _check("jacobi-cp2", worst_cp2, 1e-5),
@@ -189,7 +192,7 @@ def _suite_jacobi(rng: np.random.Generator, tol: float, fd_step: float) -> list[
     ]
 
 
-def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_lambda_identity(rng: np.random.Generator) -> list[dict]:
     (zs,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(()))
     fam = poisson.cp1_family(zs)
     # rounding grows like |kks| = (1 + |z|^2)^2, so the bound is relative to it
@@ -203,7 +206,7 @@ def _suite_lambda_identity(rng: np.random.Generator, tol: float, fd_step: float)
     ]
 
 
-def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_degeneracy(rng: np.random.Generator) -> list[dict]:
     cp2 = symspace.grassmannian(1, 2)
     (z,) = sampling.draw(rng, 100, sampling.complex_normal_sampler(2))
     phi = symspace.cartan_embed(symspace.canonical_rep(z[..., np.newaxis], cp2), cp2)
@@ -220,7 +223,7 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
     rank_defect = 0
     for preset in _CHART_PRESETS:
         (u,) = sampling.draw(rng, 20, sampling.point_sampler(preset))
-        rank_defect += int(np.sum(poisson.pi_rank(u, preset, tol) != preset.dim_ip))
+        rank_defect += int(np.sum(poisson.pi_rank(u, preset) != preset.dim_ip))
     checks.append(_check("top-layer-full-rank", float(rank_defect), 0.0))
 
     cp1 = symspace.grassmannian(1, 1)
@@ -235,8 +238,8 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     u1 = symspace.canonical_rep(np.exp(2j * np.pi * t).reshape(-1, 1, 1), cp1)
     u2 = symspace.canonical_rep(z[..., np.newaxis], cp2)
-    drop_defect = np.sum(poisson.pi_rank(u1, cp1, tol) != 0) + np.sum(
-        poisson.pi_rank(u2, cp2, tol) >= cp2.dim_ip
+    drop_defect = np.sum(poisson.pi_rank(u1, cp1) != 0) + np.sum(
+        poisson.pi_rank(u2, cp2) >= cp2.dim_ip
     )
     checks.append(_check("locus-rank-drop", float(drop_defect), 0.0))
 
@@ -245,18 +248,19 @@ def _suite_degeneracy(rng: np.random.Generator, tol: float, fd_step: float) -> l
     pairings = poisson.pi_el_group(k[:, None, None], frame[:, None], frame[None, :])
     checks.append(_check("su2-vanishing-at-a0", np.max(np.abs(pairings)), 1e-12))
 
-    worst_angle = 0.0
+    # pi^# of each odd basis element is its projected orbit direction, so the
+    # two routes agree entry by entry, not only in their column spans; at a
+    # unitary point the entries are at most 1 in modulus and agree to a few eps
+    worst_gap = 0.0
     for preset in _CHART_PRESETS:
         (u,) = sampling.draw(rng, 10, sampling.point_sampler(preset))
-        angles = linalg.max_principal_angle(
-            poisson.matrix_of_omega(u, preset), strata.orbit_direction_span(u, preset), tol=1e-8
-        )
-        worst_angle = max(worst_angle, np.max(angles))
-    checks.append(_check("leaf-tangency-angle", worst_angle, 1e-8))
+        gap = poisson.matrix_of_omega(u, preset) - strata.orbit_direction_span(u, preset)
+        worst_gap = max(worst_gap, np.max(np.abs(gap)))
+    checks.append(_check("leaf-tangency", worst_gap, 1e-14))
     return checks
 
 
-def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> list[dict]:
+def _suite_momentum(rng: np.random.Generator) -> list[dict]:
     cp1 = symspace.grassmannian(1, 1)
     x_dir = np.diag([1j, -1j])
     r, t = rng.uniform(size=(10, 2)).T
@@ -264,9 +268,9 @@ def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> lis
     us = symspace.canonical_rep(zs.reshape(-1, 1, 1), cp1)
     mod2 = np.abs(zs) ** 2
     closed = np.log((1 + mod2) / (1 - mod2))
-    worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1, tol) - closed))
-    worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1, fd_step, tol))
-    fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1, tol))
+    worst_closed = np.max(np.abs(momentum.moment_eval(us, x_dir, cp1) - closed))
+    worst_res_cp1 = np.max(momentum.hamiltonian_residual(us, x_dir, cp1))
+    fixed = abs(momentum.moment_eval(np.eye(2, dtype=complex), x_dir, cp1))
     worst_res_big = 0.0
     for preset in (symspace.grassmannian(1, 2), symspace.grassmannian(2, 2)):
         us = np.stack([sampling.random_interior_point(preset, rng) for _ in range(5)])
@@ -274,7 +278,7 @@ def _suite_momentum(rng: np.random.Generator, tol: float, fd_step: float) -> lis
         # stencil point leaves it
         top = tuple(range(preset.matrix_dim))
         basis = np.stack(strata.torus_tw((top, (1,) * len(top)), preset))
-        res = momentum.hamiltonian_residual(us, basis, preset, fd_step, tol)
+        res = momentum.hamiltonian_residual(us, basis, preset)
         worst_res_big = max(worst_res_big, np.max(res))
     return [
         _check("cp1-closed-form", worst_closed, 1e-10),
@@ -296,8 +300,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, tol: float = 1e-9, fd_step: float = 1e-5) -> dict:
-    """Run one named suite (or ``all``) and return the JSON-ready report."""
+def run_suite(name: str, seed: int) -> dict:
+    """Run one named suite (or ``all``) and return the JSON-ready report.
+    Every suite runs at the one operating point its bounds were set for:
+    thresholds ``linalg.DEFAULT_TOL`` and the step ``poisson.FD_STEP``,
+    which the report echoes."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -307,14 +314,14 @@ def run_suite(name: str, seed: int, tol: float = 1e-9, fd_step: float = 1e-5) ->
     rng = np.random.default_rng(seed)
     checks = []
     for suite_name in names:
-        for check in SUITES[suite_name](rng, tol, fd_step):
+        for check in SUITES[suite_name](rng):
             check["suite"] = suite_name
             checks.append(check)
     return {
         "suite": name,
         "seed": seed,
-        "tolerance": tol,
-        "fd_step": fd_step,
+        "tolerance": linalg.DEFAULT_TOL,
+        "fd_step": poisson.FD_STEP,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

@@ -212,7 +212,7 @@ _READS = {
     "pi": {"--preset", "--tol", "--out"},
     "moment": {"--preset", "--tol", "--out"},
     "rank-grid": {"--preset", "--tol", "--grid", "--format", "--out"},
-    "verify": {"--tol", "--fd-step", "--seed", "--out"},
+    "verify": {"--seed", "--out"},
     "jacobi": {"--preset", "--fd-step", "--out"},
     "calibration": {"--out"},
 }
@@ -246,7 +246,7 @@ def test_each_subcommand_declares_only_the_shared_flags_it_reads():
         for name, p in subparsers.choices.items()
     }
     assert declared == _READS
-    assert sum(map(len, declared.values())) == 25
+    assert sum(map(len, declared.values())) == 23
 
 
 @pytest.mark.parametrize("command", sorted(_READS))
@@ -277,7 +277,7 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["pi", "--point", "0.5,0", "--tol", "-1e-9"],
         ["factor", "--matrix", _MATRIX, "--tol", "nan"],
         ["jacobi", "--preset", "cp2", "--point", "0.1,0,0.2,0", "--fd-step", "0"],
-        ["verify", "jacobi", "--fd-step", "0"],
+        ["jacobi", "--preset", "cp1", "--point", "0.5,0", "--fd-step=inf"],
         ["rank-grid", "--grid=1,0,4,-1,1,4"],
         ["rank-grid", "--grid=0,1,1,-1,1,4"],
         ["rank-grid", "--grid=1,0,4"],
@@ -291,7 +291,7 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["rank-grid", "--preset", "group:su3"],
         ["rank-grid", "--preset", "su4"],
         ["pi", "--preset", "cp1", "--point=0.5,0", "--tol=inf"],
-        ["verify", "momentum", "--fd-step=inf"],
+        ["moment", "--point", "0.5,0", "--tol=0"],
     ],
 )
 def test_invalid_flag_values_exit_2(argv, capsys):
@@ -644,13 +644,17 @@ def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     assert len(full["mu"]) == len(full["basis"]) == full["torus_dim"] == 3
 
 
-def test_rank_grid_cp2_locus_column(capsys):
-    code, out = run_cli(
-        ["rank-grid", "--preset", "cp2", "--grid", "0,1.5,3,0,1.5,3"], capsys
-    )
+@pytest.mark.parametrize(
+    "grid,axis", [("0,1.5,3", [0.25, 0.75, 1.25]), ("-1,1,4", [-0.75, -0.25, 0.25, 0.75])]
+)
+def test_rank_grid_cp2_locus_column(grid, axis, capsys):
+    # the cp2 plane is z = (x, y) real: a negative axis prints its signed
+    # coordinates, under re_z1 and re_z2
+    code, out = run_cli(["rank-grid", "--preset", "cp2", f"--grid={grid},{grid}"], capsys)
     assert code == 0
     data = json.loads(out)
-    assert data["columns"] == ["abs_z1", "abs_z2", "rank", "min_abs_minor", "abs_p"]
+    assert data["columns"] == ["re_z1", "re_z2", "rank", "min_abs_minor", "abs_p"]
+    assert [row[:2] for row in data["rows"]] == [[x, y] for x in axis for y in axis]
     for row in data["rows"]:
         r1, r2, rank, min_minor, abs_p = row
         pred = abs((1 + r1**2 - r2**2) * (1 - r1**2 - r2**2) * (1 + r1**2 + r2**2))

@@ -12,7 +12,7 @@ from birkhoff_poisson import (
     iwasawa_factor,
     principal_minors,
 )
-from birkhoff_poisson.linalg import AMBIGUITY_BAND, max_principal_angle, signed_permutation_matrix
+from birkhoff_poisson.linalg import AMBIGUITY_BAND, signed_permutation_matrix
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
@@ -594,33 +594,3 @@ def test_principal_minors_unipotent(rng):
     lo[np.tril_indices(n, -1)] = complex_normal_sampler(10).one(rng)
     np.testing.assert_allclose(principal_minors(lo), np.ones(n), atol=1e-12)
     np.testing.assert_allclose(principal_minors(lo.conj().T), np.ones(n), atol=1e-12)
-
-
-def test_max_principal_angle_basics():
-    a = np.array([[1.0], [0.0], [0.0]])
-    b = np.array([[0.0], [1.0], [0.0]])
-    assert max_principal_angle(a, b) == pytest.approx(np.pi / 2)
-    c = np.array([[1.0, 0.0], [0.0, np.cos(0.3)], [0.0, np.sin(0.3)]])
-    d = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    assert max_principal_angle(c, d) == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(ValueError):
-        max_principal_angle(a, np.hstack([b, a]))
-
-
-def test_max_principal_angle_on_a_stack_matches_per_pair_calls(rng):
-    # pairs of ranks 0, 1 and 2 in one stack, angles on both sides of pi/4
-    # (the cosine and the sine branch)
-    a = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
-    b = a + 0.05 * rng.standard_normal((6, 4, 3))
-    b[1] = rng.standard_normal((4, 3))
-    for index, rank in ((2, 1), (3, 1), (4, 0)):
-        a[index, :, rank:] = 0.0
-        b[index, :, rank:] = 0.0
-    angles = max_principal_angle(a, b)
-    assert angles.shape == (6,)
-    assert angles[4] == 0.0 and angles[1] > np.pi / 4 > angles[0] > 0.0
-    for index in range(6):
-        assert angles[index] == max_principal_angle(a[index], b[index])
-    b[5, :, 2] = 0.0
-    with pytest.raises(ValueError):
-        max_principal_angle(a, b)

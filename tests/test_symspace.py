@@ -1,5 +1,6 @@
 import ast
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -557,3 +558,29 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported - set(sys.stdlib_module_names) - {"numpy", "birkhoff_poisson"} == set()
+
+
+# The package's 46 public names other than its modules.  The public API is
+# meant to shrink, so adding or dropping an export edits this list.
+PUBLIC_NAMES = [
+    "BirkhoffFactors", "CoordBivector", "InvalidTangent", "IwasawaFactors",
+    "NotPositiveDefinite", "NumericalDomainError", "SingularInput", "StratumAmbiguous",
+    "SymmetricSpacePreset", "SymmetryViolation", "birkhoff_factor", "birkhoff_layer",
+    "calibration_constant", "canonical_rep", "cartan_embed", "chart_pi_eval",
+    "coordinate_bivector", "cp1_family", "cpn_coeffs", "fothlu_w_chart",
+    "grassmann_local_pi", "grassmannian", "group_case", "hamiltonian_residual",
+    "hilbert_transform", "inv_sqrt_hpd", "iwasawa_factor", "jacobi_residual",
+    "leaf_factorize", "moment_eval", "omega_apply", "parse_preset", "pi_el_group",
+    "pi_eval", "pi_lw_group", "pi_rank", "principal_minors", "proj_u", "project_ip",
+    "su2_el_coefficients", "su2_lw_coefficients", "theta_g", "torus_tw",
+    "torus_vector_field", "trace_form", "tri_project",
+]
+
+
+def test_the_package_exports_the_pinned_public_names():
+    exported = sorted(
+        name
+        for name, value in vars(birkhoff_poisson).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_NAMES

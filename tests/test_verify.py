@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from birkhoff_poisson import linalg, momentum, poisson, verify
+from birkhoff_poisson import linalg, momentum, poisson, strata, verify
 from birkhoff_poisson.verify import run_suite
 
 # The (suite, name) order of a `verify all` report.  The benchmark counts
@@ -35,7 +35,7 @@ ALL_CHECKS = [
     ("degeneracy", "top-layer-full-rank"),
     ("degeneracy", "locus-rank-drop"),
     ("degeneracy", "su2-vanishing-at-a0"),
-    ("degeneracy", "leaf-tangency-angle"),
+    ("degeneracy", "leaf-tangency"),
     ("momentum", "cp1-closed-form"),
     ("momentum", "fixed-point-zero"),
     ("momentum", "hamiltonian-residual-cp1"),
@@ -190,14 +190,49 @@ def test_momentum_uniform_block_is_the_per_point_stream():
     assert block_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-def test_momentum_suite_passes_its_tol_to_every_factorization(monkeypatch):
+def test_momentum_suite_factors_at_the_default_tol(monkeypatch):
+    # every leaf factorization of the suite (two moment_eval calls and the
+    # stencils of three hamiltonian_residual calls) runs its elimination at
+    # the one threshold the report names
     tols = []
-    original = momentum.leaf_factorize
+    original = strata.birkhoff_factor
 
-    def recorded(phi, preset, tol):
+    def recorded(g, tol):
         tols.append(tol)
-        return original(phi, preset, tol)
+        return original(g, tol)
 
-    monkeypatch.setattr(momentum, "leaf_factorize", recorded)
-    assert run_suite("momentum", 0, tol=2e-9)["pass"]
-    assert len(tols) == 5 and set(tols) == {2e-9}
+    monkeypatch.setattr(strata, "birkhoff_factor", recorded)
+    report = run_suite("momentum", 0)
+    assert report["pass"]
+    assert (report["tolerance"], report["fd_step"]) == (linalg.DEFAULT_TOL, poisson.FD_STEP)
+    assert len(tols) == 5 and set(tols) == {linalg.DEFAULT_TOL}
+
+
+# the worst leaf-tangency value of `verify all` and of the degeneracy suite
+# alone over seeds 0-199: 2 eps
+LEAF_TANGENCY_WORST = 4.440892098500626e-16
+
+
+@pytest.mark.parametrize("seed", [0, 424242])
+def test_leaf_tangency_fails_an_orbit_route_turned_within_its_span(seed, monkeypatch):
+    # -S Q spans the columns of S for any orthogonal Q, so a comparison of
+    # column spans passes it; the entrywise identity does not
+    assert _check(run_suite("degeneracy", seed), "leaf-tangency")["pass"]
+    span = strata.orbit_direction_span
+
+    def turned(u, preset):
+        s = span(u, preset)
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(s.shape[-2:]))
+        return -s @ q
+
+    monkeypatch.setattr(strata, "orbit_direction_span", turned)
+    assert not _check(run_suite("degeneracy", seed), "leaf-tangency")["pass"]
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+def test_leaf_tangency_fails_an_error_of_100_times_its_worst_value(seed, monkeypatch):
+    span = strata.orbit_direction_span
+    monkeypatch.setattr(
+        strata, "orbit_direction_span", lambda u, p: span(u, p) + 100 * LEAF_TANGENCY_WORST
+    )
+    assert not _check(run_suite("degeneracy", seed), "leaf-tangency")["pass"]
