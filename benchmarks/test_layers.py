@@ -20,6 +20,7 @@ reads them, at one interior point of each of its ``moment`` presets.
 """
 
 import contextlib
+import functools
 import io
 
 import numpy as np
@@ -28,7 +29,7 @@ import pytest
 from birkhoff_poisson import cli
 from birkhoff_poisson.linalg import birkhoff_factor, iwasawa_factor
 from birkhoff_poisson.momentum import leaf_moment
-from birkhoff_poisson.poisson import coordinate_bivector, jacobi_residual, matrix_of_omega
+from birkhoff_poisson.poisson import chart_tensor, jacobi_residual, matrix_of_omega
 from birkhoff_poisson.sampling import random_interior_point, random_point, special_linear_stack
 from birkhoff_poisson.strata import leaf_factorize, torus_tw
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
@@ -80,9 +81,8 @@ def test_matrix_of_omega(benchmark, spec, count):
 @pytest.mark.parametrize("spec", _JACOBI_PRESETS)
 def test_jacobi_residual(benchmark, spec):
     preset = parse_preset(spec)
-    biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
-    x = np.random.default_rng(1).uniform(-1.0, 1.0, biv.dim_real)
-    benchmark(jacobi_residual, biv, x)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, preset.dim_ip)
+    benchmark(jacobi_residual, functools.partial(chart_tensor, preset=preset), x)
 
 
 @pytest.mark.parametrize("spec", _MOMENT_PRESETS)

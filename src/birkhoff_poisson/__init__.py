@@ -37,10 +37,9 @@ from .momentum import (
     torus_vector_field,
 )
 from .poisson import (
-    CoordBivector,
     calibration_constant,
     chart_pi_eval,
-    coordinate_bivector,
+    chart_tensor,
     cp1_family,
     cpn_coeffs,
     fothlu_w_chart,

@@ -26,9 +26,10 @@ from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
     calibration_constant,
-    coordinate_bivector,
+    chart_tensor,
     cp2_degeneracy_p,
     fothlu_w_chart,
+    fothlu_w_tensor,
     jacobi_residual,
     matrix_of_omega,
     pi_rank,
@@ -261,16 +262,17 @@ def cmd_moment(args) -> int:
 def cmd_jacobi(args) -> int:
     label, preset = _resolve_preset(args.preset)
     if preset is None:
-        biv = coordinate_bivector("fothlu_w")
+        if args.point.size != 2:
+            raise ValueError(f"preset {label} needs 1 complex coordinates")
+        tensor = fothlu_w_tensor
     else:
-        # refuses a group preset, as embed, pi and moment do
+        # refuses a group preset and a point of the wrong size, as embed, pi
+        # and moment do
         _chart_matrix(preset, args.point)
-        biv = coordinate_bivector("grassmann", m=preset.m, n=preset.n)
-    if args.point.size != biv.dim_real:
-        raise ValueError(f"preset {label} needs {biv.dim_real // 2} complex coordinates")
-    # an overflowing point is refused below or by the bivector, not warned about
+        tensor = functools.partial(chart_tensor, preset=preset)
+    # an overflowing point is refused below or by the tensor, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = jacobi_residual(biv, args.point, args.fd_step)
+        residual = jacobi_residual(tensor, args.point, args.fd_step)
     if not np.isfinite(residual):
         raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
     _emit(

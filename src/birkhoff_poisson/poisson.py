@@ -31,19 +31,20 @@ whole stack once and return one value per point.
 One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family`` and
 ``fothlu_w_chart`` take stacks of chart points,
 ``coord_pi_value`` takes stacked coefficients with stacked component
-vectors, and every ``CoordBivector.real_matrix`` takes points
-(..., dim_real); the Jacobi residual evaluates its whole finite-difference
-stencil, for one point or a stack of them, in one ``real_matrix`` call.
-The Grassmann ``real_matrix`` applies L_z to all K = 2 m n chart covectors
-at each point with the K axis folded into the columns, so each product of
-L_z is one matmul per point, not one per (point, covector) pair, and pairs
-the images with one GEMM per point; it refuses a point where the tensor is
-not finite, as ``coeffs_real_matrix`` does.
-The chart kinds are grassmann, which covers projective space as m = 1, and
-fothlu_w.  The projective-space coefficients ``cpn_coeffs`` and the cp1
-family ``cp1_family`` are the displayed formulas and the oracles of the
+vectors.  A chart tensor is a plain function from chart points (...,
+dim_real) to real antisymmetric matrices: ``chart_tensor`` for the
+Grassmannian family, projective space as m = 1, and ``fothlu_w_tensor``,
+in closed form, for the real-form chart.  The Jacobi residual evaluates
+its whole finite-difference stencil, for one point or a stack of them, in
+one call of the tensor.  ``chart_tensor`` applies L_z to all K = 2 m n
+chart covectors at each point with the K axis folded into the columns, so
+each product of L_z is one matmul per point, not one per (point, covector)
+pair, and pairs the images with one GEMM per point.  Both tensors refuse a
+point where they are not finite, as ``coeffs_real_matrix`` does.  The
+projective-space coefficients ``cpn_coeffs`` and the cp1 family
+``cp1_family`` are the displayed formulas and the oracles of the
 projective-specialization and lambda-identity checks; ``coeffs_real_matrix``
-turns them into real tensors.  The SU(2) group pairing has no chart kind:
+turns them into real tensors.  The SU(2) group pairing has no chart tensor:
 its rank is ``pi_rank`` at the group point diag(1, k^(-1)).
 """
 
@@ -292,7 +293,7 @@ def grassmann_l_operator(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     the corrections carry one factor of z* on the outside, left for the
     n x n bracket and right for the m x m one.  Each bracket is
     anti-Hermitian, so S multiplies it by sign(j - i).  This is the K = 1
-    case of the kernel behind the Grassmann ``real_matrix``, which folds the
+    case of the kernel behind ``chart_tensor``, which folds the
     K = 2 m n chart covectors into the columns of each product.
     """
     v = np.asarray(v, dtype=complex)
@@ -328,13 +329,6 @@ class CoordCoefficients:
         return np.block(
             [[self.holo, self.mixed], [np.conj(self.mixed), np.conj(self.holo)]]
         )
-
-
-def _scalar_coeffs(val) -> CoordCoefficients:
-    """Coefficients of a one-dimensional chart whose only term is the mixed
-    one, val (a scalar or a stack of them)."""
-    mixed = np.asarray(val, dtype=complex)[..., np.newaxis, np.newaxis]
-    return CoordCoefficients(mixed=mixed, holo=np.zeros_like(mixed))
 
 
 def cpn_coeffs(zvec: np.ndarray) -> CoordCoefficients:
@@ -460,63 +454,57 @@ def coeffs_real_matrix(coeffs: CoordCoefficients) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-@dataclass(frozen=True)
-class CoordBivector:
-    """A coordinate bivector: real dimension, and the real antisymmetric
-    matrix at a chart point given in interleaved (re, im) coordinates.
-    ``real_matrix`` maps points (..., dim_real) to matrices (..., dim_real,
-    dim_real), or to anything that broadcasts to them."""
-
-    dim_real: int
-    real_matrix: Callable[[np.ndarray], np.ndarray]
-
-
-def coordinate_bivector(kind: str, m: int = 1, n: int = 1) -> CoordBivector:
-    """Factory for the supported chart bivectors.
-
-    kind: grassmann (the chart of gr:m,n, projective space included as
-    m = 1) | fothlu_w.
-    """
-    if kind == "grassmann":
-        # dual to the chart directions under the pairing 2 Re tr(v d)
-        reps = np.ascontiguousarray(0.5 * chart_directions(grassmannian(m, n)).conj().mT)
-        flat = reps.reshape(2 * m * n, m * n)
-
-        def real_matrix(x: np.ndarray) -> np.ndarray:
-            z = reals_to_complex(x)
-            images = _l_images(z.reshape(z.shape[:-1] + (n, m)), reps)
-            # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM
-            # of the flattened (K, m n) views per point
-            images = images.reshape(images.shape[:-2] + (m * n,))
-            mat = -2.0 * (images.conj() @ flat.T).imag
-            if not np.all(np.isfinite(mat)):
-                raise NumericalDomainError("coordinate bivector is not finite at the point")
-            return mat
-
-        return CoordBivector(dim_real=2 * m * n, real_matrix=real_matrix)
-    if kind == "fothlu_w":
-        def real_matrix(x: np.ndarray) -> np.ndarray:
-            w = reals_to_complex(x)[..., 0]
-            return coeffs_real_matrix(_scalar_coeffs(fothlu_w_chart(w)))
-
-        return CoordBivector(dim_real=2, real_matrix=real_matrix)
-    raise ValueError(f"unknown coordinate bivector kind {kind!r}")
+def chart_tensor(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Real antisymmetric matrix of the Grassmannian chart tensor at chart
+    points (..., 2 m n) in interleaved (re, im) coordinates; projective space
+    is m = 1.  Entry (a, b) pairs the covectors dual to the chart directions
+    a and b under 2 Re tr(v d).  Raises NumericalDomainError unless every
+    matrix is finite."""
+    m, n = preset.m, preset.n
+    reps = np.ascontiguousarray(0.5 * chart_directions(preset).conj().mT)
+    z = reals_to_complex(x)
+    images = _l_images(z.reshape(z.shape[:-1] + (n, m)), reps)
+    # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM of the
+    # flattened (K, m n) views per point
+    images = images.reshape(images.shape[:-2] + (m * n,))
+    mat = -2.0 * (images.conj() @ reps.reshape(2 * m * n, m * n).T).imag
+    if not np.all(np.isfinite(mat)):
+        raise NumericalDomainError("coordinate bivector is not finite at the point")
+    return mat
 
 
-def jacobi_residual(bivector: CoordBivector, point: np.ndarray, fd_step: float = FD_STEP):
-    """Max component of the Schouten bracket of the bivector with itself,
+def fothlu_w_tensor(x: np.ndarray) -> np.ndarray:
+    """Real matrix [[0, b], [-b, 0]] of the real-form chart tensor of the
+    two-sphere at chart points (..., 2), with b = -Im(c) / 2 for the mixed
+    coefficient c = ``fothlu_w_chart(w)``: the closed form of
+    ``coeffs_real_matrix`` on a purely imaginary one-dimensional coefficient.
+    Raises NumericalDomainError unless every b is finite."""
+    b = -0.5 * fothlu_w_chart(reals_to_complex(x)[..., 0]).imag
+    if not np.all(np.isfinite(b)):
+        raise NumericalDomainError("coordinate bivector is not finite at the point")
+    zero = np.zeros_like(b)
+    return np.stack([np.stack([zero, b], -1), np.stack([-b, zero], -1)], -2)
+
+
+def jacobi_residual(
+    tensor: Callable[[np.ndarray], np.ndarray], point: np.ndarray, fd_step: float = FD_STEP
+):
+    """Max component of the Schouten bracket of a chart tensor with itself,
     with coefficient derivatives taken by central finite differences: a
     float, or one value per point for a stack of points (..., dim_real).
 
-    Each point and its 2 dim_real shifted copies form a (..., 2 dim_real + 1,
-    dim_real) stencil that goes through ``real_matrix`` in one call."""
+    ``tensor`` maps points (..., dim_real) to real antisymmetric matrices, or
+    to anything that broadcasts to them; each point and its 2 dim_real
+    shifted copies go through it in one call.  On a chart of real dimension
+    2 the bracket has no component: the value is 0.0, and only the tensor's
+    refusal of a point where it is not finite can fail."""
     x = np.asarray(point, dtype=float)
     x = x.reshape(-1) if x.ndim < 1 else x
     dim = x.shape[-1]
     steps = fd_step * np.eye(dim)
     x = x[..., np.newaxis, :]
     stencil = np.concatenate([x, x + steps, x - steps], axis=-2)
-    mats = np.broadcast_to(bivector.real_matrix(stencil), stencil.shape + (dim,))
+    mats = np.broadcast_to(tensor(stencil), stencil.shape + (dim,))
     grad = (mats[..., 1:dim + 1, :, :] - mats[..., dim + 1:, :, :]) / (2 * fd_step)
     # term[a, b, c] = sum_d pi[d, a] d_d pi[b, c]; the bracket is its cyclic sum
     term = np.einsum("...da,...dbc->...abc", mats[..., 0, :, :], grad)

@@ -18,6 +18,8 @@ the whole stack.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg, momentum, poisson, sampling, strata, symspace
@@ -179,17 +181,17 @@ def _suite_local_vs_equivariant(rng: np.random.Generator) -> list[dict]:
 
 def _suite_jacobi(rng: np.random.Generator) -> list[dict]:
     # cp1 has no Schouten component (real dimension 2): cp3 is a check that can fail
-    cp3 = poisson.coordinate_bivector("grassmann", m=1, n=3)
-    worst_cp3 = np.max(poisson.jacobi_residual(cp3, 0.6 * rng.standard_normal((10, 6))))
-    cp2 = poisson.coordinate_bivector("grassmann", m=1, n=2)
-    worst_cp2 = np.max(poisson.jacobi_residual(cp2, 0.6 * rng.standard_normal((10, 4))))
-    g22 = poisson.coordinate_bivector("grassmann", m=2, n=2)
-    worst_g22 = np.max(poisson.jacobi_residual(g22, 0.5 * rng.standard_normal((5, 8))))
-    return [
-        _check("jacobi-cp3", worst_cp3, 1e-5),
-        _check("jacobi-cp2", worst_cp2, 1e-5),
-        _check("jacobi-gr22", worst_g22, 1e-5),
-    ]
+    checks = []
+    for name, (m, n), scale, count in (
+        ("jacobi-cp3", (1, 3), 0.6, 10),
+        ("jacobi-cp2", (1, 2), 0.6, 10),
+        ("jacobi-gr22", (2, 2), 0.5, 5),
+    ):
+        preset = symspace.grassmannian(m, n)
+        x = scale * rng.standard_normal((count, preset.dim_ip))
+        tensor = functools.partial(poisson.chart_tensor, preset=preset)
+        checks.append(_check(name, np.max(poisson.jacobi_residual(tensor, x)), 1e-5))
+    return checks
 
 
 def _suite_lambda_identity(rng: np.random.Generator) -> list[dict]:

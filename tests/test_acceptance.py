@@ -4,6 +4,7 @@ the worst observed residual so the whole gate can be audited from the log.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ from birkhoff_poisson import (
     canonical_rep,
     cartan_embed,
     chart_pi_eval,
-    coordinate_bivector,
+    chart_tensor,
     cp1_family,
     grassmann_local_pi,
     hamiltonian_residual,
@@ -152,8 +153,8 @@ def test_criterion_05_cp2_degeneracy_identity():
 
 def test_criterion_06_jacobi_residual():
     rng = np.random.default_rng(106)
-    cp2 = coordinate_bivector("grassmann", m=1, n=2)
-    g22 = coordinate_bivector("grassmann", m=2, n=2)
+    cp2 = functools.partial(chart_tensor, preset=grassmannian(1, 2))
+    g22 = functools.partial(chart_tensor, preset=grassmannian(2, 2))
     worst = 0.0
     for _ in range(50):
         worst = max(worst, jacobi_residual(cp2, 0.6 * rng.standard_normal(4), 1e-5))

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import gc
 import json
 import math
@@ -152,23 +151,24 @@ def test_jacobi_subcommand(capsys):
 
 @pytest.mark.parametrize(
     "preset,point",
-    [("cp2", "0.3,0.1,-0.2,0.4"), ("gr:2,2", "0.1,0.2,-0.3,0.1,0.2,0.05,-0.1,0.3")],
+    [
+        ("cp2", "0.3,0.1,-0.2,0.4"),
+        ("gr:2,2", "0.1,0.2,-0.3,0.1,0.2,0.05,-0.1,0.3"),
+        ("fothlu", "0.3,-0.7"),
+    ],
 )
-def test_jacobi_evaluates_its_stencil_in_one_real_matrix_call(preset, point, monkeypatch, capsys):
+def test_jacobi_evaluates_its_stencil_in_one_tensor_call(preset, point, monkeypatch, capsys):
     stencils = []
-    factory = cli.coordinate_bivector
 
-    def counted(*args, **kwargs):
-        biv = factory(*args, **kwargs)
-        real_matrix = biv.real_matrix
-
-        def record(x):
+    def counted(tensor):
+        def record(x, **kwargs):
             stencils.append(np.shape(x))
-            return real_matrix(x)
+            return tensor(x, **kwargs)
 
-        return dataclasses.replace(biv, real_matrix=record)
+        return record
 
-    monkeypatch.setattr(cli, "coordinate_bivector", counted)
+    for name in ("chart_tensor", "fothlu_w_tensor"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     code, out = run_cli(["jacobi", "--preset", preset, "--point", point], capsys)
     assert code == 0 and json.loads(out)["residual"] <= 1e-5
     dim = len(point.split(","))
@@ -325,6 +325,7 @@ def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
         ("cp1", "1e300,0"),
         ("gr:1,1", "1e300,0"),
         ("fothlu", "1e300,1e300"),
+        ("fothlu", "1e200,1e200"),
         ("cp2", "1e300,0,0,0"),
         ("cpn:2", "1e300,0,0,0"),
         ("gr:2,2", "1e300,0,0,0,0,0,0,0"),

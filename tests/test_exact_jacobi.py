@@ -6,13 +6,13 @@ the Grassmann chart kernel at gr:1,n, and that of the cp1 family the real
 matrix of its ``cp1_family`` coefficient."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from birkhoff_poisson import coordinate_bivector, cp1_family
+from birkhoff_poisson import chart_tensor, cp1_family, grassmannian
 from birkhoff_poisson.poisson import CoordCoefficients, coeffs_real_matrix, reals_to_complex
 
 
@@ -100,10 +100,10 @@ def _cp1_member(member):
 
 
 def _grassmann(m, n):
-    return coordinate_bivector("grassmann", m=m, n=n).real_matrix
+    return partial(chart_tensor, preset=grassmannian(m, n))
 
 
-# case: (exact matrix builder, numeric real_matrix)
+# case: (exact matrix builder, numeric chart tensor)
 CASES = {
     "cp1-evens_lu": (lambda: _cp1("evens_lu"), _cp1_member("evens_lu")),
     "cp1-projected_pl": (lambda: _cp1("projected_pl"), _cp1_member("projected_pl")),
@@ -129,10 +129,10 @@ def test_exact_schouten_bracket_vanishes(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stacked_real_matrix_matches_the_exact_one(case):
-    build, real_matrix = CASES[case]
+    build, tensor = CASES[case]
     xs, pi = build()
     points = [p[: len(xs)] for p in RATIONAL_POINTS]
-    numeric = real_matrix(np.array([[float(c) for c in p] for p in points]))
+    numeric = tensor(np.array([[float(c) for c in p] for p in points]))
     for p, mat in zip(points, numeric):
         exact = pi.subs({x: sp.Rational(c.numerator, c.denominator) for x, c in zip(xs, p)})
         expected = np.array(exact.tolist(), dtype=float)

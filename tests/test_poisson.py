@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from birkhoff_poisson import (
     calibration_constant,
     canonical_rep,
     chart_pi_eval,
-    coordinate_bivector,
+    chart_tensor,
     cp1_family,
     cpn_coeffs,
     fothlu_w_chart,
@@ -28,12 +29,12 @@ from birkhoff_poisson import (
 from birkhoff_poisson import poisson as poisson_module
 from birkhoff_poisson.lie import hilbert_transform, trace_form
 from birkhoff_poisson.poisson import (
-    CoordBivector,
     CoordCoefficients,
     chart_directions,
     coeffs_real_matrix,
     coord_pi_value,
     cp2_degeneracy_p,
+    fothlu_w_tensor,
     grassmann_l_operator,
     matrix_of_omega,
     reals_to_complex,
@@ -604,53 +605,54 @@ def test_cp1_family_array_matches_scalar_calls_bit_for_bit(rng):
 # jacobi
 
 
+def _grassmann_tensor(m, n):
+    return functools.partial(chart_tensor, preset=grassmannian(m, n))
+
+
 def test_jacobi_constant_bivector_is_zero():
-    const = CoordBivector(
-        dim_real=4,
-        real_matrix=lambda x: np.array(
-            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]], dtype=float
-        ),
-    )
+    def const(x):
+        return np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]], dtype=float)
+
     assert jacobi_residual(const, np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jacobi_cp1_baseline(rng):
-    biv = coordinate_bivector("grassmann", m=1, n=1)
+    tensor = _grassmann_tensor(1, 1)
     for _ in range(5):
-        assert jacobi_residual(biv, 0.8 * rng.standard_normal(2)) <= 1e-6
+        assert jacobi_residual(tensor, 0.8 * rng.standard_normal(2)) <= 1e-6
 
 
 def test_jacobi_cp2_and_grassmann(rng):
-    cp2 = coordinate_bivector("grassmann", m=1, n=2)
+    cp2 = _grassmann_tensor(1, 2)
     for _ in range(10):
         assert jacobi_residual(cp2, 0.6 * rng.standard_normal(4)) <= 1e-5
-    g22 = coordinate_bivector("grassmann", m=2, n=2)
+    g22 = _grassmann_tensor(2, 2)
     for _ in range(5):
         assert jacobi_residual(g22, 0.5 * rng.standard_normal(8)) <= 1e-5
 
 
 def test_jacobi_detects_broken_bivector(rng):
     # dropping the mixed terms must break the identity by a visible margin;
-    # like every real_matrix, this one takes a stack of points
+    # like every chart tensor, this one takes a stack of points
     def broken(x):
         c = cpn_coeffs(reals_to_complex(x))
-        return CoordCoefficients(mixed=c.mixed * np.eye(2), holo=np.zeros_like(c.holo))
+        return coeffs_real_matrix(
+            CoordCoefficients(mixed=c.mixed * np.eye(2), holo=np.zeros_like(c.holo))
+        )
 
-    biv = CoordBivector(dim_real=4, real_matrix=lambda x: coeffs_real_matrix(broken(x)))
-    assert jacobi_residual(biv, np.array([0.4, 0.1, -0.3, 0.2])) > 1e-2
+    assert jacobi_residual(broken, np.array([0.4, 0.1, -0.3, 0.2])) > 1e-2
 
 
-def test_grassmann_real_matrix_matches_cpn(rng):
+def test_chart_tensor_matches_cpn(rng):
     # the Grassmann kernel agrees on projective space with the real matrix
     # of the displayed coefficients, built here as the reference
-    gr = coordinate_bivector("grassmann", m=1, n=2)
     for _ in range(5):
         x = 0.7 * rng.standard_normal(4)
         cpn = coeffs_real_matrix(cpn_coeffs(reals_to_complex(x)))
-        np.testing.assert_allclose(cpn, gr.real_matrix(x), atol=1e-12)
+        np.testing.assert_allclose(cpn, chart_tensor(x, grassmannian(1, 2)), atol=1e-12)
 
 
-def test_grassmann_real_matrix_matches_trace_pairing(rng):
+def test_chart_tensor_matches_trace_pairing(rng):
     # entry (a, b) is the chart pairing of the a-th and b-th covector reps
     m, n = 2, 3
     reps = []
@@ -660,12 +662,12 @@ def test_grassmann_real_matrix_matches_trace_pairing(rng):
                 e = np.zeros((m, n), dtype=complex)
                 e[c, r] = val
                 reps.append(e)
-    biv = coordinate_bivector("grassmann", m=m, n=n)
+    preset = grassmannian(m, n)
     for _ in range(3):
         x = 0.7 * rng.standard_normal(2 * m * n)
         z = reals_to_complex(x).reshape(n, m)
         expected = [[grassmann_local_pi(z, v, w) for w in reps] for v in reps]
-        np.testing.assert_allclose(biv.real_matrix(x), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(chart_tensor(x, preset), expected, rtol=0, atol=1e-14)
 
 
 def _l_operator_reference(z, v):
@@ -682,8 +684,8 @@ def _l_operator_reference(z, v):
     return t1 + t2 - t3
 
 
-def _grassmann_real_matrix_reference(x, m, n):
-    """The Grassmann real_matrix as first written: the reference operator
+def _chart_tensor_reference(x, m, n):
+    """The Grassmann chart tensor as first written: the reference operator
     broadcast over the basis axis, then the einsum trace pairing."""
     reps = 0.5 * chart_directions(grassmannian(m, n)).conj().mT
     z = reals_to_complex(x)
@@ -716,14 +718,14 @@ def test_folded_l_kernel_matches_the_per_element_reference(m, n, rng):
 
 
 @pytest.mark.parametrize("m,n", L_SHAPES)
-def test_grassmann_real_matrix_matches_the_einsum_reference(m, n, rng):
-    biv = coordinate_bivector("grassmann", m=m, n=n)
+def test_chart_tensor_matches_the_einsum_reference(m, n, rng):
+    preset = grassmannian(m, n)
     # one finite-difference stencil's worth of points
-    x = rng.uniform(-1.0, 1.0, (2 * biv.dim_real + 1, biv.dim_real))
-    mats = biv.real_matrix(x)
-    _assert_relative(mats, _grassmann_real_matrix_reference(x, m, n))
+    x = rng.uniform(-1.0, 1.0, (2 * preset.dim_ip + 1, preset.dim_ip))
+    mats = chart_tensor(x, preset)
+    _assert_relative(mats, _chart_tensor_reference(x, m, n))
     _assert_relative(mats.mT, -mats)
-    _assert_relative(biv.real_matrix(x[0]), _grassmann_real_matrix_reference(x[0], m, n))
+    _assert_relative(chart_tensor(x[0], preset), _chart_tensor_reference(x[0], m, n))
 
 
 @pytest.mark.parametrize("x", [[1e300, 0.0], [0.0, 0.0, 1e300, 0.0]])
@@ -741,13 +743,40 @@ def test_coeffs_real_matrix_rejects_a_non_finite_tensor(x):
         (1, 2, [[0.1, 0.2, 0.3, 0.1], [0.0, 0.0, 1e300, 0.0]]),
     ],
 )
-def test_grassmann_real_matrix_rejects_a_non_finite_tensor(m, n, x):
+def test_chart_tensor_rejects_a_non_finite_tensor(m, n, x):
     # on cp1 the Schouten bracket has no component, so a tensor that is not
     # finite would otherwise pass the Jacobi residual as 0.0; a stack is
     # refused when any of its points is
-    biv = coordinate_bivector("grassmann", m=m, n=n)
     with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
-        biv.real_matrix(np.array(x))
+        chart_tensor(np.array(x), grassmannian(m, n))
+
+
+def _fothlu_w_reference(x):
+    """The real matrix of the mixed coefficient ``fothlu_w_chart(w)`` taken
+    through the holomorphic frame: the reference of the closed form."""
+    c = np.asarray(fothlu_w_chart(reals_to_complex(x)[..., 0]))[..., np.newaxis, np.newaxis]
+    return coeffs_real_matrix(CoordCoefficients(mixed=c, holo=np.zeros_like(c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(), (1,), (7,), (2, 3)]), seed=SEEDS)
+def test_fothlu_w_tensor_is_the_real_matrix_of_its_coefficient(shape, seed):
+    # each point at its own scale from e^-20 to e^20, some on the real axis,
+    # where the coefficient vanishes
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape + (2,)) * np.exp(rng.uniform(-20.0, 20.0, shape + (1,)))
+    x[..., 1] *= rng.integers(0, 2, shape)
+    got = fothlu_w_tensor(x)
+    assert got.shape == shape + (2, 2)
+    np.testing.assert_array_equal(got, _fothlu_w_reference(x))
+    for idx in np.ndindex(shape):
+        np.testing.assert_array_equal(fothlu_w_tensor(x[idx]), got[idx])
+
+
+@pytest.mark.parametrize("x", [[1e200, 1e200], [[0.3, -0.7], [0.0, 1e300]], [0.1, np.nan]])
+def test_fothlu_w_tensor_rejects_a_non_finite_tensor(x):
+    with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
+        fothlu_w_tensor(np.array(x))
 
 
 def test_jacobi_residual_matches_cyclic_loop(rng):
@@ -756,7 +785,6 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
         c = cpn_coeffs(reals_to_complex(x))
         return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
 
-    biv = CoordBivector(dim_real=6, real_matrix=broken)
     x = 0.5 * rng.standard_normal(6)
     step = 1e-5
     grad = [
@@ -775,39 +803,37 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
                 )
                 worst = max(worst, abs(total))
     assert worst > 1e-2
-    assert jacobi_residual(biv, x, step) == pytest.approx(worst, rel=1e-12)
+    assert jacobi_residual(broken, x, step) == pytest.approx(worst, rel=1e-12)
 
 
-BIVECTORS = {
-    "gr:1,1": ("grassmann", {"m": 1, "n": 1}),
-    "gr:1,2": ("grassmann", {"m": 1, "n": 2}),
-    "gr:1,3": ("grassmann", {"m": 1, "n": 3}),
-    "gr:2,2": ("grassmann", {"m": 2, "n": 2}),
-    "gr:2,3": ("grassmann", {"m": 2, "n": 3}),
-    "fothlu_w": ("fothlu_w", {}),
+# name: (chart tensor, real dimension of its chart)
+TENSORS = {
+    **{
+        f"gr:{m},{n}": (_grassmann_tensor(m, n), 2 * m * n)
+        for m, n in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))
+    },
+    "fothlu_w": (fothlu_w_tensor, 2),
 }
 
 
-def _points(biv, rng, shape):
-    """Chart points (shape..., dim_real)."""
-    return 0.6 * rng.standard_normal(shape + (biv.dim_real,))
+def _points(dim, rng, shape):
+    """Chart points (shape..., dim)."""
+    return 0.6 * rng.standard_normal(shape + (dim,))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(sorted(BIVECTORS)),
+    name=st.sampled_from(sorted(TENSORS)),
     shape=st.sampled_from([(1,), (4,), (2, 3)]),
     seed=SEEDS,
 )
-def test_real_matrix_on_a_stack_matches_per_point_calls(name, shape, seed):
-    kind, kwargs = BIVECTORS[name]
-    biv = coordinate_bivector(kind, **kwargs)
-    x = _points(biv, np.random.default_rng(seed), shape)
-    stacked = biv.real_matrix(x)
-    size = biv.dim_real
+def test_chart_tensor_on_a_stack_matches_per_point_calls(name, shape, seed):
+    tensor, size = TENSORS[name]
+    x = _points(size, np.random.default_rng(seed), shape)
+    stacked = tensor(x)
     assert stacked.shape == shape + (size, size)
     for idx in np.ndindex(shape):
-        single = biv.real_matrix(x[idx])
+        single = tensor(x[idx])
         assert single.shape == (size, size)
         np.testing.assert_allclose(stacked[idx], single, rtol=1e-13, atol=1e-14)
 
@@ -824,26 +850,19 @@ def test_coord_pi_value_on_a_stack_matches_per_point_calls(n, shape, rng):
         assert single == stacked[idx]
 
 
-def test_coordinate_bivector_rejects_the_su2_kind():
-    # the group pairing matrix lives on the (H, X, Y) frame, not on chart coordinates
-    with pytest.raises(ValueError):
-        coordinate_bivector("su2")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
-    name=st.sampled_from(sorted(BIVECTORS)),
+    name=st.sampled_from(sorted(TENSORS)),
     shape=st.sampled_from([(1,), (3,), (2, 2)]),
     seed=SEEDS,
 )
 def test_jacobi_residual_on_a_stack_matches_a_loop(name, shape, seed):
-    kind, kwargs = BIVECTORS[name]
-    biv = coordinate_bivector(kind, **kwargs)
-    x = _points(biv, np.random.default_rng(seed), shape)
-    stacked = jacobi_residual(biv, x)
+    tensor, size = TENSORS[name]
+    x = _points(size, np.random.default_rng(seed), shape)
+    stacked = jacobi_residual(tensor, x)
     assert stacked.shape == shape
     for idx in np.ndindex(shape):
-        single = jacobi_residual(biv, x[idx])
+        single = jacobi_residual(tensor, x[idx])
         assert isinstance(single, float)
         assert abs(stacked[idx] - single) <= 1e-12
 
@@ -855,11 +874,10 @@ def test_jacobi_residual_on_a_stack_keeps_each_points_residual(rng):
         c = cpn_coeffs(reals_to_complex(x))
         return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
 
-    biv = CoordBivector(dim_real=6, real_matrix=broken)
     x = 0.5 * rng.standard_normal((4, 6))
-    singles = [jacobi_residual(biv, xi) for xi in x]
+    singles = [jacobi_residual(broken, xi) for xi in x]
     assert min(singles) > 1e-2
-    np.testing.assert_allclose(jacobi_residual(biv, x), singles, rtol=1e-12)
+    np.testing.assert_allclose(jacobi_residual(broken, x), singles, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,12 @@ def test_jacobi_cp3_fails_a_bivector_that_is_not_poisson(seed, monkeypatch):
     # 2 f pi^#(df) ^ pi, not 0: a residual of order one.  On cp1, of real
     # dimension 2, the bracket has no component, so no check there sees it
     assert _check(run_suite("jacobi", seed), "jacobi-cp3")["pass"]
-    factory = poisson.coordinate_bivector
+    tensor = poisson.chart_tensor
 
-    def rescaled(kind, m=1, n=1):
-        biv = factory(kind, m=m, n=n)
-        return poisson.CoordBivector(
-            biv.dim_real, lambda x: (1.0 + x[..., 0, None, None]) * biv.real_matrix(x)
-        )
+    def rescaled(x, preset):
+        return (1.0 + x[..., 0, None, None]) * tensor(x, preset)
 
-    monkeypatch.setattr(poisson, "coordinate_bivector", rescaled)
+    monkeypatch.setattr(poisson, "chart_tensor", rescaled)
     report = run_suite("jacobi", seed)
     assert not _check(report, "jacobi-cp3")["pass"]
     assert _check(report, "jacobi-cp3")["value"] > 1e-2
