@@ -17,6 +17,11 @@ The Jacobi residual is timed at one chart point of each ``jacobi`` preset
 of the pointwise benchmark workload (cp2, gr:2,2, gr:2,3), and the leaf
 factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
+``pi_rank`` and the ``rank-grid`` columns of one stack run at the stack
+sizes, group:su2 (341 cells) included; the chart transfer
+``chart_pi_eval`` on the cp1, cp2 and gr:2,2 stacks, and the
+finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
+interior points of cp2 and of gr:2,2, as the momentum suite calls it.
 """
 
 import contextlib
@@ -28,9 +33,21 @@ import pytest
 
 from birkhoff_poisson import cli
 from birkhoff_poisson.linalg import birkhoff_factor, iwasawa_factor
-from birkhoff_poisson.momentum import leaf_moment
-from birkhoff_poisson.poisson import chart_tensor, jacobi_residual, matrix_of_omega
-from birkhoff_poisson.sampling import random_interior_point, random_point, special_linear_stack
+from birkhoff_poisson.momentum import hamiltonian_residual, leaf_moment
+from birkhoff_poisson.poisson import (
+    chart_pi_eval,
+    chart_tensor,
+    jacobi_residual,
+    matrix_of_omega,
+    pi_rank,
+)
+from birkhoff_poisson.sampling import (
+    draw,
+    point_sampler,
+    random_interior_point,
+    random_point,
+    special_linear_stack,
+)
 from birkhoff_poisson.strata import leaf_factorize, torus_tw
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 
@@ -38,6 +55,7 @@ _STACKS = [("cp1", 1024), ("cp2", 455), ("gr:2,2", 128), ("gr:6,10", None)]
 _REP_CASES = _STACKS + [("gr:3,1", 455), ("cp1", None)]
 _BIVECTOR_CASES = _STACKS + [("group:su3", None)]
 _FACTOR_CASES = [(n, count) for n in (2, 4, 8, 16) for count in (None, 256)]
+_GRID_CASES = _STACKS[:3] + [("group:su2", 341)]
 _JACOBI_PRESETS = ["cp2", "gr:2,2", "gr:2,3"]
 _MOMENT_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,3"]
 
@@ -76,6 +94,53 @@ def test_matrix_of_omega(benchmark, spec, count):
         preset, z = _chart_points(spec, count)
         u = canonical_rep(z, preset)
     benchmark(matrix_of_omega, u, preset)
+
+
+def _plane_cells(spec, count):
+    """The plane coordinates (x, y) of ``count`` rank-grid cells, inside the
+    unit disc for group:su2."""
+    x, y = np.random.default_rng(1).uniform(-1.0, 1.0, (2, count))
+    if spec.startswith("group:"):
+        x, y = 0.7 * x, 0.7 * y
+    return x, y
+
+
+@pytest.mark.parametrize("spec,count", _GRID_CASES, ids=_ids(_GRID_CASES))
+def test_pi_rank(benchmark, spec, count):
+    """The rank of a stack of bivector matrices, the kernel included."""
+    preset = parse_preset(spec)
+    if preset.is_inner:
+        u = canonical_rep(_chart_points(spec, count)[1], preset)
+    else:
+        (u,) = draw(np.random.default_rng(1), count, point_sampler(preset))
+    benchmark(pi_rank, u, preset)
+
+
+@pytest.mark.parametrize("spec,count", _GRID_CASES, ids=_ids(_GRID_CASES))
+def test_grid_columns(benchmark, spec, count):
+    """The columns of one rank-grid stack: representatives, ranks, layers
+    and minors."""
+    benchmark(cli._grid_columns, parse_preset(spec), *_plane_cells(spec, count), 1e-9)
+
+
+@pytest.mark.parametrize("spec,count", _STACKS[:3], ids=_ids(_STACKS[:3]))
+def test_chart_pi_eval(benchmark, spec, count):
+    preset, z = _chart_points(spec, count)
+    rng = np.random.default_rng(2)
+    v, w = rng.normal(size=(2, count, preset.m, preset.n)) + 1j * rng.normal(
+        size=(2, count, preset.m, preset.n)
+    )
+    benchmark(chart_pi_eval, preset, z, v, w)
+
+
+@pytest.mark.parametrize("spec", ["cp2", "gr:2,2"])
+def test_hamiltonian_residual(benchmark, spec):
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(1)
+    u = np.stack([random_interior_point(preset, rng) for _ in range(5)])
+    top = tuple(range(preset.matrix_dim))
+    basis = np.stack(torus_tw((top, (1,) * len(top)), preset))
+    benchmark(hamiltonian_residual, u, basis, preset)
 
 
 @pytest.mark.parametrize("spec", _JACOBI_PRESETS)

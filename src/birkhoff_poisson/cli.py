@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_cells
-from .linalg import DEFAULT_TOL, birkhoff_factor, iwasawa_factor, principal_minors
+from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor, principal_minors
 from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
@@ -197,13 +197,13 @@ def cmd_embed(args) -> int:
     z = _chart_matrix(preset, args.point)
     u = canonical_rep(z, preset)
     phi = cartan_embed(u, preset)
-    factors = birkhoff_factor(phi, args.tol)
+    minors, _, factors = _pivot_minors(phi, args.tol)
     _emit(
         {
             "preset": preset.label,
             "u": _pairs(u),
             "phi": _pairs(phi),
-            "principal_minors": _pairs(principal_minors(phi)),
+            "principal_minors": _pairs(minors),
             "layer_perm": list(factors.perm),
             "layer_signs": list(factors.signs),
         },
@@ -306,7 +306,9 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
     """The rank column and the preset's float columns at the cells (x, y).
     Every preset but fothlu takes one route: the point stack u, the rank of
     the bivector at u, -1 where the layer of the Cartan image phi is
-    ambiguous, and the smallest |leading minor| of phi.  A group:su2 cell is
+    ambiguous, and the smallest |leading minor| of phi, read off the pivots
+    of phi's Birkhoff factorization on the top layer (``_pivot_minors``).
+    A group:su2 cell is
     u = diag(I, k*), where ``pi_el_group`` evaluates, at k = [[a, b],
     [-b*, a*]], a = x + iy, b = sqrt(1 - |a|^2): phi = diag(k, k*), whose
     smallest |leading minor| is |a|.  A cell outside the unit disc, |a|^2
@@ -332,15 +334,10 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
         u = block_diag(np.eye(2), k.mT.conj())
-    phi = cartan_embed(u, preset)
-    ranks = pi_rank(u, preset, tol)
-    try:
-        birkhoff_factor(phi, tol)
-    except StratumAmbiguous as exc:
-        ranks = np.where(exc.mask, -1, ranks)
+    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset), tol)
     columns = [np.full(len(x), -1), np.zeros(len(x))]
-    columns[0][inside] = ranks
-    columns[1][inside] = np.min(np.abs(principal_minors(phi)), axis=-1)
+    columns[0][inside] = np.where(ambiguous, -1, pi_rank(u, preset, tol))
+    columns[1][inside] = np.min(np.abs(minors), axis=-1)
     if preset.label == "cp2":
         columns.append(np.abs(cp2_degeneracy_p(x, y)))
     return columns

@@ -18,7 +18,11 @@ Implements the factorizations everything else is built on:
   named by the benchmark's per-layer metrics, and its refusal rule
   ``check_hpd_spectrum`` is the one chart points obey.
 * ``principal_minors`` -- determinants of the leading k x k submatrices,
-  the first one read as the entry g[0, 0] itself.
+  the first one read as the entry g[0, 0] itself.  Where a Birkhoff
+  factorization is at hand, the private ``_pivot_minors`` reads them off
+  its pivots instead, as h_0 ... h_(k-1), for every matrix on the top
+  layer, and keeps ``principal_minors`` for the rest, matrix by matrix;
+  ``rank-grid`` and ``embed`` print those.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
@@ -292,3 +296,39 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
     minors = [g[..., 0, 0]] + [np.linalg.det(g[..., :k, :k]) for k in range(2, n + 1)]
     return np.stack(minors, axis=-1)
 
+
+def _pivot_minors(g: np.ndarray, tol: float = DEFAULT_TOL):
+    """The leading principal minors of g, beside its Birkhoff factorization:
+    (minors, ambiguous, factors).
+
+    g is one matrix or a stack (..., n, n); ``minors`` is (..., n).  A
+    matrix on the top layer (perm the identity, so every sign +1) is
+    l h u_plus with l and u_plus unipotent triangular, so its minors are
+    the pivot products h_0 ... h_(k-1), read off h with no determinant; the
+    first is the entry g[0, 0] itself.  Every other matrix, on a lower
+    layer or inside the ambiguity band, keeps ``principal_minors``; one
+    such matrix moves no other matrix of the stack off its pivots.
+    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band,
+    and ``factors`` factors the others, in stack order.  One matrix in the
+    band raises StratumAmbiguous, as ``birkhoff_factor`` does."""
+    g = _as_square_stack(g)
+    ambiguous = np.zeros(g.shape[:-2], dtype=bool)
+    try:
+        factors = birkhoff_factor(g, tol)
+    except StratumAmbiguous as exc:
+        if g.ndim == 2:
+            raise
+        ambiguous = exc.mask
+        factors = birkhoff_factor(g[~ambiguous], tol)
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    pivots = np.diagonal(factors.h, axis1=-2, axis2=-1).reshape(-1, n)
+    on_top = np.all(np.reshape(factors.perm, (-1, n)) == np.arange(n), axis=-1)
+    top = np.flatnonzero(~ambiguous.reshape(-1))[on_top]
+    rest = np.ones(len(flat), dtype=bool)
+    rest[top] = False
+    minors = np.empty(flat.shape[:-1], dtype=complex)
+    minors[top] = np.cumprod(pivots[on_top], axis=-1)
+    if rest.any():
+        minors[rest] = principal_minors(flat[rest])
+    return minors.reshape(g.shape[:-1]), ambiguous, factors

@@ -157,10 +157,44 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     return mat
 
 
+def _skew_singular_values(m: np.ndarray) -> np.ndarray:
+    """The two singular values s1 >= s2 of a real skew k x k matrix, k <= 4,
+    on a new first axis; m may be a stack (..., k, k).
+
+    A 2 x 2 or 3 x 3 matrix is read as the 4 x 4 one padded with zeros.
+    Its self-dual and anti-self-dual parts are the vectors
+    a = (m01 + m23, m02 - m13, m03 + m12) and b = (m01 - m23, m02 + m13,
+    m03 - m12); m -> Q m Q^T with Q orthogonal rotates a and b, or swaps
+    them, so |a| and |b| are invariants, and at the normal form
+    diag(s1 J, s2 J), J = [[0, 1], [-1, 0]], they read s1 + s2 and
+    s1 - s2.  So s1 = (|a| + |b|) / 2 and s2 = ||a| - |b|| / 2, each within
+    a few eps * s1 of exact, as an SVD's are.  The roots of
+    t^2 - S t + Pf(m)^2, S = |m|_F^2 / 2, are not: their discriminant
+    cancels as s1 and s2 meet, and at s = tol * (1 +- 1e-9) even the sign
+    of the quadratic at t = tol^2 is lost to rounding."""
+    k = m.shape[-1]
+    zero = np.zeros(m.shape[:-2])
+
+    def e(i, j):
+        return m[..., i, j] if j < k else zero
+
+    a = np.hypot(np.hypot(e(0, 1) + e(2, 3), e(0, 2) - e(1, 3)), e(0, 3) + e(1, 2))
+    b = np.hypot(np.hypot(e(0, 1) - e(2, 3), e(0, 2) + e(1, 3)), e(0, 3) - e(1, 2))
+    return np.stack([a + b, np.abs(a - b)]) / 2
+
+
 def pi_rank(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL):
-    """Numerical rank of the bivector at u at the given absolute threshold:
-    an int, or an array of ranks for a stack of representatives."""
-    ranks = np.linalg.matrix_rank(matrix_of_omega(u, preset), tol=tol)
+    """Numerical rank of the bivector at u at the given absolute threshold,
+    the number of singular values of ``matrix_of_omega`` above tol: an int,
+    or an array of ranks for a stack of representatives.  For dim_ip <= 4
+    (cp1, group:su2, cp2) the skew matrix has at most two singular value
+    pairs, read in closed form by ``_skew_singular_values`` with no SVD;
+    larger matrices take ``np.linalg.matrix_rank``."""
+    mat = matrix_of_omega(u, preset)
+    if preset.dim_ip <= 4:
+        ranks = 2 * np.count_nonzero(_skew_singular_values(mat) > tol, axis=0)
+    else:
+        ranks = np.linalg.matrix_rank(mat, tol=tol)
     return ranks if np.ndim(ranks) else int(ranks)
 
 

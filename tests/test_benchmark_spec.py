@@ -1,6 +1,7 @@
 """The benchmark's per-layer metrics and ratios name functions of the
 package; each named function must still exist, or the traced benchmark run
-cannot read it."""
+cannot read it.  Likewise every package name the layer harness in
+``benchmarks/`` imports or reads off an imported module."""
 
 import ast
 import importlib
@@ -48,3 +49,39 @@ def test_ratios_name_public_functions():
     assert ratios
     spans = [half for pair in ratios.values() for side in pair for half in side.split("<")]
     assert _missing(spans) == []
+
+
+def _package_references(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every name the file imports from the package, and
+    for every attribute it reads off a package module it imported that way
+    (``cli._grid_cells``)."""
+    tree = ast.parse(path.read_text())
+    refs, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("birkhoff_poisson"):
+            for alias in node.names:
+                refs.append((node.module, alias.name))
+                try:
+                    module = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    continue
+                modules[alias.asname or alias.name] = module.__name__
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                refs.append((modules[node.value.id], node.attr))
+    return refs
+
+
+def test_layer_harness_names_exist():
+    # pytest collects only tests/, so a deletion in the package would break
+    # the layer harness in benchmarks/ unseen
+    files = sorted((ROOT / "benchmarks").glob("*.py"))
+    refs = [(path.name, ref) for path in files for ref in _package_references(path)]
+    assert any(module == "birkhoff_poisson.cli" for _, (module, _) in refs)
+    missing = [
+        f"{name}: {module}.{attr}"
+        for name, (module, attr) in refs
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

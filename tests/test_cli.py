@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from birkhoff_poisson import (
     StratumAmbiguous,
+    birkhoff_factor,
     birkhoff_layer,
     canonical_rep,
     cartan_embed,
@@ -534,9 +535,9 @@ def _closed_form_cell(spec, x, y, tol=1e-9):
 # a stack holds 2 su2 cells, so some stacks have no cell inside the disc.  The
 # small grids hit a = 0 and Im w = 0, where the rank drops to 0.  On the
 # 37 x 53 fothlu grid, |w|^2 by pow and by squaring differ in the last bit
-# at some cells.  The su2 minor column is |a| from the determinants of the
-# Cartan image, which numpy takes as sign * exp(log |det|), so it is |a| to
-# a few ulps and not bit for bit.
+# at some cells.  The su2 minor column is |a| from the pivot products of the
+# Cartan image, and from its determinants off the top layer (a = 0), so it
+# is |a| to a few ulps and not bit for bit.
 @pytest.mark.parametrize("stack_bytes", [None, 1, 2000])
 @pytest.mark.parametrize(
     "spec,grid,ranks",
@@ -595,8 +596,8 @@ def test_su2_grid_minor_column_never_exceeds_the_entry_a():
     # the k = 1 leading minor of phi = diag(k, k*) is the entry a itself, so
     # the smallest |minor| is at most |a| bit for bit.  It is not hypot(x, y)
     # bit for bit: numpy's complex modulus is not correctly rounded, and the
-    # 3 x 3 minor det(k) a*, read as sign * exp(log|det|), can fall below |a|
-    # by a few roundings times |ln |a||
+    # 3 x 3 minor, the pivot product a h_1 a*, can fall below |a| by a few
+    # roundings
     rng = np.random.default_rng(5)
     r, t = 10.0 ** rng.uniform(-12.0, 0.0, 4000), rng.uniform(0.0, 2 * math.pi, 4000)
     x, y = r * np.cos(t), r * np.sin(t)
@@ -604,6 +605,56 @@ def test_su2_grid_minor_column_never_exceeds_the_entry_a():
     assert np.all(minors <= np.abs(x + 1j * y))
     eps = np.finfo(float).eps
     assert np.all(np.abs(minors - np.hypot(x, y)) <= 4 * eps * (1.0 - np.log(r)) * r)
+
+
+def test_su2_top_layer_minor_column_is_hypot_to_4_eps():
+    # on the top layer (a != 0, outside the band) the column reads the pivot
+    # products a, a h_1, a h_1 a*, a h_1 a* h_3 of phi = diag(k, k*); the
+    # determinants, sign * exp(log|det|), read up to 1.4e-15 relative low
+    # here, on 153 of the 12,000 cells
+    rng = np.random.default_rng(11)
+    r = np.logspace(-7.0, 0.0, 12000)
+    t = rng.uniform(0.0, 2 * math.pi, r.size)
+    x, y = r * np.cos(t), r * np.sin(t)
+    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)
+    top = ranks == 2
+    assert np.count_nonzero(top) >= 11990
+    a = np.hypot(x, y)[top]
+    assert np.all(np.abs(minors[top] - a) <= 4 * np.finfo(float).eps * a)
+
+
+def test_grid_minor_column_on_a_mixed_stack():
+    # one cp1 stack: top-layer cells, the exact wall cell z = 0.6 + 0.8i and
+    # a cell whose phi[0, 0] = 1e-9 lies in the ambiguity band (1e-10, 1e-8)
+    cp1 = parse_preset("cp1")
+    band = math.sqrt((1 - 1e-9) / (1 + 1e-9))
+    x = np.array([0.3, 0.6, band, -0.2, 1.4])
+    y = np.array([-0.1, 0.8, 0.0, 0.5, 0.2])
+    ranks, column = cli._grid_columns(cp1, x, y, 1e-9)
+    np.testing.assert_array_equal(ranks, [2, 0, -1, 2, 2])
+    phi = cartan_embed(canonical_rep((x + 1j * y).reshape(-1, 1, 1), cp1), cp1)
+    for i in (1, 2):
+        assert column[i] == np.min(np.abs(principal_minors(phi[i])))
+    h = np.diagonal(birkhoff_factor(phi[[0, 3, 4]]).h, 0, -2, -1)
+    np.testing.assert_array_equal(
+        column[[0, 3, 4]], np.min(np.abs(np.cumprod(h, axis=-1)), axis=-1)
+    )
+
+
+def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
+    # z = (3/5, 4i/5) has |z| = 1: phi[0, 0] = 0, a lower layer
+    cp2 = parse_preset("cp2")
+    for point, top in (("0.3,-0.2,0.1,0.4", True), ("0.6,0,0,0.8", False)):
+        code, out = run_cli(["embed", "--preset", "cp2", f"--point={point}"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["layer_perm"] == [0, 1, 2]) == top
+        minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
+        z = cli._chart_matrix(cp2, cli._parse_point(point))
+        phi = cartan_embed(canonical_rep(z, cp2), cp2)
+        pivots = np.cumprod(np.diag(birkhoff_factor(phi).h))
+        np.testing.assert_array_equal(minors, pivots if top else principal_minors(phi))
+        assert np.array_equal(minors, principal_minors(phi)) != top
 
 
 @pytest.mark.parametrize(

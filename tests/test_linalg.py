@@ -12,7 +12,7 @@ from birkhoff_poisson import (
     iwasawa_factor,
     principal_minors,
 )
-from birkhoff_poisson.linalg import AMBIGUITY_BAND, signed_permutation_matrix
+from birkhoff_poisson.linalg import AMBIGUITY_BAND, _pivot_minors, signed_permutation_matrix
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
@@ -594,3 +594,54 @@ def test_principal_minors_unipotent(rng):
     lo[np.tril_indices(n, -1)] = complex_normal_sampler(10).one(rng)
     np.testing.assert_allclose(principal_minors(lo), np.ones(n), atol=1e-12)
     np.testing.assert_allclose(principal_minors(lo.conj().T), np.ones(n), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# minors from the Birkhoff pivots
+
+# |z|^2 = (1 - 1e-9) / (1 + 1e-9) puts phi[0, 0] = (1 - |z|^2) / (1 + |z|^2)
+# at 1e-9, inside the ambiguity band (1e-10, 1e-8) of the default tol
+_BAND_Z = np.sqrt((1 - 1e-9) / (1 + 1e-9))
+
+
+def test_pivot_minors_on_a_mixed_stack(rng):
+    # top-layer cells, the exact wall cell z = 0.6 + 0.8i (phi[0, 0] = 0, a
+    # lower layer) and a band cell, in one cp1 stack
+    cp1 = parse_preset("cp1")
+    z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
+    phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
+    minors, ambiguous, factors = _pivot_minors(phi)
+    np.testing.assert_array_equal(ambiguous, [False] * 7 + [True])
+    assert factors.perm[6].tolist() == [1, 0]
+    # the wall and band cells keep the determinants, bit for bit
+    np.testing.assert_array_equal(minors[6:], principal_minors(phi[6:]))
+    # the others read their pivot products, one band cell beside them or not
+    top = factors.h[:6]
+    np.testing.assert_array_equal(minors[:6], np.cumprod(np.diagonal(top, 0, -2, -1), axis=-1))
+    np.testing.assert_array_equal(minors[:6], _pivot_minors(phi[:6])[0])
+    assert np.any(minors[:6] != principal_minors(phi[:6]))
+    np.testing.assert_allclose(minors, principal_minors(phi), rtol=0, atol=1e-15)
+
+
+def test_pivot_minors_of_one_matrix(rng):
+    g = special_linear_stack(4, 1, rng)[0]
+    minors, ambiguous, factors = _pivot_minors(g)
+    assert minors.shape == (4,) and ambiguous.shape == () and not ambiguous
+    assert factors.perm == (0, 1, 2, 3)
+    np.testing.assert_array_equal(minors, np.cumprod(np.diag(factors.h)))
+    np.testing.assert_allclose(minors, principal_minors(g), rtol=1e-10)
+    # a lower layer: the determinants
+    w = np.array([[0, 1], [-1, 0]], dtype=complex)
+    np.testing.assert_array_equal(_pivot_minors(w)[0], principal_minors(w))
+    # one matrix in the band raises, as birkhoff_factor does
+    cp1 = parse_preset("cp1")
+    with pytest.raises(StratumAmbiguous, match="ambiguity band"):
+        _pivot_minors(cartan_embed(canonical_rep(np.array([[_BAND_Z]]), cp1), cp1))
+
+
+def test_pivot_minors_of_a_stack_all_in_the_band():
+    cp1 = parse_preset("cp1")
+    phi = cartan_embed(canonical_rep(np.full((2, 1, 1, 1), _BAND_Z + 0j), cp1), cp1)
+    minors, ambiguous, factors = _pivot_minors(phi)
+    assert ambiguous.shape == (2, 1) and ambiguous.all() and len(factors.h) == 0
+    np.testing.assert_array_equal(minors, principal_minors(phi))
