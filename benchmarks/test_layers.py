@@ -8,8 +8,11 @@ thread:
     python -m pytest benchmarks --benchmark-json=BENCH.json
 
 The stack sizes are those one ``rank-grid`` stack holds under its 256 KiB
-budget (cp1 takes a whole 32 x 32 grid, cp2 455 cells, gr:2,2 128), plus
-the single matrices of ``pi --preset gr:6,10`` and of the group case su3.
+budget of (d, d) matrices: a whole 32 x 32 grid, 1,024 cells, on cp1, cp2,
+gr:2,2 and group:su2 (``tests/test_benchmark_spec.py`` checks that
+``_GRID_CASES`` still matches); ``matrix_of_omega`` runs them in frame
+chunks of its own.  The single matrices are those of ``pi --preset
+gr:6,10``, of gr:8,12 (dim_ip 192) and of the group case su3.
 ``canonical_rep`` also runs on a gr:3,1 stack, whose chart matrices are
 rows, and on one cp1 point.  The two factorizations run on unimodular
 matrices of size 2, 4, 8 and 16, one matrix and a stack of 256 each.
@@ -18,10 +21,17 @@ of the pointwise benchmark workload (cp2, gr:2,2, gr:2,3), and the leaf
 factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
 ``pi_rank`` and the ``rank-grid`` columns of one stack run at the stack
-sizes, group:su2 (341 cells) included; the chart transfer
-``chart_pi_eval`` on the cp1, cp2 and gr:2,2 stacks, and the
+sizes; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
+its stacks included; one ``pi --preset gr:6,10`` and one ``moment --preset
+gr:2,2`` call run through ``cli.main``; the chart transfer
+``chart_pi_eval`` runs on the cp1, cp2 and gr:2,2 stacks, and the
 finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
 interior points of cp2 and of gr:2,2, as the momentum suite calls it.
+
+The medians of one run move by up to 1.7x on a shared machine while the
+minima hold, so a layer change is read from at least 5 runs per side,
+alternating the two sides, by the minimum and by the median of the run
+medians.
 """
 
 import contextlib
@@ -51,11 +61,12 @@ from birkhoff_poisson.sampling import (
 from birkhoff_poisson.strata import leaf_factorize, torus_tw
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 
-_STACKS = [("cp1", 1024), ("cp2", 455), ("gr:2,2", 128), ("gr:6,10", None)]
+# the stack of a 32 x 32 rank-grid; a literal, read by tests/test_benchmark_spec.py
+_GRID_CASES = [("cp1", 1024), ("cp2", 1024), ("gr:2,2", 1024), ("group:su2", 1024)]
+_STACKS = _GRID_CASES[:3] + [("gr:6,10", None)]
 _REP_CASES = _STACKS + [("gr:3,1", 455), ("cp1", None)]
-_BIVECTOR_CASES = _STACKS + [("group:su3", None)]
+_BIVECTOR_CASES = _STACKS + [("gr:8,12", None), ("group:su3", None)]
 _FACTOR_CASES = [(n, count) for n in (2, 4, 8, 16) for count in (None, 256)]
-_GRID_CASES = _STACKS[:3] + [("group:su2", 341)]
 _JACOBI_PRESETS = ["cp2", "gr:2,2", "gr:2,3"]
 _MOMENT_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,3"]
 
@@ -121,6 +132,39 @@ def test_grid_columns(benchmark, spec, count):
     """The columns of one rank-grid stack: representatives, ranks, layers
     and minors."""
     benchmark(cli._grid_columns, parse_preset(spec), *_plane_cells(spec, count), 1e-9)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+def test_grid_cells(benchmark, spec):
+    """The rows of a whole 32 x 32 rank-grid over the default axes."""
+    preset = parse_preset(spec)
+    xs, ys = (cli._axis_points(lo, hi, 32).tolist() for lo, hi, _ in cli._grid_layout(preset)[0])
+    benchmark(cli._grid_cells, preset, xs, ys, 1e-9)
+
+
+def _chart_arg(spec, scale):
+    """--point at a chart point of the preset drawn at the given scale,
+    inside the top layer."""
+    flat = scale * _chart_points(spec, None)[1].ravel()
+    return "--point=" + ",".join(repr(float(v)) for c in flat for v in (c.real, c.imag))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi", "--preset", "gr:6,10", _chart_arg("gr:6,10", 0.2)],
+        ["moment", "--preset", "gr:2,2", _chart_arg("gr:2,2", 0.5)],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_cli_call(benchmark, argv):
+    """One ``bpoisson`` call through ``cli.main``, its text included."""
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    benchmark(call)
 
 
 @pytest.mark.parametrize("spec,count", _STACKS[:3], ids=_ids(_STACKS[:3]))

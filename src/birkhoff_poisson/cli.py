@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, poisson
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_cells
 from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor, principal_minors
@@ -343,20 +343,15 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
     return columns
 
 
-# Bytes of the largest complex stack one stack of grid cells builds: the
-# (cells, dim_ip, d, d) frames u e_r u* of matrix_of_omega, of which it holds
-# at most two at once (the blocks u e_r and the frames, then the frames and
-# their Hilbert transforms), or the (cells,) points w of fothlu; bounds the
-# cells per stack: 2,048 on cp1, 455 on cp2, 341 on group:su2, 128 on
-# gr:2,2 and 16,384 on fothlu.
-_STACK_BYTES = 1 << 18
-
-
 def _grid_cells(preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
-    """The cells (x, y) of the grid, row-major, evaluated as flat stacks of
-    at most ``_STACK_BYTES`` each."""
-    cell_bytes = 16 if preset is None else 16 * preset.dim_ip * preset.matrix_dim**2
-    per_stack = max(1, _STACK_BYTES // cell_bytes)
+    """The cells (x, y) of the grid, row-major, evaluated as flat stacks
+    whose (cells, d, d) complex matrices, 16 d^2 bytes a cell, or (cells,)
+    points w of fothlu, 16 bytes a cell, fit ``poisson._STACK_BYTES``:
+    4,096 cells on cp1, 1,820 on cp2, 1,024 on gr:2,2 and group:su2, 64 on
+    gr:6,10 and 16,384 on fothlu.  ``matrix_of_omega`` bounds its own
+    frames by the same budget, in chunks of a stack."""
+    cell_bytes = 16 if preset is None else 16 * preset.matrix_dim**2
+    per_stack = max(1, poisson._STACK_BYTES // cell_bytes)
     cells = [(x, y) for x in xs for y in ys]
     rows = []
     for start in range(0, len(cells), per_stack):

@@ -27,7 +27,9 @@ group pairings ``pi_el_group`` / ``pi_lw_group`` with the SU(2) coefficient
 displays, ``grassmann_l_operator``, ``grassmann_local_pi`` and the chart
 transfer ``chart_covectors`` / ``chart_pi_eval`` take stacks of points and
 arguments that broadcast, matrices on the last two axes; they validate the
-whole stack once and return one value per point.
+whole stack once and return one value per point.  ``matrix_of_omega``, and
+so ``pi_rank``, builds the frames of a stack in chunks of at most
+``_STACK_BYTES`` (256 KiB), so its memory does not grow with the stack.
 One matrix in gives a scalar out.  ``cpn_coeffs``, ``cp1_family`` and
 ``fothlu_w_chart`` take stacks of chart points,
 ``coord_pi_value`` takes stacked coefficients with stacked component
@@ -121,6 +123,16 @@ def pi_eval(u, x, y, preset: SymmetricSpacePreset):
     return val.real if np.ndim(val) else float(val.real)
 
 
+# Bytes of the largest complex array ``matrix_of_omega`` builds: the
+# (points, dim_ip, d, d) frames u e_r u* of one chunk of points, of which it
+# holds at most two at once (the blocks u e_r and the frames, then the frames
+# and their Hilbert transforms).  At 16 dim_ip d^2 bytes a point it bounds the
+# points per chunk: 2,048 on cp1, 455 on cp2, 341 on group:su2, 128 on gr:2,2
+# and 1 on gr:6,10 and larger.  ``rank-grid`` sizes its stacks by the same
+# budget, at 16 d^2 bytes a cell (``cli._grid_cells``).
+_STACK_BYTES = 1 << 18
+
+
 def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     """Real matrix of the skew operator on the orthonormal basis of the odd
     anti-Hermitian subspace: entry (s, r) is Re <e_s, omega(e_r)>.
@@ -135,26 +147,36 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
     which stacked as one column [u e_1; ...; u e_k] are multiplied by u* at
     once.  A complex row viewed as reals interleaves (Re, Im), so
     Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2 work, no
-    projection and no second conjugation.  The GEMM is skew up to rounding;
-    its skew part is returned, so entry (r, s) is bitwise -(s, r) and the
-    diagonal is +0.0."""
+    projection and no second conjugation.  The points run in chunks whose
+    frames fit ``_STACK_BYTES``, each chunk's GEMM written into its rows of
+    one (points, k, k) result, so memory stays bounded whatever the stack
+    and every point's entries are those of a call on that point alone.  The
+    GEMM is skew up to rounding; its skew part is returned, so entry (r, s)
+    is bitwise -(s, r) and the diagonal is +0.0."""
     basis = ip_basis(preset)
     k, d = basis.shape[:2]
     u = np.asarray(u, dtype=complex)
-    lead = u.shape[:-2]
-    # the block row is a per-call copy of the basis, not a cached second one;
-    # the dels keep at most two frame-sized arrays alive at once
-    left = u @ basis.transpose(1, 0, 2).reshape(d, k * d)
-    blocks = left.reshape(*lead, d, k, d).swapaxes(-3, -2).reshape(*lead, k * d, d)
-    del left
-    frames = (blocks @ u.mT.conj()).reshape(*lead, k, d, d)
-    del blocks
-    images = hilbert_transform(frames)
-    rows = (*frames.shape[:-2], frames.shape[-1] ** 2)
-    mat = frames.reshape(rows).view(float) @ images.reshape(rows).view(float).mT
-    mat -= mat.mT.copy()
-    mat /= 2
-    return mat
+    points = u.reshape(-1, d, d)
+    mat = np.empty((len(points), k, k))
+    step = max(1, _STACK_BYTES // (16 * k * d * d))
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        # the block row is a per-chunk copy of the basis, not a cached second
+        # one; the dels keep at most two frame-sized arrays alive at once,
+        # across chunks too
+        left = chunk @ basis.transpose(1, 0, 2).reshape(d, k * d)
+        blocks = left.reshape(-1, d, k, d).swapaxes(1, 2).reshape(-1, k * d, d)
+        del left
+        frames = (blocks @ chunk.mT.conj()).reshape(-1, k, d, d)
+        del blocks
+        images = hilbert_transform(frames)
+        rows = (len(chunk), k, d * d)
+        out = mat[start:start + step]
+        np.matmul(frames.reshape(rows).view(float), images.reshape(rows).view(float).mT, out=out)
+        del frames, images
+        out -= out.mT.copy()
+        out /= 2
+    return mat.reshape(*u.shape[:-2], k, k)
 
 
 def _skew_singular_values(m: np.ndarray) -> np.ndarray:

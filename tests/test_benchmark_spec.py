@@ -1,19 +1,24 @@
 """The benchmark's per-layer metrics and ratios name functions of the
 package; each named function must still exist, or the traced benchmark run
 cannot read it.  Likewise every package name the layer harness in
-``benchmarks/`` imports or reads off an imported module."""
+``benchmarks/`` imports or reads off an imported module, and the harness's
+grid stacks must be the stacks ``rank-grid`` runs."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import json
 from pathlib import Path
 
+from birkhoff_poisson import cli
 from birkhoff_poisson.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
 RUNNER = ROOT / "bench" / "run.py"
+LAYERS = ROOT / "benchmarks" / "test_layers.py"
 
 
 def _missing(spans) -> list[str]:
@@ -38,14 +43,20 @@ def test_per_layer_metrics_name_public_functions():
     assert _missing(timed) == []
 
 
-def test_ratios_name_public_functions():
-    # read from the runner's source, without importing the benchmark
-    (ratios,) = [
+def _literal(path: Path, name: str):
+    """The value of the module-level literal ``name`` of a source file, read
+    without importing the file."""
+    (value,) = [
         ast.literal_eval(node.value)
-        for node in ast.parse(RUNNER.read_text()).body
+        for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "RATIOS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     ]
+    return value
+
+
+def test_ratios_name_public_functions():
+    ratios = _literal(RUNNER, "RATIOS")
     assert ratios
     spans = [half for pair in ratios.values() for side in pair for half in side.split("<")]
     assert _missing(spans) == []
@@ -85,3 +96,22 @@ def test_layer_harness_names_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_layer_harness_grid_stacks_are_the_rank_grid_stacks(monkeypatch):
+    # the harness times one stack of a 32 x 32 rank-grid; a change of the
+    # stack budget would leave it timing sizes rank-grid no longer runs
+    cases = _literal(LAYERS, "_GRID_CASES")
+    grid_columns = cli._grid_columns
+    for spec, count in cases:
+        stacks = []
+
+        def columns(preset, x, y, tol):
+            stacks.append(len(x))
+            return grid_columns(preset, x, y, tol)
+
+        monkeypatch.setattr(cli, "_grid_columns", columns)
+        argv = ["rank-grid", "--preset", spec, "--grid=-0.5,0.5,32,-0.5,0.5,32"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert stacks == [count], spec

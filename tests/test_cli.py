@@ -20,7 +20,7 @@ from birkhoff_poisson import (
     pi_rank,
     principal_minors,
 )
-from birkhoff_poisson import cli, momentum, strata
+from birkhoff_poisson import cli, momentum, poisson, strata
 from birkhoff_poisson.cli import main
 from birkhoff_poisson.poisson import pi_el_group, su2_frame, su2_from_sphere
 
@@ -471,9 +471,11 @@ _GRID_CASES = [
 ]
 
 
-# Cells per stack: the default budget (None); 4, so stacks end mid-row and the
-# ambiguous cells of cp1 and gr:2,2 fall in different stacks; 0 for a budget
-# one byte short of one cell, which must still give one-cell stacks.
+# Cells per stack: the default budget (None), one stack; 4, so stacks end
+# mid-row and the ambiguous cells of cp1 and gr:2,2 fall in different stacks,
+# and the frames of matrix_of_omega run in chunks of 2 cells on cp1 and of 1
+# on the others, so a chunk ends inside a stack; 0 for a budget one byte short
+# of one cell, which must still give one-cell stacks and one-cell chunks.
 @pytest.mark.parametrize(
     "spec,grid,stack_cells",
     [
@@ -484,9 +486,8 @@ _GRID_CASES = [
 )
 def test_rank_grid_rows_match_per_cell_definition(spec, grid, stack_cells, monkeypatch, capsys):
     if stack_cells is not None:
-        preset = parse_preset(spec)
-        cell_bytes = 16 * preset.dim_ip * preset.matrix_dim**2
-        monkeypatch.setattr(cli, "_STACK_BYTES", max(stack_cells * cell_bytes, cell_bytes - 1))
+        cell_bytes = 16 * parse_preset(spec).matrix_dim ** 2
+        monkeypatch.setattr(poisson, "_STACK_BYTES", max(stack_cells * cell_bytes, cell_bytes - 1))
     code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -531,8 +532,10 @@ def _closed_form_cell(spec, x, y, tol=1e-9):
     return [x, y, int(np.linalg.matrix_rank(su2_el_matrix(k), tol=tol)), abs(a)]
 
 
-# The su2 rows x = +-1.03 lie outside the unit disc (rank -1); at 2,000 bytes
-# a stack holds 2 su2 cells, so some stacks have no cell inside the disc.  The
+# The su2 rows x = +-1.03 lie outside the unit disc (rank -1); at 1 byte a
+# stack holds 1 cell, so some stacks have no cell inside the disc; at 2,000
+# bytes a stack holds 7 su2 cells, ending mid-row, and a frame chunk of
+# matrix_of_omega 2, so a chunk ends inside a stack, and 125 fothlu cells.  The
 # small grids hit a = 0 and Im w = 0, where the rank drops to 0.  On the
 # 37 x 53 fothlu grid, |w|^2 by pow and by squaring differ in the last bit
 # at some cells.  The su2 minor column is |a| from the pivot products of the
@@ -552,7 +555,7 @@ def test_rank_grid_closed_form_rows_match_per_cell_arithmetic(
     spec, grid, ranks, stack_bytes, monkeypatch, capsys
 ):
     if stack_bytes is not None:
-        monkeypatch.setattr(cli, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(poisson, "_STACK_BYTES", stack_bytes)
     code, out = run_cli(["rank-grid", "--preset", spec, f"--grid={grid}"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -777,6 +780,30 @@ def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, ca
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert out == _per_row_csv(cli._grid_layout(cli._resolve_preset(spec)[1])[1], grids[0])
+
+
+def test_rank_grid_stacks_and_frame_chunks_stay_inside_the_budget(monkeypatch, capsys):
+    """A 64 x 64 gr:2,2 grid runs as stacks of at most 1,024 cells, whose
+    (cells, 4, 4) matrices fill 256 KiB, and ``matrix_of_omega`` builds its
+    (cells, 8, 4, 4) frames in chunks of at most 128 cells, which fill it
+    too: the memory of a grid does not grow with the grid."""
+    stacks, chunks = [], []
+    grid_columns, hilbert = cli._grid_columns, poisson.hilbert_transform
+
+    def columns(preset, x, y, tol):
+        stacks.append(len(x))
+        return grid_columns(preset, x, y, tol)
+
+    def transform(z):
+        chunks.append(len(z))
+        return hilbert(z)
+
+    monkeypatch.setattr(cli, "_grid_columns", columns)
+    monkeypatch.setattr(poisson, "hilbert_transform", transform)
+    code, _ = run_cli(["rank-grid", "--preset", "gr:2,2", "--grid=-2,2,64,-2,2,64"], capsys)
+    assert code == 0
+    assert sum(stacks) == sum(chunks) == 64 * 64
+    assert max(stacks) == 1024 and max(chunks) == 128
 
 
 def test_rank_grid_is_deterministic(tmp_path):

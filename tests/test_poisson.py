@@ -172,7 +172,7 @@ def _per_basis_matrix_of_omega(u, preset):
     [
         pytest.param("cp1", 64, id="cp1-stack"),
         pytest.param("cp2", 64, id="cp2-stack"),
-        # the stack sizes of one sweep stack and of one whole sweep grid
+        # one frame chunk of matrix_of_omega and one whole sweep grid, its stack
         pytest.param("gr:2,2", 128, id="gr:2,2-128"),
         pytest.param("gr:2,2", 1024, id="gr:2,2-1024"),
         pytest.param("gr:6,10", None, id="gr:6,10"),
@@ -235,6 +235,22 @@ def test_matrix_of_omega_is_bitwise_skew(spec, shape, rng):
     assert np.all((np.signbit(mat) != np.signbit(mat.mT)) | (mat == 0))
     diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
     assert np.all(diagonal == 0) and not np.any(np.signbit(diagonal))
+
+
+# Frame budgets in points per chunk: 1, 3 (so the 2 x 5 stack ends in a
+# chunk of 1) and the default (one chunk on these presets).
+@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "gr:2,3", "group:su2"])
+def test_matrix_of_omega_chunks_match_per_point_calls_bitwise(spec, chunk, rng, monkeypatch):
+    preset = parse_preset(spec)
+    d = preset.matrix_dim
+    points = np.array([random_point(preset, rng) for _ in range(10)]).reshape(2, 5, d, d)
+    singles = np.array([matrix_of_omega(u, preset) for u in points.reshape(-1, d, d)])
+    if chunk is not None:
+        monkeypatch.setattr(poisson_module, "_STACK_BYTES", chunk * 16 * preset.dim_ip * d * d)
+    stacked = matrix_of_omega(points, preset)
+    assert stacked.shape == (2, 5, preset.dim_ip, preset.dim_ip)
+    assert np.array_equal(stacked.reshape(singles.shape), singles)
 
 
 def _assert_matches_single_calls(stacked, singles):
