@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__, poisson
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_cells
-from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor, principal_minors
+from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor
 from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
+    _skew_rank,
     calibration_constant,
     chart_tensor,
     cp2_degeneracy_p,
@@ -36,7 +37,7 @@ from .poisson import (
     reals_to_complex,
     su2_from_sphere,
 )
-from .strata import leaf_factorize, torus_tw
+from .strata import _check_leaf_symmetry, torus_tw
 from .symspace import SymmetricSpacePreset, block_diag, canonical_rep, cartan_embed, parse_preset
 from .verify import run_suite
 
@@ -197,7 +198,7 @@ def cmd_embed(args) -> int:
     z = _chart_matrix(preset, args.point)
     u = canonical_rep(z, preset)
     phi = cartan_embed(u, preset)
-    minors, _, factors = _pivot_minors(phi, args.tol)
+    minors, _, factors = _pivot_minors(phi)
     _emit(
         {
             "preset": preset.label,
@@ -221,7 +222,7 @@ def cmd_pi(args) -> int:
         {
             "preset": preset.label,
             "omega_matrix": mat,
-            "rank": int(np.linalg.matrix_rank(mat, tol=args.tol)),
+            "rank": _skew_rank(mat),
             "dim_ip": preset.dim_ip,
         },
         args.out,
@@ -232,14 +233,15 @@ def cmd_pi(args) -> int:
 def cmd_moment(args) -> int:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
-    # the guard runs before the factorization, so a wall point is refused
-    # here and not by a symmetry check of its factors
-    min_minor = float(np.min(np.abs(principal_minors(phi))))
-    if min_minor <= args.tol:
-        raise StratumAmbiguous(
-            f"point is not strictly inside the top layer (min |minor| = {min_minor:.3e})"
-        )
-    lf = leaf_factorize(phi, preset, args.tol)
+    lf = birkhoff_factor(phi)
+    # the top-layer guard reads the minors h_0 ... h_(k-1) off the pivots and runs
+    # before the symmetry checks, so a wall point is refused here, not by them
+    top = lf.perm == tuple(range(len(phi)))
+    min_minor = float(np.min(np.abs(np.cumprod(np.diagonal(lf.h))))) if top else 0.0
+    if min_minor <= DEFAULT_TOL:
+        where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
+        raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")
+    _check_leaf_symmetry(phi, lf, preset)
     basis = np.stack(torus_tw((lf.perm, lf.signs), preset))
     torus_dim = len(basis)
     if args.index is not None:
@@ -272,11 +274,11 @@ def cmd_jacobi(args) -> int:
         tensor = functools.partial(chart_tensor, preset=preset)
     # an overflowing point is refused below or by the tensor, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = jacobi_residual(tensor, args.point, args.fd_step)
+        residual = jacobi_residual(tensor, args.point)
     if not np.isfinite(residual):
         raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
     _emit(
-        {"preset": label, "fd_step": args.fd_step, "residual": residual},
+        {"preset": label, "fd_step": FD_STEP, "residual": residual},
         args.out,
     )
     return EXIT_OK
@@ -302,13 +304,13 @@ def _grid_layout(preset: SymmetricSpacePreset | None) -> tuple[list, list[str]]:
     return [(-2.0, 2.0, 40)] * 2, plane + ["rank", "min_abs_minor"]
 
 
-def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
-    """The rank column and the preset's float columns at the cells (x, y).
-    Every preset but fothlu takes one route: the point stack u, the rank of
-    the bivector at u, -1 where the layer of the Cartan image phi is
-    ambiguous, and the smallest |leading minor| of phi, read off the pivots
-    of phi's Birkhoff factorization on the top layer (``_pivot_minors``).
-    A group:su2 cell is
+def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
+    """The rank column and the preset's float columns at the cells (x, y),
+    every rank decided at ``DEFAULT_TOL``.  Every preset but fothlu takes
+    one route: the point stack u, the rank of the bivector at u, -1 where
+    the layer of the Cartan image phi is ambiguous, and the smallest
+    |leading minor| of phi, read off the pivots of phi's Birkhoff
+    factorization on the top layer (``_pivot_minors``).  A group:su2 cell is
     u = diag(I, k*), where ``pi_el_group`` evaluates, at k = [[a, b],
     [-b*, a*]], a = x + iy, b = sqrt(1 - |a|^2): phi = diag(k, k*), whose
     smallest |leading minor| is |a|.  A cell outside the unit disc, |a|^2
@@ -319,7 +321,7 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
             coeff = np.abs(fothlu_w_chart(x + 1j * y))
         if not np.all(np.isfinite(coeff)):
             raise NumericalDomainError("fothlu coefficient is not finite at a grid cell")
-        return [np.where(coeff > tol, 2, 0), coeff]
+        return [np.where(coeff > DEFAULT_TOL, 2, 0), coeff]
     inside = np.ones(len(x), dtype=bool)
     if preset.is_inner:
         z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
@@ -334,16 +336,16 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray, tol: float) -> list:
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
         u = block_diag(np.eye(2), k.mT.conj())
-    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset), tol)
+    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset))
     columns = [np.full(len(x), -1), np.zeros(len(x))]
-    columns[0][inside] = np.where(ambiguous, -1, pi_rank(u, preset, tol))
+    columns[0][inside] = np.where(ambiguous, -1, pi_rank(u, preset))
     columns[1][inside] = np.min(np.abs(minors), axis=-1)
     if preset.label == "cp2":
         columns.append(np.abs(cp2_degeneracy_p(x, y)))
     return columns
 
 
-def _grid_cells(preset, xs: list[float], ys: list[float], tol: float) -> list[list]:
+def _grid_cells(preset, xs: list[float], ys: list[float]) -> list[list]:
     """The cells (x, y) of the grid, row-major, evaluated as flat stacks
     whose (cells, d, d) complex matrices, 16 d^2 bytes a cell, or (cells,)
     points w of fothlu, 16 bytes a cell, fit ``poisson._STACK_BYTES``:
@@ -356,7 +358,7 @@ def _grid_cells(preset, xs: list[float], ys: list[float], tol: float) -> list[li
     rows = []
     for start in range(0, len(cells), per_stack):
         chunk = cells[start:start + per_stack]
-        columns = _grid_columns(preset, *np.array(chunk).T, tol)
+        columns = _grid_columns(preset, *np.array(chunk).T)
         rows += [[x, y, *row] for (x, y), *row in zip(chunk, *(c.tolist() for c in columns))]
     return rows
 
@@ -369,7 +371,7 @@ def cmd_rank_grid(args) -> int:
         raise ValueError("rank-grid needs exactly two grid axes")
     xs = [float(x) for x in _axis_points(*axes[0])]
     ys = [float(y) for y in _axis_points(*axes[1])]
-    rows = _grid_cells(preset, xs, ys, args.tol)
+    rows = _grid_cells(preset, xs, ys)
     if args.format == "csv":
         lines = itertools.chain([columns], _table_cells(rows))
         _write(["\n".join(map(",".join, lines)), "\n"], args.out)
@@ -418,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="comma-separated re,im pairs (use --point=... when the first value is negative)",
         ),
         "--tol": dict(type=_positive_float, default=DEFAULT_TOL),
-        "--fd-step": dict(type=_positive_float, default=FD_STEP),
         "--seed": dict(type=int, default=0),
         "--grid": dict(type=_parse_grid, help="min,max,steps[,min,max,steps...]"),
         "--format": dict(choices=["json", "csv"], default="json"),
@@ -443,14 +444,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", help="JSON matrix file (default: stdin)")
         p.add_argument("--matrix", help="inline JSON matrix")
     add("embed", cmd_embed, "canonical representative and Cartan image at a chart point",
-        "--point", "--tol", "--out", presets=chart)
+        "--point", "--out", presets=chart)
     add("pi", cmd_pi, "bivector operator matrix and rank at a chart point",
-        "--point", "--tol", "--out", presets=chart)
+        "--point", "--out", presets=chart)
     p_moment = add("moment", cmd_moment, "momentum values on the layer torus basis",
-                   "--point", "--tol", "--out", presets=chart)
+                   "--point", "--out", presets=chart)
     p_moment.add_argument("--index", type=int, help="single torus basis index")
     add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
-        "--tol", "--grid", "--format", "--out", presets=f"{chart} | group:su2 | su2 | fothlu")
+        "--grid", "--format", "--out", presets=f"{chart} | group:su2 | su2 | fothlu")
     p_verify = add("verify", cmd_verify, "run a verification suite", "--seed", "--out")
     p_verify.add_argument(
         "suite",
@@ -458,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lambda-identity | degeneracy | momentum | all",
     )
     add("jacobi", cmd_jacobi, "finite-difference Schouten bracket residual",
-        "--point", "--fd-step", "--out", presets=f"{chart} | fothlu")
+        "--point", "--out", presets=f"{chart} | fothlu")
     add("calibration", cmd_calibration, "measured local-to-equivariant calibration constant",
         "--out")
 

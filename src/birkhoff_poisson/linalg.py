@@ -22,16 +22,16 @@ Implements the factorizations everything else is built on:
   factorization is at hand, the private ``_pivot_minors`` reads them off
   its pivots instead, as h_0 ... h_(k-1), for every matrix on the top
   layer, and keeps ``principal_minors`` for the rest, matrix by matrix;
-  ``rank-grid`` and ``embed`` print those.
+  ``rank-grid`` and ``embed`` print those, and ``moment`` guards on them.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
 refuse any matrix whose determinant is not 1; the message calls it singular
 on a scale of its own (|det g| against Hadamard's bound of g), which does not
 depend on the pivot threshold ``tol`` of ``birkhoff_factor``.
-``DEFAULT_TOL`` is the package's one default threshold: every ``tol``
-default (``pi_rank``, ``leaf_factorize`` and ``birkhoff_layer`` among them)
-and the CLI's ``--tol`` read it.
+``DEFAULT_TOL`` is the package's one threshold: the chart commands and
+``verify`` run at it, as their inputs fix the scale (unitary Cartan images),
+and every ``tol`` default reads it; only ``factor --tol`` sets another.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -297,9 +297,9 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
     return np.stack(minors, axis=-1)
 
 
-def _pivot_minors(g: np.ndarray, tol: float = DEFAULT_TOL):
-    """The leading principal minors of g, beside its Birkhoff factorization:
-    (minors, ambiguous, factors).
+def _pivot_minors(g: np.ndarray):
+    """The leading principal minors of g, beside its Birkhoff factorization
+    at ``DEFAULT_TOL``: (minors, ambiguous, factors).
 
     g is one matrix or a stack (..., n, n); ``minors`` is (..., n).  A
     matrix on the top layer (perm the identity, so every sign +1) is
@@ -314,12 +314,12 @@ def _pivot_minors(g: np.ndarray, tol: float = DEFAULT_TOL):
     g = _as_square_stack(g)
     ambiguous = np.zeros(g.shape[:-2], dtype=bool)
     try:
-        factors = birkhoff_factor(g, tol)
+        factors = birkhoff_factor(g)
     except StratumAmbiguous as exc:
         if g.ndim == 2:
             raise
         ambiguous = exc.mask
-        factors = birkhoff_factor(g[~ambiguous], tol)
+        factors = birkhoff_factor(g[~ambiguous])
     n = g.shape[-1]
     flat = g.reshape(-1, n, n)
     pivots = np.diagonal(factors.h, axis1=-2, axis2=-1).reshape(-1, n)

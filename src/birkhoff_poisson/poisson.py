@@ -73,8 +73,7 @@ from .symspace import (
 )
 
 REALITY_TOL = 1e-10
-# the one finite-difference step: of the Schouten residual, of the Hamiltonian
-# residual's stencil and of the CLI's --fd-step
+# the one finite-difference step, of the Schouten and the Hamiltonian residuals
 FD_STEP = 1e-5
 
 
@@ -206,14 +205,16 @@ def _skew_singular_values(m: np.ndarray) -> np.ndarray:
 
 
 def pi_rank(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL):
-    """Numerical rank of the bivector at u at the given absolute threshold,
-    the number of singular values of ``matrix_of_omega`` above tol: an int,
-    or an array of ranks for a stack of representatives.  For dim_ip <= 4
-    (cp1, group:su2, cp2) the skew matrix has at most two singular value
-    pairs, read in closed form by ``_skew_singular_values`` with no SVD;
-    larger matrices take ``np.linalg.matrix_rank``."""
-    mat = matrix_of_omega(u, preset)
-    if preset.dim_ip <= 4:
+    """Numerical rank of the bivector at u at the absolute threshold tol,
+    ``_skew_rank`` of ``matrix_of_omega``: an int, or an array for a stack."""
+    return _skew_rank(matrix_of_omega(u, preset), tol)
+
+
+def _skew_rank(mat: np.ndarray, tol: float = DEFAULT_TOL):
+    """The number of singular values above tol of a real skew (..., k, k) stack:
+    for k <= 4 (cp1, group:su2, cp2) at most two pairs, read in closed form by
+    ``_skew_singular_values`` with no SVD, and ``np.linalg.matrix_rank`` above."""
+    if mat.shape[-1] <= 4:
         ranks = 2 * np.count_nonzero(_skew_singular_values(mat) > tol, axis=0)
     else:
         ranks = np.linalg.matrix_rank(mat, tol=tol)

@@ -5,19 +5,16 @@ noncompact-orbit directions that span a leaf.
 The Cartan image of a coset point, diag(g, g*) with g = k1 k2* in the group
 case, is factored with the structural permuted LDU, one path for both
 families; the signed permutation identifies the layer.  ``leaf_factorize``
-is the one entry to the leaf factorization, and it takes the image itself,
-so a caller that already holds phi does not build it again.  On a successful
-factorization the upper unipotent factor must equal the involution applied to
-the conjugate transpose of the lower one (the factor-level restatement of
-phi* = theta(phi)); a violation signals a factorization or preset bug and is
-raised, never repaired.  The leaf factorization is therefore the
-``BirkhoffFactors`` of the Cartan image, returned once both checks pass;
-log |h| is read off the diagonal of h.  The torus of layer W is the fixed
-space of Ad(W) o theta on the purely imaginary traceless diagonals.
-``orbit_direction_span`` reaches the leaf's tangent directions apart from
-the Hilbert transform, through ``lie.proj_u``; it equals the bivector's
-matrix ``poisson.matrix_of_omega`` entry by entry, which the
-``leaf-tangency`` check of ``verify`` compares.
+takes the image itself, so a caller that already holds phi does not build it
+again, and returns its ``BirkhoffFactors`` once ``_check_leaf_symmetry`` has
+held them to phi* = theta(phi); a violation signals a factorization or preset
+bug and is raised, never repaired.  ``moment`` runs the two steps with its
+top-layer guard between them.  log |h| is read off the diagonal of h.  The
+torus of layer W is the fixed space of Ad(W) o theta on the purely imaginary
+traceless diagonals.  ``orbit_direction_span`` reaches the leaf's tangent
+directions apart from the Hilbert transform, through ``lie.proj_u``; it
+equals the bivector's matrix ``poisson.matrix_of_omega`` entry by entry,
+which the ``leaf-tangency`` check of ``verify`` compares.
 """
 
 from __future__ import annotations
@@ -47,28 +44,28 @@ def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL) ->
     return factors.perm, factors.signs
 
 
-def leaf_factorize(phi, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
+def leaf_factorize(phi, preset: SymmetricSpacePreset) -> BirkhoffFactors:
     """Factor a Cartan image phi = ``cartan_embed(u)``, or each image of a
-    stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors, checked
-    to have the upper factor u_plus = theta(l*)."""
-    factors = birkhoff_factor(phi, tol)
-    bound = max(tol, DEFAULT_TOL) * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
-    expected_upper = theta_g(factors.l.mT.conj(), preset)
-    sym_defect = np.linalg.norm(factors.u_plus - expected_upper, axis=(-2, -1))
-    if np.any(sym_defect > bound):
-        raise SymmetryViolation(
-            f"upper factor differs from theta(l*) by {np.max(sym_defect):.3e}"
-        )
-    w = factors.w_matrix
-    membership_defect = np.linalg.norm(
-        theta_g(w.mT.conj() @ factors.h @ w, preset) - factors.h.mT.conj(), axis=(-2, -1)
-    )
-    if np.any(membership_defect > bound):
-        raise SymmetryViolation(
-            "diagonal factor fails the layer membership identity by "
-            f"{np.max(membership_defect):.3e}"
-        )
+    stack (..., d, d), as l @ W @ h @ theta(l*): the Birkhoff factors at
+    ``DEFAULT_TOL``, checked by ``_check_leaf_symmetry``."""
+    factors = birkhoff_factor(phi)
+    _check_leaf_symmetry(phi, factors, preset)
     return factors
+
+
+def _check_leaf_symmetry(phi, factors: BirkhoffFactors, preset: SymmetricSpacePreset) -> None:
+    """Raise SymmetryViolation unless the factors of phi have u_plus =
+    theta(l*) and theta(W* h W) = h*, to within DEFAULT_TOL * max(1, |phi|)."""
+    bound = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
+    w, h, l_star = factors.w_matrix, factors.h, factors.l.mT.conj()
+    for what, defect in (
+        ("upper factor differs from theta(l*)", factors.u_plus - theta_g(l_star, preset)),
+        ("diagonal factor fails the layer membership identity",
+         theta_g(w.mT.conj() @ h @ w, preset) - h.mT.conj()),
+    ):
+        size = np.linalg.norm(defect, axis=(-2, -1))
+        if np.any(size > bound):
+            raise SymmetryViolation(f"{what} by {np.max(size):.3e}")
 
 
 def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:

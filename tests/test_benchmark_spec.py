@@ -2,7 +2,8 @@
 package; each named function must still exist, or the traced benchmark run
 cannot read it.  Likewise every package name the layer harness in
 ``benchmarks/`` imports or reads off an imported module, and the harness's
-grid stacks must be the stacks ``rank-grid`` runs."""
+grid stacks must be the stacks ``rank-grid`` runs.  Every call the
+benchmark's workloads make must still parse."""
 
 import ast
 import contextlib
@@ -12,12 +13,15 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from birkhoff_poisson import cli
 from birkhoff_poisson.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
-RUNNER = ROOT / "bench" / "run.py"
+BENCH = ROOT / "bench"
+RUNNER = BENCH / "run.py"
 LAYERS = ROOT / "benchmarks" / "test_layers.py"
 
 
@@ -106,12 +110,32 @@ def test_layer_harness_grid_stacks_are_the_rank_grid_stacks(monkeypatch):
     for spec, count in cases:
         stacks = []
 
-        def columns(preset, x, y, tol):
+        def columns(preset, x, y):
             stacks.append(len(x))
-            return grid_columns(preset, x, y, tol)
+            return grid_columns(preset, x, y)
 
         monkeypatch.setattr(cli, "_grid_columns", columns)
         argv = ["rank-grid", "--preset", spec, "--grid=-0.5,0.5,32,-0.5,0.5,32"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert stacks == [count], spec
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py``, imported as the benchmark imports it, with
+    ``bench/`` on the path for its ``oracles``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sweep", "pointwise", "verify"])
+def test_every_workload_call_parses(workloads, name, seed):
+    # the tests never run the benchmark, so a flag removed from the CLI that
+    # a workload still passed would otherwise show only as failed operations
+    workload = workloads.WORKLOADS[name](seed)
+    parser = cli._build_parser()
+    for argv in [workload.warmup_argv] + [op.argv for op in workload.ops]:
+        args = parser.parse_args(argv)
+        assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_")

@@ -20,7 +20,7 @@ from birkhoff_poisson import (
     pi_rank,
     principal_minors,
 )
-from birkhoff_poisson import cli, momentum, poisson, strata
+from birkhoff_poisson import cli, linalg, momentum, poisson, strata
 from birkhoff_poisson.cli import main
 from birkhoff_poisson.poisson import pi_el_group, su2_frame, su2_from_sphere
 
@@ -63,6 +63,18 @@ def test_factor_random_roundtrip(tmp_path, capsys):
     code, out = run_cli(["iwasawa", "--in", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
+
+
+def test_factor_tol_follows_the_scale_of_the_matrix(capsys):
+    # a determinant-one matrix has a scale of its own: diag(1e-10, 1e10)
+    # has no pivot above the default 1e-9, and factors at --tol 1e-12
+    matrix = "[[[1e-10,0],[0,0]],[[0,0],[1e10,0]]]"
+    assert main(["factor", "--matrix", matrix]) == 3
+    assert "no usable pivot" in capsys.readouterr().err
+    code, out = run_cli(["factor", "--matrix", matrix, "--tol", "1e-12"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["perm"] == [0, 1] and data["residual"] == 0.0
 
 
 def test_parse_error_exit_code(capsys):
@@ -209,12 +221,12 @@ _SHARED_FLAGS = {"--preset", "--tol", "--fd-step", "--seed", "--grid", "--out", 
 _READS = {
     "factor": {"--tol", "--out"},
     "iwasawa": {"--out"},
-    "embed": {"--preset", "--tol", "--out"},
-    "pi": {"--preset", "--tol", "--out"},
-    "moment": {"--preset", "--tol", "--out"},
-    "rank-grid": {"--preset", "--tol", "--grid", "--format", "--out"},
+    "embed": {"--preset", "--out"},
+    "pi": {"--preset", "--out"},
+    "moment": {"--preset", "--out"},
+    "rank-grid": {"--preset", "--grid", "--format", "--out"},
     "verify": {"--seed", "--out"},
-    "jacobi": {"--preset", "--fd-step", "--out"},
+    "jacobi": {"--preset", "--out"},
     "calibration": {"--out"},
 }
 _MATRIX = "[[[1,0],[0,0]],[[0,0],[1,0]]]"
@@ -247,7 +259,7 @@ def test_each_subcommand_declares_only_the_shared_flags_it_reads():
         for name, p in subparsers.choices.items()
     }
     assert declared == _READS
-    assert sum(map(len, declared.values())) == 23
+    assert sum(map(len, declared.values())) == 18
 
 
 @pytest.mark.parametrize("command", sorted(_READS))
@@ -274,11 +286,7 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["embed", "--point", "0.5,0", "--tol", "0"],
-        ["pi", "--point", "0.5,0", "--tol", "-1e-9"],
         ["factor", "--matrix", _MATRIX, "--tol", "nan"],
-        ["jacobi", "--preset", "cp2", "--point", "0.1,0,0.2,0", "--fd-step", "0"],
-        ["jacobi", "--preset", "cp1", "--point", "0.5,0", "--fd-step=inf"],
         ["rank-grid", "--grid=1,0,4,-1,1,4"],
         ["rank-grid", "--grid=0,1,1,-1,1,4"],
         ["rank-grid", "--grid=1,0,4"],
@@ -291,8 +299,6 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, capsys):
         ["rank-grid", "--preset", "su2", "--grid=-1e308,1e308,4,-1,1,4"],
         ["rank-grid", "--preset", "group:su3"],
         ["rank-grid", "--preset", "su4"],
-        ["pi", "--preset", "cp1", "--point=0.5,0", "--tol=inf"],
-        ["moment", "--point", "0.5,0", "--tol=0"],
     ],
 )
 def test_invalid_flag_values_exit_2(argv, capsys):
@@ -412,13 +418,75 @@ def test_embed_far_out_on_the_chart(capsys):
         assert np.linalg.norm(g @ g.conj().T - np.eye(3)) <= 1e-14
 
 
-def test_moment_at_an_exact_wall_point_exits_3(capsys):
-    # |z| = 1 exactly: the first leading minor of the Cartan image is 0.
-    # The top-layer guard runs before the leaf factorization, which would
-    # raise SymmetryViolation at this point
-    assert main(["moment", "--preset", "cp2", "--point=0.6,0,0,0.8"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "not strictly inside the top layer" in captured.err
+@pytest.mark.parametrize("point,code", [("0.3,0.1,0.2,-0.1", 0), ("0.6,0,0,0.8", 3)])
+def test_moment_classifies_its_point_with_one_factorization(point, code, monkeypatch, capsys):
+    # the top-layer guard reads the pivots of the one factorization the
+    # moments come from: no leading minor is a determinant.  The wall point
+    # |z| = 1 factors on a lower layer and is refused before the symmetry
+    # checks, which would raise SymmetryViolation there.  The factorization's
+    # own unimodular precondition, the one det it takes, is not counted
+    calls = {"factor": 0, "det": 0, "symmetry": 0}
+    factor, det, symmetry = linalg.birkhoff_factor, np.linalg.det, strata._check_leaf_symmetry
+    inside = []
+
+    def counted_factor(*args, **kwargs):
+        calls["factor"] += 1
+        inside.append(True)
+        try:
+            return factor(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_det(a):
+        calls["det"] += not inside
+        return det(a)
+
+    def counted_symmetry(*args):
+        calls["symmetry"] += 1
+        return symmetry(*args)
+
+    for module in (cli, strata, linalg):
+        monkeypatch.setattr(module, "birkhoff_factor", counted_factor)
+    monkeypatch.setattr(cli, "_check_leaf_symmetry", counted_symmetry)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    assert main(["moment", "--preset", "cp2", f"--point={point}"]) == code
+    assert calls == {"factor": 1, "det": 0, "symmetry": int(code == 0)}
+    if code:
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not strictly inside the top layer" in captured.err
+
+
+_GR_6_10_INTERIOR = ",".join(["0.1,0.2"] + ["0.05,-0.03"] * 59)
+_GR_6_10_WALL = ",".join(["0.6,0.8"] + ["0,0"] * 59)
+
+
+@pytest.mark.parametrize(
+    "spec,point,rank",
+    [
+        ("cp1", "0.3,-0.2", 2),
+        ("cp1", "0.6,0.8", 0),
+        ("cp2", "0.3,-0.2,0.1,0.4", 4),
+        ("cp2", "0.6,0,0,0.8", 2),
+        ("gr:2,2", "0.1,0,0,0.2,0.3,0,0,-0.1", 8),
+        ("gr:2,2", "0.6,0.8,0,0,0,0,0,0", 4),
+        ("gr:6,10", _GR_6_10_INTERIOR, 120),
+        ("gr:6,10", _GR_6_10_WALL, 108),
+    ],
+    ids=[f"{spec}-{where}" for spec in ("cp1", "cp2", "gr:2,2", "gr:6,10")
+         for where in ("interior", "equator")],
+)
+def test_pi_prints_the_rank_of_pi_rank(spec, point, rank, monkeypatch, capsys):
+    # interior points and points with |z11| = 1, where the bivector drops
+    # rank; pi ranks the one matrix it builds and prints by the rule of
+    # pi_rank
+    built, matrix = [], poisson.matrix_of_omega
+    for module in (cli, poisson):
+        monkeypatch.setattr(module, "matrix_of_omega", lambda u, p: built.append(p) or matrix(u, p))
+    code, out = run_cli(["pi", "--preset", spec, f"--point={point}"], capsys)
+    assert code == 0 and len(built) == 1
+    preset = parse_preset(spec)
+    u = canonical_rep(cli._chart_matrix(preset, cli._parse_point(point)), preset)
+    assert json.loads(out)["rank"] == pi_rank(u, preset) == rank
 
 
 def test_rank_grid_hits_equator(tmp_path, capsys):
@@ -441,7 +509,7 @@ def test_rank_grid_hits_equator(tmp_path, capsys):
     assert rows[(1.0, 1.0)] == 2
 
 
-def _reference_cell(spec, x, y, tol=1e-9):
+def _reference_cell(spec, x, y):
     """One rank-grid row from the per-point library calls."""
     preset = parse_preset(spec)
     z = np.zeros((preset.n, preset.m), dtype=complex)
@@ -452,8 +520,8 @@ def _reference_cell(spec, x, y, tol=1e-9):
     u = canonical_rep(z, preset)
     min_minor = float(np.min(np.abs(principal_minors(cartan_embed(u, preset)))))
     try:
-        birkhoff_layer(u, preset, tol)
-        rank = pi_rank(u, preset, tol)
+        birkhoff_layer(u, preset)
+        rank = pi_rank(u, preset)
     except StratumAmbiguous:
         rank = -1
     return [x, y, rank, min_minor]
@@ -581,7 +649,7 @@ _DISC_POINTS = st.tuples(
 def test_su2_grid_ranks_are_the_pairing_matrix_ranks_outside_the_band(points):
     x = np.array([r * math.cos(t) for r, t in points])
     y = np.array([r * math.sin(t) for r, t in points])
-    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)
+    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y)
     for a, mod2, rank, minor in zip(x + 1j * y, x * x + y * y, ranks, minors):
         if 1e-10 < abs(a) < 1e-8:
             assert rank == -1
@@ -604,7 +672,7 @@ def test_su2_grid_minor_column_never_exceeds_the_entry_a():
     rng = np.random.default_rng(5)
     r, t = 10.0 ** rng.uniform(-12.0, 0.0, 4000), rng.uniform(0.0, 2 * math.pi, 4000)
     x, y = r * np.cos(t), r * np.sin(t)
-    minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)[1]
+    minors = cli._grid_columns(parse_preset("group:su2"), x, y)[1]
     assert np.all(minors <= np.abs(x + 1j * y))
     eps = np.finfo(float).eps
     assert np.all(np.abs(minors - np.hypot(x, y)) <= 4 * eps * (1.0 - np.log(r)) * r)
@@ -619,7 +687,7 @@ def test_su2_top_layer_minor_column_is_hypot_to_4_eps():
     r = np.logspace(-7.0, 0.0, 12000)
     t = rng.uniform(0.0, 2 * math.pi, r.size)
     x, y = r * np.cos(t), r * np.sin(t)
-    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y, 1e-9)
+    ranks, minors = cli._grid_columns(parse_preset("group:su2"), x, y)
     top = ranks == 2
     assert np.count_nonzero(top) >= 11990
     a = np.hypot(x, y)[top]
@@ -633,7 +701,7 @@ def test_grid_minor_column_on_a_mixed_stack():
     band = math.sqrt((1 - 1e-9) / (1 + 1e-9))
     x = np.array([0.3, 0.6, band, -0.2, 1.4])
     y = np.array([-0.1, 0.8, 0.0, 0.5, 0.2])
-    ranks, column = cli._grid_columns(cp1, x, y, 1e-9)
+    ranks, column = cli._grid_columns(cp1, x, y)
     np.testing.assert_array_equal(ranks, [2, 0, -1, 2, 2])
     phi = cartan_embed(canonical_rep((x + 1j * y).reshape(-1, 1, 1), cp1), cp1)
     for i in (1, 2):
@@ -663,19 +731,26 @@ def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
 @pytest.mark.parametrize(
     "preset,grid,rows",
     [
-        # phi[0, 0] = 7/9 at every cell: inside the band (0.2, 20) of tol = 2
-        ("cp1", "-0.5,0.5,2,-0.5,0.5,2",
-         [f"{x},{y},-1,0.7777777777777777" for x in ("-0.25", "0.25") for y in ("-0.25", "0.25")]),
-        # |a| = 0.25 sqrt(2) inside the band too
-        ("su2", "-0.5,0.5,2,-0.5,0.5,2",
-         [f"{x},{y},-1,0.3535533905932738" for x in ("-0.25", "0.25") for y in ("-0.25", "0.25")]),
+        # |phi[0, 0]| = |1 - |z|^2| / (1 + |z|^2), about x - 1 on the real
+        # axis: 7e-10 and 9e-10, inside the band (1e-10, 1e-8) of tol = 1e-9
+        ("cp1", "1.0000000006,1.000000001,2,-1e-9,1e-9,2",
+         ["1.0000000007,-5e-10,-1,7.00000139483537e-10",
+          "1.0000000007,5.000000000000001e-10,-1,7.00000139483537e-10",
+          "1.0000000009,-5e-10,-1,8.999998994927682e-10",
+          "1.0000000009,5.000000000000001e-10,-1,8.999998994927682e-10"]),
+        # |a| = 1e-9 sqrt(2) inside the band too
+        ("su2", "-2e-9,2e-9,2,-2e-9,2e-9,2",
+         ["-1e-09,-1e-09,-1,1.4142135623730953e-09",
+          "-1e-09,1.0000000000000003e-09,-1,1.4142135623730953e-09",
+          "1.0000000000000003e-09,-1e-09,-1,1.4142135623730953e-09",
+          "1.0000000000000003e-09,1.0000000000000003e-09,-1,1.4142135623730955e-09"]),
     ],
 )
-def test_rank_grid_at_tol_above_one_follows_the_ambiguity_band(preset, grid, rows, capsys):
-    # unitary Cartan images have determinant 1: the singular test of the
-    # factorization does not read --tol, so the cells are classified by the
-    # pivot rule, here all ambiguous, instead of exiting 3 as singular
-    code, out = run_cli(["rank-grid", "--preset", preset, "--tol", "2", f"--grid={grid}",
+def test_rank_grid_prints_band_cells_with_rank_minus_one(preset, grid, rows, capsys):
+    # a cell whose Cartan image has a pivot inside the ambiguity band gets
+    # rank -1, and its smallest |leading minor| is still printed, from the
+    # determinants, as the cell lies on no layer the pivots can name
+    code, out = run_cli(["rank-grid", "--preset", preset, f"--grid={grid}",
                          "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[1:] == rows
@@ -790,9 +865,9 @@ def test_rank_grid_stacks_and_frame_chunks_stay_inside_the_budget(monkeypatch, c
     stacks, chunks = [], []
     grid_columns, hilbert = cli._grid_columns, poisson.hilbert_transform
 
-    def columns(preset, x, y, tol):
+    def columns(preset, x, y):
         stacks.append(len(x))
-        return grid_columns(preset, x, y, tol)
+        return grid_columns(preset, x, y)
 
     def transform(z):
         chunks.append(len(z))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from birkhoff_poisson import (
     BirkhoffFactors,
+    SymmetryViolation,
     birkhoff_factor,
     birkhoff_layer,
     canonical_rep,
@@ -16,7 +18,7 @@ from birkhoff_poisson import (
 from birkhoff_poisson.linalg import signed_permutation_matrix
 from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.sampling import random_point, special_unitary_sampler
-from birkhoff_poisson.strata import orbit_direction_span
+from birkhoff_poisson.strata import _check_leaf_symmetry, orbit_direction_span
 from birkhoff_poisson.symspace import block_diag, grassmannian, parse_preset, torus_basis
 
 
@@ -116,6 +118,20 @@ def test_leaf_factorize_nontrivial_layer(cp1):
     assert lf.perm == (1, 0)
     np.testing.assert_allclose(np.abs(np.diag(lf.h)), [1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(np.log(np.abs(np.diagonal(lf.h))), np.zeros(2), atol=1e-12)
+
+
+def test_leaf_symmetry_check_names_the_identity_that_fails(cp1, cp2):
+    # the exact cp2 wall z = (0.6, 0.8i) factors on a lower layer whose upper
+    # factor is not theta(l*); interior factors with h turned imaginary keep
+    # that identity and fail the layer membership of h alone
+    phi = cartan_embed(canonical_rep(np.array([[0.6], [0.8j]]), cp2), cp2)
+    with pytest.raises(SymmetryViolation, match="upper factor differs from theta"):
+        leaf_factorize(phi, cp2)
+    phi = cartan_embed(canonical_rep(np.array([[0.4 + 0.3j]]), cp1), cp1)
+    factors = birkhoff_factor(phi)
+    _check_leaf_symmetry(phi, factors, cp1)
+    with pytest.raises(SymmetryViolation, match="fails the layer membership identity"):
+        _check_leaf_symmetry(phi, dataclasses.replace(factors, h=1j * factors.h), cp1)
 
 
 def test_torus_tw_dimensions(cp1, cp2):

@@ -190,19 +190,21 @@ def test_momentum_uniform_block_is_the_per_point_stream():
 def test_momentum_suite_factors_at_the_default_tol(monkeypatch):
     # every leaf factorization of the suite (two moment_eval calls and the
     # stencils of three hamiltonian_residual calls) runs its elimination at
-    # the one threshold the report names
+    # the one threshold the report names: birkhoff_factor's default, as
+    # leaf_factorize passes no threshold
     tols = []
     original = strata.birkhoff_factor
 
-    def recorded(g, tol):
+    def recorded(g, *tol):
         tols.append(tol)
-        return original(g, tol)
+        return original(g, *tol)
 
     monkeypatch.setattr(strata, "birkhoff_factor", recorded)
     report = run_suite("momentum", 0)
     assert report["pass"]
     assert (report["tolerance"], report["fd_step"]) == (linalg.DEFAULT_TOL, poisson.FD_STEP)
-    assert len(tols) == 5 and set(tols) == {linalg.DEFAULT_TOL}
+    assert len(tols) == 5 and set(tols) == {()}
+    assert original.__defaults__ == (linalg.DEFAULT_TOL,)
 
 
 # the worst leaf-tangency value of `verify all` and of the degeneracy suite
