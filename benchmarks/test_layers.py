@@ -190,7 +190,7 @@ def test_hamiltonian_residual(benchmark, spec):
     rng = np.random.default_rng(1)
     u = np.stack([random_interior_point(preset, rng) for _ in range(5)])
     top = tuple(range(preset.matrix_dim))
-    basis = np.stack(torus_tw((top, (1,) * len(top)), preset))
+    basis = np.stack(torus_tw(top, preset))
     benchmark(hamiltonian_residual, u, basis, preset)
 
 
@@ -208,7 +208,7 @@ def test_leaf_factorize_and_moment(benchmark, spec):
     preset = parse_preset(spec)
     phi = cartan_embed(random_interior_point(preset, np.random.default_rng(1)), preset)
     top = tuple(range(preset.matrix_dim))
-    basis = np.stack(torus_tw((top, (1,) * len(top)), preset))
+    basis = np.stack(torus_tw(top, preset))
 
     def moments():
         return leaf_moment(leaf_factorize(phi, preset), basis, preset)

@@ -242,7 +242,7 @@ def cmd_moment(args) -> int:
         where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")
     _check_leaf_symmetry(phi, lf, preset)
-    basis = np.stack(torus_tw((lf.perm, lf.signs), preset))
+    basis = np.stack(torus_tw(lf.perm, preset))
     torus_dim = len(basis)
     if args.index is not None:
         if not 0 <= args.index < torus_dim:

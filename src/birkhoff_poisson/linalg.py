@@ -29,9 +29,9 @@ matrix; one matrix in gives one result out.  Both factorizations first
 refuse any matrix whose determinant is not 1; the message calls it singular
 on a scale of its own (|det g| against Hadamard's bound of g), which does not
 depend on the pivot threshold ``tol`` of ``birkhoff_factor``.
-``DEFAULT_TOL`` is the package's one threshold: the chart commands and
-``verify`` run at it, as their inputs fix the scale (unitary Cartan images),
-and every ``tol`` default reads it; only ``factor --tol`` sets another.
+``DEFAULT_TOL`` is the package's one threshold.  Every caller but ``factor
+--tol`` runs at it, as their inputs fix the scale (unitary Cartan images):
+only ``birkhoff_factor`` takes a ``tol``, and only that command sets it.
 All functions are pure and operate on immutable inputs.
 """
 

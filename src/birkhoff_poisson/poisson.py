@@ -47,7 +47,9 @@ projective-space coefficients ``cpn_coeffs`` and the cp1 family
 ``cp1_family`` are the displayed formulas and the oracles of the
 projective-specialization and lambda-identity checks; ``coeffs_real_matrix``
 turns them into real tensors.  The SU(2) group pairing has no chart tensor:
-its rank is ``pi_rank`` at the group point diag(1, k^(-1)).
+its rank is ``pi_rank`` at the group point diag(1, k^(-1)).  Neither
+``pi_rank`` nor ``jacobi_residual`` takes a threshold or a step: they run
+at ``linalg.DEFAULT_TOL`` and at ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -204,20 +206,20 @@ def _skew_singular_values(m: np.ndarray) -> np.ndarray:
     return np.stack([a + b, np.abs(a - b)]) / 2
 
 
-def pi_rank(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL):
-    """Numerical rank of the bivector at u at the absolute threshold tol,
-    ``_skew_rank`` of ``matrix_of_omega``: an int, or an array for a stack."""
-    return _skew_rank(matrix_of_omega(u, preset), tol)
+def pi_rank(u, preset: SymmetricSpacePreset):
+    """Numerical rank of the bivector at u at ``DEFAULT_TOL``, whose frame
+    pairings are at most 1: ``_skew_rank`` of ``matrix_of_omega``."""
+    return _skew_rank(matrix_of_omega(u, preset))
 
 
-def _skew_rank(mat: np.ndarray, tol: float = DEFAULT_TOL):
-    """The number of singular values above tol of a real skew (..., k, k) stack:
-    for k <= 4 (cp1, group:su2, cp2) at most two pairs, read in closed form by
-    ``_skew_singular_values`` with no SVD, and ``np.linalg.matrix_rank`` above."""
+def _skew_rank(mat: np.ndarray):
+    """The number of singular values above DEFAULT_TOL of a skew (..., k, k)
+    stack, an int or an array: for k <= 4 (cp1, group:su2, cp2) at most two
+    pairs, read in closed form by ``_skew_singular_values``, else an SVD."""
     if mat.shape[-1] <= 4:
-        ranks = 2 * np.count_nonzero(_skew_singular_values(mat) > tol, axis=0)
+        ranks = 2 * np.count_nonzero(_skew_singular_values(mat) > DEFAULT_TOL, axis=0)
     else:
-        ranks = np.linalg.matrix_rank(mat, tol=tol)
+        ranks = np.linalg.matrix_rank(mat, tol=DEFAULT_TOL)
     return ranks if np.ndim(ranks) else int(ranks)
 
 
@@ -543,12 +545,10 @@ def fothlu_w_tensor(x: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([zero, b], -1), np.stack([-b, zero], -1)], -2)
 
 
-def jacobi_residual(
-    tensor: Callable[[np.ndarray], np.ndarray], point: np.ndarray, fd_step: float = FD_STEP
-):
+def jacobi_residual(tensor: Callable[[np.ndarray], np.ndarray], point: np.ndarray):
     """Max component of the Schouten bracket of a chart tensor with itself,
-    with coefficient derivatives taken by central finite differences: a
-    float, or one value per point for a stack of points (..., dim_real).
+    with coefficient derivatives by central differences of step ``FD_STEP``:
+    a float, or one value per point for a stack of points (..., dim_real).
 
     ``tensor`` maps points (..., dim_real) to real antisymmetric matrices, or
     to anything that broadcasts to them; each point and its 2 dim_real
@@ -558,11 +558,11 @@ def jacobi_residual(
     x = np.asarray(point, dtype=float)
     x = x.reshape(-1) if x.ndim < 1 else x
     dim = x.shape[-1]
-    steps = fd_step * np.eye(dim)
+    steps = FD_STEP * np.eye(dim)
     x = x[..., np.newaxis, :]
     stencil = np.concatenate([x, x + steps, x - steps], axis=-2)
     mats = np.broadcast_to(tensor(stencil), stencil.shape + (dim,))
-    grad = (mats[..., 1:dim + 1, :, :] - mats[..., dim + 1:, :, :]) / (2 * fd_step)
+    grad = (mats[..., 1:dim + 1, :, :] - mats[..., dim + 1:, :, :]) / (2 * FD_STEP)
     # term[a, b, c] = sum_d pi[d, a] d_d pi[b, c]; the bracket is its cyclic sum
     term = np.einsum("...da,...dbc->...abc", mats[..., 0, :, :], grad)
     total = term + np.moveaxis(term, -1, -3) + np.moveaxis(term, -3, -1)

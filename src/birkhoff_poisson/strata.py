@@ -3,18 +3,20 @@ factorization, the acting sub-torus of a layer, and the projected
 noncompact-orbit directions that span a leaf.
 
 The Cartan image of a coset point, diag(g, g*) with g = k1 k2* in the group
-case, is factored with the structural permuted LDU, one path for both
-families; the signed permutation identifies the layer.  ``leaf_factorize``
-takes the image itself, so a caller that already holds phi does not build it
-again, and returns its ``BirkhoffFactors`` once ``_check_leaf_symmetry`` has
-held them to phi* = theta(phi); a violation signals a factorization or preset
-bug and is raised, never repaired.  ``moment`` runs the two steps with its
-top-layer guard between them.  log |h| is read off the diagonal of h.  The
-torus of layer W is the fixed space of Ad(W) o theta on the purely imaginary
-traceless diagonals.  ``orbit_direction_span`` reaches the leaf's tangent
-directions apart from the Hilbert transform, through ``lie.proj_u``; it
-equals the bivector's matrix ``poisson.matrix_of_omega`` entry by entry,
-which the ``leaf-tangency`` check of ``verify`` compares.
+case, is factored with the structural permuted LDU at ``DEFAULT_TOL``, one
+path for both families; the signed permutation identifies the layer.
+``leaf_factorize`` takes the image itself, so a caller that already holds
+phi does not build it again, and returns its ``BirkhoffFactors`` once
+``_check_leaf_symmetry`` has held them to phi* = theta(phi); a violation
+signals a factorization or preset bug and is raised, never repaired.
+``moment`` runs the two steps with its top-layer guard between them.
+log |h| is read off the diagonal of h.  The torus of layer W is the fixed
+space of Ad(W) o theta on the purely imaginary traceless diagonals; Ad(W)
+cancels the signs of W there, so ``torus_tw`` takes the permutation alone.
+``orbit_direction_span`` reaches the leaf's tangent directions apart from
+the Hilbert transform, through ``lie.proj_u``; it equals the bivector's
+matrix ``poisson.matrix_of_omega`` entry by entry, which the
+``leaf-tangency`` check of ``verify`` compares.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .symspace import (
     theta_g,
 )
 
-SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
 
-
-def birkhoff_layer(u, preset: SymmetricSpacePreset, tol: float = DEFAULT_TOL) -> SignedPermutation:
-    """Signed permutation indexing the Birkhoff layer through the point."""
-    factors = birkhoff_factor(cartan_embed(u, preset), tol)
+def birkhoff_layer(u, preset: SymmetricSpacePreset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, signs) of the Birkhoff layer through the point, at DEFAULT_TOL."""
+    factors = birkhoff_factor(cartan_embed(u, preset))
     return factors.perm, factors.signs
 
 
@@ -68,15 +68,14 @@ def _check_leaf_symmetry(phi, factors: BirkhoffFactors, preset: SymmetricSpacePr
             raise SymmetryViolation(f"{what} by {np.max(size):.3e}")
 
 
-def torus_tw(w: SignedPermutation, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:
+def torus_tw(perm, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:
     """Basis of the fixed subspace of Ad(W) o theta on the purely imaginary
-    traceless diagonals; cached per permutation, read-only.
+    traceless diagonals, for any W of permutation perm; cached, read-only.
 
     The fixed diagonals are those constant on each cycle of perm[sigma]
     (``_torus_cycles``).  With the cycles c_0, c_1, ... ordered by their
     smallest index, element l - 1 is |c_l| on c_0 u ... u c_(l-1) and
     -|c_0 u ... u c_(l-1)| on c_l, scaled to unit peak entry."""
-    perm, _ = w
     return _torus_tw(tuple(_torus_cycles(perm, preset).tolist()))
 
 

@@ -279,7 +279,7 @@ def _suite_momentum(rng: np.random.Generator) -> list[dict]:
         # interior points lie on the top layer; the residual raises if any
         # stencil point leaves it
         top = tuple(range(preset.matrix_dim))
-        basis = np.stack(strata.torus_tw((top, (1,) * len(top)), preset))
+        basis = np.stack(strata.torus_tw(top, preset))
         res = momentum.hamiltonian_residual(us, basis, preset)
         worst_res_big = max(worst_res_big, np.max(res))
     return [

@@ -43,11 +43,12 @@ from birkhoff_poisson.sampling import (
     random_interior_point,
     random_point,
     special_linear_stack,
+    special_unitary_sampler,
     su2_sphere_sampler,
 )
 from birkhoff_poisson.poisson import matrix_of_omega
 from birkhoff_poisson.strata import orbit_direction_span
-from birkhoff_poisson.symspace import grassmannian, group_case
+from birkhoff_poisson.symspace import block_diag, grassmannian, group_case
 
 CHART_PRESETS = [grassmannian(1, 1), grassmannian(1, 2), grassmannian(2, 2)]
 RANK_PRESETS = [grassmannian(1, 1), grassmannian(1, 2), grassmannian(2, 2)]
@@ -157,34 +158,77 @@ def test_criterion_06_jacobi_residual():
     g22 = functools.partial(chart_tensor, preset=grassmannian(2, 2))
     worst = 0.0
     for _ in range(50):
-        worst = max(worst, jacobi_residual(cp2, 0.6 * rng.standard_normal(4), 1e-5))
-        worst = max(worst, jacobi_residual(g22, 0.5 * rng.standard_normal(8), 1e-5))
+        worst = max(worst, jacobi_residual(cp2, 0.6 * rng.standard_normal(4)))
+        worst = max(worst, jacobi_residual(g22, 0.5 * rng.standard_normal(8)))
     assert worst <= 1e-5
     report("criterion-06 jacobi", f"worst Schouten residual {worst:.2e} over 50+50 points")
 
 
+def _inversions(w):
+    return sum(w[i] > w[j] for i in range(len(w)) for j in range(i + 1, len(w)))
+
+
+def _two_cycles(w):
+    return sum(w[w[i]] == i < w[i] for i in range(len(w)))
+
+
 def test_criterion_07_leaf_rank_correspondence():
+    # The rank of pi is dim_ip - l(w) - c2(w) on the Grassmannian layer of
+    # permutation w (l its inversions, c2 its 2-cycles), and 2 (l(w0) - l(w))
+    # at a group point whose g = k1 k2* lies on layer w of SU(n)
     rng = np.random.default_rng(107)
+
+    def grassmannian_rank(u, preset):
+        perm, _ = birkhoff_layer(u, preset)
+        return perm, preset.dim_ip - _inversions(perm) - _two_cycles(perm)
+
     for preset in RANK_PRESETS:
         for _ in range(100):
             u = random_point(preset, rng)
-            assert pi_rank(u, preset) == preset.dim_ip
+            perm, rank = grassmannian_rank(u, preset)
+            assert perm == tuple(range(preset.matrix_dim))
+            assert pi_rank(u, preset) == rank == preset.dim_ip
     cp1 = grassmannian(1, 1)
     cp2 = grassmannian(1, 2)
-    for _ in range(20):
-        u = canonical_rep(np.array([[np.exp(2j * np.pi * rng.uniform())]]), cp1)
-        assert pi_rank(u, cp1) == 0
-        z = complex_normal_sampler(2).one(rng)
-        z /= np.linalg.norm(z)
-        assert pi_rank(canonical_rep(z.reshape(2, 1), cp2), cp2) < cp2.dim_ip
+
+    def unit(z):
+        return (z / np.linalg.norm(z)).reshape(-1, 1)
+
+    def phase():
+        return np.exp(2j * np.pi * rng.uniform())
+
+    walls = [
+        (cp1, (1, 0), 0, lambda: unit(np.array([phase()]))),  # |z| = 1
+        (cp2, (1, 0, 2), 2, lambda: unit(complex_normal_sampler(2).one(rng))),  # |z| = 1
+        (cp2, (2, 1, 0), 0, lambda: np.array([[0.0], [phase()]])),  # z = (0, e^(i beta))
+    ]
+    for preset, layer, expected, chart in walls:
+        for _ in range(20):
+            u = canonical_rep(chart(), preset)
+            perm, rank = grassmannian_rank(u, preset)
+            assert perm == layer
+            assert pi_rank(u, preset) == rank == expected
+    for n, expected, g_of in [
+        (2, 2, lambda: special_unitary_sampler(2).one(rng)),
+        (3, 6, lambda: special_unitary_sampler(3).one(rng)),
+        (2, 0, lambda: su2_from_sphere(0.0, phase())),  # a = 0: g on the layer of w0
+    ]:
+        preset = group_case(n)
+        longest = n * (n - 1) // 2
+        for _ in range(20):
+            g, k2 = g_of(), special_unitary_sampler(n).one(rng)
+            perm = birkhoff_factor(g).perm
+            rank = 2 * (longest - _inversions(perm))
+            assert pi_rank(block_diag(g @ k2, k2), preset) == rank == expected
     h, x, y = su2_frame()
     for _ in range(20):
-        k = su2_from_sphere(0.0, np.exp(2j * np.pi * rng.uniform()))
+        k = su2_from_sphere(0.0, phase())
         worst = max(abs(pi_el_group(k, p, q)) for p in (h, x, y) for q in (h, x, y))
         assert worst <= 1e-12
     report(
         "criterion-07 leaf-rank",
-        "full rank at 100 top-layer points per preset; rank drops on all named loci",
+        "rank dim_ip - l(w) - c2(w) on Grassmannian layers w and 2 (l(w0) - l(w)) on "
+        "group layers, at top-layer points and on the named walls",
     )
 
 
@@ -219,7 +263,7 @@ def test_criterion_09_momentum_map():
     for preset in (grassmannian(1, 2), grassmannian(2, 2)):
         for _ in range(50):
             u = random_interior_point(preset, rng)
-            for x_t in torus_tw(birkhoff_layer(u, preset), preset):
+            for x_t in torus_tw(birkhoff_layer(u, preset)[0], preset):
                 worst_big = max(worst_big, hamiltonian_residual(u, x_t, preset))
     assert worst_big <= 1e-4
     report(

@@ -1,9 +1,10 @@
 """The benchmark's per-layer metrics and ratios name functions of the
 package; each named function must still exist, or the traced benchmark run
 cannot read it.  Likewise every package name the layer harness in
-``benchmarks/`` imports or reads off an imported module, and the harness's
-grid stacks must be the stacks ``rank-grid`` runs.  Every call the
-benchmark's workloads make must still parse."""
+``benchmarks/`` imports or reads off an imported module, every call the
+harness makes of a package function must bind to its signature, and the
+harness's grid stacks must be the stacks ``rank-grid`` runs.  Every call
+the benchmark's workloads make must still parse."""
 
 import ast
 import contextlib
@@ -100,6 +101,63 @@ def test_layer_harness_names_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def _package_calls(path: Path) -> list[tuple[int, object, list, list]]:
+    """(line, function, args, keywords) for every call the file makes of a
+    package function it imports, directly or off a package module it imports
+    (``cli.main(argv)``), or as ``benchmark(fn, *args)``, with the arguments
+    that function receives."""
+    tree = ast.parse(path.read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("birkhoff_poisson"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name, None)
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = names.get(node.value.id)
+            return getattr(module, node.attr, None) if inspect.ismodule(module) else None
+        return None
+
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = resolve(node.func), node.args
+        if isinstance(node.func, ast.Name) and node.func.id == "benchmark" and args:
+            fn, args = resolve(args[0]), args[1:]
+        if callable(fn):
+            calls.append((node.lineno, fn, args, node.keywords))
+    return calls
+
+
+def test_layer_harness_calls_bind_to_the_package_signatures():
+    # a parameter dropped from the package that the harness still passes
+    # would break only a manual harness run; a starred argument of unknown
+    # length binds the others partially
+    bad, called = [], set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        for line, fn, args, keywords in _package_calls(path):
+            called.add(fn.__name__)
+            signature = inspect.signature(fn)
+            starred = any(isinstance(a, ast.Starred) for a in args) or any(
+                k.arg is None for k in keywords
+            )
+            bind = signature.bind_partial if starred else signature.bind
+            try:
+                bind(
+                    *[None for a in args if not isinstance(a, ast.Starred)],
+                    **{k.arg: None for k in keywords if k.arg is not None},
+                )
+            except TypeError as exc:
+                bad.append(f"{path.name}:{line} {fn.__name__}{signature}: {exc}")
+    assert {"jacobi_residual", "pi_rank", "torus_tw", "main", "_grid_columns"} <= called
+    assert bad == []
 
 
 def test_layer_harness_grid_stacks_are_the_rank_grid_stacks(monkeypatch):

@@ -56,7 +56,7 @@ def test_moment_monotone_in_radius(cp1):
 
 def test_moment_linearity(rng, cp2):
     u = random_point(cp2, rng)
-    basis = torus_tw(birkhoff_layer(u, cp2), cp2)
+    basis = torus_tw(birkhoff_layer(u, cp2)[0], cp2)
     x1, x2 = basis[0], basis[1]
     a, b = 0.7, -1.3
     lhs = moment_eval(u, a * x1 + b * x2, cp2)
@@ -68,7 +68,7 @@ def test_moment_well_defined_on_cosets(rng, cp2):
     from birkhoff_poisson.sampling import stabilizer_sampler
 
     u = random_point(cp2, rng)
-    basis = torus_tw(birkhoff_layer(u, cp2), cp2)
+    basis = torus_tw(birkhoff_layer(u, cp2)[0], cp2)
     k = stabilizer_sampler(cp2).one(rng)
     for x in basis:
         assert moment_eval(u @ k, x, cp2) == pytest.approx(
@@ -130,7 +130,7 @@ def test_hamiltonian_residual_larger_presets(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(5):
         u = random_interior_point(preset, rng)
-        for x in torus_tw(birkhoff_layer(u, preset), preset):
+        for x in torus_tw(birkhoff_layer(u, preset)[0], preset):
             assert hamiltonian_residual(u, x, preset) <= 1e-4
 
 
@@ -152,7 +152,7 @@ def test_stacked_stencil_matches_per_point_loop(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     for _ in range(3):
         u = random_interior_point(preset, rng)
-        for x in torus_tw(birkhoff_layer(u, preset), preset):
+        for x in torus_tw(birkhoff_layer(u, preset)[0], preset):
             stacked = hamiltonian_residual(u, x, preset)
             assert abs(stacked - per_point_hamiltonian_residual(u, x, preset)) <= 1e-12
 
@@ -172,7 +172,7 @@ def test_stacked_residual_matches_per_point_per_direction_calls(spec, count, see
     lf = leaf_factorize(cartan_embed(u, preset), preset)
     same = np.all((lf.perm == layer.perm) & (lf.signs == layer.signs), axis=-1)
     u = u[same]
-    basis = np.stack(torus_tw((layer.perm, layer.signs), preset))
+    basis = np.stack(torus_tw(layer.perm, preset))
     stacked = hamiltonian_residual(u, basis, preset)
     assert stacked.shape == (len(u), len(basis))
     for i, t in np.ndindex(stacked.shape):
@@ -186,7 +186,7 @@ def test_stacked_residual_matches_per_point_per_direction_calls(spec, count, see
 
 def test_stacked_residual_rejects_a_basis_with_one_bad_direction(rng, cp2):
     u = np.array([random_interior_point(cp2, rng) for _ in range(2)])
-    basis = np.stack(torus_tw(birkhoff_layer(u[0], cp2), cp2))
+    basis = np.stack(torus_tw(birkhoff_layer(u[0], cp2)[0], cp2))
     bad = np.concatenate([basis, [np.diag([1j, 0, -1j]) + 0.1 * np.eye(3)]])
     with pytest.raises(InvalidTangent):
         hamiltonian_residual(u, bad, cp2)
@@ -196,7 +196,7 @@ def test_stacked_residual_rejects_a_basis_with_one_bad_direction(rng, cp2):
 def test_moment_eval_on_a_stack_of_points(preset_name, rng, request):
     preset = request.getfixturevalue(preset_name)
     u0 = random_interior_point(preset, rng)
-    x = torus_tw(birkhoff_layer(u0, preset), preset)[0]
+    x = torus_tw(birkhoff_layer(u0, preset)[0], preset)[0]
     steps = unitary_exp(1e-3 * np.array([ip_sampler(preset).one(rng) for _ in range(6)]))
     points = (u0 @ steps).reshape(2, 3, *u0.shape)
     values = moment_eval(points, x, preset)
@@ -221,7 +221,7 @@ def test_leaf_moment_on_basis_matches_per_direction_calls(rng, cp2):
     # one leaf factorization read on the whole torus basis, as `moment` does
     u = random_interior_point(cp2, rng)
     lf = leaf_factorize(cartan_embed(u, cp2), cp2)
-    basis = torus_tw((lf.perm, lf.signs), cp2)
+    basis = torus_tw(lf.perm, cp2)
     np.testing.assert_array_equal(
         [leaf_moment(lf, x, cp2) for x in basis], [moment_eval(u, x, cp2) for x in basis]
     )
@@ -277,7 +277,7 @@ def test_hamiltonian_residual_group_case(spec, rng):
     preset = parse_preset(spec)
     for _ in range(10):
         u = random_interior_point(preset, rng)
-        for x in torus_tw(birkhoff_layer(u, preset), preset):
+        for x in torus_tw(birkhoff_layer(u, preset)[0], preset):
             assert hamiltonian_residual(u, x, preset) <= 1e-6
 
 
@@ -285,7 +285,7 @@ def test_group_torus_is_the_fixed_space_of_ad_w_theta(rng, group2):
     # theta swaps the blocks, so on the top layer the torus is diag(t, t);
     # diag(t, -t) is constant on the cycles of W but not fixed by Ad(W) o theta
     u = random_interior_point(group2, rng)
-    (x,) = torus_tw(birkhoff_layer(u, group2), group2)
+    (x,) = torus_tw(birkhoff_layer(u, group2)[0], group2)
     np.testing.assert_array_equal(x, 1j * np.diag([1.0, -1.0, 1.0, -1.0]))
     wrong = 1j * np.diag([1.0, -1.0, -1.0, 1.0])
     with pytest.raises(InvalidTangent, match="cycles"):

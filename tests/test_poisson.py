@@ -29,7 +29,9 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson import poisson as poisson_module
 from birkhoff_poisson.lie import hilbert_transform, trace_form
+from birkhoff_poisson.linalg import DEFAULT_TOL
 from birkhoff_poisson.poisson import (
+    FD_STEP,
     CoordCoefficients,
     chart_directions,
     coeffs_real_matrix,
@@ -468,15 +470,18 @@ def test_closed_form_rank_agrees_with_the_svd(data, k, count):
     pairs = np.pad(sv[:, ::2], ((0, 0), (0, 2 - sv[:, ::2].shape[1])))
     assert np.all(np.abs(closed - pairs) <= _RANK_MARGIN * s1)
     # pi_rank at the stack and at each matrix, the bivector matrices given
+    # scaled by DEFAULT_TOL / tol, so its one threshold reads m at tol; the
+    # scaling moves each singular value by at most 2 eps * s1, inside the margin
     for tol in {case[1] for case in cases}:
-        with mock.patch.object(poisson_module, "matrix_of_omega", lambda u, p: m):
-            ranks = pi_rank(np.zeros((count, 1, 1)), preset, tol)
+        scaled = m * (DEFAULT_TOL / tol)
+        with mock.patch.object(poisson_module, "matrix_of_omega", lambda u, p: scaled):
+            ranks = pi_rank(np.zeros((count, 1, 1)), preset)
         lapack = np.linalg.matrix_rank(m, tol=tol)
         decided = np.all(np.abs(sv - tol) > _RANK_MARGIN * s1, axis=1)
         np.testing.assert_array_equal(ranks[decided], lapack[decided])
-        for one, rank in zip(m, ranks):
+        for one, rank in zip(scaled, ranks):
             with mock.patch.object(poisson_module, "matrix_of_omega", lambda u, p: one):
-                assert pi_rank(np.zeros((1, 1)), preset, tol) == rank
+                assert pi_rank(np.zeros((1, 1)), preset) == rank
 
 
 def test_closed_form_rank_where_the_pair_meets_tol():
@@ -484,13 +489,13 @@ def test_closed_form_rank_where_the_pair_meets_tol():
     # margin; the sign of t^2 - S t + Pf^2 at t = tol^2 is lost to rounding
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     q = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
-    tol = 1e-9
+    tol = DEFAULT_TOL
     m = np.zeros((4, 4))
     m[:2, :2], m[2:, 2:] = tol * (1 + 1e-9) * j, tol * (1 - 1e-9) * j
     for mat in (m, q @ m @ q.T):
         assert np.linalg.matrix_rank(mat, tol=tol) == 2
         with mock.patch.object(poisson_module, "matrix_of_omega", lambda u, p: mat):
-            assert pi_rank(np.eye(3), parse_preset("cp2"), tol) == 2
+            assert pi_rank(np.eye(3), parse_preset("cp2")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +894,7 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
         return coeffs_real_matrix(CoordCoefficients(mixed=c.mixed, holo=2.0 * c.holo))
 
     x = 0.5 * rng.standard_normal(6)
-    step = 1e-5
+    step = FD_STEP
     grad = [
         (broken(x + step * e) - broken(x - step * e)) / (2 * step) for e in np.eye(6)
     ]
@@ -906,7 +911,7 @@ def test_jacobi_residual_matches_cyclic_loop(rng):
                 )
                 worst = max(worst, abs(total))
     assert worst > 1e-2
-    assert jacobi_residual(broken, x, step) == pytest.approx(worst, rel=1e-12)
+    assert jacobi_residual(broken, x) == pytest.approx(worst, rel=1e-12)
 
 
 # name: (chart tensor, real dimension of its chart)

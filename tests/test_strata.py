@@ -136,24 +136,24 @@ def test_leaf_symmetry_check_names_the_identity_that_fails(cp1, cp2):
 
 def test_torus_tw_dimensions(cp1, cp2):
     # identity layer: the whole torus acts
-    assert len(torus_tw(((0, 1), (1, 1)), cp1)) == 1
-    assert len(torus_tw(((0, 1, 2), (1, 1, 1)), cp2)) == 2
+    assert len(torus_tw((0, 1), cp1)) == 1
+    assert len(torus_tw((0, 1, 2), cp2)) == 2
     # transposition layer of the projective line: trivial torus
-    assert len(torus_tw(((1, 0), (1, -1)), cp1)) == 0
+    assert len(torus_tw((1, 0), cp1)) == 0
 
 
 def test_torus_tw_is_cached_and_read_only(cp2):
-    layer = ((0, 1, 2), (1, 1, 1))
-    basis = torus_tw(layer, cp2)
+    basis = torus_tw((0, 1, 2), cp2)
     assert isinstance(basis, tuple)
-    # a layer given as lists hits the same cache entry
-    assert torus_tw(([0, 1, 2], [1, 1, 1]), cp2) is basis
+    # a permutation given as a list or an array hits the same cache entry
+    assert torus_tw([0, 1, 2], cp2) is basis
+    assert torus_tw(np.arange(3), cp2) is basis
     with pytest.raises(ValueError):
         basis[0][0, 0] = 0.0
 
 
 def test_torus_tw_cp1_span(cp1):
-    basis = torus_tw(((0, 1), (1, 1)), cp1)
+    basis = torus_tw((0, 1), cp1)
     np.testing.assert_allclose(basis[0], np.diag([1j, -1j]), atol=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_torus_tw_matches_cycle_count_oracle():
         sigma = np.roll(np.arange(d), d // 2) if spec.startswith("group") else np.arange(d)
         for perm in itertools.permutations(range(d)):
             signs = det_one_signs(perm)
-            basis = torus_tw((perm, signs), preset)
+            basis = torus_tw(perm, preset)
             assert len(basis) == cycle_count(np.array(perm)[sigma]) - 1
             if not basis:
                 continue
@@ -211,15 +211,16 @@ def test_torus_tw_matches_cycle_count_oracle():
             reference = svd_torus_reference(perm, signs, preset)
             assert_same_span(diags, reference)
             assert_same_span(reference, diags)
-            w = signed_permutation_matrix(perm, signs)
-            for xi in basis:
-                fixed = w @ theta_g(xi, preset) @ w.conj().T
-                np.testing.assert_allclose(fixed, xi, rtol=0, atol=1e-15)
+            # Ad(W) cancels the signs of W on diagonals: each W of perm fixes the basis
+            for w in (signed_permutation_matrix(perm, s) for s in (signs, (1,) * d)):
+                for xi in basis:
+                    fixed = w @ theta_g(xi, preset) @ w.conj().T
+                    np.testing.assert_allclose(fixed, xi, rtol=0, atol=1e-15)
 
 
 def test_torus_tw_exact_bases(cp2):
     gr23 = grassmannian(2, 3)
-    top = torus_tw((tuple(range(5)), (1,) * 5), gr23)
+    top = torus_tw(tuple(range(5)), gr23)
     expected = [
         [1, -1, 0, 0, 0],
         [1 / 2, 1 / 2, -1, 0, 0],
@@ -228,7 +229,7 @@ def test_torus_tw_exact_bases(cp2):
     ]
     np.testing.assert_array_equal(top, [np.diag(1j * np.array(d)) for d in expected])
     # a 2-cycle after a fixed point: the raw element [2, -1, -1] at unit peak
-    (xi,) = torus_tw(((0, 2, 1), (1, 1, -1)), cp2)
+    (xi,) = torus_tw((0, 2, 1), cp2)
     np.testing.assert_array_equal(xi, np.diag([1j, -0.5j, -0.5j]))
 
 

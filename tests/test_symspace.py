@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 import types
 from fractions import Fraction
@@ -588,3 +589,36 @@ def test_the_package_exports_the_pinned_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+# The parameters of the 36 exported functions, read through
+# inspect.signature, "=" marking one with a default.  The library runs at one
+# operating point, with ``birkhoff_factor``'s ``tol`` its one setting, so
+# adding a parameter edits this list.
+PUBLIC_SIGNATURES = {
+    "birkhoff_factor": "g, tol=", "birkhoff_layer": "u, preset", "calibration_constant": "",
+    "canonical_rep": "z, preset", "cartan_embed": "u, preset",
+    "chart_pi_eval": "preset, z, v, w", "chart_tensor": "x, preset", "cp1_family": "z",
+    "cpn_coeffs": "zvec", "fothlu_w_chart": "w", "grassmann_local_pi": "z, v, w",
+    "grassmannian": "m, n", "group_case": "n", "hamiltonian_residual": "u, x, preset",
+    "hilbert_transform": "z", "inv_sqrt_hpd": "p", "iwasawa_factor": "g",
+    "jacobi_residual": "tensor, point", "leaf_factorize": "phi, preset",
+    "moment_eval": "u, x, preset", "omega_apply": "u, x, preset", "parse_preset": "spec",
+    "pi_el_group": "k, p, q", "pi_eval": "u, x, y, preset", "pi_lw_group": "k, p, q",
+    "pi_rank": "u, preset", "principal_minors": "g", "proj_u": "z",
+    "project_ip": "z, preset", "su2_el_coefficients": "k", "su2_lw_coefficients": "k",
+    "theta_g": "g, preset", "torus_tw": "perm, preset",
+    "torus_vector_field": "u, x, preset", "trace_form": "x, y", "tri_project": "z",
+}
+
+
+def test_the_exported_functions_keep_the_pinned_signatures():
+    signatures = {
+        name: ", ".join(
+            p.name + ("=" if p.default is not p.empty else "")
+            for p in inspect.signature(value).parameters.values()
+        )
+        for name, value in vars(birkhoff_poisson).items()
+        if name in PUBLIC_NAMES and not isinstance(value, type)
+    }
+    assert signatures == PUBLIC_SIGNATURES
