@@ -3,8 +3,13 @@ emitting plot data, and the verification suites.
 
 Conventions: complex scalars serialize as [re, im] pairs and matrices as
 row-major nested arrays of such pairs.  Grid sweeps sample open rectangles
-with a half-step offset so exact boundary points are avoided.  Exit codes:
-0 ok, 1 verification failure, 2 usage/parse error, 3 numerical-domain error.
+with a half-step offset so exact boundary points are avoided.
+
+Each ``cmd_*`` handler maps its parsed arguments to a payload: a dict, or
+the CSV text of ``rank-grid --format csv``.  ``main`` alone writes it, to
+``--out`` or stdout, and maps the call to an exit code: 0 ok, 1 a report
+whose ``pass`` is false (a failed ``verify``), 2 usage/parse error,
+3 numerical-domain error.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .poisson import (
 )
 from .strata import _check_leaf_symmetry, torus_tw
 from .symspace import SymmetricSpacePreset, block_diag, canonical_rep, cartan_embed, parse_preset
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -98,11 +103,12 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_grid(text: str) -> list[tuple[float, float, int]]:
+    """--grid: the two min,max,steps triples of the x and the y axis."""
     values = text.split(",")
-    if len(values) % 3:
-        raise argparse.ArgumentTypeError("grid spec must be min,max,steps triples")
+    if len(values) != 6:
+        raise argparse.ArgumentTypeError("grid spec must be two min,max,steps triples")
     axes = []
-    for i in range(0, len(values), 3):
+    for i in (0, 3):
         lo, hi, steps = float(values[i]), float(values[i + 1]), int(values[i + 2])
         if steps < 2:
             raise argparse.ArgumentTypeError("grid axes need at least 2 steps")
@@ -156,81 +162,60 @@ def _read_matrix(args) -> np.ndarray:
     return _j2mat(data)
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> dict:
     g = _read_matrix(args)
     factors = birkhoff_factor(g, args.tol)
-    residual = float(np.linalg.norm(factors.reconstruct() - g))
-    _emit(
-        {
-            "mode": "birkhoff",
-            "perm": list(factors.perm),
-            "signs": list(factors.signs),
-            "l": _pairs(factors.l),
-            "w": _pairs(factors.w_matrix),
-            "h": _pairs(factors.h),
-            "u_plus": _pairs(factors.u_plus),
-            "residual": residual,
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "mode": "birkhoff",
+        "perm": list(factors.perm),
+        "signs": list(factors.signs),
+        "l": _pairs(factors.l),
+        "w": _pairs(factors.w_matrix),
+        "h": _pairs(factors.h),
+        "u_plus": _pairs(factors.u_plus),
+        "residual": float(np.linalg.norm(factors.reconstruct() - g)),
+    }
 
 
-def cmd_iwasawa(args) -> int:
+def cmd_iwasawa(args) -> dict:
     g = _read_matrix(args)
     factors = iwasawa_factor(g)
-    residual = float(np.linalg.norm(factors.reconstruct() - g))
-    _emit(
-        {
-            "mode": "iwasawa",
-            "l": _pairs(factors.l),
-            "a": _pairs(factors.a),
-            "u": _pairs(factors.u),
-            "residual": residual,
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "mode": "iwasawa",
+        "l": _pairs(factors.l),
+        "a": _pairs(factors.a),
+        "u": _pairs(factors.u),
+        "residual": float(np.linalg.norm(factors.reconstruct() - g)),
+    }
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> dict:
     preset = parse_preset(args.preset)
-    z = _chart_matrix(preset, args.point)
-    u = canonical_rep(z, preset)
+    u = canonical_rep(_chart_matrix(preset, args.point), preset)
     phi = cartan_embed(u, preset)
     minors, _, factors = _pivot_minors(phi)
-    _emit(
-        {
-            "preset": preset.label,
-            "u": _pairs(u),
-            "phi": _pairs(phi),
-            "principal_minors": _pairs(minors),
-            "layer_perm": list(factors.perm),
-            "layer_signs": list(factors.signs),
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "preset": preset.label,
+        "u": _pairs(u),
+        "phi": _pairs(phi),
+        "principal_minors": _pairs(minors),
+        "layer_perm": list(factors.perm),
+        "layer_signs": list(factors.signs),
+    }
 
 
-def cmd_pi(args) -> int:
+def cmd_pi(args) -> dict:
     preset = parse_preset(args.preset)
-    z = _chart_matrix(preset, args.point)
-    u = canonical_rep(z, preset)
-    mat = matrix_of_omega(u, preset)
-    _emit(
-        {
-            "preset": preset.label,
-            "omega_matrix": mat,
-            "rank": _skew_rank(mat),
-            "dim_ip": preset.dim_ip,
-        },
-        args.out,
-    )
-    return EXIT_OK
+    mat = matrix_of_omega(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
+    return {
+        "preset": preset.label,
+        "omega_matrix": mat,
+        "rank": _skew_rank(mat),
+        "dim_ip": preset.dim_ip,
+    }
 
 
-def cmd_moment(args) -> int:
+def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
     lf = birkhoff_factor(phi)
@@ -248,20 +233,16 @@ def cmd_moment(args) -> int:
         if not 0 <= args.index < torus_dim:
             raise ValueError(f"torus basis index {args.index} out of range 0..{torus_dim - 1}")
         basis = basis[args.index:args.index + 1]
-    _emit(
-        {
-            "preset": preset.label,
-            "layer_perm": list(lf.perm),
-            "torus_dim": torus_dim,
-            "mu": leaf_moment(lf, basis, preset).tolist(),
-            "basis": _pairs(basis),
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "preset": preset.label,
+        "layer_perm": list(lf.perm),
+        "torus_dim": torus_dim,
+        "mu": leaf_moment(lf, basis, preset).tolist(),
+        "basis": _pairs(basis),
+    }
 
 
-def cmd_jacobi(args) -> int:
+def cmd_jacobi(args) -> dict:
     label, preset = _resolve_preset(args.preset)
     if preset is None:
         if args.point.size != 2:
@@ -277,11 +258,7 @@ def cmd_jacobi(args) -> int:
         residual = jacobi_residual(tensor, args.point)
     if not np.isfinite(residual):
         raise NumericalDomainError(f"Schouten residual is not finite at the point: {residual}")
-    _emit(
-        {"preset": label, "fd_step": FD_STEP, "residual": residual},
-        args.out,
-    )
-    return EXIT_OK
+    return {"preset": label, "fd_step": FD_STEP, "residual": residual}
 
 
 # ---------------------------------------------------------------------------
@@ -363,40 +340,25 @@ def _grid_cells(preset, xs: list[float], ys: list[float]) -> list[list]:
     return rows
 
 
-def cmd_rank_grid(args) -> int:
+def cmd_rank_grid(args) -> dict | str:
+    """The grid as a JSON payload, or as CSV text without its final newline."""
     label, preset = _resolve_preset(args.preset)
     default_axes, columns = _grid_layout(preset)
     axes = args.grid or default_axes
-    if len(axes) != 2:
-        raise ValueError("rank-grid needs exactly two grid axes")
     xs = [float(x) for x in _axis_points(*axes[0])]
     ys = [float(y) for y in _axis_points(*axes[1])]
     rows = _grid_cells(preset, xs, ys)
     if args.format == "csv":
-        lines = itertools.chain([columns], _table_cells(rows))
-        _write(["\n".join(map(",".join, lines)), "\n"], args.out)
-    else:
-        _emit(
-            {
-                "preset": label,
-                "grid": [list(a) for a in axes],
-                "columns": columns,
-                "rows": rows,
-            },
-            args.out,
-        )
-    return EXIT_OK
+        return "\n".join(map(",".join, itertools.chain([columns], _table_cells(rows))))
+    return {"preset": label, "grid": [list(a) for a in axes], "columns": columns, "rows": rows}
 
 
-def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed)
-    _emit(report, args.out)
-    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
+def cmd_verify(args) -> dict:
+    return run_suite(args.suite, args.seed)
 
 
-def cmd_calibration(args) -> int:
-    _emit({"constant": calibration_constant()}, args.out)
-    return EXIT_OK
+def cmd_calibration(args) -> dict:
+    return {"constant": calibration_constant()}
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         "--tol": dict(type=_positive_float, default=DEFAULT_TOL),
         "--seed": dict(type=int, default=0),
-        "--grid": dict(type=_parse_grid, help="min,max,steps[,min,max,steps...]"),
+        "--grid": dict(type=_parse_grid, help="min,max,steps,min,max,steps: the x and y axes"),
         "--format": dict(choices=["json", "csv"], default="json"),
-        "--out": dict(help="output path (default: stdout)"),
     }
 
     def add(name: str, func, text: str, *flags: str, presets: str | None = None):
@@ -432,6 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--preset", default="cp1", help=presets)
         for flag in flags:
             p.add_argument(flag, **flag_specs[flag])
+        # main writes every payload, so every subcommand takes --out
+        p.add_argument("--out", help="output path (default: stdout)")
         p.set_defaults(func=func)
         return p
 
@@ -440,28 +403,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ("factor", cmd_factor, "Birkhoff (permuted LDU) factorization", "--tol"),
         ("iwasawa", cmd_iwasawa, "Iwasawa (lower-unipotent / diagonal / unitary) factorization"),
     ):
-        p = add(name, func, text, *flags, "--out")
+        p = add(name, func, text, *flags)
         p.add_argument("--in", dest="infile", help="JSON matrix file (default: stdin)")
         p.add_argument("--matrix", help="inline JSON matrix")
     add("embed", cmd_embed, "canonical representative and Cartan image at a chart point",
-        "--point", "--out", presets=chart)
-    add("pi", cmd_pi, "bivector operator matrix and rank at a chart point",
-        "--point", "--out", presets=chart)
-    p_moment = add("moment", cmd_moment, "momentum values on the layer torus basis",
-                   "--point", "--out", presets=chart)
-    p_moment.add_argument("--index", type=int, help="single torus basis index")
+        "--point", presets=chart)
+    add("pi", cmd_pi, "bivector operator matrix and rank at a chart point", "--point", presets=chart)
+    add("moment", cmd_moment, "momentum values on the layer torus basis", "--point",
+        presets=chart).add_argument("--index", type=int, help="single torus basis index")
     add("rank-grid", cmd_rank_grid, "grid sweep emitting rank and degeneracy data",
-        "--grid", "--format", "--out", presets=f"{chart} | group:su2 | su2 | fothlu")
-    p_verify = add("verify", cmd_verify, "run a verification suite", "--seed", "--out")
-    p_verify.add_argument(
-        "suite",
-        help="factorization | embedding | bivector | local-vs-equivariant | jacobi | "
-        "lambda-identity | degeneracy | momentum | all",
-    )
-    add("jacobi", cmd_jacobi, "finite-difference Schouten bracket residual",
-        "--point", "--out", presets=f"{chart} | fothlu")
-    add("calibration", cmd_calibration, "measured local-to-equivariant calibration constant",
-        "--out")
+        "--grid", "--format", presets=f"{chart} | group:su2 | su2 | fothlu")
+    add("verify", cmd_verify, "run a verification suite", "--seed").add_argument(
+        "suite", choices=[*SUITES, "all"], metavar="suite", help=" | ".join([*SUITES, "all"]))
+    add("jacobi", cmd_jacobi, "finite-difference Schouten bracket residual", "--point",
+        presets=f"{chart} | fothlu")
+    add("calibration", cmd_calibration, "measured local-to-equivariant calibration constant")
 
     return parser
 
@@ -473,7 +429,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if isinstance(payload, str):
+            _write([payload, "\n"], args.out)
+            return EXIT_OK
+        _emit(payload, args.out)
+        return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY_FAIL
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -598,8 +598,6 @@ def chart_covectors(
     and so is each class.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim < 2:
-        z = z.reshape(preset.n, preset.m)
     u = canonical_rep(z, preset)
     m = preset.m
     zh = z.mT.conj()

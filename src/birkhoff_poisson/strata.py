@@ -83,9 +83,14 @@ def _torus_cycles(perm, preset: SymmetricSpacePreset) -> np.ndarray:
     """perm[sigma] for a permutation or an array (..., d) of them, sigma the
     index permutation of theta (the identity for Grassmannians, the block
     swap in the group case): Ad(W) o theta moves entry i of a diagonal to
-    perm[sigma[i]], so it fixes the diagonals constant on these cycles."""
+    perm[sigma[i]], so it fixes the diagonals constant on these cycles.
+    Raise ValueError unless the last axis of perm holds permutations of
+    0..d-1, d = ``preset.matrix_dim``."""
+    perm, d = np.asarray(perm), preset.matrix_dim
+    if perm.shape[-1:] != (d,) or np.any(np.sort(perm, axis=-1) != np.arange(d)):
+        raise ValueError(f"perm must be a permutation of 0..{d - 1} along its last axis")
     (rows, _), _ = preset.theta_index_mask
-    return np.asarray(perm)[..., rows[:, 0]]
+    return perm[..., rows[:, 0]]
 
 
 @lru_cache(maxsize=256)

@@ -144,15 +144,11 @@ def cartan_embed(u: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
 
 
 def _chart_stack(z: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
-    """z as a chart matrix (n, m) or a stack (..., n, m) of them; a scalar
-    or a vector is the one chart matrix of cp1 or of projective space."""
+    """z, a chart matrix (n, m) or a stack (..., n, m) of them, as a complex
+    array; a ValueError refuses any other shape and a non-finite entry."""
     if not preset.is_inner:
         raise ValueError("charts exist for the Grassmannian family only")
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        z = z.reshape(1, 1)
-    if z.ndim == 1:
-        z = z.reshape(-1, 1)
     if z.shape[-2:] != (preset.n, preset.m):
         raise ValueError(f"chart matrix must be {preset.n} x {preset.m}, got {z.shape}")
     if not np.all(np.isfinite(z)):

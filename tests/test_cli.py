@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gc
+import io
 import json
 import math
 
@@ -20,7 +21,7 @@ from birkhoff_poisson import (
     pi_rank,
     principal_minors,
 )
-from birkhoff_poisson import cli, linalg, momentum, poisson, strata
+from birkhoff_poisson import cli, linalg, momentum, poisson, strata, verify
 from birkhoff_poisson.cli import main
 from birkhoff_poisson.poisson import pi_el_group, su2_frame, su2_from_sphere
 
@@ -63,6 +64,13 @@ def test_factor_random_roundtrip(tmp_path, capsys):
     code, out = run_cli(["iwasawa", "--in", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["residual"] <= 1e-10
+
+
+def test_factor_reads_its_matrix_from_stdin_by_default(monkeypatch, capsys):
+    expected = run_cli(["factor", "--matrix", _MATRIX], capsys)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_MATRIX))
+    assert run_cli(["factor"], capsys) == expected
+    assert expected[0] == 0
 
 
 def test_factor_tol_follows_the_scale_of_the_matrix(capsys):
@@ -307,6 +315,26 @@ def test_invalid_flag_values_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["jacobi", "--preset", "fothlu", "--point=0.1,0.2,0.3,0.4"], "needs 1 complex coordinates"),
+        (["moment", "--preset", "cp2", "--point=0.1,0,0.2,0", "--index", "5"], "out of range 0..1"),
+        (["factor", "--matrix", "[[[1,0],[0,0]]]"], "must be a square nested array"),
+        (["embed", "--preset", "gr:2", "--point=0.1,0"], "malformed Grassmannian preset"),
+        (["embed", "--preset", "gr:0,2", "--point=0.1,0"], "block sizes must be positive"),
+        (["embed", "--preset", "su1", "--point=0.1,0"], "group case needs factor size at least 2"),
+        (["rank-grid", "--grid=0,1,4"], "grid spec must be two min,max,steps triples"),
+        (["rank-grid", "--grid=0,1,4,0,1,4,0,1,4"], "grid spec must be two min,max,steps triples"),
+        (["verify", "no-such-suite"], "invalid choice: 'no-such-suite'"),
+    ],
+)
+def test_refused_inputs_exit_2_and_say_why(argv, reason, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
+
+
+@pytest.mark.parametrize(
     "preset,point",
     [
         ("cp1", "1e300,0"),
@@ -314,6 +342,8 @@ def test_invalid_flag_values_exit_2(argv, capsys):
         ("cp2", "0,0,1e300,0"),
         ("cpn:2", "0,0,1e300,0"),
         ("gr:2,2", "1e300,0,0,0,0,0,0,0"),
+        # the tensor is finite here, but the bracket of its derivatives overflows
+        ("cp2", "1e60,0,0.5,0"),
     ],
 )
 def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
@@ -336,6 +366,7 @@ def test_jacobi_at_an_overflowing_point_exits_3(preset, point, capsys):
         ("cp2", "1e300,0,0,0"),
         ("cpn:2", "1e300,0,0,0"),
         ("gr:2,2", "1e300,0,0,0,0,0,0,0"),
+        ("cp2", "1e60,0,0.5,0"),
     ],
 )
 def test_jacobi_at_an_overflowing_point_exits_3_without_warnings(preset, point, capsys):
@@ -1047,6 +1078,48 @@ def test_subcommands_print_json_dumps_of_their_payload(command, monkeypatch, cap
     code, out = run_cli(_CALLS[command], capsys)
     assert code == 0
     assert out == json.dumps(payloads[0], indent=2, default=np.ndarray.tolist) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [*_MINIMAL.values(), ["rank-grid", "--grid=-1,1,2,-1,1,2", "--format", "csv"]]
+)
+def test_handlers_return_their_payload_and_main_writes_it(argv, capsys):
+    # a handler computes and prints nothing; main alone writes the payload:
+    # a dict as its JSON text, the CSV text of rank-grid as it is
+    args = cli._build_parser().parse_args(argv)
+    payload = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    csv_call = "csv" in argv
+    assert isinstance(payload, str if csv_call else dict)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (payload if csv_call else cli._json_text(payload)) + "\n"
+
+
+def test_main_maps_a_failed_report_to_exit_1(monkeypatch, capsys):
+    report = {"suite": "jacobi", "seed": 0, "pass": False, "checks": []}
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed: report)
+    code, out = run_cli(["verify", "jacobi"], capsys)
+    assert code == 1 and json.loads(out) == report
+
+
+def test_verify_suite_choices_are_the_suites(monkeypatch):
+    # the parser reads the names off verify.SUITES, so a suite added there
+    # is a choice with no second list to edit
+    def suite_choices():
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (suite,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "suite"]
+        return suite.choices
+
+    assert suite_choices() == [*verify.SUITES, "all"]
+    monkeypatch.setitem(verify.SUITES, "extra", lambda rng: [])
+    cli._build_parser.cache_clear()
+    try:
+        assert suite_choices() == [*verify.SUITES, "all"] and "extra" in suite_choices()
+    finally:
+        cli._build_parser.cache_clear()
 
 
 @pytest.mark.parametrize("command", ["pi", "moment", "rank-grid", "jacobi", "verify"])

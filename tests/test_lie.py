@@ -179,3 +179,5 @@ def test_trace_form_examples(rng):
     gi = np.linalg.inv(g)
     lhs = trace_form(g @ x @ gi, g @ y @ gi)
     assert abs(lhs - trace_form(x, y)) <= 1e-11 * max(1.0, abs(trace_form(x, y)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_form(np.eye(2), np.eye(3))

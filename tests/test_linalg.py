@@ -108,6 +108,11 @@ def test_birkhoff_non_unimodular_rejected():
         birkhoff_factor(2 * np.eye(2, dtype=complex))
 
 
+def test_birkhoff_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        birkhoff_factor(np.zeros((0, 0)))
+
+
 def test_unimodular_check_calls_singular_on_a_scale_apart_from_tol():
     # |det g| against Hadamard's bound of g, not against the pivot tol: a
     # unitary matrix passes at any tol, a rank-deficient one is singular

@@ -792,6 +792,12 @@ def _l_operator_reference(z, v):
     return t1 + t2 - t3
 
 
+def test_reals_to_complex_pairs_the_coordinates_and_refuses_an_odd_count():
+    np.testing.assert_array_equal(reals_to_complex(np.array([1.0, 2.0, 3.0, -4.0])), [1 + 2j, 3 - 4j])
+    with pytest.raises(ValueError, match="even length"):
+        reals_to_complex(np.ones(3))
+
+
 def _chart_tensor_reference(x, m, n):
     """The Grassmann chart tensor as first written: the reference operator
     broadcast over the basis axis, then the einsum trace pairing."""

@@ -152,6 +152,14 @@ def test_torus_tw_is_cached_and_read_only(cp2):
         basis[0][0, 0] = 0.0
 
 
+@pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 2, 3)])
+def test_torus_tw_refuses_what_is_not_a_permutation(perm, cp2):
+    # (0, 0, 1) has a "cycle" that never closes, (0, 1) is too short and
+    # (0, 1, 2, 3) too long for the 3 x 3 matrices of cp2
+    with pytest.raises(ValueError, match="permutation of 0..2"):
+        torus_tw(perm, cp2)
+
+
 def test_torus_tw_cp1_span(cp1):
     basis = torus_tw((0, 1), cp1)
     np.testing.assert_allclose(basis[0], np.diag([1j, -1j]), atol=1e-12)

@@ -214,6 +214,11 @@ def test_canonical_rep_rejects_a_stack_with_one_bad_chart_point(cp2):
         canonical_rep(z, cp2)
     with pytest.raises(ValueError, match="chart matrix"):
         canonical_rep(np.zeros((3, 1, 2)), cp2)
+    # a chart point is an (n, m) matrix: a scalar or a flat vector is refused
+    with pytest.raises(ValueError, match=r"chart matrix must be 1 x 1, got \(\)"):
+        canonical_rep(0.6, parse_preset("cp1"))
+    with pytest.raises(ValueError, match=r"chart matrix must be 2 x 1, got \(2,\)"):
+        canonical_rep(np.array([0.6, 0.8j]), cp2)
 
 
 CHART_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,2"]
