@@ -22,7 +22,8 @@ factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
 ``pi_rank`` and the ``rank-grid`` columns of one stack run at the stack
 sizes; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
-its stacks included; one ``pi --preset gr:6,10`` and one ``moment --preset
+its stacks included, and ``birkhoff_factor`` that grid's one stack of
+1,024 Cartan images; one ``pi --preset gr:6,10`` and one ``moment --preset
 gr:2,2`` call run through ``cli.main``; the chart transfer
 ``chart_pi_eval`` runs on the cp1, cp2 and gr:2,2 stacks, and the
 finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
@@ -141,12 +142,31 @@ def test_grid_columns(benchmark, spec, count):
     benchmark(cli._grid_columns, parse_preset(spec), *_plane_cells(spec, count))
 
 
+def _sweep_axes(preset):
+    """The axes of a 32 x 32 rank-grid over the preset's default ranges."""
+    return [cli._axis_points(lo, hi, 32) for lo, hi, _ in cli._grid_layout(preset)[0]]
+
+
 @pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
 def test_grid_cells(benchmark, spec):
-    """The rows of a whole 32 x 32 rank-grid over the default axes."""
+    """The columns of a whole 32 x 32 rank-grid over the default axes."""
     preset = parse_preset(spec)
-    xs, ys = (cli._axis_points(lo, hi, 32).tolist() for lo, hi, _ in cli._grid_layout(preset)[0])
-    benchmark(cli._grid_cells, preset, xs, ys)
+    benchmark(cli._grid_cells, preset, *_sweep_axes(preset))
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec):
+    """The Birkhoff factorization of the 1,024 Cartan images of a 32 x 32
+    rank-grid over the default axes, the one stack of that grid."""
+    preset = parse_preset(spec)
+    xs, ys = _sweep_axes(preset)
+    x, y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
+    if spec == "cp2":
+        z[:, 0, 0], z[:, 1, 0] = x, y
+    else:
+        z[:, 0, 0] = x + 1j * y
+    benchmark(birkhoff_factor, cartan_embed(canonical_rep(z, preset), preset))
 
 
 def _chart_arg(spec, scale):
@@ -218,10 +238,10 @@ def test_leaf_factorize_and_moment(benchmark, spec):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_rank_grid_text(benchmark, fmt, monkeypatch):
-    """The text of one 32 x 32 cp2 grid, its rows computed once beforehand."""
-    axis = cli._axis_points(0.05, 1.85, 32).tolist()
-    rows = cli._grid_cells(parse_preset("cp2"), axis, axis)
-    monkeypatch.setattr(cli, "_grid_cells", lambda *args: rows)
+    """The text of one 32 x 32 cp2 grid, its columns computed once beforehand."""
+    axis = cli._axis_points(0.05, 1.85, 32)
+    columns = cli._grid_cells(parse_preset("cp2"), axis, axis)
+    monkeypatch.setattr(cli, "_grid_cells", lambda *args: columns)
     argv = ["rank-grid", "--preset", "cp2", "--grid=0.05,1.85,32,0.05,1.85,32", "--format", fmt]
 
     def text():

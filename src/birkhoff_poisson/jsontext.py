@@ -5,16 +5,19 @@ indenting encoder of the standard library.
 A float array is printed from far fewer ``float.__repr__`` calls than it
 has entries: the sign goes into the separator before an entry, and where
 |a| is symmetric in the last two axes, as for a bivector matrix, the two
-mirror entries share one string.  A table, a list of equal-length rows of
-finite floats and ints such as the rows of a grid sweep, is printed column
-by column, and the repeated floats of a column share one string.
+mirror entries share one string.  A grid sweep's table is kept as columns
+up to its text: ``_grid_rows`` makes the strings of its rows from the
+axes and the columns, one repr an axis value and one a column entry, a
+row at a time, and a payload holds that zip of rows unmade until it is
+written, as JSON by ``_json_text`` or as CSV by ``cli``.
 
 ``cli`` builds the payloads and writes them through ``_json_text`` and
-``_dict_chunks``, and the CSV text of a table through ``_table_cells``.
+``_dict_chunks``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -26,34 +29,32 @@ def _json_text(obj, indent: str = "") -> str:
     for obj nested ``indent`` deep, without the pure-Python indenting encoder
     of the standard library.  Dict keys are strings, as in every payload
     here.  A finite float or an int is its repr, an ndarray goes to
-    ``_array_text``, a flat list of finite floats and ints (not bools) is one
-    join of their reprs, a table of them one join of ``_table_cells``,
-    containers recurse, and every other scalar (NaN and the infinities too)
-    and every key goes to ``json.dumps``."""
+    ``_array_text``, a zip of a table's rows of entry texts, as
+    ``_grid_rows`` makes them, one join of them, a flat list of finite
+    floats and ints (not bools) one join of their reprs, containers
+    recurse, and every other scalar (NaN and the infinities too) and every
+    key goes to ``json.dumps``."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is int:
         return int.__repr__(obj)
     if type(obj) is np.ndarray:
         return _array_text(obj, indent)
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
+    if not isinstance(obj, (dict, list, tuple, zip)) or not obj:
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "".join(_dict_chunks(obj, indent))
     inner = indent + "  "
     sep = f",\n{inner}"
+    if type(obj) is zip:
+        body = f"\n{inner}]{sep}[\n{inner}  ".join(map(f"{sep}  ".join, obj))
+        return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]" if body else "[]"
     # the repr of an int or a finite float has no "n"; those of NaN and the
     # infinities do, and JSON spells them otherwise
     if {*map(type, obj)} <= {float, int}:
         body = sep.join(map(repr, obj))
         if "n" not in body:
             return f"[\n{inner}{body}\n{indent}]"
-    cells = _table_cells(obj)
-    if cells is not None:
-        cell_sep = f"{sep}  "
-        body = f"\n{inner}]{sep}[\n{inner}  ".join(map(cell_sep.join, cells))
-        if "n" not in body:
-            return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]"
     body = sep.join(_json_text(v, inner) for v in obj)
     return f"[\n{inner}{body}\n{indent}]"
 
@@ -133,37 +134,19 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(float.__repr__, values.reshape(-1))), dtype=object)
 
 
-class _ReprMemo(dict):
-    """Reprs of floats by value; a value it does not hold, such as 0.0 or
-    -0.0, which compare equal and so are never held, gets its own repr."""
+def _grid_rows(xs, ys, columns, spell=json.dumps):
+    """The strings of a grid table, one tuple a row, made a row at a time,
+    so those of a column are never all held at once.  The rows are the
+    cells (x, y) of xs by ys, row-major, then their entries of ``columns``,
+    1-d int or float arrays; an axis value takes one repr however often the
+    cells repeat it.  An axis or a column that is not all finite is spelled
+    by ``spell``: ``json.dumps`` for JSON, ``repr`` for CSV."""
+    x = itertools.chain.from_iterable(itertools.repeat(t, len(ys)) for t in _texts(xs, spell))
+    y = itertools.chain.from_iterable(itertools.repeat(list(_texts(ys, spell)), len(xs)))
+    return zip(x, y, *(_texts(c, spell) for c in columns))
 
-    def __missing__(self, value: float) -> str:
-        return float.__repr__(value)
 
-
-def _table_cells(rows):
-    """The reprs of a table's entries, an iterator of one tuple of strings
-    per row, or None unless ``rows`` holds lists or tuples of one non-zero
-    length whose entries are floats and ints (not bools).
-
-    A column of floats whose values repeat, at most half of them distinct,
-    as a grid coordinate's do, takes one ``float.__repr__`` per distinct
-    nonzero value; its zeros and every other column take one per entry.
-    The strings are made a row at a time, so those of a column of distinct
-    values are not all held at once, and no sort is used to find the
-    distinct values (see ``_magnitude_reprs``)."""
-    if not {*map(type, rows)} <= {list, tuple} or len({*map(len, rows)}) != 1 or not rows[0]:
-        return None
-    columns = []
-    for column in zip(*rows):
-        types = {*map(type, column)}
-        if not types <= {float, int}:
-            return None
-        if types == {float}:
-            distinct = dict.fromkeys(column)
-            if 2 * len(distinct) <= len(column):
-                memo = _ReprMemo((v, float.__repr__(v)) for v in distinct if v)
-                columns.append(map(memo.__getitem__, column))
-                continue
-        columns.append(map(repr, column))
-    return zip(*columns)
+def _texts(values, spell):
+    """The repr of each entry of a 1-d int or float array, made lazily, or
+    ``spell`` of each where one entry is not finite."""
+    return map(repr if np.isfinite(values).all() else spell, np.asarray(values).tolist())

@@ -28,7 +28,10 @@ Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
 refuse any matrix whose determinant is not 1; the message calls it singular
 on a scale of its own (|det g| against Hadamard's bound of g), which does not
-depend on the pivot threshold ``tol`` of ``birkhoff_factor``.
+depend on the pivot threshold ``tol`` of ``birkhoff_factor``.  That one
+reads det g off its pivots, prod diag(h), and takes LAPACK's det only on
+refusal or where that product is not 1 (it loses about eps / |p| next to
+a pivot p, up to a few 1e-7 at the band's edge).
 ``DEFAULT_TOL`` is the package's one threshold.  Every caller but ``factor
 --tol`` runs at it, as their inputs fix the scale (unitary Cartan images):
 only ``birkhoff_factor`` takes a ``tol``, and only that command sets it.
@@ -150,7 +153,6 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     marks the ambiguous matrices.
     """
     g = _as_square_stack(g)
-    _check_unimodular(g)
     stack, n = g.shape[:-2], g.shape[-1]
     m = g.reshape(-1, n, n).copy()
     rows = np.arange(n)
@@ -171,6 +173,7 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
         # the first unused row above the band's lower edge decides column j
         candidate = (mag > tol / AMBIGUITY_BAND) & ~used
         if not candidate.any(axis=1).all():
+            _check_unimodular(g)
             raise SingularInput(f"no usable pivot in column {j}")
         piv = candidate.argmax(axis=1)
         a = mag[at, piv]
@@ -193,18 +196,20 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
             at, col = np.arange(len(m)), m[:, :, j]
         used[at, piv] = True
         perm[:, j] = piv
-        pivot_row = m[at, piv]
-        p = pivot_row[:, j, np.newaxis]
+        # columns left of j are final (h reads m[perm[c], c]): update j.. only
+        pivot_row = m[at, piv, j:]
+        p = pivot_row[:, :1]
         # unused rows below the pivot lose a multiple of the pivot row ...
         mult = np.where((rows > piv[:, np.newaxis]) & ~used, col / p, 0)
         lower_t[at, piv] += mult
-        m -= mult[:, :, np.newaxis] * pivot_row[:, np.newaxis, :]
+        m[:, :, j:] -= mult[:, :, np.newaxis] * pivot_row[:, np.newaxis, :]
         # ... and columns right of j a multiple of the pivot column
-        coef = np.where(rows > j, pivot_row / p, 0)
-        upper[:, j] += coef
-        m -= m[:, :, j, np.newaxis] * coef[:, np.newaxis, :]
+        coef = pivot_row[:, 1:] / p
+        upper[:, j, j + 1:] += coef
+        m[:, :, j + 1:] -= m[:, :, j, np.newaxis] * coef[:, np.newaxis, :]
 
     if ambiguous.any():
+        _check_unimodular(g)
         raise StratumAmbiguous(message, mask=ambiguous.reshape(stack))
     # det(W) = sign(perm) * signs[n - 1]; the inversion count gives sign(perm)
     later = rows[:, np.newaxis] < rows
@@ -213,6 +218,9 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     signs[:, n - 1] = 1 - 2 * (inversions % 2)
     h = np.zeros_like(m)
     h[:, rows, rows] = signs[at[:, np.newaxis], perm] * m[at[:, np.newaxis], perm, rows]
+    # l and u_plus are unipotent and det W = +1: det g is the pivots' product
+    if not np.all(np.abs(np.prod(h[:, rows, rows], axis=-1) - 1.0) <= _DET_ONE_TOL):
+        _check_unimodular(g)
     lower = np.ascontiguousarray(lower_t.mT)
     shape = stack + (n, n)
     if not stack:

@@ -84,10 +84,14 @@ def _torus_cycles(perm, preset: SymmetricSpacePreset) -> np.ndarray:
     index permutation of theta (the identity for Grassmannians, the block
     swap in the group case): Ad(W) o theta moves entry i of a diagonal to
     perm[sigma[i]], so it fixes the diagonals constant on these cycles.
-    Raise ValueError unless the last axis of perm holds permutations of
+    Raise ValueError unless perm holds integers, not bools or floats (so
+    (1.0, 0.0, 2.0) is refused too), and its last axis permutations of
     0..d-1, d = ``preset.matrix_dim``."""
+    # a bool among ints converts to an int array: a sequence is typed entry by entry
+    items = [perm] if isinstance(perm, np.ndarray) else np.asarray(perm, dtype=object).flat
+    kinds = {np.asarray(v).dtype.kind for v in items}
     perm, d = np.asarray(perm), preset.matrix_dim
-    if perm.shape[-1:] != (d,) or np.any(np.sort(perm, axis=-1) != np.arange(d)):
+    if kinds - {"i", "u"} or perm.shape[-1:] != (d,) or np.any(np.sort(perm, -1) != np.arange(d)):
         raise ValueError(f"perm must be a permutation of 0..{d - 1} along its last axis")
     (rows, _), _ = preset.theta_index_mask
     return perm[..., rows[:, 0]]

@@ -871,9 +871,8 @@ def _per_row_csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("spec", ["cp1", "cp2", "gr:2,2", "su2", "fothlu"])
-@pytest.mark.parametrize("grid", [None, "--grid=-1.5,1.5,7,-1.5,1.5,9"])
-def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, capsys):
+def _recorded_grid(spec, grid, fmt, monkeypatch, capsys):
+    """The output of ``rank-grid`` and the columns ``_grid_cells`` gave it."""
     grids = []
     grid_cells = cli._grid_cells
 
@@ -882,10 +881,49 @@ def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, ca
         return grids[-1]
 
     monkeypatch.setattr(cli, "_grid_cells", recording)
-    argv = ["rank-grid", "--preset", spec, "--format", "csv"] + ([grid] if grid else [])
+    argv = ["rank-grid", "--preset", spec, "--format", fmt] + ([grid] if grid else [])
     code, out = run_cli(argv, capsys)
-    assert code == 0
-    assert out == _per_row_csv(cli._grid_layout(cli._resolve_preset(spec)[1])[1], grids[0])
+    assert code == 0 and len(grids) == 1
+    return out, grids[0]
+
+
+def _grid_rows_of(columns):
+    """Reference: the rows of the grid as Python lists, read off its columns."""
+    return [list(row) for row in zip(*(c.tolist() for c in columns))]
+
+
+_GRID_SPECS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "su2", "fothlu"]
+_GRIDS = [None, "--grid=-1.5,1.5,7,-1.5,1.5,9"]
+
+
+@pytest.mark.parametrize("spec", _GRID_SPECS)
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, capsys):
+    out, columns = _recorded_grid(spec, grid, "csv", monkeypatch, capsys)
+    header = cli._grid_layout(cli._resolve_preset(spec)[1])[1]
+    assert len(columns) == len(header)
+    assert out == _per_row_csv(header, _grid_rows_of(columns))
+
+
+@pytest.mark.parametrize("spec", _GRID_SPECS)
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_rank_grid_json_matches_json_dumps_of_the_rows(spec, grid, monkeypatch, capsys):
+    out, columns = _recorded_grid(spec, grid, "json", monkeypatch, capsys)
+    label, preset = cli._resolve_preset(spec)
+    axes, header = cli._grid_layout(preset)
+    if grid:
+        axes = cli._parse_grid(grid.split("=")[1])
+    x, y = (cli._axis_points(*axis) for axis in axes)
+    # the cells run row-major: x is constant along a row of the grid
+    np.testing.assert_array_equal(columns[0], np.repeat(x, len(y)))
+    np.testing.assert_array_equal(columns[1], np.tile(y, len(x)))
+    payload = {
+        "preset": label,
+        "grid": [list(a) for a in axes],
+        "columns": header,
+        "rows": _grid_rows_of(columns),
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_rank_grid_stacks_and_frame_chunks_stay_inside_the_budget(monkeypatch, capsys):
@@ -1043,13 +1081,47 @@ def _tables(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
-def test_table_text_equals_json_dumps_and_the_per_row_csv(table):
+def test_table_json_text_equals_json_dumps(table):
     assert cli._json_text(table) == json.dumps(table, indent=2)
     assert cli._json_text({"rows": table}, "  ") == json.dumps({"rows": table}, indent=2).replace(
         "\n", "\n  ")
-    cells = cli._table_cells(table)
-    if cells is not None:
-        assert "\n".join(["h", *map(",".join, cells)]) + "\n" == _per_row_csv(["h"], table)
+
+
+_AXIS_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e300, 5e-324, 123456789.0]
+
+
+@st.composite
+def _grid_tables(draw):
+    """Axes that repeat values and meet 0.0 with -0.0, sometimes with NaN
+    or an infinity, and columns of ints or of floats with one entry a cell,
+    some with NaN and the infinities."""
+    pool = _AXIS_VALUES + (_TABLE_OTHERS[2:] if draw(st.integers(0, 3)) == 0 else [])
+    xs, ys = (draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)) for _ in "xy")
+    cells = len(xs) * len(ys)
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(_TABLE_INTS), min_size=cells, max_size=cells))
+        else:
+            floats = _TABLE_FLOATS + (_TABLE_OTHERS[2:] if draw(st.booleans()) else [])
+            values = draw(st.lists(st.sampled_from(floats), min_size=cells, max_size=cells))
+        columns.append(np.array(values))
+    return np.array(xs), np.array(ys), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_grid_tables())
+def test_grid_rows_equal_json_dumps_and_the_per_row_csv(table):
+    # the texts made from the columns equal those of the rows made one at a
+    # time: NaN and the infinities are spelled as json.dumps spells them in
+    # JSON, as repr does in CSV
+    xs, ys, columns = table
+    rows = _grid_rows_of([np.repeat(xs, len(ys)), np.tile(ys, len(xs)), *columns])
+    assert cli._json_text(cli._grid_rows(xs, ys, columns)) == json.dumps(rows, indent=2)
+    text = cli._json_text({"rows": cli._grid_rows(xs, ys, columns)}, "  ")
+    assert text == json.dumps({"rows": rows}, indent=2).replace("\n", "\n  ")
+    csv_rows = map(",".join, cli._grid_rows(xs, ys, columns, repr))
+    assert "\n".join(["h", *csv_rows]) + "\n" == _per_row_csv(["h"], rows)
 
 
 _POINT_120 = "--point=" + ",".join(
@@ -1065,7 +1137,9 @@ _CALLS = {
 }
 
 
-@pytest.mark.parametrize("command", ["pi", "moment", "embed", "rank-grid", "verify"])
+# rank-grid's payload holds its rows unmade; its text is compared with
+# json.dumps of the rows by test_rank_grid_json_matches_json_dumps_of_the_rows
+@pytest.mark.parametrize("command", ["pi", "moment", "embed", "verify"])
 def test_subcommands_print_json_dumps_of_their_payload(command, monkeypatch, capsys):
     payloads = []
     emit = cli._emit

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from birkhoff_poisson import (
     iwasawa_factor,
     principal_minors,
 )
+from birkhoff_poisson import linalg
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, _pivot_minors, signed_permutation_matrix
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
@@ -384,6 +387,116 @@ def test_birkhoff_no_usable_pivot_outranks_ambiguity():
         birkhoff_factor(no_pivot, tol)
     with pytest.raises(SingularInput, match="no usable pivot"):
         birkhoff_factor(np.array([ambiguous, no_pivot]), tol)
+
+
+def _refusal(call):
+    """The type and message of what ``call()`` raises, or None."""
+    try:
+        call()
+    except (SingularInput, StratumAmbiguous) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _member(kind, scale, rng, n):
+    """A matrix of a KINDS kind or rank-deficient, its determinant times scale."""
+    if kind == "rank-deficient":
+        g = special_linear_stack(n, 1, rng)[0]
+        g[:, -1] = g[:, 0]
+    else:
+        g = _sample(kind, rng, n, 1e-9)
+    return g * scale ** (1 / n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    members=st.lists(
+        st.tuples(
+            st.sampled_from(KINDS + ("rank-deficient",)),
+            st.sampled_from([1.0, 1.0, 1 + 2e-6, 1 - 2e-6, 1 + 5e-7, 1 - 5e-7, -1.0, 2.0]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birkhoff_refuses_as_the_unimodular_check_and_then_the_pivot_rule(n, members, seed):
+    # det g is read off the pivots, and LAPACK's det runs only where they
+    # cannot confirm it; the refusals are still those of the unimodular
+    # check first and of the pivot rule after it, message for message
+    rng = np.random.default_rng(seed)
+    gs = np.array([_member(kind, scale, rng, n) for kind, scale in members])
+    for g in (gs, gs[-1]):
+        expected = _refusal(lambda: linalg._check_unimodular(g))
+        if expected is None:
+            with mock.patch.object(linalg, "_check_unimodular", lambda g: None):
+                expected = _refusal(lambda: birkhoff_factor(g))
+        assert _refusal(lambda: birkhoff_factor(g)) == expected
+
+
+def test_a_unimodular_stack_runs_no_lapack_det(rng, monkeypatch):
+    # l and u_plus are unipotent and det W = +1, so the pivots give det g
+    cp2 = parse_preset("cp2")
+    phi = cartan_embed(canonical_rep(0.5 * rng.normal(size=(64, 2, 1)) + 0j, cp2), cp2)
+    gs = special_linear_stack(4, 64, rng)
+
+    def no_det(a):
+        raise AssertionError("np.linalg.det ran")
+
+    monkeypatch.setattr(linalg.np.linalg, "det", no_det)
+    for g in (gs, gs[0], phi, phi[0]):
+        birkhoff_factor(g)
+    _, ambiguous, factors = _pivot_minors(phi)
+    assert not ambiguous.any() and np.all(factors.perm == np.arange(3))
+    with pytest.raises(AssertionError, match="det ran"):
+        birkhoff_factor(2 * gs)
+
+
+def _near_wall_image(preset, rng, pivot):
+    """A top-layer Cartan image whose smallest |pivot| is about ``pivot``:
+    on a random chart ray, bisect to where a leading minor (real for a
+    Grassmannian) first changes sign, then step back from that wall."""
+    z = rng.normal(size=(preset.n, preset.m)) + 1j * rng.normal(size=(preset.n, preset.m))
+
+    def image(t):
+        return cartan_embed(canonical_rep(t * z, preset), preset)
+
+    def signs(t):
+        return np.sign(principal_minors(image(t)).real)
+
+    lo, hi = 0.0, 1.0
+    while np.array_equal(signs(hi), signs(0.0)):
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.array_equal(signs(mid), signs(0.0)) else (lo, mid)
+
+    def smallest(t):
+        return np.min(np.abs(np.diagonal(birkhoff_factor(image(t)).h)))
+
+    # the smallest pivot grows linearly away from the wall
+    step = 1e-4 * lo
+    return image(lo - step * pivot / smallest(lo - step))
+
+
+@pytest.mark.parametrize("spec", ["cp2", "gr:2,2"])
+def test_the_pivot_product_is_det_near_the_band(spec):
+    # l W h u_plus = g with det l = det u_plus = det W = 1, so det g is the
+    # product of the pivots; a small pivot costs that product its precision,
+    # about eps / min |h|, and it stays under the 1e-6 of the unimodular
+    # check down to the band's upper edge 1e-8
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(5)
+    for pivot in 10 ** rng.uniform(np.log10(1.05e-8), -6, 25):
+        g = _near_wall_image(preset, rng, pivot)
+        f = birkhoff_factor(g)
+        h = np.diagonal(f.h)
+        assert f.perm == tuple(range(len(h)))
+        assert 1e-8 < np.min(np.abs(h)) <= 1e-6
+        gap = abs(np.prod(h) - np.linalg.det(g))
+        assert gap <= 2e-14 / np.min(np.abs(h))
+        assert gap <= 0.5 * linalg._DET_ONE_TOL
 
 
 def test_birkhoff_ambiguous_mask_shapes(rng):

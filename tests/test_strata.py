@@ -152,10 +152,15 @@ def test_torus_tw_is_cached_and_read_only(cp2):
         basis[0][0, 0] = 0.0
 
 
-@pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1), (0, 1, 2, 3)])
+@pytest.mark.parametrize(
+    "perm",
+    [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1.0, 0.0, 2.0), (0.0, 1.0, 2.0), (True, False, 2)],
+)
 def test_torus_tw_refuses_what_is_not_a_permutation(perm, cp2):
     # (0, 0, 1) has a "cycle" that never closes, (0, 1) is too short and
-    # (0, 1, 2, 3) too long for the 3 x 3 matrices of cp2
+    # (0, 1, 2, 3) too long for the 3 x 3 matrices of cp2; a float
+    # permutation, the identity too, and bools, which would read as 1 and
+    # 0, are not of an integer dtype
     with pytest.raises(ValueError, match="permutation of 0..2"):
         torus_tw(perm, cp2)
 
