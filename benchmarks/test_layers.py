@@ -155,18 +155,17 @@ def test_grid_cells(benchmark, spec):
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
-def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec):
+def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec, monkeypatch):
     """The Birkhoff factorization of the 1,024 Cartan images of a 32 x 32
-    rank-grid over the default axes, the one stack of that grid."""
+    rank-grid over the default axes, the one stack of that grid, as
+    ``_grid_cells`` passes it to ``_pivot_minors``."""
     preset = parse_preset(spec)
-    xs, ys = _sweep_axes(preset)
-    x, y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
-    z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
-    if spec == "cp2":
-        z[:, 0, 0], z[:, 1, 0] = x, y
-    else:
-        z[:, 0, 0] = x + 1j * y
-    benchmark(birkhoff_factor, cartan_embed(canonical_rep(z, preset), preset))
+    stacks = []
+    pivot_minors = cli._pivot_minors
+    monkeypatch.setattr(cli, "_pivot_minors", lambda phi: stacks.append(phi) or pivot_minors(phi))
+    cli._grid_cells(preset, *_sweep_axes(preset))
+    assert [len(phi) for phi in stacks] == [1024]
+    benchmark(birkhoff_factor, stacks[0])
 
 
 def _chart_arg(spec, scale):

@@ -9,8 +9,8 @@ Each ``cmd_*`` handler maps its parsed arguments to a payload: a dict, or
 the CSV text of ``rank-grid --format csv``.  ``main`` alone writes it, to
 ``--out`` or stdout, and maps the call to an exit code: 0 ok, 1 a report
 whose ``pass`` is false (a failed ``verify``), 2 usage/parse error,
-3 numerical-domain error.  ``rank-grid`` keeps its grid as columns from
-the stacks (``_grid_cells``) to the text (``jsontext._grid_rows``).
+3 numerical-domain error.  ``rank-grid``'s rows are one structured array,
+a field a grid column, which ``jsontext`` prints field by field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, poisson
 from .errors import NumericalDomainError, StratumAmbiguous
-from .jsontext import _dict_chunks, _grid_rows, _json_text
+from .jsontext import _dict_chunks, _json_text, _table_rows
 from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor
 from .momentum import leaf_moment
 from .poisson import (
@@ -324,35 +324,32 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
 
 
 def _grid_cells(preset, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
-    """The grid as columns, an entry a cell: x = repeat(xs, ny), y =
-    tile(ys, nx), so the cells run row-major, and the ``_grid_columns`` of
-    each.  The cells are evaluated as flat stacks whose (cells, d, d)
-    complex matrices, 16 d^2 bytes a cell, or (cells,) points w of fothlu,
-    16 bytes a cell, fit ``poisson._STACK_BYTES``: 4,096 cells on cp1,
-    1,820 on cp2, 1,024 on gr:2,2 and group:su2, 64 on gr:6,10 and 16,384
-    on fothlu.  ``matrix_of_omega`` bounds its own frames by the same
-    budget, in chunks of a stack."""
+    """The ``_grid_columns`` of the grid's cells, x = repeat(xs, ny) and
+    y = tile(ys, nx), so row-major.  The cells are evaluated as flat stacks
+    whose (cells, d, d) complex matrices, 16 d^2 bytes a cell, or (cells,)
+    points w of fothlu, 16 bytes a cell, fit ``poisson._STACK_BYTES``:
+    4,096 cells on cp1, 1,820 on cp2, 1,024 on gr:2,2 and group:su2, 64 on
+    gr:6,10 and 16,384 on fothlu.  ``matrix_of_omega`` bounds its own
+    frames by the same budget, in chunks of a stack."""
     cell_bytes = 16 if preset is None else 16 * preset.matrix_dim**2
     per_stack = max(1, poisson._STACK_BYTES // cell_bytes)
     x, y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
     starts = range(0, len(x), per_stack)
     stacks = [_grid_columns(preset, x[i:i + per_stack], y[i:i + per_stack]) for i in starts]
-    return [x, y, *map(np.concatenate, zip(*stacks))]
+    return [*map(np.concatenate, zip(*stacks))]
 
 
 def cmd_rank_grid(args) -> dict | str:
-    """The grid as a JSON payload, whose rows ``_grid_rows`` makes only as
-    ``main`` writes them, or as CSV text without its final newline."""
+    """The grid as a JSON payload or as CSV text without its final newline."""
     label, preset = _resolve_preset(args.preset)
     default_axes, columns = _grid_layout(preset)
     axes = args.grid or default_axes
     xs, ys = (_axis_points(*axis) for axis in axes)
-    cells = _grid_cells(preset, xs, ys)[2:]
+    cells = [np.repeat(xs, len(ys)), np.tile(ys, len(xs)), *_grid_cells(preset, xs, ys)]
+    rows = np.rec.fromarrays(cells, names=columns).view(np.ndarray)
     if args.format == "csv":
-        rows = _grid_rows(xs, ys, cells, repr)
-        return "\n".join(map(",".join, itertools.chain([columns], rows)))
-    grid = [list(a) for a in axes]
-    return {"preset": label, "grid": grid, "columns": columns, "rows": _grid_rows(xs, ys, cells)}
+        return "\n".join(map(",".join, itertools.chain([columns], _table_rows(rows, repr))))
+    return {"preset": label, "grid": [list(a) for a in axes], "columns": columns, "rows": rows}
 
 
 def cmd_verify(args) -> dict:

@@ -5,19 +5,16 @@ indenting encoder of the standard library.
 A float array is printed from far fewer ``float.__repr__`` calls than it
 has entries: the sign goes into the separator before an entry, and where
 |a| is symmetric in the last two axes, as for a bivector matrix, the two
-mirror entries share one string.  A grid sweep's table is kept as columns
-up to its text: ``_grid_rows`` makes the strings of its rows from the
-axes and the columns, one repr an axis value and one a column entry, a
-row at a time, and a payload holds that zip of rows unmade until it is
-written, as JSON by ``_json_text`` or as CSV by ``cli``.
+mirror entries share one string.  A structured array, as the rows of a
+grid sweep are, is printed field by field, with one repr per distinct
+value where a field's values repeat, as a grid axis's do (``_table_rows``).
 
 ``cli`` builds the payloads and writes them through ``_json_text`` and
-``_dict_chunks``.
+``_dict_chunks``, and the CSV text of a table through ``_table_rows``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -29,33 +26,20 @@ def _json_text(obj, indent: str = "") -> str:
     for obj nested ``indent`` deep, without the pure-Python indenting encoder
     of the standard library.  Dict keys are strings, as in every payload
     here.  A finite float or an int is its repr, an ndarray goes to
-    ``_array_text``, a zip of a table's rows of entry texts, as
-    ``_grid_rows`` makes them, one join of them, a flat list of finite
-    floats and ints (not bools) one join of their reprs, containers
-    recurse, and every other scalar (NaN and the infinities too) and every
-    key goes to ``json.dumps``."""
+    ``_array_text``, containers recurse, and every other scalar (NaN and
+    the infinities too) and every key goes to ``json.dumps``."""
     if type(obj) is float and math.isfinite(obj):
         return float.__repr__(obj)
     if type(obj) is int:
         return int.__repr__(obj)
     if type(obj) is np.ndarray:
         return _array_text(obj, indent)
-    if not isinstance(obj, (dict, list, tuple, zip)) or not obj:
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "".join(_dict_chunks(obj, indent))
     inner = indent + "  "
-    sep = f",\n{inner}"
-    if type(obj) is zip:
-        body = f"\n{inner}]{sep}[\n{inner}  ".join(map(f"{sep}  ".join, obj))
-        return f"[\n{inner}[\n{inner}  {body}\n{inner}]\n{indent}]" if body else "[]"
-    # the repr of an int or a finite float has no "n"; those of NaN and the
-    # infinities do, and JSON spells them otherwise
-    if {*map(type, obj)} <= {float, int}:
-        body = sep.join(map(repr, obj))
-        if "n" not in body:
-            return f"[\n{inner}{body}\n{indent}]"
-    body = sep.join(_json_text(v, inner) for v in obj)
+    body = f",\n{inner}".join(_json_text(v, inner) for v in obj)
     return f"[\n{inner}{body}\n{indent}]"
 
 
@@ -72,8 +56,13 @@ def _dict_chunks(obj: dict, indent: str):
 
 
 def _array_text(a: np.ndarray, indent: str) -> str:
-    """``_json_text(a.tolist(), indent)``: one join of ``_array_chunks`` for
-    a non-empty finite float64 array, ``tolist`` for any other."""
+    """``_json_text(a.tolist(), indent)``: one join of ``_table_rows`` for a
+    non-empty structured array, of ``_array_chunks`` for a non-empty finite
+    float64 array, ``tolist`` for any other."""
+    if a.dtype.names and a.ndim == 1 and a.size:
+        inner, entry = indent + "  ", f"\n{indent}    "
+        body = f"\n{inner}],\n{inner}[{entry}".join(map(f",{entry}".join, _table_rows(a)))
+        return f"[\n{inner}[{entry}{body}\n{inner}]\n{indent}]"
     if a.dtype != np.float64 or not a.ndim or not a.size or not np.isfinite(a).all():
         return _json_text(a.tolist(), indent)
     return "".join(_array_chunks(a, indent))
@@ -134,19 +123,18 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(float.__repr__, values.reshape(-1))), dtype=object)
 
 
-def _grid_rows(xs, ys, columns, spell=json.dumps):
-    """The strings of a grid table, one tuple a row, made a row at a time,
-    so those of a column are never all held at once.  The rows are the
-    cells (x, y) of xs by ys, row-major, then their entries of ``columns``,
-    1-d int or float arrays; an axis value takes one repr however often the
-    cells repeat it.  An axis or a column that is not all finite is spelled
-    by ``spell``: ``json.dumps`` for JSON, ``repr`` for CSV."""
-    x = itertools.chain.from_iterable(itertools.repeat(t, len(ys)) for t in _texts(xs, spell))
-    y = itertools.chain.from_iterable(itertools.repeat(list(_texts(ys, spell)), len(xs)))
-    return zip(x, y, *(_texts(c, spell) for c in columns))
+def _table_rows(table: np.ndarray, spell=json.dumps):
+    """The entry texts of a 1-d structured array, a tuple a row, made a row at
+    a time: the repr of each entry, or ``spell`` (``repr`` for CSV) in a
+    field with NaN or an infinity.  A field with at most half its values
+    distinct bit for bit, as a grid axis's are, takes one text per value."""
+    return zip(*(_field_texts(table[name], spell) for name in table.dtype.names))
 
 
-def _texts(values, spell):
-    """The repr of each entry of a 1-d int or float array, made lazily, or
-    ``spell`` of each where one entry is not finite."""
-    return map(repr if np.isfinite(values).all() else spell, np.asarray(values).tolist())
+def _field_texts(values: np.ndarray, spell):
+    text = repr if np.isfinite(values).all() else spell
+    bits = values.view(f"u{values.itemsize}")
+    _, first, at = np.unique(bits, return_index=True, return_inverse=True)
+    if 2 * len(first) > len(values):
+        return map(text, values.tolist())
+    return np.array([*map(text, values[first].tolist())], dtype=object)[at].tolist()

@@ -872,7 +872,8 @@ def _per_row_csv(columns, rows):
 
 
 def _recorded_grid(spec, grid, fmt, monkeypatch, capsys):
-    """The output of ``rank-grid`` and the columns ``_grid_cells`` gave it."""
+    """The output of ``rank-grid``, and its columns: the cells' x and y, read
+    off the axes row-major, then the columns ``_grid_cells`` gave it."""
     grids = []
     grid_cells = cli._grid_cells
 
@@ -884,7 +885,14 @@ def _recorded_grid(spec, grid, fmt, monkeypatch, capsys):
     argv = ["rank-grid", "--preset", spec, "--format", fmt] + ([grid] if grid else [])
     code, out = run_cli(argv, capsys)
     assert code == 0 and len(grids) == 1
-    return out, grids[0]
+    xs, ys = (cli._axis_points(*axis) for axis in _grid_axes(spec, grid))
+    return out, [np.repeat(xs, len(ys)), np.tile(ys, len(xs)), *grids[0]]
+
+
+def _grid_axes(spec, grid):
+    """The two (min, max, steps) axes of a ``rank-grid`` call."""
+    return cli._parse_grid(grid.split("=")[1]) if grid else cli._grid_layout(
+        cli._resolve_preset(spec)[1])[0]
 
 
 def _grid_rows_of(columns):
@@ -910,17 +918,10 @@ def test_rank_grid_csv_matches_the_per_row_formatter(spec, grid, monkeypatch, ca
 def test_rank_grid_json_matches_json_dumps_of_the_rows(spec, grid, monkeypatch, capsys):
     out, columns = _recorded_grid(spec, grid, "json", monkeypatch, capsys)
     label, preset = cli._resolve_preset(spec)
-    axes, header = cli._grid_layout(preset)
-    if grid:
-        axes = cli._parse_grid(grid.split("=")[1])
-    x, y = (cli._axis_points(*axis) for axis in axes)
-    # the cells run row-major: x is constant along a row of the grid
-    np.testing.assert_array_equal(columns[0], np.repeat(x, len(y)))
-    np.testing.assert_array_equal(columns[1], np.tile(y, len(x)))
     payload = {
         "preset": label,
-        "grid": [list(a) for a in axes],
-        "columns": header,
+        "grid": [list(a) for a in _grid_axes(spec, grid)],
+        "columns": cli._grid_layout(preset)[1],
         "rows": _grid_rows_of(columns),
     }
     assert out == json.dumps(payload, indent=2) + "\n"
@@ -1092,13 +1093,14 @@ _AXIS_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e300, 5e-324, 123456789.0]
 
 @st.composite
 def _grid_tables(draw):
-    """Axes that repeat values and meet 0.0 with -0.0, sometimes with NaN
-    or an infinity, and columns of ints or of floats with one entry a cell,
-    some with NaN and the infinities."""
+    """The rows of a grid as a structured array: axes that repeat values
+    and meet 0.0 with -0.0, sometimes with NaN or an infinity, taken
+    row-major, then fields of ints or of floats, some with NaN and the
+    infinities."""
     pool = _AXIS_VALUES + (_TABLE_OTHERS[2:] if draw(st.integers(0, 3)) == 0 else [])
     xs, ys = (draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)) for _ in "xy")
     cells = len(xs) * len(ys)
-    columns = []
+    columns = [np.repeat(xs, len(ys)), np.tile(ys, len(xs))]
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             values = draw(st.lists(st.sampled_from(_TABLE_INTS), min_size=cells, max_size=cells))
@@ -1106,21 +1108,21 @@ def _grid_tables(draw):
             floats = _TABLE_FLOATS + (_TABLE_OTHERS[2:] if draw(st.booleans()) else [])
             values = draw(st.lists(st.sampled_from(floats), min_size=cells, max_size=cells))
         columns.append(np.array(values))
-    return np.array(xs), np.array(ys), columns
+    names = [f"c{i}" for i in range(len(columns))]
+    return np.rec.fromarrays(columns, names=names).view(np.ndarray)
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_grid_tables())
-def test_grid_rows_equal_json_dumps_and_the_per_row_csv(table):
-    # the texts made from the columns equal those of the rows made one at a
-    # time: NaN and the infinities are spelled as json.dumps spells them in
-    # JSON, as repr does in CSV
-    xs, ys, columns = table
-    rows = _grid_rows_of([np.repeat(xs, len(ys)), np.tile(ys, len(xs)), *columns])
-    assert cli._json_text(cli._grid_rows(xs, ys, columns)) == json.dumps(rows, indent=2)
-    text = cli._json_text({"rows": cli._grid_rows(xs, ys, columns)}, "  ")
+def test_table_rows_equal_json_dumps_and_the_per_row_csv(table):
+    # a structured array prints as json.dumps prints its tolist(), the
+    # repeated values of a field sharing one text: NaN and the infinities
+    # are spelled as json.dumps spells them in JSON, as repr does in CSV
+    rows = table.tolist()
+    assert cli._json_text(table) == json.dumps(rows, indent=2)
+    text = cli._json_text({"rows": table}, "  ")
     assert text == json.dumps({"rows": rows}, indent=2).replace("\n", "\n  ")
-    csv_rows = map(",".join, cli._grid_rows(xs, ys, columns, repr))
+    csv_rows = map(",".join, cli._table_rows(table, repr))
     assert "\n".join(["h", *csv_rows]) + "\n" == _per_row_csv(["h"], rows)
 
 
@@ -1137,9 +1139,7 @@ _CALLS = {
 }
 
 
-# rank-grid's payload holds its rows unmade; its text is compared with
-# json.dumps of the rows by test_rank_grid_json_matches_json_dumps_of_the_rows
-@pytest.mark.parametrize("command", ["pi", "moment", "embed", "verify"])
+@pytest.mark.parametrize("command", ["pi", "moment", "embed", "rank-grid", "verify"])
 def test_subcommands_print_json_dumps_of_their_payload(command, monkeypatch, capsys):
     payloads = []
     emit = cli._emit

@@ -422,35 +422,43 @@ def _member(kind, scale, rng, n):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_birkhoff_refuses_as_the_unimodular_check_and_then_the_pivot_rule(n, members, seed):
-    # det g is read off the pivots, and LAPACK's det runs only where they
-    # cannot confirm it; the refusals are still those of the unimodular
-    # check first and of the pivot rule after it, message for message
+    # a large stack reads det g off the pivots, and LAPACK's det runs only
+    # where they cannot confirm it; a small one takes LAPACK's det at once.
+    # On both paths (the first forced for every size) the refusals are those
+    # of the unimodular check first and of the pivot rule after it, message
+    # for message
     rng = np.random.default_rng(seed)
     gs = np.array([_member(kind, scale, rng, n) for kind, scale in members])
-    for g in (gs, gs[-1]):
-        expected = _refusal(lambda: linalg._check_unimodular(g))
-        if expected is None:
-            with mock.patch.object(linalg, "_check_unimodular", lambda g: None):
-                expected = _refusal(lambda: birkhoff_factor(g))
-        assert _refusal(lambda: birkhoff_factor(g)) == expected
+    for entries in (0, linalg._PIVOT_DET_ENTRIES):
+        with mock.patch.object(linalg, "_PIVOT_DET_ENTRIES", entries):
+            for g in (gs, gs[-1]):
+                expected = _refusal(lambda: linalg._check_unimodular(g))
+                if expected is None:
+                    with mock.patch.object(linalg, "_check_unimodular", lambda g: None):
+                        expected = _refusal(lambda: birkhoff_factor(g))
+                assert _refusal(lambda: birkhoff_factor(g)) == expected
 
 
-def test_a_unimodular_stack_runs_no_lapack_det(rng, monkeypatch):
-    # l and u_plus are unipotent and det W = +1, so the pivots give det g
+def test_a_large_unimodular_stack_runs_no_lapack_det(rng, monkeypatch):
+    # l and u_plus are unipotent and det W = +1, so the pivots give det g on
+    # a stack of _PIVOT_DET_ENTRIES entries or more; a smaller stack takes
+    # LAPACK's det, which costs less there than the pivots' rounding bound
     cp2 = parse_preset("cp2")
-    phi = cartan_embed(canonical_rep(0.5 * rng.normal(size=(64, 2, 1)) + 0j, cp2), cp2)
+    phi = cartan_embed(canonical_rep(0.5 * rng.normal(size=(128, 2, 1)) + 0j, cp2), cp2)
     gs = special_linear_stack(4, 64, rng)
+    assert min(phi.size, gs.size) >= linalg._PIVOT_DET_ENTRIES > phi[:100].size
 
     def no_det(a):
         raise AssertionError("np.linalg.det ran")
 
     monkeypatch.setattr(linalg.np.linalg, "det", no_det)
-    for g in (gs, gs[0], phi, phi[0]):
+    for g in (gs, phi):
         birkhoff_factor(g)
     _, ambiguous, factors = _pivot_minors(phi)
     assert not ambiguous.any() and np.all(factors.perm == np.arange(3))
-    with pytest.raises(AssertionError, match="det ran"):
-        birkhoff_factor(2 * gs)
+    for g in (2 * gs, gs[0], phi[:100]):
+        with pytest.raises(AssertionError, match="det ran"):
+            birkhoff_factor(g)
 
 
 def _near_wall_image(preset, rng, pivot):
@@ -497,6 +505,30 @@ def test_the_pivot_product_is_det_near_the_band(spec):
         gap = abs(np.prod(h) - np.linalg.det(g))
         assert gap <= 2e-14 / np.min(np.abs(h))
         assert gap <= 0.5 * linalg._DET_ONE_TOL
+        stacks = (np.ascontiguousarray(a[None]) for a in (g, f.l.mT, h, f.u_plus))
+        bound = linalg._pivot_det_error(*stacks)[0]
+        assert gap <= bound
+
+
+@pytest.mark.parametrize("spec,tol", [("cp2", 1e-9), ("gr:2,2", 1e-9), ("gr:2,2", 1e-12)])
+def test_next_to_the_band_the_pivots_do_not_decide_det_one(spec, tol, monkeypatch):
+    # next to a pivot p the product of the pivots is off det g by up to
+    # about eps / |p|, 1e-5 at the edge of the band around tol = 1e-12, so
+    # it cannot tell det g = 1 from a det just outside 1 +- 1e-6 there:
+    # LAPACK's det decides, and every matrix is accepted or refused as the
+    # unimodular check alone takes it.  The pivots' path is forced for
+    # these single matrices.
+    monkeypatch.setattr(linalg, "_PIVOT_DET_ENTRIES", 0)
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(11)
+    n = preset.matrix_dim
+    for pivot in np.geomspace(1.05 * tol * AMBIGUITY_BAND, 100 * tol * AMBIGUITY_BAND, 12):
+        g = _near_wall_image(preset, rng, pivot)
+        for scale in (1.0, 1 + 1.005e-6, 1 - 1.005e-6, 1 + 1.5e-6):
+            gs = g * scale ** (1 / n)
+            expected = _refusal(lambda: linalg._check_unimodular(gs))
+            assert (expected is None) == (scale == 1.0)
+            assert _refusal(lambda: birkhoff_factor(gs, tol)) == expected
 
 
 def test_birkhoff_ambiguous_mask_shapes(rng):
