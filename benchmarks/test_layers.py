@@ -22,8 +22,9 @@ factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
 ``pi_rank`` and the ``rank-grid`` columns of one stack run at the stack
 sizes; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
-its stacks included, and ``birkhoff_factor`` that grid's one stack of
-1,024 Cartan images; one ``pi --preset gr:6,10`` and one ``moment --preset
+its stacks included, and both ``_pivot_minors``, the unchecked elimination
+the grid runs, and the public ``birkhoff_factor`` on that grid's one stack
+of 1,024 Cartan images; one ``pi --preset gr:6,10`` and one ``moment --preset
 gr:2,2`` call run through ``cli.main``; the chart transfer
 ``chart_pi_eval`` runs on the cp1, cp2 and gr:2,2 stacks, and the
 finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
@@ -50,7 +51,7 @@ import numpy as np
 import pytest
 
 from birkhoff_poisson import cli
-from birkhoff_poisson.linalg import birkhoff_factor, iwasawa_factor
+from birkhoff_poisson.linalg import _pivot_minors, birkhoff_factor, iwasawa_factor
 from birkhoff_poisson.momentum import hamiltonian_residual, leaf_moment
 from birkhoff_poisson.poisson import (
     chart_pi_eval,
@@ -154,18 +155,30 @@ def test_grid_cells(benchmark, spec):
     benchmark(cli._grid_cells, preset, *_sweep_axes(preset))
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
-def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec, monkeypatch):
-    """The Birkhoff factorization of the 1,024 Cartan images of a 32 x 32
-    rank-grid over the default axes, the one stack of that grid, as
-    ``_grid_cells`` passes it to ``_pivot_minors``."""
+def _sweep_stack(spec, monkeypatch):
+    """The 1,024 Cartan images of a 32 x 32 rank-grid over the default axes,
+    the one stack of that grid, as ``_grid_cells`` passes it to
+    ``_pivot_minors``."""
     preset = parse_preset(spec)
     stacks = []
     pivot_minors = cli._pivot_minors
     monkeypatch.setattr(cli, "_pivot_minors", lambda phi: stacks.append(phi) or pivot_minors(phi))
     cli._grid_cells(preset, *_sweep_axes(preset))
     assert [len(phi) for phi in stacks] == [1024]
-    benchmark(birkhoff_factor, stacks[0])
+    return stacks[0]
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+def test_pivot_minors_of_a_sweep_stack(benchmark, spec, monkeypatch):
+    """The one elimination, with no det, and the minors that ``rank-grid``
+    reads off the sweep stack."""
+    benchmark(_pivot_minors, _sweep_stack(spec, monkeypatch))
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec, monkeypatch):
+    """The public factorization of the sweep stack, its det check included."""
+    benchmark(birkhoff_factor, _sweep_stack(spec, monkeypatch))
 
 
 def _chart_arg(spec, scale):

@@ -29,12 +29,10 @@ from .lie import (
     hilbert_transform,
     proj_u,
     trace_form,
-    tri_project,
 )
 from .momentum import (
     hamiltonian_residual,
     moment_eval,
-    torus_vector_field,
 )
 from .poisson import (
     calibration_constant,

@@ -219,11 +219,11 @@ def cmd_pi(args) -> dict:
 def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
-    lf = birkhoff_factor(phi)
-    # the top-layer guard reads the minors h_0 ... h_(k-1) off the pivots and runs
+    # the guard reads the top layer's minors h_0 ... h_(k-1) off the one elimination
     # before the symmetry checks, so a wall point is refused here, not by them
+    minors, _, lf = _pivot_minors(phi)
     top = lf.perm == tuple(range(len(phi)))
-    min_minor = float(np.min(np.abs(np.cumprod(np.diagonal(lf.h))))) if top else 0.0
+    min_minor = float(np.min(np.abs(minors))) if top else 0.0
     if min_minor <= DEFAULT_TOL:
         where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")

@@ -18,22 +18,22 @@ Implements the factorizations everything else is built on:
   named by the benchmark's per-layer metrics, and its refusal rule
   ``check_hpd_spectrum`` is the one chart points obey.
 * ``principal_minors`` -- determinants of the leading k x k submatrices,
-  the first one read as the entry g[0, 0] itself.  Where a Birkhoff
-  factorization is at hand, the private ``_pivot_minors`` reads them off
-  its pivots instead, as h_0 ... h_(k-1), for every matrix on the top
-  layer, and keeps ``principal_minors`` for the rest, matrix by matrix;
-  ``rank-grid`` and ``embed`` print those, and ``moment`` guards on them.
+  the first one read as the entry g[0, 0] itself.  For a Cartan image the
+  private ``_pivot_minors`` reads them off its Birkhoff pivots instead, as
+  h_0 ... h_(k-1), for every matrix on the top layer, and keeps
+  ``principal_minors`` for the rest, matrix by matrix; ``rank-grid`` and
+  ``embed`` print those, and ``moment`` guards on them.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
-refuse any matrix whose determinant is not 1; the message calls it singular
-on a scale of its own (|det g| against Hadamard's bound of g), which does not
-depend on the pivot threshold ``tol`` of ``birkhoff_factor``.  On a stack of
-1,024 entries or more that one reads det g off its pivots, and LAPACK's det
-runs only on refusal and where their rounding leaves det g = 1 in doubt.
-``DEFAULT_TOL`` is the package's one threshold.  Every caller but ``factor
---tol`` runs at it, as their inputs fix the scale (unitary Cartan images):
-only ``birkhoff_factor`` takes a ``tol``, and only that command sets it.
+refuse, by LAPACK's det, any matrix whose determinant is not 1; the message
+calls it singular on a scale of its own (|det g| against Hadamard's bound
+of g), apart from the pivot threshold ``tol`` of ``birkhoff_factor``.  The
+Cartan images the package builds have det |det u|^2 = 1 (u unitary), so
+``_pivot_minors`` skips that check.  ``DEFAULT_TOL`` is the package's one
+threshold.  Every caller but ``factor --tol`` runs at it, as their inputs
+fix the scale (unitary Cartan images): only ``birkhoff_factor`` takes a
+``tol``, and only that command sets it.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -53,10 +53,6 @@ AMBIGUITY_BAND = 10.0
 
 # Looseness allowed on the |det g - 1| precondition.
 _DET_ONE_TOL = 1e-6
-
-# A stack of fewer entries takes LAPACK's det for that check: there it costs
-# less than reading det g off the Birkhoff pivots with their rounding bound.
-_PIVOT_DET_ENTRIES = 1024
 
 # A Hermitian matrix whose smallest eigenvalue is not above this share of
 # its largest (or of 1, whichever is more) reads as singular.
@@ -147,20 +143,31 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     the rank pattern of the leading submatrices of g.
 
     g may be a stack (..., n, n); every matrix runs the same elimination,
-    one column step for the whole stack.  A matrix's first event in column
-    order decides its outcome.  Raises SingularInput if any matrix fails the
-    unimodular check or has no usable pivot in some column.  Otherwise raises
+    one column step for the whole stack (``_eliminate``).  Raises
+    SingularInput if any matrix fails the unimodular check, which runs
+    first, or has no usable pivot in some column.  Otherwise raises
     StratumAmbiguous when any matrix has an examined entry inside the band
-    (tol / AMBIGUITY_BAND, tol * AMBIGUITY_BAND): such an input sits too close
-    to a stratum boundary to classify.  Its ``mask`` (shape g.shape[:-2])
-    marks the ambiguous matrices.
+    (tol / AMBIGUITY_BAND, tol * AMBIGUITY_BAND): such an input sits too
+    close to a stratum boundary to classify.  Its ``mask`` (shape
+    g.shape[:-2]) marks the ambiguous matrices.
     """
     g = _as_square_stack(g)
-    if g.size < _PIVOT_DET_ENTRIES:
-        _check_unimodular(g)
+    _check_unimodular(g)
+    factors, ambiguous, message = _eliminate(g, tol)
+    if ambiguous.any():
+        raise StratumAmbiguous(message, mask=ambiguous)
+    return factors
+
+
+def _eliminate(g: np.ndarray, tol: float):
+    """``birkhoff_factor``'s elimination of a square stack g, with no det
+    check: (factors, ambiguous, message).  A matrix's first event in column
+    order decides it: SingularInput if it has no usable pivot, or it leaves
+    at an entry in the ambiguity band, marked in ``ambiguous`` (shape
+    g.shape[:-2]), the first named by ``message`` ("" if none).  ``factors``
+    factors the rest in stack order: shaped as g, or flat as g[~ambiguous]."""
     stack, n = g.shape[:-2], g.shape[-1]
-    flat = np.ascontiguousarray(g.reshape(-1, n, n))
-    m = flat.copy()
+    m = g.reshape(-1, n, n).copy()
     rows = np.arange(n)
     # lower is built transposed: its column p is lower_t[p], a row
     lower_t = np.zeros_like(m)
@@ -179,7 +186,6 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
         # the first unused row above the band's lower edge decides column j
         candidate = (mag > tol / AMBIGUITY_BAND) & ~used
         if not candidate.any(axis=1).all():
-            _check_unimodular(g)
             raise SingularInput(f"no usable pivot in column {j}")
         piv = candidate.argmax(axis=1)
         a = mag[at, piv]
@@ -214,9 +220,6 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
         upper[:, j, j + 1:] += coef
         m[:, :, j + 1:] -= m[:, :, j, np.newaxis] * coef[:, np.newaxis, :]
 
-    if ambiguous.any():
-        _check_unimodular(g)
-        raise StratumAmbiguous(message, mask=ambiguous.reshape(stack))
     # det(W) = sign(perm) * signs[n - 1]; the inversion count gives sign(perm)
     later = rows[:, np.newaxis] < rows
     inversions = np.sum((perm[:, :, np.newaxis] > perm[:, np.newaxis, :]) & later, axis=(1, 2))
@@ -224,40 +227,21 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
     signs[:, n - 1] = 1 - 2 * (inversions % 2)
     h = np.zeros_like(m)
     h[:, rows, rows] = signs[at[:, np.newaxis], perm] * m[at[:, np.newaxis], perm, rows]
-    if g.size >= _PIVOT_DET_ENTRIES:
-        # l and u_plus are unipotent and det W = +1: det g is the pivots' product;
-        # where their rounding (or an overflow) leaves det g = 1 in doubt, LAPACK decides
-        pivots = h[:, rows, rows]
-        off = abs(np.prod(pivots, -1) - 1.0) + _pivot_det_error(flat, lower_t, pivots, upper)
-        if not (sure := off <= _DET_ONE_TOL).all():
-            _check_unimodular(flat[~sure])
     lower = np.ascontiguousarray(lower_t.mT)
-    shape = stack + (n, n)
-    if not stack:
+    shape = (len(m),) if ambiguous.any() else stack
+    if not shape:
         perm, signs = tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
     else:
-        perm, signs = perm.reshape(stack + (n,)), signs.reshape(stack + (n,))
-    return BirkhoffFactors(
+        perm, signs = perm.reshape(shape + (n,)), signs.reshape(shape + (n,))
+    shape += (n, n)
+    factors = BirkhoffFactors(
         l=lower.reshape(shape),
         perm=perm,
         signs=signs,
         h=h.reshape(shape),
         u_plus=upper.reshape(shape),
     )
-
-
-def _pivot_det_error(g, lower_t, pivots, upper) -> np.ndarray:
-    """A bound on |prod(pivots) - det g| for a contiguous flat stack g that
-    ``birkhoff_factor`` took to l W h u_plus (l transposed).  The factors
-    are exact for g + E, |E| <= 2 n eps |l| |W h u_plus|, so to first order
-    |prod h - det g| <= |det g| ||g^-1||_F ||E||_F, and |det g| ||g^-1||_2 <=
-    (||g||_F^2 / (n - 1))^((n - 1) / 2).  Matrices of 2 x 2 to 16 x 16 read
-    at most 0.11 of it; next to a small pivot it is above 1e-6."""
-    k, n = g.shape[:2]
-    g2, l2 = (np.vecdot(a, a) for a in (x.view(float).reshape(k, 2 * n * n) for x in (g, lower_t)))
-    hu2 = np.vecdot(pivots.real**2 + pivots.imag**2, np.vecdot(*[upper.view(float)] * 2))
-    inverse = (g2 / max(n - 1, 1)) ** ((n - 1) / 2)
-    return 2 * n**1.5 * np.finfo(float).eps * inverse * np.sqrt(l2 * hu2)
+    return factors, ambiguous.reshape(stack), message
 
 
 def iwasawa_factor(g: np.ndarray) -> IwasawaFactors:
@@ -330,10 +314,13 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
 
 
 def _pivot_minors(g: np.ndarray):
-    """The leading principal minors of g, beside its Birkhoff factorization
-    at ``DEFAULT_TOL``: (minors, ambiguous, factors).
+    """The leading principal minors of a Cartan image g, beside its Birkhoff
+    factorization at ``DEFAULT_TOL``: (minors, ambiguous, factors), from
+    one ``_eliminate`` pass.
 
-    g is one matrix or a stack (..., n, n); ``minors`` is (..., n).  A
+    g, one matrix or a stack (..., n, n), is an image the package built, of
+    det |det u|^2 = 1 (u unitary), so it skips the unimodular check; a user
+    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n).  A
     matrix on the top layer (perm the identity, so every sign +1) is
     l h u_plus with l and u_plus unipotent triangular, so its minors are
     the pivot products h_0 ... h_(k-1), read off h with no determinant; the
@@ -344,14 +331,9 @@ def _pivot_minors(g: np.ndarray):
     and ``factors`` factors the others, in stack order.  One matrix in the
     band raises StratumAmbiguous, as ``birkhoff_factor`` does."""
     g = _as_square_stack(g)
-    ambiguous = np.zeros(g.shape[:-2], dtype=bool)
-    try:
-        factors = birkhoff_factor(g)
-    except StratumAmbiguous as exc:
-        if g.ndim == 2:
-            raise
-        ambiguous = exc.mask
-        factors = birkhoff_factor(g[~ambiguous])
+    factors, ambiguous, message = _eliminate(g, DEFAULT_TOL)
+    if g.ndim == 2 and ambiguous:
+        raise StratumAmbiguous(message, mask=ambiguous)
     n = g.shape[-1]
     flat = g.reshape(-1, n, n)
     pivots = np.diagonal(factors.h, axis1=-2, axis2=-1).reshape(-1, n)

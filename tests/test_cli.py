@@ -451,37 +451,42 @@ def test_embed_far_out_on_the_chart(capsys):
 
 @pytest.mark.parametrize("point,code", [("0.3,0.1,0.2,-0.1", 0), ("0.6,0,0,0.8", 3)])
 def test_moment_classifies_its_point_with_one_factorization(point, code, monkeypatch, capsys):
-    # the top-layer guard reads the pivots of the one factorization the
-    # moments come from: no leading minor is a determinant.  The wall point
-    # |z| = 1 factors on a lower layer and is refused before the symmetry
-    # checks, which would raise SymmetryViolation there.  The factorization's
-    # own unimodular precondition, the one det it takes, is not counted
-    calls = {"factor": 0, "det": 0, "symmetry": 0}
-    factor, det, symmetry = linalg.birkhoff_factor, np.linalg.det, strata._check_leaf_symmetry
+    # the image is the package's own, unimodular by construction: one
+    # elimination, with no det, gives the factors the moments come from and
+    # the pivots the top-layer guard reads.  The wall point |z| = 1 factors
+    # on a lower layer, whose minors principal_minors takes by det and the
+    # guard does not read, and is refused before the symmetry checks, which
+    # would raise SymmetryViolation there
+    calls = {"eliminate": 0, "factor": 0, "minors": 0, "det": 0, "symmetry": 0}
+    eliminate, factor, minors = linalg._eliminate, linalg.birkhoff_factor, linalg.principal_minors
+    det, symmetry = np.linalg.det, strata._check_leaf_symmetry
     inside = []
 
-    def counted_factor(*args, **kwargs):
-        calls["factor"] += 1
-        inside.append(True)
-        try:
-            return factor(*args, **kwargs)
-        finally:
-            inside.pop()
+    def counted(name, call):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return call(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapped
 
     def counted_det(a):
-        calls["det"] += not inside
+        calls["det"] += "minors" not in inside
         return det(a)
 
-    def counted_symmetry(*args):
-        calls["symmetry"] += 1
-        return symmetry(*args)
-
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", eliminate))
+    monkeypatch.setattr(linalg, "principal_minors", counted("minors", minors))
     for module in (cli, strata, linalg):
-        monkeypatch.setattr(module, "birkhoff_factor", counted_factor)
-    monkeypatch.setattr(cli, "_check_leaf_symmetry", counted_symmetry)
+        monkeypatch.setattr(module, "birkhoff_factor", counted("factor", factor))
+    monkeypatch.setattr(cli, "_check_leaf_symmetry", counted("symmetry", symmetry))
     monkeypatch.setattr(np.linalg, "det", counted_det)
     assert main(["moment", "--preset", "cp2", f"--point={point}"]) == code
-    assert calls == {"factor": 1, "det": 0, "symmetry": int(code == 0)}
+    assert calls == {
+        "eliminate": 1, "factor": 0, "minors": int(code != 0), "det": 0, "symmetry": int(code == 0)
+    }
     if code:
         captured = capsys.readouterr()
         assert captured.out == "" and "not strictly inside the top layer" in captured.err

@@ -5,9 +5,8 @@ from birkhoff_poisson import (
     hilbert_transform,
     proj_u,
     trace_form,
-    tri_project,
 )
-from birkhoff_poisson.lie import TRACELESS_TOL, ensure_traceless
+from birkhoff_poisson.lie import TRACELESS_TOL, ensure_traceless, tri_project
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,

@@ -14,7 +14,7 @@ from birkhoff_poisson import (
     iwasawa_factor,
     principal_minors,
 )
-from birkhoff_poisson import linalg
+from birkhoff_poisson import cli, linalg
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, _pivot_minors, signed_permutation_matrix
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
@@ -422,43 +422,17 @@ def _member(kind, scale, rng, n):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_birkhoff_refuses_as_the_unimodular_check_and_then_the_pivot_rule(n, members, seed):
-    # a large stack reads det g off the pivots, and LAPACK's det runs only
-    # where they cannot confirm it; a small one takes LAPACK's det at once.
-    # On both paths (the first forced for every size) the refusals are those
-    # of the unimodular check first and of the pivot rule after it, message
-    # for message
+    # LAPACK's det runs once, up front, on a stack of any size: the refusals
+    # are those of the unimodular check first and of the pivot rule after
+    # it, message for message
     rng = np.random.default_rng(seed)
     gs = np.array([_member(kind, scale, rng, n) for kind, scale in members])
-    for entries in (0, linalg._PIVOT_DET_ENTRIES):
-        with mock.patch.object(linalg, "_PIVOT_DET_ENTRIES", entries):
-            for g in (gs, gs[-1]):
-                expected = _refusal(lambda: linalg._check_unimodular(g))
-                if expected is None:
-                    with mock.patch.object(linalg, "_check_unimodular", lambda g: None):
-                        expected = _refusal(lambda: birkhoff_factor(g))
-                assert _refusal(lambda: birkhoff_factor(g)) == expected
-
-
-def test_a_large_unimodular_stack_runs_no_lapack_det(rng, monkeypatch):
-    # l and u_plus are unipotent and det W = +1, so the pivots give det g on
-    # a stack of _PIVOT_DET_ENTRIES entries or more; a smaller stack takes
-    # LAPACK's det, which costs less there than the pivots' rounding bound
-    cp2 = parse_preset("cp2")
-    phi = cartan_embed(canonical_rep(0.5 * rng.normal(size=(128, 2, 1)) + 0j, cp2), cp2)
-    gs = special_linear_stack(4, 64, rng)
-    assert min(phi.size, gs.size) >= linalg._PIVOT_DET_ENTRIES > phi[:100].size
-
-    def no_det(a):
-        raise AssertionError("np.linalg.det ran")
-
-    monkeypatch.setattr(linalg.np.linalg, "det", no_det)
-    for g in (gs, phi):
-        birkhoff_factor(g)
-    _, ambiguous, factors = _pivot_minors(phi)
-    assert not ambiguous.any() and np.all(factors.perm == np.arange(3))
-    for g in (2 * gs, gs[0], phi[:100]):
-        with pytest.raises(AssertionError, match="det ran"):
-            birkhoff_factor(g)
+    for g in (gs, gs[-1]):
+        expected = _refusal(lambda: linalg._check_unimodular(g))
+        if expected is None:
+            with mock.patch.object(linalg, "_check_unimodular", lambda g: None):
+                expected = _refusal(lambda: birkhoff_factor(g))
+        assert _refusal(lambda: birkhoff_factor(g)) == expected
 
 
 def _near_wall_image(preset, rng, pivot):
@@ -505,20 +479,15 @@ def test_the_pivot_product_is_det_near_the_band(spec):
         gap = abs(np.prod(h) - np.linalg.det(g))
         assert gap <= 2e-14 / np.min(np.abs(h))
         assert gap <= 0.5 * linalg._DET_ONE_TOL
-        stacks = (np.ascontiguousarray(a[None]) for a in (g, f.l.mT, h, f.u_plus))
-        bound = linalg._pivot_det_error(*stacks)[0]
-        assert gap <= bound
 
 
 @pytest.mark.parametrize("spec,tol", [("cp2", 1e-9), ("gr:2,2", 1e-9), ("gr:2,2", 1e-12)])
-def test_next_to_the_band_the_pivots_do_not_decide_det_one(spec, tol, monkeypatch):
+def test_next_to_the_band_the_pivots_do_not_decide_det_one(spec, tol):
     # next to a pivot p the product of the pivots is off det g by up to
     # about eps / |p|, 1e-5 at the edge of the band around tol = 1e-12, so
     # it cannot tell det g = 1 from a det just outside 1 +- 1e-6 there:
     # LAPACK's det decides, and every matrix is accepted or refused as the
-    # unimodular check alone takes it.  The pivots' path is forced for
-    # these single matrices.
-    monkeypatch.setattr(linalg, "_PIVOT_DET_ENTRIES", 0)
+    # unimodular check alone takes it
     preset = parse_preset(spec)
     rng = np.random.default_rng(11)
     n = preset.matrix_dim
@@ -795,3 +764,90 @@ def test_pivot_minors_of_a_stack_all_in_the_band():
     minors, ambiguous, factors = _pivot_minors(phi)
     assert ambiguous.shape == (2, 1) and ambiguous.all() and len(factors.h) == 0
     np.testing.assert_array_equal(minors, principal_minors(phi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(["cp1", "cp2", "gr:2,2", "gr:2,3"]),
+    exponent=st.floats(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_cartan_images_the_package_builds_are_unimodular(spec, exponent, seed):
+    # the premise on which _pivot_minors takes an image unchecked: phi =
+    # u theta(u)^-1 has det |det u|^2 = 1 for unitary u, to within far less
+    # than the 1e-6 of the unimodular check, on chart points of any size
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, 16, preset.n, preset.m))
+    try:
+        u = canonical_rep(10.0**exponent * (z[0] + 1j * z[1]), preset)
+    except NotPositiveDefinite:
+        # where I + z* z or I + z z* reads as singular, from |z| of about 1e7
+        # on cp2 and gr:2,3, canonical_rep refuses the point: no image is built
+        assert exponent > 5
+        return
+    phi = cartan_embed(u, preset)
+    assert np.max(np.abs(np.linalg.det(phi) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_group_cells_of_rank_grid_are_unimodular(seed):
+    # rank-grid's group:su2 cells diag(I, k*) over the unit disc, its edge
+    # and centre included, as _grid_columns hands them to _pivot_minors
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([np.sqrt(rng.uniform(size=500)), [0.0, 1.0, 1.0]])
+    t = rng.uniform(0.0, 2 * np.pi, r.size)
+    x, y = r * np.cos(t), r * np.sin(t)
+    images = []
+
+    def record(phi):
+        images.append(phi)
+        return _pivot_minors(phi)
+
+    with mock.patch.object(cli, "_pivot_minors", record):
+        cli._grid_columns(parse_preset("group:su2"), x, y)
+    (phi,) = images
+    # an edge cell whose |a|^2 rounds above 1 is outside, as rank-grid has it
+    assert len(phi) == np.count_nonzero(x * x + y * y <= 1.0) >= r.size - 2
+    assert np.max(np.abs(np.linalg.det(phi) - 1.0)) <= 1e-12
+
+
+def test_pivot_minors_factor_a_stack_in_one_elimination(rng, monkeypatch):
+    # a Cartan image is unimodular by construction, so _pivot_minors takes
+    # it to the elimination unchecked, once, band members and all; the
+    # factors of the others are those of birkhoff_factor on them, bit for bit
+    cp1 = parse_preset("cp1")
+    z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
+    phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
+    eliminations = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or eliminate(*a))
+    _, ambiguous, factors = _pivot_minors(phi)
+    assert len(eliminations) == 1 and ambiguous.tolist() == [False] * 7 + [True]
+    rest = birkhoff_factor(phi[~ambiguous])
+    for name in ("l", "perm", "signs", "h", "u_plus"):
+        a, b = getattr(factors, name), getattr(rest, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_only_birkhoff_factor_takes_a_det(rng, monkeypatch):
+    # on a top-layer Cartan stack _pivot_minors runs no det at all, and
+    # birkhoff_factor runs one, LAPACK's, on one matrix, on a stack of
+    # 1,024 entries and on that Cartan stack alike
+    cp2 = parse_preset("cp2")
+    phi = cartan_embed(canonical_rep(0.5 * rng.normal(size=(128, 2, 1)) + 0j, cp2), cp2)
+    det = np.linalg.det
+    dets = []
+
+    def no_det(a):
+        raise AssertionError("np.linalg.det ran")
+
+    monkeypatch.setattr(linalg.np.linalg, "det", no_det)
+    _, ambiguous, factors = _pivot_minors(phi)
+    assert not ambiguous.any() and np.all(factors.perm == np.arange(3))
+    monkeypatch.setattr(linalg.np.linalg, "det", lambda a: dets.append(a) or det(a))
+    for g in (special_linear_stack(4, 1, rng)[0], special_linear_stack(4, 64, rng), phi):
+        dets.clear()
+        birkhoff_factor(g)
+        assert len(dets) == 1 and dets[0].shape == g.shape

@@ -12,9 +12,8 @@ from birkhoff_poisson import (
     leaf_factorize,
     moment_eval,
     torus_tw,
-    torus_vector_field,
 )
-from birkhoff_poisson.momentum import _check_torus_direction, leaf_moment
+from birkhoff_poisson.momentum import _check_torus_direction, leaf_moment, torus_vector_field
 from birkhoff_poisson.poisson import omega_apply
 from birkhoff_poisson.sampling import (
     ip_sampler,
