@@ -20,8 +20,9 @@ The Jacobi residual is timed at one chart point of each ``jacobi`` preset
 of the pointwise benchmark workload (cp2, gr:2,2, gr:2,3), and the leaf
 factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
-``pi_rank`` and the ``rank-grid`` columns of one stack run at the stack
-sizes; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
+``pi_rank``, ``cartan_embed`` and the ``rank-grid`` columns of one stack
+run at the stack sizes, and ``cartan_embed`` on the one gr:2,2 image of a
+``moment`` call too; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
 its stacks included, and both ``_pivot_minors``, the unchecked elimination
 the grid runs, and the public ``birkhoff_factor`` on that grid's one stack
 of 1,024 Cartan images; one ``pi --preset gr:6,10`` and one ``moment --preset
@@ -75,6 +76,7 @@ _GRID_CASES = [("cp1", 1024), ("cp2", 1024), ("gr:2,2", 1024), ("group:su2", 102
 _STACKS = _GRID_CASES[:3] + [("gr:6,10", None)]
 _REP_CASES = _STACKS + [("gr:3,1", 455), ("cp1", None)]
 _BIVECTOR_CASES = _STACKS + [("gr:8,12", None), ("group:su3", None)]
+_EMBED_CASES = _GRID_CASES + [("gr:2,2", None)]
 _FACTOR_CASES = [(n, count) for n in (2, 4, 8, 16) for count in (None, 256)]
 _JACOBI_PRESETS = ["cp2", "gr:2,2", "gr:2,3"]
 _MOMENT_PRESETS = ["cp1", "cp2", "gr:2,2", "gr:2,3", "gr:3,3"]
@@ -125,15 +127,29 @@ def _plane_cells(spec, count):
     return x, y
 
 
+def _grid_points(spec, count):
+    """The preset and a stack of ``count`` representatives: canonical ones
+    of chart points, or a draw of the group case."""
+    preset = parse_preset(spec)
+    if preset.is_inner:
+        return preset, canonical_rep(_chart_points(spec, count)[1], preset)
+    (u,) = draw(np.random.default_rng(1), count, point_sampler(preset))
+    return preset, u
+
+
 @pytest.mark.parametrize("spec,count", _GRID_CASES, ids=_ids(_GRID_CASES))
 def test_pi_rank(benchmark, spec, count):
     """The rank of a stack of bivector matrices, the kernel included."""
-    preset = parse_preset(spec)
-    if preset.is_inner:
-        u = canonical_rep(_chart_points(spec, count)[1], preset)
-    else:
-        (u,) = draw(np.random.default_rng(1), count, point_sampler(preset))
+    preset, u = _grid_points(spec, count)
     benchmark(pi_rank, u, preset)
+
+
+@pytest.mark.parametrize("spec,count", _EMBED_CASES, ids=_ids(_EMBED_CASES))
+def test_cartan_embed(benchmark, spec, count):
+    """The Cartan images of a rank-grid stack, and the one image of a
+    ``moment --preset gr:2,2`` call."""
+    preset, u = _grid_points(spec, count)
+    benchmark(cartan_embed, u, preset)
 
 
 @pytest.mark.parametrize("spec,count", _GRID_CASES, ids=_ids(_GRID_CASES))

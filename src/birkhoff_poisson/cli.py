@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, poisson
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_rows
-from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor
+from .linalg import DEFAULT_TOL, _eliminate, _pivot_minors, birkhoff_factor, iwasawa_factor
 from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
@@ -219,11 +219,14 @@ def cmd_pi(args) -> dict:
 def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
-    # the guard reads the top layer's minors h_0 ... h_(k-1) off the one elimination
-    # before the symmetry checks, so a wall point is refused here, not by them
-    minors, _, lf = _pivot_minors(phi)
+    # the guard reads the top layer's minors h_0 ... h_(k-1) off one elimination,
+    # before the symmetry checks, so a wall point is refused here, not by them;
+    # a lower layer's minors are never read, so none are taken
+    lf, ambiguous, message = _eliminate(phi, DEFAULT_TOL)
+    if ambiguous:
+        raise StratumAmbiguous(message, mask=ambiguous)
     top = lf.perm == tuple(range(len(phi)))
-    min_minor = float(np.min(np.abs(minors))) if top else 0.0
+    min_minor = float(np.min(np.abs(np.cumprod(np.diagonal(lf.h))))) if top else 0.0
     if min_minor <= DEFAULT_TOL:
         where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")

@@ -5,8 +5,10 @@ Equivariant side.  At a unitary coset representative u the bivector pairs
 cotangent classes, odd anti-Hermitian matrices X, Y, through their frames
 u X u*: the value is tr(H(u X u*) u Y u*) with H the Hilbert transform, for
 both families, and for the group pairings at diag(1, k^(-1)).  Its matrix
-on the odd basis pairs the frames u e_r u* in one GEMM, and the frames take
-two GEMMs per point, the odd basis folded into the columns of the first.
+on the odd basis pairs the frames u e_r u* in one GEMM, and the frames of a
+chunk of points take two more: one with the points folded into its rows and
+the odd basis into its columns, and one real GEMM for the products with u*
+(``linalg._cmatmul``), as no step pays numpy's per-matrix complex matmul.
 ``omega_apply`` is the skew operator itself: conjugate up, apply H,
 conjugate back down and project to the odd subspace.
 
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import InvalidTangent, NumericalDomainError
 from .lie import hilbert_transform, trace_form
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _cmatmul
 from .symspace import (
     SymmetricSpacePreset,
     adjoint_act,
@@ -143,15 +145,19 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
 
     The projection to the odd subspace is orthogonal and Ad(u) is an
     isometry, so the entry is Re <F_s, H(F_r)> on the frames F_r = u e_r u*,
-    one for both families.  The frames take two GEMMs per point: u times
-    the block row [e_1 | ... | e_k] of the basis gives the blocks u e_r,
-    which stacked as one column [u e_1; ...; u e_k] are multiplied by u* at
-    once.  A complex row viewed as reals interleaves (Re, Im), so
-    Re(conj(F) H(F)^T) is one real GEMM of the views: k^2 d^2 work, no
-    projection and no second conjugation.  The points run in chunks whose
-    frames fit ``_STACK_BYTES``, each chunk's GEMM written into its rows of
-    one (points, k, k) result, so memory stays bounded whatever the stack
-    and every point's entries are those of a call on that point alone.  The
+    one for both families.  The frames of a chunk take two GEMMs.  The
+    chunk's points, stacked as rows, times the block row [e_1 | ... | e_k]
+    of the basis give the blocks u e_r in one 2-D GEMM, each point's bits
+    those of its own product.  Stacked per point as one column
+    [u e_1; ...; u e_k], the blocks are multiplied by u* in one real GEMM
+    (``linalg._cmatmul``): numpy's stacked complex matmul pays about 230 ns
+    a matrix whatever its size, its real one about a tenth of that.  A
+    complex row viewed as reals interleaves (Re, Im), so Re(conj(F) H(F)^T)
+    is one real GEMM of the views: k^2 d^2 work, no projection and no
+    second conjugation.  The points run in chunks whose frames fit
+    ``_STACK_BYTES``, each chunk's GEMM written into its rows of one
+    (points, k, k) result, so memory stays bounded whatever the stack and
+    every point's entries are those of a call on that point alone.  The
     GEMM is skew up to rounding; its skew part is returned, so entry (r, s)
     is bitwise -(s, r) and the diagonal is +0.0."""
     basis = ip_basis(preset)
@@ -165,10 +171,10 @@ def matrix_of_omega(u, preset: SymmetricSpacePreset) -> np.ndarray:
         # the block row is a per-chunk copy of the basis, not a cached second
         # one; the dels keep at most two frame-sized arrays alive at once,
         # across chunks too
-        left = chunk @ basis.transpose(1, 0, 2).reshape(d, k * d)
+        left = chunk.reshape(-1, d) @ basis.transpose(1, 0, 2).reshape(d, k * d)
         blocks = left.reshape(-1, d, k, d).swapaxes(1, 2).reshape(-1, k * d, d)
         del left
-        frames = (blocks @ chunk.mT.conj()).reshape(-1, k, d, d)
+        frames = _cmatmul(blocks, chunk.mT.conj()).reshape(-1, k, d, d)
         del blocks
         images = hilbert_transform(frames)
         rows = (len(chunk), k, d * d)

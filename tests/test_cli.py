@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,9 +455,9 @@ def test_moment_classifies_its_point_with_one_factorization(point, code, monkeyp
     # the image is the package's own, unimodular by construction: one
     # elimination, with no det, gives the factors the moments come from and
     # the pivots the top-layer guard reads.  The wall point |z| = 1 factors
-    # on a lower layer, whose minors principal_minors takes by det and the
-    # guard does not read, and is refused before the symmetry checks, which
-    # would raise SymmetryViolation there
+    # on a lower layer, whose minors the guard does not read, so none are
+    # taken, and is refused before the symmetry checks, which would raise
+    # SymmetryViolation there
     calls = {"eliminate": 0, "factor": 0, "minors": 0, "det": 0, "symmetry": 0}
     eliminate, factor, minors = linalg._eliminate, linalg.birkhoff_factor, linalg.principal_minors
     det, symmetry = np.linalg.det, strata._check_leaf_symmetry
@@ -477,16 +478,15 @@ def test_moment_classifies_its_point_with_one_factorization(point, code, monkeyp
         calls["det"] += "minors" not in inside
         return det(a)
 
-    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", eliminate))
+    for module in (cli, linalg):
+        monkeypatch.setattr(module, "_eliminate", counted("eliminate", eliminate))
     monkeypatch.setattr(linalg, "principal_minors", counted("minors", minors))
     for module in (cli, strata, linalg):
         monkeypatch.setattr(module, "birkhoff_factor", counted("factor", factor))
     monkeypatch.setattr(cli, "_check_leaf_symmetry", counted("symmetry", symmetry))
     monkeypatch.setattr(np.linalg, "det", counted_det)
     assert main(["moment", "--preset", "cp2", f"--point={point}"]) == code
-    assert calls == {
-        "eliminate": 1, "factor": 0, "minors": int(code != 0), "det": 0, "symmetry": int(code == 0)
-    }
+    assert calls == {"eliminate": 1, "factor": 0, "minors": 0, "det": 0, "symmetry": int(code == 0)}
     if code:
         captured = capsys.readouterr()
         assert captured.out == "" and "not strictly inside the top layer" in captured.err
@@ -768,12 +768,15 @@ def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
     "preset,grid,rows",
     [
         # |phi[0, 0]| = |1 - |z|^2| / (1 + |z|^2), about x - 1 on the real
-        # axis: 7e-10 and 9e-10, inside the band (1e-10, 1e-8) of tol = 1e-9
+        # axis: 7e-10 and 9e-10, inside the band (1e-10, 1e-8) of tol = 1e-9.
+        # A difference of terms near 1, it holds the rounding of the Cartan
+        # image's products from its 10th digit on; the test below bounds it
+        # against the exact value
         ("cp1", "1.0000000006,1.000000001,2,-1e-9,1e-9,2",
-         ["1.0000000007,-5e-10,-1,7.00000139483537e-10",
-          "1.0000000007,5.000000000000001e-10,-1,7.00000139483537e-10",
-          "1.0000000009,-5e-10,-1,8.999998994927682e-10",
-          "1.0000000009,5.000000000000001e-10,-1,8.999998994927682e-10"]),
+         ["1.0000000007,-5e-10,-1,7.00000139608537e-10",
+          "1.0000000007,5.000000000000001e-10,-1,7.00000139608537e-10",
+          "1.0000000009,-5e-10,-1,8.999998996177682e-10",
+          "1.0000000009,5.000000000000001e-10,-1,8.999998996177682e-10"]),
         # |a| = 1e-9 sqrt(2) inside the band too
         ("su2", "-2e-9,2e-9,2,-2e-9,2e-9,2",
          ["-1e-09,-1e-09,-1,1.4142135623730953e-09",
@@ -790,6 +793,19 @@ def test_rank_grid_prints_band_cells_with_rank_minus_one(preset, grid, rows, cap
                          "--format", "csv"], capsys)
     assert code == 0
     assert out.splitlines()[1:] == rows
+
+
+def test_rank_grid_band_minors_are_within_rounding_of_the_exact_value(capsys):
+    # the cp1 band cells above: each printed |phi[0, 0]| is within 4 eps of
+    # |1 - r| / (1 + r), r = x^2 + y^2, taken exactly on the printed cell
+    code, out = run_cli(["rank-grid", "--preset", "cp1",
+                         "--grid=1.0000000006,1.000000001,2,-1e-9,1e-9,2",
+                         "--format", "csv"], capsys)
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        x, y, _, printed = (Fraction(float(v)) for v in line.split(","))
+        r = x * x + y * y
+        assert abs(printed - abs(1 - r) / (1 + r)) <= 4 * Fraction(np.finfo(float).eps)
 
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from birkhoff_poisson import (
     NotPositiveDefinite,
@@ -851,3 +852,63 @@ def test_only_birkhoff_factor_takes_a_det(rng, monkeypatch):
         dets.clear()
         birkhoff_factor(g)
         assert len(dets) == 1 and dets[0].shape == g.shape
+
+
+# ---------------------------------------------------------------------------
+# _cmatmul
+
+
+def _complex_normals(rng, shape, scale):
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=hnp.mutually_broadcastable_shapes(
+        signature="(m,p),(p,q)->(m,q)", min_side=0, max_side=4, max_dims=3
+    ),
+    views=st.booleans(),
+    exponents=st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cmatmul_matches_matmul(shapes, views, exponents, seed):
+    # single matrices, stacks that broadcast and empty stacks; with views,
+    # each operand is the non-contiguous x.mT.conj() of a stored x.  Each
+    # entry of either product is within 2 p eps |a row| |b column| of exact
+    rng = np.random.default_rng(seed)
+
+    def operand(shape, exponent):
+        if views:
+            stored = _complex_normals(rng, shape[:-2] + shape[:-3:-1], 10.0**exponent)
+            return stored.mT.conj()
+        return _complex_normals(rng, shape, 10.0**exponent)
+
+    a, b = (operand(s, e) for s, e in zip(shapes.input_shapes, exponents))
+    expected = a @ b
+    got = linalg._cmatmul(a, b)
+    assert got.dtype == complex and got.shape == expected.shape
+    rows = np.linalg.norm(a, axis=-1)[..., np.newaxis]
+    columns = np.linalg.norm(b, axis=-2)[..., np.newaxis, :]
+    bound = 4 * a.shape[-1] * np.finfo(float).eps * rows * columns
+    assert np.all(np.abs(got - expected) <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 6),
+    sides=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cmatmul_of_one_matrix_is_its_product_inside_a_stack(count, sides, seed):
+    # every input takes the one real GEMM, so a matrix alone, or a stack
+    # broadcast as (k, 1, m, p) against (k, p, q), gives the same bits
+    rng = np.random.default_rng(seed)
+    m, p, q = sides
+    a = _complex_normals(rng, (count, m, p), 1.0)
+    b = _complex_normals(rng, (count, p, q), 1.0)
+    stacked = linalg._cmatmul(a, b)
+    crossed = linalg._cmatmul(a[:, np.newaxis], b)
+    for i in range(count):
+        assert np.array_equal(linalg._cmatmul(a[i], b[i]), stacked[i])
+        assert np.array_equal(crossed[i, i], stacked[i])
+        assert np.array_equal(linalg._cmatmul(a[i], b), crossed[i])

@@ -27,6 +27,7 @@ from birkhoff_poisson import (
     su2_el_coefficients,
     su2_lw_coefficients,
 )
+from birkhoff_poisson import cli
 from birkhoff_poisson import poisson as poisson_module
 from birkhoff_poisson.lie import hilbert_transform, trace_form
 from birkhoff_poisson.linalg import DEFAULT_TOL
@@ -253,6 +254,31 @@ def test_matrix_of_omega_chunks_match_per_point_calls_bitwise(spec, chunk, rng, 
     stacked = matrix_of_omega(points, preset)
     assert stacked.shape == (2, 5, preset.dim_ip, preset.dim_ip)
     assert np.array_equal(stacked.reshape(singles.shape), singles)
+
+
+@pytest.mark.parametrize("spec,side", [("cp1", 32), ("cp2", 32), ("gr:2,2", 32), ("gr:6,10", 4)])
+def test_the_folded_block_row_product_is_the_stacked_one_bitwise(spec, side, monkeypatch):
+    # matrix_of_omega multiplies a chunk of points by the block row
+    # [e_1 | ... | e_k] of the odd basis as one 2-D GEMM, the points folded
+    # into its rows.  On the stacks a side x side rank-grid hands it, chunked
+    # as it chunks them, each point gets the bits of the stacked product
+    preset = parse_preset(spec)
+    d, k = preset.matrix_dim, preset.dim_ip
+    stacks = []
+    matrix_of_omega = poisson_module.matrix_of_omega
+    monkeypatch.setattr(
+        poisson_module, "matrix_of_omega", lambda u, p: stacks.append(u) or matrix_of_omega(u, p)
+    )
+    axes = [cli._axis_points(lo, hi, side) for lo, hi, _ in cli._grid_layout(preset)[0]]
+    cli._grid_cells(preset, *axes)
+    assert sum(map(len, stacks)) == side * side
+    row = ip_basis(preset).transpose(1, 0, 2).reshape(d, k * d)
+    step = max(1, poisson_module._STACK_BYTES // (16 * k * d * d))
+    for u in stacks:
+        for start in range(0, len(u), step):
+            chunk = u[start:start + step]
+            folded = (chunk.reshape(-1, d) @ row).reshape(len(chunk), d, k * d)
+            assert np.array_equal(folded, chunk @ row)
 
 
 def _assert_matches_single_calls(stacked, singles):
