@@ -12,7 +12,9 @@ budget of (d, d) matrices: a whole 32 x 32 grid, 1,024 cells, on cp1, cp2,
 gr:2,2 and group:su2 (``tests/test_benchmark_spec.py`` checks that
 ``_GRID_CASES`` still matches); ``matrix_of_omega`` runs them in frame
 chunks of its own.  The single matrices are those of ``pi --preset
-gr:6,10``, of gr:8,12 (dim_ip 192) and of the group case su3.
+gr:6,10``, of gr:8,12 (dim_ip 192) and of the group case su3.  ``orbit_direction_span``,
+the kernel ``lie.proj_u`` serves, runs on the cp1, cp2 and gr:2,2 stacks
+and on the one gr:6,10 point.
 ``canonical_rep`` also runs on a gr:3,1 stack, whose chart matrices are
 rows, and on one cp1 point.  The two factorizations run on unimodular
 matrices of size 2, 4, 8 and 16, one matrix and a stack of 256 each.
@@ -68,7 +70,7 @@ from birkhoff_poisson.sampling import (
     random_point,
     special_linear_stack,
 )
-from birkhoff_poisson.strata import leaf_factorize, torus_tw
+from birkhoff_poisson.strata import leaf_factorize, orbit_direction_span, torus_tw
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 
 # the stack of a 32 x 32 rank-grid; a literal, read by tests/test_benchmark_spec.py
@@ -116,6 +118,14 @@ def test_matrix_of_omega(benchmark, spec, count):
         preset, z = _chart_points(spec, count)
         u = canonical_rep(z, preset)
     benchmark(matrix_of_omega, u, preset)
+
+
+@pytest.mark.parametrize("spec,count", _STACKS, ids=_ids(_STACKS))
+def test_orbit_direction_span(benchmark, spec, count):
+    """The leaf-span columns through ``lie.proj_u``, which the
+    ``leaf-tangency`` check of ``verify`` compares with ``matrix_of_omega``."""
+    preset, z = _chart_points(spec, count)
+    benchmark(orbit_direction_span, canonical_rep(z, preset), preset)
 
 
 def _plane_cells(spec, count):

@@ -46,10 +46,7 @@ from .poisson import (
     omega_apply,
     pi_el_group,
     pi_eval,
-    pi_lw_group,
     pi_rank,
-    su2_el_coefficients,
-    su2_lw_coefficients,
 )
 from .strata import (
     birkhoff_layer,

@@ -10,9 +10,10 @@ decomposition compatible with it.  Every function also acts on stacks
 ``trace_form`` returns one value per pair of matrices.
 
 The traceless check passes a matrix z when |tr z| <= TRACELESS_TOL *
-max(1, ||z||_F).  It reads the traces of the stack in one ``einsum`` pass,
-and it computes the Frobenius norms only when some |tr z| exceeds
-TRACELESS_TOL, the least the bound can be.
+max(1, ||z||_F), and refuses it otherwise; nothing re-centres z.  It reads
+the traces of the stack in one ``einsum`` pass, and it computes the
+Frobenius norms only when some |tr z| exceeds TRACELESS_TOL, the least the
+bound can be.
 """
 
 from __future__ import annotations
@@ -39,25 +40,6 @@ def _check_traceless(z: np.ndarray) -> None:
         raise ValueError(f"matrix is not traceless, |tr| = {tr.flat[np.argmax(over)]:.3e}")
 
 
-def ensure_traceless(z: np.ndarray) -> np.ndarray:
-    """Re-center a nearly traceless matrix; hard error beyond TRACELESS_TOL.
-    The traces subtracted are ``np.trace``'s, whose summation order the
-    check's ``einsum`` does not share for d >= 4."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    _check_traceless(z)
-    return z - (np.trace(z, axis1=-2, axis2=-1) / n)[..., np.newaxis, np.newaxis] * np.eye(n)
-
-
-def tri_project(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a traceless matrix into (strictly lower, diagonal, strictly upper)."""
-    z = ensure_traceless(z)
-    z_minus = np.tril(z, -1)
-    z_plus = np.triu(z, 1)
-    z_h = z - z_minus - z_plus
-    return z_minus, z_h, z_plus
-
-
 @lru_cache(maxsize=32)
 def _hilbert_signs(n: int) -> np.ndarray:
     signs = 1j * np.sign(np.arange(n) - np.arange(n)[:, np.newaxis])
@@ -80,7 +62,10 @@ def proj_u(z: np.ndarray) -> np.ndarray:
     the diagonal of Z.  On anti-Hermitian inputs this is the identity, and
     proj_u(i Z) = hilbert_transform(Z) for anti-Hermitian Z.
     """
-    _, z_h, z_plus = tri_project(z)
+    z = np.asarray(z, dtype=complex)
+    _check_traceless(z)
+    z_plus = np.triu(z, 1)
+    z_h = z - np.tril(z, -1) - z_plus
     z_t = 0.5 * (z_h - z_h.mT.conj())
     return -z_plus.mT.conj() + z_t + z_plus
 

@@ -7,8 +7,9 @@ Implements the factorizations everything else is built on:
   determinant 1 and u_plus upper unipotent.  The permutation is determined
   structurally by the rank pattern of the leading submatrices, not by
   magnitude pivoting, so it identifies the Birkhoff stratum of g.  g may be
-  a stack (..., n, n), eliminated one column step for the whole stack; if
-  any matrix is ambiguous, ``StratumAmbiguous.mask`` marks which.
+  a stack (..., n, n), eliminated one column step for the whole stack; a
+  matrix with a pivot in the ambiguity band keeps its slot there, and
+  ``StratumAmbiguous.mask`` marks it.
 * ``iwasawa_factor``   -- g = l @ a @ u with l lower unipotent, a positive
   diagonal of determinant 1 and u unitary, via the lower Cholesky factor of
   g g*.
@@ -185,11 +186,12 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
 
 def _eliminate(g: np.ndarray, tol: float):
     """``birkhoff_factor``'s elimination of a square stack g, with no det
-    check: (factors, ambiguous, message).  A matrix's first event in column
-    order decides it: SingularInput if it has no usable pivot, or it leaves
-    at an entry in the ambiguity band, marked in ``ambiguous`` (shape
-    g.shape[:-2]), the first named by ``message`` ("" if none).  ``factors``
-    factors the rest in stack order: shaped as g, or flat as g[~ambiguous]."""
+    check: (factors, ambiguous, message), ``factors`` shaped as g.  A
+    matrix's first event in column order decides it: SingularInput if it
+    has no usable pivot, or an entry in the ambiguity band marks it in
+    ``ambiguous`` (shape g.shape[:-2]), the first named by ``message`` (""
+    if none).  A marked matrix keeps its slot, later columns neither check
+    nor divide by its pivot, and no other matrix's factors move."""
     stack, n = g.shape[:-2], g.shape[-1]
     m = g.reshape(-1, n, n).copy()
     rows = np.arange(n)
@@ -199,8 +201,7 @@ def _eliminate(g: np.ndarray, tol: float):
     upper = lower_t.copy()
     perm = np.zeros((len(m), n), dtype=int)
     used = np.zeros((len(m), n), dtype=bool)
-    # matrices found ambiguous leave the elimination; index maps the rest
-    at = index = np.arange(len(m))
+    at = np.arange(len(m))
     ambiguous = np.zeros(len(m), dtype=bool)
     message = ""
 
@@ -209,7 +210,8 @@ def _eliminate(g: np.ndarray, tol: float):
         mag = np.abs(col)
         # the first unused row above the band's lower edge decides column j
         candidate = (mag > tol / AMBIGUITY_BAND) & ~used
-        if not candidate.any(axis=1).all():
+        found = candidate.any(axis=1)
+        if not found.all() and not (found | ambiguous).all():
             raise SingularInput(f"no usable pivot in column {j}")
         piv = candidate.argmax(axis=1)
         a = mag[at, piv]
@@ -218,23 +220,21 @@ def _eliminate(g: np.ndarray, tol: float):
             if not message:
                 k = int(in_band.argmax())
                 what = "pivot candidate" if a[k] > tol else "entry"
-                where = np.unravel_index(index[k], stack)
+                where = np.unravel_index(k, stack)
                 where = f" of matrix {tuple(int(i) for i in where)}" if stack else ""
                 message = (
                     f"{what} {a[k]:.3e} at ({piv[k]}, {j}){where} is inside the "
                     f"ambiguity band around tol = {tol:.3e}"
                 )
-            ambiguous[index[in_band]] = True
-            keep = ~in_band
-            m, lower_t, upper, perm, used, index, piv = (
-                x[keep] for x in (m, lower_t, upper, perm, used, index, piv)
-            )
-            at, col = np.arange(len(m)), m[:, :, j]
+            ambiguous |= in_band
         used[at, piv] = True
         perm[:, j] = piv
         # columns left of j are final (h reads m[perm[c], c]): update j.. only
         pivot_row = m[at, piv, j:]
         p = pivot_row[:, :1]
+        if message:
+            # an infinite pivot zeroes a marked matrix's row and column steps
+            p = np.where(ambiguous[:, np.newaxis], np.inf, p)
         # unused rows below the pivot lose a multiple of the pivot row ...
         mult = np.where((rows > piv[:, np.newaxis]) & ~used, col / p, 0)
         lower_t[at, piv] += mult
@@ -252,18 +252,16 @@ def _eliminate(g: np.ndarray, tol: float):
     h = np.zeros_like(m)
     h[:, rows, rows] = signs[at[:, np.newaxis], perm] * m[at[:, np.newaxis], perm, rows]
     lower = np.ascontiguousarray(lower_t.mT)
-    shape = (len(m),) if ambiguous.any() else stack
-    if not shape:
-        perm, signs = tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
+    if stack:
+        perm, signs = perm.reshape(stack + (n,)), signs.reshape(stack + (n,))
     else:
-        perm, signs = perm.reshape(shape + (n,)), signs.reshape(shape + (n,))
-    shape += (n, n)
+        perm, signs = tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
     factors = BirkhoffFactors(
-        l=lower.reshape(shape),
+        l=lower.reshape(g.shape),
         perm=perm,
         signs=signs,
-        h=h.reshape(shape),
-        u_plus=upper.reshape(shape),
+        h=h.reshape(g.shape),
+        u_plus=upper.reshape(g.shape),
     )
     return factors, ambiguous.reshape(stack), message
 
@@ -344,29 +342,24 @@ def _pivot_minors(g: np.ndarray):
 
     g, one matrix or a stack (..., n, n), is an image the package built, of
     det |det u|^2 = 1 (u unitary), so it skips the unimodular check; a user
-    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n).  A
-    matrix on the top layer (perm the identity, so every sign +1) is
-    l h u_plus with l and u_plus unipotent triangular, so its minors are
+    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n).  An
+    unmarked matrix on the top layer (perm the identity, so every sign +1)
+    is l h u_plus with l and u_plus unipotent triangular, so its minors are
     the pivot products h_0 ... h_(k-1), read off h with no determinant; the
     first is the entry g[0, 0] itself.  Every other matrix, on a lower
     layer or inside the ambiguity band, keeps ``principal_minors``; one
     such matrix moves no other matrix of the stack off its pivots.
-    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band,
-    and ``factors`` factors the others, in stack order.  One matrix in the
-    band raises StratumAmbiguous, as ``birkhoff_factor`` does."""
+    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band;
+    ``factors`` is shaped as g, and a marked matrix's factors are not
+    read.  One matrix in the band raises StratumAmbiguous, as
+    ``birkhoff_factor`` does."""
     g = _as_square_stack(g)
     factors, ambiguous, message = _eliminate(g, DEFAULT_TOL)
     if g.ndim == 2 and ambiguous:
         raise StratumAmbiguous(message, mask=ambiguous)
-    n = g.shape[-1]
-    flat = g.reshape(-1, n, n)
-    pivots = np.diagonal(factors.h, axis1=-2, axis2=-1).reshape(-1, n)
-    on_top = np.all(np.reshape(factors.perm, (-1, n)) == np.arange(n), axis=-1)
-    top = np.flatnonzero(~ambiguous.reshape(-1))[on_top]
-    rest = np.ones(len(flat), dtype=bool)
-    rest[top] = False
-    minors = np.empty(flat.shape[:-1], dtype=complex)
-    minors[top] = np.cumprod(pivots[on_top], axis=-1)
-    if rest.any():
-        minors[rest] = principal_minors(flat[rest])
-    return minors.reshape(g.shape[:-1]), ambiguous, factors
+    top = np.all(np.asarray(factors.perm) == np.arange(g.shape[-1]), axis=-1) & ~ambiguous
+    minors = np.empty(g.shape[:-1], dtype=complex)
+    minors[top] = np.cumprod(np.diagonal(factors.h, axis1=-2, axis2=-1)[top], axis=-1)
+    if not top.all():
+        minors[~top] = principal_minors(g[~top])
+    return minors, ambiguous, factors

@@ -57,13 +57,12 @@ at ``linalg.DEFAULT_TOL`` and at ``FD_STEP``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidTangent, NumericalDomainError
-from .lie import hilbert_transform, trace_form
+from .lie import _hilbert_signs, hilbert_transform, trace_form
 from .linalg import DEFAULT_TOL, _cmatmul
 from .symspace import (
     SymmetricSpacePreset,
@@ -101,18 +100,12 @@ def _validate_ip(x, preset: SymmetricSpacePreset) -> None:
         raise InvalidTangent("tangent representative lies outside the odd subspace")
 
 
-def _omega(u, x, preset: SymmetricSpacePreset) -> np.ndarray:
-    """Ad(u^(-1)) H Ad(u) x projected to the odd subspace; u and x may be
-    stacks that broadcast against each other."""
-    u = np.asarray(u, dtype=complex)
-    return project_ip(u.mT.conj() @ hilbert_transform(adjoint_act(u, x)) @ u, preset)
-
-
 def omega_apply(u, x, preset: SymmetricSpacePreset):
     """Skew operator of the bivector at u: project Ad(u^(-1)) H Ad(u) x to the
     odd anti-Hermitian subspace; raise unless every x lies in that subspace."""
     _validate_ip(x, preset)
-    return _omega(u, x, preset)
+    u = np.asarray(u, dtype=complex)
+    return project_ip(u.mT.conj() @ hilbert_transform(adjoint_act(u, x)) @ u, preset)
 
 
 def pi_eval(u, x, y, preset: SymmetricSpacePreset):
@@ -303,21 +296,14 @@ def su2_lw_coefficients(k: np.ndarray) -> tuple:
 # local coordinate tensors
 
 
-@lru_cache(maxsize=32)
-def _strict_signs(n: int) -> np.ndarray:
-    """sign(j - i): +1 above the diagonal, -1 below it, 0 on it."""
-    signs = np.sign(np.arange(n) - np.arange(n)[:, np.newaxis]).astype(float)
-    signs.setflags(write=False)
-    return signs
-
-
 def _l_images(z: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """L_z on K cotangent representatives at once: z (..., n, m) and reps
     (..., K, m, n) broadcast to images (..., K, m, n).
 
     The K axis is folded into the columns: a left factor multiplies the
     block row [v_1 | ... | v_K], a right factor the block column
-    [v_1; ...; v_K], so each product is one matmul per chart point."""
+    [v_1; ...; v_K], so each product is one matmul per chart point.
+    sign(j - i) is the imaginary part of ``lie._hilbert_signs``."""
     z = np.asarray(z, dtype=complex)
     reps = np.asarray(reps, dtype=complex)
     k, m, n = reps.shape[-3:]
@@ -340,8 +326,8 @@ def _l_images(z: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return (
         reps
         - right(left(zs @ z, reps), z @ zs)
-        + left(zs, (zv - zv.mT.conj()) * _strict_signs(n))
-        - right((vz.mT.conj() - vz) * _strict_signs(m), zs)
+        + left(zs, (zv - zv.mT.conj()) * _hilbert_signs(n).imag)
+        - right((vz.mT.conj() - vz) * _hilbert_signs(m).imag, zs)
     )
 
 

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalDomainError
 from .linalg import principal_minors
 from .symspace import (
     SymmetricSpacePreset,
@@ -34,6 +35,9 @@ from .symspace import (
 
 # |det| at or below which a Ginibre block is redrawn
 _SINGULAR_DET = 1e-6
+# random_interior_point's least |leading minor|, and its draws (2 s on gr:6,10)
+_INTERIOR_MARGIN = 0.1
+_INTERIOR_DRAWS = 10_000
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -142,11 +146,16 @@ def random_interior_point(preset: SymmetricSpacePreset, rng: np.random.Generator
     Finite-difference checks degenerate near layer boundaries (the momentum
     has logarithmic blow-up there), so boundary-margin sampling is the
     sampling analogue of restricting the projective line to |z| <= 0.9.
+    After ``_INTERIOR_DRAWS`` draws it refuses the preset: none qualify on gr:6,10.
     """
-    while True:
+    for _ in range(_INTERIOR_DRAWS):
         u = random_point(preset, rng)
-        if np.min(np.abs(principal_minors(cartan_embed(u, preset)))) >= 0.1:
+        if np.min(np.abs(principal_minors(cartan_embed(u, preset)))) >= _INTERIOR_MARGIN:
             return u
+    raise NumericalDomainError(
+        f"no point of {preset.label} with every leading minor at least "
+        f"{_INTERIOR_MARGIN} away from zero in {_INTERIOR_DRAWS} draws"
+    )
 
 
 def stabilizer_sampler(preset: SymmetricSpacePreset) -> Normals:

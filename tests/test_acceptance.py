@@ -30,13 +30,18 @@ from birkhoff_poisson import (
     pi_eval,
     pi_rank,
     principal_minors,
-    su2_el_coefficients,
-    su2_lw_coefficients,
     theta_g,
     torus_tw,
 )
 from birkhoff_poisson.cli import main
-from birkhoff_poisson.poisson import cp2_degeneracy_p, su2_frame, su2_from_sphere
+from birkhoff_poisson.poisson import (
+    cp2_degeneracy_p,
+    pi_lw_group,
+    su2_el_coefficients,
+    su2_frame,
+    su2_from_sphere,
+    su2_lw_coefficients,
+)
 from birkhoff_poisson.sampling import (
     chart_sampler,
     complex_normal_sampler,
@@ -295,8 +300,6 @@ def test_criterion_10_group_case():
         worst_lw = max(worst_lw, np.max(np.abs(lw - lw_exp)))
     assert worst_el <= 1e-12
     assert worst_lw <= 1e-12
-    from birkhoff_poisson import pi_lw_group
-
     h, x, y = su2_frame()
     worst_torus = 0.0
     for _ in range(20):

@@ -6,7 +6,7 @@ from birkhoff_poisson import (
     proj_u,
     trace_form,
 )
-from birkhoff_poisson.lie import TRACELESS_TOL, ensure_traceless, tri_project
+from birkhoff_poisson.lie import TRACELESS_TOL
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,
@@ -25,30 +25,20 @@ def random_traceless(rng, n):
     return z - (np.trace(z) / n) * np.eye(n)
 
 
-def test_tri_project_examples(rng):
+def test_proj_u_keeps_the_upper_triangle_and_the_imaginary_diagonal():
     d = np.diag([1j, -2j, 1j])
-    zm, zh, zp = tri_project(d)
-    assert np.allclose(zm, 0) and np.allclose(zp, 0)
-    np.testing.assert_allclose(zh, d)
+    np.testing.assert_array_equal(proj_u(d), d)
     e12 = e_mat(3, 0, 1)
-    zm, zh, zp = tri_project(e12)
-    assert np.allclose(zm, 0) and np.allclose(zh, 0)
-    np.testing.assert_allclose(zp, e12)
+    np.testing.assert_array_equal(proj_u(e12), e12 - e12.T)
+    np.testing.assert_array_equal(proj_u(e12.T), 0 * e12)
 
 
-def test_tri_project_partition(rng):
-    z = random_traceless(rng, 4)
-    zm, zh, zp = tri_project(z)
-    # the parts partition the (re-centered) input entry for entry
-    np.testing.assert_array_equal(zm + zh + zp, ensure_traceless(z))
-    np.testing.assert_allclose(zm + zh + zp, z, atol=1e-14)
-
-
-def test_ensure_traceless_recenters_and_rejects():
-    z = np.eye(2) * 1e-12
-    np.testing.assert_allclose(np.trace(ensure_traceless(z + e_mat(2, 0, 1))), 0, atol=1e-18)
-    with pytest.raises(ValueError):
-        tri_project(np.eye(3, dtype=complex))
+def test_proj_u_refuses_a_trace_and_never_recenters():
+    with pytest.raises(ValueError, match="not traceless"):
+        proj_u(np.eye(3, dtype=complex))
+    # a trace within the bound is neither refused nor subtracted
+    z = 1e-12j * np.eye(3)
+    np.testing.assert_array_equal(proj_u(z), z)
 
 
 def _with_trace(tr, off, n=4):
@@ -61,7 +51,7 @@ def _with_trace(tr, off, n=4):
     return z
 
 
-_CHECKED = [hilbert_transform, ensure_traceless, tri_project, proj_u]
+_CHECKED = [hilbert_transform, proj_u]
 
 
 @pytest.mark.parametrize("check", _CHECKED)
@@ -94,15 +84,7 @@ def test_traceless_check_passes_nan_as_it_always_has():
     # a NaN trace compares false against the bound, so it is not refused
     for z in (_with_trace(np.nan, 0.5), _with_trace(0.0, np.nan)):
         assert np.isnan(hilbert_transform(z)).any()
-        assert np.isnan(ensure_traceless(z)).any()
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
-def test_ensure_traceless_subtracts_the_traces_of_np_trace(n, rng):
-    z = complex_normal_sampler((50, n, n)).one(rng)
-    z -= (np.trace(z, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
-    expected = z - (np.trace(z, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
-    np.testing.assert_array_equal(ensure_traceless(z), expected)
+        assert np.isnan(proj_u(z)).any()
 
 
 def test_hilbert_transform_examples():
@@ -111,16 +93,17 @@ def test_hilbert_transform_examples():
     np.testing.assert_allclose(hilbert_transform(e12), 1j * e12)
 
 
-def test_hilbert_transform_on_a_stack(rng):
+@pytest.mark.parametrize("check", _CHECKED)
+def test_acts_on_a_stack_matrix_by_matrix(check, rng):
     stack = np.array([random_traceless(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
-    out = hilbert_transform(stack)
+    out = check(stack)
     assert out.shape == stack.shape
     for index in np.ndindex(2, 3):
-        np.testing.assert_array_equal(out[index], hilbert_transform(stack[index]))
+        np.testing.assert_array_equal(out[index], check(stack[index]))
     # one matrix off the traceless subspace rejects the whole stack
     stack[1, 2] += np.eye(4)
     with pytest.raises(ValueError, match="not traceless"):
-        hilbert_transform(stack)
+        check(stack)
 
 
 def test_hilbert_preserves_compact_form(rng):
@@ -133,7 +116,7 @@ def test_hilbert_preserves_compact_form(rng):
 
 def test_hilbert_squared(rng):
     z = random_traceless(rng, 4)
-    zm, zh, zp = tri_project(z)
+    zh = z - np.tril(z, -1) - np.triu(z, 1)
     np.testing.assert_allclose(
         hilbert_transform(hilbert_transform(z)), -z + zh, atol=1e-14
     )

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -763,7 +764,7 @@ def test_pivot_minors_of_a_stack_all_in_the_band():
     cp1 = parse_preset("cp1")
     phi = cartan_embed(canonical_rep(np.full((2, 1, 1, 1), _BAND_Z + 0j), cp1), cp1)
     minors, ambiguous, factors = _pivot_minors(phi)
-    assert ambiguous.shape == (2, 1) and ambiguous.all() and len(factors.h) == 0
+    assert ambiguous.shape == (2, 1) and ambiguous.all() and factors.h.shape == phi.shape
     np.testing.assert_array_equal(minors, principal_minors(phi))
 
 
@@ -817,7 +818,8 @@ def test_the_group_cells_of_rank_grid_are_unimodular(seed):
 def test_pivot_minors_factor_a_stack_in_one_elimination(rng, monkeypatch):
     # a Cartan image is unimodular by construction, so _pivot_minors takes
     # it to the elimination unchecked, once, band members and all; the
-    # factors of the others are those of birkhoff_factor on them, bit for bit
+    # factors are shaped as the stack, and at the others they are those of
+    # birkhoff_factor on them, bit for bit
     cp1 = parse_preset("cp1")
     z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
     phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
@@ -829,7 +831,60 @@ def test_pivot_minors_factor_a_stack_in_one_elimination(rng, monkeypatch):
     rest = birkhoff_factor(phi[~ambiguous])
     for name in ("l", "perm", "signs", "h", "u_plus"):
         a, b = getattr(factors, name), getattr(rest, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.shape == phi.shape[:a.ndim]
+        assert a[~ambiguous].tobytes() == b.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _band_images(spec):
+    """Three Cartan images of the preset whose smallest pivot is about 1e-9,
+    inside the ambiguity band (1e-10, 1e-8) of the default tol."""
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(3)
+    return np.array([_near_wall_image(preset, rng, 1e-9) for _ in range(3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(["cp1", "cp2", "gr:2,2"]),
+    count=st.integers(1, 6),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_images_keep_their_slot_in_the_elimination(spec, count, picks, data, seed):
+    # band images inserted anywhere in a stack leave every other image's
+    # perm, h and minors as the stack without them has them, bit for bit;
+    # the mask marks exactly the band images, and the message names the
+    # first of them in column order, as that image alone names its entry
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, count, preset.n, preset.m))
+    clean = cartan_embed(canonical_rep(z[0] + 1j * z[1], preset), preset)
+    band = _band_images(spec)[picks]
+    size = count + len(band)
+    slots = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=len(band), max_size=len(band))))
+    marked = np.zeros(size, dtype=bool)
+    marked[slots] = True
+    phi = np.empty((size,) + clean.shape[1:], dtype=complex)
+    phi[marked], phi[~marked] = band, clean
+
+    minors, ambiguous, factors = _pivot_minors(phi)
+    clean_minors, clean_ambiguous, clean_factors = _pivot_minors(clean)
+    assert not clean_ambiguous.any()
+    np.testing.assert_array_equal(ambiguous, marked)
+    assert factors.h.shape == phi.shape and factors.perm.shape == phi.shape[:-1]
+    assert factors.perm[~marked].tobytes() == clean_factors.perm.tobytes()
+    assert factors.h[~marked].tobytes() == clean_factors.h.tobytes()
+    assert minors[~marked].tobytes() == clean_minors.tobytes()
+
+    with pytest.raises(StratumAmbiguous) as info:
+        birkhoff_factor(phi)
+    alone = [linalg._eliminate(image, linalg.DEFAULT_TOL)[2] for image in band]
+    column = [int(text.split(" at (")[1].split(")")[0].split(", ")[1]) for text in alone]
+    first = min(range(len(band)), key=lambda i: (column[i], slots[i]))
+    head, tail = alone[first].split(" is inside")
+    assert str(info.value) == f"{head} of matrix ({slots[first]},) is inside{tail}"
 
 
 def test_only_birkhoff_factor_takes_a_det(rng, monkeypatch):

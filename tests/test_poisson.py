@@ -22,10 +22,7 @@ from birkhoff_poisson import (
     omega_apply,
     pi_el_group,
     pi_eval,
-    pi_lw_group,
     pi_rank,
-    su2_el_coefficients,
-    su2_lw_coefficients,
 )
 from birkhoff_poisson import cli
 from birkhoff_poisson import poisson as poisson_module
@@ -41,9 +38,12 @@ from birkhoff_poisson.poisson import (
     fothlu_w_tensor,
     grassmann_l_operator,
     matrix_of_omega,
+    pi_lw_group,
     reals_to_complex,
+    su2_el_coefficients,
     su2_frame,
     su2_from_sphere,
+    su2_lw_coefficients,
 )
 from birkhoff_poisson.sampling import (
     chart_sampler,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff_poisson import sampling
+from birkhoff_poisson import NumericalDomainError, sampling
 from birkhoff_poisson.symspace import block_diag, ip_basis, parse_preset, su_basis, unitary_exp
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -147,3 +147,15 @@ def test_special_linear_stack_skips_singular_blocks_in_stream_order(singular, se
     no_skip = np.random.default_rng(seed)
     no_skip.standard_normal((40, 8))
     assert (rng.bit_generator.state == no_skip.bit_generator.state) == (singular < 0.01)
+
+
+def test_random_interior_point_refuses_a_preset_after_its_draws(monkeypatch):
+    # no Haar draw on gr:6,10 keeps every leading minor of its Cartan image
+    # 0.1 away from zero, so the draws run out and the preset is refused
+    monkeypatch.setattr(sampling, "_INTERIOR_DRAWS", 200)
+    draws = []
+    point = sampling.random_point
+    monkeypatch.setattr(sampling, "random_point", lambda *a: draws.append(1) or point(*a))
+    with pytest.raises(NumericalDomainError, match=r"gr:6,10 with every leading minor at least 0\.1"):
+        sampling.random_interior_point(parse_preset("gr:6,10"), np.random.default_rng(0))
+    assert len(draws) == 200

@@ -570,7 +570,7 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
     assert imported - set(sys.stdlib_module_names) - {"numpy", "birkhoff_poisson"} == set()
 
 
-# The package's 43 public names other than its modules.  The public API is
+# The package's 40 public names other than its modules.  The public API is
 # meant to shrink, so adding or dropping an export edits this list.
 PUBLIC_NAMES = [
     "BirkhoffFactors", "InvalidTangent", "IwasawaFactors", "NotPositiveDefinite",
@@ -581,8 +581,8 @@ PUBLIC_NAMES = [
     "grassmann_local_pi", "grassmannian", "group_case", "hamiltonian_residual",
     "hilbert_transform", "inv_sqrt_hpd", "iwasawa_factor", "jacobi_residual",
     "leaf_factorize", "moment_eval", "omega_apply", "parse_preset", "pi_el_group",
-    "pi_eval", "pi_lw_group", "pi_rank", "principal_minors", "proj_u", "project_ip",
-    "su2_el_coefficients", "su2_lw_coefficients", "theta_g", "torus_tw", "trace_form",
+    "pi_eval", "pi_rank", "principal_minors", "proj_u", "project_ip",
+    "theta_g", "torus_tw", "trace_form",
 ]
 
 
@@ -595,7 +595,7 @@ def test_the_package_exports_the_pinned_public_names():
     assert exported == PUBLIC_NAMES
 
 
-# The parameters of the 34 exported functions, read through
+# The parameters of the 31 exported functions, read through
 # inspect.signature, "=" marking one with a default.  The library runs at one
 # operating point, with ``birkhoff_factor``'s ``tol`` its one setting, so
 # adding a parameter edits this list.
@@ -608,9 +608,9 @@ PUBLIC_SIGNATURES = {
     "hilbert_transform": "z", "inv_sqrt_hpd": "p", "iwasawa_factor": "g",
     "jacobi_residual": "tensor, point", "leaf_factorize": "phi, preset",
     "moment_eval": "u, x, preset", "omega_apply": "u, x, preset", "parse_preset": "spec",
-    "pi_el_group": "k, p, q", "pi_eval": "u, x, y, preset", "pi_lw_group": "k, p, q",
+    "pi_el_group": "k, p, q", "pi_eval": "u, x, y, preset",
     "pi_rank": "u, preset", "principal_minors": "g", "proj_u": "z",
-    "project_ip": "z, preset", "su2_el_coefficients": "k", "su2_lw_coefficients": "k",
+    "project_ip": "z, preset",
     "theta_g": "g, preset", "torus_tw": "perm, preset", "trace_form": "x, y",
 }
 
