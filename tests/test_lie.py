@@ -148,6 +148,54 @@ def test_proj_u_is_projection_with_expected_kernel(rng):
     assert np.allclose(proj_u(np.diag([1.0, -2.0, 1.0]).astype(complex)), 0)
 
 
+_SIZES = [2, 3, 4, 5, 8, 9]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_proj_u_projects_along_lower_and_real_diagonal_exactly(n, rng):
+    # traceless to rounding only, as sampled stacks are: passed, not re-centred
+    z = complex_normal_sampler((50, n, n)).one(rng)
+    z -= (np.trace(z, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    p = proj_u(z)
+    moved = p - z
+    # what is taken off lies in (strict lower) + (real diagonal), and the
+    # image is anti-Hermitian and fixed by proj_u, all bit for bit
+    np.testing.assert_array_equal(np.triu(moved, 1), 0)
+    np.testing.assert_array_equal(np.diagonal(moved, axis1=-2, axis2=-1).imag, 0)
+    np.testing.assert_array_equal(p + p.mT.conj(), 0)
+    np.testing.assert_array_equal(proj_u(p), p)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_traceless_check_refuses_as_np_trace_and_the_norm_say(n, rng):
+    # matrices of norm below and above one, each given a corner trace on
+    # either side of TRACELESS_TOL * max(1, ||z||_F); a stack is refused
+    # exactly when one member is, and a lone member as np.trace says
+    base = complex_normal_sampler((8, n, n)).one(rng)
+    base -= (np.trace(base, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    base *= np.array([0.01, 0.05, 20.0, 300.0] * 2)[:, None, None] / np.linalg.norm(
+        base, axis=(-2, -1)
+    )[:, None, None]
+    factors = np.array([0.5, 0.99, 0.9, 0.2, 1.01, 2.0, 1.05, 3.0])
+    bound = TRACELESS_TOL * np.maximum(1.0, np.linalg.norm(base, axis=(-2, -1)))
+    stack = base.copy()
+    stack[:, 0, 0] += factors * bound
+    refused = np.abs(np.trace(stack, axis1=-2, axis2=-1)) > TRACELESS_TOL * np.maximum(
+        1.0, np.linalg.norm(stack, axis=(-2, -1))
+    )
+    np.testing.assert_array_equal(refused, factors > 1)
+    for check in _CHECKED:
+        for z, refuse in zip(stack, refused):
+            if refuse:
+                with pytest.raises(ValueError, match="not traceless"):
+                    check(z)
+            else:
+                check(z)
+        check(stack[~refused])
+        with pytest.raises(ValueError, match="not traceless"):
+            check(stack)
+
+
 def test_proj_u_of_i_times_compact_is_hilbert(rng):
     z = su_algebra_sampler(4).one(rng)
     np.testing.assert_allclose(proj_u(1j * z), hilbert_transform(z), atol=1e-13)
