@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, poisson
 from .errors import NumericalDomainError, StratumAmbiguous
 from .jsontext import _dict_chunks, _json_text, _table_rows
-from .linalg import DEFAULT_TOL, _eliminate, _pivot_minors, birkhoff_factor, iwasawa_factor
+from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor
 from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
@@ -63,24 +63,10 @@ def _pairs(m) -> np.ndarray:
     return np.stack([m.real, m.imag], -1)
 
 
-def _j2mat(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix JSON must be a square nested array of [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
 def _write(chunks, out: str | None) -> None:
     """Write the strings of ``chunks`` to the file ``out``, or to stdout."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    """Write ``_json_text(payload)`` and a newline a top-level value at a
-    time: the text of a large value, such as the bivector matrix of ``pi``,
-    is written as it is and not copied into the text of the whole payload."""
-    _write(itertools.chain(_dict_chunks(payload, ""), ["\n"]), out)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -160,7 +146,10 @@ def _read_matrix(args) -> np.ndarray:
             data = json.load(fh)
     else:
         data = json.load(sys.stdin)
-    return _j2mat(data)
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("matrix JSON must be a square nested array of [re, im] pairs")
+    return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def cmd_factor(args) -> dict:
@@ -219,14 +208,11 @@ def cmd_pi(args) -> dict:
 def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
-    # the guard reads the top layer's minors h_0 ... h_(k-1) off one elimination,
-    # before the symmetry checks, so a wall point is refused here, not by them;
-    # a lower layer's minors are never read, so none are taken
-    lf, ambiguous, message = _eliminate(phi, DEFAULT_TOL)
-    if ambiguous:
-        raise StratumAmbiguous(message, mask=ambiguous)
+    # the guard reads the top layer's minors h_0 ... h_(k-1) off the pivots,
+    # before the symmetry checks, so a wall point is refused here, not by them
+    minors, _, lf = _pivot_minors(phi)
     top = lf.perm == tuple(range(len(phi)))
-    min_minor = float(np.min(np.abs(np.cumprod(np.diagonal(lf.h))))) if top else 0.0
+    min_minor = float(np.min(np.abs(minors))) if top else 0.0
     if min_minor <= DEFAULT_TOL:
         where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")
@@ -425,6 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, run its handler, write its payload; return the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -435,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(payload, str):
             _write([payload, "\n"], args.out)
             return EXIT_OK
-        _emit(payload, args.out)
+        # a top-level value at a time: pi's matrix text is never copied
+        _write(itertools.chain(_dict_chunks(payload, ""), ["\n"]), args.out)
         return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY_FAIL
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

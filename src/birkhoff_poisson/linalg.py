@@ -9,10 +9,10 @@ Implements the factorizations everything else is built on:
   magnitude pivoting, so it identifies the Birkhoff stratum of g.  g may be
   a stack (..., n, n), eliminated one column step for the whole stack; a
   matrix with a pivot in the ambiguity band keeps its slot there, and
-  ``StratumAmbiguous.mask`` marks it.
+  ``StratumAmbiguous.mask`` marks it; the elimination refuses a lone one.
 * ``iwasawa_factor``   -- g = l @ a @ u with l lower unipotent, a positive
   diagonal of determinant 1 and u unitary, via the lower Cholesky factor of
-  g g*.
+  g g*, refused where g g* overflows.
 * ``inv_sqrt_hpd``     -- Hermitian inverse square root by eigendecomposition.
   No chart computation uses it (``symspace.canonical_rep`` works from the
   singular value decomposition of the chart matrix); it stays public API,
@@ -23,8 +23,7 @@ Implements the factorizations everything else is built on:
   private ``_pivot_minors`` reads them off its Birkhoff pivots instead, as
   h_0 ... h_(k-1), for every matrix on the top layer, and keeps
   ``principal_minors`` for the rest, matrix by matrix; ``rank-grid`` and
-  ``embed`` print those.  ``moment`` guards on the pivot products of its
-  one elimination, and takes no minor off the top layer.
+  ``embed`` print those, and ``moment``'s top-layer guard reads them.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
@@ -32,10 +31,11 @@ refuse, by LAPACK's det, any matrix whose determinant is not 1; the message
 calls it singular on a scale of its own (|det g| against Hadamard's bound
 of g), apart from the pivot threshold ``tol`` of ``birkhoff_factor``.  The
 Cartan images the package builds have det |det u|^2 = 1 (u unitary), so
-``_pivot_minors`` skips that check.  ``DEFAULT_TOL`` is the package's one
-threshold.  Every caller but ``factor --tol`` runs at it, as their inputs
-fix the scale (unitary Cartan images): only ``birkhoff_factor`` takes a
-``tol``, and only that command sets it.
+``_pivot_minors`` skips that check: these two are the elimination's only
+callers.  ``DEFAULT_TOL`` is the package's one threshold.  Every caller but
+``factor --tol`` runs at it, as their inputs fix the scale (unitary Cartan
+images): only ``birkhoff_factor`` takes a ``tol``, and only that command
+sets it.
 The private ``_cmatmul`` takes a complex product of stacks as one real
 GEMM, as numpy's complex matmul pays about 230 ns a matrix of a stack
 whatever its size; ``matrix_of_omega`` and ``cartan_embed`` use it.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularInput, StratumAmbiguous
+from .errors import NotPositiveDefinite, NumericalDomainError, SingularInput, StratumAmbiguous
 
 DEFAULT_TOL = 1e-9
 
@@ -191,7 +191,9 @@ def _eliminate(g: np.ndarray, tol: float):
     has no usable pivot, or an entry in the ambiguity band marks it in
     ``ambiguous`` (shape g.shape[:-2]), the first named by ``message`` (""
     if none).  A marked matrix keeps its slot, later columns neither check
-    nor divide by its pivot, and no other matrix's factors move."""
+    nor divide by its pivot, and no other matrix's factors move.  A lone
+    matrix is refused at its band event, StratumAmbiguous(message, 0-d
+    mask); a stack's mask must cover every band member, so it is returned."""
     stack, n = g.shape[:-2], g.shape[-1]
     m = g.reshape(-1, n, n).copy()
     rows = np.arange(n)
@@ -226,6 +228,8 @@ def _eliminate(g: np.ndarray, tol: float):
                     f"{what} {a[k]:.3e} at ({piv[k]}, {j}){where} is inside the "
                     f"ambiguity band around tol = {tol:.3e}"
                 )
+            if not stack:
+                raise StratumAmbiguous(message, mask=in_band.reshape(stack))
             ambiguous |= in_band
         used[at, piv] = True
         perm[:, j] = piv
@@ -272,12 +276,16 @@ def iwasawa_factor(g: np.ndarray) -> IwasawaFactors:
 
     The lower Cholesky factor L of the Hermitian positive definite matrix
     g g* is split as L = l @ a with a = diag(L) (positive by the Cholesky
-    convention); then u = L^(-1) g is unitary.
+    convention); then u = L^(-1) g is unitary.  NumericalDomainError
+    refuses, with no warning, a g g* that overflows (diag(1e154, 1e-154)).
     """
     g = _as_square_stack(g)
     _check_unimodular(g)
-    gram = g @ g.mT.conj()
-    gram = 0.5 * (gram + gram.mT.conj())
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = g @ g.mT.conj()
+        gram = 0.5 * (gram + gram.mT.conj())
+    if not np.all(np.isfinite(gram)):
+        raise NumericalDomainError("matrix overflows: g g* is not finite")
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -351,12 +359,10 @@ def _pivot_minors(g: np.ndarray):
     such matrix moves no other matrix of the stack off its pivots.
     ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band;
     ``factors`` is shaped as g, and a marked matrix's factors are not
-    read.  One matrix in the band raises StratumAmbiguous, as
-    ``birkhoff_factor`` does."""
+    read; ``_eliminate`` refuses one matrix in the band.  ``embed``,
+    ``rank-grid`` and ``moment``'s guard read their images through here."""
     g = _as_square_stack(g)
-    factors, ambiguous, message = _eliminate(g, DEFAULT_TOL)
-    if g.ndim == 2 and ambiguous:
-        raise StratumAmbiguous(message, mask=ambiguous)
+    factors, ambiguous, _ = _eliminate(g, DEFAULT_TOL)
     top = np.all(np.asarray(factors.perm) == np.arange(g.shape[-1]), axis=-1) & ~ambiguous
     minors = np.empty(g.shape[:-1], dtype=complex)
     minors[top] = np.cumprod(np.diagonal(factors.h, axis1=-2, axis2=-1)[top], axis=-1)

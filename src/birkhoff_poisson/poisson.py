@@ -66,6 +66,7 @@ from .lie import _hilbert_signs, hilbert_transform, trace_form
 from .linalg import DEFAULT_TOL, _cmatmul
 from .symspace import (
     SymmetricSpacePreset,
+    _chart_stack,
     adjoint_act,
     block_diag,
     canonical_rep,
@@ -509,12 +510,14 @@ def chart_tensor(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Real antisymmetric matrix of the Grassmannian chart tensor at chart
     points (..., 2 m n) in interleaved (re, im) coordinates; projective space
     is m = 1.  Entry (a, b) pairs the covectors dual to the chart directions
-    a and b under 2 Re tr(v d).  Raises NumericalDomainError unless every
-    matrix is finite."""
+    a and b under 2 Re tr(v d).  ``symspace._chart_stack`` refuses a group
+    preset and a point that is not finite (ValueError), as ``canonical_rep``
+    does; NumericalDomainError refuses a matrix that is not finite."""
     m, n = preset.m, preset.n
-    reps = np.ascontiguousarray(0.5 * chart_directions(preset).conj().mT)
     z = reals_to_complex(x)
-    images = _l_images(z.reshape(z.shape[:-1] + (n, m)), reps)
+    z = _chart_stack(z.reshape(z.shape[:-1] + (n, m)), preset)
+    reps = np.ascontiguousarray(0.5 * chart_directions(preset).conj().mT)
+    images = _l_images(z, reps)
     # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM of the
     # flattened (K, m n) views per point
     images = images.reshape(images.shape[:-2] + (m * n,))

@@ -454,10 +454,10 @@ def test_embed_far_out_on_the_chart(capsys):
 def test_moment_classifies_its_point_with_one_factorization(point, code, monkeypatch, capsys):
     # the image is the package's own, unimodular by construction: one
     # elimination, with no det, gives the factors the moments come from and
-    # the pivots the top-layer guard reads.  The wall point |z| = 1 factors
-    # on a lower layer, whose minors the guard does not read, so none are
-    # taken, and is refused before the symmetry checks, which would raise
-    # SymmetryViolation there
+    # the pivots the top-layer guard reads (_pivot_minors).  The wall point
+    # |z| = 1 factors on a lower layer, whose minors _pivot_minors takes once
+    # by principal_minors, and is refused before the symmetry checks, which
+    # would raise SymmetryViolation there
     calls = {"eliminate": 0, "factor": 0, "minors": 0, "det": 0, "symmetry": 0}
     eliminate, factor, minors = linalg._eliminate, linalg.birkhoff_factor, linalg.principal_minors
     det, symmetry = np.linalg.det, strata._check_leaf_symmetry
@@ -478,18 +478,47 @@ def test_moment_classifies_its_point_with_one_factorization(point, code, monkeyp
         calls["det"] += "minors" not in inside
         return det(a)
 
-    for module in (cli, linalg):
-        monkeypatch.setattr(module, "_eliminate", counted("eliminate", eliminate))
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", eliminate))
     monkeypatch.setattr(linalg, "principal_minors", counted("minors", minors))
     for module in (cli, strata, linalg):
         monkeypatch.setattr(module, "birkhoff_factor", counted("factor", factor))
     monkeypatch.setattr(cli, "_check_leaf_symmetry", counted("symmetry", symmetry))
     monkeypatch.setattr(np.linalg, "det", counted_det)
     assert main(["moment", "--preset", "cp2", f"--point={point}"]) == code
-    assert calls == {"eliminate": 1, "factor": 0, "minors": 0, "det": 0, "symmetry": int(code == 0)}
+    assert calls == {"eliminate": 1, "factor": 0, "minors": int(code != 0), "det": 0,
+                     "symmetry": int(code == 0)}
     if code:
         captured = capsys.readouterr()
         assert captured.out == "" and "not strictly inside the top layer" in captured.err
+
+
+@pytest.mark.parametrize("scale", ["154", "160"])
+def test_iwasawa_refuses_a_matrix_whose_gram_matrix_overflows(scale, capsys):
+    # diag(10^k, 10^-k): det 1, but g g* is not finite
+    matrix = f"[[[1e{scale},0],[0,0]],[[0,0],[1e-{scale},0]]]"
+    assert main(["iwasawa", "--matrix", matrix]) == 3
+    assert capsys.readouterr() == ("", "error: matrix overflows: g g* is not finite\n")
+
+
+def test_a_lone_band_image_is_refused_by_the_elimination_alone(capsys):
+    # the cp1 image at |z| = 1.0000000007 has phi[0, 0] = 7e-10 inside the
+    # ambiguity band: the elimination refuses it, and both of its doors,
+    # and embed, moment and factor on top of them, pass that on unchanged
+    point = "--point=1.0000000007,0"
+    cp1 = parse_preset("cp1")
+    phi = cartan_embed(canonical_rep(np.array([[1.0000000007 + 0j]]), cp1), cp1)
+    refusals = []
+    for call in (lambda: linalg._eliminate(phi, linalg.DEFAULT_TOL),
+                 lambda: linalg._pivot_minors(phi), lambda: birkhoff_factor(phi)):
+        with pytest.raises(StratumAmbiguous) as info:
+            call()
+        assert info.value.mask.shape == () and info.value.mask
+        refusals.append(str(info.value))
+    assert refusals == [refusals[0]] * 3 and refusals[0].startswith("entry 7.000e-10 at (0, 0)")
+    matrix = json.dumps(np.stack([phi.real, phi.imag], -1).tolist())
+    for argv in (["embed", point], ["moment", point], ["factor", "--matrix", matrix]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {refusals[0]}\n")
 
 
 _GR_6_10_INTERIOR = ",".join(["0.1,0.2"] + ["0.05,-0.03"] * 59)
@@ -1163,13 +1192,21 @@ _CALLS = {
 @pytest.mark.parametrize("command", ["pi", "moment", "embed", "rank-grid", "verify"])
 def test_subcommands_print_json_dumps_of_their_payload(command, monkeypatch, capsys):
     payloads = []
-    emit = cli._emit
+    parser = cli._build_parser()
+    parse = parser.parse_args
 
-    def recording(payload, out):
-        payloads.append(payload)
-        emit(payload, out)
+    def recording(argv):
+        args = parse(argv)
+        func = args.func
 
-    monkeypatch.setattr(cli, "_emit", recording)
+        def record(a):
+            payloads.append(func(a))
+            return payloads[-1]
+
+        args.func = record
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", recording)
     code, out = run_cli(_CALLS[command], capsys)
     assert code == 0
     assert out == json.dumps(payloads[0], indent=2, default=np.ndarray.tolist) + "\n"

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from birkhoff_poisson import (
     NotPositiveDefinite,
+    NumericalDomainError,
     SingularInput,
     StratumAmbiguous,
     birkhoff_factor,
@@ -610,6 +611,25 @@ def test_iwasawa_stack_matches_single_calls(n, shape, seed):
             assert np.linalg.norm(stacked[index] - single) <= 1e-13 * np.linalg.norm(single)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_iwasawa_refuses_a_matrix_whose_gram_matrix_overflows(scale, rng):
+    # diag(s, 1/s) has det 1; from 1e155 on g g* overflows, and at 1e154 its
+    # symmetrization does: refused, alone and in a stack, with no warning
+    g = np.diag([scale, 1 / scale]).astype(complex)
+    gs = special_linear_stack(2, 4, rng)
+    gs[2] = g
+    for bad in (g, gs):
+        with pytest.raises(NumericalDomainError, match=r"g g\* is not finite"):
+            iwasawa_factor(bad)
+
+
+def test_iwasawa_factors_a_large_diagonal_exactly():
+    f = iwasawa_factor(np.diag([1e150, 1e-150]).astype(complex))
+    np.testing.assert_array_equal(f.l, np.eye(2))
+    np.testing.assert_array_equal(f.u, np.eye(2))
+    np.testing.assert_array_equal(f.a, np.diag([1e150, 1e-150]))
+
+
 def test_iwasawa_stack_with_one_singular_member_raises(rng):
     gs = special_linear_stack(3, 4, rng)
     gs[2] *= 2.0
@@ -880,7 +900,11 @@ def test_band_images_keep_their_slot_in_the_elimination(spec, count, picks, data
 
     with pytest.raises(StratumAmbiguous) as info:
         birkhoff_factor(phi)
-    alone = [linalg._eliminate(image, linalg.DEFAULT_TOL)[2] for image in band]
+    alone = []
+    for image in band:
+        with pytest.raises(StratumAmbiguous) as lone:
+            linalg._eliminate(image, linalg.DEFAULT_TOL)
+        alone.append(str(lone.value))
     column = [int(text.split(" at (")[1].split(")")[0].split(", ")[1]) for text in alone]
     first = min(range(len(band)), key=lambda i: (column[i], slots[i]))
     head, tail = alone[first].split(" is inside")

@@ -60,6 +60,7 @@ from birkhoff_poisson.symspace import (
     block_diag,
     elem_real_inner,
     grassmannian,
+    group_case,
     ip_basis,
     parse_preset,
     project_ip,
@@ -889,6 +890,19 @@ def test_chart_tensor_rejects_a_non_finite_tensor(m, n, x):
     # refused when any of its points is
     with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="finite"):
         chart_tensor(np.array(x), grassmannian(m, n))
+
+
+@pytest.mark.parametrize(
+    "x,preset,match",
+    [
+        ([0.0] * 8, group_case(2), "charts exist for the Grassmannian family only"),
+        ([np.nan, 0.0], grassmannian(1, 1), "chart matrix entries must be finite"),
+    ],
+)
+def test_chart_tensor_refuses_what_canonical_rep_refuses(x, preset, match):
+    # the one chart rule of symspace, as canonical_rep and chart_pi_eval refuse it
+    with pytest.raises(ValueError, match=match):
+        chart_tensor(np.array(x), preset)
 
 
 def _fothlu_w_reference(x):

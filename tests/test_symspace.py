@@ -557,6 +557,30 @@ def test_only_the_encoding_modules_read_the_family():
     assert readers == {"symspace.py", "sampling.py", "cli.py"}
 
 
+def test_the_elimination_has_two_doors():
+    # birkhoff_factor for a user matrix, after its det check, and
+    # _pivot_minors for the package's own images; the elimination alone
+    # marks a band matrix, and the CLI never reaches it directly
+    callers, masks, cli_names = set(), set(), set()
+    for path in Path(birkhoff_poisson.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+                if path.name == "cli.py" and name == "_eliminate":
+                    cli_names.add(name)
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "_eliminate":
+                    callers.add((path.name, owner))
+                if called == "StratumAmbiguous" and any(k.arg == "mask" for k in node.keywords):
+                    masks.add(path.name)
+    assert callers == {("linalg.py", "birkhoff_factor"), ("linalg.py", "_pivot_minors")}
+    assert masks == {"linalg.py"}
+    assert cli_names == set()
+
+
 def test_the_package_imports_only_numpy_and_the_standard_library():
     # relative imports are the package's own modules
     imported = set()
