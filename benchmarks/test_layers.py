@@ -25,9 +25,10 @@ reads them, at one interior point of each of its ``moment`` presets.
 ``pi_rank``, ``cartan_embed`` and the ``rank-grid`` columns of one stack
 run at the stack sizes, and ``cartan_embed`` on the one gr:2,2 image of a
 ``moment`` call too; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
-its stacks included, and both ``_pivot_minors``, the unchecked elimination
-the grid runs, and the public ``birkhoff_factor`` on that grid's one stack
-of 1,024 Cartan images; one ``pi --preset gr:6,10`` and one ``moment --preset
+its stacks included, and both ``_pivot_minors``, the unchecked Hermitian
+elimination the grid runs, on that grid's one stack of 1,024 Cartan images
+and on the first stack of a gr:2,3 grid, and the public ``birkhoff_factor``
+on the 1,024; one ``pi --preset gr:6,10`` and one ``moment --preset
 gr:2,2`` call run through ``cli.main``; the chart transfer
 ``chart_pi_eval`` runs on the cp1, cp2 and gr:2,2 stacks, and the
 finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
@@ -182,29 +183,31 @@ def test_grid_cells(benchmark, spec):
 
 
 def _sweep_stack(spec, monkeypatch):
-    """The 1,024 Cartan images of a 32 x 32 rank-grid over the default axes,
-    the one stack of that grid, as ``_grid_cells`` passes it to
-    ``_pivot_minors``."""
+    """The arguments ``_grid_cells`` passes to ``_pivot_minors`` on the
+    first stack of a 32 x 32 rank-grid over the default axes: its Cartan
+    images and the diagonal of J.  That stack is the whole grid, 1,024
+    images, on cp1, cp2 and gr:2,2, and 655 of them on gr:2,3, whose 5 x 5
+    images take two stacks."""
     preset = parse_preset(spec)
     stacks = []
     pivot_minors = cli._pivot_minors
-    monkeypatch.setattr(cli, "_pivot_minors", lambda phi: stacks.append(phi) or pivot_minors(phi))
+    monkeypatch.setattr(cli, "_pivot_minors", lambda *a: stacks.append(a) or pivot_minors(*a))
     cli._grid_cells(preset, *_sweep_axes(preset))
-    assert [len(phi) for phi in stacks] == [1024]
+    assert sum(len(phi) for phi, _ in stacks) == 1024
     return stacks[0]
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]] + ["gr:2,3"])
 def test_pivot_minors_of_a_sweep_stack(benchmark, spec, monkeypatch):
-    """The one elimination, with no det, and the minors that ``rank-grid``
-    reads off the sweep stack."""
-    benchmark(_pivot_minors, _sweep_stack(spec, monkeypatch))
+    """The one Hermitian elimination, with no det, and the minors that
+    ``rank-grid`` reads off the sweep stack."""
+    benchmark(_pivot_minors, *_sweep_stack(spec, monkeypatch))
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
 def test_birkhoff_factor_of_a_sweep_stack(benchmark, spec, monkeypatch):
     """The public factorization of the sweep stack, its det check included."""
-    benchmark(birkhoff_factor, _sweep_stack(spec, monkeypatch))
+    benchmark(birkhoff_factor, _sweep_stack(spec, monkeypatch)[0])
 
 
 def _chart_arg(spec, scale):

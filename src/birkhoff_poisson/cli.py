@@ -44,7 +44,14 @@ from .poisson import (
     su2_from_sphere,
 )
 from .strata import _check_leaf_symmetry, torus_tw
-from .symspace import SymmetricSpacePreset, block_diag, canonical_rep, cartan_embed, parse_preset
+from .symspace import (
+    SymmetricSpacePreset,
+    _j_diagonal,
+    block_diag,
+    canonical_rep,
+    cartan_embed,
+    parse_preset,
+)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -183,7 +190,7 @@ def cmd_embed(args) -> dict:
     preset = parse_preset(args.preset)
     u = canonical_rep(_chart_matrix(preset, args.point), preset)
     phi = cartan_embed(u, preset)
-    minors, _, factors = _pivot_minors(phi)
+    minors, _, factors = _pivot_minors(phi, _j_diagonal(preset))
     return {
         "preset": preset.label,
         "u": _pairs(u),
@@ -210,11 +217,10 @@ def cmd_moment(args) -> dict:
     phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
     # the guard reads the top layer's minors h_0 ... h_(k-1) off the pivots,
     # before the symmetry checks, so a wall point is refused here, not by them
-    minors, _, lf = _pivot_minors(phi)
-    top = lf.perm == tuple(range(len(phi)))
-    min_minor = float(np.min(np.abs(minors))) if top else 0.0
+    minors, _, lf = _pivot_minors(phi, _j_diagonal(preset))
+    min_minor = float(np.min(np.abs(minors))) if lf.top else 0.0
     if min_minor <= DEFAULT_TOL:
-        where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(lf.perm)}"
+        where = f"min |minor| = {min_minor:.3e}" if lf.top else f"layer {list(lf.perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")
     _check_leaf_symmetry(phi, lf, preset)
     basis = np.stack(torus_tw(lf.perm, preset))
@@ -303,7 +309,7 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
         u = block_diag(np.eye(2), k.mT.conj())
-    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset))
+    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset), _j_diagonal(preset))
     columns = [np.full(len(x), -1), np.zeros(len(x))]
     columns[0][inside] = np.where(ambiguous, -1, pi_rank(u, preset))
     columns[1][inside] = np.min(np.abs(minors), axis=-1)

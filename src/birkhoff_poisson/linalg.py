@@ -20,10 +20,16 @@ Implements the factorizations everything else is built on:
   ``check_hpd_spectrum`` is the one chart points obey.
 * ``principal_minors`` -- determinants of the leading k x k submatrices,
   the first one read as the entry g[0, 0] itself.  For a Cartan image the
-  private ``_pivot_minors`` reads them off its Birkhoff pivots instead, as
-  h_0 ... h_(k-1), for every matrix on the top layer, and keeps
-  ``principal_minors`` for the rest, matrix by matrix; ``rank-grid`` and
-  ``embed`` print those, and ``moment``'s top-layer guard reads them.
+  private ``_pivot_minors`` reads them off its pivots instead, on the top
+  layer, and keeps ``principal_minors`` for the rest, matrix by matrix;
+  ``rank-grid`` and ``embed`` print those, and ``moment``'s guard reads
+  them.  It has two routes.  Where J is diagonal (a Grassmannian), psi =
+  g J is Hermitian, and one in-place Hermitian elimination psi = l D l* of
+  the stack, with no row exchange and no upper factor, gives the top
+  layer's minors cumprod(D J) and its factors l, h = D J and theta(l*),
+  built when read.  The images it leaves, a pivot not clearly above the
+  band, and every image of the group case, whose J swaps the blocks, go
+  through the structural elimination ``_eliminate``.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
@@ -31,11 +37,11 @@ refuse, by LAPACK's det, any matrix whose determinant is not 1; the message
 calls it singular on a scale of its own (|det g| against Hadamard's bound
 of g), apart from the pivot threshold ``tol`` of ``birkhoff_factor``.  The
 Cartan images the package builds have det |det u|^2 = 1 (u unitary), so
-``_pivot_minors`` skips that check: these two are the elimination's only
-callers.  ``DEFAULT_TOL`` is the package's one threshold.  Every caller but
-``factor --tol`` runs at it, as their inputs fix the scale (unitary Cartan
-images): only ``birkhoff_factor`` takes a ``tol``, and only that command
-sets it.
+``_pivot_minors`` skips that check: ``birkhoff_factor`` and it are the
+structural elimination's only callers.  ``DEFAULT_TOL`` is the package's
+one threshold.  Every caller but ``factor --tol`` runs at it, as their
+inputs fix the scale (unitary Cartan images): only ``birkhoff_factor``
+takes a ``tol``, and only that command sets it.
 The private ``_cmatmul`` takes a complex product of stacks as one real
 GEMM, as numpy's complex matmul pays about 230 ns a matrix of a stack
 whatever its size; ``matrix_of_omega`` and ``cartan_embed`` use it.
@@ -45,6 +51,7 @@ All functions are pure and operate on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -256,10 +263,7 @@ def _eliminate(g: np.ndarray, tol: float):
     h = np.zeros_like(m)
     h[:, rows, rows] = signs[at[:, np.newaxis], perm] * m[at[:, np.newaxis], perm, rows]
     lower = np.ascontiguousarray(lower_t.mT)
-    if stack:
-        perm, signs = perm.reshape(stack + (n,)), signs.reshape(stack + (n,))
-    else:
-        perm, signs = tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
+    perm, signs = _layer_form(perm, signs, stack)
     factors = BirkhoffFactors(
         l=lower.reshape(g.shape),
         perm=perm,
@@ -268,6 +272,14 @@ def _eliminate(g: np.ndarray, tol: float):
         u_plus=upper.reshape(g.shape),
     )
     return factors, ambiguous.reshape(stack), message
+
+
+def _layer_form(perm: np.ndarray, signs: np.ndarray, stack: tuple):
+    """perm and signs, int arrays (count, n), as ``BirkhoffFactors`` holds
+    them: arrays shaped (*stack, n), or tuples for one matrix (stack ())."""
+    if stack:
+        return perm.reshape(stack + perm.shape[-1:]), signs.reshape(stack + signs.shape[-1:])
+    return tuple(int(i) for i in perm[0]), tuple(int(s) for s in signs[0])
 
 
 def iwasawa_factor(g: np.ndarray) -> IwasawaFactors:
@@ -343,29 +355,121 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
     return np.stack(minors, axis=-1)
 
 
-def _pivot_minors(g: np.ndarray):
+def _pivot_minors(g: np.ndarray, j=None):
     """The leading principal minors of a Cartan image g, beside its Birkhoff
-    factorization at ``DEFAULT_TOL``: (minors, ambiguous, factors), from
-    one ``_eliminate`` pass.
+    factorization at ``DEFAULT_TOL``: (minors, ambiguous, factors).
 
     g, one matrix or a stack (..., n, n), is an image the package built, of
     det |det u|^2 = 1 (u unitary), so it skips the unimodular check; a user
-    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n).  An
-    unmarked matrix on the top layer (perm the identity, so every sign +1)
-    is l h u_plus with l and u_plus unipotent triangular, so its minors are
-    the pivot products h_0 ... h_(k-1), read off h with no determinant; the
-    first is the entry g[0, 0] itself.  Every other matrix, on a lower
-    layer or inside the ambiguity band, keeps ``principal_minors``; one
-    such matrix moves no other matrix of the stack off its pivots.
-    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band;
-    ``factors`` is shaped as g, and a marked matrix's factors are not
-    read; ``_eliminate`` refuses one matrix in the band.  ``embed``,
-    ``rank-grid`` and ``moment``'s guard read their images through here."""
+    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n);
+    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band,
+    whose ``factors``, shaped as g, are not read.  ``_eliminate`` refuses
+    one matrix in the band.
+
+    j is the diagonal of J where J is diagonal (a Grassmannian,
+    ``symspace._j_diagonal``), else None.  With j, psi = g J is Hermitian
+    and ``_hermitian_eliminate`` factors the stack as psi = l D l*, so
+    g = l h theta(l*) with h = D J: an image it takes to the end is on the
+    top layer, with the real minors cumprod(D J), and ``factors``
+    (``_ImageFactors``) builds l, h and u_plus only when read.  An image
+    whose pivot is not clearly above the band is left to the route of j
+    None: one ``_eliminate`` pass, where an unmarked matrix on the top layer
+    (perm the identity) reads its minors off h as h_0 ... h_(k-1), the first
+    the entry g[0, 0] itself.  Every other matrix, on a lower layer or in
+    the band, keeps ``principal_minors``.  No matrix moves another one of
+    the stack off its pivots.  ``embed``, ``rank-grid`` and ``moment``'s
+    guard read their images through here."""
     g = _as_square_stack(g)
-    factors, ambiguous, _ = _eliminate(g, DEFAULT_TOL)
-    top = np.all(np.asarray(factors.perm) == np.arange(g.shape[-1]), axis=-1) & ~ambiguous
-    minors = np.empty(g.shape[:-1], dtype=complex)
-    minors[top] = np.cumprod(np.diagonal(factors.h, axis1=-2, axis2=-1)[top], axis=-1)
+    if j is None:
+        factors, ambiguous, _ = _eliminate(g, DEFAULT_TOL)
+        top = np.all(np.asarray(factors.perm) == np.arange(g.shape[-1]), axis=-1) & ~ambiguous
+        minors = np.empty(g.shape[:-1], dtype=complex)
+        minors[top] = np.cumprod(np.diagonal(factors.h, axis1=-2, axis2=-1)[top], axis=-1)
+        if not top.all():
+            minors[~top] = principal_minors(g[~top])
+        return minors, ambiguous, factors
+    stack, n = g.shape[:-2], g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    psi, d, top = _hermitian_eliminate(flat, j, DEFAULT_TOL)
+    minors = np.empty(flat.shape[:-1], dtype=complex)
+    minors[top] = np.cumprod(d[top] * j, axis=-1)
+    ambiguous = np.zeros(len(flat), dtype=bool)
+    rest = None
     if not top.all():
-        minors[~top] = principal_minors(g[~top])
-    return minors, ambiguous, factors
+        # one matrix goes alone, so that _eliminate refuses it in the band
+        minors[~top], ambiguous[~top], rest = _pivot_minors(flat[~top] if stack else g)
+    factors = _ImageFactors(psi, d, j, top, rest, stack)
+    return minors.reshape(g.shape[:-1]), ambiguous.reshape(stack), factors
+
+
+def _hermitian_eliminate(g: np.ndarray, j: np.ndarray, tol: float):
+    """LDL* of psi = g J, J = diag(j), for a stack g (count, n, n) of Cartan
+    images whose psi is Hermitian: (psi, d, top), in place on one working
+    copy of psi, as LAPACK's zhetrf works.  Column c pivots on d_c =
+    psi[c, c], whose imaginary part is rounding and is dropped; the
+    multipliers overwrite psi below the diagonal, and the trailing block
+    loses their outer product with the column.  No row is ever exchanged,
+    so the pivots are those of ``_eliminate`` on the top layer, times J.
+    ``top`` marks the images whose every pivot is at least tol *
+    AMBIGUITY_BAND; at its first pivot that is not, inside the band or
+    below it, an infinite pivot freezes an image, and its d and psi are not
+    read."""
+    psi = g * j
+    d = np.empty(psi.shape[:-1])
+    top = np.ones(len(psi), dtype=bool)
+    for c in range(psi.shape[-1]):
+        d[:, c] = psi[:, c, c].real
+        top &= np.abs(d[:, c]) >= tol * AMBIGUITY_BAND
+        col = psi[:, c + 1:, c]
+        mult = col / np.where(top, d[:, c], np.inf)[:, np.newaxis]
+        psi[:, c + 1:, c + 1:] -= mult[:, :, np.newaxis] * col.conj()[:, np.newaxis, :]
+        col[...] = mult
+    return psi, d, top
+
+
+class _ImageFactors(BirkhoffFactors):
+    """The factors ``_pivot_minors`` gives a stack of Cartan images with a
+    diagonal J = diag(j).  ``top`` (shape of the stack) marks the images
+    the Hermitian elimination took to the end: there perm is the identity,
+    every sign +1, l the unit lower triangle of the multipliers, h = D J and
+    u_plus = theta(l*) = J l* J.  The other images take the factors
+    ``rest`` that ``_eliminate`` gave them.  l, h and u_plus are built when
+    first read, l in place of the working copy psi: ``rank-grid`` reads
+    none of them and ``embed`` only perm and signs."""
+
+    def __init__(self, psi, d, j, top, rest, stack):
+        count, n = d.shape
+        perm = np.tile(np.arange(n), (count, 1))
+        signs = np.ones((count, n), dtype=int)
+        if rest is not None:
+            perm[~top], signs[~top] = rest.perm, rest.signs
+        perm, signs = _layer_form(perm, signs, stack)
+        for name, value in (("perm", perm), ("signs", signs), ("top", top.reshape(stack)),
+                            ("_psi", psi), ("_d", d), ("_j", j), ("_rest", rest)):
+            object.__setattr__(self, name, value)
+
+    def _merged(self, name: str, part: np.ndarray) -> np.ndarray:
+        """part (count, n, n) with the images outside ``top`` given the
+        factor ``name`` of ``rest``, shaped as the stack."""
+        if self._rest is not None:
+            part[~self.top.reshape(-1)] = getattr(self._rest, name)
+        return part.reshape(self.top.shape + part.shape[1:])
+
+    @cached_property
+    def l(self) -> np.ndarray:
+        l, n = self._psi, self._psi.shape[-1]
+        l *= np.tri(n, k=-1)
+        l += np.eye(n)
+        return self._merged("l", l)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        h = np.zeros_like(self._psi)
+        rows = np.arange(h.shape[-1])
+        h[:, rows, rows] = self._d * self._j
+        return self._merged("h", h)
+
+    @cached_property
+    def u_plus(self) -> np.ndarray:
+        l = self.l.reshape(self._psi.shape)
+        return self._merged("u_plus", l.mT.conj() * np.multiply.outer(self._j, self._j))

@@ -515,7 +515,10 @@ def chart_tensor(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     does; NumericalDomainError refuses a matrix that is not finite."""
     m, n = preset.m, preset.n
     z = reals_to_complex(x)
-    z = _chart_stack(z.reshape(z.shape[:-1] + (n, m)), preset)
+    # a point of the wrong length reaches the chart rule as it is, to be refused
+    if z.shape[-1] == m * n:
+        z = z.reshape(z.shape[:-1] + (n, m))
+    z = _chart_stack(z, preset)
     reps = np.ascontiguousarray(0.5 * chart_directions(preset).conj().mT)
     images = _l_images(z, reps)
     # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM of the

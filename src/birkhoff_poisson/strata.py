@@ -54,11 +54,16 @@ def leaf_factorize(phi, preset: SymmetricSpacePreset) -> BirkhoffFactors:
 
 
 def _check_leaf_symmetry(phi, factors: BirkhoffFactors, preset: SymmetricSpacePreset) -> None:
-    """Raise SymmetryViolation unless the factors of phi have u_plus =
-    theta(l*) and theta(W* h W) = h*, to within DEFAULT_TOL * max(1, |phi|)."""
+    """Raise SymmetryViolation unless phi* = theta(phi) and the factors of
+    phi have u_plus = theta(l*) and theta(W* h W) = h*, to within
+    DEFAULT_TOL * max(1, |phi|).  Factors of the Hermitian elimination
+    (``linalg._pivot_minors`` with J diagonal) hold the last two by
+    construction, as it reads phi J below its diagonal only: there the
+    first is the one that can fail."""
     bound = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
     w, h, l_star = factors.w_matrix, factors.h, factors.l.mT.conj()
     for what, defect in (
+        ("image differs from theta(phi*)", phi - theta_g(np.asarray(phi).mT.conj(), preset)),
         ("upper factor differs from theta(l*)", factors.u_plus - theta_g(l_star, preset)),
         ("diagonal factor fails the layer membership identity",
          theta_g(w.mT.conj() @ h @ w, preset) - h.mT.conj()),

@@ -62,9 +62,9 @@ class SymmetricSpacePreset:
     def theta_index_mask(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """J = S P as an ``np.ix_`` index of the permutation P and the mask
         s_i s_j of the signs S, so that J g J = g[index] * mask."""
-        if self.is_inner:
+        signs = _j_diagonal(self)
+        if signs is not None:
             perm = np.arange(self.matrix_dim)
-            signs = np.concatenate([np.ones(self.m), -np.ones(self.n)])
         else:
             perm = np.concatenate([np.arange(self.n, 2 * self.n), np.arange(self.n)])
             signs = np.ones(2 * self.n)
@@ -81,6 +81,13 @@ class SymmetricSpacePreset:
     @property
     def is_inner(self) -> bool:
         return self.kind == KIND_GRASSMANNIAN
+
+
+def _j_diagonal(preset: SymmetricSpacePreset) -> np.ndarray | None:
+    """The diagonal of J where J is diagonal, as ``linalg._pivot_minors``
+    takes it: +1 m times, then -1 n times, for a Grassmannian; None in the
+    group case, whose J swaps the two blocks."""
+    return np.repeat([1.0, -1.0], [preset.m, preset.n]) if preset.is_inner else None
 
 
 def grassmannian(m: int, n: int) -> SymmetricSpacePreset:

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from birkhoff_poisson import (
     StratumAmbiguous,
+    SymmetryViolation,
     birkhoff_factor,
     birkhoff_layer,
     canonical_rep,
@@ -454,10 +455,12 @@ def test_embed_far_out_on_the_chart(capsys):
 def test_moment_classifies_its_point_with_one_factorization(point, code, monkeypatch, capsys):
     # the image is the package's own, unimodular by construction: one
     # elimination, with no det, gives the factors the moments come from and
-    # the pivots the top-layer guard reads (_pivot_minors).  The wall point
-    # |z| = 1 factors on a lower layer, whose minors _pivot_minors takes once
-    # by principal_minors, and is refused before the symmetry checks, which
-    # would raise SymmetryViolation there
+    # the pivots the top-layer guard reads (_pivot_minors).  On the top
+    # layer that is the Hermitian elimination alone, with no _eliminate
+    # call.  The wall point |z| = 1 is left to _eliminate, once, on a lower
+    # layer whose minors _pivot_minors takes once by principal_minors, and
+    # is refused before the symmetry checks, which would raise
+    # SymmetryViolation there
     calls = {"eliminate": 0, "factor": 0, "minors": 0, "det": 0, "symmetry": 0}
     eliminate, factor, minors = linalg._eliminate, linalg.birkhoff_factor, linalg.principal_minors
     det, symmetry = np.linalg.det, strata._check_leaf_symmetry
@@ -485,11 +488,30 @@ def test_moment_classifies_its_point_with_one_factorization(point, code, monkeyp
     monkeypatch.setattr(cli, "_check_leaf_symmetry", counted("symmetry", symmetry))
     monkeypatch.setattr(np.linalg, "det", counted_det)
     assert main(["moment", "--preset", "cp2", f"--point={point}"]) == code
-    assert calls == {"eliminate": 1, "factor": 0, "minors": int(code != 0), "det": 0,
-                     "symmetry": int(code == 0)}
+    assert calls == {"eliminate": int(code != 0), "factor": 0, "minors": int(code != 0),
+                     "det": 0, "symmetry": int(code == 0)}
     if code:
         captured = capsys.readouterr()
         assert captured.out == "" and "not strictly inside the top layer" in captured.err
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (0, 1), (2, 2)])
+def test_moment_refuses_an_image_off_theta_symmetry(entry, monkeypatch):
+    # the Hermitian elimination reads phi J on and below its diagonal only,
+    # so its factors are theta-symmetric whatever phi is: moment's symmetry
+    # check holds phi* = theta(phi) itself, and an image 1e-6 off it, below,
+    # above or on the diagonal, is refused
+    embed = cli.cartan_embed
+
+    def off_symmetry(u, preset):
+        phi = embed(u, preset)
+        phi[entry] += 1e-6j
+        return phi
+
+    monkeypatch.setattr(cli, "cartan_embed", off_symmetry)
+    args = cli._build_parser().parse_args(["moment", "--preset", "cp2", "--point=0.3,0.1,0.2,-0.1"])
+    with pytest.raises(SymmetryViolation):
+        cli.cmd_moment(args)
 
 
 @pytest.mark.parametrize("scale", ["154", "160"])
@@ -771,10 +793,12 @@ def test_grid_minor_column_on_a_mixed_stack():
     phi = cartan_embed(canonical_rep((x + 1j * y).reshape(-1, 1, 1), cp1), cp1)
     for i in (1, 2):
         assert column[i] == np.min(np.abs(principal_minors(phi[i])))
-    h = np.diagonal(birkhoff_factor(phi[[0, 3, 4]]).h, 0, -2, -1)
-    np.testing.assert_array_equal(
-        column[[0, 3, 4]], np.min(np.abs(np.cumprod(h, axis=-1)), axis=-1)
-    )
+    # the top cells read the pivot products of the Hermitian elimination:
+    # LAPACK's det of the leading blocks to within 2e-14 / min|h|
+    top = [0, 3, 4]
+    h = np.abs(np.diagonal(birkhoff_factor(phi[top]).h, 0, -2, -1))
+    dets = np.min(np.abs(principal_minors(phi[top])), axis=-1)
+    assert np.all(np.abs(column[top] - dets) <= 2e-14 / np.min(h, axis=-1))
 
 
 def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
@@ -788,9 +812,17 @@ def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
         minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
         z = cli._chart_matrix(cp2, cli._parse_point(point))
         phi = cartan_embed(canonical_rep(z, cp2), cp2)
-        pivots = np.cumprod(np.diag(birkhoff_factor(phi).h))
-        np.testing.assert_array_equal(minors, pivots if top else principal_minors(phi))
-        assert np.array_equal(minors, principal_minors(phi)) != top
+        # the top point reads the real pivot products of the Hermitian
+        # elimination, LAPACK's det of the leading blocks to within
+        # 2e-14 / min|h|; the wall point keeps the determinants, bit for bit
+        dets = principal_minors(phi)
+        if top:
+            h = np.abs(np.diag(birkhoff_factor(phi).h))
+            assert np.all(minors.imag == 0)
+            assert np.all(np.abs(minors - dets) <= 2e-14 / np.min(h))
+        else:
+            np.testing.assert_array_equal(minors, dets)
+        assert np.array_equal(minors, dets) != top
 
 
 @pytest.mark.parametrize(

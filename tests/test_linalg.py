@@ -19,7 +19,7 @@ from birkhoff_poisson import (
 )
 from birkhoff_poisson import cli, linalg
 from birkhoff_poisson.linalg import AMBIGUITY_BAND, _pivot_minors, signed_permutation_matrix
-from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
+from birkhoff_poisson.symspace import _j_diagonal, canonical_rep, cartan_embed, parse_preset
 from birkhoff_poisson.sampling import (
     complex_normal_sampler,
     special_linear_stack,
@@ -823,9 +823,9 @@ def test_the_group_cells_of_rank_grid_are_unimodular(seed):
     x, y = r * np.cos(t), r * np.sin(t)
     images = []
 
-    def record(phi):
+    def record(phi, j):
         images.append(phi)
-        return _pivot_minors(phi)
+        return _pivot_minors(phi, j)
 
     with mock.patch.object(cli, "_pivot_minors", record):
         cli._grid_columns(parse_preset("group:su2"), x, y)
@@ -837,22 +837,31 @@ def test_the_group_cells_of_rank_grid_are_unimodular(seed):
 
 def test_pivot_minors_factor_a_stack_in_one_elimination(rng, monkeypatch):
     # a Cartan image is unimodular by construction, so _pivot_minors takes
-    # it to the elimination unchecked, once, band members and all; the
-    # factors are shaped as the stack, and at the others they are those of
-    # birkhoff_factor on them, bit for bit
+    # it unchecked.  With J diagonal one Hermitian elimination runs over
+    # the stack, and _eliminate once, on the images it leaves, the wall and
+    # the band cell alone; the factors are shaped as the stack.  The top
+    # images' minors are LAPACK's det of the leading blocks to within
+    # 2e-14 / min|h|, and their factors give back phi; the images left keep
+    # the factors of birkhoff_factor on them, bit for bit
     cp1 = parse_preset("cp1")
     z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
     phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
     eliminations = []
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or eliminate(*a))
-    _, ambiguous, factors = _pivot_minors(phi)
-    assert len(eliminations) == 1 and ambiguous.tolist() == [False] * 7 + [True]
-    rest = birkhoff_factor(phi[~ambiguous])
+    minors, ambiguous, factors = _pivot_minors(phi, _j_diagonal(cp1))
+    assert len(eliminations) == 1 and eliminations[0][0].tobytes() == phi[6:].tobytes()
+    assert ambiguous.tolist() == [False] * 7 + [True]
+    assert factors.top.tolist() == [True] * 6 + [False] * 2
+    h = np.abs(np.diagonal(factors.h[:6], 0, -2, -1))
+    gap = np.abs(minors[:6] - principal_minors(phi[:6]))
+    assert np.all(gap <= 2e-14 / np.min(h, axis=-1, keepdims=True))
+    np.testing.assert_allclose(factors.reconstruct()[:6], phi[:6], rtol=0, atol=1e-14)
+    wall = birkhoff_factor(phi[6:7])
     for name in ("l", "perm", "signs", "h", "u_plus"):
-        a, b = getattr(factors, name), getattr(rest, name)
+        a, b = np.asarray(getattr(factors, name)), np.asarray(getattr(wall, name))
         assert a.shape == phi.shape[:a.ndim]
-        assert a[~ambiguous].tobytes() == b.tobytes()
+        assert a[6:7].tobytes() == b.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -909,6 +918,47 @@ def test_band_images_keep_their_slot_in_the_elimination(spec, count, picks, data
     first = min(range(len(band)), key=lambda i: (column[i], slots[i]))
     head, tail = alone[first].split(" is inside")
     assert str(info.value) == f"{head} of matrix ({slots[first]},) is inside{tail}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["cp1", "cp2", "gr:2,2", "gr:2,3"]), seed=st.integers(0, 2**32 - 1))
+def test_the_hermitian_elimination_classifies_as_eliminate_does(spec, seed):
+    # near-wall images whose smallest pivot, phi[0, 0] or a later one, is
+    # drawn log-uniform from 1e-6 down to 1e-16, band (1e-10, 1e-8)
+    # included, or put on the wall itself: with J diagonal, _pivot_minors
+    # marks the images _eliminate marks, puts the others on the layers
+    # _eliminate finds, and reads minors that are LAPACK's det of the
+    # leading blocks to within 2e-14 / min|h|, min|h| taken down to the
+    # smallest |minor| itself.  A ray may pass near two walls at once,
+    # where two pivots of 1e-4 make a minor of 1e-8 and the next pivot is
+    # 1e8: every later minor then carries eps / min|minor|, on either route.
+    # The two routes round a pivot apart, so one within 1e-12 of a band
+    # edge may be read on either side of it; the mask is compared wherever
+    # none is.  Each image alone gets the minors it gets in the stack, or
+    # the refusal of the band
+    preset = parse_preset(spec)
+    rng = np.random.default_rng(seed)
+    pivots = np.where(rng.uniform(size=6) < 0.2, 0.0, 10 ** rng.uniform(-16, -6, 6))
+    phi = np.array([_near_wall_image(preset, rng, pivot) for pivot in pivots])
+    j = _j_diagonal(preset)
+    minors, ambiguous, factors = _pivot_minors(phi, j)
+    ref_minors, ref_ambiguous, ref_factors = _pivot_minors(phi)
+    dets = principal_minors(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(np.concatenate([dets[:, :1], dets[:, 1:] / dets[:, :-1]], axis=-1))
+    edges = linalg.DEFAULT_TOL * np.array([1 / AMBIGUITY_BAND, AMBIGUITY_BAND])
+    near = np.any(np.abs(ratios[..., np.newaxis] / edges - 1) <= 1e-12, axis=(-2, -1))
+    np.testing.assert_array_equal(ambiguous[~near], ref_ambiguous[~near])
+    read = ~ambiguous & ~ref_ambiguous
+    np.testing.assert_array_equal(factors.perm[read], ref_factors.perm[read])
+    h = np.abs(np.concatenate([np.diagonal(factors.h[read], 0, -2, -1), dets[read]], axis=-1))
+    assert np.all(np.abs(minors[read] - dets[read]) <= 2e-14 / np.min(h, axis=-1, keepdims=True))
+    for image, image_minors, marked in zip(phi, minors, ambiguous):
+        if marked:
+            with pytest.raises(StratumAmbiguous, match="ambiguity band"):
+                _pivot_minors(image, j)
+        else:
+            assert _pivot_minors(image, j)[0].tobytes() == image_minors.tobytes()
 
 
 def test_only_birkhoff_factor_takes_a_det(rng, monkeypatch):

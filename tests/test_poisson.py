@@ -897,6 +897,11 @@ def test_chart_tensor_rejects_a_non_finite_tensor(m, n, x):
     [
         ([0.0] * 8, group_case(2), "charts exist for the Grassmannian family only"),
         ([np.nan, 0.0], grassmannian(1, 1), "chart matrix entries must be finite"),
+        # a point of the wrong length: the chart rule's refusals, not numpy's
+        # reshape error
+        ([0.0] * 6, grassmannian(1, 2), r"chart matrix must be 2 x 1, got \(3,\)"),
+        ([0.0] * 6, group_case(2), "charts exist for the Grassmannian family only"),
+        ([[0.0] * 6] * 2, grassmannian(2, 2), r"chart matrix must be 2 x 2, got \(2, 3\)"),
     ],
 )
 def test_chart_tensor_refuses_what_canonical_rep_refuses(x, preset, match):
