@@ -28,8 +28,10 @@ run at the stack sizes, and ``cartan_embed`` on the one gr:2,2 image of a
 its stacks included, and both ``_pivot_minors``, the unchecked Hermitian
 elimination the grid runs, on that grid's one stack of 1,024 Cartan images
 and on the first stack of a gr:2,3 grid, and the public ``birkhoff_factor``
-on the 1,024; one ``pi --preset gr:6,10`` and one ``moment --preset
-gr:2,2`` call run through ``cli.main``; the chart transfer
+on the 1,024; one ``pi --preset gr:6,10``, one ``moment --preset
+gr:2,2``, one ``embed --preset cp2`` and one ``jacobi --preset cp2`` call
+run through ``cli.main``, each reading its ``--point`` through the library's
+chart rule; the chart transfer
 ``chart_pi_eval`` runs on the cp1, cp2 and gr:2,2 stacks, and the
 finite-difference ``hamiltonian_residual`` over the whole torus basis at 5
 interior points of cp2 and of gr:2,2, as the momentum suite calls it.
@@ -38,7 +40,7 @@ The medians of one run move by up to 1.7x on a shared machine while the
 minima hold, so a layer change is read from at least 5 runs per side,
 alternating the two sides, by the minimum and by the median of the run
 medians.  The large single matrices, ``matrix_of_omega`` at gr:6,10 and
-gr:8,12, and the two ``cli_call`` cases are compared in a process of their
+gr:8,12, and the ``cli_call`` cases are compared in a process of their
 own: their minima depend on the cases run before them, as glibc's mmap
 threshold follows the largest array freed so far.  Run them apart from
 the rest:
@@ -222,6 +224,8 @@ def _chart_arg(spec, scale):
     [
         ["pi", "--preset", "gr:6,10", _chart_arg("gr:6,10", 0.2)],
         ["moment", "--preset", "gr:2,2", _chart_arg("gr:2,2", 0.5)],
+        ["embed", "--preset", "cp2", _chart_arg("cp2", 0.5)],
+        ["jacobi", "--preset", "cp2", _chart_arg("cp2", 0.5)],
     ],
     ids=lambda argv: f"{argv[0]}-{argv[2]}",
 )

@@ -11,6 +11,11 @@ the CSV text of ``rank-grid --format csv``.  ``main`` alone writes it, to
 whose ``pass`` is false (a failed ``verify``), 2 usage/parse error,
 3 numerical-domain error.  ``rank-grid``'s rows are one structured array,
 a field a grid column, which ``jsontext`` prints field by field.
+
+The CLI parses and the library refuses: ``--point`` and ``--tol`` are read
+as floats, and the one library function that uses a value refuses it with a
+ValueError (exit 2), a chart point ``symspace._chart_stack`` or
+``fothlu_w_tensor``, a threshold ``birkhoff_factor``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .linalg import DEFAULT_TOL, _pivot_minors, birkhoff_factor, iwasawa_factor
 from .momentum import leaf_moment
 from .poisson import (
     FD_STEP,
+    _chart_points,
     _skew_rank,
     calibration_constant,
     chart_tensor,
@@ -40,7 +46,6 @@ from .poisson import (
     jacobi_residual,
     matrix_of_omega,
     pi_rank,
-    reals_to_complex,
     su2_from_sphere,
 )
 from .strata import _check_leaf_symmetry, torus_tw
@@ -79,21 +84,9 @@ def _write(chunks, out: str | None) -> None:
 def _parse_point(text: str) -> np.ndarray:
     """--point: interleaved re,im pairs, as a flat array of reals."""
     try:
-        values = np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed point {text!r}") from exc
-    if values.size % 2:
-        raise argparse.ArgumentTypeError("points need an even number of reals (re, im pairs)")
-    if not np.all(np.isfinite(values)):
-        raise argparse.ArgumentTypeError(f"point coordinates must be finite, got {text!r}")
-    return values
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
 
 
 def _parse_grid(text: str) -> list[tuple[float, float, int]]:
@@ -127,18 +120,6 @@ def _resolve_preset(spec: str) -> tuple[str, SymmetricSpacePreset | None]:
         return "fothlu", None
     preset = parse_preset(spec)
     return preset.label, preset
-
-
-def _chart_matrix(preset: SymmetricSpacePreset, reals: np.ndarray) -> np.ndarray:
-    if not preset.is_inner:
-        raise ValueError("charts exist for the Grassmannian family only")
-    point = reals_to_complex(reals)
-    expected = preset.m * preset.n
-    if point.size != expected:
-        raise ValueError(
-            f"preset {preset.label} needs {expected} complex coordinates, got {point.size}"
-        )
-    return point.reshape(preset.n, preset.m)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +169,7 @@ def cmd_iwasawa(args) -> dict:
 
 def cmd_embed(args) -> dict:
     preset = parse_preset(args.preset)
-    u = canonical_rep(_chart_matrix(preset, args.point), preset)
+    u = canonical_rep(_chart_points(args.point, preset), preset)
     phi = cartan_embed(u, preset)
     minors, _, factors = _pivot_minors(phi, _j_diagonal(preset))
     return {
@@ -203,7 +184,7 @@ def cmd_embed(args) -> dict:
 
 def cmd_pi(args) -> dict:
     preset = parse_preset(args.preset)
-    mat = matrix_of_omega(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
+    mat = matrix_of_omega(canonical_rep(_chart_points(args.point, preset), preset), preset)
     return {
         "preset": preset.label,
         "omega_matrix": mat,
@@ -214,7 +195,7 @@ def cmd_pi(args) -> dict:
 
 def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
-    phi = cartan_embed(canonical_rep(_chart_matrix(preset, args.point), preset), preset)
+    phi = cartan_embed(canonical_rep(_chart_points(args.point, preset), preset), preset)
     # the guard reads the top layer's minors h_0 ... h_(k-1) off the pivots,
     # before the symmetry checks, so a wall point is refused here, not by them
     minors, _, lf = _pivot_minors(phi, _j_diagonal(preset))
@@ -240,15 +221,7 @@ def cmd_moment(args) -> dict:
 
 def cmd_jacobi(args) -> dict:
     label, preset = _resolve_preset(args.preset)
-    if preset is None:
-        if args.point.size != 2:
-            raise ValueError(f"preset {label} needs 1 complex coordinates")
-        tensor = fothlu_w_tensor
-    else:
-        # refuses a group preset and a point of the wrong size, as embed, pi
-        # and moment do
-        _chart_matrix(preset, args.point)
-        tensor = functools.partial(chart_tensor, preset=preset)
+    tensor = fothlu_w_tensor if preset is None else functools.partial(chart_tensor, preset=preset)
     # an overflowing point is refused below or by the tensor, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         residual = jacobi_residual(tensor, args.point)
@@ -375,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="comma-separated re,im pairs (use --point=... when the first value is negative)",
         ),
-        "--tol": dict(type=_positive_float, default=DEFAULT_TOL),
+        "--tol": dict(type=float, default=DEFAULT_TOL),
         "--seed": dict(type=int, default=0),
         "--grid": dict(type=_parse_grid, help="min,max,steps,min,max,steps: the x and y axes"),
         "--format": dict(choices=["json", "csv"], default="json"),

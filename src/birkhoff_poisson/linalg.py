@@ -176,13 +176,16 @@ def birkhoff_factor(g: np.ndarray, tol: float = DEFAULT_TOL) -> BirkhoffFactors:
 
     g may be a stack (..., n, n); every matrix runs the same elimination,
     one column step for the whole stack (``_eliminate``).  Raises
-    SingularInput if any matrix fails the unimodular check, which runs
-    first, or has no usable pivot in some column.  Otherwise raises
+    ValueError, before anything else, unless ``tol`` is positive and
+    finite.  Raises SingularInput if any matrix fails the unimodular check,
+    which runs next, or has no usable pivot in some column.  Otherwise raises
     StratumAmbiguous when any matrix has an examined entry inside the band
     (tol / AMBIGUITY_BAND, tol * AMBIGUITY_BAND): such an input sits too
     close to a stratum boundary to classify.  Its ``mask`` (shape
     g.shape[:-2]) marks the ambiguous matrices.
     """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     g = _as_square_stack(g)
     _check_unimodular(g)
     factors, ambiguous, message = _eliminate(g, tol)

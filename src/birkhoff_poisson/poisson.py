@@ -43,8 +43,10 @@ its whole finite-difference stencil, for one point or a stack of them, in
 one call of the tensor.  ``chart_tensor`` applies L_z to all K = 2 m n
 chart covectors at each point with the K axis folded into the columns, so
 each product of L_z is one matmul per point, not one per (point, covector)
-pair, and pairs the images with one GEMM per point.  Both tensors refuse a
-point where they are not finite, as ``coeffs_real_matrix`` does.  The
+pair, and pairs the images with one GEMM per point.  Each tensor refuses
+a point it cannot read with ValueError, ``chart_tensor`` by the one chart
+rule ``symspace._chart_stack``, and a point where it is not finite with
+NumericalDomainError, as ``coeffs_real_matrix`` does.  The
 projective-space coefficients ``cpn_coeffs`` and the cp1 family
 ``cp1_family`` are the displayed formulas and the oracles of the
 projective-specialization and lambda-identity checks; ``coeffs_real_matrix``
@@ -474,12 +476,24 @@ def fothlu_w_chart(w: complex) -> complex:
 
 
 def reals_to_complex(x: np.ndarray) -> np.ndarray:
-    """Complex vector of interleaved (re, im) coordinates on the last axis."""
+    """Complex vector of interleaved (re, im) coordinates on the last axis,
+    non-finite, unwarned, where a real is, for its reader to refuse."""
     x = np.asarray(x, dtype=float)
     x = x.reshape(-1) if x.ndim < 1 else x
     if x.shape[-1] % 2:
         raise ValueError("real coordinate vector must have even length")
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    with np.errstate(invalid="ignore"):
+        return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _chart_points(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
+    """Chart points (..., 2 m n) of interleaved (re, im) coordinates as chart
+    matrices (..., n, m), row-major.  A point of another length is passed on
+    as it is: ``symspace._chart_stack`` states every refusal."""
+    z = reals_to_complex(x)
+    if z.shape[-1] == preset.m * preset.n:
+        z = z.reshape(z.shape[:-1] + (preset.n, preset.m))
+    return z
 
 
 def _holo_to_real_frame(n: int) -> np.ndarray:
@@ -511,14 +525,11 @@ def chart_tensor(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     points (..., 2 m n) in interleaved (re, im) coordinates; projective space
     is m = 1.  Entry (a, b) pairs the covectors dual to the chart directions
     a and b under 2 Re tr(v d).  ``symspace._chart_stack`` refuses a group
-    preset and a point that is not finite (ValueError), as ``canonical_rep``
-    does; NumericalDomainError refuses a matrix that is not finite."""
+    preset, a point of the wrong length and a point that is not finite
+    (ValueError), as ``canonical_rep`` does; NumericalDomainError refuses a
+    matrix that is not finite."""
     m, n = preset.m, preset.n
-    z = reals_to_complex(x)
-    # a point of the wrong length reaches the chart rule as it is, to be refused
-    if z.shape[-1] == m * n:
-        z = z.reshape(z.shape[:-1] + (n, m))
-    z = _chart_stack(z, preset)
+    z = _chart_stack(_chart_points(x, preset), preset)
     reps = np.ascontiguousarray(0.5 * chart_directions(preset).conj().mT)
     images = _l_images(z, reps)
     # i [tr(L_a* v_b) - tr(L_a v_b*)] = -2 Im tr(L_a* v_b): one GEMM of the
@@ -535,8 +546,14 @@ def fothlu_w_tensor(x: np.ndarray) -> np.ndarray:
     two-sphere at chart points (..., 2), with b = -Im(c) / 2 for the mixed
     coefficient c = ``fothlu_w_chart(w)``: the closed form of
     ``coeffs_real_matrix`` on a purely imaginary one-dimensional coefficient.
-    Raises NumericalDomainError unless every b is finite."""
-    b = -0.5 * fothlu_w_chart(reals_to_complex(x)[..., 0]).imag
+    Raises ValueError unless every point is one finite complex coordinate,
+    and NumericalDomainError unless every b is finite."""
+    w = reals_to_complex(x)
+    if w.shape[-1] != 1:
+        raise ValueError(f"fothlu chart points are 1 complex coordinate, got {w.shape[-1]}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("fothlu chart point entries must be finite")
+    b = -0.5 * fothlu_w_chart(w[..., 0]).imag
     if not np.all(np.isfinite(b)):
         raise NumericalDomainError("coordinate bivector is not finite at the point")
     zero = np.zeros_like(b)

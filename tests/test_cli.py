@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -137,14 +138,6 @@ def test_moment_equator_is_domain_error(capsys):
 def test_moment_point_with_a_negative_first_value(capsys):
     code, out = run_cli(["moment", "--preset", "cp2", "--point=-0.5,0.2,0.1,0.1"], capsys)
     assert code == 0 and json.loads(out)["torus_dim"] == 2
-
-
-@pytest.mark.parametrize("command", ["embed", "pi", "moment", "jacobi"])
-@pytest.mark.parametrize("point", ["0.5,0", "0.1,0,0.2,0,0.3,0,0.4,0"])
-def test_chart_commands_reject_group_presets(command, point, capsys):
-    code = main([command, "--preset", "group:su2", "--point", point])
-    assert code == 2
-    assert "charts exist for the Grassmannian family only" in capsys.readouterr().err
 
 
 def test_moment_builds_the_cartan_image_once(monkeypatch, capsys):
@@ -319,7 +312,7 @@ def test_invalid_flag_values_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv,reason",
     [
-        (["jacobi", "--preset", "fothlu", "--point=0.1,0.2,0.3,0.4"], "needs 1 complex coordinates"),
+        (["jacobi", "--preset", "fothlu", "--point=0.1,0.2,0.3,0.4"], "are 1 complex coordinate, got 2"),
         (["moment", "--preset", "cp2", "--point=0.1,0,0.2,0", "--index", "5"], "out of range 0..1"),
         (["factor", "--matrix", "[[[1,0],[0,0]]]"], "must be a square nested array"),
         (["embed", "--preset", "gr:2", "--point=0.1,0"], "malformed Grassmannian preset"),
@@ -334,6 +327,82 @@ def test_refused_inputs_exit_2_and_say_why(argv, reason, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and reason in captured.err
+
+
+_ODD = "real coordinate vector must have even length"
+_NOT_FINITE = "chart matrix entries must be finite"
+_GROUP = "charts exist for the Grassmannian family only"
+_TOL = "tol must be positive and finite, got "
+
+
+def _value_refusals():
+    """(argv, message) of each refusal of a --point or a --tol value.  The
+    CLI only parses them; the library function that reads the value states
+    the refusal.  jacobi hands chart_tensor its whole stencil, the point and
+    its 2 dim shifted copies, so a point of the wrong length is named by
+    that stack's shape."""
+    rows = []
+    for command in ("embed", "pi", "moment", "jacobi"):
+        stencil = command == "jacobi"
+        for preset, point, message in [
+            ("cp2", "0.1,0.2,0.3", _ODD),
+            ("cp2", "nan,0,0,0", _NOT_FINITE),
+            ("cp2", "0,-inf,0,0", _NOT_FINITE),
+            ("cp2", "0.1,0,0.2,0,0.3,0", f"chart matrix must be 2 x 1, got {(13, 3) if stencil else (3,)}"),
+            ("gr:2,2", "0.1,0.2,0.3", _ODD),
+            ("gr:2,2", "0,0,0,inf,0,0,0,0", _NOT_FINITE),
+            ("gr:2,2", "0.1,0,0.2,0", f"chart matrix must be 2 x 2, got {(9, 2) if stencil else (2,)}"),
+            ("su2", "0.1,0.2,0.3", _ODD),
+            ("su2", "nan,0", _GROUP),
+            ("su2", "0.5,0", _GROUP),
+            ("su2", "0.1,0,0.2,0,0.3,0,0.4,0", _GROUP),
+            ("group:su3", "0.5,0", _GROUP),
+        ]:
+            rows.append(([command, "--preset", preset, f"--point={point}"], message))
+        if not stencil:
+            rows.append(([command, "--preset", "fothlu", "--point=0.5,0"], "unknown preset 'fothlu'"))
+    for point, message in [
+        ("0.1,0.2,0.3", _ODD),
+        ("nan,0", "fothlu chart point entries must be finite"),
+        ("0,inf", "fothlu chart point entries must be finite"),
+        ("0.1,0.2,0.3,0.4", "fothlu chart points are 1 complex coordinate, got 2"),
+    ]:
+        rows.append((["jacobi", "--preset", "fothlu", f"--point={point}"], message))
+    for tol, message in [
+        ("nan", _TOL + "nan"),
+        ("inf", _TOL + "inf"),
+        ("-inf", _TOL + "-inf"),
+        ("0", _TOL + "0.0"),
+        ("-1", _TOL + "-1.0"),
+        ("abc", "argument --tol: invalid float value: 'abc'"),
+    ]:
+        rows.append((["factor", "--matrix", _MATRIX, f"--tol={tol}"], message))
+    return rows
+
+
+_VALUE_REFUSALS = _value_refusals()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    _VALUE_REFUSALS,
+    ids=[" ".join(a for a in argv if a not in ("--matrix", _MATRIX)) for argv, _ in _VALUE_REFUSALS],
+)
+def test_each_value_is_refused_by_the_library_function_that_reads_it(argv, message, capsys):
+    # a usage error, exit 2, with nothing on stdout and the library's text
+    # (argparse's for a value that is no number) as the last line of stderr
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
+
+
+def test_the_group_refusal_is_stated_once():
+    # the chart rule symspace._chart_stack is the one place a chart point of
+    # a group preset is refused
+    src = pathlib.Path(cli.__file__).parent
+    hits = [p.name for p in sorted(src.glob("*.py")) for _ in range(p.read_text().count(_GROUP))]
+    assert hits == ["symspace.py"]
 
 
 @pytest.mark.parametrize(
@@ -430,7 +499,7 @@ def test_embed_and_moment_see_the_same_cartan_image(preset, point, capsys):
     phi = np.array([[complex(re, im) for re, im in row] for row in data["phi"]])
     minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
     p = parse_preset(preset)
-    z = cli._chart_matrix(p, cli._parse_point(point))
+    z = poisson._chart_points(cli._parse_point(point), p)
     closed = cartan_embed(canonical_rep(z, p), p)
     np.testing.assert_allclose(closed, phi, rtol=0, atol=1e-13)
     assert np.min(np.abs(principal_minors(closed))) == pytest.approx(
@@ -572,7 +641,7 @@ def test_pi_prints_the_rank_of_pi_rank(spec, point, rank, monkeypatch, capsys):
     code, out = run_cli(["pi", "--preset", spec, f"--point={point}"], capsys)
     assert code == 0 and len(built) == 1
     preset = parse_preset(spec)
-    u = canonical_rep(cli._chart_matrix(preset, cli._parse_point(point)), preset)
+    u = canonical_rep(poisson._chart_points(cli._parse_point(point), preset), preset)
     assert json.loads(out)["rank"] == pi_rank(u, preset) == rank
 
 
@@ -810,7 +879,7 @@ def test_embed_minors_are_pivot_products_on_the_top_layer_only(capsys):
         data = json.loads(out)
         assert (data["layer_perm"] == [0, 1, 2]) == top
         minors = np.array([complex(re, im) for re, im in data["principal_minors"]])
-        z = cli._chart_matrix(cp2, cli._parse_point(point))
+        z = poisson._chart_points(cli._parse_point(point), cp2)
         phi = cartan_embed(canonical_rep(z, cp2), cp2)
         # the top point reads the real pivot products of the Hermitian
         # elimination, LAPACK's det of the leading blocks to within

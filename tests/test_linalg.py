@@ -119,6 +119,19 @@ def test_birkhoff_refuses_an_empty_matrix():
         birkhoff_factor(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, -1e-9])
+def test_birkhoff_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    # before the det check, so a singular or a non-unimodular matrix gets
+    # the threshold's refusal too, and no matrix is blamed for it: at
+    # tol = -1 the zero pivot of the rotation was divided by, and at nan no
+    # column had a usable pivot
+    for g in ([[0, 1], [-1, 0]], [[2, 1], [1, 1]], [[1, 1], [1, 1]], [[2, 0], [0, 2]]):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}") as info:
+            birkhoff_factor(np.array(g, dtype=complex), tol)
+        assert type(info.value) is ValueError
+    assert birkhoff_factor(np.array([[0, 1], [-1, 0]], dtype=complex)).perm == (1, 0)
+
+
 def test_unimodular_check_calls_singular_on_a_scale_apart_from_tol():
     # |det g| against Hadamard's bound of g, not against the pivot tol: a
     # unitary matrix passes at any tol, a rank-deficient one is singular
@@ -439,30 +452,54 @@ def test_birkhoff_refuses_as_the_unimodular_check_and_then_the_pivot_rule(n, mem
 
 
 def _near_wall_image(preset, rng, pivot):
-    """A top-layer Cartan image whose smallest |pivot| is about ``pivot``:
-    on a random chart ray, bisect to where a leading minor (real for a
-    Grassmannian) first changes sign, then step back from that wall."""
+    """A top-layer Cartan image whose smallest |pivot| is about ``pivot``,
+    from above: on a random chart ray from the origin, bisect to where the
+    image leaves the set whose leading minors keep their signs at the
+    origin (real for a Grassmannian) and whose smallest pivot, read off
+    those minors as |minor_(k+1) / minor_k|, is above ``pivot``.  The
+    pivot is bisected on itself: a ray may pass near two walls at once,
+    where it is not linear in the distance to the wall."""
     z = rng.normal(size=(preset.n, preset.m)) + 1j * rng.normal(size=(preset.n, preset.m))
 
     def image(t):
         return cartan_embed(canonical_rep(t * z, preset), preset)
 
-    def signs(t):
-        return np.sign(principal_minors(image(t)).real)
+    def minors(t):
+        return principal_minors(image(t)).real
+
+    signs = np.sign(minors(0.0))
+
+    def inside(t):
+        d = minors(t)
+        return np.array_equal(np.sign(d), signs) and np.min(np.abs(d / np.r_[1.0, d[:-1]])) > pivot
 
     lo, hi = 0.0, 1.0
-    while np.array_equal(signs(hi), signs(0.0)):
+    while inside(hi):
         lo, hi = hi, 2 * hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if np.array_equal(signs(mid), signs(0.0)) else (lo, mid)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return image(lo)
 
-    def smallest(t):
-        return np.min(np.abs(np.diagonal(birkhoff_factor(image(t)).h)))
 
-    # the smallest pivot grows linearly away from the wall
-    step = 1e-4 * lo
-    return image(lo - step * pivot / smallest(lo - step))
+@pytest.mark.parametrize("spec", ["cp2", "gr:2,2", "gr:2,3"])
+def test_near_wall_images_land_their_smallest_pivot_near_the_target(spec):
+    # the draws of the Hermitian classification test below; at gr:2,2 seed
+    # 1221 the second ray passes near two walls, where the smallest pivot is
+    # not linear in the distance to the wall
+    preset = parse_preset(spec)
+    for seed in (1221, 0, 1, 2):
+        rng = np.random.default_rng(seed)
+        pivots = np.where(rng.uniform(size=6) < 0.2, 0.0, 10 ** rng.uniform(-16, -6, 6))
+        for pivot in pivots:
+            g = _near_wall_image(preset, rng, pivot)
+            d = principal_minors(g)
+            smallest = np.min(np.abs(d / np.r_[1.0, d[:-1]]))
+            # the minors carry about eps in absolute terms, so 1e-14 is as
+            # near the wall as a pivot is read
+            assert pivot / 10 <= smallest <= max(10 * pivot, 1e-14)
+            if pivot > 1e-8:
+                assert pivot / 10 <= np.min(np.abs(np.diagonal(birkhoff_factor(g).h))) <= 10 * pivot
 
 
 @pytest.mark.parametrize("spec", ["cp2", "gr:2,2"])
