@@ -48,7 +48,7 @@ from .poisson import (
     pi_rank,
     su2_from_sphere,
 )
-from .strata import _check_leaf_symmetry, torus_tw
+from .strata import _check_image_symmetry, torus_tw
 from .symspace import (
     SymmetricSpacePreset,
     _j_diagonal,
@@ -171,14 +171,14 @@ def cmd_embed(args) -> dict:
     preset = parse_preset(args.preset)
     u = canonical_rep(_chart_points(args.point, preset), preset)
     phi = cartan_embed(u, preset)
-    minors, _, factors = _pivot_minors(phi, _j_diagonal(preset))
+    minors, _, perm, signs, _ = _pivot_minors(phi, _j_diagonal(preset))
     return {
         "preset": preset.label,
         "u": _pairs(u),
         "phi": _pairs(phi),
         "principal_minors": _pairs(minors),
-        "layer_perm": list(factors.perm),
-        "layer_signs": list(factors.signs),
+        "layer_perm": list(perm),
+        "layer_signs": list(signs),
     }
 
 
@@ -197,14 +197,16 @@ def cmd_moment(args) -> dict:
     preset = parse_preset(args.preset)
     phi = cartan_embed(canonical_rep(_chart_points(args.point, preset), preset), preset)
     # the guard reads the top layer's minors h_0 ... h_(k-1) off the pivots,
-    # before the symmetry checks, so a wall point is refused here, not by them
-    minors, _, lf = _pivot_minors(phi, _j_diagonal(preset))
-    min_minor = float(np.min(np.abs(minors))) if lf.top else 0.0
+    # before the symmetry check, so a wall point is refused here, not by it;
+    # the moments read the pivots h alone
+    minors, _, perm, _, pivots = _pivot_minors(phi, _j_diagonal(preset))
+    top = perm == tuple(range(len(perm)))
+    min_minor = float(np.min(np.abs(minors))) if top else 0.0
     if min_minor <= DEFAULT_TOL:
-        where = f"min |minor| = {min_minor:.3e}" if lf.top else f"layer {list(lf.perm)}"
+        where = f"min |minor| = {min_minor:.3e}" if top else f"layer {list(perm)}"
         raise StratumAmbiguous(f"point is not strictly inside the top layer ({where})")
-    _check_leaf_symmetry(phi, lf, preset)
-    basis = np.stack(torus_tw(lf.perm, preset))
+    _check_image_symmetry(phi, preset)
+    basis = np.stack(torus_tw(perm, preset))
     torus_dim = len(basis)
     if args.index is not None:
         if not 0 <= args.index < torus_dim:
@@ -212,9 +214,9 @@ def cmd_moment(args) -> dict:
         basis = basis[args.index:args.index + 1]
     return {
         "preset": preset.label,
-        "layer_perm": list(lf.perm),
+        "layer_perm": list(perm),
         "torus_dim": torus_dim,
-        "mu": leaf_moment(lf, basis, preset).tolist(),
+        "mu": leaf_moment(pivots, basis, preset).tolist(),
         "basis": _pairs(basis),
     }
 
@@ -282,7 +284,7 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
         inside = mod2 <= 1.0
         k = su2_from_sphere((x + 1j * y)[inside], np.sqrt(1.0 - mod2[inside]))
         u = block_diag(np.eye(2), k.mT.conj())
-    minors, ambiguous, _ = _pivot_minors(cartan_embed(u, preset), _j_diagonal(preset))
+    minors, ambiguous, *_ = _pivot_minors(cartan_embed(u, preset), _j_diagonal(preset))
     columns = [np.full(len(x), -1), np.zeros(len(x))]
     columns[0][inside] = np.where(ambiguous, -1, pi_rank(u, preset))
     columns[1][inside] = np.min(np.abs(minors), axis=-1)

@@ -23,13 +23,16 @@ Implements the factorizations everything else is built on:
   private ``_pivot_minors`` reads them off its pivots instead, on the top
   layer, and keeps ``principal_minors`` for the rest, matrix by matrix;
   ``rank-grid`` and ``embed`` print those, and ``moment``'s guard reads
-  them.  It has two routes.  Where J is diagonal (a Grassmannian), psi =
+  them.  Beside the minors it returns what its readers read of the
+  factorization: the layer (perm and signs) and the pivots, the diagonal
+  of h.  It has two routes.  Where J is diagonal (a Grassmannian), psi =
   g J is Hermitian, and one in-place Hermitian elimination psi = l D l* of
   the stack, with no row exchange and no upper factor, gives the top
-  layer's minors cumprod(D J) and its factors l, h = D J and theta(l*),
-  built when read.  The images it leaves, a pivot not clearly above the
-  band, and every image of the group case, whose J swaps the blocks, go
-  through the structural elimination ``_eliminate``.
+  layer's pivots h = D J and minors cumprod(D J), and stores no
+  multiplier.  The images it leaves, a pivot not clearly above the band,
+  and every image of the group case, whose J swaps the blocks, go through
+  the structural elimination ``_eliminate``, the one builder of
+  ``BirkhoffFactors``.
 
 Each of the four takes a stack (..., n, n) and returns one result per
 matrix; one matrix in gives one result out.  Both factorizations first
@@ -51,7 +54,6 @@ All functions are pure and operate on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -360,62 +362,67 @@ def principal_minors(g: np.ndarray) -> np.ndarray:
 
 def _pivot_minors(g: np.ndarray, j=None):
     """The leading principal minors of a Cartan image g, beside its Birkhoff
-    factorization at ``DEFAULT_TOL``: (minors, ambiguous, factors).
+    layer and pivots at ``DEFAULT_TOL``: (minors, ambiguous, perm, signs,
+    pivots).
 
     g, one matrix or a stack (..., n, n), is an image the package built, of
     det |det u|^2 = 1 (u unitary), so it skips the unimodular check; a user
-    matrix goes through ``birkhoff_factor``.  ``minors`` is (..., n);
-    ``ambiguous`` (shape g.shape[:-2]) marks the matrices inside the band,
-    whose ``factors``, shaped as g, are not read.  ``_eliminate`` refuses
-    one matrix in the band.
+    matrix goes through ``birkhoff_factor``.  ``minors`` and ``pivots``, the
+    diagonal of h, are (..., n); perm and signs are as ``BirkhoffFactors``
+    holds them; ``ambiguous`` (shape g.shape[:-2]) marks the matrices
+    inside the band, whose layer and pivots are not read.  ``_eliminate``
+    refuses one matrix in the band.
 
     j is the diagonal of J where J is diagonal (a Grassmannian,
     ``symspace._j_diagonal``), else None.  With j, psi = g J is Hermitian
     and ``_hermitian_eliminate`` factors the stack as psi = l D l*, so
     g = l h theta(l*) with h = D J: an image it takes to the end is on the
-    top layer, with the real minors cumprod(D J), and ``factors``
-    (``_ImageFactors``) builds l, h and u_plus only when read.  An image
-    whose pivot is not clearly above the band is left to the route of j
-    None: one ``_eliminate`` pass, where an unmarked matrix on the top layer
-    (perm the identity) reads its minors off h as h_0 ... h_(k-1), the first
-    the entry g[0, 0] itself.  Every other matrix, on a lower layer or in
-    the band, keeps ``principal_minors``.  No matrix moves another one of
-    the stack off its pivots.  ``embed``, ``rank-grid`` and ``moment``'s
-    guard read their images through here."""
+    top layer, with the real minors cumprod(D J).  An image whose pivot is
+    not clearly above the band is left to the route of j None: one
+    ``_eliminate`` pass, where an unmarked matrix on the top layer (perm the
+    identity) reads its minors off h as h_0 ... h_(k-1), the first the entry
+    g[0, 0] itself.  Every other matrix, on a lower layer or in the band,
+    keeps ``principal_minors``.  No matrix moves another one of the stack
+    off its pivots.  ``embed``, ``rank-grid`` and ``moment`` read their
+    images through here."""
     g = _as_square_stack(g)
+    stack, n = g.shape[:-2], g.shape[-1]
     if j is None:
         factors, ambiguous, _ = _eliminate(g, DEFAULT_TOL)
-        top = np.all(np.asarray(factors.perm) == np.arange(g.shape[-1]), axis=-1) & ~ambiguous
+        pivots = np.diagonal(factors.h, axis1=-2, axis2=-1)
+        top = np.all(np.asarray(factors.perm) == np.arange(n), axis=-1) & ~ambiguous
         minors = np.empty(g.shape[:-1], dtype=complex)
-        minors[top] = np.cumprod(np.diagonal(factors.h, axis1=-2, axis2=-1)[top], axis=-1)
+        minors[top] = np.cumprod(pivots[top], axis=-1)
         if not top.all():
             minors[~top] = principal_minors(g[~top])
-        return minors, ambiguous, factors
-    stack, n = g.shape[:-2], g.shape[-1]
+        return minors, ambiguous, factors.perm, factors.signs, pivots
     flat = g.reshape(-1, n, n)
-    psi, d, top = _hermitian_eliminate(flat, j, DEFAULT_TOL)
+    d, top = _hermitian_eliminate(flat, j, DEFAULT_TOL)
+    h = d * j
     minors = np.empty(flat.shape[:-1], dtype=complex)
-    minors[top] = np.cumprod(d[top] * j, axis=-1)
+    minors[top] = np.cumprod(h[top], axis=-1)
+    pivots = h.astype(complex)
     ambiguous = np.zeros(len(flat), dtype=bool)
-    rest = None
+    perm = np.tile(np.arange(n), (len(flat), 1))
+    signs = np.ones_like(perm)
     if not top.all():
         # one matrix goes alone, so that _eliminate refuses it in the band
-        minors[~top], ambiguous[~top], rest = _pivot_minors(flat[~top] if stack else g)
-    factors = _ImageFactors(psi, d, j, top, rest, stack)
-    return minors.reshape(g.shape[:-1]), ambiguous.reshape(stack), factors
+        rest = _pivot_minors(flat[~top] if stack else g)
+        minors[~top], ambiguous[~top], perm[~top], signs[~top], pivots[~top] = rest
+    return (minors.reshape(g.shape[:-1]), ambiguous.reshape(stack),
+            *_layer_form(perm, signs, stack), pivots.reshape(g.shape[:-1]))
 
 
 def _hermitian_eliminate(g: np.ndarray, j: np.ndarray, tol: float):
     """LDL* of psi = g J, J = diag(j), for a stack g (count, n, n) of Cartan
-    images whose psi is Hermitian: (psi, d, top), in place on one working
-    copy of psi, as LAPACK's zhetrf works.  Column c pivots on d_c =
-    psi[c, c], whose imaginary part is rounding and is dropped; the
-    multipliers overwrite psi below the diagonal, and the trailing block
-    loses their outer product with the column.  No row is ever exchanged,
-    so the pivots are those of ``_eliminate`` on the top layer, times J.
-    ``top`` marks the images whose every pivot is at least tol *
-    AMBIGUITY_BAND; at its first pivot that is not, inside the band or
-    below it, an infinite pivot freezes an image, and its d and psi are not
+    images whose psi is Hermitian: (d, top), in place on one working copy of
+    psi, as LAPACK's zhetrf works.  Column c pivots on d_c = psi[c, c],
+    whose imaginary part is rounding and is dropped, and the trailing block
+    loses the outer product of the column with the column over d_c.  No
+    row is ever exchanged, so the pivots are those of ``_eliminate`` on the
+    top layer, times J.  ``top`` marks the images whose every pivot is at
+    least tol * AMBIGUITY_BAND; at its first pivot that is not, inside the
+    band or below it, an infinite pivot freezes an image, and its d is not
     read."""
     psi = g * j
     d = np.empty(psi.shape[:-1])
@@ -426,53 +433,4 @@ def _hermitian_eliminate(g: np.ndarray, j: np.ndarray, tol: float):
         col = psi[:, c + 1:, c]
         mult = col / np.where(top, d[:, c], np.inf)[:, np.newaxis]
         psi[:, c + 1:, c + 1:] -= mult[:, :, np.newaxis] * col.conj()[:, np.newaxis, :]
-        col[...] = mult
-    return psi, d, top
-
-
-class _ImageFactors(BirkhoffFactors):
-    """The factors ``_pivot_minors`` gives a stack of Cartan images with a
-    diagonal J = diag(j).  ``top`` (shape of the stack) marks the images
-    the Hermitian elimination took to the end: there perm is the identity,
-    every sign +1, l the unit lower triangle of the multipliers, h = D J and
-    u_plus = theta(l*) = J l* J.  The other images take the factors
-    ``rest`` that ``_eliminate`` gave them.  l, h and u_plus are built when
-    first read, l in place of the working copy psi: ``rank-grid`` reads
-    none of them and ``embed`` only perm and signs."""
-
-    def __init__(self, psi, d, j, top, rest, stack):
-        count, n = d.shape
-        perm = np.tile(np.arange(n), (count, 1))
-        signs = np.ones((count, n), dtype=int)
-        if rest is not None:
-            perm[~top], signs[~top] = rest.perm, rest.signs
-        perm, signs = _layer_form(perm, signs, stack)
-        for name, value in (("perm", perm), ("signs", signs), ("top", top.reshape(stack)),
-                            ("_psi", psi), ("_d", d), ("_j", j), ("_rest", rest)):
-            object.__setattr__(self, name, value)
-
-    def _merged(self, name: str, part: np.ndarray) -> np.ndarray:
-        """part (count, n, n) with the images outside ``top`` given the
-        factor ``name`` of ``rest``, shaped as the stack."""
-        if self._rest is not None:
-            part[~self.top.reshape(-1)] = getattr(self._rest, name)
-        return part.reshape(self.top.shape + part.shape[1:])
-
-    @cached_property
-    def l(self) -> np.ndarray:
-        l, n = self._psi, self._psi.shape[-1]
-        l *= np.tri(n, k=-1)
-        l += np.eye(n)
-        return self._merged("l", l)
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        h = np.zeros_like(self._psi)
-        rows = np.arange(h.shape[-1])
-        h[:, rows, rows] = self._d * self._j
-        return self._merged("h", h)
-
-    @cached_property
-    def u_plus(self) -> np.ndarray:
-        l = self.l.reshape(self._psi.shape)
-        return self._merged("u_plus", l.mT.conj() * np.multiply.outer(self._j, self._j))
+    return d, top

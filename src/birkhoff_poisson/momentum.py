@@ -4,7 +4,8 @@ The momentum of a torus direction X at a coset point of either family is
 read off the triangular factorization of the Cartan image: half the
 invariant pairing of i theta(log |h|) against X, with h the diagonal factor
 of the checked Birkhoff factorization ``strata.leaf_factorize`` returns for
-the Cartan image.
+the Cartan image.  ``leaf_moment`` reads the diagonal of h alone, so
+``moment`` hands it the pivots of ``linalg._pivot_minors``.
 The Hamiltonian property is checked honestly: the differential of the
 momentum function is taken by central finite differences of step
 ``poisson.FD_STEP`` along group-exponential curves, pushed through the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTangent
-from .linalg import BirkhoffFactors
 from .poisson import FD_STEP, omega_apply
 from .strata import _torus_cycles, leaf_factorize
 from .symspace import (
@@ -55,13 +55,14 @@ def _check_torus_direction(x: np.ndarray, perm, preset: SymmetricSpacePreset) ->
         raise InvalidTangent("direction is not constant on the cycles of perm[sigma] of the layer")
 
 
-def leaf_moment(lf: BirkhoffFactors, x: np.ndarray, preset: SymmetricSpacePreset):
-    """<(1/2) i theta(log|h|), x> from a leaf factorization, with log|h| taken
-    on the diagonal of h; a stack of factorizations or of directions x gives
-    the stack of values."""
-    log_h = np.zeros_like(lf.h)
-    idx = np.arange(log_h.shape[-1])
-    log_h[..., idx, idx] = np.log(np.abs(np.diagonal(lf.h, axis1=-2, axis2=-1)))
+def leaf_moment(h, x: np.ndarray, preset: SymmetricSpacePreset):
+    """<(1/2) i theta(log|h|), x> from the diagonal h (..., d) of the diagonal
+    factor of a leaf factorization; a stack of diagonals or of directions x
+    gives the stack of values."""
+    h = np.asarray(h)
+    log_h = np.zeros(h.shape + h.shape[-1:], dtype=complex)
+    idx = np.arange(h.shape[-1])
+    log_h[..., idx, idx] = np.log(np.abs(h))
     val = np.trace(0.5j * theta_g(log_h, preset) @ x, axis1=-2, axis2=-1)
     return val.real if np.ndim(val) else float(val.real)
 
@@ -72,7 +73,7 @@ def moment_eval(u, x: np.ndarray, preset: SymmetricSpacePreset):
     factorization.  x is checked against the layer permutation of every point."""
     lf = leaf_factorize(cartan_embed(u, preset), preset)
     _check_torus_direction(x, lf.perm, preset)
-    return leaf_moment(lf, np.asarray(x, dtype=complex), preset)
+    return leaf_moment(np.diagonal(lf.h, 0, -2, -1), np.asarray(x, dtype=complex), preset)
 
 
 def torus_vector_field(u, x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
@@ -109,7 +110,7 @@ def hamiltonian_residual(u, x: np.ndarray, preset: SymmetricSpacePreset):
     for x_t in xs:
         _check_torus_direction(x_t, lf.perm, preset)
     # values[..., side, r, t]: momentum of direction t at stencil[..., side, r, 0]
-    values = leaf_moment(lf, xs, preset)
+    values = leaf_moment(np.diagonal(lf.h, 0, -2, -1), xs, preset)
     coeffs = -(values[..., 0, :, :] - values[..., 1, :, :]) / (2.0 * FD_STEP)
     dmu = np.einsum("...rt,rij->...tij", coeffs, basis)
     u = u[..., np.newaxis, :, :]

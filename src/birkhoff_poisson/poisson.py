@@ -476,24 +476,24 @@ def fothlu_w_chart(w: complex) -> complex:
 
 
 def reals_to_complex(x: np.ndarray) -> np.ndarray:
-    """Complex vector of interleaved (re, im) coordinates on the last axis,
-    non-finite, unwarned, where a real is, for its reader to refuse."""
-    x = np.asarray(x, dtype=float)
-    x = x.reshape(-1) if x.ndim < 1 else x
+    """Complex vector of interleaved (re, im) coordinates on the last axis:
+    a copy of the reals read as complex, so every bit is kept, the sign of
+    a zero and a non-finite value included, for its reader to refuse."""
+    x = np.array(x, dtype=float, ndmin=1)
     if x.shape[-1] % 2:
         raise ValueError("real coordinate vector must have even length")
-    with np.errstate(invalid="ignore"):
-        return x[..., 0::2] + 1j * x[..., 1::2]
+    return x.view(complex)
 
 
 def _chart_points(x: np.ndarray, preset: SymmetricSpacePreset) -> np.ndarray:
     """Chart points (..., 2 m n) of interleaved (re, im) coordinates as chart
-    matrices (..., n, m), row-major.  A point of another length is passed on
-    as it is: ``symspace._chart_stack`` states every refusal."""
+    matrices (..., n, m), row-major.  ``symspace._chart_stack`` states every
+    refusal: a point of another length reaches it as one point of that
+    count, which it refuses naming the count, not the shape of a stack."""
     z = reals_to_complex(x)
-    if z.shape[-1] == preset.m * preset.n:
-        z = z.reshape(z.shape[:-1] + (preset.n, preset.m))
-    return z
+    if z.shape[-1] != preset.m * preset.n:
+        return np.zeros(z.shape[-1:], dtype=complex)
+    return z.reshape(z.shape[:-1] + (preset.n, preset.m))
 
 
 def _holo_to_real_frame(n: int) -> np.ndarray:

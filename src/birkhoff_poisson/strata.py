@@ -7,10 +7,12 @@ case, is factored with the structural permuted LDU at ``DEFAULT_TOL``, one
 path for both families; the signed permutation identifies the layer.
 ``leaf_factorize`` takes the image itself, so a caller that already holds
 phi does not build it again, and returns its ``BirkhoffFactors`` once
-``_check_leaf_symmetry`` has held them to phi* = theta(phi); a violation
-signals a factorization or preset bug and is raised, never repaired.
-``moment`` runs the two steps with its top-layer guard between them.
-log |h| is read off the diagonal of h.  The torus of layer W is the fixed
+``_check_leaf_symmetry`` has held phi to phi* = theta(phi) and the
+factors to theta-symmetry; a violation signals a factorization or preset
+bug and is raised, never repaired.  ``moment`` takes the layer and the
+pivots from ``linalg._pivot_minors`` instead, and checks phi alone
+(``_check_image_symmetry``), after its top-layer guard.  log |h| is read
+off the diagonal of h.  The torus of layer W is the fixed
 space of Ad(W) o theta on the purely imaginary traceless diagonals; Ad(W)
 cancels the signs of W there, so ``torus_tw`` takes the permutation alone.
 ``orbit_direction_span`` reaches the leaf's tangent directions apart from
@@ -53,24 +55,30 @@ def leaf_factorize(phi, preset: SymmetricSpacePreset) -> BirkhoffFactors:
     return factors
 
 
-def _check_leaf_symmetry(phi, factors: BirkhoffFactors, preset: SymmetricSpacePreset) -> None:
-    """Raise SymmetryViolation unless phi* = theta(phi) and the factors of
-    phi have u_plus = theta(l*) and theta(W* h W) = h*, to within
-    DEFAULT_TOL * max(1, |phi|).  Factors of the Hermitian elimination
-    (``linalg._pivot_minors`` with J diagonal) hold the last two by
-    construction, as it reads phi J below its diagonal only: there the
-    first is the one that can fail."""
+def _check_image_symmetry(phi, preset: SymmetricSpacePreset, *defects) -> None:
+    """Raise SymmetryViolation unless phi* = theta(phi), and then each
+    (what, defect) of ``defects`` vanishes, to within DEFAULT_TOL *
+    max(1, |phi|).  ``moment`` checks phi alone: the Hermitian elimination
+    reads phi J on and below its diagonal only, so its factors are
+    theta-symmetric whatever phi is."""
     bound = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(phi, axis=(-2, -1)))
-    w, h, l_star = factors.w_matrix, factors.h, factors.l.mT.conj()
-    for what, defect in (
-        ("image differs from theta(phi*)", phi - theta_g(np.asarray(phi).mT.conj(), preset)),
-        ("upper factor differs from theta(l*)", factors.u_plus - theta_g(l_star, preset)),
-        ("diagonal factor fails the layer membership identity",
-         theta_g(w.mT.conj() @ h @ w, preset) - h.mT.conj()),
-    ):
+    image = phi - theta_g(np.asarray(phi).mT.conj(), preset)
+    for what, defect in (("image differs from theta(phi*)", image),) + defects:
         size = np.linalg.norm(defect, axis=(-2, -1))
         if np.any(size > bound):
             raise SymmetryViolation(f"{what} by {np.max(size):.3e}")
+
+
+def _check_leaf_symmetry(phi, factors: BirkhoffFactors, preset: SymmetricSpacePreset) -> None:
+    """Raise SymmetryViolation unless phi* = theta(phi) and the factors of
+    phi have u_plus = theta(l*) and theta(W* h W) = h*, to within
+    DEFAULT_TOL * max(1, |phi|).  The factors of ``birkhoff_factor`` can
+    fail the last two (a cp2 wall does)."""
+    w, h, l_star = factors.w_matrix, factors.h, factors.l.mT.conj()
+    upper = factors.u_plus - theta_g(l_star, preset)
+    diagonal = theta_g(w.mT.conj() @ h @ w, preset) - h.mT.conj()
+    _check_image_symmetry(phi, preset, ("upper factor differs from theta(l*)", upper),
+                          ("diagonal factor fails the layer membership identity", diagonal))
 
 
 def torus_tw(perm, preset: SymmetricSpacePreset) -> tuple[np.ndarray, ...]:

@@ -788,14 +788,13 @@ def test_pivot_minors_on_a_mixed_stack(rng):
     cp1 = parse_preset("cp1")
     z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
     phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
-    minors, ambiguous, factors = _pivot_minors(phi)
+    minors, ambiguous, perm, _, pivots = _pivot_minors(phi)
     np.testing.assert_array_equal(ambiguous, [False] * 7 + [True])
-    assert factors.perm[6].tolist() == [1, 0]
+    assert perm[6].tolist() == [1, 0]
     # the wall and band cells keep the determinants, bit for bit
     np.testing.assert_array_equal(minors[6:], principal_minors(phi[6:]))
     # the others read their pivot products, one band cell beside them or not
-    top = factors.h[:6]
-    np.testing.assert_array_equal(minors[:6], np.cumprod(np.diagonal(top, 0, -2, -1), axis=-1))
+    np.testing.assert_array_equal(minors[:6], np.cumprod(pivots[:6], axis=-1))
     np.testing.assert_array_equal(minors[:6], _pivot_minors(phi[:6])[0])
     assert np.any(minors[:6] != principal_minors(phi[:6]))
     np.testing.assert_allclose(minors, principal_minors(phi), rtol=0, atol=1e-15)
@@ -803,10 +802,11 @@ def test_pivot_minors_on_a_mixed_stack(rng):
 
 def test_pivot_minors_of_one_matrix(rng):
     g = special_linear_stack(4, 1, rng)[0]
-    minors, ambiguous, factors = _pivot_minors(g)
+    minors, ambiguous, perm, signs, pivots = _pivot_minors(g)
     assert minors.shape == (4,) and ambiguous.shape == () and not ambiguous
-    assert factors.perm == (0, 1, 2, 3)
-    np.testing.assert_array_equal(minors, np.cumprod(np.diag(factors.h)))
+    assert perm == (0, 1, 2, 3) and signs == (1, 1, 1, 1)
+    assert pivots.tobytes() == np.diag(birkhoff_factor(g).h).tobytes()
+    np.testing.assert_array_equal(minors, np.cumprod(pivots))
     np.testing.assert_allclose(minors, principal_minors(g), rtol=1e-10)
     # a lower layer: the determinants
     w = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -820,8 +820,9 @@ def test_pivot_minors_of_one_matrix(rng):
 def test_pivot_minors_of_a_stack_all_in_the_band():
     cp1 = parse_preset("cp1")
     phi = cartan_embed(canonical_rep(np.full((2, 1, 1, 1), _BAND_Z + 0j), cp1), cp1)
-    minors, ambiguous, factors = _pivot_minors(phi)
-    assert ambiguous.shape == (2, 1) and ambiguous.all() and factors.h.shape == phi.shape
+    minors, ambiguous, perm, signs, pivots = _pivot_minors(phi)
+    assert ambiguous.shape == (2, 1) and ambiguous.all()
+    assert perm.shape == signs.shape == pivots.shape == phi.shape[:-1]
     np.testing.assert_array_equal(minors, principal_minors(phi))
 
 
@@ -876,28 +877,29 @@ def test_pivot_minors_factor_a_stack_in_one_elimination(rng, monkeypatch):
     # a Cartan image is unimodular by construction, so _pivot_minors takes
     # it unchecked.  With J diagonal one Hermitian elimination runs over
     # the stack, and _eliminate once, on the images it leaves, the wall and
-    # the band cell alone; the factors are shaped as the stack.  The top
-    # images' minors are LAPACK's det of the leading blocks to within
-    # 2e-14 / min|h|, and their factors give back phi; the images left keep
-    # the factors of birkhoff_factor on them, bit for bit
+    # the band cell alone; the layer and pivots are shaped as the stack.
+    # The top images' minors are LAPACK's det of the leading blocks to
+    # within 2e-14 / min|h|, their layer is the identity and their pivots
+    # those of birkhoff_factor to within 1e-14; the images left keep the
+    # layer and pivots of birkhoff_factor on them, bit for bit
     cp1 = parse_preset("cp1")
     z = np.concatenate([complex_normal_sampler(6).one(rng), [0.6 + 0.8j, _BAND_Z]])
     phi = cartan_embed(canonical_rep(z.reshape(-1, 1, 1), cp1), cp1)
     eliminations = []
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda *a: eliminations.append(a) or eliminate(*a))
-    minors, ambiguous, factors = _pivot_minors(phi, _j_diagonal(cp1))
+    minors, ambiguous, perm, signs, pivots = _pivot_minors(phi, _j_diagonal(cp1))
     assert len(eliminations) == 1 and eliminations[0][0].tobytes() == phi[6:].tobytes()
     assert ambiguous.tolist() == [False] * 7 + [True]
-    assert factors.top.tolist() == [True] * 6 + [False] * 2
-    h = np.abs(np.diagonal(factors.h[:6], 0, -2, -1))
+    assert perm.shape == signs.shape == pivots.shape == phi.shape[:-1]
+    assert np.all(perm[:6] == [0, 1]) and np.all(signs[:6] == 1)
+    h = np.abs(pivots[:6])
     gap = np.abs(minors[:6] - principal_minors(phi[:6]))
     assert np.all(gap <= 2e-14 / np.min(h, axis=-1, keepdims=True))
-    np.testing.assert_allclose(factors.reconstruct()[:6], phi[:6], rtol=0, atol=1e-14)
+    top = birkhoff_factor(phi[:6])
+    np.testing.assert_allclose(pivots[:6], np.diagonal(top.h, 0, -2, -1), rtol=0, atol=1e-14)
     wall = birkhoff_factor(phi[6:7])
-    for name in ("l", "perm", "signs", "h", "u_plus"):
-        a, b = np.asarray(getattr(factors, name)), np.asarray(getattr(wall, name))
-        assert a.shape == phi.shape[:a.ndim]
+    for a, b in ((perm, wall.perm), (signs, wall.signs), (pivots, np.diagonal(wall.h, 0, -2, -1))):
         assert a[6:7].tobytes() == b.tobytes()
 
 
@@ -935,13 +937,13 @@ def test_band_images_keep_their_slot_in_the_elimination(spec, count, picks, data
     phi = np.empty((size,) + clean.shape[1:], dtype=complex)
     phi[marked], phi[~marked] = band, clean
 
-    minors, ambiguous, factors = _pivot_minors(phi)
-    clean_minors, clean_ambiguous, clean_factors = _pivot_minors(clean)
+    minors, ambiguous, perm, _, pivots = _pivot_minors(phi)
+    clean_minors, clean_ambiguous, clean_perm, _, clean_pivots = _pivot_minors(clean)
     assert not clean_ambiguous.any()
     np.testing.assert_array_equal(ambiguous, marked)
-    assert factors.h.shape == phi.shape and factors.perm.shape == phi.shape[:-1]
-    assert factors.perm[~marked].tobytes() == clean_factors.perm.tobytes()
-    assert factors.h[~marked].tobytes() == clean_factors.h.tobytes()
+    assert pivots.shape == perm.shape == phi.shape[:-1]
+    assert perm[~marked].tobytes() == clean_perm.tobytes()
+    assert pivots[~marked].tobytes() == clean_pivots.tobytes()
     assert minors[~marked].tobytes() == clean_minors.tobytes()
 
     with pytest.raises(StratumAmbiguous) as info:
@@ -978,8 +980,8 @@ def test_the_hermitian_elimination_classifies_as_eliminate_does(spec, seed):
     pivots = np.where(rng.uniform(size=6) < 0.2, 0.0, 10 ** rng.uniform(-16, -6, 6))
     phi = np.array([_near_wall_image(preset, rng, pivot) for pivot in pivots])
     j = _j_diagonal(preset)
-    minors, ambiguous, factors = _pivot_minors(phi, j)
-    ref_minors, ref_ambiguous, ref_factors = _pivot_minors(phi)
+    minors, ambiguous, perm, _, pivots = _pivot_minors(phi, j)
+    ref_minors, ref_ambiguous, ref_perm, *_ = _pivot_minors(phi)
     dets = principal_minors(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.abs(np.concatenate([dets[:, :1], dets[:, 1:] / dets[:, :-1]], axis=-1))
@@ -987,8 +989,8 @@ def test_the_hermitian_elimination_classifies_as_eliminate_does(spec, seed):
     near = np.any(np.abs(ratios[..., np.newaxis] / edges - 1) <= 1e-12, axis=(-2, -1))
     np.testing.assert_array_equal(ambiguous[~near], ref_ambiguous[~near])
     read = ~ambiguous & ~ref_ambiguous
-    np.testing.assert_array_equal(factors.perm[read], ref_factors.perm[read])
-    h = np.abs(np.concatenate([np.diagonal(factors.h[read], 0, -2, -1), dets[read]], axis=-1))
+    np.testing.assert_array_equal(perm[read], ref_perm[read])
+    h = np.abs(np.concatenate([pivots[read], dets[read]], axis=-1))
     assert np.all(np.abs(minors[read] - dets[read]) <= 2e-14 / np.min(h, axis=-1, keepdims=True))
     for image, image_minors, marked in zip(phi, minors, ambiguous):
         if marked:
@@ -1011,8 +1013,8 @@ def test_only_birkhoff_factor_takes_a_det(rng, monkeypatch):
         raise AssertionError("np.linalg.det ran")
 
     monkeypatch.setattr(linalg.np.linalg, "det", no_det)
-    _, ambiguous, factors = _pivot_minors(phi)
-    assert not ambiguous.any() and np.all(factors.perm == np.arange(3))
+    _, ambiguous, perm, *_ = _pivot_minors(phi)
+    assert not ambiguous.any() and np.all(perm == np.arange(3))
     monkeypatch.setattr(linalg.np.linalg, "det", lambda a: dets.append(a) or det(a))
     for g in (special_linear_stack(4, 1, rng)[0], special_linear_stack(4, 64, rng), phi):
         dets.clear()

@@ -825,6 +825,19 @@ def test_reals_to_complex_pairs_the_coordinates_and_refuses_an_odd_count():
         reals_to_complex(np.ones(3))
 
 
+def test_reals_to_complex_keeps_every_bit_of_the_reals():
+    # the sign of a zero and the non-finite values included, for the reader
+    # of the point to refuse; x_re + 1j x_im would add +0.0 to each part
+    x = np.array([[-0.0, 0.5, 0.3, -0.0], [np.nan, -np.inf, 0.0, -0.0]])
+    z = reals_to_complex(x)
+    assert z.shape == (2, 2) and z.view(float).tobytes() == x.tobytes()
+    np.testing.assert_array_equal(np.signbit(z.real), [[True, False], [False, False]])
+    np.testing.assert_array_equal(np.signbit(z.imag), [[False, True], [True, True]])
+    # a copy: the reals are not written through it
+    z[...] = 1.0
+    assert np.signbit(x[0, 0])
+
+
 def _chart_tensor_reference(x, m, n):
     """The Grassmann chart tensor as first written: the reference operator
     broadcast over the basis axis, then the einsum trace pairing."""
@@ -901,7 +914,8 @@ def test_chart_tensor_rejects_a_non_finite_tensor(m, n, x):
         # reshape error
         ([0.0] * 6, grassmannian(1, 2), r"chart matrix must be 2 x 1, got \(3,\)"),
         ([0.0] * 6, group_case(2), "charts exist for the Grassmannian family only"),
-        ([[0.0] * 6] * 2, grassmannian(2, 2), r"chart matrix must be 2 x 2, got \(2, 3\)"),
+        # a stack of points of the wrong length is named by one point's count
+        ([[0.0] * 6] * 2, grassmannian(2, 2), r"chart matrix must be 2 x 2, got \(3,\)"),
     ],
 )
 def test_chart_tensor_refuses_what_canonical_rep_refuses(x, preset, match):

@@ -581,6 +581,26 @@ def test_the_elimination_has_two_doors():
     assert cli_names == set()
 
 
+def test_birkhoff_factors_are_built_by_the_elimination_alone():
+    # BirkhoffFactors holds what _eliminate computed: no other function
+    # builds one, and no class of the package extends it
+    builders, subclasses = set(), set()
+    for path in Path(birkhoff_poisson.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef):
+                    bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                    if "BirkhoffFactors" in bases:
+                        subclasses.add((path.name, node.name))
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called == "BirkhoffFactors":
+                        builders.add((path.name, owner))
+    assert builders == {("linalg.py", "_eliminate")}
+    assert subclasses == set()
+
+
 def test_the_package_imports_only_numpy_and_the_standard_library():
     # relative imports are the package's own modules
     imported = set()
