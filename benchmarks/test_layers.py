@@ -9,12 +9,13 @@ thread:
 
 The stack sizes are those one ``rank-grid`` stack holds under its 256 KiB
 budget of (d, d) matrices: a whole 32 x 32 grid, 1,024 cells, on cp1, cp2,
-gr:2,2 and group:su2 (``tests/test_benchmark_spec.py`` checks that
-``_GRID_CASES`` still matches); ``matrix_of_omega`` runs them in frame
-chunks of its own.  The single matrices are those of ``pi --preset
-gr:6,10``, of gr:8,12 (dim_ip 192) and of the group case su3.  ``orbit_direction_span``,
-the kernel ``lie.proj_u`` serves, runs on the cp1, cp2 and gr:2,2 stacks
-and on the one gr:6,10 point.
+gr:2,2 and group:su2, and one of that grid's 16 stacks, 64 cells, on
+gr:6,10 (``tests/test_benchmark_spec.py`` checks that ``_GRID_CASES``
+still matches); ``matrix_of_omega`` runs them in frame chunks of its own.
+The single matrices are those of ``pi --preset gr:6,10``, of gr:8,12
+(dim_ip 192) and of the group case su3.  ``orbit_direction_span``, the
+kernel ``lie.proj_u`` serves, runs on the cp1, cp2 and gr:2,2 stacks and
+on the one gr:6,10 point.
 ``canonical_rep`` also runs on a gr:3,1 stack, whose chart matrices are
 rows, and on one cp1 point.  The two factorizations run on unimodular
 matrices of size 2, 4, 8 and 16, one matrix and a stack of 256 each.
@@ -24,10 +25,11 @@ factorization with the moments of the whole torus basis, as ``moment``
 reads them, at one interior point of each of its ``moment`` presets.
 ``pi_rank``, ``cartan_embed`` and the ``rank-grid`` columns of one stack
 run at the stack sizes, and ``cartan_embed`` on the one gr:2,2 image of a
-``moment`` call too; ``_grid_cells`` runs the whole 32 x 32 grid of each sweep preset,
-its stacks included, and both ``_pivot_minors``, the unchecked Hermitian
-elimination the grid runs, on that grid's one stack of 1,024 Cartan images
-and on the first stack of a gr:2,3 grid, and the public ``birkhoff_factor``
+``moment`` call too; ``_grid_cells`` runs the whole 32 x 32 grid of each
+sweep preset and of gr:2,3, whose cells take cp3's closed form, its stacks included,
+and ``_pivot_minors``, the unchecked Hermitian elimination the grid runs,
+on each sweep grid's one stack of 1,024 Cartan images and on the first
+stack of the gr:2,3 grid, and the public ``birkhoff_factor``
 on the 1,024; one ``pi --preset gr:6,10``, one ``moment --preset
 gr:2,2``, one ``embed --preset cp2`` and one ``jacobi --preset cp2`` call
 run through ``cli.main``, each reading its ``--point`` through the library's
@@ -40,13 +42,13 @@ The medians of one run move by up to 1.7x on a shared machine while the
 minima hold, so a layer change is read from at least 5 runs per side,
 alternating the two sides, by the minimum and by the median of the run
 medians.  The large single matrices, ``matrix_of_omega`` at gr:6,10 and
-gr:8,12, and the ``cli_call`` cases are compared in a process of their
-own: their minima depend on the cases run before them, as glibc's mmap
+gr:8,12, the gr:6,10 stack of 64 cells and the ``cli_call`` cases are
+compared in a process of their own: their minima depend on the cases run before them, as glibc's mmap
 threshold follows the largest array freed so far.  Run them apart from
 the rest:
 
-    python -m pytest benchmarks -k "cli_call or (matrix_of_omega and (gr:6 or gr:8))"
-    python -m pytest benchmarks -k "not cli_call and not (matrix_of_omega and (gr:6 or gr:8))"
+    python -m pytest benchmarks -k "cli_call or 10-64 or (matrix_of_omega and (gr:6 or gr:8))"
+    python -m pytest benchmarks -k "not cli_call and not 10-64 and not (matrix_of_omega and (gr:6 or gr:8))"
 """
 
 import contextlib
@@ -76,8 +78,8 @@ from birkhoff_poisson.sampling import (
 from birkhoff_poisson.strata import leaf_factorize, orbit_direction_span, torus_tw
 from birkhoff_poisson.symspace import canonical_rep, cartan_embed, parse_preset
 
-# the stack of a 32 x 32 rank-grid; a literal, read by tests/test_benchmark_spec.py
-_GRID_CASES = [("cp1", 1024), ("cp2", 1024), ("gr:2,2", 1024), ("group:su2", 1024)]
+# a stack of a 32 x 32 rank-grid; a literal, read by tests/test_benchmark_spec.py
+_GRID_CASES = [("cp1", 1024), ("cp2", 1024), ("gr:2,2", 1024), ("group:su2", 1024), ("gr:6,10", 64)]
 _STACKS = _GRID_CASES[:3] + [("gr:6,10", None)]
 _REP_CASES = _STACKS + [("gr:3,1", 455), ("cp1", None)]
 _BIVECTOR_CASES = _STACKS + [("gr:8,12", None), ("group:su3", None)]
@@ -177,7 +179,7 @@ def _sweep_axes(preset):
     return [cli._axis_points(lo, hi, 32) for lo, hi, _ in cli._grid_layout(preset)[0]]
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]])
+@pytest.mark.parametrize("spec", [spec for spec, _ in _STACKS[:3]] + ["gr:2,3"])
 def test_grid_cells(benchmark, spec):
     """The columns of a whole 32 x 32 rank-grid over the default axes."""
     preset = parse_preset(spec)

@@ -55,6 +55,7 @@ from .symspace import (
     block_diag,
     canonical_rep,
     cartan_embed,
+    grassmannian,
     parse_preset,
 )
 from .verify import SUITES, run_suite
@@ -258,12 +259,17 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
     one route: the point stack u, the rank of the bivector at u, -1 where
     the layer of the Cartan image phi is ambiguous, and the smallest
     |leading minor| of phi, read off the pivots of phi's Birkhoff
-    factorization on the top layer (``_pivot_minors``).  A group:su2 cell is
-    u = diag(I, k*), where ``pi_el_group`` evaluates, at k = [[a, b],
-    [-b*, a*]], a = x + iy, b = sqrt(1 - |a|^2): phi = diag(k, k*), whose
-    smallest |leading minor| is |a|.  A cell outside the unit disc, |a|^2
-    overflowing included, gets rank -1 and 0.0.  fothlu is the one closed
-    form; a coefficient that overflows is refused as ``jacobi`` refuses it."""
+    factorization on the top layer (``_pivot_minors``).  A Grassmannian cell
+    is the chart matrix z = [c, 0].  Where min(m, n) >= 2, u is cp_n's
+    closed-form representative of the column c, with no LAPACK call, put on
+    coordinates 0, m, ..., m + n - 1 of the identity; cp_n refuses c where
+    gr:m,n refuses z.  gr:m,1 takes z whole: cp1 never refuses c.  A
+    group:su2 cell is u = diag(I, k*), where ``pi_el_group`` evaluates, at
+    k = [[a, b], [-b*, a*]], a = x + iy, b = sqrt(1 - |a|^2):
+    phi = diag(k, k*), whose smallest |leading minor| is |a|.  A cell
+    outside the unit disc, |a|^2 overflowing included, gets rank -1 and 0.0.
+    fothlu is the one closed form; a coefficient that overflows is refused
+    as ``jacobi`` refuses it."""
     if preset is None:
         with np.errstate(over="ignore", invalid="ignore"):
             coeff = np.abs(fothlu_w_chart(x + 1j * y))
@@ -272,12 +278,18 @@ def _grid_columns(preset, x: np.ndarray, y: np.ndarray) -> list:
         return [np.where(coeff > DEFAULT_TOL, 2, 0), coeff]
     inside = np.ones(len(x), dtype=bool)
     if preset.is_inner:
-        z = np.zeros((len(x), preset.n, preset.m), dtype=complex)
+        m, n = preset.m, preset.n
+        z = np.zeros((len(x), n, m), dtype=complex)
         if preset.label == "cp2":
             z[:, 0, 0], z[:, 1, 0] = x, y
         else:
             z.real[:, 0, 0], z.imag[:, 0, 0] = x, y
-        u = canonical_rep(z, preset)
+        if min(m, n) < 2:
+            u = canonical_rep(z, preset)
+        else:
+            on = np.r_[0, m:m + n]
+            u = np.broadcast_to(np.eye(m + n, dtype=complex), (len(x), m + n, m + n)).copy()
+            u[:, on[:, np.newaxis], on] = canonical_rep(z[..., :1], grassmannian(1, n))
     else:
         with np.errstate(over="ignore"):
             mod2 = x * x + y * y

@@ -685,12 +685,17 @@ def _reference_cell(spec, x, y):
 # The x axis -8e-10, 1 + 8e-10 puts |z| = 1 inside the ambiguity band on the
 # real axis (rank -1), and y = +-1 puts it on the rank-drop locus.  The cp2
 # grid hits its locus exactly at (0, +-1) and (1, 0).  cp3, like every
-# Grassmannian but cp2, runs on the z11 plane.
+# Grassmannian but cp2, runs on the z11 plane.  gr:2,2, gr:2,3, gr:3,2 and
+# gr:3,3 take their representatives from cp_n's closed form, which the
+# reference cell does not.
 _GRID_CASES = [
     ("cp1", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
     ("cp2", "-0.5,1.5,2,-1.5,1.5,3"),
     ("gr:2,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
     ("cp3", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ("gr:2,3", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ("gr:3,2", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
+    ("gr:3,3", "-0.5000000016,1.5000000016,2,-1.5,1.5,3"),
 ]
 
 
@@ -723,6 +728,66 @@ def test_rank_grid_rows_match_per_cell_definition(spec, grid, stack_cells, monke
         expected = _reference_cell(spec, row[0], row[1])
         assert row[:3] == expected[:3]
         assert row[3] == pytest.approx(expected[3], rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("spec", ["gr:2,2", "gr:2,3", "gr:3,1"])
+@pytest.mark.parametrize(
+    "lo,hi,message", [(1e7, 2e7, "ill-conditioned"), (1e200, 2e200, "overflows")]
+)
+def test_rank_grid_refuses_the_chart_points_embed_refuses(spec, lo, hi, message, capsys):
+    # |z11|^2 past 1e14 reads as ill-conditioned on every Grassmannian
+    # (cp1's 1 x 1 chart aside); the grid's worst cell, the largest |z11|,
+    # names the reciprocal condition number that both commands print
+    grid = f"--grid={lo!r},{hi!r},2,0,1,2"
+    assert main(["rank-grid", "--preset", spec, grid]) == 3
+    grid_err = capsys.readouterr()
+    x, y = float(cli._axis_points(lo, hi, 2)[-1]), float(cli._axis_points(0.0, 1.0, 2)[-1])
+    point = ",".join(map(repr, [x, y] + [0.0] * (parse_preset(spec).dim_ip - 2)))
+    assert main(["embed", "--preset", spec, f"--point={point}"]) == 3
+    assert grid_err == capsys.readouterr()
+    assert grid_err.out == "" and message in grid_err.err
+
+
+def _record_route(monkeypatch) -> tuple[list, list]:
+    """Lists that fill with the shape of every chart stack ``rank-grid``
+    hands ``canonical_rep`` and with the representatives it embeds."""
+    shapes, reps = [], []
+    rep, embed = cli.canonical_rep, cli.cartan_embed
+    monkeypatch.setattr(cli, "canonical_rep", lambda z, p: shapes.append(z.shape) or rep(z, p))
+    monkeypatch.setattr(cli, "cartan_embed", lambda u, p: reps.append(u) or embed(u, p))
+    return shapes, reps
+
+
+@pytest.mark.parametrize("spec", ["gr:2,2", "gr:6,10"])
+def test_rank_grid_cells_of_wide_grassmannians_take_the_cpn_column(spec, monkeypatch):
+    # cells z = [z11 e_1, 0] with min(m, n) >= 2 take cp_n's closed form on
+    # the column: every chart stack is (cells, n, 1), over the two stacks of
+    # a 10 x 10 gr:6,10 grid too, and each representative is that of the
+    # full chart
+    preset = parse_preset(spec)
+    shapes, reps = _record_route(monkeypatch)
+    xs = ys = cli._axis_points(-2.0, 2.0, 10)
+    cli._grid_cells(preset, xs, ys)
+    assert len(shapes) == (1 if spec == "gr:2,2" else 2)
+    assert all(shape[1:] == (preset.n, 1) for shape in shapes)
+    z = np.zeros((100, preset.n, preset.m), dtype=complex)
+    z[:, 0, 0] = np.repeat(xs, 10) + 1j * np.tile(ys, 10)
+    d = preset.matrix_dim
+    gap = np.abs(np.concatenate(reps) - canonical_rep(z, preset))
+    assert np.max(gap) <= 4 * d * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("spec", ["gr:2,2", "gr:6,10"])
+def test_rank_grid_cpn_column_representatives_are_unitary(spec, monkeypatch):
+    # |z11| from 1e-200, where |z11|^2 underflows, to 1e6, and z = 0
+    preset = parse_preset(spec)
+    _, reps = _record_route(monkeypatch)
+    r = np.concatenate([[0.0], np.logspace(-200, 6, 63)])
+    cli._grid_columns(preset, r * np.cos(0.7), r * np.sin(0.7))
+    (u,) = reps
+    d = preset.matrix_dim
+    gap = np.linalg.norm(u @ u.mT.conj() - np.eye(d), ord=2, axis=(-2, -1))
+    assert np.max(gap) <= 8 * d * np.finfo(float).eps
 
 
 def su2_el_matrix(k: np.ndarray) -> np.ndarray:
